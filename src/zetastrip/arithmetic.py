@@ -1,5 +1,5 @@
 """Elementary arithmetic helpers: gcd/lcm pair data, divisor power sums,
-and divisor-restricted coefficient sums.
+Dirichlet polynomials and exact unit phases.
 
 Conventions used throughout the package:
 
@@ -13,10 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ValidationError
@@ -25,9 +22,7 @@ __all__ = [
     "PairData",
     "DirichletPolynomial",
     "pair_data",
-    "divisor_sigma",
     "divisor_sigma_range",
-    "b_coefficient",
     "unit_phase",
 ]
 
@@ -90,10 +85,6 @@ class DirichletPolynomial:
             return complex(out)
         return out
 
-    @classmethod
-    def from_values(cls, values: Sequence[complex]) -> "DirichletPolynomial":
-        return cls(tuple(complex(v) for v in values))
-
 
 def pair_data(k: int, l: int) -> PairData:
     """Compute gcd/lcm/coprime-part data for ``(k, l)``.
@@ -112,38 +103,8 @@ def pair_data(k: int, l: int) -> PairData:
     return PairData(k=k, l=l, gcd=g, lcm=lcm, kappa=kappa, lam=lam, kappa_bar=kappa_bar)
 
 
-_sigma_lock = threading.Lock()
-_sigma_cache: dict[tuple[float, int], complex | float] = {}
+# Per-process memo; suite workers are processes, so no lock is needed.
 _sigma_range_cache: dict[tuple[float, int], np.ndarray] = {}
-_SIGMA_CACHE_LIMIT = 200_000
-
-
-def divisor_sigma(a: float, n: int) -> float:
-    """Divisor power sum ``sigma_a(n) = sum_{d | n} d^a`` for real exponent ``a``.
-
-    Results are memoised under a lock so concurrent workers may share the
-    cache; the cache is bounded and simply stops growing once full.
-    """
-    if n < 1:
-        raise ValidationError("divisor_sigma requires n >= 1")
-    key = (float(a), int(n))
-    with _sigma_lock:
-        hit = _sigma_cache.get(key)
-    if hit is not None:
-        return hit
-    total = 0.0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += float(d) ** a
-            q = n // d
-            if q != d:
-                total += float(q) ** a
-        d += 1
-    with _sigma_lock:
-        if len(_sigma_cache) < _SIGMA_CACHE_LIMIT:
-            _sigma_cache[key] = total
-    return total
 
 
 def divisor_sigma_range(a: float, n_max: int) -> np.ndarray:
@@ -155,29 +116,16 @@ def divisor_sigma_range(a: float, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValidationError("divisor_sigma_range requires n_max >= 1")
     key = (float(a), int(n_max))
-    with _sigma_lock:
-        hit = _sigma_range_cache.get(key)
+    hit = _sigma_range_cache.get(key)
     if hit is not None:
         return hit
     out = np.zeros(n_max, dtype=np.float64)
     for d in range(1, n_max + 1):
         out[d - 1 :: d] += float(d) ** a
     out.setflags(write=False)
-    with _sigma_lock:
-        if len(_sigma_range_cache) < 64:
-            _sigma_range_cache[key] = out
+    if len(_sigma_range_cache) < 64:
+        _sigma_range_cache[key] = out
     return out
-
-
-def b_coefficient(m: int, poly: DirichletPolynomial) -> complex:
-    """Divisor-restricted coefficient sum ``b(m) = sum_{k <= M, k | m} a(k)``."""
-    if m < 1:
-        raise ValidationError("b_coefficient requires m >= 1")
-    total = 0.0 + 0.0j
-    for k in range(1, poly.length + 1):
-        if m % k == 0:
-            total += poly.coefficient(k)
-    return total
 
 
 def unit_phase(numerator: int | np.ndarray, modulus: int) -> complex | np.ndarray:

@@ -5,14 +5,15 @@ report; ``zetastrip suite FILE`` runs every scenario a suite file lists on a
 process pool and writes a summary; ``zetastrip compare CURRENT BASELINE``
 diffs two JSON reports field by field.  Exit codes: 0 when everything
 passed, 2 when the machinery worked but a verdict failed or a baseline
-drifted, 1 for bad input or an execution error (the offending constraint is
-named on stderr).
+drifted, 1 for a usage error, bad input or an execution error (the offending
+option or constraint is named on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 from ._env import pin_thread_env
 
@@ -32,8 +33,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (bad input); exit 2 is reserved for failed verdicts."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(scenarios.EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zetastrip",
         description=(
             "Numerical laboratory for the mean square of zeta times a Dirichlet "
@@ -46,20 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one scenario file and write its report")
     run.add_argument("scenario", help="path to a scenario INI file")
     run.add_argument("--out", default=None, metavar="DIR", help="report directory (default: current directory)")
-    run.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="accepted for interface symmetry with 'suite'; a single scenario runs in-process",
-    )
-    run.add_argument(
-        "--precision",
-        type=_positive_int,
-        default=53,
-        metavar="BITS",
-        help="working precision in bits (>= 53); kinds with binary64-only kernels reject higher values",
-    )
 
     compare = sub.add_parser("compare", help="diff a JSON report against a stored baseline")
     compare.add_argument("report", help="current JSON report")
@@ -75,18 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("suite", help="path to a suite INI file")
     suite.add_argument("--out", default=None, metavar="DIR", help="report directory (default: current directory)")
     suite.add_argument("--workers", type=_positive_int, default=1, metavar="N", help="process-pool size")
-    suite.add_argument(
-        "--precision",
-        type=_positive_int,
-        default=53,
-        metavar="BITS",
-        help="working precision in bits (>= 53); kinds with binary64-only kernels reject higher values",
-    )
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = scenarios.execute_scenario(args.scenario, args.out, precision_bits=args.precision)
+    result = scenarios.execute_scenario(args.scenario, args.out)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.kind} {result.stem}: {result.detail}")
     for path in result.outputs:
@@ -106,9 +94,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    summary = scenarios.run_suite(
-        args.suite, args.out, workers=args.workers, precision_bits=args.precision
-    )
+    summary = scenarios.run_suite(args.suite, args.out, workers=args.workers)
     for entry in summary["scenarios"]:
         status = "PASS" if entry["passed"] else "FAIL"
         print(f"{status} {entry['kind']} {entry['stem']}: {entry['detail']}")

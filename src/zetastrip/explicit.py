@@ -93,9 +93,7 @@ __all__ = [
     "sigma1",
     "sigma2",
     "explicit_terms",
-    "theorem1_residual",
     "theorem1_report",
-    "theorem2_reconstruction",
     "theorem2_report",
     "SIGMA1_VARIANTS",
     "SIGMA2_VARIANTS",
@@ -543,35 +541,6 @@ def theorem1_report(
     )
 
 
-def theorem1_residual(
-    win: WindowConfig,
-    cfg: StripConfig,
-    A: DirichletPolynomial,
-    *,
-    sigma1_variant: str = "canonical",
-    sigma2_variant: str = "canonical",
-    radicand: str = "plus",
-    twist: str = "direct",
-    secondary_weight: str = "coprime",
-    abs_tol: float = 1e-6,
-    rel_tol: float = 1e-8,
-) -> float:
-    """Residual ``R(T, 2T, A)`` of the window identity (see module docs)."""
-    report = theorem1_report(
-        win,
-        cfg,
-        A,
-        sigma1_variant=sigma1_variant,
-        sigma2_variant=sigma2_variant,
-        radicand=radicand,
-        twist=twist,
-        secondary_weight=secondary_weight,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-    )
-    return report.residual
-
-
 @dataclass(frozen=True)
 class Theorem2Report:
     """Two-path evaluation of the dyadic reconstruction.
@@ -673,36 +642,3 @@ def theorem2_report(
         telescoped_value=telescoped_value,
         quadrature_error_total=error_total,
     )
-
-
-def theorem2_reconstruction(
-    T: float,
-    win: WindowConfig,
-    cfg: StripConfig,
-    A: DirichletPolynomial,
-    alpha: float,
-    *,
-    sigma1_variant: str = "canonical",
-    sigma2_variant: str = "canonical",
-    radicand: str = "plus",
-    twist: str = "direct",
-    secondary_weight: str = "coprime",
-    abs_tol: float = 1e-6,
-    rel_tol: float = 1e-8,
-) -> float:
-    """Difference between the two paths of :func:`theorem2_report`."""
-    report = theorem2_report(
-        T,
-        win,
-        cfg,
-        A,
-        alpha,
-        sigma1_variant=sigma1_variant,
-        sigma2_variant=sigma2_variant,
-        radicand=radicand,
-        twist=twist,
-        secondary_weight=secondary_weight,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-    )
-    return report.difference

@@ -1,6 +1,5 @@
 """Mean square of ``zeta(s) A(s)`` on a vertical line in the strip
-``1/4 < sigma < 1/2``: integrand, adaptive integral, analytic main term, and
-the error functional E.
+``1/4 < sigma < 1/2``: integrand, adaptive integral and analytic main term.
 
 For the Dirichlet polynomial ``A(s) = sum_{m <= M} a(m) m^{-s}`` the object
 of study is::
@@ -29,28 +28,25 @@ coincide for M = 1 but differ for M >= 2:
   does and a bare lcm power does not.  Numerically this variant is the one
   that tracks the quadrature for M >= 2 (see the regression tests).
 * ``"lcm"``: ``W = lcm(k, l)``, selectable for sensitivity runs.
-
-``e_value`` is ``E(T, A) = I(0, T) - M(T, A)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arithmetic import DirichletPolynomial, pair_data
 from .errors import ValidationError
 from .quadrature import QuadratureResult, integrate_adaptive
-from .special import DEFAULT_POLICY, PrecisionPolicy, gamma, zeta, zeta_line
+from .special import gamma, zeta, zeta_line
 
 __all__ = [
     "StripConfig",
     "integrand",
     "integrate_mean_square",
     "main_term",
-    "e_value",
 ]
 
 _OSC_WIDTH_C = 3.0
@@ -58,7 +54,7 @@ _OSC_WIDTH_C = 3.0
 
 @dataclass(frozen=True)
 class StripConfig:
-    """Vertical-line position and precision policy.
+    """Vertical-line position.
 
     ``sigma`` must lie strictly inside ``(1/4, 1/2)``: the analysis this
     package certifies lives in that open strip, and both endpoints break the
@@ -67,7 +63,6 @@ class StripConfig:
     """
 
     sigma: float
-    policy: PrecisionPolicy = field(default_factory=PrecisionPolicy)
 
     def __post_init__(self) -> None:
         if not (0.25 < self.sigma < 0.5):
@@ -79,7 +74,7 @@ class StripConfig:
 def integrand(t, config: StripConfig, poly: DirichletPolynomial) -> np.ndarray | float:
     """``|zeta(sigma + i t) A(sigma + i t)|^2``, vectorised over ``t``."""
     t_arr = np.asarray(t, dtype=np.float64)
-    z = zeta_line(config.sigma, t_arr, config.policy)
+    z = zeta_line(config.sigma, t_arr)
     a = poly.evaluate(config.sigma, t_arr)
     out = np.abs(z * a) ** 2
     if np.isscalar(t) or t_arr.ndim == 0:
@@ -140,9 +135,9 @@ def main_term(
     if secondary_weight not in ("coprime", "lcm"):
         raise ValidationError("secondary_weight must be 'coprime' or 'lcm'")
     sigma = config.sigma
-    z1 = zeta(complex(2.0 * sigma), config.policy).real
-    z2 = zeta(complex(2.0 * sigma - 1.0), config.policy).real
-    g2 = gamma(2.0 * sigma - 1.0, config.policy)
+    z1 = zeta(complex(2.0 * sigma)).real
+    z2 = zeta(complex(2.0 * sigma - 1.0)).real
+    g2 = gamma(2.0 * sigma - 1.0)
     secondary_scalar = (
         math.cos((sigma - 0.5) * math.pi) / (1.0 - sigma) * g2 * z2 * T ** (2.0 - 2.0 * sigma)
     )
@@ -175,18 +170,3 @@ def main_term(
         )
     return total_re
 
-
-def e_value(
-    T: float,
-    config: StripConfig,
-    poly: DirichletPolynomial,
-    *,
-    secondary_weight: str = "coprime",
-    abs_tol: float = 1e-6,
-    rel_tol: float = 1e-8,
-) -> float:
-    """Error functional ``E(T, A) = I(0, T) - M(T, A)``."""
-    if T < 2.0:
-        raise ValidationError("e_value requires T >= 2")
-    quad = integrate_mean_square(0.0, T, config, poly, abs_tol=abs_tol, rel_tol=rel_tol)
-    return float(quad.value) - main_term(T, config, poly, secondary_weight=secondary_weight)

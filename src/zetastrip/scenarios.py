@@ -35,8 +35,8 @@ pin their numeric kernels to one thread before importing the numeric stack.
 Exit-code convention used by the command-line front end:
 
 * 0 -- run or comparison succeeded and every verdict passed;
-* 1 -- bad input or execution error (validation, precision, quadrature
-  non-convergence, unreadable files, schema mismatch);
+* 1 -- bad usage, bad input or execution error (validation, precision,
+  quadrature non-convergence, unreadable files, schema mismatch);
 * 2 -- machinery worked but a verdict failed or a baseline drifted.
 """
 
@@ -59,7 +59,7 @@ import numpy as np
 
 from ._env import pin_thread_env
 from .arithmetic import DirichletPolynomial
-from .errors import PrecisionError, ValidationError
+from .errors import ValidationError
 from .explicit import (
     RADICAND_MODES,
     SIGMA1_VARIANTS,
@@ -77,7 +77,6 @@ from .saddle import (
     lemma3_decay,
     lemma4_compare,
 )
-from .special import PrecisionPolicy
 from .voronoi import (
     TwistedSumSpec,
     calibrate,
@@ -87,17 +86,11 @@ from .voronoi import (
 )
 
 SCHEMA_VERSION = 1
-SCENARIO_KINDS = (
-    "mean-square",
-    "theorem1",
-    "theorem2",
-    "voronoi",
-    "saddle-l2",
-    "saddle-l3",
-    "saddle-l4",
-)
 REPORT_FORMATS = ("json", "csv")
 DEFAULT_COMPARE_REL_TOL = 1e-9
+# Every kernel evaluates in binary64.  Reports keep recording it so they
+# stay comparable with baselines that carry the field.
+PRECISION_BITS = 53
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -107,97 +100,86 @@ _REQUIRED = object()
 
 
 # ---------------------------------------------------------------------------
-# Scenario files
+# Parameter parsing
 # ---------------------------------------------------------------------------
 
 
-class _Params:
-    """Typed access to one INI section with unknown-key detection."""
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValueError(f"is not a number: {text!r}") from exc
 
-    def __init__(self, raw: Mapping[str, str], *, context: str) -> None:
-        self._raw = dict(raw)
-        self._context = context
-        self._consumed: set[str] = set()
 
-    def _fetch(self, name: str, default):
-        if name in self._raw:
-            self._consumed.add(name)
-            return self._raw[name]
-        if default is _REQUIRED:
-            raise ValidationError(f"{self._context}: missing required parameter '{name}'")
-        return None
+def _int(text: str) -> int:
+    try:
+        return int(text, 10)
+    except ValueError as exc:
+        raise ValueError(f"is not an integer: {text!r}") from exc
 
-    def get_float(self, name: str, default=_REQUIRED) -> float:
-        text = self._fetch(name, default)
-        if text is None:
-            return default
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ValidationError(f"{self._context}: parameter '{name}' is not a number: {text!r}") from exc
 
-    def get_int(self, name: str, default=_REQUIRED) -> int:
-        text = self._fetch(name, default)
-        if text is None:
-            return default
-        try:
-            return int(text, 10)
-        except ValueError as exc:
-            raise ValidationError(f"{self._context}: parameter '{name}' is not an integer: {text!r}") from exc
+def _list_of(convert: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list whose entries ``convert`` reads."""
 
-    def get_str(self, name: str, default=_REQUIRED, *, choices: Sequence[str] | None = None) -> str:
-        text = self._fetch(name, default)
-        if text is None:
-            text = default
-        text = text.strip()
-        if choices is not None and text not in choices:
-            raise ValidationError(
-                f"{self._context}: parameter '{name}' must be one of {sorted(choices)}, got {text!r}"
-            )
-        return text
-
-    def get_complex_list(self, name: str, default=_REQUIRED) -> tuple[complex, ...]:
-        text = self._fetch(name, default)
-        if text is None:
-            text = default
-        values = []
-        for token in text.split(","):
-            token = token.strip().replace(" ", "")
-            if not token:
-                continue
-            try:
-                values.append(complex(token))
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{self._context}: parameter '{name}' has a malformed entry: {token!r}"
-                ) from exc
-        if not values:
-            raise ValidationError(f"{self._context}: parameter '{name}' must list at least one value")
-        return tuple(values)
-
-    def get_float_list(self, name: str, default=_REQUIRED) -> tuple[float, ...]:
-        text = self._fetch(name, default)
-        if text is None:
-            text = default
+    def parse(text: str) -> tuple:
         values = []
         for token in text.split(","):
             token = token.strip()
             if not token:
                 continue
             try:
-                values.append(float(token))
+                values.append(convert(token))
             except ValueError as exc:
-                raise ValidationError(
-                    f"{self._context}: parameter '{name}' has a malformed entry: {token!r}"
-                ) from exc
+                raise ValueError(f"has a malformed entry: {token!r}") from exc
         if not values:
-            raise ValidationError(f"{self._context}: parameter '{name}' must list at least one value")
+            raise ValueError("must list at least one value")
         return tuple(values)
 
-    def reject_unknown(self) -> None:
-        unknown = sorted(set(self._raw) - self._consumed)
-        if unknown:
-            raise ValidationError(f"{self._context}: unknown parameter(s) {unknown}")
+    return parse
+
+
+@dataclass(frozen=True)
+class _Param:
+    """One INI key: its parser, its default and, for text keys, its choices.
+
+    ``default`` is a value, ``_REQUIRED``, or a callable of the values parsed
+    before this key (returning ``_REQUIRED`` when no default applies).
+    """
+
+    name: str
+    parse: Callable[[str], object] = _float
+    default: object = _REQUIRED
+    choices: tuple[str, ...] | None = None
+
+
+def _parse_section(params: Sequence[_Param], raw: Mapping[str, str], context: str) -> dict:
+    """Values of ``params`` read from ``raw``; every rejection names its key."""
+    raw = dict(raw)
+    values: dict[str, object] = {}
+    for param in params:
+        if param.name in raw:
+            try:
+                value = param.parse(raw[param.name])
+            except ValueError as exc:
+                raise ValidationError(f"{context}: parameter '{param.name}' {exc}") from exc
+        else:
+            value = param.default(values) if callable(param.default) else param.default
+            if value is _REQUIRED:
+                raise ValidationError(f"{context}: missing required parameter '{param.name}'")
+        if param.choices is not None and value not in param.choices:
+            raise ValidationError(
+                f"{context}: parameter '{param.name}' must be one of {sorted(param.choices)}, got {value!r}"
+            )
+        values[param.name] = value
+    unknown = sorted(set(raw) - set(values))
+    if unknown:
+        raise ValidationError(f"{context}: unknown parameter(s) {unknown}")
+    return values
+
+
+# ---------------------------------------------------------------------------
+# Scenario files
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -230,22 +212,26 @@ def load_scenario(path: str | Path) -> Scenario:
     parser = _read_ini(path, context="scenario")
     if not parser.has_section("scenario"):
         raise ValidationError(f"scenario: {path} is missing the [scenario] section")
-    head = _Params(parser["scenario"], context=f"scenario {path.name} [scenario]")
-    kind = head.get_str("kind", choices=SCENARIO_KINDS)
-    head.reject_unknown()
+    head = _parse_section(
+        (_Param("kind", str.strip, choices=SCENARIO_KINDS),),
+        parser["scenario"],
+        f"scenario {path.name} [scenario]",
+    )
 
     parameters = dict(parser["parameters"]) if parser.has_section("parameters") else {}
 
     stem = path.stem
     formats: tuple[str, ...] = REPORT_FORMATS
     if parser.has_section("output"):
-        out = _Params(parser["output"], context=f"scenario {path.name} [output]")
-        stem_text = out.get_str("stem", stem)
-        if not stem_text or any(sep in stem_text for sep in ("/", "\\")):
+        out = _parse_section(
+            (_Param("stem", str.strip, stem), _Param("formats", str.strip, ",".join(REPORT_FORMATS))),
+            parser["output"],
+            f"scenario {path.name} [output]",
+        )
+        stem = out["stem"]
+        if not stem or any(sep in stem for sep in ("/", "\\")):
             raise ValidationError(f"scenario {path.name}: output stem must be a bare file name")
-        stem = stem_text
-        formats_text = out.get_str("formats", ",".join(REPORT_FORMATS))
-        formats = tuple(token.strip() for token in formats_text.split(",") if token.strip())
+        formats = tuple(token.strip() for token in out["formats"].split(",") if token.strip())
         for fmt in formats:
             if fmt not in REPORT_FORMATS:
                 raise ValidationError(
@@ -253,71 +239,27 @@ def load_scenario(path: str | Path) -> Scenario:
                 )
         if not formats:
             raise ValidationError(f"scenario {path.name}: formats must name at least one of {list(REPORT_FORMATS)}")
-        out.reject_unknown()
 
     extra = set(parser.sections()) - {"scenario", "parameters", "output"}
     if extra:
         raise ValidationError(f"scenario {path.name}: unknown section(s) {sorted(extra)}")
-    return Scenario(kind=kind, parameters=parameters, stem=stem, formats=formats, source=str(path))
+    return Scenario(kind=head["kind"], parameters=parameters, stem=stem, formats=formats, source=str(path))
 
 
 # ---------------------------------------------------------------------------
-# Kind runners
+# Kind runners: each takes the parsed parameters and returns
+# ``(rows, scalars, passed, detail)``
 # ---------------------------------------------------------------------------
 
 
-def _policy_for(bits: int) -> PrecisionPolicy:
-    return PrecisionPolicy(working_precision=bits)
-
-
-def _require_binary64(kind: str, bits: int) -> None:
-    if bits != 53:
-        raise PrecisionError(
-            f"kind '{kind}' evaluates binary64-only kernels; working precision must be 53 bits, got {bits}"
-        )
-
-
-def _poly_config(coefficients: Sequence[complex]) -> list[list[float]]:
-    return [[c.real, c.imag] for c in coefficients]
-
-
-def _run_mean_square(params: _Params, bits: int) -> dict:
-    sigma = params.get_float("sigma")
-    t_lo = params.get_float("t_lo", 0.0)
-    t_hi = params.get_float("t_hi")
-    coefficients = params.get_complex_list("coefficients", "1")
-    secondary_weight = params.get_str("secondary_weight", "coprime", choices=("coprime", "lcm"))
-    abs_tol = params.get_float("abs_tol", 1e-6)
-    rel_tol = params.get_float("rel_tol", 1e-8)
-    params.reject_unknown()
-
-    cfg = StripConfig(sigma, _policy_for(bits))
-    poly = DirichletPolynomial(coefficients)
-    quad = integrate_mean_square(t_lo, t_hi, cfg, poly, abs_tol=abs_tol, rel_tol=rel_tol)
-    main_hi = main_term(t_hi, cfg, poly, secondary_weight=secondary_weight) if t_hi > 0.0 else 0.0
-    main_lo = main_term(t_lo, cfg, poly, secondary_weight=secondary_weight) if t_lo > 0.0 else 0.0
+def _run_mean_square(v: dict) -> tuple:
+    cfg = StripConfig(v["sigma"])
+    poly = DirichletPolynomial(v["coefficients"])
+    quad = integrate_mean_square(v["t_lo"], v["t_hi"], cfg, poly, abs_tol=v["abs_tol"], rel_tol=v["rel_tol"])
+    weight = v["secondary_weight"]
+    main_hi = main_term(v["t_hi"], cfg, poly, secondary_weight=weight) if v["t_hi"] > 0.0 else 0.0
+    main_lo = main_term(v["t_lo"], cfg, poly, secondary_weight=weight) if v["t_lo"] > 0.0 else 0.0
     error_term = quad.value - (main_hi - main_lo)
-
-    config = {
-        "sigma": sigma,
-        "t_lo": t_lo,
-        "t_hi": t_hi,
-        "coefficients": _poly_config(coefficients),
-        "secondary_weight": secondary_weight,
-        "abs_tol": abs_tol,
-        "rel_tol": rel_tol,
-        "precision_bits": bits,
-    }
-    columns = [
-        "integral",
-        "error_estimate",
-        "panels",
-        "evaluations",
-        "main_hi",
-        "main_lo",
-        "error_term",
-        "passed",
-    ]
     row = [
         quad.value,
         quad.error_estimate,
@@ -328,92 +270,29 @@ def _run_mean_square(params: _Params, bits: int) -> dict:
         error_term,
         True,
     ]
-    return {
-        "config": config,
-        "columns": columns,
-        "rows": [row],
-        "scalars": {},
-        "passed": True,
-        "detail": f"quadrature converged with error estimate {quad.error_estimate!r}",
-    }
+    return [row], {}, True, f"quadrature converged with error estimate {quad.error_estimate!r}"
 
 
-_THEOREM_FLAG_CHOICES = {
-    "sigma1_variant": SIGMA1_VARIANTS,
-    "sigma2_variant": SIGMA2_VARIANTS,
-    "radicand": RADICAND_MODES,
-    "twist": TWIST_MODES,
-    "secondary_weight": ("coprime", "lcm"),
-}
+def _theorem_inputs(v: dict) -> tuple[WindowConfig, StripConfig, DirichletPolynomial, dict]:
+    """Window, strip, polynomial and keyword options shared by both theorem kinds."""
+    cfg = StripConfig(v["sigma"])
+    win = WindowConfig(v["c1"], v["c2"], v["y"], v["t"])
+    options = {param.name: v[param.name] for param in _THEOREM_FLAGS}
+    options.update(abs_tol=v["abs_tol"], rel_tol=v["rel_tol"])
+    return win, cfg, DirichletPolynomial(v["coefficients"]), options
 
 
-def _theorem_flags(params: _Params) -> dict[str, str]:
-    return {
-        name: params.get_str(name, choices[0], choices=choices)
-        for name, choices in _THEOREM_FLAG_CHOICES.items()
-    }
-
-
-def _run_theorem1(params: _Params, bits: int) -> dict:
-    sigma = params.get_float("sigma")
-    t = params.get_float("t")
-    y = params.get_float("y", t)
-    c1 = params.get_float("c1", 0.5)
-    c2 = params.get_float("c2", 2.0)
-    coefficients = params.get_complex_list("coefficients", "1")
-    flags = _theorem_flags(params)
-    abs_tol = params.get_float("abs_tol", 1e-6)
-    rel_tol = params.get_float("rel_tol", 1e-8)
-    residual_fraction = params.get_float("residual_fraction", 0.2)
-    error_multiple = params.get_float("error_multiple", 10.0)
-    params.reject_unknown()
-    if residual_fraction <= 0.0 or error_multiple <= 0.0:
+def _run_theorem1(v: dict) -> tuple:
+    if v["residual_fraction"] <= 0.0 or v["error_multiple"] <= 0.0:
         raise ValidationError("residual_fraction and error_multiple must be positive")
-
-    cfg = StripConfig(sigma, _policy_for(bits))
-    win = WindowConfig(c1, c2, y, t)
-    poly = DirichletPolynomial(coefficients)
-    report = theorem1_report(win, cfg, poly, abs_tol=abs_tol, rel_tol=rel_tol, **flags)
+    win, cfg, poly, options = _theorem_inputs(v)
+    report = theorem1_report(win, cfg, poly, **options)
     budget = max(
-        residual_fraction * report.oscillatory_rms,
-        error_multiple * report.quadrature_error,
+        v["residual_fraction"] * report.oscillatory_rms,
+        v["error_multiple"] * report.quadrature_error,
         1e-12,
     )
     passed = abs(report.residual) <= budget
-
-    config = {
-        "sigma": sigma,
-        "t": t,
-        "y": y,
-        "c1": c1,
-        "c2": c2,
-        "coefficients": _poly_config(coefficients),
-        "abs_tol": abs_tol,
-        "rel_tol": rel_tol,
-        "residual_fraction": residual_fraction,
-        "error_multiple": error_multiple,
-        "precision_bits": bits,
-        **flags,
-    }
-    columns = [
-        "quadrature_value",
-        "quadrature_error",
-        "block_difference",
-        "residual",
-        "oscillatory_rms",
-        "residual_budget",
-        "upper_main",
-        "upper_sigma1",
-        "upper_sigma2",
-        "lower_main",
-        "lower_sigma1",
-        "lower_sigma2",
-        "terms_used_upper_1",
-        "terms_used_upper_2",
-        "terms_used_lower_1",
-        "terms_used_lower_2",
-        "passed",
-    ]
     row = [
         report.quadrature_value,
         report.quadrature_error,
@@ -437,63 +316,16 @@ def _run_theorem1(params: _Params, bits: int) -> dict:
         f"|residual| {abs(report.residual)!r} vs budget {budget!r} "
         f"(fraction of oscillatory rms / quadrature error / floor)"
     )
-    return {
-        "config": config,
-        "columns": columns,
-        "rows": [row],
-        "scalars": {},
-        "passed": passed,
-        "detail": detail,
-    }
+    return [row], {}, passed, detail
 
 
-def _run_theorem2(params: _Params, bits: int) -> dict:
-    sigma = params.get_float("sigma")
-    t = params.get_float("t")
-    y = params.get_float("y", t)
-    c1 = params.get_float("c1", 0.5)
-    c2 = params.get_float("c2", 2.0)
-    alpha = params.get_float("alpha", 1.0)
-    coefficients = params.get_complex_list("coefficients", "1")
-    flags = _theorem_flags(params)
-    abs_tol = params.get_float("abs_tol", 1e-6)
-    rel_tol = params.get_float("rel_tol", 1e-8)
-    error_multiple = params.get_float("error_multiple", 3.0)
-    params.reject_unknown()
-    if error_multiple <= 0.0:
+def _run_theorem2(v: dict) -> tuple:
+    if v["error_multiple"] <= 0.0:
         raise ValidationError("error_multiple must be positive")
-
-    cfg = StripConfig(sigma, _policy_for(bits))
-    win = WindowConfig(c1, c2, y, t)
-    poly = DirichletPolynomial(coefficients)
-    report = theorem2_report(t, win, cfg, poly, alpha, abs_tol=abs_tol, rel_tol=rel_tol, **flags)
-    budget = error_multiple * report.quadrature_error_total
+    win, cfg, poly, options = _theorem_inputs(v)
+    report = theorem2_report(v["t"], win, cfg, poly, v["alpha"], **options)
+    budget = v["error_multiple"] * report.quadrature_error_total
     passed = abs(report.difference) <= budget
-
-    config = {
-        "sigma": sigma,
-        "t": t,
-        "y": y,
-        "c1": c1,
-        "c2": c2,
-        "alpha": alpha,
-        "coefficients": _poly_config(coefficients),
-        "abs_tol": abs_tol,
-        "rel_tol": rel_tol,
-        "error_multiple": error_multiple,
-        "precision_bits": bits,
-        **flags,
-    }
-    columns = [
-        "levels",
-        "stub_upper",
-        "direct_value",
-        "telescoped_value",
-        "difference",
-        "quadrature_error_total",
-        "difference_budget",
-        "passed",
-    ]
     row = [
         report.levels,
         report.stub_upper,
@@ -504,38 +336,15 @@ def _run_theorem2(params: _Params, bits: int) -> dict:
         budget,
         passed,
     ]
-    detail = f"|path difference| {abs(report.difference)!r} vs budget {budget!r}"
-    return {
-        "config": config,
-        "columns": columns,
-        "rows": [row],
-        "scalars": {},
-        "passed": passed,
-        "detail": detail,
-    }
+    return [row], {}, passed, f"|path difference| {abs(report.difference)!r} vs budget {budget!r}"
 
 
-def _run_voronoi(params: _Params, bits: int) -> dict:
-    _require_binary64("voronoi", bits)
-    a = params.get_float("a")
-    h = params.get_int("h")
-    k_mod = params.get_int("k")
-    exponent_text = params.get_str("power_modulus_exponent", "printed")
-    twist = params.get_str("twist", "direct", choices=("direct", "inverse"))
-    x_lo = params.get_float("x_lo", 40.0)
-    x_hi = params.get_float("x_hi", 400.0)
-    points = params.get_int("points", 50)
-    n_terms = params.get_int("n_terms", 2000)
-    calibration_x_lo = params.get_float("calibration_x_lo", 40.0)
-    calibration_samples = params.get_int("calibration_samples", 640)
-    tolerance_floor = params.get_float("tolerance_floor", 1e-3)
-    tail_multiple = params.get_float("tail_multiple", 3.0)
-    params.reject_unknown()
-
+def _run_voronoi(v: dict) -> tuple:
+    exponent_text = v["power_modulus_exponent"]
     if exponent_text == "printed":
         exponent: float | None = None
     elif exponent_text == "residue":
-        exponent = -1.0 - a
+        exponent = -1.0 - v["a"]
     else:
         try:
             exponent = float(exponent_text)
@@ -544,53 +353,35 @@ def _run_voronoi(params: _Params, bits: int) -> dict:
                 "power_modulus_exponent must be 'printed', 'residue' or a number, "
                 f"got {exponent_text!r}"
             ) from exc
+    x_lo, x_hi, points = v["x_lo"], v["x_hi"], v["points"]
     if not (1.0 <= x_lo < x_hi):
         raise ValidationError("voronoi evaluation range needs 1 <= x_lo < x_hi")
     if points < 2:
         raise ValidationError("voronoi needs at least two evaluation points")
-    if tolerance_floor <= 0.0 or tail_multiple <= 0.0:
+    if v["tolerance_floor"] <= 0.0 or v["tail_multiple"] <= 0.0:
         raise ValidationError("tolerance_floor and tail_multiple must be positive")
 
-    spec = TwistedSumSpec(a, h, k_mod)
+    spec = TwistedSumSpec(v["a"], v["h"], v["k"])
     calibration = calibrate(
         spec,
         power_modulus_exponent=exponent,
-        x_lo=calibration_x_lo,
-        samples=calibration_samples,
+        x_lo=v["calibration_x_lo"],
+        samples=v["calibration_samples"],
     )
-    plan = truncation_plan(spec, (x_lo, x_hi), n_terms)
-    tolerance = max(tolerance_floor, tail_multiple * plan.tail_estimate + calibration.std_error)
+    plan = truncation_plan(spec, (x_lo, x_hi), v["n_terms"])
+    tolerance = max(v["tolerance_floor"], v["tail_multiple"] * plan.tail_estimate + calibration.std_error)
 
-    xs = np.geomspace(x_lo, x_hi, points)
     rows = []
     differences = []
-    for x_val in xs:
+    for x_val in np.geomspace(x_lo, x_hi, points):
         x = float(x_val)
         direct = delta_direct(spec, x)
-        bessel = delta_bessel(spec, x, plan, twist=twist)
+        bessel = delta_bessel(spec, x, plan, twist=v["twist"])
         diff = abs(direct - bessel)
         differences.append(diff)
         rows.append([x, direct.real, direct.imag, bessel.real, bessel.imag, diff])
     max_difference = max(differences)
     passed = max_difference <= tolerance
-
-    config = {
-        "a": a,
-        "h": h,
-        "k": k_mod,
-        "power_modulus_exponent": exponent_text,
-        "twist": twist,
-        "x_lo": x_lo,
-        "x_hi": x_hi,
-        "points": points,
-        "n_terms": n_terms,
-        "calibration_x_lo": calibration_x_lo,
-        "calibration_samples": calibration_samples,
-        "tolerance_floor": tolerance_floor,
-        "tail_multiple": tail_multiple,
-        "precision_bits": bits,
-    }
-    columns = ["x", "direct_re", "direct_im", "bessel_re", "bessel_im", "difference"]
     scalars = {
         "power_exponent": calibration.power_exponent,
         "c0_re": calibration.c0.real,
@@ -605,63 +396,21 @@ def _run_voronoi(params: _Params, bits: int) -> dict:
         "passed": passed,
     }
     detail = f"max |direct - series| {max_difference!r} vs tolerance {tolerance!r} over {points} points"
-    return {
-        "config": config,
-        "columns": columns,
-        "rows": rows,
-        "scalars": scalars,
-        "passed": passed,
-        "detail": detail,
-    }
+    return rows, scalars, passed, detail
 
 
-def _run_saddle_l2(params: _Params, bits: int) -> dict:
-    _require_binary64("saddle-l2", bits)
-    alpha = params.get_float("alpha")
-    beta = params.get_float("beta")
-    gamma = params.get_float("gamma")
-    a_lo = params.get_float("a_lo")
-    b_hi = params.get_float("b_hi")
-    k_freq = params.get_float("k")
-    t = params.get_float("t")
-    sign = params.get_int("sign", 1)
-    abs_tol = params.get_float("abs_tol", 1e-7)
-    rel_tol = params.get_float("rel_tol", 1e-9)
-    params.reject_unknown()
-
+def _run_saddle_l2(v: dict) -> tuple:
     spec = ExpIntegralSpec(
-        alpha=alpha, beta=beta, gamma=gamma, a_lo=a_lo, b_hi=b_hi, k_freq=k_freq, T=t, sign=sign
+        alpha=v["alpha"],
+        beta=v["beta"],
+        gamma=v["gamma"],
+        a_lo=v["a_lo"],
+        b_hi=v["b_hi"],
+        k_freq=v["k"],
+        T=v["t"],
+        sign=v["sign"],
     )
-    report = lemma2_compare(spec, abs_tol=abs_tol, rel_tol=rel_tol)
-
-    config = {
-        "alpha": alpha,
-        "beta": beta,
-        "gamma": gamma,
-        "a_lo": a_lo,
-        "b_hi": b_hi,
-        "k": k_freq,
-        "t": t,
-        "sign": sign,
-        "abs_tol": abs_tol,
-        "rel_tol": rel_tol,
-        "precision_bits": bits,
-    }
-    columns = [
-        "lhs_re",
-        "lhs_im",
-        "saddle_re",
-        "saddle_im",
-        "difference",
-        "quadrature_error",
-        "budget_endpoint_a",
-        "budget_endpoint_b",
-        "budget_saddle_r",
-        "budget_total",
-        "audit_constant",
-        "r_branch",
-        "passed",
-    ]
+    report = lemma2_compare(spec, abs_tol=v["abs_tol"], rel_tol=v["rel_tol"])
     row = [
         report.lhs.real,
         report.lhs.imag,
@@ -681,32 +430,11 @@ def _run_saddle_l2(params: _Params, bits: int) -> dict:
         f"|integral - saddle| {report.difference!r} vs "
         f"{AUDIT_CONSTANT!r} * budget {report.budget_total!r}"
     )
-    return {
-        "config": config,
-        "columns": columns,
-        "rows": [row],
-        "scalars": {},
-        "passed": report.passed,
-        "detail": detail,
-    }
+    return [row], {}, report.passed, detail
 
 
-def _run_saddle_l3(params: _Params, bits: int) -> dict:
-    _require_binary64("saddle-l3", bits)
-    alpha = params.get_float("alpha")
-    k_freq = params.get_float("k")
-    t_grid = params.get_float_list("t_grid")
-    params.reject_unknown()
-
-    report = lemma3_decay(alpha, k_freq, t_grid)
-
-    config = {
-        "alpha": alpha,
-        "k": k_freq,
-        "t_grid": list(report.t_values),
-        "precision_bits": bits,
-    }
-    columns = ["t", "magnitude", "ratio"]
+def _run_saddle_l3(v: dict) -> tuple:
+    report = lemma3_decay(v["alpha"], v["k"], v["t_grid"])
     rows = [
         [t_val, mag, ratio]
         for t_val, mag, ratio in zip(report.t_values, report.magnitudes, report.ratios)
@@ -717,59 +445,20 @@ def _run_saddle_l3(params: _Params, bits: int) -> dict:
         "passed": report.passed,
     }
     detail = f"decay-normalised ratio spread {report.max_min_ratio!r} vs cap 20.0"
-    return {
-        "config": config,
-        "columns": columns,
-        "rows": rows,
-        "scalars": scalars,
-        "passed": report.passed,
-        "detail": detail,
-    }
+    return rows, scalars, report.passed, detail
 
 
-def _run_saddle_l4(params: _Params, bits: int) -> dict:
-    _require_binary64("saddle-l4", bits)
-    alpha = params.get_float("alpha")
-    n = params.get_int("n")
-    t = params.get_float("t")
-    a_lo = params.get_float("a_lo", math.sqrt(t) if t > 0 else _REQUIRED)
-    b_hi = params.get_float("b_hi", 10.0 * math.sqrt(t) if t > 0 else _REQUIRED)
-    log_constant = params.get_str("log_constant", "two-pi", choices=("two-pi", "three-pi"))
-    abs_tol = params.get_float("abs_tol", 1e-8)
-    rel_tol = params.get_float("rel_tol", 1e-9)
-    params.reject_unknown()
-
+def _run_saddle_l4(v: dict) -> tuple:
     report = lemma4_compare(
-        alpha, n, a_lo, b_hi, t, log_constant=log_constant, abs_tol=abs_tol, rel_tol=rel_tol
+        v["alpha"],
+        v["n"],
+        v["a_lo"],
+        v["b_hi"],
+        v["t"],
+        log_constant=v["log_constant"],
+        abs_tol=v["abs_tol"],
+        rel_tol=v["rel_tol"],
     )
-
-    config = {
-        "alpha": alpha,
-        "n": n,
-        "a_lo": a_lo,
-        "b_hi": b_hi,
-        "t": t,
-        "log_constant": log_constant,
-        "abs_tol": abs_tol,
-        "rel_tol": rel_tol,
-        "precision_bits": bits,
-    }
-    columns = [
-        "delta",
-        "lhs_re",
-        "lhs_im",
-        "saddle_re",
-        "saddle_im",
-        "difference",
-        "quadrature_error",
-        "budget_saddle",
-        "budget_endpoint_a",
-        "budget_endpoint_b",
-        "budget_total",
-        "audit_constant",
-        "saddle_log_constant",
-        "passed",
-    ]
     row = [
         report.delta,
         report.lhs.real,
@@ -790,25 +479,204 @@ def _run_saddle_l4(params: _Params, bits: int) -> dict:
         f"|integral - saddle| {report.difference!r} vs "
         f"{AUDIT_CONSTANT!r} * budget {report.budget_total!r} (delta = {report.delta})"
     )
-    return {
-        "config": config,
-        "columns": columns,
-        "rows": [row],
-        "scalars": {},
-        "passed": report.passed,
-        "detail": detail,
-    }
+    return [row], {}, report.passed, detail
 
 
-_RUNNERS: dict[str, Callable[[_Params, int], dict]] = {
-    "mean-square": _run_mean_square,
-    "theorem1": _run_theorem1,
-    "theorem2": _run_theorem2,
-    "voronoi": _run_voronoi,
-    "saddle-l2": _run_saddle_l2,
-    "saddle-l3": _run_saddle_l3,
-    "saddle-l4": _run_saddle_l4,
+@dataclass(frozen=True)
+class _Kind:
+    """One scenario kind: its parameters, its report columns and its runner.
+
+    The report's ``config`` echoes the parsed parameter values, so each
+    parameter is stated once, here.
+    """
+
+    params: tuple[_Param, ...]
+    columns: tuple[str, ...]
+    run: Callable[[dict], tuple[list, dict, bool, str]]
+
+
+def _tolerances(abs_tol: float, rel_tol: float) -> tuple[_Param, ...]:
+    return (_Param("abs_tol", default=abs_tol), _Param("rel_tol", default=rel_tol))
+
+
+def _choice(name: str, choices: tuple[str, ...]) -> _Param:
+    """A text key restricted to ``choices``, defaulting to the first."""
+    return _Param(name, str.strip, choices[0], choices)
+
+
+_SECONDARY_WEIGHT = _choice("secondary_weight", ("coprime", "lcm"))
+_THEOREM_FLAGS = (
+    _choice("sigma1_variant", SIGMA1_VARIANTS),
+    _choice("sigma2_variant", SIGMA2_VARIANTS),
+    _choice("radicand", RADICAND_MODES),
+    _choice("twist", TWIST_MODES),
+    _SECONDARY_WEIGHT,
+)
+_COEFFICIENTS = _Param("coefficients", _list_of(lambda token: complex(token.replace(" ", ""))), (1 + 0j,))
+_WINDOW = (
+    _Param("sigma"),
+    _Param("t"),
+    _Param("y", default=lambda v: v["t"]),
+    _Param("c1", default=0.5),
+    _Param("c2", default=2.0),
+)
+
+_KINDS: dict[str, _Kind] = {
+    "mean-square": _Kind(
+        (
+            _Param("sigma"),
+            _Param("t_lo", default=0.0),
+            _Param("t_hi"),
+            _COEFFICIENTS,
+            _SECONDARY_WEIGHT,
+            *_tolerances(1e-6, 1e-8),
+        ),
+        (
+            "integral",
+            "error_estimate",
+            "panels",
+            "evaluations",
+            "main_hi",
+            "main_lo",
+            "error_term",
+            "passed",
+        ),
+        _run_mean_square,
+    ),
+    "theorem1": _Kind(
+        (
+            *_WINDOW,
+            _COEFFICIENTS,
+            *_THEOREM_FLAGS,
+            *_tolerances(1e-6, 1e-8),
+            _Param("residual_fraction", default=0.2),
+            _Param("error_multiple", default=10.0),
+        ),
+        (
+            "quadrature_value",
+            "quadrature_error",
+            "block_difference",
+            "residual",
+            "oscillatory_rms",
+            "residual_budget",
+            "upper_main",
+            "upper_sigma1",
+            "upper_sigma2",
+            "lower_main",
+            "lower_sigma1",
+            "lower_sigma2",
+            "terms_used_upper_1",
+            "terms_used_upper_2",
+            "terms_used_lower_1",
+            "terms_used_lower_2",
+            "passed",
+        ),
+        _run_theorem1,
+    ),
+    "theorem2": _Kind(
+        (
+            *_WINDOW,
+            _Param("alpha", default=1.0),
+            _COEFFICIENTS,
+            *_THEOREM_FLAGS,
+            *_tolerances(1e-6, 1e-8),
+            _Param("error_multiple", default=3.0),
+        ),
+        (
+            "levels",
+            "stub_upper",
+            "direct_value",
+            "telescoped_value",
+            "difference",
+            "quadrature_error_total",
+            "difference_budget",
+            "passed",
+        ),
+        _run_theorem2,
+    ),
+    "voronoi": _Kind(
+        (
+            _Param("a"),
+            _Param("h", _int),
+            _Param("k", _int),
+            _Param("power_modulus_exponent", str.strip, "printed"),
+            _choice("twist", ("direct", "inverse")),
+            _Param("x_lo", default=40.0),
+            _Param("x_hi", default=400.0),
+            _Param("points", _int, 50),
+            _Param("n_terms", _int, 2000),
+            _Param("calibration_x_lo", default=40.0),
+            _Param("calibration_samples", _int, 640),
+            _Param("tolerance_floor", default=1e-3),
+            _Param("tail_multiple", default=3.0),
+        ),
+        ("x", "direct_re", "direct_im", "bessel_re", "bessel_im", "difference"),
+        _run_voronoi,
+    ),
+    "saddle-l2": _Kind(
+        (
+            _Param("alpha"),
+            _Param("beta"),
+            _Param("gamma"),
+            _Param("a_lo"),
+            _Param("b_hi"),
+            _Param("k"),
+            _Param("t"),
+            _Param("sign", _int, 1),
+            *_tolerances(1e-7, 1e-9),
+        ),
+        (
+            "lhs_re",
+            "lhs_im",
+            "saddle_re",
+            "saddle_im",
+            "difference",
+            "quadrature_error",
+            "budget_endpoint_a",
+            "budget_endpoint_b",
+            "budget_saddle_r",
+            "budget_total",
+            "audit_constant",
+            "r_branch",
+            "passed",
+        ),
+        _run_saddle_l2,
+    ),
+    "saddle-l3": _Kind(
+        (_Param("alpha"), _Param("k"), _Param("t_grid", _list_of(float))),
+        ("t", "magnitude", "ratio"),
+        _run_saddle_l3,
+    ),
+    "saddle-l4": _Kind(
+        (
+            _Param("alpha"),
+            _Param("n", _int),
+            _Param("t"),
+            _Param("a_lo", default=lambda v: math.sqrt(v["t"]) if v["t"] > 0 else _REQUIRED),
+            _Param("b_hi", default=lambda v: 10.0 * math.sqrt(v["t"]) if v["t"] > 0 else _REQUIRED),
+            _choice("log_constant", ("two-pi", "three-pi")),
+            *_tolerances(1e-8, 1e-9),
+        ),
+        (
+            "delta",
+            "lhs_re",
+            "lhs_im",
+            "saddle_re",
+            "saddle_im",
+            "difference",
+            "quadrature_error",
+            "budget_saddle",
+            "budget_endpoint_a",
+            "budget_endpoint_b",
+            "budget_total",
+            "audit_constant",
+            "saddle_log_constant",
+            "passed",
+        ),
+        _run_saddle_l4,
+    ),
 }
+SCENARIO_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -816,21 +684,28 @@ _RUNNERS: dict[str, Callable[[_Params, int], dict]] = {
 # ---------------------------------------------------------------------------
 
 
-def build_report(scenario: Scenario, *, precision_bits: int = 53) -> dict:
+def _config_value(value):
+    """JSON form of a parsed parameter: lists for tuples, ``[re, im]`` pairs for complex."""
+    if isinstance(value, tuple):
+        return [[item.real, item.imag] if isinstance(item, complex) else item for item in value]
+    return value
+
+
+def build_report(scenario: Scenario) -> dict:
     """Execute one scenario and return its full report payload."""
-    if precision_bits < 53:
-        raise ValidationError("precision must be at least 53 bits")
-    runner = _RUNNERS[scenario.kind]
-    params = _Params(scenario.parameters, context=f"scenario kind '{scenario.kind}'")
-    outcome = runner(params, precision_bits)
+    kind = _KINDS[scenario.kind]
+    values = _parse_section(kind.params, scenario.parameters, f"scenario kind '{scenario.kind}'")
+    rows, scalars, passed, detail = kind.run(values)
+    config = {name: _config_value(value) for name, value in values.items()}
+    config["precision_bits"] = PRECISION_BITS
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": scenario.kind,
-        "config": outcome["config"],
-        "columns": list(outcome["columns"]),
-        "rows": [list(row) for row in outcome["rows"]],
-        "scalars": dict(outcome["scalars"]),
-        "verdict": {"passed": bool(outcome["passed"]), "detail": outcome["detail"]},
+        "config": config,
+        "columns": list(kind.columns),
+        "rows": rows,
+        "scalars": scalars,
+        "verdict": {"passed": bool(passed), "detail": detail},
     }
 
 
@@ -913,12 +788,10 @@ class RunResult:
     outputs: tuple[str, ...]
 
 
-def execute_scenario(
-    path: str | Path, out_dir: str | Path | None = None, *, precision_bits: int = 53
-) -> RunResult:
+def execute_scenario(path: str | Path, out_dir: str | Path | None = None) -> RunResult:
     """Load, run and serialise one scenario file."""
     scenario = load_scenario(path)
-    report = build_report(scenario, precision_bits=precision_bits)
+    report = build_report(scenario)
     target = Path(out_dir) if out_dir is not None else Path.cwd()
     outputs = write_report(report, target, scenario.stem, scenario.formats)
     return RunResult(
@@ -942,9 +815,8 @@ def load_suite(path: str | Path) -> list[Path]:
     parser = _read_ini(path, context="suite")
     if not parser.has_section("suite"):
         raise ValidationError(f"suite: {path} is missing the [suite] section")
-    head = _Params(parser["suite"], context=f"suite {path.name} [suite]")
-    listing = head.get_str("scenarios")
-    head.reject_unknown()
+    head = _parse_section((_Param("scenarios", str.strip),), parser["suite"], f"suite {path.name} [suite]")
+    listing = head["scenarios"]
     extra = set(parser.sections()) - {"suite"}
     if extra:
         raise ValidationError(f"suite {path.name}: unknown section(s) {sorted(extra)}")
@@ -963,8 +835,8 @@ def load_suite(path: str | Path) -> list[Path]:
     return resolved
 
 
-def _suite_task(scenario_path: str, out_dir: str, precision_bits: int) -> dict:
-    result = execute_scenario(scenario_path, out_dir, precision_bits=precision_bits)
+def _suite_task(scenario_path: str, out_dir: str) -> dict:
+    result = execute_scenario(scenario_path, out_dir)
     return {
         "source": result.source,
         "kind": result.kind,
@@ -980,7 +852,6 @@ def run_suite(
     out_dir: str | Path | None = None,
     *,
     workers: int = 1,
-    precision_bits: int = 53,
 ) -> dict:
     """Run every scenario of a suite and write a summary report.
 
@@ -1006,9 +877,7 @@ def run_suite(
     with ProcessPoolExecutor(
         max_workers=max_workers, mp_context=context, initializer=pin_thread_env
     ) as pool:
-        futures = [
-            pool.submit(_suite_task, str(p), str(target), precision_bits) for p in scenario_paths
-        ]
+        futures = [pool.submit(_suite_task, str(p), str(target)) for p in scenario_paths]
         entries = [future.result() for future in futures]
 
     summary = {

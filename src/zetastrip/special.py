@@ -1,17 +1,16 @@
 """Special functions on the exact domains the pipeline needs.
 
-Everything here is implemented directly (no scipy/mpmath at runtime on the
-default binary64 path) so that accuracy contracts, branch switches, and
-failure modes are explicit and testable:
+Everything here is implemented directly in binary64 (no scipy/mpmath at
+runtime) so that accuracy contracts, branch switches, and failure modes are
+explicit and testable:
 
 * ``zeta``       -- Riemann zeta via Euler--Maclaurin with Bernoulli
                     corrections through B10; remainder is estimated and a
-                    :class:`PrecisionError` is raised when the configured
-                    tolerance cannot be met.  An extended-precision path
-                    (same algorithm under mpmath arithmetic) activates when
-                    the policy asks for more than 53 bits.
-* ``zeta_line``  -- vectorised ``zeta(sigma + i t)`` along a fixed real part,
-                    binary64 only; this is the quadrature integrand workhorse.
+                    :class:`PrecisionError` is raised when it exceeds
+                    ``ZETA_ABS_TOL``.
+* ``zeta_line``  -- vectorised ``zeta(sigma + i t)`` along a fixed real part
+                    under the same remainder bound; this is the quadrature
+                    integrand workhorse.
 * ``gamma``      -- Lanczos approximation (g = 7, 9 coefficients) with
                     reflection for ``Re z < 1/2``; relative accuracy ~1e-13.
 * ``arcsinh``    -- log1p-based formula with an odd Taylor series below
@@ -36,18 +35,16 @@ neighbourhoods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PrecisionError, ValidationError
 
 __all__ = [
-    "PrecisionPolicy",
-    "DEFAULT_POLICY",
     "arcsinh",
     "zeta",
     "zeta_line",
+    "ZETA_ABS_TOL",
     "gamma",
     "bessel",
     "X_SWITCH_JY",
@@ -55,29 +52,6 @@ __all__ = [
     "NEAR_INTEGER_DELTA",
 ]
 
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Working precision (bits) and target tolerances for kernel evaluations."""
-
-    working_precision: int = 53
-    target_abs_tol: float = 1e-12
-    target_rel_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.working_precision < 53:
-            raise ValidationError("working_precision must be at least 53 bits")
-        if not (0.0 < self.target_abs_tol <= 1e-6):
-            raise ValidationError("target_abs_tol must lie in (0, 1e-6]")
-        if not (0.0 < self.target_rel_tol <= 1e-6):
-            raise ValidationError("target_rel_tol must lie in (0, 1e-6]")
-
-    @property
-    def extended(self) -> bool:
-        return self.working_precision > 53
-
-
-DEFAULT_POLICY = PrecisionPolicy()
 
 # ---------------------------------------------------------------------------
 # arcsinh
@@ -115,6 +89,8 @@ def arcsinh(x):
 _B2K = {2: 1.0 / 6.0, 4: -1.0 / 30.0, 6: 1.0 / 42.0, 8: -1.0 / 30.0, 10: 5.0 / 66.0}
 _B12_OVER_12FACT = (-691.0 / 2730.0) / math.factorial(12)
 _EM_ORDERS = (2, 4, 6, 8, 10)
+# Largest accepted Euler--Maclaurin remainder bound (absolute).
+ZETA_ABS_TOL = 1e-12
 
 
 def _em_cutoff(t_max: float) -> int:
@@ -128,29 +104,27 @@ def _rising(s: complex, m: int) -> complex:
     return prod
 
 
-def zeta(s: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def zeta(s: complex) -> complex:
     """Riemann zeta at a complex point ``s != 1``.
 
     Euler--Maclaurin with cutoff ``N = max(20, ceil(2 |Im s|))`` and
     Bernoulli corrections through B10.  The first omitted correction term
-    bounds the remainder; if it exceeds ``target_abs_tol`` a
-    :class:`PrecisionError` is raised (on the binary64 path the cutoff is
-    first enlarged, which only helps when ``Re s`` is not too negative).
+    bounds the remainder; if it exceeds ``ZETA_ABS_TOL`` the cutoff is
+    enlarged once (which only helps when ``Re s`` is not too negative) and
+    a :class:`PrecisionError` is raised if the bound still fails.
     """
     s = complex(s)
     if s == 1.0:
         raise ValidationError("zeta has a pole at s = 1")
-    if policy.extended:
-        return _zeta_extended(s, policy)
     value, remainder = _zeta_em_f64(s, _em_cutoff(abs(s.imag)))
-    if remainder > policy.target_abs_tol:
+    if remainder > ZETA_ABS_TOL:
         # One retry with a larger cutoff before giving up.
         bigger = 4 * _em_cutoff(abs(s.imag))
         value, remainder = _zeta_em_f64(s, bigger)
-        if remainder > policy.target_abs_tol:
+        if remainder > ZETA_ABS_TOL:
             raise PrecisionError(
                 f"Euler-Maclaurin remainder {remainder:.2e} exceeds "
-                f"target_abs_tol {policy.target_abs_tol:.2e} at s = {s}"
+                f"ZETA_ABS_TOL {ZETA_ABS_TOL:.2e} at s = {s}"
             )
     return value
 
@@ -167,54 +141,17 @@ def _zeta_em_f64(s: complex, n_cut: int) -> tuple[complex, float]:
     return total, float(remainder)
 
 
-def _zeta_extended(s: complex, policy: PrecisionPolicy) -> complex:
-    try:
-        import mpmath as mp
-    except ImportError as exc:  # pragma: no cover - environment-dependent
-        raise PrecisionError(
-            "working_precision > 53 requires the optional mpmath dependency"
-        ) from exc
-    with mp.workprec(policy.working_precision + 10):
-        ms = mp.mpc(s.real, s.imag)
-        tol = mp.mpf(2.0) ** (-policy.working_precision)
-        n_cut = _em_cutoff(abs(s.imag))
-        while True:
-            total = mp.nsum(lambda n: n ** (-ms), [1, n_cut - 1], method="direct")
-            total += n_cut ** (1 - ms) / (ms - 1) + mp.mpf(0.5) * n_cut ** (-ms)
-            for order in _EM_ORDERS:
-                coeff = mp.bernoulli(order) / mp.factorial(order)
-                rise = mp.mpf(1)
-                for j in range(order - 1):
-                    rise *= ms + j
-                total += coeff * rise * n_cut ** (1 - ms - order)
-            rise = mp.mpf(1)
-            for j in range(11):
-                rise *= ms + j
-            remainder = abs(mp.bernoulli(12) / mp.factorial(12) * rise) * mp.mpf(n_cut) ** (
-                -s.real - 11.0
-            )
-            if remainder <= tol * max(1.0, abs(total)):
-                return complex(total)
-            if n_cut > 10_000_000:
-                raise PrecisionError(
-                    "extended-precision Euler-Maclaurin cutoff exceeded 1e7 terms"
-                )
-            n_cut *= 4
-
-
 _LINE_CHUNK = 4_000_000  # complex elements per evaluation chunk (~64 MB)
 
 
-def zeta_line(sigma: float, t, policy: PrecisionPolicy = DEFAULT_POLICY) -> np.ndarray:
+def zeta_line(sigma: float, t) -> np.ndarray:
     """Vectorised ``zeta(sigma + i t)`` for an array of real ordinates ``t``.
 
-    binary64 only (raises :class:`PrecisionError` under an extended-precision
-    policy); negative ordinates are folded by conjugation symmetry.  All
-    points share the cutoff ``N = max(20, ceil(2 max|t|))``, which keeps the
-    documented remainder bound for every point in the batch.
+    Negative ordinates are folded by conjugation symmetry.  All points share
+    the cutoff ``N = max(20, ceil(2 max|t|))``, which keeps the documented
+    remainder bound for every point in the batch; a batch whose bound
+    exceeds ``ZETA_ABS_TOL`` raises :class:`PrecisionError`.
     """
-    if policy.extended:
-        raise PrecisionError("zeta_line is a binary64 path; use zeta() for extended precision")
     t_arr = np.asarray(t, dtype=np.float64)
     flat = np.abs(t_arr.ravel())
     n_cut = _em_cutoff(float(flat.max()) if flat.size else 0.0)
@@ -244,10 +181,10 @@ def zeta_line(sigma: float, t, policy: PrecisionPolicy = DEFAULT_POLICY) -> np.n
         * abs(_rising(sigma + 1j * t_hi, 11))
         * n_cut ** (-sigma - 11.0)
     )
-    if remainder > policy.target_abs_tol:
+    if remainder > ZETA_ABS_TOL:
         raise PrecisionError(
             f"Euler-Maclaurin remainder bound {remainder:.2e} exceeds "
-            f"target_abs_tol {policy.target_abs_tol:.2e} on this ordinate batch"
+            f"ZETA_ABS_TOL {ZETA_ABS_TOL:.2e} on this ordinate batch"
         )
 
     out = np.where(np.ravel(t_arr) < 0.0, np.conj(out), out)
@@ -272,7 +209,7 @@ _LANCZOS_COEF = (
 )
 
 
-def gamma(z: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def gamma(z: complex) -> complex:
     """Gamma function for complex ``z`` (Lanczos g=7 with reflection).
 
     Raises :class:`ValidationError` at the poles (non-positive integers).
@@ -284,7 +221,7 @@ def gamma(z: complex, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
         raise ValidationError(f"gamma pole at z = {zc.real:g}")
     if zc.real < 0.5:
         # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        value = math.pi / (_sinpi(zc) * gamma(1.0 - zc, policy))
+        value = math.pi / (_sinpi(zc) * gamma(1.0 - zc))
     else:
         w = zc - 1.0
         acc = _LANCZOS_COEF[0]
@@ -326,7 +263,7 @@ _K_TRAP_STEP = 0.1
 _K_TRAP_TMAX = 3.2
 
 
-def bessel(kind: str, nu: float, x, policy: PrecisionPolicy = DEFAULT_POLICY):
+def bessel(kind: str, nu: float, x):
     """Bessel function ``J_nu``, ``Y_nu`` or ``K_nu`` for ``x > 0``, vectorised in x.
 
     Supported order band: ``nu in [0.35, 1.15]`` (the band the Voronoi-series
@@ -346,11 +283,6 @@ def bessel(kind: str, nu: float, x, policy: PrecisionPolicy = DEFAULT_POLICY):
     if not (NU_BAND[0] <= nu <= NU_BAND[1]):
         raise ValidationError(
             f"bessel order {nu} outside supported band [{NU_BAND[0]}, {NU_BAND[1]}]"
-        )
-    if policy.extended or policy.target_rel_tol < 5e-9:
-        raise PrecisionError(
-            "bessel is a binary64 path with documented accuracy ~5e-9; "
-            "tighter tolerances are not available"
         )
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr <= 0.0):

@@ -78,7 +78,6 @@ __all__ = [
     "exponent_from_sigma",
     "sigma_from_exponent",
     "twisted_sum",
-    "voronoi_main",
     "calibrate",
     "delta_direct",
     "delta_bessel",
@@ -249,6 +248,12 @@ def twisted_sum(spec: TwistedSumSpec, x: float) -> complex:
 def _main_values(
     spec: TwistedSumSpec, xs: np.ndarray, power_modulus_exponent: float | None
 ) -> np.ndarray:
+    """Sum of the two smooth main terms of the twisted sum at each ``x``.
+
+    ``k^(a-1) zeta(1-a) x + k^E zeta(1+a)/(1+a) x^(1+a)`` with ``E`` the
+    configurable modulus exponent (default ``1 - a``; the Estermann-residue
+    value is ``-1 - a`` -- see the module docstring).
+    """
     a = spec.a
     if a == 0.0:
         raise ValidationError(
@@ -259,35 +264,6 @@ def _main_values(
     linear_coeff = k ** (a - 1.0) * zeta(complex(1.0 - a)).real
     power_coeff = k**exponent * zeta(complex(1.0 + a)).real / (1.0 + a)
     return linear_coeff * xs + power_coeff * xs ** (1.0 + a)
-
-
-def voronoi_main(
-    spec: TwistedSumSpec,
-    x: float,
-    *,
-    power_modulus_exponent: float | None = None,
-) -> tuple[float, float]:
-    """The two smooth main terms ``(linear, power)`` of the twisted sum.
-
-    ``linear = k^(a-1) zeta(1-a) x`` and
-    ``power = k^E zeta(1+a)/(1+a) x^(1+a)`` with ``E`` the configurable
-    modulus exponent (default ``1 - a``; the Estermann-residue value is
-    ``-1 - a`` -- see the module docstring).  In the ``sigma_{-a}`` convention
-    with ``0 < a < 1/2`` these read ``zeta(1+a) x / k^(1+a)`` and
-    ``k^E zeta(1-a)/(1-a) x^(1-a)``: same numbers, opposite sign of ``a``.
-    """
-    if not (math.isfinite(x) and x >= 1.0):
-        raise ValidationError(f"voronoi_main requires x >= 1, got {x}")
-    a = spec.a
-    if a == 0.0:
-        raise ValidationError(
-            "the smooth main terms require a < 0 (zeta(1+a) has a pole at a=0)"
-        )
-    k = float(spec.k_mod)
-    exponent = (1.0 - a) if power_modulus_exponent is None else float(power_modulus_exponent)
-    linear = k ** (a - 1.0) * zeta(complex(1.0 - a)).real * x
-    power = k**exponent * zeta(complex(1.0 + a)).real / (1.0 + a) * x ** (1.0 + a)
-    return linear, power
 
 
 def calibrate(

@@ -16,9 +16,7 @@ from zetastrip.explicit import (
     sigma1,
     sigma2,
     theorem1_report,
-    theorem1_residual,
     theorem2_report,
-    theorem2_reconstruction,
     xi,
 )
 from zetastrip.meansquare import StripConfig, main_term
@@ -181,7 +179,6 @@ def test_theorem1_report_wiring():
         report.quadrature_value - (report.upper.block_total - report.lower.block_total)
     )
     assert report.oscillatory_rms > 0.0
-    assert theorem1_residual(win, _CFG, _POLY2, abs_tol=1e-5) == report.residual
 
 
 def test_theorem2_report_consistency_small():
@@ -191,9 +188,6 @@ def test_theorem2_report_consistency_small():
     assert report.levels >= 1
     assert report.stub_upper == pytest.approx(T / 2.0**report.levels)
     assert abs(report.difference) <= 3.0 * report.quadrature_error_total
-    assert report.difference == theorem2_reconstruction(
-        T, win, _CFG, DirichletPolynomial((1.0,)), 1.0, abs_tol=1e-6
-    )
     with pytest.raises(ValidationError):
         theorem2_report(60.0, win, _CFG, DirichletPolynomial((1.0,)), 1.0)
 

@@ -1,8 +1,6 @@
-"""Mean-square integrand, analytic main term and error functional."""
+"""Mean-square integrand, adaptive integral and analytic main term."""
 
 from __future__ import annotations
-
-import math
 
 import mpmath
 import numpy as np
@@ -12,7 +10,6 @@ from zetastrip.arithmetic import DirichletPolynomial, pair_data
 from zetastrip.errors import ValidationError
 from zetastrip.meansquare import (
     StripConfig,
-    e_value,
     integrand,
     integrate_mean_square,
     main_term,
@@ -103,13 +100,3 @@ def test_integral_matches_mpmath_short_range():
     with pytest.raises(ValidationError):
         integrate_mean_square(5.0, 1.0, cfg, poly)
 
-
-def test_e_value_smoke_and_guard():
-    cfg = StripConfig(0.4)
-    poly = DirichletPolynomial((1.0,))
-    value = e_value(40.0, cfg, poly)
-    assert math.isfinite(value)
-    # E should be small relative to the main term at this scale.
-    assert abs(value) < 0.5 * main_term(40.0, cfg, poly)
-    with pytest.raises(ValidationError):
-        e_value(1.0, cfg, poly)

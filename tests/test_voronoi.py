@@ -29,8 +29,8 @@ from zetastrip.voronoi import (
     term_envelope,
     truncation_plan,
     twisted_sum,
-    voronoi_main,
 )
+from zetastrip.voronoi import _main_values  # the main terms every Delta path subtracts
 
 mpmath.mp.prec = 200
 
@@ -117,23 +117,19 @@ def test_twisted_sum_plain_divisor_case():
 def test_voronoi_main_against_zeta_oracle():
     spec = _fresh_spec()
     a, k, x = -0.2, 3, 100.0
-    linear, power = voronoi_main(spec, x)
-    lin_ref = float(mpmath.mpf(k) ** (a - 1) * mpmath.zeta(1 - a) * x)
-    pow_ref = float(mpmath.mpf(k) ** (1 - a) * mpmath.zeta(1 + a) / (1 + a) * mpmath.mpf(x) ** (1 + a))
-    assert linear == pytest.approx(lin_ref, rel=1e-12)
-    assert power == pytest.approx(pow_ref, rel=1e-12)
+    lin_ref = mpmath.mpf(k) ** (a - 1) * mpmath.zeta(1 - a) * x
+    pow_ref = mpmath.mpf(k) ** (1 - a) * mpmath.zeta(1 + a) / (1 + a) * mpmath.mpf(x) ** (1 + a)
+    main = _main_values(spec, np.array([x]), None)[0]
+    assert main == pytest.approx(float(lin_ref + pow_ref), rel=1e-12)
     # Residue-derived modulus exponent flips k^(1-a) to k^(-1-a).
-    _, power_res = voronoi_main(spec, x, power_modulus_exponent=-1 - a)
-    assert power_res == pytest.approx(
-        float(mpmath.mpf(k) ** (-1 - a) * mpmath.zeta(1 + a) / (1 + a) * mpmath.mpf(x) ** (1 + a)),
-        rel=1e-12,
-    )
-    # Frozen regression values.
-    assert linear == pytest.approx(149.61985405140373, rel=1e-13)
-    assert power == pytest.approx(-825.2730145961475, rel=1e-13)
-    assert power_res == pytest.approx(-91.69700162179416, rel=1e-13)
+    pow_res = mpmath.mpf(k) ** (-1 - a) * mpmath.zeta(1 + a) / (1 + a) * mpmath.mpf(x) ** (1 + a)
+    main_res = _main_values(spec, np.array([x]), -1 - a)[0]
+    assert main_res == pytest.approx(float(lin_ref + pow_res), rel=1e-12)
+    # Frozen regression values (linear + power terms).
+    assert main == pytest.approx(149.61985405140373 - 825.2730145961475, rel=1e-13)
+    assert main_res == pytest.approx(149.61985405140373 - 91.69700162179416, rel=1e-13)
     with pytest.raises(ValidationError):
-        voronoi_main(TwistedSumSpec(0.0, 0, 1), 10.0)  # zeta(1+a) pole at a=0
+        _main_values(TwistedSumSpec(0.0, 0, 1), np.array([10.0]), None)  # zeta(1+a) pole at a=0
 
 
 def test_calibrate_accepts_residue_exponent_and_pins():
