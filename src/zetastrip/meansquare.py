@@ -72,11 +72,17 @@ class StripConfig:
 
 
 def integrand(t, config: StripConfig, poly: DirichletPolynomial) -> np.ndarray | float:
-    """``|zeta(sigma + i t) A(sigma + i t)|^2``, vectorised over ``t``."""
+    """``|zeta(sigma + i t) A(sigma + i t)|^2``, vectorised over ``t``.
+
+    For ``A = 0`` it is +0.0 at every node, so zeta is not evaluated.
+    """
     t_arr = np.asarray(t, dtype=np.float64)
-    z = zeta_line(config.sigma, t_arr)
-    a = poly.evaluate(config.sigma, t_arr)
-    out = np.abs(z * a) ** 2
+    if any(poly.coefficients):
+        z = zeta_line(config.sigma, t_arr)
+        a = poly.evaluate(config.sigma, t_arr)
+        out = np.abs(z * a) ** 2
+    else:
+        out = np.zeros(t_arr.shape)
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out

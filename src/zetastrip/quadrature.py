@@ -137,10 +137,15 @@ def integrate_adaptive(
         raise ValidationError("integration endpoints must be finite")
     if b < a:
         raise ValidationError("integration requires b >= a")
+    if not (0.0 < abs_tol < math.inf and 0.0 <= rel_tol < math.inf):
+        # Written so that NaN fails too: a NaN tolerance is never met, and
+        # refinement would split one panel per pass up to max_panels.
+        raise ValidationError(
+            f"abs_tol must be positive and finite and rel_tol non-negative and finite, "
+            f"got abs_tol={abs_tol!r}, rel_tol={rel_tol!r}"
+        )
     if b == a:
         return QuadratureResult(value=0.0, error_estimate=0.0, panels=0, evaluations=0)
-    if abs_tol <= 0.0 or rel_tol < 0.0:
-        raise ValidationError("abs_tol must be positive and rel_tol non-negative")
 
     edges = _initial_edges(a, b, initial_width, breakpoints, max_panels)
     lefts = np.array(edges[:-1])

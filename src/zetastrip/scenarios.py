@@ -57,7 +57,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._env import pin_thread_env
+from ._env import pin_thread_env, usable_cpus
 from .arithmetic import DirichletPolynomial
 from .errors import ValidationError
 from .explicit import (
@@ -106,9 +106,19 @@ _REQUIRED = object()
 
 def _float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ValueError(f"is not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text.strip()!r}")
+    return value
+
+
+def _complex(text: str) -> complex:
+    value = complex(text.replace(" ", ""))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
 
 
 def _int(text: str) -> int:
@@ -512,7 +522,7 @@ _THEOREM_FLAGS = (
     _choice("twist", TWIST_MODES),
     _SECONDARY_WEIGHT,
 )
-_COEFFICIENTS = _Param("coefficients", _list_of(lambda token: complex(token.replace(" ", ""))), (1 + 0j,))
+_COEFFICIENTS = _Param("coefficients", _list_of(_complex), (1 + 0j,))
 _WINDOW = (
     _Param("sigma"),
     _Param("t"),
@@ -643,7 +653,7 @@ _KINDS: dict[str, _Kind] = {
         _run_saddle_l2,
     ),
     "saddle-l3": _Kind(
-        (_Param("alpha"), _Param("k"), _Param("t_grid", _list_of(float))),
+        (_Param("alpha"), _Param("k"), _Param("t_grid", _list_of(_float))),
         ("t", "magnitude", "ratio"),
         _run_saddle_l3,
     ),
@@ -856,8 +866,9 @@ def run_suite(
     """Run every scenario of a suite and write a summary report.
 
     Scenarios run on a spawn-based process pool whose initializer pins the
-    numeric kernels of each worker to a single thread before the task
-    payload imports the numeric stack; results are collected in listing
+    BLAS kernels of each worker to a single thread before the task payload
+    imports the numeric stack, and gives each worker an equal share of the
+    CPUs for ``zeta_line``'s threads; results are collected in listing
     order, so the summary and every per-scenario report are byte-identical
     for any worker count.
     """
@@ -875,7 +886,10 @@ def run_suite(
     context = multiprocessing.get_context("spawn")
     max_workers = min(workers, len(scenario_paths))
     with ProcessPoolExecutor(
-        max_workers=max_workers, mp_context=context, initializer=pin_thread_env
+        max_workers=max_workers,
+        mp_context=context,
+        initializer=pin_thread_env,
+        initargs=(usable_cpus() // max_workers,),
     ) as pool:
         futures = [pool.submit(_suite_task, str(p), str(target)) for p in scenario_paths]
         entries = [future.result() for future in futures]

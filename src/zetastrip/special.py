@@ -10,7 +10,13 @@ explicit and testable:
                     ``ZETA_ABS_TOL``.
 * ``zeta_line``  -- vectorised ``zeta(sigma + i t)`` along a fixed real part
                     under the same remainder bound; this is the quadrature
-                    integrand workhorse.
+                    integrand workhorse.  Its main sum runs in cache-sized
+                    row blocks on one thread per usable CPU, and its bits
+                    are those of one ``exp`` outer product per column chunk
+                    over the whole batch, for any thread count.  Each
+                    thread's buffers hold at most 65 rows of one column
+                    chunk: under 1 MB for a 7 680-point quadrature batch,
+                    and never more than 4e6 elements.
 * ``gamma``      -- Lanczos approximation (g = 7, 9 coefficients) with
                     reflection for ``Re z < 1/2``; relative accuracy ~1e-13.
 * ``arcsinh``    -- log1p-based formula with an odd Taylor series below
@@ -35,9 +41,11 @@ neighbourhoods.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ._env import line_threads
 from .errors import PrecisionError, ValidationError
 
 __all__ = [
@@ -141,7 +149,70 @@ def _zeta_em_f64(s: complex, n_cut: int) -> tuple[complex, float]:
     return total, float(remainder)
 
 
-_LINE_CHUNK = 4_000_000  # complex elements per evaluation chunk (~64 MB)
+# Complex elements per column chunk of the main sum.  The chunk boundaries
+# and the per-chunk accumulation order fix the result bits.
+_LINE_CHUNK = 4_000_000
+# Rows per cache block.  Blocks start at multiples of 64, a multiple of the
+# row unrolling of BLAS gemv kernels, so each row takes the same kernel path
+# as in one product over all rows even where unrolled and remainder paths
+# sum in different orders.
+_ROW_BLOCK = 64
+
+
+def _row_blocks(size: int) -> list[tuple[int, int]]:
+    """Row ranges of ``_ROW_BLOCK`` rows for ``size >= 1`` rows.
+
+    A last block of one row joins the block before it: numpy sends a
+    one-row product to BLAS ``dot``, which sums in another order than
+    ``gemv``.
+    """
+    starts = list(range(0, size, _ROW_BLOCK))
+    if len(starts) > 1 and size - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [size]))
+
+
+def _main_sum(sigma: float, t: np.ndarray, n_cut: int, threads: int) -> np.ndarray:
+    """``sum_{n < n_cut} n^-sigma exp(-i t log n)`` for each entry of the 1-d ``t``.
+
+    The result is bit-identical to one ``exp(-1j * outer(t, log n)) @ n^-sigma``
+    product over all rows per column chunk of ``_LINE_CHUNK // t.size``
+    columns, summed chunk by chunk: the rows are cut into blocks of
+    ``_ROW_BLOCK`` (see :func:`_row_blocks`) whose results do not depend on
+    the cut, and the blocks are shared among ``threads`` threads (numpy
+    releases the GIL in ``exp`` and ``matmul``).  Each thread holds one
+    float64 and one complex128 buffer of ``min(t.size, _ROW_BLOCK + 1) *
+    min(chunk, n_cut - 1)`` elements, never more than ``_LINE_CHUNK``; for a
+    quadrature batch of 7 680 points that is under 1 MB.
+    """
+    out = np.zeros(t.size, dtype=np.complex128)
+    if t.size == 0:
+        return out
+    chunk = max(1, _LINE_CHUNK // t.size)
+    columns = []
+    for lo in range(1, n_cut, chunk):
+        n = np.arange(lo, min(n_cut, lo + chunk), dtype=np.float64)
+        columns.append((np.log(n), n ** (-sigma)))
+    blocks = _row_blocks(t.size)
+    cells = max(hi - lo for lo, hi in blocks) * min(chunk, n_cut - 1)
+
+    def run(share: list[tuple[int, int]]) -> None:
+        phase = np.empty(cells)
+        terms = np.empty(cells, dtype=np.complex128)
+        for lo, hi in share:
+            for log_n, amp in columns:
+                size = (hi - lo) * log_n.size
+                x = phase[:size].reshape(hi - lo, log_n.size)
+                z = terms[:size].reshape(x.shape)
+                np.multiply.outer(t[lo:hi], log_n, out=x)
+                np.multiply(x, -1j, out=z)
+                out[lo:hi] += np.exp(z, out=z) @ amp
+
+    threads = min(threads, len(blocks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for future in [pool.submit(run, blocks[k::threads]) for k in range(threads)]:
+            future.result()
+    return out
 
 
 def zeta_line(sigma: float, t) -> np.ndarray:
@@ -151,21 +222,18 @@ def zeta_line(sigma: float, t) -> np.ndarray:
     the cutoff ``N = max(20, ceil(2 max|t|))``, which keeps the documented
     remainder bound for every point in the batch; a batch whose bound
     exceeds ``ZETA_ABS_TOL`` raises :class:`PrecisionError`.
+
+    The main sum runs on ``_env.line_threads()`` threads in cache-sized row
+    blocks (:func:`_main_sum`); its bits are those of the one-shot product,
+    for any thread count, so a point's value depends only on the batch's
+    size and largest ordinate.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     flat = np.abs(t_arr.ravel())
     n_cut = _em_cutoff(float(flat.max()) if flat.size else 0.0)
     s_vec = sigma + 1j * flat
 
-    out = np.zeros(flat.size, dtype=np.complex128)
-    chunk = max(1, _LINE_CHUNK // max(1, flat.size))
-    for lo in range(1, n_cut, chunk):
-        hi = min(n_cut, lo + chunk)
-        n = np.arange(lo, hi, dtype=np.float64)
-        log_n = np.log(n)
-        amp = n ** (-sigma)
-        out += np.exp(-1j * np.multiply.outer(flat, log_n)) @ amp
-
+    out = _main_sum(sigma, flat, n_cut, line_threads())
     out += n_cut ** (1.0 - s_vec) / (s_vec - 1.0)
     out += 0.5 * n_cut ** (-s_vec)
     for order in _EM_ORDERS:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import math
+import signal
+
 import mpmath
 import numpy as np
 import pytest
 
+from zetastrip import meansquare
 from zetastrip.arithmetic import DirichletPolynomial, pair_data
 from zetastrip.errors import ValidationError
 from zetastrip.meansquare import (
@@ -14,6 +19,7 @@ from zetastrip.meansquare import (
     integrate_mean_square,
     main_term,
 )
+from zetastrip.special import zeta_line
 
 mpmath.mp.prec = 160
 
@@ -37,6 +43,47 @@ def test_integrand_against_mpmath():
         assert mine == pytest.approx(ref, rel=1e-10)
     vec = integrand(np.array([0.7, 12.0]), cfg, poly)
     assert vec.shape == (2,)
+
+
+def test_integrand_of_zero_polynomial_skips_zeta(monkeypatch):
+    cfg = StripConfig(0.4)
+    poly = DirichletPolynomial((0.0, 0.0, -0.0))
+    t = np.linspace(250.0, 500.0, 31)
+    computed = np.abs(zeta_line(cfg.sigma, t) * poly.evaluate(cfg.sigma, t)) ** 2
+
+    def forbidden(*args):
+        raise AssertionError("zeta_line called for A = 0")
+
+    monkeypatch.setattr(meansquare, "zeta_line", forbidden)
+    skipped = integrand(t, cfg, poly)
+    # Same bits as |zeta * 0|^2 (+0.0 everywhere), same shapes.
+    assert np.array_equal(skipped.view(np.uint64), computed.view(np.uint64))
+    assert integrand(300.0, cfg, poly) == 0.0
+    assert isinstance(integrand(300.0, cfg, poly), float)
+
+
+@contextlib.contextmanager
+def _time_cap(seconds: float):
+    """Raise ``TimeoutError`` inside the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("tolerances", [{"abs_tol": math.nan}, {"rel_tol": math.inf}])
+def test_non_finite_tolerance_fails_fast(tolerances):
+    # abs_tol = nan was never met: refinement split one panel per pass up to
+    # the panel budget and ran for minutes on [10, 20].
+    with _time_cap(5.0), pytest.raises(ValidationError, match="finite"):
+        integrate_mean_square(10.0, 20.0, StripConfig(0.4), DirichletPolynomial((1.0,)), **tolerances)
 
 
 def _main_term_oracle(T: float, sigma: float, coeffs, weight: str) -> float:

@@ -33,6 +33,26 @@ def test_empty_and_reversed_interval():
         integrate_adaptive(lambda x: x, 0.0, 1.0, abs_tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"abs_tol": math.nan}, {"rel_tol": math.nan}, {"abs_tol": math.inf}, {"rel_tol": math.inf}],
+)
+def test_non_finite_tolerance_is_rejected_before_any_evaluation(tolerances):
+    # A NaN tolerance passed the old `abs_tol <= 0` test; an infinite one
+    # accepts any result.  Both are rejected before the integrand runs.
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(x)
+
+    with pytest.raises(ValidationError, match="finite"):
+        integrate_adaptive(f, 10.0, 20.0, **tolerances)
+    with pytest.raises(ValidationError, match="finite"):
+        integrate_adaptive(f, 10.0, 10.0, **tolerances)
+    assert calls == []
+
+
 def test_oscillatory_against_closed_form():
     # integral_0^{20 pi} cos(x) dx = 0 exactly; the panel layout must resolve
     # every oscillation when told the wavelength.

@@ -463,6 +463,28 @@ def test_cli_run_input_error(tmp_path, capsys):
     assert "(1/4, 1/2)" in captured.err
 
 
+@pytest.mark.parametrize(
+    ("kind", "key", "value"),
+    [
+        ("mean-square", "rel_tol", "inf"),
+        ("saddle-l3", "alpha", "nan"),
+        ("saddle-l3", "t_grid", "50, -inf"),
+        ("mean-square", "coefficients", "1, nan"),
+    ],
+)
+def test_cli_run_rejects_non_finite_parameter(tmp_path, capsys, kind, key, value):
+    # A non-finite value used to run and then die in render_json with a
+    # traceback; it must be a named input error before any work is done.
+    text = _scenario_text(kind).replace(f"{key} = {CHEAP_PARAMETERS[kind].get(key, '')}\n", "")
+    path = _write_ini(tmp_path, "bad.ini", text + f"{key} = {value}\n")
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err.startswith("error:")
+    assert f"parameter '{key}'" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_compare(tmp_path, capsys):
     report = build_report(_scenario("saddle-l3"))
     current, baseline = tmp_path / "current.json", tmp_path / "baseline.json"
