@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
+
 import numpy as np
 
 from .errors import ValidationError
@@ -22,6 +24,8 @@ __all__ = [
     "PairData",
     "DirichletPolynomial",
     "pair_data",
+    "coefficient_pairs",
+    "fsum_complex",
     "divisor_sigma_range",
     "unit_phase",
 ]
@@ -64,12 +68,6 @@ class DirichletPolynomial:
     def length(self) -> int:
         return len(self.coefficients)
 
-    def coefficient(self, m: int) -> complex:
-        """Return ``a(m)`` (zero outside ``1 <= m <= M``)."""
-        if 1 <= m <= self.length:
-            return self.coefficients[m - 1]
-        return 0.0 + 0.0j
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coefficients, dtype=np.complex128)
 
@@ -101,6 +99,25 @@ def pair_data(k: int, l: int) -> PairData:
     lam = l // g
     kappa_bar = pow(kappa, -1, lam) if lam > 1 else 0
     return PairData(k=k, l=l, gcd=g, lcm=lcm, kappa=kappa, lam=lam, kappa_bar=kappa_bar)
+
+
+def coefficient_pairs(A: DirichletPolynomial) -> Iterator[tuple[complex, PairData]]:
+    """``(a(k) conj(a(l)), pair_data(k, l))`` for every pair ``(k, l)`` whose
+    two coefficients are nonzero, ``k`` then ``l`` ascending.
+
+    Every pair sum of the window identity (the main term and both
+    oscillatory sums) runs over these pairs in this order.
+    """
+    nonzero = [(m, c) for m, c in enumerate(A.coefficients, start=1) if c != 0]
+    for k, ak in nonzero:
+        for l, al in nonzero:
+            yield ak * al.conjugate(), pair_data(k, l)
+
+
+def fsum_complex(values: Iterable[complex]) -> complex:
+    """Correctly rounded sum of complex values, real and imaginary parts apart."""
+    values = list(values)
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
 
 
 # Per-process memo; suite workers are processes, so no lock is needed.

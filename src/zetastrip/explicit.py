@@ -10,7 +10,7 @@ package ("theorem 1" and "theorem 2" in the API names):
           = [M + S1 + S2](2T, 2Y) - [M + S1 + S2](T, Y) + R(T, 2T)
 
   where ``M`` is the smooth main term (:func:`zetastrip.meansquare.main_term`),
-  ``S1 = sigma1(T, Y)`` and ``S2 = sigma2(T, xi(T, Y))`` are finite
+  ``S1(T, Y)`` and ``S2(T, xi(T, Y))`` are finite
   oscillatory sums, ``Y`` is a free cutoff admissible when
   ``C1*T < Y < C2*T``, and the residual ``R`` is small (order
   ``T^{1-2*sigma} log T``);
@@ -78,7 +78,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import DirichletPolynomial, divisor_sigma_range, pair_data, unit_phase
+from .arithmetic import (
+    DirichletPolynomial,
+    coefficient_pairs,
+    divisor_sigma_range,
+    fsum_complex,
+    unit_phase,
+)
 from .errors import ValidationError
 from .meansquare import StripConfig, integrate_mean_square, main_term
 
@@ -90,8 +96,6 @@ __all__ = [
     "xi",
     "f_phase",
     "g_phase",
-    "sigma1",
-    "sigma2",
     "explicit_terms",
     "theorem1_report",
     "theorem2_report",
@@ -187,57 +191,45 @@ def xi(T: float, u: float) -> float:
     return a * a / (a + 0.5 * u + math.sqrt(0.25 * u * u + u * a))
 
 
-def f_phase(T: float, u: float, *, radicand: str = "plus") -> float:
+def f_phase(
+    T: float, u: float | np.ndarray, *, radicand: str = "plus"
+) -> float | np.ndarray:
     """Primary-sum phase ``2T arcsinh sqrt(pi u/2T) + sqrt(2 pi u T +- pi^2 u^2) - pi/4``.
 
-    ``radicand="plus"`` (canonical) keeps the radical real for every
-    ``u >= 0``; ``"minus"`` flips the sign of the ``pi^2 u^2`` term and is
-    only defined for ``u <= 2T/pi``.
+    ``u`` is a scalar or an array.  ``radicand="plus"`` (canonical) keeps the
+    radical real for every ``u >= 0``; ``"minus"`` flips the sign of the
+    ``pi^2 u^2`` term and is only defined for ``u <= 2T/pi``.
     """
     if not (T > 0.0 and math.isfinite(T)):
         raise ValidationError("f_phase requires T > 0")
-    if not (u >= 0.0 and math.isfinite(u)):
-        raise ValidationError("f_phase requires u >= 0")
+    u_arr = np.asarray(u, dtype=np.float64)
+    if not np.all((u_arr >= 0.0) & (u_arr < math.inf)):
+        raise ValidationError("f_phase requires finite u >= 0")
     if radicand not in RADICAND_MODES:
         raise ValidationError(f"radicand must be one of {RADICAND_MODES}")
-    root = math.asinh(math.sqrt(math.pi * u / (2.0 * T)))
+    root = np.arcsinh(np.sqrt(math.pi * u_arr / (2.0 * T)))
     if radicand == "plus":
-        rad = 2.0 * math.pi * u * T + (math.pi * u) ** 2
+        rad = 2.0 * math.pi * u_arr * T + (math.pi * u_arr) ** 2
     else:
-        rad = 2.0 * math.pi * u * T - (math.pi * u) ** 2
-        if rad < 0.0:
+        rad = 2.0 * math.pi * u_arr * T - (math.pi * u_arr) ** 2
+        if np.any(rad < 0.0):
             raise ValidationError(
                 "f_phase with radicand='minus' requires u <= 2T/pi (radical is imaginary beyond)"
             )
-    return 2.0 * T * root + math.sqrt(rad) - 0.25 * math.pi
+    out = 2.0 * T * root + np.sqrt(rad) - 0.25 * math.pi
+    return out if u_arr.ndim else float(out)
 
 
-def g_phase(T: float, u: float) -> float:
-    """Secondary-sum phase ``T log(T/(2 pi u)) - T + 2 pi u + pi/4``."""
+def g_phase(T: float, u: float | np.ndarray) -> float | np.ndarray:
+    """Secondary-sum phase ``T log(T/(2 pi u)) - T + 2 pi u + pi/4``; ``u`` is
+    a scalar or an array."""
     if not (T > 0.0 and math.isfinite(T)):
         raise ValidationError("g_phase requires T > 0")
-    if not (u > 0.0 and math.isfinite(u)):
-        raise ValidationError("g_phase requires u > 0")
-    return T * math.log(T / (2.0 * math.pi * u)) - T + 2.0 * math.pi * u + 0.25 * math.pi
-
-
-def _f_phase_array(T: float, u: np.ndarray, radicand: str) -> np.ndarray:
-    """Vectorised :func:`f_phase` over an array of ``u`` values."""
-    root = np.arcsinh(np.sqrt(math.pi * u / (2.0 * T)))
-    if radicand == "plus":
-        rad = 2.0 * math.pi * u * T + (math.pi * u) ** 2
-    else:
-        rad = 2.0 * math.pi * u * T - (math.pi * u) ** 2
-        if np.any(rad < 0.0):
-            raise ValidationError(
-                "f_phase with radicand='minus' requires u <= 2T/pi for every retained term"
-            )
-    return 2.0 * T * root + np.sqrt(rad) - 0.25 * math.pi
-
-
-def _g_phase_array(T: float, u: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`g_phase` over an array of ``u`` values."""
-    return T * np.log(T / (2.0 * math.pi * u)) - T + 2.0 * math.pi * u + 0.25 * math.pi
+    u_arr = np.asarray(u, dtype=np.float64)
+    if not np.all((u_arr > 0.0) & (u_arr < math.inf)):
+        raise ValidationError("g_phase requires finite u > 0")
+    out = T * np.log(T / (2.0 * math.pi * u_arr)) - T + 2.0 * math.pi * u_arr + 0.25 * math.pi
+    return out if u_arr.ndim else float(out)
 
 
 def _sigma1_prefactor(variant: str, sigma: float) -> complex:
@@ -270,8 +262,21 @@ def _sigma1_sum(
     A: DirichletPolynomial,
     radicand: str,
 ) -> tuple[complex, int]:
-    """Inner complex accumulation of the primary sum, before the variant
-    prefactor and the final ``Im{}`` extraction.  Returns ``(total, terms)``.
+    """Primary oscillatory sum ``S1(T, Y)`` before the variant prefactor and
+    the final ``Im{}``.  Returns ``(total, terms)``.
+
+    For each index pair ``(k, l)`` with nonzero coefficient product the inner
+    sum runs over ``n <= kappa*lambda*Y`` and accumulates::
+
+        a(k) conj(a(l)) / lcm^{2 sigma} * (kappa lambda)^sigma
+            * e^{-2 i pi sigma} * sigma_{2 sigma - 1}(n) n^{-sigma}
+            * e(kappa_bar n / lambda) * T^{1/2 - sigma}
+            * arcsinh(sqrt(pi n / (2 T kappa lambda)))^{-1}
+            * (1 + 2 T kappa lambda/(pi n))^{-1/4}
+            * exp(i (f(T, n/(kappa lambda)) - pi n/(kappa lambda) + pi/2))
+
+    ``S1`` is ``Im{prefactor * total}`` with the variant prefactor of the
+    module docstring.
     """
     if not (T > 0.0 and Y > 0.0):
         raise ValidationError("sigma1 requires T > 0 and Y > 0")
@@ -279,81 +284,32 @@ def _sigma1_sum(
     exponent = 2.0 * sigma - 1.0
     base_rotation = cmath.exp(-2j * math.pi * sigma)
     t_power = T ** (0.5 - sigma)
-    m_len = A.length
-    real_parts: list[float] = []
-    imag_parts: list[float] = []
+    values: list[complex] = []
     terms = 0
-    for k in range(1, m_len + 1):
-        ak = A.coefficient(k)
-        if ak == 0:
+    for product, pd in coefficient_pairs(A):
+        kl = pd.kappa * pd.lam
+        n_max = math.floor(kl * Y)
+        if n_max < 1:
             continue
-        for l in range(1, m_len + 1):
-            al = A.coefficient(l)
-            if al == 0:
-                continue
-            pd = pair_data(k, l)
-            kl = pd.kappa * pd.lam
-            n_max = math.floor(kl * Y)
-            if n_max < 1:
-                continue
-            n = np.arange(1, n_max + 1, dtype=np.float64)
-            sig = divisor_sigma_range(exponent, n_max)
-            u = n / kl
-            asc = np.arcsinh(np.sqrt(math.pi * n / (2.0 * T * kl)))
-            amplitude = (
-                sig
-                * n ** (-sigma)
-                / asc
-                * (1.0 + 2.0 * T * kl / (math.pi * n)) ** -0.25
-            )
-            phase = _f_phase_array(T, u, radicand) - math.pi * u + 0.5 * math.pi
-            twist = unit_phase(
-                pd.kappa_bar * np.arange(1, n_max + 1, dtype=np.int64), pd.lam
-            )
-            inner = np.sum(amplitude * twist * np.exp(1j * phase))
-            coeff = (
-                ak
-                * al.conjugate()
-                / pd.lcm ** (2.0 * sigma)
-                * kl**sigma
-                * base_rotation
-                * t_power
-            )
-            value = coeff * complex(inner)
-            real_parts.append(value.real)
-            imag_parts.append(value.imag)
-            terms += n_max
-    return complex(math.fsum(real_parts), math.fsum(imag_parts)), terms
-
-
-def sigma1(
-    T: float,
-    Y: float,
-    cfg: StripConfig,
-    A: DirichletPolynomial,
-    *,
-    variant: str = "canonical",
-    radicand: str = "plus",
-) -> float:
-    """Primary oscillatory sum ``S1(T, Y)``.
-
-    For each index pair ``(k, l)`` with nonzero coefficient product the inner
-    sum runs over ``n <= kappa*lambda*Y`` and accumulates::
-
-        Im{ a(k) conj(a(l)) / lcm^{2 sigma} * (kappa lambda)^sigma
-            * e^{-2 i pi sigma} * sigma_{2 sigma - 1}(n) n^{-sigma}
-            * e(kappa_bar n / lambda) * T^{1/2 - sigma}
-            * arcsinh(sqrt(pi n / (2 T kappa lambda)))^{-1}
-            * (1 + 2 T kappa lambda/(pi n))^{-1/4}
-            * exp(i (f(T, n/(kappa lambda)) - pi n/(kappa lambda) + pi/2)) }
-
-    multiplied by the ``variant`` prefactor (see the module docstring).
-    """
-    if radicand not in RADICAND_MODES:
-        raise ValidationError(f"radicand must be one of {RADICAND_MODES}")
-    prefactor = _sigma1_prefactor(variant, cfg.sigma)
-    total, _ = _sigma1_sum(T, Y, cfg, A, radicand)
-    return (prefactor * total).imag
+        n = np.arange(1, n_max + 1, dtype=np.float64)
+        sig = divisor_sigma_range(exponent, n_max)
+        u = n / kl
+        asc = np.arcsinh(np.sqrt(math.pi * n / (2.0 * T * kl)))
+        amplitude = (
+            sig
+            * n ** (-sigma)
+            / asc
+            * (1.0 + 2.0 * T * kl / (math.pi * n)) ** -0.25
+        )
+        phase = f_phase(T, u, radicand=radicand) - math.pi * u + 0.5 * math.pi
+        twist = unit_phase(
+            pd.kappa_bar * np.arange(1, n_max + 1, dtype=np.int64), pd.lam
+        )
+        inner = np.sum(amplitude * twist * np.exp(1j * phase))
+        coeff = product / pd.lcm ** (2.0 * sigma) * kl**sigma * base_rotation * t_power
+        values.append(coeff * complex(inner))
+        terms += n_max
+    return fsum_complex(values), terms
 
 
 def _sigma2_sum(
@@ -363,8 +319,20 @@ def _sigma2_sum(
     A: DirichletPolynomial,
     twist: str,
 ) -> tuple[complex, int]:
-    """Inner complex accumulation of the secondary sum (including the global
-    real scalar), before the variant factor and the final ``Re{}``.
+    """Secondary oscillatory sum ``S2(T, Ycut)``, ``Ycut = xi(T, Y)``, before
+    the variant factor and the final ``Re{}``.  Returns ``(total, terms)``.
+
+    For each pair the inner cutoff is ``n <= (lambda/kappa) Ycut`` and the
+    accumulated term is::
+
+        -4 (2 pi T)^{1/2 - sigma} * a(k) conj(a(l)) / lcm^{2 sigma}
+            * (kappa lambda)^sigma * sigma_{2 sigma - 1}(n) n^{-sigma}
+            * e(-kappa n / lambda)
+            * exp(i g(T, kappa n / lambda)) / log(lambda T/(2 pi kappa n))
+
+    (``e(-kappa_bar n / lambda)`` for the ``inverse`` twist).  Every retained
+    term must satisfy ``kappa n / lambda < T/(2 pi)`` strictly (positive
+    logarithm); violating cutoffs raise :class:`ValidationError`.
     """
     if not (T > 0.0 and y_cut >= 0.0):
         raise ValidationError("sigma2 requires T > 0 and Ycut >= 0")
@@ -375,79 +343,34 @@ def _sigma2_sum(
     saddle_scale = T / (2.0 * math.pi)
     # -T^{1/2-sigma}/(pi^{1/2+sigma} 2^{sigma-1/2}) * 4 pi  ==  -4 (2 pi T)^{1/2-sigma}
     scalar = -4.0 * (2.0 * math.pi * T) ** (0.5 - sigma)
-    m_len = A.length
-    real_parts: list[float] = []
-    imag_parts: list[float] = []
+    values: list[complex] = []
     terms = 0
-    for k in range(1, m_len + 1):
-        ak = A.coefficient(k)
-        if ak == 0:
+    for product, pd in coefficient_pairs(A):
+        n_max = math.floor(pd.lam * y_cut / pd.kappa)
+        if n_max < 1:
             continue
-        for l in range(1, m_len + 1):
-            al = A.coefficient(l)
-            if al == 0:
-                continue
-            pd = pair_data(k, l)
-            n_max = math.floor(pd.lam * y_cut / pd.kappa)
-            if n_max < 1:
-                continue
-            n = np.arange(1, n_max + 1, dtype=np.float64)
-            u = pd.kappa * n / pd.lam
-            if u[-1] >= saddle_scale:
-                raise ValidationError(
-                    "sigma2 retained a term with kappa*n/lambda >= T/(2 pi); "
-                    "the window cutoff is inadmissible"
-                )
-            sig = divisor_sigma_range(exponent, n_max)
-            n_int = np.arange(1, n_max + 1, dtype=np.int64)
-            multiplier = -pd.kappa if twist == "direct" else -pd.kappa_bar
-            twist_values = unit_phase(multiplier * n_int, pd.lam)
-            inner = np.sum(
-                sig
-                * n ** (-sigma)
-                * twist_values
-                * np.exp(1j * _g_phase_array(T, u))
-                / np.log(saddle_scale / u)
+        n = np.arange(1, n_max + 1, dtype=np.float64)
+        u = pd.kappa * n / pd.lam
+        if u[-1] >= saddle_scale:
+            raise ValidationError(
+                "sigma2 retained a term with kappa*n/lambda >= T/(2 pi); "
+                "the window cutoff is inadmissible"
             )
-            coeff = (
-                ak
-                * al.conjugate()
-                / pd.lcm ** (2.0 * sigma)
-                * (pd.kappa * pd.lam) ** sigma
-            )
-            value = coeff * complex(inner)
-            real_parts.append(value.real)
-            imag_parts.append(value.imag)
-            terms += n_max
-    total = complex(math.fsum(real_parts), math.fsum(imag_parts))
-    return scalar * total, terms
-
-
-def sigma2(
-    T: float,
-    Ycut: float,
-    cfg: StripConfig,
-    A: DirichletPolynomial,
-    *,
-    variant: str = "canonical",
-    twist: str = "direct",
-) -> float:
-    """Secondary oscillatory sum ``S2(T, Ycut)`` with ``Ycut = xi(T, Y)``.
-
-    For each pair the inner cutoff is ``n <= (lambda/kappa) Ycut`` and the
-    accumulated term is::
-
-        -4 (2 pi T)^{1/2 - sigma} * Re{ a(k) conj(a(l)) / lcm^{2 sigma}
-            * (kappa lambda)^sigma * sigma_{2 sigma - 1}(n) n^{-sigma}
-            * e(-kappa n / lambda)
-            * exp(i g(T, kappa n / lambda)) / log(lambda T/(2 pi kappa n)) }
-
-    Every retained term must satisfy ``kappa n / lambda < T/(2 pi)`` strictly
-    (positive logarithm); violating cutoffs raise :class:`ValidationError`.
-    """
-    factor = _sigma2_prefactor(variant, cfg.sigma)
-    total, _ = _sigma2_sum(T, Ycut, cfg, A, twist)
-    return factor * total.real
+        sig = divisor_sigma_range(exponent, n_max)
+        n_int = np.arange(1, n_max + 1, dtype=np.int64)
+        multiplier = -pd.kappa if twist == "direct" else -pd.kappa_bar
+        twist_values = unit_phase(multiplier * n_int, pd.lam)
+        inner = np.sum(
+            sig
+            * n ** (-sigma)
+            * twist_values
+            * np.exp(1j * g_phase(T, u))
+            / np.log(saddle_scale / u)
+        )
+        coeff = product / pd.lcm ** (2.0 * sigma) * (pd.kappa * pd.lam) ** sigma
+        values.append(coeff * complex(inner))
+        terms += n_max
+    return scalar * fsum_complex(values), terms
 
 
 def explicit_terms(
@@ -575,7 +498,6 @@ def _dyadic_levels(T: float, c_star: float, alpha: float) -> int:
 
 
 def theorem2_report(
-    T: float,
     win: WindowConfig,
     cfg: StripConfig,
     A: DirichletPolynomial,
@@ -592,14 +514,16 @@ def theorem2_report(
     """Dyadic reconstruction consistency check (both paths, with errors).
 
     Path one evaluates ``I(0, T)`` with a single quadrature and subtracts the
-    closed-form blocks at ``(T, Y)``.  Path two telescopes the window
-    identity over ``L`` dyadic levels (``L`` chosen from ``alpha`` and the
-    window's ``c_star``) and adds the stub integral ``I(0, 2^{-L} T)``,
-    subtracting the blocks at the stub scale.  Analytically the two paths are
-    identical; numerically they differ only in how ``[0, T]`` was panelised.
+    closed-form blocks at ``(T, Y) = (win.t, win.y)``.  Path two telescopes
+    the window identity over ``L`` dyadic levels ``[2^{-j} T, 2^{-j+1} T]``
+    (``L`` chosen from ``alpha`` and the window's ``c_star``) and adds the
+    stub integral ``I(0, 2^{-L} T)``, subtracting the blocks at the stub
+    scale.  Analytically the two paths are identical; numerically they differ
+    only in how ``[0, T]`` was panelised.
+
+    The blocks are evaluated once per scale ``2^{-j}``, ``j = 0..L``: each
+    scale is the upper end of one level and the lower end of the next.
     """
-    if win.t != T:
-        raise ValidationError("theorem2 reconstruction requires win.t == T")
     flags = dict(
         sigma1_variant=sigma1_variant,
         sigma2_variant=sigma2_variant,
@@ -607,33 +531,33 @@ def theorem2_report(
         twist=twist,
         secondary_weight=secondary_weight,
     )
-    levels = _dyadic_levels(T, win.c_star, alpha)
-    top_blocks = explicit_terms(win, cfg, A, **flags)
+    levels = _dyadic_levels(win.t, win.c_star, alpha)
+    # Scaling by a power of two is exact, so each window equals the doubled
+    # window of the next scale bit for bit.
+    windows = [win.scaled(2.0**-j) for j in range(levels + 1)]
+    blocks = [explicit_terms(w, cfg, A, **flags) for w in windows]
 
-    quad_direct = integrate_mean_square(0.0, T, cfg, A, abs_tol=abs_tol, rel_tol=rel_tol)
-    direct_value = float(quad_direct.value) - top_blocks.block_total
+    def integral(t_lo: float, t_hi: float):
+        return integrate_mean_square(t_lo, t_hi, cfg, A, abs_tol=abs_tol, rel_tol=rel_tol)
+
+    quad_direct = integral(0.0, win.t)
+    direct_value = float(quad_direct.value) - blocks[0].block_total
     error_total = quad_direct.error_estimate
 
     residual_sum: list[float] = []
     for j in range(1, levels + 1):
-        level_window = win.scaled(2.0**-j)
-        report = theorem1_report(
-            level_window, cfg, A, abs_tol=abs_tol, rel_tol=rel_tol, **flags
-        )
-        residual_sum.append(report.residual)
-        error_total += report.quadrature_error
-    stub_upper = T * 2.0**-levels
-    stub_window = win.scaled(2.0**-levels)
-    stub_blocks = explicit_terms(stub_window, cfg, A, **flags)
-    quad_stub = integrate_mean_square(
-        0.0, stub_upper, cfg, A, abs_tol=abs_tol, rel_tol=rel_tol
-    )
+        quad = integral(windows[j].t, 2.0 * windows[j].t)
+        block_difference = blocks[j - 1].block_total - blocks[j].block_total
+        residual_sum.append(float(quad.value) - block_difference)
+        error_total += quad.error_estimate
+    stub_upper = windows[-1].t
+    quad_stub = integral(0.0, stub_upper)
     error_total += quad_stub.error_estimate
     # Every closed-form block at an intermediate dyadic scale appears once
     # with each sign inside the chained residuals and cancels exactly; only
     # the stub-scale blocks need re-adding explicitly.
     telescoped_value = (
-        float(quad_stub.value) - stub_blocks.block_total + math.fsum(residual_sum)
+        float(quad_stub.value) - blocks[-1].block_total + math.fsum(residual_sum)
     )
     return Theorem2Report(
         levels=levels,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import DirichletPolynomial, pair_data
+from .arithmetic import DirichletPolynomial, coefficient_pairs, fsum_complex
 from .errors import ValidationError
 from .quadrature import QuadratureResult, integrate_adaptive
 from .special import gamma, zeta, zeta_line
@@ -47,7 +47,11 @@ __all__ = [
     "integrand",
     "integrate_mean_square",
     "main_term",
+    "SECONDARY_WEIGHTS",
 ]
+
+#: Readings of the secondary weight ``W(k, l)``; the first is the default.
+SECONDARY_WEIGHTS = ("coprime", "lcm")
 
 _OSC_WIDTH_C = 3.0
 
@@ -138,8 +142,8 @@ def main_term(
     """
     if T <= 0.0:
         raise ValidationError("main_term requires T > 0")
-    if secondary_weight not in ("coprime", "lcm"):
-        raise ValidationError("secondary_weight must be 'coprime' or 'lcm'")
+    if secondary_weight not in SECONDARY_WEIGHTS:
+        raise ValidationError(f"secondary_weight must be one of {SECONDARY_WEIGHTS}")
     sigma = config.sigma
     z1 = zeta(complex(2.0 * sigma)).real
     z2 = zeta(complex(2.0 * sigma - 1.0)).real
@@ -149,30 +153,16 @@ def main_term(
     )
     linear_scalar = z1 * T
 
-    real_parts: list[float] = []
-    imag_parts: list[float] = []
-    m_len = poly.length
-    for k in range(1, m_len + 1):
-        ak = poly.coefficient(k)
-        if ak == 0:
-            continue
-        for l in range(1, m_len + 1):
-            al = poly.coefficient(l)
-            if al == 0:
-                continue
-            pd = pair_data(k, l)
-            weight = pd.kappa * pd.lam if secondary_weight == "coprime" else pd.lcm
-            coeff = ak * al.conjugate() / pd.lcm ** (2.0 * sigma)
-            bracket = linear_scalar + secondary_scalar * weight ** (2.0 * sigma - 1.0)
-            term = coeff * bracket
-            real_parts.append(term.real)
-            imag_parts.append(term.imag)
-    total_re = math.fsum(real_parts)
-    total_im = math.fsum(imag_parts)
-    if abs(total_im) > 1e-8 * max(abs(total_re), 1e-300):
+    terms = []
+    for product, pd in coefficient_pairs(poly):
+        weight = pd.kappa * pd.lam if secondary_weight == "coprime" else pd.lcm
+        bracket = linear_scalar + secondary_scalar * weight ** (2.0 * sigma - 1.0)
+        terms.append(product / pd.lcm ** (2.0 * sigma) * bracket)
+    total = fsum_complex(terms)
+    if abs(total.imag) > 1e-8 * max(abs(total.real), 1e-300):
         raise ValidationError(
-            f"main_term imaginary residue {total_im:.3e} exceeds 1e-8 of the "
-            f"real part {total_re:.3e}; coefficient conjugation is inconsistent"
+            f"main_term imaginary residue {total.imag:.3e} exceeds 1e-8 of the "
+            f"real part {total.real:.3e}; coefficient conjugation is inconsistent"
         )
-    return total_re
+    return total.real
 

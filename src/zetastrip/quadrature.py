@@ -47,6 +47,11 @@ _WGK = np.array(list(_WGK_HALF) + [_WGK_CENTER] + list(reversed(_WGK_HALF)))
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 
+# Panels per integrand call.  ``special.zeta_line`` sizes its column chunks
+# by the number of points it gets, so this is part of every mean-square value
+# down to the last bit.
+_PANEL_BATCH = 512
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -124,7 +129,6 @@ def integrate_adaptive(
     initial_width: float | Callable[[float], float] | None = None,
     breakpoints: Sequence[float] | None = None,
     max_panels: int = 40_000,
-    panel_batch: int = 512,
 ) -> QuadratureResult:
     """Integrate vectorised ``f`` over ``[a, b]`` to the requested tolerance.
 
@@ -159,8 +163,8 @@ def integrate_adaptive(
         nonlocal evaluations
         vals: list[complex] = []
         errs: list[float] = []
-        for lo in range(0, ls.size, panel_batch):
-            kron, err = _evaluate_panels(f, ls[lo : lo + panel_batch], rs[lo : lo + panel_batch])
+        for lo in range(0, ls.size, _PANEL_BATCH):
+            kron, err = _evaluate_panels(f, ls[lo : lo + _PANEL_BATCH], rs[lo : lo + _PANEL_BATCH])
             evaluations += 15 * int(err.size)
             vals.extend(complex(v) for v in kron)
             errs.extend(float(e) for e in err)

@@ -76,6 +76,7 @@ __all__ = [
     "phi_weight",
     "lemma4_delta",
     "lemma4_compare",
+    "LOG_CONSTANTS",
 ]
 
 #: Pass threshold: |difference| <= AUDIT_CONSTANT * evaluated budget.
@@ -88,6 +89,10 @@ PHASE_RADIANS_PER_PANEL = 1.5
 #: inside [LEMMA4_ENDPOINT_LO, LEMMA4_ENDPOINT_HI].
 LEMMA4_ENDPOINT_LO = 0.05
 LEMMA4_ENDPOINT_HI = 100.0
+
+#: Readings of the lemma-4 phase constant ``c`` (``log(T/(c pi n))``) by
+#: name; the first is the default.
+LOG_CONSTANTS = {"two-pi": 2.0, "three-pi": 3.0}
 
 
 @dataclass(frozen=True)
@@ -158,17 +163,9 @@ def exp_integral_lhs(
     *,
     abs_tol: float = 1e-7,
     rel_tol: float = 1e-9,
-    panel_width_scale: float = 1.0,
 ) -> complex:
-    """The logarithmic-kernel integral by phase-adaptive quadrature.
-
-    ``panel_width_scale`` rescales the initial panel policy only (the
-    adaptive refinement target is unchanged); it exists so consistency under
-    re-panelling can be tested.
-    """
-    value, _ = _exp_integral_with_error(
-        spec, abs_tol=abs_tol, rel_tol=rel_tol, panel_width_scale=panel_width_scale
-    )
+    """The logarithmic-kernel integral by phase-adaptive quadrature."""
+    value, _ = _exp_integral_with_error(spec, abs_tol=abs_tol, rel_tol=rel_tol)
     return value
 
 
@@ -177,12 +174,7 @@ def _exp_integral_with_error(
     *,
     abs_tol: float = 1e-7,
     rel_tol: float = 1e-9,
-    panel_width_scale: float = 1.0,
 ) -> tuple[complex, float]:
-    if not (0.0 < panel_width_scale <= 4.0):
-        raise ValidationError(
-            f"panel_width_scale must lie in (0, 4], got {panel_width_scale}"
-        )
     T, k = spec.T, spec.k_freq
     signed_freq = float(spec.sign) * 2.0 * math.pi * k
 
@@ -196,14 +188,13 @@ def _exp_integral_with_error(
     def derivative(y: float) -> float:
         return signed_freq - T / (y * (1.0 + y))
 
-    base_width = _phase_width_policy(derivative, spec.b_hi - spec.a_lo)
     result = integrate_adaptive(
         integrand,
         spec.a_lo,
         spec.b_hi,
         abs_tol=abs_tol,
         rel_tol=rel_tol,
-        initial_width=lambda y: panel_width_scale * base_width(y),
+        initial_width=_phase_width_policy(derivative, spec.b_hi - spec.a_lo),
     )
     return complex(result.value), float(result.error_estimate)
 
@@ -525,10 +516,11 @@ def lemma4_compare(
     Requires ``a_lo/sqrt(T)`` inside ``[0.05, 100]`` (the fixed-constant
     window of the hypothesis ``A sqrt(T) < a < B sqrt(T)``).
     """
-    if log_constant not in ("two-pi", "three-pi"):
+    if log_constant not in LOG_CONSTANTS:
         raise ValidationError(
-            f"log_constant must be 'two-pi' or 'three-pi', got {log_constant!r}"
+            f"log_constant must be one of {tuple(LOG_CONSTANTS)}, got {log_constant!r}"
         )
+    constant = LOG_CONSTANTS[log_constant]
     if n < 1:
         raise ValidationError(f"n must be a positive integer, got {n}")
     if T < 10.0:
@@ -575,7 +567,6 @@ def lemma4_compare(
     delta = lemma4_delta(n, a_lo, b_hi, T)
     t_over = T / (2.0 * math.pi)
     if delta == 1:
-        constant = 2.0 if log_constant == "two-pi" else 3.0
         gap = t_over - n
         amplitude = (
             4.0
@@ -614,5 +605,5 @@ def lemma4_compare(
         budget_saddle=budget_saddle,
         budget_endpoint_a=budget_a,
         budget_endpoint_b=budget_b,
-        saddle_log_constant=2.0 if log_constant == "two-pi" else 3.0,
+        saddle_log_constant=constant,
     )

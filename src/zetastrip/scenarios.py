@@ -69,15 +69,17 @@ from .explicit import (
     theorem1_report,
     theorem2_report,
 )
-from .meansquare import StripConfig, integrate_mean_square, main_term
+from .meansquare import SECONDARY_WEIGHTS, StripConfig, integrate_mean_square, main_term
 from .saddle import (
     AUDIT_CONSTANT,
+    LOG_CONSTANTS,
     ExpIntegralSpec,
     lemma2_compare,
     lemma3_decay,
     lemma4_compare,
 )
 from .voronoi import (
+    TWIST_MODES as VORONOI_TWISTS,
     TwistedSumSpec,
     calibrate,
     delta_bessel,
@@ -333,7 +335,7 @@ def _run_theorem2(v: dict) -> tuple:
     if v["error_multiple"] <= 0.0:
         raise ValidationError("error_multiple must be positive")
     win, cfg, poly, options = _theorem_inputs(v)
-    report = theorem2_report(v["t"], win, cfg, poly, v["alpha"], **options)
+    report = theorem2_report(win, cfg, poly, v["alpha"], **options)
     budget = v["error_multiple"] * report.quadrature_error_total
     passed = abs(report.difference) <= budget
     row = [
@@ -357,11 +359,11 @@ def _run_voronoi(v: dict) -> tuple:
         exponent = -1.0 - v["a"]
     else:
         try:
-            exponent = float(exponent_text)
+            exponent = _float(exponent_text)
         except ValueError as exc:
             raise ValidationError(
-                "power_modulus_exponent must be 'printed', 'residue' or a number, "
-                f"got {exponent_text!r}"
+                "scenario kind 'voronoi': parameter 'power_modulus_exponent' must be "
+                f"'printed', 'residue' or a finite number, got {exponent_text!r}"
             ) from exc
     x_lo, x_hi, points = v["x_lo"], v["x_hi"], v["points"]
     if not (1.0 <= x_lo < x_hi):
@@ -514,7 +516,7 @@ def _choice(name: str, choices: tuple[str, ...]) -> _Param:
     return _Param(name, str.strip, choices[0], choices)
 
 
-_SECONDARY_WEIGHT = _choice("secondary_weight", ("coprime", "lcm"))
+_SECONDARY_WEIGHT = _choice("secondary_weight", SECONDARY_WEIGHTS)
 _THEOREM_FLAGS = (
     _choice("sigma1_variant", SIGMA1_VARIANTS),
     _choice("sigma2_variant", SIGMA2_VARIANTS),
@@ -610,7 +612,7 @@ _KINDS: dict[str, _Kind] = {
             _Param("h", _int),
             _Param("k", _int),
             _Param("power_modulus_exponent", str.strip, "printed"),
-            _choice("twist", ("direct", "inverse")),
+            _choice("twist", VORONOI_TWISTS),
             _Param("x_lo", default=40.0),
             _Param("x_hi", default=400.0),
             _Param("points", _int, 50),
@@ -664,7 +666,7 @@ _KINDS: dict[str, _Kind] = {
             _Param("t"),
             _Param("a_lo", default=lambda v: math.sqrt(v["t"]) if v["t"] > 0 else _REQUIRED),
             _Param("b_hi", default=lambda v: 10.0 * math.sqrt(v["t"]) if v["t"] > 0 else _REQUIRED),
-            _choice("log_constant", ("two-pi", "three-pi")),
+            _choice("log_constant", tuple(LOG_CONSTANTS)),
             *_tolerances(1e-8, 1e-9),
         ),
         (

@@ -85,6 +85,7 @@ __all__ = [
     "delta_mean_square",
     "term_envelope",
     "truncation_plan",
+    "TWIST_MODES",
 ]
 
 #: Safety multiplier converting the last-term envelope times the local phase
@@ -98,6 +99,10 @@ _CALIBRATION_BLOCKS = 8
 #: Relative validity floor for the cosine asymptotics: the smallest phase
 #: argument 4 pi sqrt(x) / k must be at least this large.
 ASYMPTOTIC_PHASE_FLOOR = 10.0
+
+#: Which unit twists the Voronoi series: ``h`` (``direct``) or its inverse
+#: modulo ``k`` (``inverse``); the first is the default.
+TWIST_MODES = ("direct", "inverse")
 
 
 def exponent_from_sigma(sigma: float) -> float:
@@ -294,6 +299,10 @@ def calibrate(
     if a == 0.0:
         raise ValidationError("calibration requires a < 0 (no smooth main terms at a=0)")
     exponent = (1.0 - a) if power_modulus_exponent is None else float(power_modulus_exponent)
+    if not math.isfinite(exponent):
+        raise ValidationError(
+            f"calibration requires a finite power_modulus_exponent, got {exponent}"
+        )
     stored = spec._calibration
     if stored is not None:
         if (
@@ -332,7 +341,7 @@ def calibrate(
         samples=int(samples),
         power_exponent=exponent,
     )
-    if result.drift_ratio > 0.1:
+    if not result.drift_ratio <= 0.1:  # written so that a NaN ratio fails
         raise CalibrationError(
             "constant fit rejected: block-mean standard error is "
             f"{result.drift_ratio:.3g} of the oscillation RMS (limit 0.1). "
@@ -431,7 +440,7 @@ def _series_phases(spec: TwistedSumSpec, n: np.ndarray, twist: str) -> np.ndarra
     elif twist == "inverse":
         multiplier = pow(spec.h, -1, spec.k_mod) if spec.h != 0 else 0
     else:
-        raise ValidationError(f"twist must be 'direct' or 'inverse', got {twist!r}")
+        raise ValidationError(f"twist must be one of {TWIST_MODES}, got {twist!r}")
     if multiplier == 0:
         return np.ones(n.size, dtype=np.complex128)
     return unit_phase(-multiplier * n, spec.k_mod)

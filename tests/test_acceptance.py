@@ -265,7 +265,7 @@ def test_criterion_7_dyadic_reconstruction_consistency():
     A = DirichletPolynomial((1.0,))
     window = WindowConfig(0.5, 2.0, 800.0, 800.0)
     report = theorem2_report(
-        800.0, window, cfg, A, 1.0, sigma1_variant="resolved", sigma2_variant="halved"
+        window, cfg, A, 1.0, sigma1_variant="resolved", sigma2_variant="halved"
     )
     budget = 3.0 * report.quadrature_error_total
     elapsed = time.perf_counter() - start

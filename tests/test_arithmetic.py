@@ -10,7 +10,9 @@ import pytest
 
 from zetastrip.arithmetic import (
     DirichletPolynomial,
+    coefficient_pairs,
     divisor_sigma_range,
+    fsum_complex,
     pair_data,
     unit_phase,
 )
@@ -34,6 +36,16 @@ def test_pair_data_identities():
             assert (pd.kappa * pd.kappa_bar) % pd.lam == 1
     with pytest.raises(ValidationError):
         pair_data(0, 3)
+
+
+def test_coefficient_pairs_skip_zeros_in_order():
+    A = DirichletPolynomial((2.0, 0.0, 1.0 - 1.0j))
+    pairs = list(coefficient_pairs(A))
+    assert [(pd.k, pd.l) for _, pd in pairs] == [(1, 1), (1, 3), (3, 1), (3, 3)]
+    assert [product for product, _ in pairs] == [4.0, 2.0 + 2.0j, 2.0 - 2.0j, 2.0]
+    assert pairs[1][1] == pair_data(1, 3)
+    assert fsum_complex(product for product, _ in pairs) == 10.0
+    assert fsum_complex([1e16 + 1j, 1.0 - 1e16j, -1e16 + 1e16j]) == 1.0 + 1.0j
 
 
 def _divisor_sigma(a: float, n: int) -> float:
@@ -80,17 +92,16 @@ def test_unit_phase_exactness():
 def test_dirichlet_polynomial_evaluate():
     poly = DirichletPolynomial((1.0, 0.5 + 0.25j, -0.75))
     assert poly.length == 3
-    assert poly.coefficient(2) == 0.5 + 0.25j
-    assert poly.coefficient(9) == 0.0
+    assert poly.coefficients[1] == 0.5 + 0.25j
     sigma, t = 0.4, 13.7
     expected = sum(
-        poly.coefficient(m) * m**-sigma * complex(math.cos(t * math.log(m)), -math.sin(t * math.log(m)))
+        poly.coefficients[m - 1] * m**-sigma * complex(math.cos(t * math.log(m)), -math.sin(t * math.log(m)))
         for m in (1, 2, 3)
     )
     assert poly.evaluate(sigma, t) == pytest.approx(expected, rel=1e-13)
     values = poly.evaluate(sigma, np.array([0.0, t]))
     assert values.shape == (2,)
     assert values[1] == pytest.approx(expected, rel=1e-13)
-    assert values[0] == pytest.approx(sum(poly.coefficient(m) * m**-sigma for m in (1, 2, 3)))
+    assert values[0] == pytest.approx(sum(poly.coefficients[m - 1] * m**-sigma for m in (1, 2, 3)))
     with pytest.raises(ValidationError):
         DirichletPolynomial(())

@@ -8,18 +8,20 @@ import pytest
 
 from zetastrip.arithmetic import DirichletPolynomial
 from zetastrip.errors import ValidationError
+import zetastrip.explicit as explicit_module
 from zetastrip.explicit import (
     WindowConfig,
+    _dyadic_levels,
+    _sigma1_sum,
+    _sigma2_sum,
     explicit_terms,
     f_phase,
     g_phase,
-    sigma1,
-    sigma2,
     theorem1_report,
     theorem2_report,
     xi,
 )
-from zetastrip.meansquare import StripConfig, main_term
+from zetastrip.meansquare import StripConfig, integrate_mean_square, main_term
 
 
 # ---------------------------------------------------------------------------
@@ -117,45 +119,45 @@ _CFG = StripConfig(0.4)
 _POLY2 = DirichletPolynomial((1.0, 1.0))
 
 
+_WIN60 = WindowConfig(0.5, 2.0, 60.0, 60.0)
+
+
+def _sigma1(**flags) -> float:
+    return explicit_terms(_WIN60, _CFG, _POLY2, **flags).sigma1
+
+
+def _sigma2(**flags) -> float:
+    return explicit_terms(_WIN60, _CFG, _POLY2, **flags).sigma2
+
+
 def test_sigma1_variant_scalings():
-    T, Y = 60.0, 60.0
-    canonical = sigma1(T, Y, _CFG, _POLY2)
-    rescaled = sigma1(T, Y, _CFG, _POLY2, variant="rescaled")
+    canonical = _sigma1()
+    rescaled = _sigma1(sigma1_variant="rescaled")
     scale = (2.0 * math.pi) ** (0.4 - 0.5)
     assert rescaled == pytest.approx(scale * canonical, rel=1e-12)
-    resolved = sigma1(T, Y, _CFG, _POLY2, variant="resolved")
-    assert abs(resolved) <= scale * _sigma1_total_magnitude(T, Y) + 1e-12
+    resolved = _sigma1(sigma1_variant="resolved")
+    total, _ = _sigma1_sum(60.0, 60.0, _CFG, _POLY2, "plus")
+    assert abs(resolved) <= scale * abs(total) + 1e-12
     with pytest.raises(ValidationError):
-        sigma1(T, Y, _CFG, _POLY2, variant="other")
-
-
-def _sigma1_total_magnitude(T: float, Y: float) -> float:
-    from zetastrip.explicit import _sigma1_sum
-
-    total, _ = _sigma1_sum(T, Y, _CFG, _POLY2, "plus")
-    return abs(total)
+        _sigma1(sigma1_variant="other")
 
 
 def test_sigma2_variant_scalings_and_twist_noop_small_moduli():
-    T = 60.0
-    ycut = xi(T, 60.0)
-    canonical = sigma2(T, ycut, _CFG, _POLY2)
-    halved = sigma2(T, ycut, _CFG, _POLY2, variant="halved")
-    resolved = sigma2(T, ycut, _CFG, _POLY2, variant="resolved")
+    canonical = _sigma2()
+    halved = _sigma2(sigma2_variant="halved")
+    resolved = _sigma2(sigma2_variant="resolved")
     assert halved == pytest.approx(0.5 * canonical, rel=1e-13)
     assert resolved == pytest.approx(halved * (2.0 * math.pi) ** (2 * 0.4 - 1.0), rel=1e-13)
     # For M = 2 every pair has lambda <= 2, where kappa_bar == kappa mod
     # lambda: the twist direction cannot matter.
-    direct = sigma2(T, ycut, _CFG, _POLY2, twist="direct")
-    inverse = sigma2(T, ycut, _CFG, _POLY2, twist="inverse")
-    assert direct == inverse
+    assert _sigma2(twist="direct") == _sigma2(twist="inverse")
 
 
 def test_sigma2_rejects_nonpositive_log_cutoff():
     # Retained terms need kappa n / lambda < T/(2 pi) strictly; a cutoff
     # beyond that bound must refuse rather than fold in log of <= 0.
     with pytest.raises(ValidationError):
-        sigma2(10.0, 3.0, _CFG, DirichletPolynomial((1.0,)))
+        _sigma2_sum(10.0, 3.0, _CFG, DirichletPolynomial((1.0,)), "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +186,64 @@ def test_theorem1_report_wiring():
 def test_theorem2_report_consistency_small():
     T = 50.0
     win = WindowConfig(0.5, 2.0, T, T)
-    report = theorem2_report(T, win, _CFG, DirichletPolynomial((1.0,)), 1.0, abs_tol=1e-6)
+    report = theorem2_report(win, _CFG, DirichletPolynomial((1.0,)), 1.0, abs_tol=1e-6)
     assert report.levels >= 1
     assert report.stub_upper == pytest.approx(T / 2.0**report.levels)
     assert abs(report.difference) <= 3.0 * report.quadrature_error_total
-    with pytest.raises(ValidationError):
-        theorem2_report(60.0, win, _CFG, DirichletPolynomial((1.0,)), 1.0)
+
+
+def _theorem2_two_reports_per_level(win, cfg, A, alpha, **flags) -> tuple:
+    """Dyadic reconstruction through one :func:`theorem1_report` per level,
+    which evaluates the blocks at every intermediate scale twice."""
+    levels = _dyadic_levels(win.t, win.c_star, alpha)
+    quad_direct = integrate_mean_square(0.0, win.t, cfg, A)
+    direct_value = float(quad_direct.value) - explicit_terms(win, cfg, A, **flags).block_total
+    error_total = quad_direct.error_estimate
+    residuals = []
+    for j in range(1, levels + 1):
+        report = theorem1_report(win.scaled(2.0**-j), cfg, A, **flags)
+        residuals.append(report.residual)
+        error_total += report.quadrature_error
+    stub_upper = win.t * 2.0**-levels
+    stub_blocks = explicit_terms(win.scaled(2.0**-levels), cfg, A, **flags)
+    quad_stub = integrate_mean_square(0.0, stub_upper, cfg, A)
+    error_total += quad_stub.error_estimate
+    telescoped = float(quad_stub.value) - stub_blocks.block_total + math.fsum(residuals)
+    return levels, stub_upper, direct_value, telescoped, error_total
+
+
+@pytest.mark.parametrize(
+    ("coefficients", "T", "flags"),
+    [
+        ((1.0,), 50.0, {"sigma1_variant": "resolved", "sigma2_variant": "halved"}),
+        ((1.0, 0.6 - 0.4j), 60.0, {}),
+    ],
+)
+def test_theorem2_report_evaluates_each_scale_once(monkeypatch, coefficients, T, flags):
+    A = DirichletPolynomial(coefficients)
+    win = WindowConfig(0.5, 2.0, T, T)
+    expected = _theorem2_two_reports_per_level(win, _CFG, A, 1.0, **flags)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].t)
+        return explicit_terms(*args, **kwargs)
+
+    monkeypatch.setattr(explicit_module, "explicit_terms", counted)
+    report = theorem2_report(win, _CFG, A, 1.0, **flags)
+    got = (
+        report.levels,
+        report.stub_upper,
+        report.direct_value,
+        report.telescoped_value,
+        report.quadrature_error_total,
+    )
+    assert report.levels == 2
+    assert got == expected  # exact: the same floating-point operations
+    assert calls == [T, T / 2.0, T / 4.0]
 
 
 def test_dyadic_level_formula():
-    from zetastrip.explicit import _dyadic_levels
-
     # floor((log T - log c* - alpha log log T)/log 2) at T=800, c*=e, alpha=1.
     expected = math.floor((math.log(800.0) - 1.0 - math.log(math.log(800.0))) / math.log(2.0))
     assert expected == 5

@@ -430,6 +430,15 @@ def test_pin_thread_env_forces_single_threaded_kernels(monkeypatch):
         assert os.environ[name] == "1"
 
 
+def test_pytest_process_pins_blas_before_numpy_loads():
+    # The repository's conftest.py pins the thread variables; OpenBLAS reads
+    # them only once, when numpy first loads it.
+    import conftest
+
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert conftest.NUMPY_LOADED_BEFORE_PIN is False
+
+
 def test_env_module_is_numpy_free():
     import zetastrip._env as env_module
 
@@ -470,6 +479,8 @@ def test_cli_run_input_error(tmp_path, capsys):
         ("saddle-l3", "alpha", "nan"),
         ("saddle-l3", "t_grid", "50, -inf"),
         ("mean-square", "coefficients", "1, nan"),
+        ("voronoi", "power_modulus_exponent", "nan"),
+        ("voronoi", "power_modulus_exponent", "inf"),
     ],
 )
 def test_cli_run_rejects_non_finite_parameter(tmp_path, capsys, kind, key, value):

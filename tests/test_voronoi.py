@@ -171,6 +171,15 @@ def test_calibrate_rejects_a_zero():
         calibrate(TwistedSumSpec(0.0, 0, 1))
 
 
+@pytest.mark.parametrize("exponent", [math.nan, math.inf])
+def test_calibrate_rejects_non_finite_exponent(exponent):
+    # A NaN drift ratio used to pass the drift gate and store a NaN fit.
+    spec = _fresh_spec()
+    with pytest.raises(ValidationError, match="power_modulus_exponent"):
+        calibrate(spec, power_modulus_exponent=exponent)
+    assert spec.calibration is None
+
+
 # ---------------------------------------------------------------------------
 # Truncation plans and envelopes
 # ---------------------------------------------------------------------------
