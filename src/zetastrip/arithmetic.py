@@ -120,29 +120,33 @@ def fsum_complex(values: Iterable[complex]) -> complex:
     return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
 
 
-# Per-process memo; suite workers are processes, so no lock is needed.
-_sigma_range_cache: dict[tuple[float, int], np.ndarray] = {}
+# One divisor sieve per exponent, grown on demand; per process, so suite
+# workers need no lock.
+_sigma_sieves: dict[float, np.ndarray] = {}
 
 
 def divisor_sigma_range(a: float, n_max: int) -> np.ndarray:
-    """Vector of ``sigma_a(n)`` for ``n = 1..n_max`` (index 0 holds ``sigma_a(1)``).
+    """Read-only vector of ``sigma_a(n)`` for ``n = 1..n_max`` (index 0 holds
+    ``sigma_a(1)``).
 
-    Uses a divisor sieve: O(n_max log n_max) work, far cheaper than per-``n``
-    factorisation when whole ranges are needed.
+    A view of one divisor sieve per exponent, which doubles in length until
+    it covers ``n_max``: O(n log n) work over all calls.  Entry ``n`` adds its
+    divisors in ascending order whatever the sieve's length, so a prefix has
+    the bits of a sieve of exactly ``n_max`` entries.
     """
     if n_max < 1:
         raise ValidationError("divisor_sigma_range requires n_max >= 1")
-    key = (float(a), int(n_max))
-    hit = _sigma_range_cache.get(key)
-    if hit is not None:
-        return hit
-    out = np.zeros(n_max, dtype=np.float64)
-    for d in range(1, n_max + 1):
-        out[d - 1 :: d] += float(d) ** a
-    out.setflags(write=False)
-    if len(_sigma_range_cache) < 64:
-        _sigma_range_cache[key] = out
-    return out
+    a = float(a)
+    sieve = _sigma_sieves.get(a)
+    if sieve is None or sieve.size < n_max:
+        length = n_max if sieve is None else max(n_max, 2 * sieve.size)
+        sieve = np.zeros(length, dtype=np.float64)
+        for d in range(1, length + 1):
+            sieve[d - 1 :: d] += float(d) ** a
+        sieve.setflags(write=False)
+        if a in _sigma_sieves or len(_sigma_sieves) < 64:
+            _sigma_sieves[a] = sieve
+    return sieve[:n_max]
 
 
 def unit_phase(numerator: int | np.ndarray, modulus: int) -> complex | np.ndarray:

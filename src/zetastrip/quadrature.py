@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .arithmetic import fsum_complex
 from .errors import QuadratureNonConvergence, ValidationError
 
 __all__ = ["QuadratureResult", "integrate_adaptive"]
@@ -65,14 +66,6 @@ class QuadratureResult:
     def __post_init__(self) -> None:
         if self.error_estimate < 0.0:
             raise ValidationError("error_estimate must be non-negative")
-
-
-def _compensated_sum(values: Iterable[complex]) -> complex | float:
-    re = math.fsum(v.real for v in values)
-    im = math.fsum(v.imag for v in values)
-    if im == 0.0:
-        return re
-    return complex(re, im)
 
 
 def _initial_edges(
@@ -176,7 +169,9 @@ def integrate_adaptive(
     panel_lr.extend(zip(lefts.tolist(), rights.tolist()))
 
     while True:
-        total = _compensated_sum(values)
+        total = fsum_complex(values)
+        if total.imag == 0.0:
+            total = total.real
         total_err = math.fsum(errors)
         tol = max(abs_tol, rel_tol * abs(total))
         if total_err <= tol:

@@ -80,6 +80,7 @@ from .saddle import (
 )
 from .voronoi import (
     TWIST_MODES as VORONOI_TWISTS,
+    X_MAX,
     TwistedSumSpec,
     calibrate,
     delta_bessel,
@@ -113,6 +114,13 @@ def _float(text: str) -> float:
         raise ValueError(f"is not a number: {text!r}") from exc
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {text.strip()!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _float(text)
+    if value <= 0.0:
+        raise ValueError(f"must be positive, got {text.strip()!r}")
     return value
 
 
@@ -205,7 +213,11 @@ class Scenario:
     source: str
 
 
-def _read_ini(path: Path, *, context: str) -> configparser.ConfigParser:
+def _read_ini(
+    path: Path, *, context: str, required: str, optional: tuple[str, ...] | None = ()
+) -> configparser.ConfigParser:
+    """Parsed INI file that has the ``[required]`` section and, unless
+    ``optional`` is ``None``, no sections but it and ``optional``."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         text = path.read_text(encoding="utf-8")
@@ -215,15 +227,19 @@ def _read_ini(path: Path, *, context: str) -> configparser.ConfigParser:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ValidationError(f"{context}: malformed INI in {path}: {exc}") from exc
+    if not parser.has_section(required):
+        raise ValidationError(f"{context}: {path} is missing the [{required}] section")
+    if optional is not None:
+        extra = set(parser.sections()) - {required, *optional}
+        if extra:
+            raise ValidationError(f"{context} {path.name}: unknown section(s) {sorted(extra)}")
     return parser
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate the framing of one scenario file."""
     path = Path(path)
-    parser = _read_ini(path, context="scenario")
-    if not parser.has_section("scenario"):
-        raise ValidationError(f"scenario: {path} is missing the [scenario] section")
+    parser = _read_ini(path, context="scenario", required="scenario", optional=("parameters", "output"))
     head = _parse_section(
         (_Param("kind", str.strip, choices=SCENARIO_KINDS),),
         parser["scenario"],
@@ -251,16 +267,13 @@ def load_scenario(path: str | Path) -> Scenario:
                 )
         if not formats:
             raise ValidationError(f"scenario {path.name}: formats must name at least one of {list(REPORT_FORMATS)}")
-
-    extra = set(parser.sections()) - {"scenario", "parameters", "output"}
-    if extra:
-        raise ValidationError(f"scenario {path.name}: unknown section(s) {sorted(extra)}")
     return Scenario(kind=head["kind"], parameters=parameters, stem=stem, formats=formats, source=str(path))
 
 
 # ---------------------------------------------------------------------------
 # Kind runners: each takes the parsed parameters and returns
-# ``(rows, scalars, passed, detail)``
+# ``(rows, scalars, passed, detail)``; each row maps column name to value,
+# in the report's column order
 # ---------------------------------------------------------------------------
 
 
@@ -272,16 +285,16 @@ def _run_mean_square(v: dict) -> tuple:
     main_hi = main_term(v["t_hi"], cfg, poly, secondary_weight=weight) if v["t_hi"] > 0.0 else 0.0
     main_lo = main_term(v["t_lo"], cfg, poly, secondary_weight=weight) if v["t_lo"] > 0.0 else 0.0
     error_term = quad.value - (main_hi - main_lo)
-    row = [
-        quad.value,
-        quad.error_estimate,
-        quad.panels,
-        quad.evaluations,
-        main_hi,
-        main_lo,
-        error_term,
-        True,
-    ]
+    row = {
+        "integral": quad.value,
+        "error_estimate": quad.error_estimate,
+        "panels": quad.panels,
+        "evaluations": quad.evaluations,
+        "main_hi": main_hi,
+        "main_lo": main_lo,
+        "error_term": error_term,
+        "passed": True,
+    }
     return [row], {}, True, f"quadrature converged with error estimate {quad.error_estimate!r}"
 
 
@@ -295,8 +308,6 @@ def _theorem_inputs(v: dict) -> tuple[WindowConfig, StripConfig, DirichletPolyno
 
 
 def _run_theorem1(v: dict) -> tuple:
-    if v["residual_fraction"] <= 0.0 or v["error_multiple"] <= 0.0:
-        raise ValidationError("residual_fraction and error_multiple must be positive")
     win, cfg, poly, options = _theorem_inputs(v)
     report = theorem1_report(win, cfg, poly, **options)
     budget = max(
@@ -305,25 +316,25 @@ def _run_theorem1(v: dict) -> tuple:
         1e-12,
     )
     passed = abs(report.residual) <= budget
-    row = [
-        report.quadrature_value,
-        report.quadrature_error,
-        report.block_difference,
-        report.residual,
-        report.oscillatory_rms,
-        budget,
-        report.upper.main,
-        report.upper.sigma1,
-        report.upper.sigma2,
-        report.lower.main,
-        report.lower.sigma1,
-        report.lower.sigma2,
-        report.upper.terms_used_1,
-        report.upper.terms_used_2,
-        report.lower.terms_used_1,
-        report.lower.terms_used_2,
-        passed,
-    ]
+    row = {
+        "quadrature_value": report.quadrature_value,
+        "quadrature_error": report.quadrature_error,
+        "block_difference": report.block_difference,
+        "residual": report.residual,
+        "oscillatory_rms": report.oscillatory_rms,
+        "residual_budget": budget,
+        "upper_main": report.upper.main,
+        "upper_sigma1": report.upper.sigma1,
+        "upper_sigma2": report.upper.sigma2,
+        "lower_main": report.lower.main,
+        "lower_sigma1": report.lower.sigma1,
+        "lower_sigma2": report.lower.sigma2,
+        "terms_used_upper_1": report.upper.terms_used_1,
+        "terms_used_upper_2": report.upper.terms_used_2,
+        "terms_used_lower_1": report.lower.terms_used_1,
+        "terms_used_lower_2": report.lower.terms_used_2,
+        "passed": passed,
+    }
     detail = (
         f"|residual| {abs(report.residual)!r} vs budget {budget!r} "
         f"(fraction of oscillatory rms / quadrature error / floor)"
@@ -332,22 +343,20 @@ def _run_theorem1(v: dict) -> tuple:
 
 
 def _run_theorem2(v: dict) -> tuple:
-    if v["error_multiple"] <= 0.0:
-        raise ValidationError("error_multiple must be positive")
     win, cfg, poly, options = _theorem_inputs(v)
     report = theorem2_report(win, cfg, poly, v["alpha"], **options)
     budget = v["error_multiple"] * report.quadrature_error_total
     passed = abs(report.difference) <= budget
-    row = [
-        report.levels,
-        report.stub_upper,
-        report.direct_value,
-        report.telescoped_value,
-        report.difference,
-        report.quadrature_error_total,
-        budget,
-        passed,
-    ]
+    row = {
+        "levels": report.levels,
+        "stub_upper": report.stub_upper,
+        "direct_value": report.direct_value,
+        "telescoped_value": report.telescoped_value,
+        "difference": report.difference,
+        "quadrature_error_total": report.quadrature_error_total,
+        "difference_budget": budget,
+        "passed": passed,
+    }
     return [row], {}, passed, f"|path difference| {abs(report.difference)!r} vs budget {budget!r}"
 
 
@@ -366,12 +375,10 @@ def _run_voronoi(v: dict) -> tuple:
                 f"'printed', 'residue' or a finite number, got {exponent_text!r}"
             ) from exc
     x_lo, x_hi, points = v["x_lo"], v["x_hi"], v["points"]
-    if not (1.0 <= x_lo < x_hi):
-        raise ValidationError("voronoi evaluation range needs 1 <= x_lo < x_hi")
+    if not (1.0 <= x_lo < x_hi <= X_MAX):
+        raise ValidationError(f"voronoi evaluation range needs 1 <= x_lo < x_hi <= {X_MAX:g}")
     if points < 2:
         raise ValidationError("voronoi needs at least two evaluation points")
-    if v["tolerance_floor"] <= 0.0 or v["tail_multiple"] <= 0.0:
-        raise ValidationError("tolerance_floor and tail_multiple must be positive")
 
     spec = TwistedSumSpec(v["a"], v["h"], v["k"])
     calibration = calibrate(
@@ -391,7 +398,16 @@ def _run_voronoi(v: dict) -> tuple:
         bessel = delta_bessel(spec, x, plan, twist=v["twist"])
         diff = abs(direct - bessel)
         differences.append(diff)
-        rows.append([x, direct.real, direct.imag, bessel.real, bessel.imag, diff])
+        rows.append(
+            {
+                "x": x,
+                "direct_re": direct.real,
+                "direct_im": direct.imag,
+                "bessel_re": bessel.real,
+                "bessel_im": bessel.imag,
+                "difference": diff,
+            }
+        )
     max_difference = max(differences)
     passed = max_difference <= tolerance
     scalars = {
@@ -423,21 +439,21 @@ def _run_saddle_l2(v: dict) -> tuple:
         sign=v["sign"],
     )
     report = lemma2_compare(spec, abs_tol=v["abs_tol"], rel_tol=v["rel_tol"])
-    row = [
-        report.lhs.real,
-        report.lhs.imag,
-        report.saddle.real,
-        report.saddle.imag,
-        report.difference,
-        report.quadrature_error,
-        report.budget_endpoint_a,
-        report.budget_endpoint_b,
-        report.budget_saddle_r,
-        report.budget_total,
-        AUDIT_CONSTANT,
-        report.r_branch,
-        report.passed,
-    ]
+    row = {
+        "lhs_re": report.lhs.real,
+        "lhs_im": report.lhs.imag,
+        "saddle_re": report.saddle.real,
+        "saddle_im": report.saddle.imag,
+        "difference": report.difference,
+        "quadrature_error": report.quadrature_error,
+        "budget_endpoint_a": report.budget_endpoint_a,
+        "budget_endpoint_b": report.budget_endpoint_b,
+        "budget_saddle_r": report.budget_saddle_r,
+        "budget_total": report.budget_total,
+        "audit_constant": AUDIT_CONSTANT,
+        "r_branch": report.r_branch,
+        "passed": report.passed,
+    }
     detail = (
         f"|integral - saddle| {report.difference!r} vs "
         f"{AUDIT_CONSTANT!r} * budget {report.budget_total!r}"
@@ -448,7 +464,7 @@ def _run_saddle_l2(v: dict) -> tuple:
 def _run_saddle_l3(v: dict) -> tuple:
     report = lemma3_decay(v["alpha"], v["k"], v["t_grid"])
     rows = [
-        [t_val, mag, ratio]
+        {"t": t_val, "magnitude": mag, "ratio": ratio}
         for t_val, mag, ratio in zip(report.t_values, report.magnitudes, report.ratios)
     ]
     scalars = {
@@ -471,22 +487,22 @@ def _run_saddle_l4(v: dict) -> tuple:
         abs_tol=v["abs_tol"],
         rel_tol=v["rel_tol"],
     )
-    row = [
-        report.delta,
-        report.lhs.real,
-        report.lhs.imag,
-        report.saddle.real,
-        report.saddle.imag,
-        report.difference,
-        report.quadrature_error,
-        report.budget_saddle,
-        report.budget_endpoint_a,
-        report.budget_endpoint_b,
-        report.budget_total,
-        AUDIT_CONSTANT,
-        report.saddle_log_constant,
-        report.passed,
-    ]
+    row = {
+        "delta": report.delta,
+        "lhs_re": report.lhs.real,
+        "lhs_im": report.lhs.imag,
+        "saddle_re": report.saddle.real,
+        "saddle_im": report.saddle.imag,
+        "difference": report.difference,
+        "quadrature_error": report.quadrature_error,
+        "budget_saddle": report.budget_saddle,
+        "budget_endpoint_a": report.budget_endpoint_a,
+        "budget_endpoint_b": report.budget_endpoint_b,
+        "budget_total": report.budget_total,
+        "audit_constant": AUDIT_CONSTANT,
+        "saddle_log_constant": report.saddle_log_constant,
+        "passed": report.passed,
+    }
     detail = (
         f"|integral - saddle| {report.difference!r} vs "
         f"{AUDIT_CONSTANT!r} * budget {report.budget_total!r} (delta = {report.delta})"
@@ -496,15 +512,15 @@ def _run_saddle_l4(v: dict) -> tuple:
 
 @dataclass(frozen=True)
 class _Kind:
-    """One scenario kind: its parameters, its report columns and its runner.
+    """One scenario kind: its parameters and its runner.
 
-    The report's ``config`` echoes the parsed parameter values, so each
-    parameter is stated once, here.
+    The report's ``config`` echoes the parsed parameter values and its
+    ``columns`` are the keys of the runner's rows, so each parameter is
+    stated once, here, and each column once, beside its value.
     """
 
     params: tuple[_Param, ...]
-    columns: tuple[str, ...]
-    run: Callable[[dict], tuple[list, dict, bool, str]]
+    run: Callable[[dict], tuple[list[dict], dict, bool, str]]
 
 
 def _tolerances(abs_tol: float, rel_tol: float) -> tuple[_Param, ...]:
@@ -543,16 +559,6 @@ _KINDS: dict[str, _Kind] = {
             _SECONDARY_WEIGHT,
             *_tolerances(1e-6, 1e-8),
         ),
-        (
-            "integral",
-            "error_estimate",
-            "panels",
-            "evaluations",
-            "main_hi",
-            "main_lo",
-            "error_term",
-            "passed",
-        ),
         _run_mean_square,
     ),
     "theorem1": _Kind(
@@ -561,27 +567,8 @@ _KINDS: dict[str, _Kind] = {
             _COEFFICIENTS,
             *_THEOREM_FLAGS,
             *_tolerances(1e-6, 1e-8),
-            _Param("residual_fraction", default=0.2),
-            _Param("error_multiple", default=10.0),
-        ),
-        (
-            "quadrature_value",
-            "quadrature_error",
-            "block_difference",
-            "residual",
-            "oscillatory_rms",
-            "residual_budget",
-            "upper_main",
-            "upper_sigma1",
-            "upper_sigma2",
-            "lower_main",
-            "lower_sigma1",
-            "lower_sigma2",
-            "terms_used_upper_1",
-            "terms_used_upper_2",
-            "terms_used_lower_1",
-            "terms_used_lower_2",
-            "passed",
+            _Param("residual_fraction", _positive, 0.2),
+            _Param("error_multiple", _positive, 10.0),
         ),
         _run_theorem1,
     ),
@@ -592,17 +579,7 @@ _KINDS: dict[str, _Kind] = {
             _COEFFICIENTS,
             *_THEOREM_FLAGS,
             *_tolerances(1e-6, 1e-8),
-            _Param("error_multiple", default=3.0),
-        ),
-        (
-            "levels",
-            "stub_upper",
-            "direct_value",
-            "telescoped_value",
-            "difference",
-            "quadrature_error_total",
-            "difference_budget",
-            "passed",
+            _Param("error_multiple", _positive, 3.0),
         ),
         _run_theorem2,
     ),
@@ -619,10 +596,9 @@ _KINDS: dict[str, _Kind] = {
             _Param("n_terms", _int, 2000),
             _Param("calibration_x_lo", default=40.0),
             _Param("calibration_samples", _int, 640),
-            _Param("tolerance_floor", default=1e-3),
-            _Param("tail_multiple", default=3.0),
+            _Param("tolerance_floor", _positive, 1e-3),
+            _Param("tail_multiple", _positive, 3.0),
         ),
-        ("x", "direct_re", "direct_im", "bessel_re", "bessel_im", "difference"),
         _run_voronoi,
     ),
     "saddle-l2": _Kind(
@@ -637,26 +613,10 @@ _KINDS: dict[str, _Kind] = {
             _Param("sign", _int, 1),
             *_tolerances(1e-7, 1e-9),
         ),
-        (
-            "lhs_re",
-            "lhs_im",
-            "saddle_re",
-            "saddle_im",
-            "difference",
-            "quadrature_error",
-            "budget_endpoint_a",
-            "budget_endpoint_b",
-            "budget_saddle_r",
-            "budget_total",
-            "audit_constant",
-            "r_branch",
-            "passed",
-        ),
         _run_saddle_l2,
     ),
     "saddle-l3": _Kind(
         (_Param("alpha"), _Param("k"), _Param("t_grid", _list_of(_float))),
-        ("t", "magnitude", "ratio"),
         _run_saddle_l3,
     ),
     "saddle-l4": _Kind(
@@ -668,22 +628,6 @@ _KINDS: dict[str, _Kind] = {
             _Param("b_hi", default=lambda v: 10.0 * math.sqrt(v["t"]) if v["t"] > 0 else _REQUIRED),
             _choice("log_constant", tuple(LOG_CONSTANTS)),
             *_tolerances(1e-8, 1e-9),
-        ),
-        (
-            "delta",
-            "lhs_re",
-            "lhs_im",
-            "saddle_re",
-            "saddle_im",
-            "difference",
-            "quadrature_error",
-            "budget_saddle",
-            "budget_endpoint_a",
-            "budget_endpoint_b",
-            "budget_total",
-            "audit_constant",
-            "saddle_log_constant",
-            "passed",
         ),
         _run_saddle_l4,
     ),
@@ -714,8 +658,8 @@ def build_report(scenario: Scenario) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": scenario.kind,
         "config": config,
-        "columns": list(kind.columns),
-        "rows": rows,
+        "columns": list(rows[0]),
+        "rows": [list(row.values()) for row in rows],
         "scalars": scalars,
         "verdict": {"passed": bool(passed), "detail": detail},
     }
@@ -790,7 +734,8 @@ def write_report(report: dict, out_dir: str | Path, stem: str, formats: Sequence
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of executing one scenario file end to end."""
+    """Outcome of executing one scenario file end to end; it pickles, so a
+    suite's worker processes return it as it is."""
 
     source: str
     kind: str
@@ -824,15 +769,9 @@ def execute_scenario(path: str | Path, out_dir: str | Path | None = None) -> Run
 def load_suite(path: str | Path) -> list[Path]:
     """Scenario paths listed by a suite file, resolved against its directory."""
     path = Path(path)
-    parser = _read_ini(path, context="suite")
-    if not parser.has_section("suite"):
-        raise ValidationError(f"suite: {path} is missing the [suite] section")
+    parser = _read_ini(path, context="suite", required="suite")
     head = _parse_section((_Param("scenarios", str.strip),), parser["suite"], f"suite {path.name} [suite]")
-    listing = head["scenarios"]
-    extra = set(parser.sections()) - {"suite"}
-    if extra:
-        raise ValidationError(f"suite {path.name}: unknown section(s) {sorted(extra)}")
-    entries = [line.strip() for line in listing.splitlines() if line.strip()]
+    entries = [line.strip() for line in head["scenarios"].splitlines() if line.strip()]
     if not entries:
         raise ValidationError(f"suite {path.name}: 'scenarios' lists no files")
     base = path.parent
@@ -845,18 +784,6 @@ def load_suite(path: str | Path) -> list[Path]:
             raise ValidationError(f"suite {path.name}: scenario file not found: {candidate}")
         resolved.append(candidate)
     return resolved
-
-
-def _suite_task(scenario_path: str, out_dir: str) -> dict:
-    result = execute_scenario(scenario_path, out_dir)
-    return {
-        "source": result.source,
-        "kind": result.kind,
-        "stem": result.stem,
-        "passed": result.passed,
-        "detail": result.detail,
-        "outputs": list(result.outputs),
-    }
 
 
 def run_suite(
@@ -893,7 +820,7 @@ def run_suite(
         initializer=pin_thread_env,
         initargs=(usable_cpus() // max_workers,),
     ) as pool:
-        futures = [pool.submit(_suite_task, str(p), str(target)) for p in scenario_paths]
+        futures = [pool.submit(execute_scenario, str(p), str(target)) for p in scenario_paths]
         entries = [future.result() for future in futures]
 
     summary = {
@@ -902,22 +829,20 @@ def run_suite(
         "scenarios": [
             {
                 "file": scenario_path.name,
-                "kind": entry["kind"],
-                "stem": entry["stem"],
-                "passed": entry["passed"],
-                "detail": entry["detail"],
+                "kind": entry.kind,
+                "stem": entry.stem,
+                "passed": entry.passed,
+                "detail": entry.detail,
             }
             for scenario_path, entry in zip(scenario_paths, entries)
         ],
         "verdict": {
-            "passed": all(entry["passed"] for entry in entries),
-            "detail": (
-                f"{sum(entry['passed'] for entry in entries)} of {len(entries)} scenario verdicts passed"
-            ),
+            "passed": all(entry.passed for entry in entries),
+            "detail": f"{sum(entry.passed for entry in entries)} of {len(entries)} scenario verdicts passed",
         },
     }
     _write_atomic(target / "suite_summary.json", render_json(summary))
-    summary["outputs"] = [entry["outputs"] for entry in entries]
+    summary["outputs"] = [list(entry.outputs) for entry in entries]
     summary["summary_path"] = str(target / "suite_summary.json")
     return summary
 
@@ -931,9 +856,7 @@ def load_tolerances(path: str | Path | None) -> dict[str, float]:
     """Per-field relative tolerances from a ``[tolerances]`` INI file."""
     if path is None:
         return {}
-    parser = _read_ini(Path(path), context="tolerances")
-    if not parser.has_section("tolerances"):
-        raise ValidationError(f"tolerances: {path} is missing the [tolerances] section")
+    parser = _read_ini(Path(path), context="tolerances", required="tolerances", optional=None)
     table = {}
     for key, text in parser["tolerances"].items():
         try:
@@ -957,24 +880,9 @@ def _flatten(value, prefix: str, into: dict[str, object]) -> None:
         into[prefix] = value
 
 
-@dataclass(frozen=True)
-class FieldDrift:
-    """One numeric field whose relative deviation exceeds its tolerance."""
-
-    field: str
-    current: float
-    baseline: float
-    relative: float
-    tolerance: float
-
-
 def _tolerance_for(field: str, tolerances: Mapping[str, float]) -> float:
-    if field in tolerances:
-        return tolerances[field]
     base = field.split("[", 1)[0]
-    if base in tolerances:
-        return tolerances[base]
-    return DEFAULT_COMPARE_REL_TOL
+    return tolerances.get(field, tolerances.get(base, DEFAULT_COMPARE_REL_TOL))
 
 
 def compare_reports(
@@ -1012,13 +920,12 @@ def compare_reports(
     missing = sorted(set(flat_baseline) - set(flat_current))
     extra = sorted(set(flat_current) - set(flat_baseline))
     if missing or extra:
-        for name in missing:
-            messages.append(f"structural mismatch: field {name} missing from current report")
-        for name in extra:
-            messages.append(f"structural mismatch: field {name} absent from baseline")
-        return EXIT_ERROR, messages
+        return EXIT_ERROR, [
+            *(f"structural mismatch: field {name} missing from current report" for name in missing),
+            *(f"structural mismatch: field {name} absent from baseline" for name in extra),
+        ]
 
-    drifts: list[FieldDrift] = []
+    drifts: list[str] = []  # reported after the changed strings and booleans
     for name in sorted(flat_current):
         a, b = flat_current[name], flat_baseline[name]
         a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
@@ -1036,18 +943,14 @@ def compare_reports(
             relative = diff / scale if scale > 0.0 else math.inf
             tol = _tolerance_for(name, tolerances)
             if relative > tol:
-                drifts.append(FieldDrift(name, float(a), float(b), relative, tol))
-        else:
-            if a != b:
-                messages.append(
-                    f"field {name} changed: current {a!r}, baseline {b!r}"
+                drifts.append(
+                    f"field {name} drifted: current {float(a)!r}, baseline {float(b)!r}, "
+                    f"relative deviation {relative:.3e} > tolerance {tol:.3e}"
                 )
+        elif a != b:
+            messages.append(f"field {name} changed: current {a!r}, baseline {b!r}")
 
-    for drift in drifts:
-        messages.append(
-            f"field {drift.field} drifted: current {drift.current!r}, baseline "
-            f"{drift.baseline!r}, relative deviation {drift.relative:.3e} > tolerance {drift.tolerance:.3e}"
-        )
+    messages += drifts
     if messages:
         return EXIT_FAIL, messages
     return EXIT_PASS, [f"reports agree on all {len(flat_current)} fields"]

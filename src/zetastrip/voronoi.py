@@ -86,6 +86,7 @@ __all__ = [
     "term_envelope",
     "truncation_plan",
     "TWIST_MODES",
+    "X_MAX",
 ]
 
 #: Safety multiplier converting the last-term envelope times the local phase
@@ -95,6 +96,10 @@ TAIL_SAFETY = 4.0
 
 #: Number of blocks used by the calibration drift check.
 _CALIBRATION_BLOCKS = 8
+
+#: Largest x at which the raw sum D(x) is formed: its divisor sieve has about
+#: x entries, and this one takes about 2 s on one core of a 2-vCPU machine.
+X_MAX = 2.0**20
 
 #: Relative validity floor for the cosine asymptotics: the smallest phase
 #: argument 4 pi sqrt(x) / k must be at least this large.
@@ -231,8 +236,14 @@ def _partial_arrays(spec: TwistedSumSpec, n_max: int) -> tuple[np.ndarray, np.nd
     return terms, cum
 
 
+def _check_x_max(x: float) -> None:
+    if not x <= X_MAX:  # written so that NaN fails too
+        raise ValidationError(f"the twisted sum is formed only up to x = {X_MAX:g}, got x = {x!r}")
+
+
 def _twisted_values(spec: TwistedSumSpec, xs: np.ndarray) -> np.ndarray:
     """Vectorised ``D(x)`` with the half-weight convention at integer x."""
+    _check_x_max(float(np.max(xs)))
     floors = np.floor(xs).astype(np.int64)
     n_max = int(floors.max())
     terms, cum = _partial_arrays(spec, _ceil_pow2(max(n_max, 1024)))
@@ -293,8 +304,12 @@ def calibrate(
     """
     if not (math.isfinite(x_lo) and x_lo >= 1.0):
         raise ValidationError(f"calibration requires x_lo >= 1, got {x_lo}")
-    if samples < 8 * _CALIBRATION_BLOCKS:
-        raise ValidationError(f"calibration needs >= {8 * _CALIBRATION_BLOCKS} samples")
+    _check_x_max(4.0 * x_lo)  # the window's top, before its grid is formed
+    if samples < 8 * _CALIBRATION_BLOCKS or samples % _CALIBRATION_BLOCKS:
+        raise ValidationError(
+            f"calibration needs >= {8 * _CALIBRATION_BLOCKS} samples, a multiple of its "
+            f"{_CALIBRATION_BLOCKS} drift blocks, got {samples}"
+        )
     a = spec.a
     if a == 0.0:
         raise ValidationError("calibration requires a < 0 (no smooth main terms at a=0)")
@@ -553,6 +568,7 @@ def delta_mean_square(
     """
     if not (math.isfinite(u) and u >= 4.0):
         raise ValidationError(f"delta_mean_square requires u >= 4, got {u}")
+    _check_x_max(u)  # before the breakpoints at every integer up to u
     cal = spec._calibration or calibrate(spec)
     lo, hi = 0.5 * u, float(u)
     interior = np.arange(math.floor(lo) + 1, math.ceil(hi))

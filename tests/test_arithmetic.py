@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import zetastrip.arithmetic as arithmetic_module
 from zetastrip.arithmetic import (
     DirichletPolynomial,
     coefficient_pairs,
@@ -72,6 +73,28 @@ def test_divisor_sigma_range_matches_scalar():
             assert vec[n - 1] == pytest.approx(_divisor_sigma(a, n), rel=1e-13)
     with pytest.raises(ValidationError):
         divisor_sigma_range(-0.2, 0)
+
+
+@pytest.mark.parametrize("lengths", [(1000, 4097), (4097, 1000), (7, 123457)])
+def test_divisor_sigma_range_prefix_views_match_a_fresh_sieve(monkeypatch, lengths):
+    # One sieve per exponent serves every length: a prefix view must have the
+    # bits of a sieve of exactly that length, whichever length came first.
+    a = -0.3
+
+    def fresh(n_max: int) -> np.ndarray:
+        monkeypatch.setattr(arithmetic_module, "_sigma_sieves", {})
+        return divisor_sigma_range(a, n_max).copy()
+
+    expected = {n: fresh(n) for n in lengths}
+    monkeypatch.setattr(arithmetic_module, "_sigma_sieves", {})
+    views = {n: divisor_sigma_range(a, n) for n in lengths}
+    views[lengths[0]] = divisor_sigma_range(a, lengths[0])  # again, after the other
+    for n, view in views.items():
+        assert view.shape == (n,)
+        assert not view.flags.writeable
+        assert view.tobytes() == expected[n].tobytes()
+    for n in (1, 7, 1000, min(max(lengths), 4097)):
+        assert views[max(lengths)][n - 1] == _divisor_sigma(a, n)  # bitwise: same order of additions
 
 
 def test_unit_phase_exactness():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +255,35 @@ def test_dyadic_level_formula():
         _dyadic_levels(1.0, math.e, 1.0)
     with pytest.raises(ValidationError):
         _dyadic_levels(800.0, math.e, -1.0)
+
+
+def _moebius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def test_long_polynomial_blocks_match_benchmark_reference():
+    # Mollifier-shaped coefficients mu(m) log(M/m) / log M reach M = 16, where
+    # pairs with kappa, lambda > 1 exercise the twists and long divisor sieves.
+    reference_path = Path(__file__).resolve().parent.parent / "bench" / "reference" / "blocks.json"
+    reference = json.loads(reference_path.read_text(encoding="utf-8"))
+    cfg = StripConfig(0.4)
+    lower = WindowConfig(0.5, 2.0, 250.0, 250.0)
+    for length in (1, 4, 16):
+        if length == 1:
+            coefficients = (1.0,)
+        else:
+            coefficients = tuple(_moebius(m) * math.log(length / m) / math.log(length) for m in range(1, length + 1))
+        poly = DirichletPolynomial(coefficients)
+        for end, window in (("lower", lower), ("upper", lower.scaled(2.0))):
+            terms = explicit_terms(window, cfg, poly, sigma1_variant="resolved", sigma2_variant="halved")
+            expected = reference[f"M={length}.{end}"]
+            for name in ("sigma1", "sigma2", "main"):
+                assert getattr(terms, name) == pytest.approx(expected[name], rel=1e-9), (length, end, name)

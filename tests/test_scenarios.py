@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -472,6 +473,15 @@ def test_cli_run_input_error(tmp_path, capsys):
     assert "(1/4, 1/2)" in captured.err
 
 
+def _run_with_parameter(tmp_path, kind: str, key: str, value: str) -> tuple[int, float]:
+    """``zetastrip run`` on the cheap scenario of ``kind`` with ``key = value``."""
+    text = _scenario_text(kind).replace(f"{key} = {CHEAP_PARAMETERS[kind].get(key, '')}\n", "")
+    path = _write_ini(tmp_path, "bad.ini", text + f"{key} = {value}\n")
+    start = time.perf_counter()
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    return code, time.perf_counter() - start
+
+
 @pytest.mark.parametrize(
     ("kind", "key", "value"),
     [
@@ -486,14 +496,49 @@ def test_cli_run_input_error(tmp_path, capsys):
 def test_cli_run_rejects_non_finite_parameter(tmp_path, capsys, kind, key, value):
     # A non-finite value used to run and then die in render_json with a
     # traceback; it must be a named input error before any work is done.
-    text = _scenario_text(kind).replace(f"{key} = {CHEAP_PARAMETERS[kind].get(key, '')}\n", "")
-    path = _write_ini(tmp_path, "bad.ini", text + f"{key} = {value}\n")
-    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    code, _elapsed = _run_with_parameter(tmp_path, kind, key, value)
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
     assert captured.err.startswith("error:")
     assert f"parameter '{key}'" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("kind", "key", "value"),
+    [
+        ("theorem1", "residual_fraction", "0"),
+        ("theorem2", "error_multiple", "-1"),
+        ("voronoi", "tolerance_floor", "0"),
+        ("voronoi", "tail_multiple", "-3"),
+    ],
+)
+def test_cli_run_rejects_non_positive_limit(tmp_path, capsys, kind, key, value):
+    code, elapsed = _run_with_parameter(tmp_path, kind, key, value)
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err.startswith("error:")
+    assert f"parameter '{key}' must be positive" in captured.err
+    assert elapsed < 1.0
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("key", "value", "constraint"),
+    [
+        ("calibration_samples", "641", "multiple of its 8 drift blocks"),
+        ("calibration_x_lo", "1e306", "formed only up to x = 1.04858e+06"),
+        ("x_hi", "1e306", "x_hi <= 1.04858e+06"),
+    ],
+)
+def test_cli_run_names_voronoi_input_beyond_its_limits(tmp_path, capsys, key, value, constraint):
+    # These inputs used to end in a reshape ValueError or an IndexError traceback.
+    code, elapsed = _run_with_parameter(tmp_path, "voronoi", key, value)
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err.startswith("error:")
+    assert constraint in captured.err
+    assert elapsed < 1.0
 
 
 def test_cli_compare(tmp_path, capsys):

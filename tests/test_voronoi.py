@@ -29,8 +29,10 @@ from zetastrip.voronoi import (
     term_envelope,
     truncation_plan,
     twisted_sum,
+    X_MAX,
 )
 from zetastrip.voronoi import _main_values  # the main terms every Delta path subtracts
+from zetastrip.voronoi import _twisted_values  # the raw sum every D(x) path forms
 
 mpmath.mp.prec = 200
 
@@ -178,6 +180,29 @@ def test_calibrate_rejects_non_finite_exponent(exponent):
     with pytest.raises(ValidationError, match="power_modulus_exponent"):
         calibrate(spec, power_modulus_exponent=exponent)
     assert spec.calibration is None
+
+
+def test_calibrate_rejects_samples_off_the_block_grid():
+    # 641 samples used to end in a reshape ValueError from the 8 drift blocks.
+    spec = _fresh_spec()
+    with pytest.raises(ValidationError, match="multiple of its 8 drift blocks"):
+        calibrate(spec, samples=641)
+    assert spec.calibration is None
+
+
+@pytest.mark.parametrize("x", [2.0 * X_MAX, 1e306])
+def test_twisted_sum_paths_reject_x_beyond_the_sieve_bound(x):
+    # 1e306 used to overflow floor(x) to the int64 limit and end in an IndexError.
+    for bad in (x, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="formed only up to"):
+            _twisted_values(_fresh_spec(), np.array([40.0, bad]))
+    with pytest.raises(ValidationError, match=r"formed only up to x = 1\.04858e\+06, got x = "):
+        calibrate(_fresh_spec(), x_lo=x)
+    spec = _fresh_spec()
+    calibrate(spec, power_modulus_exponent=-0.8)
+    for call in (twisted_sum, delta_direct, delta_mean_square):
+        with pytest.raises(ValidationError, match="formed only up to"):
+            call(spec, x)
 
 
 # ---------------------------------------------------------------------------
