@@ -114,10 +114,10 @@ def coefficient_pairs(A: DirichletPolynomial) -> Iterator[tuple[complex, PairDat
             yield ak * al.conjugate(), pair_data(k, l)
 
 
-def fsum_complex(values: Iterable[complex]) -> complex:
+def fsum_complex(values: Iterable[complex] | np.ndarray) -> complex:
     """Correctly rounded sum of complex values, real and imaginary parts apart."""
-    values = list(values)
-    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    parts = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=np.complex128)
+    return complex(math.fsum(parts.real.tolist()), math.fsum(parts.imag.tolist()))
 
 
 # One divisor sieve per exponent, grown on demand; per process, so suite

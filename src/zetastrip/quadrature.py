@@ -3,16 +3,17 @@
 One engine, one refinement policy: panels carry a Gauss(7)/Kronrod(15)
 embedded pair; a panel's error indicator is ``|K15 - G7|``, which
 overestimates the Kronrod error and therefore yields conservative totals.
-Refinement bisects every panel whose indicator exceeds its fair share of the
-tolerance, so the subdivision depends only on the integrand values, never on
-timing or thread scheduling.  Totals are accumulated left-to-right with
-compensated (exact-rounding) summation; results are bit-for-bit reproducible
-for identical inputs.
+The panels live in four arrays (left ends, right ends, values, indicators),
+ordered left to right; each pass bisects, by one mask, every panel whose
+indicator exceeds its fair share of the tolerance, so the subdivision depends
+only on the integrand values, never on timing or thread scheduling.  Totals
+are correctly rounded (``math.fsum``) and so independent of summation order;
+results are bit-for-bit reproducible.  An integral uses at most
+:data:`MAX_PANELS` panels.
 
-Width policies let callers bound the initial panel length, either by a
-constant or as a function of position (used to resolve oscillatory
-integrands); explicit interior breakpoints let integrands with known jump
-locations (divisor step functions) start panel-aligned.
+A width policy (a function of position) bounds the initial panel length, to
+resolve oscillatory integrands; explicit interior breakpoints let integrands
+with known jump locations (divisor step functions) start panel-aligned.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .arithmetic import fsum_complex
 from .errors import QuadratureNonConvergence, ValidationError
 
-__all__ = ["QuadratureResult", "integrate_adaptive"]
+__all__ = ["QuadratureResult", "integrate_adaptive", "MAX_PANELS"]
 
 # Gauss-Kronrod 7-15 pair on [-1, 1] (classical constants, full binary64).
 _XGK_HALF = (
@@ -53,6 +54,10 @@ _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 # down to the last bit.
 _PANEL_BATCH = 512
 
+#: Panel budget of one integral, for the initial width policy and for
+#: refinement alike.
+MAX_PANELS = 40_000
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -71,45 +76,45 @@ class QuadratureResult:
 def _initial_edges(
     a: float,
     b: float,
-    initial_width: float | Callable[[float], float] | None,
+    initial_width: Callable[[float], float] | None,
     breakpoints: Sequence[float] | None,
-    max_panels: int,
 ) -> list[float]:
-    seeds = [a, b]
-    if breakpoints is not None:
-        seeds.extend(p for p in breakpoints if a < p < b)
-    seeds = sorted(set(seeds))
+    seeds = sorted({a, b, *(p for p in breakpoints or () if a < p < b)})
     if initial_width is None:
         return seeds
     edges: list[float] = [seeds[0]]
     for left, right in zip(seeds[:-1], seeds[1:]):
         x = left
         while x < right:
-            w = initial_width(x) if callable(initial_width) else float(initial_width)
+            w = initial_width(x)
             if not (w > 0.0) or not math.isfinite(w):
                 raise ValidationError("initial_width must produce positive finite widths")
             x = min(right, x + w)
             edges.append(x)
-            if len(edges) > max_panels:
+            if len(edges) > MAX_PANELS:
                 raise ValidationError(
-                    "initial_width policy produced more panels than max_panels"
+                    f"initial_width policy reached the panel budget {MAX_PANELS} on [{a!r}, {b!r}]"
                 )
     return edges
 
 
 def _evaluate_panels(
-    f: Callable[[np.ndarray], np.ndarray],
-    lefts: np.ndarray,
-    rights: np.ndarray,
+    f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    centers = 0.5 * (lefts + rights)
-    halves = 0.5 * (rights - lefts)
-    nodes = centers[:, None] + halves[:, None] * _XGK[None, :]
-    fv = np.asarray(f(nodes.ravel()))
-    fv = fv.reshape(nodes.shape)
-    kron = (fv @ _WGK) * halves
-    gauss = (fv[:, _GAUSS_IDX] @ _WG) * halves
-    return kron, np.abs(kron - gauss)
+    """Kronrod values and ``|K15 - G7|`` indicators, ``_PANEL_BATCH`` panels
+    per call of ``f``."""
+    values = np.empty(lefts.size, dtype=np.complex128)
+    errors = np.empty(lefts.size)
+    for lo in range(0, lefts.size, _PANEL_BATCH):
+        batch = slice(lo, lo + _PANEL_BATCH)
+        centers = 0.5 * (lefts[batch] + rights[batch])
+        halves = 0.5 * (rights[batch] - lefts[batch])
+        nodes = centers[:, None] + halves[:, None] * _XGK[None, :]
+        fv = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+        kron = (fv @ _WGK) * halves
+        values[batch] = kron
+        errors[batch] = np.abs(kron - (fv[:, _GAUSS_IDX] @ _WG) * halves)
+    return values, errors
 
 
 def integrate_adaptive(
@@ -119,16 +124,15 @@ def integrate_adaptive(
     *,
     abs_tol: float = 1e-8,
     rel_tol: float = 1e-8,
-    initial_width: float | Callable[[float], float] | None = None,
+    initial_width: Callable[[float], float] | None = None,
     breakpoints: Sequence[float] | None = None,
-    max_panels: int = 40_000,
 ) -> QuadratureResult:
     """Integrate vectorised ``f`` over ``[a, b]`` to the requested tolerance.
 
     ``f`` receives a flat numpy array of abscissae and must return values of
     the same shape (real or complex).  Raises
     :class:`QuadratureNonConvergence` (carrying the best value and its error
-    estimate) if the panel budget is exhausted first.
+    estimate) if the panel budget :data:`MAX_PANELS` is exhausted first.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError("integration endpoints must be finite")
@@ -136,91 +140,56 @@ def integrate_adaptive(
         raise ValidationError("integration requires b >= a")
     if not (0.0 < abs_tol < math.inf and 0.0 <= rel_tol < math.inf):
         # Written so that NaN fails too: a NaN tolerance is never met, and
-        # refinement would split one panel per pass up to max_panels.
+        # refinement would split one panel per pass up to MAX_PANELS.
         raise ValidationError(
             f"abs_tol must be positive and finite and rel_tol non-negative and finite, "
             f"got abs_tol={abs_tol!r}, rel_tol={rel_tol!r}"
         )
+    a, b = float(a), float(b)
     if b == a:
-        return QuadratureResult(value=0.0, error_estimate=0.0, panels=0, evaluations=0)
+        return QuadratureResult(0.0, 0.0, 0, 0)
 
-    edges = _initial_edges(a, b, initial_width, breakpoints, max_panels)
-    lefts = np.array(edges[:-1])
-    rights = np.array(edges[1:])
-    values: list[complex] = []
-    errors: list[float] = []
-    panel_lr: list[tuple[float, float]] = []
-    evaluations = 0
-
-    def eval_batch(ls: np.ndarray, rs: np.ndarray) -> tuple[list[complex], list[float]]:
-        nonlocal evaluations
-        vals: list[complex] = []
-        errs: list[float] = []
-        for lo in range(0, ls.size, _PANEL_BATCH):
-            kron, err = _evaluate_panels(f, ls[lo : lo + _PANEL_BATCH], rs[lo : lo + _PANEL_BATCH])
-            evaluations += 15 * int(err.size)
-            vals.extend(complex(v) for v in kron)
-            errs.extend(float(e) for e in err)
-        return vals, errs
-
-    vals, errs = eval_batch(lefts, rights)
-    values.extend(vals)
-    errors.extend(errs)
-    panel_lr.extend(zip(lefts.tolist(), rights.tolist()))
-
+    edges = np.array(_initial_edges(a, b, initial_width, breakpoints))
+    lefts, rights = edges[:-1], edges[1:]
+    values, errors = _evaluate_panels(f, lefts, rights)
+    evaluations = 15 * lefts.size
     while True:
         total = fsum_complex(values)
         if total.imag == 0.0:
             total = total.real
-        total_err = math.fsum(errors)
+        total_err = math.fsum(errors.tolist())
         tol = max(abs_tol, rel_tol * abs(total))
+        n = lefts.size
         if total_err <= tol:
-            return QuadratureResult(
-                value=total,
-                error_estimate=total_err,
-                panels=len(panel_lr),
-                evaluations=evaluations,
-            )
-        n = len(panel_lr)
-        if n >= max_panels:
+            return QuadratureResult(total, total_err, n, evaluations)
+        unmet = f"error estimate {total_err:.3e} above tolerance {tol:.3e} on [{a!r}, {b!r}]"
+        best = total if isinstance(total, float) else abs(total)
+        if n >= MAX_PANELS:
             raise QuadratureNonConvergence(
-                f"panel budget {max_panels} exhausted with error estimate "
-                f"{total_err:.3e} above tolerance {tol:.3e}",
-                value=total if isinstance(total, float) else abs(total),
-                error_estimate=total_err,
+                f"panel budget {MAX_PANELS} exhausted with {unmet}", best, total_err
             )
-        share = 0.5 * tol / n
-        split_idx = [i for i, e in enumerate(errors) if e > share]
-        if not split_idx:
+        split = errors > 0.5 * tol / n
+        if not split.any():
             # Cannot happen when total_err > tol, but guard against a
             # degenerate all-equal distribution under rounding.
-            split_idx = [int(np.argmax(errors))]
-        if n + len(split_idx) > max_panels:
-            split_idx = split_idx[: max_panels - n]
-        splittable: list[int] = []
-        new_lefts: list[float] = []
-        new_rights: list[float] = []
-        for i in split_idx:
-            l, r = panel_lr[i]
-            mid = 0.5 * (l + r)
-            if mid <= l or mid >= r:
-                continue  # panel already at floating-point resolution
-            splittable.append(i)
-            new_lefts.extend((l, mid))
-            new_rights.extend((mid, r))
-        if not splittable:
+            split[np.argmax(errors)] = True
+        split[np.cumsum(split) > MAX_PANELS - n] = False
+        mids = 0.5 * (lefts + rights)
+        split &= (lefts < mids) & (mids < rights)  # else at floating-point resolution
+        if not split.any():
             raise QuadratureNonConvergence(
-                "refinement reached floating-point panel resolution with error "
-                f"estimate {total_err:.3e} above tolerance {tol:.3e}",
-                value=total if isinstance(total, float) else abs(total),
-                error_estimate=total_err,
+                f"refinement reached floating-point panel resolution with {unmet}", best, total_err
             )
-        child_vals, child_errs = eval_batch(np.array(new_lefts), np.array(new_rights))
-        # Replace each split panel by its two children in place, keeping the
-        # panel list ordered left to right (indices shift as we insert).
-        for offset, i in enumerate(splittable):
-            j = i + offset
-            pair = slice(2 * offset, 2 * offset + 2)
-            panel_lr[j : j + 1] = list(zip(new_lefts[pair], new_rights[pair]))
-            values[j : j + 1] = child_vals[pair]
-            errors[j : j + 1] = child_errs[pair]
+        # Children interleaved left then right, so they reach ``f`` in panel order.
+        child_lefts = np.column_stack((lefts[split], mids[split])).ravel()
+        child_rights = np.column_stack((mids[split], rights[split])).ravel()
+        child_values, child_errors = _evaluate_panels(f, child_lefts, child_rights)
+        evaluations += 15 * child_lefts.size
+        # Each split panel is repeated once, and its two slots take its children.
+        repeats = 1 + split
+        slots = np.repeat(split, repeats)
+        lefts, rights, values, errors = (
+            np.repeat(x, repeats) for x in (lefts, rights, values, errors)
+        )
+        lefts[slots], rights[slots] = child_lefts, child_rights
+        values[slots], errors[slots] = child_values, child_errors

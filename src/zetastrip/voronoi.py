@@ -31,8 +31,8 @@ common and both are adapted here explicitly:
 * statements written for ``sigma_{-a}`` with ``0 < a < 1/2`` correspond to
   replacing ``a`` below by its negative;
 * the mean-square application uses ``sigma_{2 sigma - 1}`` with
-  ``1/4 < sigma < 1/2``; the adapters :func:`exponent_from_sigma` and
-  :func:`sigma_from_exponent` convert (``a = 2 sigma - 1``).
+  ``1/4 < sigma < 1/2``; the adapter :func:`exponent_from_sigma` converts
+  (``a = 2 sigma - 1``).
 
 The endpoint ``a = 0`` (plain divisor function ``d(n)``) is admitted for the
 raw sum :func:`twisted_sum`; the smooth main terms have a zeta pole there and
@@ -76,7 +76,6 @@ __all__ = [
     "TruncationPlan",
     "Calibration",
     "exponent_from_sigma",
-    "sigma_from_exponent",
     "twisted_sum",
     "calibrate",
     "delta_direct",
@@ -97,8 +96,9 @@ TAIL_SAFETY = 4.0
 #: Number of blocks used by the calibration drift check.
 _CALIBRATION_BLOCKS = 8
 
-#: Largest x at which the raw sum D(x) is formed: its divisor sieve has about
-#: x entries, and this one takes about 2 s on one core of a 2-vCPU machine.
+#: Largest x at which the raw sum D(x) or the series is formed, and largest
+#: series length: the divisor sieve has about x (or n_terms) entries, and this
+#: one takes about 2 s on one core of a 2-vCPU machine.
 X_MAX = 2.0**20
 
 #: Relative validity floor for the cosine asymptotics: the smallest phase
@@ -115,13 +115,6 @@ def exponent_from_sigma(sigma: float) -> float:
     if not 0.25 < sigma < 0.5:
         raise ValidationError(f"sigma must lie in (1/4, 1/2), got {sigma}")
     return 2.0 * sigma - 1.0
-
-
-def sigma_from_exponent(a: float) -> float:
-    """Inverse adapter: ``sigma = (1 + a) / 2`` for ``a in (-1/2, 0)``."""
-    if not -0.5 < a < 0.0:
-        raise ValidationError(f"exponent must lie in (-1/2, 0), got {a}")
-    return 0.5 * (1.0 + a)
 
 
 @dataclass(frozen=True)
@@ -206,15 +199,20 @@ class TruncationPlan:
     x_range: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if self.n_terms < 0:
-            raise ValidationError(f"n_terms must be >= 0, got {self.n_terms}")
-        lo, hi = self.x_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and 1.0 <= lo <= hi):
-            raise ValidationError(f"x_range must satisfy 1 <= lo <= hi, got {self.x_range}")
+        _check_plan_limits(self.x_range, self.n_terms)
         if not (self.tail_estimate > 0.0 and math.isfinite(self.tail_estimate)):
             raise ValidationError(
                 f"tail_estimate must be positive and finite, got {self.tail_estimate}"
             )
+
+
+def _check_plan_limits(x_range: tuple[float, float], n_terms: int) -> None:
+    lo, hi = x_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and 1.0 <= lo <= hi):
+        raise ValidationError(f"x_range must satisfy 1 <= lo <= hi, got {x_range}")
+    _check_x_max(hi)
+    if not 0 <= n_terms <= X_MAX:  # the series' divisor sieve has n_terms entries
+        raise ValidationError(f"n_terms must satisfy 0 <= n_terms <= {X_MAX:.0f}, got {n_terms}")
 
 
 def _ceil_pow2(n: int) -> int:
@@ -438,10 +436,7 @@ def truncation_plan(
     bounds the scale of the whole remainder.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and 1.0 <= lo <= hi):
-        raise ValidationError(f"x_range must satisfy 1 <= lo <= hi, got {x_range}")
-    if n_terms < 0:
-        raise ValidationError(f"n_terms must be >= 0, got {n_terms}")
+    _check_plan_limits((lo, hi), n_terms)  # before the sieve and the envelope's powers
     n_edge = max(n_terms, 1)
     envelope = float(term_envelope(spec, hi, n_edge))
     coherence = max(1.0, spec.k_mod * math.sqrt(n_edge) / math.sqrt(lo))
@@ -482,6 +477,7 @@ def delta_bessel(
     """
     if not (math.isfinite(x) and x >= 1.0):
         raise ValidationError(f"delta_bessel requires x >= 1, got {x}")
+    _check_x_max(x)
     if plan.n_terms == 0:
         return 0.0 + 0.0j
     a = spec.a
@@ -525,6 +521,7 @@ def delta_asymptotic(
     """
     if not (math.isfinite(x) and x >= 1.0):
         raise ValidationError(f"delta_asymptotic requires x >= 1, got {x}")
+    _check_x_max(x)
     k = spec.k_mod
     smallest_phase = 4.0 * math.pi * math.sqrt(x) / k
     if smallest_phase < ASYMPTOTIC_PHASE_FLOOR:

@@ -8,8 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from zetastrip import meansquare, quadrature, saddle, voronoi
+from zetastrip.arithmetic import DirichletPolynomial
 from zetastrip.errors import QuadratureNonConvergence, ValidationError
-from zetastrip.quadrature import integrate_adaptive
+from zetastrip.quadrature import QuadratureResult, integrate_adaptive
 
 mpmath.mp.prec = 120
 
@@ -57,7 +59,7 @@ def test_oscillatory_against_closed_form():
     # integral_0^{20 pi} cos(x) dx = 0 exactly; the panel layout must resolve
     # every oscillation when told the wavelength.
     result = integrate_adaptive(
-        lambda x: np.cos(x), 0.0, 20.0 * math.pi, abs_tol=1e-12, initial_width=1.0
+        lambda x: np.cos(x), 0.0, 20.0 * math.pi, abs_tol=1e-12, initial_width=lambda x: 1.0
     )
     assert abs(result.value) <= 1e-11
 
@@ -94,14 +96,24 @@ def test_error_estimate_is_conservative():
     assert abs(result.value - ref) <= max(result.error_estimate, 1e-12)
 
 
-def test_non_convergence_carries_best_value():
+def _needle(x):
+    return 1.0 / (1e-14 + (x - 0.37) ** 2)
+
+
+def _last_bit(x):
+    # Noise at every scale: refinement only stops at floating-point resolution.
+    return (x.view(np.int64) & 1).astype(float)
+
+
+_ULP_WINDOW = (1.0, 1.0 + 2.0**-46)  # 64 units in the last place
+
+
+def test_non_convergence_carries_best_value(monkeypatch):
     # A needle the panel budget cannot resolve: must raise, with the partial
     # result attached rather than silently returning garbage.
-    def needle(x):
-        return 1.0 / (1e-14 + (x - 0.37) ** 2)
-
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 40)
     with pytest.raises(QuadratureNonConvergence) as info:
-        integrate_adaptive(needle, 0.0, 1.0, abs_tol=1e-12, max_panels=40)
+        integrate_adaptive(_needle, 0.0, 1.0, abs_tol=1e-12)
     assert info.value.error_estimate > 0.0
     assert math.isfinite(info.value.value.real if isinstance(info.value.value, complex) else info.value.value)
 
@@ -110,15 +122,215 @@ def test_determinism_repeated_calls():
     def f(x):
         return np.sin(3.0 * x) / (1.0 + x**2)
 
-    first = integrate_adaptive(f, 0.0, 30.0, abs_tol=1e-11, initial_width=0.7)
-    second = integrate_adaptive(f, 0.0, 30.0, abs_tol=1e-11, initial_width=0.7)
+    first = integrate_adaptive(f, 0.0, 30.0, abs_tol=1e-11, initial_width=lambda x: 0.7)
+    second = integrate_adaptive(f, 0.0, 30.0, abs_tol=1e-11, initial_width=lambda x: 0.7)
     assert first.value == second.value
     assert first.error_estimate == second.error_estimate
     assert first.panels == second.panels
 
 
-def test_width_policy_validation():
+def test_width_policy_validation(monkeypatch):
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda x: x, 0.0, 1.0, initial_width=-0.5)
+        integrate_adaptive(lambda x: x, 0.0, 1.0, initial_width=lambda x: -0.5)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 100)
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda x: x, 0.0, 1.0e6, initial_width=1e-6, max_panels=100)
+        integrate_adaptive(lambda x: x, 0.0, 1.0e6, initial_width=lambda x: 1e-6)
+
+
+def test_failures_name_the_interval(monkeypatch):
+    with pytest.raises(QuadratureNonConvergence, match=r"panel resolution .* on \[1\.0, 1\.0000000000000142\]$"):
+        integrate_adaptive(_last_bit, *_ULP_WINDOW, abs_tol=1e-300, rel_tol=0.0)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 40)
+    with pytest.raises(QuadratureNonConvergence, match=r"budget 40 exhausted .* on \[0\.0, 1\.0\]$"):
+        integrate_adaptive(_needle, 0.0, 1.0, abs_tol=1e-12)
+    with pytest.raises(ValidationError, match=r"panel budget 40 on \[2\.0, 3\.5\]$"):
+        integrate_adaptive(lambda x: x, 2.0, 3.5, initial_width=lambda x: 0.01)
+
+
+# ---------------------------------------------------------------------------
+# The array refinement against the list-splicing loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle(f, a, b, *, abs_tol=1e-8, rel_tol=1e-8, initial_width=None, breakpoints=None,
+            max_panels=40_000):
+    """The list-splicing refinement loop, kept as the bitwise reference."""
+    seeds = [a, b]
+    if breakpoints is not None:
+        seeds.extend(p for p in breakpoints if a < p < b)
+    seeds = sorted(set(seeds))
+    edges = seeds
+    if initial_width is not None:
+        edges = [seeds[0]]
+        for left, right in zip(seeds[:-1], seeds[1:]):
+            x = left
+            while x < right:
+                x = min(right, x + initial_width(x))
+                edges.append(x)
+    panel_lr, values, errors = [], [], []
+    evaluations = 0
+
+    def eval_batch(ls, rs):
+        nonlocal evaluations
+        vals, errs = [], []
+        for lo in range(0, ls.size, quadrature._PANEL_BATCH):
+            l, r = ls[lo : lo + quadrature._PANEL_BATCH], rs[lo : lo + quadrature._PANEL_BATCH]
+            centers, halves = 0.5 * (l + r), 0.5 * (r - l)
+            nodes = centers[:, None] + halves[:, None] * quadrature._XGK[None, :]
+            fv = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+            kron = (fv @ quadrature._WGK) * halves
+            gauss = (fv[:, quadrature._GAUSS_IDX] @ quadrature._WG) * halves
+            evaluations += 15 * int(kron.size)
+            vals.extend(complex(v) for v in kron)
+            errs.extend(float(e) for e in np.abs(kron - gauss))
+        return vals, errs
+
+    lefts, rights = np.array(edges[:-1]), np.array(edges[1:])
+    values, errors = eval_batch(lefts, rights)
+    panel_lr = list(zip(lefts.tolist(), rights.tolist()))
+    while True:
+        total = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+        if total.imag == 0.0:
+            total = total.real
+        total_err = math.fsum(errors)
+        tol = max(abs_tol, rel_tol * abs(total))
+        if total_err <= tol:
+            return QuadratureResult(total, total_err, len(panel_lr), evaluations)
+        n = len(panel_lr)
+        best = total if isinstance(total, float) else abs(total)
+        if n >= max_panels:
+            raise QuadratureNonConvergence("budget", best, total_err)
+        split_idx = [i for i, e in enumerate(errors) if e > 0.5 * tol / n]
+        if not split_idx:
+            split_idx = [int(np.argmax(errors))]
+        split_idx = split_idx[: max_panels - n]
+        splittable, new_lefts, new_rights = [], [], []
+        for i in split_idx:
+            l, r = panel_lr[i]
+            mid = 0.5 * (l + r)
+            if l < mid < r:
+                splittable.append(i)
+                new_lefts.extend((l, mid))
+                new_rights.extend((mid, r))
+        if not splittable:
+            raise QuadratureNonConvergence("resolution", best, total_err)
+        child_vals, child_errs = eval_batch(np.array(new_lefts), np.array(new_rights))
+        for offset, i in enumerate(splittable):
+            j = i + offset
+            pair = slice(2 * offset, 2 * offset + 2)
+            panel_lr[j : j + 1] = list(zip(new_lefts[pair], new_rights[pair]))
+            values[j : j + 1] = child_vals[pair]
+            errors[j : j + 1] = child_errs[pair]
+
+
+def _same_bits(x, y) -> bool:
+    return type(x) is type(y) and np.array(x).tobytes() == np.array(y).tobytes()
+
+
+def _assert_matches_oracle(f, a, b, **kwargs):
+    # Same abscissae in the same calls too: ``special.zeta_line`` sizes its
+    # chunks by the batch it gets, so that is part of the contract.
+    batches = {"array": [], "list": []}
+
+    def recording(name):
+        def g(x):
+            batches[name].append(x.copy())
+            return f(x)
+
+        return g
+
+    result = integrate_adaptive(recording("array"), a, b, **kwargs)
+    reference = _oracle(recording("list"), a, b, **kwargs)
+    assert [x.tobytes() for x in batches["array"]] == [x.tobytes() for x in batches["list"]]
+    assert _same_bits(result.value, reference.value)
+    assert _same_bits(result.error_estimate, reference.error_estimate)
+    assert (result.panels, result.evaluations) == (reference.panels, reference.evaluations)
+    return result
+
+
+_CLOSED_FORMS = [
+    (lambda x: x**2, 0.0, 1.0, {}),
+    (np.cos, 0.0, 20.0 * math.pi, {"abs_tol": 1e-12, "initial_width": lambda x: 1.0}),
+    (np.cos, 0.0, 20.0 * math.pi, {"abs_tol": 1e-14, "initial_width": lambda x: 0.05}),  # 3 batches
+    (
+        lambda x: np.exp(1j * x**2),
+        0.0,
+        12.0,
+        {"abs_tol": 1e-11, "rel_tol": 1e-12, "initial_width": lambda x: 1.0 / max(2.0 * abs(x), 0.5)},
+    ),
+    (lambda x: np.abs(x - 1.0), 0.0, 3.0, {"abs_tol": 1e-13, "breakpoints": [1.0]}),
+    (lambda x: np.exp(-x) * np.sin(7.0 * x), 0.0, 10.0, {"abs_tol": 1e-10}),
+    (lambda x: np.sin(3.0 * x) / (1.0 + x**2), 0.0, 30.0, {"abs_tol": 1e-11, "initial_width": lambda x: 0.7}),
+]
+
+
+@pytest.mark.parametrize(
+    "f, a, b, kwargs",
+    _CLOSED_FORMS,
+    ids=["square", "cosine", "cosine-3-batches", "fresnel", "kink", "damped-sine", "sine-over-quadratic"],
+)
+def test_closed_forms_match_the_list_loop_bitwise(f, a, b, kwargs):
+    _assert_matches_oracle(f, a, b, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "f, window, kwargs, max_panels",
+    [
+        (_needle, (0.0, 1.0), {"abs_tol": 1e-12}, 40),
+        (_last_bit, _ULP_WINDOW, {"abs_tol": 1e-300, "rel_tol": 0.0}, 40_000),
+    ],
+    ids=["panel-budget", "resolution"],
+)
+def test_non_convergence_matches_the_list_loop_bitwise(f, window, kwargs, max_panels, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
+    with pytest.raises(QuadratureNonConvergence) as info:
+        integrate_adaptive(f, *window, **kwargs)
+    with pytest.raises(QuadratureNonConvergence) as reference:
+        _oracle(f, *window, max_panels=max_panels, **kwargs)
+    assert str(reference.value) in str(info.value)
+    assert _same_bits(info.value.value, reference.value.value)
+    assert _same_bits(info.value.error_estimate, reference.value.error_estimate)
+
+
+def _calibrated_spec():
+    spec = voronoi.TwistedSumSpec(-0.2, 1, 3)
+    voronoi.calibrate(spec, power_modulus_exponent=-0.8)
+    return spec
+
+
+def _calls_through(module, monkeypatch, run):
+    """Run ``run()`` and return the arguments of each quadrature it makes."""
+    calls = []
+
+    def recording(f, a, b, **kwargs):
+        calls.append((f, a, b, kwargs))
+        return integrate_adaptive(f, a, b, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_adaptive", recording)
+    run()
+    assert calls
+    return calls
+
+
+@pytest.mark.parametrize(
+    "module, run",
+    [
+        (
+            meansquare,
+            lambda: meansquare.integrate_mean_square(
+                125.0, 250.0, meansquare.StripConfig(0.4), DirichletPolynomial((1.0, 1.0))
+            ),
+        ),
+        (voronoi, lambda: voronoi.delta_mean_square(_calibrated_spec(), 256.0)),
+        (
+            saddle,
+            lambda: saddle.lemma2_compare(
+                saddle.ExpIntegralSpec(0.6, 0.6, 1.0, 0.01, 200.0, 1.0, 100.0)
+            ),
+        ),
+    ],
+    ids=["mean-square-window", "voronoi-breakpoints", "lemma2"],
+)
+def test_package_integrals_match_the_list_loop_bitwise(module, run, monkeypatch):
+    for f, a, b, kwargs in _calls_through(module, monkeypatch, run):
+        _assert_matches_oracle(f, a, b, **kwargs)

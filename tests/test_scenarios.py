@@ -529,6 +529,7 @@ def test_cli_run_rejects_non_positive_limit(tmp_path, capsys, kind, key, value):
         ("calibration_samples", "641", "multiple of its 8 drift blocks"),
         ("calibration_x_lo", "1e306", "formed only up to x = 1.04858e+06"),
         ("x_hi", "1e306", "x_hi <= 1.04858e+06"),
+        ("n_terms", "100000000", "n_terms must satisfy 0 <= n_terms <= 1048576"),
     ],
 )
 def test_cli_run_names_voronoi_input_beyond_its_limits(tmp_path, capsys, key, value, constraint):

@@ -25,7 +25,6 @@ from zetastrip.voronoi import (
     delta_direct,
     delta_mean_square,
     exponent_from_sigma,
-    sigma_from_exponent,
     term_envelope,
     truncation_plan,
     twisted_sum,
@@ -66,11 +65,8 @@ def test_exponent_adapters_round_trip():
     for sigma in (0.26, 0.4, 0.49):
         a = exponent_from_sigma(sigma)
         assert a == pytest.approx(2.0 * sigma - 1.0)
-        assert sigma_from_exponent(a) == pytest.approx(sigma)
     with pytest.raises(ValidationError):
         exponent_from_sigma(0.5)
-    with pytest.raises(ValidationError):
-        sigma_from_exponent(-0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +199,24 @@ def test_twisted_sum_paths_reject_x_beyond_the_sieve_bound(x):
     for call in (twisted_sum, delta_direct, delta_mean_square):
         with pytest.raises(ValidationError, match="formed only up to"):
             call(spec, x)
+    # The series paths used to return nan+nanj at 1e306 (noise of 1e30 at 1e200),
+    # and the plan to overflow into a misleading tail_estimate rejection.
+    plan = truncation_plan(spec, (40.0, 400.0), 300)
+    for call in (delta_bessel, delta_asymptotic):
+        with pytest.raises(ValidationError, match="formed only up to"):
+            call(spec, x, plan)
+    with pytest.raises(ValidationError, match="formed only up to"):
+        truncation_plan(spec, (40.0, x), 300)
+
+
+@pytest.mark.parametrize("n_terms", [3_000_000, 100_000_000])
+def test_series_length_is_bounded_by_the_sieve(n_terms):
+    # 3e6 terms took 7 s in the divisor sieve; 1e8 had no bound at all.
+    spec = _fresh_spec()
+    with pytest.raises(ValidationError, match=r"n_terms <= 1048576, got "):
+        truncation_plan(spec, (40.0, 400.0), n_terms)
+    with pytest.raises(ValidationError, match=r"n_terms <= 1048576, got "):
+        TruncationPlan(n_terms=n_terms, tail_estimate=1.0, x_range=(40.0, 400.0))
 
 
 # ---------------------------------------------------------------------------
