@@ -1,8 +1,9 @@
 """Command-line front end: ``run``, ``compare`` and ``suite``.
 
 ``zetastrip run FILE`` executes one scenario file and writes its JSON/CSV
-report; ``zetastrip suite FILE`` runs every scenario a suite file lists on a
-process pool and writes a summary; ``zetastrip compare CURRENT BASELINE``
+report; ``zetastrip suite FILE`` runs every scenario a suite file lists and
+writes a summary, in this process at ``--workers 1`` (the default) and on a
+spawn process pool at two or more; ``zetastrip compare CURRENT BASELINE``
 diffs two JSON reports field by field.  Exit codes: 0 when everything
 passed, 2 when the machinery worked but a verdict failed or a baseline
 drifted, 1 for a usage error, bad input or an execution error (the offending
@@ -69,7 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", help="run every scenario listed by a suite file")
     suite.add_argument("suite", help="path to a suite INI file")
     suite.add_argument("--out", default=None, metavar="DIR", help="report directory (default: current directory)")
-    suite.add_argument("--workers", type=_positive_int, default=1, metavar="N", help="process-pool size")
+    suite.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="scenarios run at once: 1 (default) runs them in this process, 2 or more on a spawn process pool",
+    )
     return parser
 
 

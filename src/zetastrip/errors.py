@@ -23,6 +23,10 @@ class QuadratureNonConvergence(ZetastripError, ArithmeticError):
         self.value = value
         self.error_estimate = error_estimate
 
+    def __reduce__(self):
+        # Rebuilt from all three arguments, so a suite worker can return it.
+        return type(self), (str(self), self.value, self.error_estimate)
+
 
 class CalibrationError(ZetastripError, ArithmeticError):
     """A least-squares calibration did not produce a trustworthy constant."""

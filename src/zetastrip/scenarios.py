@@ -29,8 +29,9 @@ field: numeric fields must agree within a relative tolerance (default
 ``DEFAULT_COMPARE_REL_TOL``, overridable per dotted field path via a
 ``[tolerances]`` INI file), strings and booleans exactly.  A *suite file*
 lists scenario files (``[suite] scenarios = ...``, one per line, resolved
-relative to the suite file) and runs them on a process pool whose workers
-pin their numeric kernels to one thread before importing the numeric stack.
+relative to the suite file) and runs them in the calling process at one
+worker, or on a spawn process pool at two or more, whose workers pin their
+numeric kernels to one thread before importing the numeric stack.
 
 Exit-code convention used by the command-line front end:
 
@@ -82,6 +83,7 @@ from .voronoi import (
     TWIST_MODES as VORONOI_TWISTS,
     X_MAX,
     TwistedSumSpec,
+    _check_plan_limits,
     calibrate,
     delta_bessel,
     delta_direct,
@@ -360,6 +362,19 @@ def _run_theorem2(v: dict) -> tuple:
     return [row], {}, passed, f"|path difference| {abs(report.difference)!r} vs budget {budget!r}"
 
 
+#: Largest series work of one ``voronoi`` scenario, in Bessel-series terms
+#: summed over its points: ``points × max(n_terms, VORONOI_POINT_TERMS)``.
+#: A point's direct sum and series set-up cost about as much as
+#: ``VORONOI_POINT_TERMS`` terms, so a short series does not make the point
+#: free.  The limit is two points of the longest series the sieve forms
+#: (``voronoi.X_MAX``); such a run takes about 4 s on one core of a 2-vCPU
+#: machine.
+VORONOI_MAX_SERIES_TERMS = 2**21
+VORONOI_POINT_TERMS = 1024
+#: Largest ``calibration_samples``, about 100 times the default 640.
+VORONOI_MAX_CALIBRATION_SAMPLES = 2**16
+
+
 def _run_voronoi(v: dict) -> tuple:
     exponent_text = v["power_modulus_exponent"]
     if exponent_text == "printed":
@@ -379,6 +394,19 @@ def _run_voronoi(v: dict) -> tuple:
         raise ValidationError(f"voronoi evaluation range needs 1 <= x_lo < x_hi <= {X_MAX:g}")
     if points < 2:
         raise ValidationError("voronoi needs at least two evaluation points")
+    n_terms = v["n_terms"]
+    _check_plan_limits((x_lo, x_hi), n_terms)
+    point_terms = max(n_terms, VORONOI_POINT_TERMS)
+    if points * point_terms > VORONOI_MAX_SERIES_TERMS:
+        raise ValidationError(
+            f"scenario kind 'voronoi': parameters 'points' × max('n_terms', {VORONOI_POINT_TERMS}) = "
+            f"{points} × {point_terms} exceed the series work limit {VORONOI_MAX_SERIES_TERMS}"
+        )
+    if v["calibration_samples"] > VORONOI_MAX_CALIBRATION_SAMPLES:
+        raise ValidationError(
+            f"scenario kind 'voronoi': parameter 'calibration_samples' must be at most "
+            f"{VORONOI_MAX_CALIBRATION_SAMPLES}, got {v['calibration_samples']}"
+        )
 
     spec = TwistedSumSpec(v["a"], v["h"], v["k"])
     calibration = calibrate(
@@ -387,7 +415,7 @@ def _run_voronoi(v: dict) -> tuple:
         x_lo=v["calibration_x_lo"],
         samples=v["calibration_samples"],
     )
-    plan = truncation_plan(spec, (x_lo, x_hi), v["n_terms"])
+    plan = truncation_plan(spec, (x_lo, x_hi), n_terms)
     tolerance = max(v["tolerance_floor"], v["tail_multiple"] * plan.tail_estimate + calibration.std_error)
 
     rows = []
@@ -794,12 +822,17 @@ def run_suite(
 ) -> dict:
     """Run every scenario of a suite and write a summary report.
 
-    Scenarios run on a spawn-based process pool whose initializer pins the
-    BLAS kernels of each worker to a single thread before the task payload
-    imports the numeric stack, and gives each worker an equal share of the
-    CPUs for ``zeta_line``'s threads; results are collected in listing
-    order, so the summary and every per-scenario report are byte-identical
-    for any worker count.
+    With one worker (or one scenario) the scenarios run in the calling
+    process, one after another in listing order, with every CPU for
+    ``zeta_line``'s threads; the caller must have pinned BLAS to one thread
+    before numpy loaded (the CLI does).  With two or more, they run on a
+    spawn-based process pool whose initializer pins the BLAS kernels of each
+    worker to a single thread before the task payload imports the numeric
+    stack, and gives each worker an equal share of the CPUs.  Results are
+    collected in listing order, so the summary and every per-scenario report
+    are byte-identical for any worker count.  Either way a failing scenario
+    does not stop the others: they all run and write their reports, then
+    the first failure in listing order is raised and no summary is written.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
@@ -812,16 +845,25 @@ def run_suite(
     if duplicates:
         raise ValidationError(f"suite: duplicate output stem(s) {duplicates}; reports would overwrite")
 
-    context = multiprocessing.get_context("spawn")
     max_workers = min(workers, len(scenario_paths))
-    with ProcessPoolExecutor(
-        max_workers=max_workers,
-        mp_context=context,
-        initializer=pin_thread_env,
-        initargs=(usable_cpus() // max_workers,),
-    ) as pool:
-        futures = [pool.submit(execute_scenario, str(p), str(target)) for p in scenario_paths]
-        entries = [future.result() for future in futures]
+    if max_workers == 1:
+        entries, failures = [], []
+        for p in scenario_paths:
+            try:
+                entries.append(execute_scenario(str(p), str(target)))
+            except Exception as exc:  # raised below, once the rest have run, as the pool does
+                failures.append(exc)
+        if failures:
+            raise failures[0]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=max_workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=pin_thread_env,
+            initargs=(usable_cpus() // max_workers,),
+        ) as pool:
+            futures = [pool.submit(execute_scenario, str(p), str(target)) for p in scenario_paths]
+            entries = [future.result() for future in futures]
 
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -7,14 +7,17 @@ import csv
 import io
 import json
 import os
+import pickle
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zetastrip import cli
+from zetastrip import cli, scenarios
 from zetastrip._env import PINNED_THREAD_VARS, pin_thread_env
-from zetastrip.errors import ValidationError
+from zetastrip.errors import CalibrationError, PrecisionError, QuadratureNonConvergence, ValidationError
 from zetastrip.scenarios import (
     DEFAULT_COMPARE_REL_TOL,
     EXIT_ERROR,
@@ -147,6 +150,62 @@ def test_missing_required_parameter_named():
     )
     with pytest.raises(ValidationError, match="alpha"):
         build_report(scenario)
+
+
+# Parameter text: valid values, edge-case numbers, lists and free text.
+_FUZZ_FREE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=16)
+_FUZZ_VALUE = st.one_of(
+    st.sampled_from(sorted({v for params in CHEAP_PARAMETERS.values() for v in params.values()})),
+    st.sampled_from(
+        ("inf", "-inf", "nan", "1e999", "-0", "0", "-1", "1e-320", "0x10", "1_0", "--1", "", ",", "1j", "nanj", "9" * 5000)
+    ),
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.lists(st.complex_numbers().map(str), max_size=3).map(", ".join),
+    _FUZZ_FREE_TEXT,
+)
+
+
+@st.composite
+def _fuzzed_scenario_text(draw) -> str:
+    """A kind's cheap scenario with up to three keys dropped or changed and
+    perhaps one unknown key, plus perhaps an ``[output]`` section."""
+    kind = draw(st.sampled_from(SCENARIO_KINDS + ("", "Voronoi")))
+    parameters = dict(CHEAP_PARAMETERS.get(kind, {}))
+    names = [param.name for param in scenarios._KINDS[kind].params] if kind in scenarios._KINDS else ["alpha"]
+    for key in draw(st.sets(st.sampled_from(names), max_size=3)):
+        value = draw(st.none() | _FUZZ_VALUE)
+        if value is None:
+            parameters.pop(key, None)
+        else:
+            parameters[key] = value
+    extra = draw(st.none() | _FUZZ_FREE_TEXT)
+    if extra is not None:
+        parameters[extra] = draw(_FUZZ_VALUE)
+    lines = ["[scenario]", f"kind = {kind}", "[parameters]"]
+    lines += [f"{key} = {value}" for key, value in parameters.items()]
+    if draw(st.booleans()):
+        lines.append("[output]")
+        for key in draw(st.lists(st.sampled_from(("stem", "formats")) | _FUZZ_FREE_TEXT, max_size=3)):
+            value = draw(st.sampled_from(("json", "csv", "json, csv", "a/b", "yaml", " , ")) | _FUZZ_FREE_TEXT)
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(text=_fuzzed_scenario_text())
+def test_fuzzed_scenario_text_parses_or_names_its_error(text):
+    # Framing and parameter parsing only: the kind itself is not run.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(text, encoding="utf-8")
+        try:
+            scenario = load_scenario(path)
+            scenarios._parse_section(
+                scenarios._KINDS[scenario.kind].params, scenario.parameters, f"scenario kind '{scenario.kind}'"
+            )
+        except ValidationError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +447,73 @@ def test_load_suite_resolves_relative_paths(tmp_path):
 
 
 def test_run_suite_is_worker_count_invariant(tmp_path):
-    suite_path = _write_suite(tmp_path)
+    # The mean-square scenario runs zeta_line's threads: all of the CPUs at
+    # one worker (in this process), half of them in each of two workers.
+    _write_suite(tmp_path)
+    _write_ini(tmp_path, "square.ini", _scenario_text("mean-square"))
+    suite_path = _write_ini(
+        tmp_path, "mixed.ini", "[suite]\nscenarios =\n    decay.ini\n    square.ini\n    resonance.ini\n"
+    )
     dir_one, dir_two = tmp_path / "one", tmp_path / "two"
     summary_one = run_suite(suite_path, dir_one, workers=1)
     summary_two = run_suite(suite_path, dir_two, workers=2)
 
     assert summary_one["verdict"]["passed"] is True
-    assert summary_one["verdict"]["detail"] == "2 of 2 scenario verdicts passed"
-    assert [entry["stem"] for entry in summary_one["scenarios"]] == ["decay", "resonance"]
+    assert summary_one["verdict"]["detail"] == "3 of 3 scenario verdicts passed"
+    assert [entry["stem"] for entry in summary_one["scenarios"]] == ["decay", "square", "resonance"]
+    assert summary_two["scenarios"] == summary_one["scenarios"]
 
     names = sorted(p.name for p in dir_one.iterdir())
-    assert names == ["decay.csv", "decay.json", "resonance.csv", "resonance.json", "suite_summary.json"]
+    assert names == [
+        "decay.csv",
+        "decay.json",
+        "resonance.csv",
+        "resonance.json",
+        "square.csv",
+        "square.json",
+        "suite_summary.json",
+    ]
     assert sorted(p.name for p in dir_two.iterdir()) == names
     for name in names:
         assert (dir_one / name).read_bytes() == (dir_two / name).read_bytes()
 
     summary_payload = load_report(dir_one / "suite_summary.json")
     assert summary_payload["kind"] == "suite"
-    assert [entry["file"] for entry in summary_payload["scenarios"]] == ["decay.ini", "resonance.ini"]
+    assert [entry["file"] for entry in summary_payload["scenarios"]] == ["decay.ini", "square.ini", "resonance.ini"]
+
+
+def test_run_suite_at_one_worker_starts_no_process_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", no_pool)
+    suite_path = _write_suite(tmp_path)
+    assert run_suite(suite_path, tmp_path / "one", workers=1)["verdict"]["passed"] is True
+    # A one-scenario suite needs only one worker, whatever was asked for.
+    single = _write_ini(tmp_path, "single.ini", "[suite]\nscenarios = decay.ini\n")
+    assert run_suite(single, tmp_path / "single", workers=4)["verdict"]["passed"] is True
+    # The stub is reached when two workers are due, so this test can fail.
+    with pytest.raises(AssertionError, match="process pool"):
+        run_suite(suite_path, tmp_path / "two", workers=2)
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        ValidationError("sigma must lie strictly inside (1/4, 1/2), got 0.6"),
+        PrecisionError("zeta remainder above tolerance"),
+        CalibrationError("constant fit rejected"),
+        QuadratureNonConvergence("panel budget 40000 exhausted on [0.0, 2.0]", 1.25, 3e-12),
+    ],
+    ids=lambda failure: type(failure).__name__,
+)
+def test_errors_survive_the_trip_back_from_a_suite_worker(failure):
+    # A pool worker returns a scenario's exception pickled; one that cannot be
+    # rebuilt breaks the pool, and the CLI then ends in a traceback.
+    returned = pickle.loads(pickle.dumps(failure))
+    assert type(returned) is type(failure)
+    assert str(returned) == str(failure)
+    assert vars(returned) == vars(failure)
 
 
 def test_run_suite_rejects_duplicate_stems(tmp_path):
@@ -530,6 +638,11 @@ def test_cli_run_rejects_non_positive_limit(tmp_path, capsys, kind, key, value):
         ("calibration_x_lo", "1e306", "formed only up to x = 1.04858e+06"),
         ("x_hi", "1e306", "x_hi <= 1.04858e+06"),
         ("n_terms", "100000000", "n_terms must satisfy 0 <= n_terms <= 1048576"),
+        ("n_terms", "1048576", "'points' × max('n_terms', 1024) = 3 × 1048576 exceed the series work limit 2097152"),
+        ("points", "100000", "'points' × max('n_terms', 1024) = 100000 × 1024 exceed the series work limit"),
+        ("points", "1000000000000", "'points' × max('n_terms', 1024) = 1000000000000 × 1024 exceed"),
+        ("calibration_samples", "65544", "parameter 'calibration_samples' must be at most 65536, got 65544"),
+        ("calibration_samples", "800000000000", "parameter 'calibration_samples' must be at most 65536"),
     ],
 )
 def test_cli_run_names_voronoi_input_beyond_its_limits(tmp_path, capsys, key, value, constraint):
@@ -576,6 +689,27 @@ def test_cli_suite(tmp_path, capsys):
     assert "PASS saddle-l3 decay:" in captured.out
     assert "PASS saddle-l4 resonance:" in captured.out
     assert "suite: 2 of 2 scenario verdicts passed" in captured.out
+
+
+def test_cli_suite_failure_is_the_same_at_one_and_two_workers(tmp_path, capsys):
+    # The scenarios after a failing one still run and write their reports;
+    # then the first failure is reported and no summary is written.
+    _write_suite(tmp_path)
+    bad = _scenario_text("mean-square").replace("sigma = 0.35", "sigma = 0.6")
+    _write_ini(tmp_path, "bad.ini", bad)
+    suite_path = _write_ini(tmp_path, "mixed.ini", "[suite]\nscenarios =\n    decay.ini\n    bad.ini\n    resonance.ini\n")
+    outcomes = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        code = cli.main(["suite", str(suite_path), "--out", str(out), "--workers", str(workers)])
+        captured = capsys.readouterr()
+        outcomes[workers] = (code, captured.err, sorted(p.name for p in out.iterdir()))
+    assert outcomes[1] == outcomes[2]
+    code, err, names = outcomes[1]
+    assert code == EXIT_ERROR
+    assert err.startswith("error:")
+    assert "(1/4, 1/2)" in err
+    assert names == ["decay.csv", "decay.json", "resonance.csv", "resonance.json"]
 
 
 def test_cli_rejects_bad_worker_and_precision_values(tmp_path, capsys):
