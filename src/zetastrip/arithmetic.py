@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
+    "SIEVE_MAX",
     "PairData",
     "DirichletPolynomial",
     "pair_data",
@@ -120,9 +122,18 @@ def fsum_complex(values: Iterable[complex] | np.ndarray) -> complex:
     return complex(math.fsum(parts.real.tolist()), math.fsum(parts.imag.tolist()))
 
 
-# One divisor sieve per exponent, grown on demand; per process, so suite
-# workers need no lock.
+#: Longest divisor sieve any caller forms: 2^20 entries, about 2 s on one
+#: core of a 2-vCPU machine.  Callers check their lengths against it before
+#: forming any array, so that a too-long sum is a named input error.
+SIEVE_MAX = 2.0**20
+
+# One divisor sieve per exponent, grown on demand and shared by the threads
+# of a suite.  Each call returns a view of a sieve it read or built itself,
+# and publishing a finished, read-only sieve is one dict store, so no call
+# sees a partial sieve.  The lock makes the length check and the store one
+# step, so a longer sieve is never replaced by a shorter one.
 _sigma_sieves: dict[float, np.ndarray] = {}
+_publish = threading.Lock()
 
 
 def divisor_sigma_range(a: float, n_max: int) -> np.ndarray:
@@ -144,8 +155,11 @@ def divisor_sigma_range(a: float, n_max: int) -> np.ndarray:
         for d in range(1, length + 1):
             sieve[d - 1 :: d] += float(d) ** a
         sieve.setflags(write=False)
-        if a in _sigma_sieves or len(_sigma_sieves) < 64:
-            _sigma_sieves[a] = sieve
+        with _publish:
+            cached = _sigma_sieves.get(a)
+            publish = cached.size < length if cached is not None else len(_sigma_sieves) < 64
+            if publish:
+                _sigma_sieves[a] = sieve
     return sieve[:n_max]
 
 

@@ -2,8 +2,8 @@
 
 ``zetastrip run FILE`` executes one scenario file and writes its JSON/CSV
 report; ``zetastrip suite FILE`` runs every scenario a suite file lists and
-writes a summary, in this process at ``--workers 1`` (the default) and on a
-spawn process pool at two or more; ``zetastrip compare CURRENT BASELINE``
+writes a summary, running ``--workers`` scenarios at once (default 1) on
+threads of this process; ``zetastrip compare CURRENT BASELINE``
 diffs two JSON reports field by field.  Exit codes: 0 when everything
 passed, 2 when the machinery worked but a verdict failed or a baseline
 drifted, 1 for a usage error, bad input or an execution error (the offending
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="scenarios run at once: 1 (default) runs them in this process, 2 or more on a spawn process pool",
+        help="scenarios run at once, on threads of this process (default: 1)",
     )
     return parser
 

@@ -79,6 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import (
+    SIEVE_MAX,
     DirichletPolynomial,
     coefficient_pairs,
     divisor_sigma_range,
@@ -373,6 +374,23 @@ def _sigma2_sum(
     return scalar * fsum_complex(values), terms
 
 
+def _check_inner_lengths(window: WindowConfig, A: DirichletPolynomial) -> None:
+    """Reject a window whose longest Σ₁ or Σ₂ inner sum would outgrow the
+    divisor sieve, before any array is formed."""
+    pairs = [pd for _, pd in coefficient_pairs(A)]
+    y_cut = xi(window.t, window.y)
+    longest = {
+        "sigma1": max((pd.kappa * pd.lam * window.y for pd in pairs), default=0.0),
+        "sigma2": max((pd.lam * y_cut / pd.kappa for pd in pairs), default=0.0),
+    }
+    for block, length in longest.items():
+        if not length < SIEVE_MAX + 1:  # floor(length) terms; written so that NaN fails too
+            raise ValidationError(
+                f"the {block} inner sum at t = {window.t!r}, y = {window.y!r} needs {length:.4g} "
+                f"terms; the divisor sieve is formed only up to {SIEVE_MAX:.0f}"
+            )
+
+
 def explicit_terms(
     window: WindowConfig,
     cfg: StripConfig,
@@ -385,6 +403,7 @@ def explicit_terms(
     secondary_weight: str = "coprime",
 ) -> ExplicitTerms:
     """All closed-form blocks of the window identity at one ``(T, Y)``."""
+    _check_inner_lengths(window, A)
     prefactor1 = _sigma1_prefactor(sigma1_variant, cfg.sigma)
     factor2 = _sigma2_prefactor(sigma2_variant, cfg.sigma)
     total1, terms1 = _sigma1_sum(window.t, window.y, cfg, A, radicand)

@@ -29,9 +29,8 @@ field: numeric fields must agree within a relative tolerance (default
 ``DEFAULT_COMPARE_REL_TOL``, overridable per dotted field path via a
 ``[tolerances]`` INI file), strings and booleans exactly.  A *suite file*
 lists scenario files (``[suite] scenarios = ...``, one per line, resolved
-relative to the suite file) and runs them in the calling process at one
-worker, or on a spawn process pool at two or more, whose workers pin their
-numeric kernels to one thread before importing the numeric stack.
+relative to the suite file) and runs them on a thread pool of the calling
+process, ``workers`` scenarios at once.
 
 Exit-code convention used by the command-line front end:
 
@@ -48,17 +47,15 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._env import pin_thread_env, usable_cpus
 from .arithmetic import DirichletPolynomial
 from .errors import ValidationError
 from .explicit import (
@@ -762,8 +759,7 @@ def write_report(report: dict, out_dir: str | Path, stem: str, formats: Sequence
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of executing one scenario file end to end; it pickles, so a
-    suite's worker processes return it as it is."""
+    """Outcome of executing one scenario file end to end."""
 
     source: str
     kind: str
@@ -822,17 +818,16 @@ def run_suite(
 ) -> dict:
     """Run every scenario of a suite and write a summary report.
 
-    With one worker (or one scenario) the scenarios run in the calling
-    process, one after another in listing order, with every CPU for
-    ``zeta_line``'s threads; the caller must have pinned BLAS to one thread
-    before numpy loaded (the CLI does).  With two or more, they run on a
-    spawn-based process pool whose initializer pins the BLAS kernels of each
-    worker to a single thread before the task payload imports the numeric
-    stack, and gives each worker an equal share of the CPUs.  Results are
-    collected in listing order, so the summary and every per-scenario report
-    are byte-identical for any worker count.  Either way a failing scenario
-    does not stop the others: they all run and write their reports, then
-    the first failure in listing order is raised and no summary is written.
+    The scenarios run on a thread pool of ``min(workers, len(scenarios))``
+    threads in the calling process, ``workers`` at once; each scenario's
+    ``zeta_line`` runs one thread per usable CPU beside them, and its bits
+    do not depend on that count.  The caller must have pinned BLAS to one
+    thread before numpy loaded (the CLI does).  Results are collected in
+    listing order, so the summary and every per-scenario report are
+    byte-identical for any worker count.  A failing scenario does not stop
+    the others: they all run and write their reports, then the first failure
+    in listing order is raised and no summary is written.  An interrupt
+    cancels every scenario not yet started; those already running finish.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
@@ -845,25 +840,13 @@ def run_suite(
     if duplicates:
         raise ValidationError(f"suite: duplicate output stem(s) {duplicates}; reports would overwrite")
 
-    max_workers = min(workers, len(scenario_paths))
-    if max_workers == 1:
-        entries, failures = [], []
-        for p in scenario_paths:
-            try:
-                entries.append(execute_scenario(str(p), str(target)))
-            except Exception as exc:  # raised below, once the rest have run, as the pool does
-                failures.append(exc)
-        if failures:
-            raise failures[0]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=pin_thread_env,
-            initargs=(usable_cpus() // max_workers,),
-        ) as pool:
-            futures = [pool.submit(execute_scenario, str(p), str(target)) for p in scenario_paths]
-            entries = [future.result() for future in futures]
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(scenario_paths)))
+    try:
+        futures = [pool.submit(execute_scenario, p, target) for p in scenario_paths]
+        wait(futures)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    entries = [future.result() for future in futures]
 
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -45,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._env import line_threads
+from ._env import usable_cpus
 from .errors import PrecisionError, ValidationError
 
 __all__ = [
@@ -223,7 +223,7 @@ def zeta_line(sigma: float, t) -> np.ndarray:
     remainder bound for every point in the batch; a batch whose bound
     exceeds ``ZETA_ABS_TOL`` raises :class:`PrecisionError`.
 
-    The main sum runs on ``_env.line_threads()`` threads in cache-sized row
+    The main sum runs on one thread per usable CPU in cache-sized row
     blocks (:func:`_main_sum`); its bits are those of the one-shot product,
     for any thread count, so a point's value depends only on the batch's
     size and largest ordinate.
@@ -233,7 +233,7 @@ def zeta_line(sigma: float, t) -> np.ndarray:
     n_cut = _em_cutoff(float(flat.max()) if flat.size else 0.0)
     s_vec = sigma + 1j * flat
 
-    out = _main_sum(sigma, flat, n_cut, line_threads())
+    out = _main_sum(sigma, flat, n_cut, usable_cpus())
     out += n_cut ** (1.0 - s_vec) / (s_vec - 1.0)
     out += 0.5 * n_cut ** (-s_vec)
     for order in _EM_ORDERS:
@@ -445,11 +445,12 @@ def _ascending_series(nu: float, x: np.ndarray, alternating: bool) -> np.ndarray
     return total
 
 
-def _hankel_pq(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P and Q sums of the large-argument expansion, truncated per point."""
+def _asymptotic_terms(nu: float, x: np.ndarray):
+    """Terms ``k = 1, 2, ...`` of the large-argument expansions,
+    ``prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (8 j x)``, truncated per point:
+    from the first term that stops shrinking or falls below 1e-18, a point's
+    terms are zero.  Yields ``(k, term)``."""
     mu = 4.0 * nu * nu
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
     term = np.ones_like(x)
     prev_mag = np.full(x.shape, np.inf)
     active = np.ones(x.shape, dtype=bool)
@@ -457,36 +458,33 @@ def _hankel_pq(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         term = term * (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x)
         mag = np.abs(term)
         active = active & (mag < prev_mag) & (mag > 1e-18)
-        contrib = np.where(active, term, 0.0)
-        if k % 4 == 1:
-            q += contrib
-        elif k % 4 == 2:
-            p -= contrib
-        elif k % 4 == 3:
-            q -= contrib
-        else:
-            p += contrib
+        yield k, np.where(active, term, 0.0)
         prev_mag = mag
         if not active.any():
             break
+
+
+def _hankel_pq(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and Q sums of the large-argument expansion, truncated per point."""
+    p = np.ones_like(x)
+    q = np.zeros_like(x)
+    for k, term in _asymptotic_terms(nu, x):
+        if k % 4 == 1:
+            q += term
+        elif k % 4 == 2:
+            p -= term
+        elif k % 4 == 3:
+            q -= term
+        else:
+            p += term
     return p, q
 
 
 def _bessel_large(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
     if kind == "K":
-        mu = 4.0 * nu * nu
         total = np.ones_like(x)
-        term = np.ones_like(x)
-        prev_mag = np.full(x.shape, np.inf)
-        active = np.ones(x.shape, dtype=bool)
-        for k in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
-            term = term * (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x)
-            mag = np.abs(term)
-            active = active & (mag < prev_mag) & (mag > 1e-18)
-            total = np.where(active, total + term, total)
-            prev_mag = mag
-            if not active.any():
-                break
+        for _, term in _asymptotic_terms(nu, x):
+            total += term
         return np.sqrt(0.5 * math.pi / x) * np.exp(-x) * total
     p, q = _hankel_pq(nu, x)
     omega = x - (0.5 * nu + 0.25) * math.pi

@@ -66,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import divisor_sigma_range, unit_phase
+from .arithmetic import SIEVE_MAX, divisor_sigma_range, unit_phase
 from .errors import CalibrationError, ValidationError
 from .quadrature import integrate_adaptive
 from .special import bessel, zeta
@@ -97,9 +97,8 @@ TAIL_SAFETY = 4.0
 _CALIBRATION_BLOCKS = 8
 
 #: Largest x at which the raw sum D(x) or the series is formed, and largest
-#: series length: the divisor sieve has about x (or n_terms) entries, and this
-#: one takes about 2 s on one core of a 2-vCPU machine.
-X_MAX = 2.0**20
+#: series length: the divisor sieve has about x (or n_terms) entries.
+X_MAX = SIEVE_MAX
 
 #: Relative validity floor for the cosine asymptotics: the smallest phase
 #: argument 4 pi sqrt(x) / k must be at least this large.

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -95,6 +97,34 @@ def test_divisor_sigma_range_prefix_views_match_a_fresh_sieve(monkeypatch, lengt
         assert view.tobytes() == expected[n].tobytes()
     for n in (1, 7, 1000, min(max(lengths), 4097)):
         assert views[max(lengths)][n - 1] == _divisor_sigma(a, n)  # bitwise: same order of additions
+
+
+def test_divisor_sigma_range_is_shared_by_threads(monkeypatch):
+    # Scenario threads of a suite share the sieve cache.  A thread that read
+    # a short sieve may finish its own after another thread published a
+    # longer one: every view must still have the bits of a fresh sieve, and
+    # the longer sieve must stay cached.  Each round has a few such overlaps.
+    a = -0.3
+    lengths = [3_000, 12_345, 2_000, 1_000, 10_000, 10_000, 10_000]
+
+    def fresh(n_max: int) -> bytes:
+        monkeypatch.setattr(arithmetic_module, "_sigma_sieves", {})
+        return divisor_sigma_range(a, n_max).tobytes()
+
+    expected = {n: fresh(n) for n in set(lengths)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            monkeypatch.setattr(arithmetic_module, "_sigma_sieves", {})
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(divisor_sigma_range, a, n) for n in lengths]
+                views = [future.result(timeout=60) for future in futures]
+            for n, view in zip(lengths, views):
+                assert view.tobytes() == expected[n], n
+            assert arithmetic_module._sigma_sieves[a].size >= max(lengths)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_unit_phase_exactness():

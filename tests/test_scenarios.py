@@ -6,8 +6,10 @@ import copy
 import csv
 import io
 import json
+import multiprocessing
 import os
 import pickle
+import signal
 import tempfile
 import time
 from pathlib import Path
@@ -447,21 +449,19 @@ def test_load_suite_resolves_relative_paths(tmp_path):
 
 
 def test_run_suite_is_worker_count_invariant(tmp_path):
-    # The mean-square scenario runs zeta_line's threads: all of the CPUs at
-    # one worker (in this process), half of them in each of two workers.
+    # The mean-square scenario runs zeta_line's threads, one per CPU, beside
+    # one, two or three scenario threads; its bits must not depend on that.
     _write_suite(tmp_path)
     _write_ini(tmp_path, "square.ini", _scenario_text("mean-square"))
     suite_path = _write_ini(
         tmp_path, "mixed.ini", "[suite]\nscenarios =\n    decay.ini\n    square.ini\n    resonance.ini\n"
     )
-    dir_one, dir_two = tmp_path / "one", tmp_path / "two"
+    dir_one = tmp_path / "one"
     summary_one = run_suite(suite_path, dir_one, workers=1)
-    summary_two = run_suite(suite_path, dir_two, workers=2)
 
     assert summary_one["verdict"]["passed"] is True
     assert summary_one["verdict"]["detail"] == "3 of 3 scenario verdicts passed"
     assert [entry["stem"] for entry in summary_one["scenarios"]] == ["decay", "square", "resonance"]
-    assert summary_two["scenarios"] == summary_one["scenarios"]
 
     names = sorted(p.name for p in dir_one.iterdir())
     assert names == [
@@ -473,28 +473,52 @@ def test_run_suite_is_worker_count_invariant(tmp_path):
         "square.json",
         "suite_summary.json",
     ]
-    assert sorted(p.name for p in dir_two.iterdir()) == names
-    for name in names:
-        assert (dir_one / name).read_bytes() == (dir_two / name).read_bytes()
+    for workers in (2, 3):
+        other = tmp_path / f"w{workers}"
+        assert run_suite(suite_path, other, workers=workers)["scenarios"] == summary_one["scenarios"]
+        assert sorted(p.name for p in other.iterdir()) == names
+        for name in names:
+            assert (other / name).read_bytes() == (dir_one / name).read_bytes(), (workers, name)
 
     summary_payload = load_report(dir_one / "suite_summary.json")
     assert summary_payload["kind"] == "suite"
     assert [entry["file"] for entry in summary_payload["scenarios"]] == ["decay.ini", "square.ini", "resonance.ini"]
 
 
-def test_run_suite_at_one_worker_starts_no_process_pool(tmp_path, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+def test_run_suite_starts_no_process_at_any_worker_count(tmp_path, monkeypatch):
+    def no_process(self):
+        raise AssertionError(f"a process was started: {self!r}")
 
-    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     suite_path = _write_suite(tmp_path)
-    assert run_suite(suite_path, tmp_path / "one", workers=1)["verdict"]["passed"] is True
-    # A one-scenario suite needs only one worker, whatever was asked for.
-    single = _write_ini(tmp_path, "single.ini", "[suite]\nscenarios = decay.ini\n")
-    assert run_suite(single, tmp_path / "single", workers=4)["verdict"]["passed"] is True
-    # The stub is reached when two workers are due, so this test can fail.
-    with pytest.raises(AssertionError, match="process pool"):
-        run_suite(suite_path, tmp_path / "two", workers=2)
+    for workers in (1, 2, 4):
+        assert run_suite(suite_path, tmp_path / f"w{workers}", workers=workers)["verdict"]["passed"] is True
+    # The stub is reached when a process is started, so this test can fail.
+    with pytest.raises(AssertionError, match="process was started"):
+        multiprocessing.get_context("spawn").Process(target=print).start()
+
+
+def test_run_suite_interrupt_cancels_the_scenarios_not_yet_started(tmp_path, monkeypatch):
+    # An interrupt reaching the waiting thread stops the suite: the running
+    # scenario may finish, the queued ones never start.
+    for stem in ("first", "second", "third"):
+        _write_ini(tmp_path, f"{stem}.ini", _scenario_text("saddle-l3"))
+    suite_path = _write_ini(tmp_path, "abc.ini", "[suite]\nscenarios =\n    first.ini\n    second.ini\n    third.ini\n")
+    started = []
+
+    def fake_execute(path, out_dir=None):
+        started.append(Path(path).stem)
+        if len(started) == 1:
+            time.sleep(0.1)  # the calling thread has queued every scenario and waits
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(0.2)  # it acts on the interrupt while this scenario runs
+
+    monkeypatch.setattr(scenarios, "execute_scenario", fake_execute)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(suite_path, tmp_path / "out", workers=1)
+    assert started[0] == "first"
+    assert "third" not in started
+    assert not (tmp_path / "out" / "suite_summary.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -508,8 +532,9 @@ def test_run_suite_at_one_worker_starts_no_process_pool(tmp_path, monkeypatch):
     ids=lambda failure: type(failure).__name__,
 )
 def test_errors_survive_the_trip_back_from_a_suite_worker(failure):
-    # A pool worker returns a scenario's exception pickled; one that cannot be
-    # rebuilt breaks the pool, and the CLI then ends in a traceback.
+    # A suite runs its scenarios on threads, but a library caller's own
+    # process pool returns a scenario's exception pickled; one that cannot
+    # be rebuilt breaks that pool.
     returned = pickle.loads(pickle.dumps(failure))
     assert type(returned) is type(failure)
     assert str(returned) == str(failure)
@@ -653,6 +678,36 @@ def test_cli_run_names_voronoi_input_beyond_its_limits(tmp_path, capsys, key, va
     assert captured.err.startswith("error:")
     assert constraint in captured.err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    ("overrides", "block"),
+    [
+        ({"t": "1e300"}, "sigma1"),
+        ({"t": "1e12"}, "sigma1"),
+        ({"t": "1e8"}, "sigma1"),
+        ({"y": "1e8", "c2": "1e7"}, "sigma1"),
+        ({"t": "1e8", "y": "1e3", "c1": "1e-6"}, "sigma2"),
+    ],
+    ids=["t=1e300", "t=1e12", "t=1e8", "y=1e8", "t=1e8,y=1e3"],
+)
+def test_cli_run_names_a_theorem_window_beyond_the_divisor_sieve(tmp_path, capsys, overrides, block):
+    # These used to end in a ValueError or memory-error traceback, or to
+    # build a sieve of 2e8 entries for minutes.
+    parameters = {**CHEAP_PARAMETERS["theorem1"], **overrides}
+    text = "[scenario]\nkind = theorem1\n\n[parameters]\n"
+    path = _write_ini(tmp_path, "big.ini", text + "".join(f"{k} = {v}\n" for k, v in parameters.items()))
+    start = time.perf_counter()
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err.startswith("error:")
+    assert f"the {block} inner sum at t = " in captured.err
+    assert ", y = " in captured.err
+    assert "the divisor sieve is formed only up to 1048576" in captured.err
+    assert elapsed < 1.0
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -266,3 +266,28 @@ def test_bessel_domain_guards():
 
 def test_bessel_scalar_return():
     assert isinstance(bessel("J", 0.8, 2.0), float)
+
+
+def _k_large_loop(nu: float, x: np.ndarray) -> np.ndarray:
+    """The large-x branch of ``bessel("K")`` as its own loop, kept as the
+    oracle for the shared term generator."""
+    mu = 4.0 * nu * nu
+    total = np.ones_like(x)
+    term = np.ones_like(x)
+    prev_mag = np.full(x.shape, np.inf)
+    active = np.ones(x.shape, dtype=bool)
+    for k in range(1, 41):
+        term = term * (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x)
+        mag = np.abs(term)
+        active = active & (mag < prev_mag) & (mag > 1e-18)
+        total = np.where(active, total + term, total)
+        prev_mag = mag
+        if not active.any():
+            break
+    return np.sqrt(0.5 * math.pi / x) * np.exp(-x) * total
+
+
+def test_bessel_k_large_branch_bit_identical_to_its_own_loop():
+    x = 13.0 + (1e5 - 13.0) * np.arange(1, 20_002) / 20_001
+    for nu in np.linspace(NU_BAND[0], NU_BAND[1], 41):
+        assert _same_bits(bessel("K", float(nu), x), _k_large_loop(float(nu), x)), f"nu={nu}"
