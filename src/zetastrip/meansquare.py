@@ -40,7 +40,7 @@ import numpy as np
 from .arithmetic import DirichletPolynomial, coefficient_pairs, fsum_complex
 from .errors import ValidationError
 from .quadrature import QuadratureResult, integrate_adaptive
-from .special import gamma, zeta, zeta_line
+from .special import _em_cutoff, gamma, zeta, zeta_line
 
 __all__ = [
     "StripConfig",
@@ -48,12 +48,19 @@ __all__ = [
     "integrate_mean_square",
     "main_term",
     "SECONDARY_WEIGHTS",
+    "MAX_ZETA_TERMS",
 ]
 
 #: Readings of the secondary weight ``W(k, l)``; the first is the default.
 SECONDARY_WEIGHTS = ("coprime", "lcm")
 
 _OSC_WIDTH_C = 3.0
+
+#: Largest zeta work one mean-square integral may start: initial quadrature
+#: evaluations times the Euler-Maclaurin cutoff at the top of the interval.
+#: [2000, 4000] needs about 6.6e8 terms (about 10 s on 2 threads) and is
+#: admitted; [4000, 8000] needs about 2.9e9 and is not.
+MAX_ZETA_TERMS = 2**30
 
 
 @dataclass(frozen=True)
@@ -105,17 +112,29 @@ def integrate_mean_square(
 
     Initial panel widths are capped by the local oscillation scales of the
     two factors: ``c / log(2 + t)`` for zeta and ``c / log(2 + M)`` for the
-    Dirichlet polynomial.
+    Dirichlet polynomial.  Before zeta is first called, the zeta work of the
+    initial panels is bounded by :data:`MAX_ZETA_TERMS`.
     """
-    if t_lo < 0.0:
-        raise ValidationError("integrate_mean_square requires t_lo >= 0")
-    if t_hi < t_lo:
-        raise ValidationError("integrate_mean_square requires t_hi >= t_lo")
+    if not 0.0 <= t_lo <= t_hi < math.inf:  # written so that NaN fails too
+        raise ValidationError(
+            f"integrate_mean_square requires 0 <= t_lo <= t_hi < inf, got [{t_lo!r}, {t_hi!r}]"
+        )
     m_cap = _OSC_WIDTH_C / math.log(2.0 + poly.length)
 
     def width(t: float) -> float:
         return min(_OSC_WIDTH_C / math.log(2.0 + abs(t)), m_cap)
 
+    if any(poly.coefficients):  # for A = 0 the integrand calls no zeta
+        # Widths shrink as t grows, so the width at t_hi never undercounts the
+        # initial panels; each panel has 15 Kronrod nodes.
+        cutoff = _em_cutoff(t_hi)
+        terms = 15 * math.ceil((t_hi - t_lo) / width(t_hi)) * cutoff
+        if terms > MAX_ZETA_TERMS:
+            raise ValidationError(
+                f"mean-square integral on [{t_lo!r}, {t_hi!r}] needs about {terms:.3g} zeta "
+                f"terms (initial evaluations x cutoff {cutoff}), above the limit "
+                f"MAX_ZETA_TERMS = {MAX_ZETA_TERMS}"
+            )
     return integrate_adaptive(
         lambda x: integrand(x, config, poly),
         t_lo,

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import integrate_adaptive
+from .quadrature import QuadratureResult, integrate_adaptive
 from .special import arcsinh
 
 __all__ = [
@@ -95,6 +95,12 @@ LEMMA4_ENDPOINT_HI = 100.0
 LOG_CONSTANTS = {"two-pi": 2.0, "three-pi": 3.0}
 
 
+def _check_exponent(name: str, value: float) -> None:
+    """The band (0, 10] of every amplitude exponent of the three lemmas."""
+    if not (0.0 < value <= 10.0):  # written so that NaN fails too
+        raise ValidationError(f"{name} must lie in (0, 10], got {value}")
+
+
 @dataclass(frozen=True)
 class ExpIntegralSpec:
     """Parameters of the logarithmic-kernel exponential integral.
@@ -117,9 +123,7 @@ class ExpIntegralSpec:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not (0.0 < value <= 10.0):
-                raise ValidationError(f"{name} must lie in (0, 10], got {value}")
+            _check_exponent(name, getattr(self, name))
         if abs(self.alpha - 1.0) <= 0.01:
             raise ValidationError(
                 f"alpha must keep |alpha - 1| > 0.01, got {self.alpha}"
@@ -146,16 +150,17 @@ class ExpIntegralSpec:
         return 2.0 * arcsinh(math.sqrt(math.pi * self.k_freq / (2.0 * self.T)))
 
 
-def _phase_width_policy(derivative, span: float):
-    """Initial-panel width: PHASE_RADIANS_PER_PANEL radians of local phase."""
-
-    cap = span / 16.0
-    floor = PHASE_RADIANS_PER_PANEL / cap
+def _phase_integral(
+    integrand, derivative, lo: float, hi: float, abs_tol: float, rel_tol: float
+) -> QuadratureResult:
+    """Integral over ``[lo, hi]`` whose initial panels each advance the phase
+    by PHASE_RADIANS_PER_PANEL radians, and are at most ``(hi - lo)/16`` wide."""
+    floor = PHASE_RADIANS_PER_PANEL / ((hi - lo) / 16.0)
 
     def width(y: float) -> float:
         return PHASE_RADIANS_PER_PANEL / max(abs(derivative(y)), floor)
 
-    return width
+    return integrate_adaptive(integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, initial_width=width)
 
 
 def exp_integral_lhs(
@@ -163,18 +168,8 @@ def exp_integral_lhs(
     *,
     abs_tol: float = 1e-7,
     rel_tol: float = 1e-9,
-) -> complex:
+) -> QuadratureResult:
     """The logarithmic-kernel integral by phase-adaptive quadrature."""
-    value, _ = _exp_integral_with_error(spec, abs_tol=abs_tol, rel_tol=rel_tol)
-    return value
-
-
-def _exp_integral_with_error(
-    spec: ExpIntegralSpec,
-    *,
-    abs_tol: float = 1e-7,
-    rel_tol: float = 1e-9,
-) -> tuple[complex, float]:
     T, k = spec.T, spec.k_freq
     signed_freq = float(spec.sign) * 2.0 * math.pi * k
 
@@ -188,15 +183,7 @@ def _exp_integral_with_error(
     def derivative(y: float) -> float:
         return signed_freq - T / (y * (1.0 + y))
 
-    result = integrate_adaptive(
-        integrand,
-        spec.a_lo,
-        spec.b_hi,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        initial_width=_phase_width_policy(derivative, spec.b_hi - spec.a_lo),
-    )
-    return complex(result.value), float(result.error_estimate)
+    return _phase_integral(integrand, derivative, spec.a_lo, spec.b_hi, abs_tol, rel_tol)
 
 
 def saddle_term(spec: ExpIntegralSpec) -> complex:
@@ -284,9 +271,7 @@ def lemma2_compare(
         raise ValidationError(
             f"lemma2 mode requires b_hi >= max(T, 1/k, U - 1/2) = {b_floor:.4g}"
         )
-    lhs, quadrature_error = _exp_integral_with_error(
-        spec, abs_tol=abs_tol, rel_tol=rel_tol
-    )
+    result = exp_integral_lhs(spec, abs_tol=abs_tol, rel_tol=rel_tol)
     exponent = spec.gamma - spec.alpha - spec.beta
     budget_a = spec.a_lo ** (1.0 - spec.alpha) / T
     budget_b = spec.b_hi**exponent / k
@@ -306,9 +291,9 @@ def lemma2_compare(
         budget_r = 0.0
     return Lemma2Report(
         spec=spec,
-        lhs=lhs,
+        lhs=complex(result.value),
         saddle=saddle,
-        quadrature_error=quadrature_error,
+        quadrature_error=float(result.error_estimate),
         budget_endpoint_a=budget_a,
         budget_endpoint_b=budget_b,
         budget_saddle_r=budget_r,
@@ -364,17 +349,7 @@ def _lemma3_integral(alpha: float, k: float, T: float) -> complex:
         magnitude = x**-alpha / (asr * u_sq**0.25)
         return magnitude * np.exp(1j * phase)
 
-    def derivative(x: float) -> float:
-        return lemma3_phase_derivative(x, k)
-
-    result = integrate_adaptive(
-        integrand,
-        T,
-        2.0 * T,
-        abs_tol=1e-10,
-        rel_tol=1e-9,
-        initial_width=_phase_width_policy(derivative, T),
-    )
+    result = _phase_integral(integrand, lambda x: lemma3_phase_derivative(x, k), T, 2.0 * T, 1e-10, 1e-9)
     return complex(result.value)
 
 
@@ -394,6 +369,7 @@ def lemma3_decay(alpha: float, k: float, t_grid) -> Lemma3Report:
             raise ValidationError("t_grid must double at each step")
     if k <= 0.0:
         raise ValidationError(f"k must be positive, got {k}")
+    _check_exponent("alpha", alpha)
     magnitudes = tuple(abs(_lemma3_integral(alpha, k, t)) for t in t_values)
     ratios = tuple(
         magnitude / t ** (0.75 - alpha) for magnitude, t in zip(magnitudes, t_values)
@@ -521,6 +497,7 @@ def lemma4_compare(
             f"log_constant must be one of {tuple(LOG_CONSTANTS)}, got {log_constant!r}"
         )
     constant = LOG_CONSTANTS[log_constant]
+    _check_exponent("alpha", alpha)
     if n < 1:
         raise ValidationError(f"n must be a positive integer, got {n}")
     if T < 10.0:
@@ -554,15 +531,7 @@ def lemma4_compare(
         asr_rate = 2.0 * T * sqrt_half / math.sqrt(1.0 + (x * sqrt_half) ** 2)
         return 4.0 * math.pi * root_n - asr_rate - radical_rate + 2.0 * math.pi * x
 
-    result = integrate_adaptive(
-        integrand,
-        a_lo,
-        b_hi,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        initial_width=_phase_width_policy(derivative, b_hi - a_lo),
-    )
-    lhs = complex(result.value)
+    result = _phase_integral(integrand, derivative, a_lo, b_hi, abs_tol, rel_tol)
 
     delta = lemma4_delta(n, a_lo, b_hi, T)
     t_over = T / (2.0 * math.pi)
@@ -599,7 +568,7 @@ def lemma4_compare(
         b_hi=float(b_hi),
         T=float(T),
         delta=delta,
-        lhs=lhs,
+        lhs=complex(result.value),
         saddle=saddle,
         quadrature_error=float(result.error_estimate),
         budget_saddle=budget_saddle,

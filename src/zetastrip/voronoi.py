@@ -52,8 +52,9 @@ calibration records which exponent it used.
 
 Determinism
 -----------
-Series terms are evaluated index-parallel (vectorised) and reduced with
-fixed-order compensated summation, so values do not depend on batching.
+Series terms are evaluated index-parallel (vectorised) and summed with
+``math.fsum``, which is correctly rounded, so values do not depend on
+batching or summation order.
 Calibration is a one-time phase per spec: the first call stores its result on
 the spec, later calls must agree on the parameters.
 """
@@ -62,11 +63,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import SIEVE_MAX, divisor_sigma_range, unit_phase
+from .arithmetic import SIEVE_MAX, divisor_sigma_range, fsum_complex, unit_phase
 from .errors import CalibrationError, ValidationError
 from .quadrature import integrate_adaptive
 from .special import bessel, zeta
@@ -214,37 +214,30 @@ def _check_plan_limits(x_range: tuple[float, float], n_terms: int) -> None:
         raise ValidationError(f"n_terms must satisfy 0 <= n_terms <= {X_MAX:.0f}, got {n_terms}")
 
 
-def _ceil_pow2(n: int) -> int:
-    return 1 << max(n - 1, 1).bit_length()
-
-
-@lru_cache(maxsize=64)
-def _partial_arrays(spec: TwistedSumSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Terms ``sigma_a(n) e(hn/k)`` for ``n = 1..n_max`` and their cumsum."""
-    sig = divisor_sigma_range(spec.a, n_max)
-    if spec.h == 0:
-        terms = sig.astype(np.complex128)
-    else:
-        n = np.arange(1, n_max + 1, dtype=np.int64)
-        terms = sig * unit_phase(spec.h * n, spec.k_mod)
-    cum = np.cumsum(terms)
-    terms.setflags(write=False)
-    cum.setflags(write=False)
-    return terms, cum
-
-
 def _check_x_max(x: float) -> None:
     if not x <= X_MAX:  # written so that NaN fails too
         raise ValidationError(f"the twisted sum is formed only up to x = {X_MAX:g}, got x = {x!r}")
 
 
+def _check_x(name: str, x: float) -> None:
+    """The point check of every single-x entry point: finite, >= 1, <= X_MAX."""
+    if not (math.isfinite(x) and x >= 1.0):
+        raise ValidationError(f"{name} requires x >= 1, got {x}")
+    _check_x_max(x)
+
+
 def _twisted_values(spec: TwistedSumSpec, xs: np.ndarray) -> np.ndarray:
-    """Vectorised ``D(x)`` with the half-weight convention at integer x."""
+    """Vectorised ``D(x)`` with the half-weight convention at integer x.
+
+    The terms ``sigma_a(n) e(hn/k)`` run up to the largest ``floor(x)``; a
+    cumulative sum's prefix has the same bits at any length.
+    """
     _check_x_max(float(np.max(xs)))
     floors = np.floor(xs).astype(np.int64)
     n_max = int(floors.max())
-    terms, cum = _partial_arrays(spec, _ceil_pow2(max(n_max, 1024)))
-    vals = cum[floors - 1].astype(np.complex128)
+    n = np.arange(1, n_max + 1, dtype=np.int64)
+    terms = divisor_sigma_range(spec.a, n_max) * unit_phase(spec.h * n, spec.k_mod)
+    vals = np.cumsum(terms)[floors - 1]
     at_integer = xs == floors
     if at_integer.any():
         vals[at_integer] -= 0.5 * terms[floors[at_integer] - 1]
@@ -253,8 +246,7 @@ def _twisted_values(spec: TwistedSumSpec, xs: np.ndarray) -> np.ndarray:
 
 def twisted_sum(spec: TwistedSumSpec, x: float) -> complex:
     """``sum'_{n <= x} sigma_a(n) e(h n / k_mod)``, last term halved at integer x."""
-    if not (math.isfinite(x) and x >= 1.0):
-        raise ValidationError(f"twisted_sum requires x >= 1, got {x}")
+    _check_x("twisted_sum", x)
     return complex(_twisted_values(spec, np.array([float(x)]))[0])
 
 
@@ -382,8 +374,7 @@ def delta_direct(spec: TwistedSumSpec, x: float) -> complex:
     parameters first if needed (so a drifting decomposition raises
     :class:`~zetastrip.errors.CalibrationError` here too).
     """
-    if not (math.isfinite(x) and x >= 1.0):
-        raise ValidationError(f"delta_direct requires x >= 1, got {x}")
+    _check_x("delta_direct", x)
     cal = spec._calibration or calibrate(spec)
     return complex(_delta_direct_values(spec, np.array([float(x)]), cal)[0])
 
@@ -443,16 +434,21 @@ def truncation_plan(
     return TruncationPlan(n_terms=int(n_terms), tail_estimate=tail, x_range=(lo, hi))
 
 
-def _series_phases(spec: TwistedSumSpec, n: np.ndarray, twist: str) -> np.ndarray:
-    if twist == "direct":
-        multiplier = spec.h
-    elif twist == "inverse":
-        multiplier = pow(spec.h, -1, spec.k_mod) if spec.h != 0 else 0
-    else:
+def _series(
+    spec: TwistedSumSpec, plan: TruncationPlan, twist: str, scale: float, power: float, kernel
+) -> complex:
+    """``scale sum_{n <= N} sigma_a(n) n^power kernel(n) e(-m n/k)``, the product
+    formed left to right and summed correctly rounded; ``m`` is ``h`` or its
+    inverse mod ``k`` as ``twist`` says, and an empty plan gives zero."""
+    if plan.n_terms == 0:
+        return 0.0 + 0.0j
+    if twist not in TWIST_MODES:
         raise ValidationError(f"twist must be one of {TWIST_MODES}, got {twist!r}")
-    if multiplier == 0:
-        return np.ones(n.size, dtype=np.complex128)
-    return unit_phase(-multiplier * n, spec.k_mod)
+    m = spec.h if twist == "direct" or spec.h == 0 else pow(spec.h, -1, spec.k_mod)
+    n_int = np.arange(1, plan.n_terms + 1, dtype=np.int64)
+    n = n_int.astype(np.float64)
+    sig = divisor_sigma_range(spec.a, plan.n_terms)
+    return fsum_complex(scale * sig * n**power * kernel(n) * unit_phase(-m * n_int, spec.k_mod))
 
 
 def delta_bessel(
@@ -474,26 +470,19 @@ def delta_bessel(
     because downstream applications are not consistent about which one enters.
     The truncation error is bounded by ``plan.tail_estimate``.
     """
-    if not (math.isfinite(x) and x >= 1.0):
-        raise ValidationError(f"delta_bessel requires x >= 1, got {x}")
-    _check_x_max(x)
-    if plan.n_terms == 0:
-        return 0.0 + 0.0j
+    _check_x("delta_bessel", x)
     a = spec.a
-    k = spec.k_mod
     nu = a + 1.0
-    n_int = np.arange(1, plan.n_terms + 1, dtype=np.int64)
-    n = n_int.astype(np.float64)
-    z = (4.0 * math.pi / k) * np.sqrt(n * x)
     cos_half = math.cos(0.5 * math.pi * a)
     sin_half = math.sin(0.5 * math.pi * a)
-    kernel = -(2.0 / math.pi) * cos_half * (
-        bessel("K", nu, z) + (0.5 * math.pi) * bessel("Y", nu, z)
-    ) - sin_half * bessel("J", nu, z)
-    sig = divisor_sigma_range(a, plan.n_terms)
-    amplitude = x ** (0.5 * (1.0 + a)) * sig * n ** (-0.5 * (1.0 + a)) * kernel
-    terms = amplitude * _series_phases(spec, n_int, twist)
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+    def kernel(n: np.ndarray) -> np.ndarray:
+        z = (4.0 * math.pi / spec.k_mod) * np.sqrt(n * x)
+        return -(2.0 / math.pi) * cos_half * (
+            bessel("K", nu, z) + (0.5 * math.pi) * bessel("Y", nu, z)
+        ) - sin_half * bessel("J", nu, z)
+
+    return _series(spec, plan, twist, x ** (0.5 * (1.0 + a)), -0.5 * (1.0 + a), kernel)
 
 
 def delta_asymptotic(
@@ -518,9 +507,7 @@ def delta_asymptotic(
     :data:`ASYMPTOTIC_PHASE_FLOOR`; below that the expansion is meaningless
     and a :class:`~zetastrip.errors.ValidationError` is raised.
     """
-    if not (math.isfinite(x) and x >= 1.0):
-        raise ValidationError(f"delta_asymptotic requires x >= 1, got {x}")
-    _check_x_max(x)
+    _check_x("delta_asymptotic", x)
     k = spec.k_mod
     smallest_phase = 4.0 * math.pi * math.sqrt(x) / k
     if smallest_phase < ASYMPTOTIC_PHASE_FLOOR:
@@ -528,24 +515,16 @@ def delta_asymptotic(
             f"asymptotic form invalid: 4 pi sqrt(x)/k = {smallest_phase:.3g} "
             f"is below the validity floor {ASYMPTOTIC_PHASE_FLOOR}"
         )
-    if plan.n_terms == 0:
-        return 0.0 + 0.0j
     a = spec.a
-    n_int = np.arange(1, plan.n_terms + 1, dtype=np.int64)
-    n = n_int.astype(np.float64)
-    root = np.sqrt(n * x)
-    theta = (4.0 * math.pi / k) * root - 0.25 * math.pi
-    correction = (4.0 * (1.0 + a) ** 2 - 1.0) * k / (32.0 * math.pi * root)
-    sig = divisor_sigma_range(a, plan.n_terms)
+
+    def kernel(n: np.ndarray) -> np.ndarray:
+        root = np.sqrt(n * x)
+        theta = (4.0 * math.pi / k) * root - 0.25 * math.pi
+        correction = (4.0 * (1.0 + a) ** 2 - 1.0) * k / (32.0 * math.pi * root)
+        return np.cos(theta) - correction * np.sin(theta)
+
     prefactor = math.sqrt(k) / (math.sqrt(2.0) * math.pi) * x ** (0.25 * (2.0 * a + 1.0))
-    amplitude = (
-        prefactor
-        * sig
-        * n ** (-0.25 * (3.0 + 2.0 * a))
-        * (np.cos(theta) - correction * np.sin(theta))
-    )
-    terms = amplitude * _series_phases(spec, n_int, twist)
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return _series(spec, plan, twist, prefactor, -0.25 * (3.0 + 2.0 * a), kernel)
 
 
 def delta_mean_square(
@@ -577,4 +556,4 @@ def delta_mean_square(
     result = integrate_adaptive(
         integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=breakpoints
     )
-    return float(result.value.real if np.iscomplexobj(result.value) else result.value)
+    return float(result.value)

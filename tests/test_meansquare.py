@@ -142,8 +142,22 @@ def test_integral_matches_mpmath_short_range():
         mpmath.quad(lambda t: abs(mpmath.zeta(mpmath.mpc(0.4, t))) ** 2, [0, 5])
     )
     assert result.value == pytest.approx(ref, abs=5e-9)
-    with pytest.raises(ValidationError):
-        integrate_mean_square(-1.0, 5.0, cfg, poly)
-    with pytest.raises(ValidationError):
-        integrate_mean_square(5.0, 1.0, cfg, poly)
+    for t_lo, t_hi in ((-1.0, 5.0), (5.0, 1.0), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(ValidationError, match="0 <= t_lo <= t_hi < inf"):
+            integrate_mean_square(t_lo, t_hi, cfg, poly)
+
+
+def test_integral_rejects_zeta_work_above_the_limit_before_any_zeta_call(monkeypatch):
+    # [4000, 8000] used to run for minutes; its estimate is 2.9e9 zeta terms.
+    def no_zeta(*args):
+        raise AssertionError("zeta evaluated before the work check")
+
+    monkeypatch.setattr(meansquare, "zeta_line", no_zeta)
+    cfg = StripConfig(0.4)
+    with pytest.raises(ValidationError, match=r"\[4000\.0, 8000\.0\] needs about 2\.88e\+09 zeta terms"):
+        integrate_mean_square(4000.0, 8000.0, cfg, DirichletPolynomial((1.0,)))
+    with pytest.raises(ValidationError, match="MAX_ZETA_TERMS = 1073741824"):
+        integrate_mean_square(1e6, 1e6 + 1e3, cfg, DirichletPolynomial((1.0, 0.5)))
+    # A = 0 calls no zeta, so its interval is not bounded by zeta work.
+    assert integrate_mean_square(4000.0, 8000.0, cfg, DirichletPolynomial((0.0,))).value == 0.0
 

@@ -60,7 +60,7 @@ def test_spec_validation_and_derived_quantities():
 
 def test_exp_integral_against_mpmath():
     spec = _spec(a_lo=0.2, b_hi=3.0, T=40.0)
-    mine = exp_integral_lhs(spec, abs_tol=1e-10, rel_tol=1e-11)
+    mine = exp_integral_lhs(spec, abs_tol=1e-10, rel_tol=1e-11).value
 
     def integrand(y):
         phase = spec.T * mpmath.log((1 + y) / y) + 2 * mpmath.pi * spec.k_freq * y
@@ -74,8 +74,8 @@ def test_exp_integral_against_mpmath():
 def test_exp_integral_minus_sign_conjugates_frequency_only():
     # The minus case flips the linear frequency, not the whole phase: the
     # integral is NOT the conjugate of the plus case.
-    plus = exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0))
-    minus = exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0, sign=-1))
+    plus = exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0)).value
+    minus = exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0, sign=-1)).value
     assert abs(minus - plus.conjugate()) > 0.01
     assert abs(minus) < abs(plus)  # no interior stationary point survives
 

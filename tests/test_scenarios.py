@@ -710,6 +710,46 @@ def test_cli_run_names_a_theorem_window_beyond_the_divisor_sieve(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["saddle-l3", "saddle-l4"])
+@pytest.mark.parametrize("alpha", ["1000", "-1000"])
+def test_cli_run_names_a_saddle_alpha_outside_its_band(tmp_path, capsys, kind, alpha):
+    # alpha = 1000 used to end in a ZeroDivisionError traceback (saddle-l3) or
+    # a meaningless PASS of underflowed zeros (saddle-l4); -1000 failed late in
+    # the quadrature with a NaN error estimate.
+    code, elapsed = _run_with_parameter(tmp_path, kind, "alpha", alpha)
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err.startswith("error:")
+    assert f"alpha must lie in (0, 10], got {float(alpha)}" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert elapsed < 1.0
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("kind", "parameters"),
+    [
+        ("theorem1", {**CHEAP_PARAMETERS["theorem1"], "t": "4000"}),
+        ("mean-square", {**CHEAP_PARAMETERS["mean-square"], "t_lo": "4000", "t_hi": "8000"}),
+    ],
+)
+def test_cli_run_names_a_mean_square_beyond_the_zeta_work_limit(tmp_path, capsys, kind, parameters):
+    # theorem1 at t = 4000 used to run 43 s; its [4000, 8000] integral needs
+    # about 2.9e9 zeta terms.
+    text = f"[scenario]\nkind = {kind}\n\n[parameters]\n"
+    path = _write_ini(tmp_path, "big.ini", text + "".join(f"{k} = {v}\n" for k, v in parameters.items()))
+    start = time.perf_counter()
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err.startswith("error:")
+    assert "[4000.0, 8000.0] needs about 2.88e+09 zeta terms" in captured.err
+    assert "above the limit MAX_ZETA_TERMS = 1073741824" in captured.err
+    assert elapsed < 1.0
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_compare(tmp_path, capsys):
     report = build_report(_scenario("saddle-l3"))
     current, baseline = tmp_path / "current.json", tmp_path / "baseline.json"

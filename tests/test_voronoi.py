@@ -8,15 +8,20 @@ guard against being wrong in the first place).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
 
+from zetastrip.arithmetic import divisor_sigma_range, unit_phase
 from zetastrip.errors import CalibrationError, ValidationError
+from zetastrip.special import bessel
 from zetastrip.voronoi import (
+    TWIST_MODES,
     TruncationPlan,
     TwistedSumSpec,
     calibrate,
@@ -332,3 +337,101 @@ def test_delta_mean_square_pin_and_guard():
     assert value == pytest.approx(231.68259320622565, rel=1e-10)
     with pytest.raises(ValidationError):
         delta_mean_square(spec, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the former per-function series loops and padded prefix sums
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _padded_prefix_oracle(spec: TwistedSumSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The former cached terms and cumsum, padded to a power of two >= 1024."""
+    length = 1 << max(max(n_max, 1024) - 1, 1).bit_length()
+    sig = divisor_sigma_range(spec.a, length)
+    if spec.h == 0:
+        terms = sig.astype(np.complex128)
+    else:
+        terms = sig * unit_phase(spec.h * np.arange(1, length + 1, dtype=np.int64), spec.k_mod)
+    return terms, np.cumsum(terms)
+
+
+def _twisted_values_oracle(spec: TwistedSumSpec, xs: np.ndarray) -> np.ndarray:
+    floors = np.floor(xs).astype(np.int64)
+    terms, cum = _padded_prefix_oracle(spec, int(floors.max()))
+    vals = cum[floors - 1].astype(np.complex128)
+    at_integer = xs == floors
+    vals[at_integer] -= 0.5 * terms[floors[at_integer] - 1]
+    return vals
+
+
+def _phases_oracle(spec: TwistedSumSpec, n_int: np.ndarray, twist: str) -> np.ndarray:
+    multiplier = spec.h if twist == "direct" else (pow(spec.h, -1, spec.k_mod) if spec.h else 0)
+    if multiplier == 0:
+        return np.ones(n_int.size, dtype=np.complex128)
+    return unit_phase(-multiplier * n_int, spec.k_mod)
+
+
+def _delta_bessel_oracle(spec: TwistedSumSpec, x: float, n_terms: int, twist: str) -> complex:
+    if n_terms == 0:
+        return 0.0 + 0.0j
+    a, k = spec.a, spec.k_mod
+    nu = a + 1.0
+    n_int = np.arange(1, n_terms + 1, dtype=np.int64)
+    n = n_int.astype(np.float64)
+    z = (4.0 * math.pi / k) * np.sqrt(n * x)
+    cos_half = math.cos(0.5 * math.pi * a)
+    sin_half = math.sin(0.5 * math.pi * a)
+    kernel = -(2.0 / math.pi) * cos_half * (
+        bessel("K", nu, z) + (0.5 * math.pi) * bessel("Y", nu, z)
+    ) - sin_half * bessel("J", nu, z)
+    sig = divisor_sigma_range(a, n_terms)
+    amplitude = x ** (0.5 * (1.0 + a)) * sig * n ** (-0.5 * (1.0 + a)) * kernel
+    terms = amplitude * _phases_oracle(spec, n_int, twist)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def _delta_asymptotic_oracle(spec: TwistedSumSpec, x: float, n_terms: int, twist: str) -> complex:
+    if n_terms == 0:
+        return 0.0 + 0.0j
+    a, k = spec.a, spec.k_mod
+    n_int = np.arange(1, n_terms + 1, dtype=np.int64)
+    n = n_int.astype(np.float64)
+    root = np.sqrt(n * x)
+    theta = (4.0 * math.pi / k) * root - 0.25 * math.pi
+    correction = (4.0 * (1.0 + a) ** 2 - 1.0) * k / (32.0 * math.pi * root)
+    sig = divisor_sigma_range(a, n_terms)
+    prefactor = math.sqrt(k) / (math.sqrt(2.0) * math.pi) * x ** (0.25 * (2.0 * a + 1.0))
+    amplitude = (
+        prefactor
+        * sig
+        * n ** (-0.25 * (3.0 + 2.0 * a))
+        * (np.cos(theta) - correction * np.sin(theta))
+    )
+    terms = amplitude * _phases_oracle(spec, n_int, twist)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+_BIT_GRID = list(itertools.product((-0.2, -0.003, -0.49), ((1, 3), (2, 5), (0, 1))))
+
+
+@pytest.mark.parametrize(("a", "hk"), _BIT_GRID)
+def test_series_bit_identical_to_the_former_loops(a, hk):
+    spec = TwistedSumSpec(a, *hk)
+    for n_terms, twist, x in itertools.product((0, 2000), TWIST_MODES, (41.0, 123.4, 400.0)):
+        plan = truncation_plan(spec, (40.0, 400.0), n_terms)
+        assert delta_bessel(spec, x, plan, twist=twist) == _delta_bessel_oracle(spec, x, n_terms, twist)
+        assert delta_asymptotic(spec, x, plan, twist=twist) == _delta_asymptotic_oracle(
+            spec, x, n_terms, twist
+        )
+
+
+@pytest.mark.parametrize(("a", "hk"), _BIT_GRID)
+def test_raw_sum_bit_identical_to_the_padded_prefix_sums(a, hk):
+    # A cumulative sum's prefix has the same bits at any length, so the
+    # unpadded arrays must agree with the former power-of-two cache exactly.
+    spec = TwistedSumSpec(a, *hk)
+    xs = np.array([1.0, 1.5, 40.0, 123.4, 1024.0, 1025.0, 3000.7, 2047.0])
+    assert np.array_equal(_twisted_values(spec, xs), _twisted_values_oracle(spec, xs))
+    for x in xs:
+        assert twisted_sum(spec, x) == complex(_twisted_values_oracle(spec, np.array([x]))[0])
