@@ -39,8 +39,8 @@ import numpy as np
 
 from .arithmetic import DirichletPolynomial, coefficient_pairs, fsum_complex
 from .errors import ValidationError
-from .quadrature import QuadratureResult, integrate_adaptive
-from .special import _em_cutoff, gamma, zeta, zeta_line
+from .quadrature import NODES_PER_PANEL, QuadratureResult, integrate_adaptive
+from .special import em_cutoff, gamma, zeta, zeta_line
 
 __all__ = [
     "StripConfig",
@@ -124,15 +124,19 @@ def integrate_mean_square(
     def width(t: float) -> float:
         return min(_OSC_WIDTH_C / math.log(2.0 + abs(t)), m_cap)
 
-    if any(poly.coefficients):  # for A = 0 the integrand calls no zeta
+    if any(poly.coefficients) and t_lo < t_hi:  # otherwise the integrand calls no zeta
         # Widths shrink as t grows, so the width at t_hi never undercounts the
-        # initial panels; each panel has 15 Kronrod nodes.
-        cutoff = _em_cutoff(t_hi)
-        terms = 15 * math.ceil((t_hi - t_lo) / width(t_hi)) * cutoff
+        # initial panels.  From MAX_ZETA_TERMS panels on the limit is exceeded
+        # at any cutoff, and the count may be inf, so the cutoff is not formed.
+        panels = (t_hi - t_lo) / width(t_hi)
+        if panels < MAX_ZETA_TERMS:
+            terms = NODES_PER_PANEL * math.ceil(panels) * em_cutoff(t_hi)
+        else:
+            terms = math.inf
         if terms > MAX_ZETA_TERMS:
             raise ValidationError(
                 f"mean-square integral on [{t_lo!r}, {t_hi!r}] needs about {terms:.3g} zeta "
-                f"terms (initial evaluations x cutoff {cutoff}), above the limit "
+                f"terms (initial evaluations x Euler-Maclaurin cutoff), above the limit "
                 f"MAX_ZETA_TERMS = {MAX_ZETA_TERMS}"
             )
     return integrate_adaptive(

@@ -27,7 +27,7 @@ import numpy as np
 from .arithmetic import fsum_complex
 from .errors import QuadratureNonConvergence, ValidationError
 
-__all__ = ["QuadratureResult", "integrate_adaptive", "MAX_PANELS"]
+__all__ = ["QuadratureResult", "integrate_adaptive", "MAX_PANELS", "NODES_PER_PANEL"]
 
 # Gauss-Kronrod 7-15 pair on [-1, 1] (classical constants, full binary64).
 _XGK_HALF = (
@@ -48,6 +48,10 @@ _XGK = np.array([-x for x in _XGK_HALF] + [0.0] + list(reversed(_XGK_HALF)))
 _WGK = np.array(list(_WGK_HALF) + [_WGK_CENTER] + list(reversed(_WGK_HALF)))
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
+
+#: Integrand evaluations per panel: the Kronrod nodes, which include the
+#: Gauss ones.
+NODES_PER_PANEL = _XGK.size
 
 # Panels per integrand call.  ``special.zeta_line`` sizes its column chunks
 # by the number of points it gets, so this is part of every mean-square value
@@ -152,7 +156,7 @@ def integrate_adaptive(
     edges = np.array(_initial_edges(a, b, initial_width, breakpoints))
     lefts, rights = edges[:-1], edges[1:]
     values, errors = _evaluate_panels(f, lefts, rights)
-    evaluations = 15 * lefts.size
+    evaluations = NODES_PER_PANEL * lefts.size
     while True:
         total = fsum_complex(values)
         if total.imag == 0.0:
@@ -184,7 +188,7 @@ def integrate_adaptive(
         child_lefts = np.column_stack((lefts[split], mids[split])).ravel()
         child_rights = np.column_stack((mids[split], rights[split])).ravel()
         child_values, child_errors = _evaluate_panels(f, child_lefts, child_rights)
-        evaluations += 15 * child_lefts.size
+        evaluations += NODES_PER_PANEL * child_lefts.size
         # Each split panel is repeated once, and its two slots take its children.
         repeats = 1 + split
         slots = np.repeat(split, repeats)

@@ -199,13 +199,8 @@ def saddle_term(spec: ExpIntegralSpec) -> complex:
     U, V = spec.u_value, spec.v_value
     phase = T * V + 2.0 * math.pi * k * U - math.pi * k + 0.25 * math.pi
     denominator = (
-        2.0
-        * k
-        * math.sqrt(math.pi)
-        * V**spec.gamma
-        * math.sqrt(U)
-        * (U - 0.5) ** spec.alpha
-        * (U + 0.5) ** spec.beta
+        2.0 * k * math.sqrt(math.pi) * V**spec.gamma * math.sqrt(U)
+        * (U - 0.5) ** spec.alpha * (U + 0.5) ** spec.beta
     )
     return math.sqrt(T) / denominator * complex(math.cos(phase), math.sin(phase))
 
@@ -314,9 +309,7 @@ def lemma3_phase_derivative(x, k: float):
         + math.sqrt(math.pi * k) / np.sqrt(math.pi * k + 2.0 * arr)
         - 0.5 * (0.25 + arr / (2.0 * math.pi * k)) ** -0.5
     )
-    if np.isscalar(x):
-        return float(value)
-    return value
+    return float(value) if np.isscalar(x) else value
 
 
 @dataclass(frozen=True)
@@ -401,9 +394,7 @@ def phi_weight(alpha: float, T: float, x) -> np.ndarray | float:
         / (np.sqrt(core) + 0.5)
         / core**0.25
     )
-    if np.isscalar(x):
-        return float(value)
-    return value
+    return float(value) if np.isscalar(x) else value
 
 
 def lemma4_delta(n: int, a_lo: float, b_hi: float, T: float) -> int:
@@ -413,12 +404,7 @@ def lemma4_delta(n: int, a_lo: float, b_hi: float, T: float) -> int:
     if n < 1:
         raise ValidationError(f"n must be a positive integer, got {n}")
     t_over = T / (2.0 * math.pi)
-    if n > t_over:
-        return 0
-    gap_sq = (t_over - n) ** 2
-    if n * a_lo**2 <= gap_sq <= n * b_hi**2:
-        return 1
-    return 0
+    return int(n <= t_over and n * a_lo**2 <= (t_over - n) ** 2 <= n * b_hi**2)
 
 
 @dataclass(frozen=True)
@@ -538,12 +524,8 @@ def lemma4_compare(
     if delta == 1:
         gap = t_over - n
         amplitude = (
-            4.0
-            * math.pi
-            / T
-            * n ** (0.5 * (alpha - 1.0))
-            / math.log(T / (2.0 * math.pi * n))
-            * gap ** (1.5 - alpha)
+            4.0 * math.pi / T * n ** (0.5 * (alpha - 1.0))
+            / math.log(T / (2.0 * math.pi * n)) * gap ** (1.5 - alpha)
         )
         phase = (
             T - T * math.log(T / (constant * math.pi * n)) - 2.0 * math.pi * n + 0.25 * math.pi

@@ -81,9 +81,9 @@ from .voronoi import (
     X_MAX,
     TwistedSumSpec,
     _check_plan_limits,
+    _delta_direct_values,
     calibrate,
     delta_bessel,
-    delta_direct,
     truncation_plan,
 )
 
@@ -361,11 +361,10 @@ def _run_theorem2(v: dict) -> tuple:
 
 #: Largest series work of one ``voronoi`` scenario, in Bessel-series terms
 #: summed over its points: ``points × max(n_terms, VORONOI_POINT_TERMS)``.
-#: A point's direct sum and series set-up cost about as much as
-#: ``VORONOI_POINT_TERMS`` terms, so a short series does not make the point
-#: free.  The limit is two points of the longest series the sieve forms
-#: (``voronoi.X_MAX``); such a run takes about 4 s on one core of a 2-vCPU
-#: machine.
+#: A point's series set-up costs about as much as ``VORONOI_POINT_TERMS``
+#: terms, so a short series does not make the point free.  The limit is two
+#: points of the longest series the sieve forms (``voronoi.X_MAX``); such a
+#: run takes about 4 s on one core of a 2-vCPU machine.
 VORONOI_MAX_SERIES_TERMS = 2**21
 VORONOI_POINT_TERMS = 1024
 #: Largest ``calibration_samples``, about 100 times the default 640.
@@ -417,9 +416,10 @@ def _run_voronoi(v: dict) -> tuple:
 
     rows = []
     differences = []
-    for x_val in np.geomspace(x_lo, x_hi, points):
-        x = float(x_val)
-        direct = delta_direct(spec, x)
+    xs = np.geomspace(x_lo, x_hi, points)
+    # One pass of the raw sum up to x_hi serves every point.
+    for x_val, direct_val in zip(xs, _delta_direct_values(spec, xs, calibration)):
+        x, direct = float(x_val), complex(direct_val)
         bessel = delta_bessel(spec, x, plan, twist=v["twist"])
         diff = abs(direct - bessel)
         differences.append(diff)

@@ -53,6 +53,7 @@ __all__ = [
     "zeta",
     "zeta_line",
     "ZETA_ABS_TOL",
+    "em_cutoff",
     "gamma",
     "bessel",
     "X_SWITCH_JY",
@@ -101,7 +102,10 @@ _EM_ORDERS = (2, 4, 6, 8, 10)
 ZETA_ABS_TOL = 1e-12
 
 
-def _em_cutoff(t_max: float) -> int:
+def em_cutoff(t_max: float) -> int:
+    """Euler--Maclaurin cutoff ``max(20, ceil(2 t_max))`` of :func:`zeta` and
+    :func:`zeta_line` at heights up to ``t_max``: the number of terms of the
+    main sum."""
     return max(20, int(math.ceil(2.0 * t_max)))
 
 
@@ -124,10 +128,10 @@ def zeta(s: complex) -> complex:
     s = complex(s)
     if s == 1.0:
         raise ValidationError("zeta has a pole at s = 1")
-    value, remainder = _zeta_em_f64(s, _em_cutoff(abs(s.imag)))
+    value, remainder = _zeta_em_f64(s, em_cutoff(abs(s.imag)))
     if remainder > ZETA_ABS_TOL:
         # One retry with a larger cutoff before giving up.
-        bigger = 4 * _em_cutoff(abs(s.imag))
+        bigger = 4 * em_cutoff(abs(s.imag))
         value, remainder = _zeta_em_f64(s, bigger)
         if remainder > ZETA_ABS_TOL:
             raise PrecisionError(
@@ -230,7 +234,7 @@ def zeta_line(sigma: float, t) -> np.ndarray:
     """
     t_arr = np.asarray(t, dtype=np.float64)
     flat = np.abs(t_arr.ravel())
-    n_cut = _em_cutoff(float(flat.max()) if flat.size else 0.0)
+    n_cut = em_cutoff(float(flat.max()) if flat.size else 0.0)
     s_vec = sigma + 1j * flat
 
     out = _main_sum(sigma, flat, n_cut, usable_cpus())

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -226,22 +227,37 @@ def _check_x(name: str, x: float) -> None:
     _check_x_max(x)
 
 
-def _twisted_values(spec: TwistedSumSpec, xs: np.ndarray) -> np.ndarray:
-    """Vectorised ``D(x)`` with the half-weight convention at integer x.
+def _phases(m: int, n: np.ndarray, k: int) -> np.ndarray:
+    """``e(m n / k)``, formed without exponentials when ``m = 0``."""
+    return unit_phase(m * n, k) if m else np.ones(n.size, dtype=np.complex128)
 
-    The terms ``sigma_a(n) e(hn/k)`` run up to the largest ``floor(x)``; a
-    cumulative sum's prefix has the same bits at any length.
+
+def _raw_sum(spec: TwistedSumSpec, x_max: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorised ``D(x)`` for ``1 <= x <= x_max``, half weight at integer x.
+
+    The terms ``sigma_a(n) e(hn/k)`` up to ``floor(x_max)`` and their
+    cumulative sums are formed once, when this is called; a cumulative sum's
+    prefix has the same bits at any length.
     """
-    _check_x_max(float(np.max(xs)))
-    floors = np.floor(xs).astype(np.int64)
-    n_max = int(floors.max())
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    terms = divisor_sigma_range(spec.a, n_max) * unit_phase(spec.h * n, spec.k_mod)
-    vals = np.cumsum(terms)[floors - 1]
-    at_integer = xs == floors
-    if at_integer.any():
-        vals[at_integer] -= 0.5 * terms[floors[at_integer] - 1]
-    return vals
+    _check_x_max(x_max)
+    n = np.arange(1, math.floor(x_max) + 1, dtype=np.int64)
+    terms = divisor_sigma_range(spec.a, n.size) * _phases(spec.h, n, spec.k_mod)
+    cum = np.cumsum(terms)
+
+    def values(xs: np.ndarray) -> np.ndarray:
+        floors = np.floor(xs).astype(np.int64)
+        vals = cum[floors - 1]
+        at_integer = xs == floors
+        if at_integer.any():
+            vals[at_integer] -= 0.5 * terms[floors[at_integer] - 1]
+        return vals
+
+    return values
+
+
+def _twisted_values(spec: TwistedSumSpec, xs: np.ndarray) -> np.ndarray:
+    """``D(x)`` at every ``x`` in ``xs``, from one pass up to the largest."""
+    return _raw_sum(spec, float(np.max(xs)))(xs)
 
 
 def twisted_sum(spec: TwistedSumSpec, x: float) -> complex:
@@ -406,9 +422,7 @@ def term_envelope(spec: TwistedSumSpec, x: float, n) -> np.ndarray | float:
         * x**half
         * (n_arr * x) ** -0.25
     )
-    if np.isscalar(n):
-        return float(values)
-    return values
+    return float(values) if np.isscalar(n) else values
 
 
 def truncation_plan(
@@ -448,7 +462,7 @@ def _series(
     n_int = np.arange(1, plan.n_terms + 1, dtype=np.int64)
     n = n_int.astype(np.float64)
     sig = divisor_sigma_range(spec.a, plan.n_terms)
-    return fsum_complex(scale * sig * n**power * kernel(n) * unit_phase(-m * n_int, spec.k_mod))
+    return fsum_complex(scale * sig * n**power * kernel(n) * _phases(-m, n_int, spec.k_mod))
 
 
 def delta_bessel(
@@ -543,14 +557,14 @@ def delta_mean_square(
     """
     if not (math.isfinite(u) and u >= 4.0):
         raise ValidationError(f"delta_mean_square requires u >= 4, got {u}")
-    _check_x_max(u)  # before the breakpoints at every integer up to u
-    cal = spec._calibration or calibrate(spec)
     lo, hi = 0.5 * u, float(u)
+    raw = _raw_sum(spec, hi)  # checks u <= X_MAX before the fit and the breakpoints
+    cal = spec._calibration or calibrate(spec)
     interior = np.arange(math.floor(lo) + 1, math.ceil(hi))
     breakpoints = [float(m) for m in interior if lo < m < hi]
 
     def integrand(xs: np.ndarray) -> np.ndarray:
-        values = _delta_direct_values(spec, xs, cal)
+        values = raw(xs) - _main_values(spec, xs, cal.power_exponent) - cal.c0
         return np.abs(values) ** 2
 
     result = integrate_adaptive(

@@ -30,7 +30,7 @@ from zetastrip.meansquare import StripConfig, integrate_mean_square
 from zetastrip.saddle import AUDIT_CONSTANT, ExpIntegralSpec, lemma2_compare, lemma3_decay
 from zetastrip.scenarios import run_suite
 from zetastrip.special import arcsinh, bessel, gamma, zeta
-from zetastrip.special import _em_cutoff, _zeta_em_f64  # doubled-parameter self-oracle
+from zetastrip.special import _zeta_em_f64, em_cutoff  # doubled-parameter self-oracle
 from zetastrip.voronoi import (
     TwistedSumSpec,
     calibrate,
@@ -69,7 +69,7 @@ def test_criterion_1_special_function_oracles():
 
     em_rel = 0.0
     for s in (complex(0.4, 80.0), complex(0.3, 500.0), complex(-0.5, 40.0)):
-        cutoff = _em_cutoff(abs(s.imag))
+        cutoff = em_cutoff(abs(s.imag))
         base, _ = _zeta_em_f64(s, cutoff)
         doubled, _ = _zeta_em_f64(s, 2 * cutoff)
         em_rel = max(em_rel, abs(base - doubled) / abs(doubled))

@@ -158,6 +158,11 @@ def test_integral_rejects_zeta_work_above_the_limit_before_any_zeta_call(monkeyp
         integrate_mean_square(4000.0, 8000.0, cfg, DirichletPolynomial((1.0,)))
     with pytest.raises(ValidationError, match="MAX_ZETA_TERMS = 1073741824"):
         integrate_mean_square(1e6, 1e6 + 1e3, cfg, DirichletPolynomial((1.0, 0.5)))
-    # A = 0 calls no zeta, so its interval is not bounded by zeta work.
+    # Past the float range the estimate is inf, not an OverflowError.
+    with pytest.raises(ValidationError, match=r"\[0\.0, 1\.7e\+308\] needs about inf zeta terms"):
+        integrate_mean_square(0.0, 1.7e308, cfg, DirichletPolynomial((1.0,)))
+    # An empty interval, at any height, and A = 0 call no zeta, so they are
+    # not bounded by zeta work.
+    assert integrate_mean_square(1.7e308, 1.7e308, cfg, DirichletPolynomial((1.0,))).value == 0.0
     assert integrate_mean_square(4000.0, 8000.0, cfg, DirichletPolynomial((0.0,))).value == 0.0
 

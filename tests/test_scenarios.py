@@ -727,15 +727,23 @@ def test_cli_run_names_a_saddle_alpha_outside_its_band(tmp_path, capsys, kind, a
 
 
 @pytest.mark.parametrize(
-    ("kind", "parameters"),
+    ("kind", "parameters", "need"),
     [
-        ("theorem1", {**CHEAP_PARAMETERS["theorem1"], "t": "4000"}),
-        ("mean-square", {**CHEAP_PARAMETERS["mean-square"], "t_lo": "4000", "t_hi": "8000"}),
+        ("theorem1", {**CHEAP_PARAMETERS["theorem1"], "t": "4000"}, "[4000.0, 8000.0] needs about 2.88e+09"),
+        (
+            "mean-square",
+            {**CHEAP_PARAMETERS["mean-square"], "t_lo": "4000", "t_hi": "8000"},
+            "[4000.0, 8000.0] needs about 2.88e+09",
+        ),
+        ("mean-square", {**CHEAP_PARAMETERS["mean-square"], "t_hi": "1e307"}, "[0.0, 1e+307] needs about inf"),
+        ("mean-square", {**CHEAP_PARAMETERS["mean-square"], "t_hi": "1.7e308"}, "[0.0, 1.7e+308] needs about inf"),
     ],
 )
-def test_cli_run_names_a_mean_square_beyond_the_zeta_work_limit(tmp_path, capsys, kind, parameters):
+def test_cli_run_names_a_mean_square_beyond_the_zeta_work_limit(tmp_path, capsys, kind, parameters, need):
     # theorem1 at t = 4000 used to run 43 s; its [4000, 8000] integral needs
-    # about 2.9e9 zeta terms.
+    # about 2.9e9 zeta terms.  Past about 7.6e305 the panel count, and past
+    # about 9e307 the zeta cutoff, leave the float range; neither may end in
+    # an OverflowError.
     text = f"[scenario]\nkind = {kind}\n\n[parameters]\n"
     path = _write_ini(tmp_path, "big.ini", text + "".join(f"{k} = {v}\n" for k, v in parameters.items()))
     start = time.perf_counter()
@@ -744,7 +752,7 @@ def test_cli_run_names_a_mean_square_beyond_the_zeta_work_limit(tmp_path, capsys
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
     assert captured.err.startswith("error:")
-    assert "[4000.0, 8000.0] needs about 2.88e+09 zeta terms" in captured.err
+    assert f"{need} zeta terms" in captured.err
     assert "above the limit MAX_ZETA_TERMS = 1073741824" in captured.err
     assert elapsed < 1.0
     assert not (tmp_path / "out").exists()

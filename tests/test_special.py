@@ -22,10 +22,10 @@ from zetastrip.special import (
     NU_BAND,
     X_SWITCH_JY,
     X_SWITCH_K,
-    _em_cutoff,
     _main_sum,
     arcsinh,
     bessel,
+    em_cutoff,
     gamma,
     zeta,
     zeta_line,
@@ -160,7 +160,7 @@ _LINE_INPUTS = {
 def test_zeta_line_main_sum_bit_identical_to_one_shot(name, monkeypatch):
     t = _LINE_INPUTS[name]
     flat = np.abs(np.ravel(t))
-    n_cut = _em_cutoff(float(flat.max()) if flat.size else 0.0)
+    n_cut = em_cutoff(float(flat.max()) if flat.size else 0.0)
     if name == "column_chunks":
         assert n_cut - 1 > 2 * (_LINE_CHUNK // flat.size)
     expected = _main_sum_one_shot(0.4, flat, n_cut)

@@ -35,6 +35,7 @@ from zetastrip.voronoi import (
     twisted_sum,
     X_MAX,
 )
+from zetastrip.voronoi import _delta_direct_values  # the direct column of a voronoi scenario
 from zetastrip.voronoi import _main_values  # the main terms every Delta path subtracts
 from zetastrip.voronoi import _twisted_values  # the raw sum every D(x) path forms
 
@@ -435,3 +436,14 @@ def test_raw_sum_bit_identical_to_the_padded_prefix_sums(a, hk):
     assert np.array_equal(_twisted_values(spec, xs), _twisted_values_oracle(spec, xs))
     for x in xs:
         assert twisted_sum(spec, x) == complex(_twisted_values_oracle(spec, np.array([x]))[0])
+
+
+@pytest.mark.parametrize(("a", "hk"), _BIT_GRID)
+def test_direct_column_bit_identical_to_single_points(a, hk):
+    # A voronoi scenario forms its whole direct column from one pass of the
+    # raw sum up to its largest x; every value must be delta_direct's.
+    spec = TwistedSumSpec(a, *hk)
+    cal = calibrate(spec, power_modulus_exponent=-1.0 - a, x_lo=400.0)
+    xs = np.concatenate((np.geomspace(40.0, 3e4, 60), [41.0, 1024.0, 2047.0]))
+    column = _delta_direct_values(spec, xs, cal)
+    assert [complex(v) for v in column] == [delta_direct(spec, float(x)) for x in xs]
