@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ValidationError
+from .special import dirichlet_sum
 
 __all__ = [
     "SIEVE_MAX",
@@ -74,13 +75,11 @@ class DirichletPolynomial:
         return np.asarray(self.coefficients, dtype=np.complex128)
 
     def evaluate(self, sigma: float, t: np.ndarray | float) -> np.ndarray | complex:
-        """Evaluate ``A(sigma + i t)`` for scalar or vector ``t``."""
+        """Evaluate ``A(sigma + i t)`` for scalar or array ``t``: one
+        :func:`zetastrip.special.dirichlet_sum`, as for zeta's main sum."""
         t_arr = np.asarray(t, dtype=np.float64)
         m = np.arange(1, self.length + 1, dtype=np.float64)
-        log_m = np.log(m)
-        amp = self.as_array() * m ** (-sigma)
-        phases = np.exp(-1j * np.multiply.outer(t_arr, log_m))
-        out = phases @ amp
+        out = dirichlet_sum(t_arr.ravel(), np.log(m), self.as_array() * m ** (-sigma)).reshape(t_arr.shape)
         if np.isscalar(t) or t_arr.ndim == 0:
             return complex(out)
         return out

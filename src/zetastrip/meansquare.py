@@ -161,7 +161,8 @@ def main_term(
     The pairwise sum is accumulated in lexicographic ``(k, l)`` order with
     compensated summation; the imaginary residue left by rounding must stay
     below ``1e-8`` of the real part, otherwise the coefficient bookkeeping
-    is inconsistent and an :class:`ValidationError` is raised.
+    is inconsistent and an :class:`ValidationError` is raised.  So is a
+    ``T`` whose power ``T^(2 - 2 sigma)`` is not a finite float.
     """
     if T <= 0.0:
         raise ValidationError("main_term requires T > 0")
@@ -171,9 +172,15 @@ def main_term(
     z1 = zeta(complex(2.0 * sigma)).real
     z2 = zeta(complex(2.0 * sigma - 1.0)).real
     g2 = gamma(2.0 * sigma - 1.0)
-    secondary_scalar = (
-        math.cos((sigma - 0.5) * math.pi) / (1.0 - sigma) * g2 * z2 * T ** (2.0 - 2.0 * sigma)
-    )
+    try:
+        t_power = T ** (2.0 - 2.0 * sigma)
+    except OverflowError:
+        t_power = math.inf
+    if not math.isfinite(t_power):
+        raise ValidationError(
+            f"main_term: T^(2 - 2 sigma) leaves the float range at T = {T!r}, sigma = {sigma!r}"
+        )
+    secondary_scalar = math.cos((sigma - 0.5) * math.pi) / (1.0 - sigma) * g2 * z2 * t_power
     linear_scalar = z1 * T
 
     terms = []

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arithmetic import fsum_complex
-from .errors import QuadratureNonConvergence, ValidationError
+from .errors import PrecisionError, QuadratureNonConvergence, ValidationError
 
 __all__ = ["QuadratureResult", "integrate_adaptive", "MAX_PANELS", "NODES_PER_PANEL"]
 
@@ -103,10 +103,12 @@ def _initial_edges(
 
 
 def _evaluate_panels(
-    f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights: np.ndarray
+    f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights: np.ndarray, a: float, b: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod values and ``|K15 - G7|`` indicators, ``_PANEL_BATCH`` panels
-    per call of ``f``."""
+    per call of ``f``.  A value of ``f`` that is not finite raises
+    :class:`PrecisionError` naming its abscissa and the interval ``[a, b]``:
+    no error estimate can be formed from it."""
     values = np.empty(lefts.size, dtype=np.complex128)
     errors = np.empty(lefts.size)
     for lo in range(0, lefts.size, _PANEL_BATCH):
@@ -115,6 +117,13 @@ def _evaluate_panels(
         halves = 0.5 * (rights[batch] - lefts[batch])
         nodes = centers[:, None] + halves[:, None] * _XGK[None, :]
         fv = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+        finite = np.isfinite(fv)
+        if not finite.all():
+            first = np.flatnonzero(~finite)[0]
+            raise PrecisionError(
+                f"integrand value {fv.flat[first].item()!r} at x = {nodes.flat[first].item()!r} "
+                f"is not finite on [{a!r}, {b!r}]"
+            )
         kron = (fv @ _WGK) * halves
         values[batch] = kron
         errors[batch] = np.abs(kron - (fv[:, _GAUSS_IDX] @ _WG) * halves)
@@ -136,7 +145,9 @@ def integrate_adaptive(
     ``f`` receives a flat numpy array of abscissae and must return values of
     the same shape (real or complex).  Raises
     :class:`QuadratureNonConvergence` (carrying the best value and its error
-    estimate) if the panel budget :data:`MAX_PANELS` is exhausted first.
+    estimate) if the panel budget :data:`MAX_PANELS` is exhausted first,
+    and :class:`PrecisionError` at the first value of ``f`` that is not
+    finite.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError("integration endpoints must be finite")
@@ -155,7 +166,7 @@ def integrate_adaptive(
 
     edges = np.array(_initial_edges(a, b, initial_width, breakpoints))
     lefts, rights = edges[:-1], edges[1:]
-    values, errors = _evaluate_panels(f, lefts, rights)
+    values, errors = _evaluate_panels(f, lefts, rights, a, b)
     evaluations = NODES_PER_PANEL * lefts.size
     while True:
         total = fsum_complex(values)
@@ -187,7 +198,7 @@ def integrate_adaptive(
         # Children interleaved left then right, so they reach ``f`` in panel order.
         child_lefts = np.column_stack((lefts[split], mids[split])).ravel()
         child_rights = np.column_stack((mids[split], rights[split])).ravel()
-        child_values, child_errors = _evaluate_panels(f, child_lefts, child_rights)
+        child_values, child_errors = _evaluate_panels(f, child_lefts, child_rights, a, b)
         evaluations += NODES_PER_PANEL * child_lefts.size
         # Each split panel is repeated once, and its two slots take its children.
         repeats = 1 + split

@@ -64,6 +64,7 @@ from .special import arcsinh
 
 __all__ = [
     "AUDIT_CONSTANT",
+    "LEMMA3_RATIO_CAP",
     "ExpIntegralSpec",
     "Lemma2Report",
     "Lemma3Report",
@@ -81,6 +82,9 @@ __all__ = [
 
 #: Pass threshold: |difference| <= AUDIT_CONSTANT * evaluated budget.
 AUDIT_CONSTANT = 10.0
+
+#: Lemma 3 pass threshold: largest over smallest decay-normalised magnitude.
+LEMMA3_RATIO_CAP = 20.0
 
 #: Target phase advance per initial quadrature panel, in radians.
 PHASE_RADIANS_PER_PANEL = 1.5
@@ -328,7 +332,7 @@ class Lemma3Report:
 
     @property
     def passed(self) -> bool:
-        return self.max_min_ratio <= 20.0
+        return self.max_min_ratio <= LEMMA3_RATIO_CAP
 
 
 def _lemma3_integral(alpha: float, k: float, T: float) -> complex:
@@ -350,7 +354,8 @@ def lemma3_decay(alpha: float, k: float, t_grid) -> Lemma3Report:
     """Magnitudes of the no-saddle integral over a doubling grid of ``T``.
 
     Each magnitude is divided by ``T^(3/4 - alpha)``; the verdict requires
-    the ratios to agree within a factor of 20 across the grid.
+    the ratios to agree within a factor of ``LEMMA3_RATIO_CAP`` across the
+    grid.
     """
     t_values = tuple(float(t) for t in t_grid)
     if len(t_values) < 2:

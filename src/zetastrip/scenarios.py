@@ -70,6 +70,7 @@ from .explicit import (
 from .meansquare import SECONDARY_WEIGHTS, StripConfig, integrate_mean_square, main_term
 from .saddle import (
     AUDIT_CONSTANT,
+    LEMMA3_RATIO_CAP,
     LOG_CONSTANTS,
     ExpIntegralSpec,
     lemma2_compare,
@@ -209,7 +210,6 @@ class Scenario:
     parameters: Mapping[str, str]
     stem: str
     formats: tuple[str, ...]
-    source: str
 
 
 def _read_ini(
@@ -266,7 +266,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 )
         if not formats:
             raise ValidationError(f"scenario {path.name}: formats must name at least one of {list(REPORT_FORMATS)}")
-    return Scenario(kind=head["kind"], parameters=parameters, stem=stem, formats=formats, source=str(path))
+    return Scenario(kind=head["kind"], parameters=parameters, stem=stem, formats=formats)
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +494,10 @@ def _run_saddle_l3(v: dict) -> tuple:
     ]
     scalars = {
         "max_min_ratio": report.max_min_ratio,
-        "ratio_cap": 20.0,
+        "ratio_cap": LEMMA3_RATIO_CAP,
         "passed": report.passed,
     }
-    detail = f"decay-normalised ratio spread {report.max_min_ratio!r} vs cap 20.0"
+    detail = f"decay-normalised ratio spread {report.max_min_ratio!r} vs cap {LEMMA3_RATIO_CAP!r}"
     return rows, scalars, report.passed, detail
 
 
@@ -761,7 +761,6 @@ def write_report(report: dict, out_dir: str | Path, stem: str, formats: Sequence
 class RunResult:
     """Outcome of executing one scenario file end to end."""
 
-    source: str
     kind: str
     stem: str
     passed: bool
@@ -776,7 +775,6 @@ def execute_scenario(path: str | Path, out_dir: str | Path | None = None) -> Run
     target = Path(out_dir) if out_dir is not None else Path.cwd()
     outputs = write_report(report, target, scenario.stem, scenario.formats)
     return RunResult(
-        source=str(path),
         kind=scenario.kind,
         stem=scenario.stem,
         passed=report["verdict"]["passed"],

@@ -9,14 +9,18 @@ explicit and testable:
                     :class:`PrecisionError` is raised when it exceeds
                     ``ZETA_ABS_TOL``.
 * ``zeta_line``  -- vectorised ``zeta(sigma + i t)`` along a fixed real part
-                    under the same remainder bound; this is the quadrature
-                    integrand workhorse.  Its main sum runs in cache-sized
-                    row blocks on one thread per usable CPU, and its bits
-                    are those of one ``exp`` outer product per column chunk
-                    over the whole batch, for any thread count.  Each
-                    thread's buffers hold at most 65 rows of one column
-                    chunk: under 1 MB for a 7 680-point quadrature batch,
-                    and never more than 4e6 elements.
+                    under the same remainder bound and the same
+                    Euler--Maclaurin tail; this is the quadrature integrand
+                    workhorse.
+* ``dirichlet_sum`` -- ``sum_j amp[j] exp(-i t log_n[j])`` over a batch of
+                    ``t``: zeta_line's main sum and the Dirichlet polynomial
+                    ``A(sigma + i t)`` both run through it.  It works in
+                    cache-sized row blocks on one thread per usable CPU, and
+                    its bits are those of one ``exp`` outer product per
+                    column chunk over the whole batch, for any thread
+                    count.  Each thread's buffers hold at most 65 rows of
+                    one column chunk: under 1 MB for a 7 680-point
+                    quadrature batch, and never more than 4e6 elements.
 * ``gamma``      -- Lanczos approximation (g = 7, 9 coefficients) with
                     reflection for ``Re z < 1/2``; relative accuracy ~1e-13.
 * ``arcsinh``    -- log1p-based formula with an odd Taylor series below
@@ -52,6 +56,7 @@ __all__ = [
     "arcsinh",
     "zeta",
     "zeta_line",
+    "dirichlet_sum",
     "ZETA_ABS_TOL",
     "em_cutoff",
     "gamma",
@@ -143,17 +148,33 @@ def zeta(s: complex) -> complex:
 
 def _zeta_em_f64(s: complex, n_cut: int) -> tuple[complex, float]:
     n = np.arange(1, n_cut, dtype=np.float64)
-    total = complex(np.sum(n ** (-s)))
-    total += n_cut ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * n_cut ** (-s)
+    return _em_tail(complex(np.sum(n ** (-s))), s, n_cut), _em_bound(s, n_cut)
+
+
+def _em_tail(total, s, n_cut: int):
+    """``total`` plus the Euler--Maclaurin tail at cutoff ``n_cut``: the
+    integral term, the half term and the B2..B10 corrections, added in that
+    order.  ``s`` is one Python complex (for :func:`zeta`) or a complex
+    array of the shape of ``total`` (for :func:`zeta_line`); Python's and
+    numpy's complex arithmetic may differ in the last bit, so each caller
+    keeps its own."""
+    total = total + n_cut ** (1.0 - s) / (s - 1.0)
+    total = total + 0.5 * n_cut ** (-s)
+    rise = 1.0 + 0.0j  # the rising factorial s (s + 1) ... (s + order - 2)
     for order in _EM_ORDERS:
-        coeff = _B2K[order] / math.factorial(order)
-        total += coeff * _rising(s, order - 1) * n_cut ** (1.0 - s - order)
-    remainder = abs(_B12_OVER_12FACT) * abs(_rising(s, 11)) * n_cut ** (-s.real - 11.0)
-    return total, float(remainder)
+        for j in range(max(0, order - 3), order - 1):
+            rise = rise * (s + j)
+        total = total + _B2K[order] / math.factorial(order) * rise * n_cut ** (1.0 - s - order)
+    return total
 
 
-# Complex elements per column chunk of the main sum.  The chunk boundaries
+def _em_bound(s: complex, n_cut: int) -> float:
+    """Size of the first omitted (B12) Euler--Maclaurin term at ``s``: the
+    remainder bound checked against ``ZETA_ABS_TOL``."""
+    return float(abs(_B12_OVER_12FACT) * abs(_rising(s, 11)) * n_cut ** (-s.real - 11.0))
+
+
+# Complex elements per column chunk of a Dirichlet sum.  The chunk boundaries
 # and the per-chunk accumulation order fix the result bits.
 _LINE_CHUNK = 4_000_000
 # Rows per cache block.  Blocks start at multiples of 64, a multiple of the
@@ -176,43 +197,42 @@ def _row_blocks(size: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [size]))
 
 
-def _main_sum(sigma: float, t: np.ndarray, n_cut: int, threads: int) -> np.ndarray:
-    """``sum_{n < n_cut} n^-sigma exp(-i t log n)`` for each entry of the 1-d ``t``.
+def dirichlet_sum(t: np.ndarray, log_n: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """``sum_j amp[j] exp(-i t log_n[j])`` for each entry of the 1-d ``t``.
 
-    The result is bit-identical to one ``exp(-1j * outer(t, log n)) @ n^-sigma``
-    product over all rows per column chunk of ``_LINE_CHUNK // t.size``
-    columns, summed chunk by chunk: the rows are cut into blocks of
-    ``_ROW_BLOCK`` (see :func:`_row_blocks`) whose results do not depend on
-    the cut, and the blocks are shared among ``threads`` threads (numpy
-    releases the GIL in ``exp`` and ``matmul``).  Each thread holds one
-    float64 and one complex128 buffer of ``min(t.size, _ROW_BLOCK + 1) *
-    min(chunk, n_cut - 1)`` elements, never more than ``_LINE_CHUNK``; for a
-    quadrature batch of 7 680 points that is under 1 MB.
+    The Dirichlet sum ``sum_n c_n n^(-sigma - i t)`` of zeta's main sum
+    (``amp = n^-sigma``) and of a Dirichlet polynomial (``amp = a(m)
+    m^-sigma``).  The result is bit-identical to one ``exp(-1j * outer(t,
+    log_n)) @ amp`` product over all rows per column chunk of ``_LINE_CHUNK
+    // t.size`` columns, summed chunk by chunk: the rows are cut into blocks
+    of ``_ROW_BLOCK`` (see :func:`_row_blocks`) whose results do not depend
+    on the cut, and the blocks are shared among one thread per usable CPU
+    (numpy releases the GIL in ``exp`` and ``matmul``).  Each thread holds
+    one float64 and one complex128 buffer of ``min(t.size, _ROW_BLOCK + 1) *
+    min(chunk, log_n.size)`` elements, never more than ``_LINE_CHUNK``; for
+    a quadrature batch of 7 680 points that is under 1 MB.
     """
     out = np.zeros(t.size, dtype=np.complex128)
     if t.size == 0:
         return out
     chunk = max(1, _LINE_CHUNK // t.size)
-    columns = []
-    for lo in range(1, n_cut, chunk):
-        n = np.arange(lo, min(n_cut, lo + chunk), dtype=np.float64)
-        columns.append((np.log(n), n ** (-sigma)))
+    columns = [(log_n[lo : lo + chunk], amp[lo : lo + chunk]) for lo in range(0, log_n.size, chunk)]
     blocks = _row_blocks(t.size)
-    cells = max(hi - lo for lo, hi in blocks) * min(chunk, n_cut - 1)
+    cells = max(hi - lo for lo, hi in blocks) * min(chunk, log_n.size)
 
     def run(share: list[tuple[int, int]]) -> None:
         phase = np.empty(cells)
         terms = np.empty(cells, dtype=np.complex128)
         for lo, hi in share:
-            for log_n, amp in columns:
-                size = (hi - lo) * log_n.size
-                x = phase[:size].reshape(hi - lo, log_n.size)
+            for log_c, amp_c in columns:
+                size = (hi - lo) * log_c.size
+                x = phase[:size].reshape(hi - lo, log_c.size)
                 z = terms[:size].reshape(x.shape)
-                np.multiply.outer(t[lo:hi], log_n, out=x)
+                np.multiply.outer(t[lo:hi], log_c, out=x)
                 np.multiply(x, -1j, out=z)
-                out[lo:hi] += np.exp(z, out=z) @ amp
+                out[lo:hi] += np.exp(z, out=z) @ amp_c
 
-    threads = min(threads, len(blocks))
+    threads = min(usable_cpus(), len(blocks))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for future in [pool.submit(run, blocks[k::threads]) for k in range(threads)]:
             future.result()
@@ -225,40 +245,25 @@ def zeta_line(sigma: float, t) -> np.ndarray:
     Negative ordinates are folded by conjugation symmetry.  All points share
     the cutoff ``N = max(20, ceil(2 max|t|))``, which keeps the documented
     remainder bound for every point in the batch; a batch whose bound
-    exceeds ``ZETA_ABS_TOL`` raises :class:`PrecisionError`.
+    exceeds ``ZETA_ABS_TOL`` raises :class:`PrecisionError` before any main
+    sum is formed.
 
-    The main sum runs on one thread per usable CPU in cache-sized row
-    blocks (:func:`_main_sum`); its bits are those of the one-shot product,
-    for any thread count, so a point's value depends only on the batch's
-    size and largest ordinate.
+    The main sum is one :func:`dirichlet_sum`; its bits are those of the
+    one-shot product, for any thread count, so a point's value depends only
+    on the batch's size and largest ordinate.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     flat = np.abs(t_arr.ravel())
-    n_cut = em_cutoff(float(flat.max()) if flat.size else 0.0)
-    s_vec = sigma + 1j * flat
-
-    out = _main_sum(sigma, flat, n_cut, usable_cpus())
-    out += n_cut ** (1.0 - s_vec) / (s_vec - 1.0)
-    out += 0.5 * n_cut ** (-s_vec)
-    for order in _EM_ORDERS:
-        coeff = _B2K[order] / math.factorial(order)
-        rise = np.ones_like(s_vec)
-        for j in range(order - 1):
-            rise = rise * (s_vec + j)
-        out += coeff * rise * n_cut ** (1.0 - s_vec - order)
-
     t_hi = float(flat.max()) if flat.size else 0.0
-    remainder = (
-        abs(_B12_OVER_12FACT)
-        * abs(_rising(sigma + 1j * t_hi, 11))
-        * n_cut ** (-sigma - 11.0)
-    )
+    n_cut = em_cutoff(t_hi)
+    remainder = _em_bound(sigma + 1j * t_hi, n_cut)
     if remainder > ZETA_ABS_TOL:
         raise PrecisionError(
             f"Euler-Maclaurin remainder bound {remainder:.2e} exceeds "
             f"ZETA_ABS_TOL {ZETA_ABS_TOL:.2e} on this ordinate batch"
         )
-
+    n = np.arange(1, n_cut, dtype=np.float64)
+    out = _em_tail(dirichlet_sum(flat, np.log(n), n ** (-sigma)), sigma + 1j * flat, n_cut)
     out = np.where(np.ravel(t_arr) < 0.0, np.conj(out), out)
     return out.reshape(t_arr.shape)
 
@@ -396,14 +401,15 @@ def _k_trapezoid(nu: float, x: np.ndarray) -> np.ndarray:
     return kernel @ weights
 
 
-def _bessel_small(kind: str, nu: float, x: np.ndarray, force_direct: bool = False) -> np.ndarray:
+def _bessel_small(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
     near = round(nu)
-    if kind != "J" and not force_direct and abs(nu - near) < NEAR_INTEGER_DELTA:
+    if kind != "J" and abs(nu - near) < NEAR_INTEGER_DELTA:
         # Polynomial continuation in the order across the removable
-        # singularity of the reflection formula.  Node orders sit well
-        # outside the exclusion band, so they evaluate directly.
+        # singularity of the reflection formula.  Node orders sit at least
+        # 0.0075 from the integer, outside the NEAR_INTEGER_DELTA band, so
+        # each evaluates directly.
         nodes = [near + d for d in _NEAR_INTEGER_NODES]
-        values = [_bessel_small(kind, node, x, force_direct=True) for node in nodes]
+        values = [_bessel_small(kind, node, x) for node in nodes]
         out = np.zeros_like(x)
         for i, node_i in enumerate(nodes):
             weight = 1.0
@@ -413,21 +419,13 @@ def _bessel_small(kind: str, nu: float, x: np.ndarray, force_direct: bool = Fals
             out += weight * values[i]
         return out
     if kind == "J":
-        return _series_j(nu, x)
-    if kind == "Y":
-        s = math.sin(math.pi * nu)
-        return (_series_j(nu, x) * math.cos(math.pi * nu) - _series_j(-nu, x)) / s
-    # K via modified-Bessel reflection
+        return _ascending_series(nu, x, alternating=True)
+    # Y by reflection from J_{+nu} and J_{-nu}; K from I_{+nu} and I_{-nu}.
+    plus, minus = (_ascending_series(order, x, alternating=kind == "Y") for order in (nu, -nu))
     s = math.sin(math.pi * nu)
-    return 0.5 * math.pi * (_series_i(-nu, x) - _series_i(nu, x)) / s
-
-
-def _series_j(nu: float, x: np.ndarray) -> np.ndarray:
-    return _ascending_series(nu, x, alternating=True)
-
-
-def _series_i(nu: float, x: np.ndarray) -> np.ndarray:
-    return _ascending_series(nu, x, alternating=False)
+    if kind == "Y":
+        return (plus * math.cos(math.pi * nu) - minus) / s
+    return 0.5 * math.pi * (minus - plus) / s
 
 
 def _ascending_series(nu: float, x: np.ndarray, alternating: bool) -> np.ndarray:

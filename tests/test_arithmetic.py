@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import zetastrip.arithmetic as arithmetic_module
+from zetastrip import special
 from zetastrip.arithmetic import (
     DirichletPolynomial,
     coefficient_pairs,
@@ -158,3 +159,50 @@ def test_dirichlet_polynomial_evaluate():
     assert values[0] == pytest.approx(sum(poly.coefficients[m - 1] * m**-sigma for m in (1, 2, 3)))
     with pytest.raises(ValidationError):
         DirichletPolynomial(())
+
+
+def _evaluate_one_product(poly: DirichletPolynomial, sigma: float, t):
+    """``A(sigma + i t)`` as one ``exp`` outer product over all of ``t``.
+
+    This is ``evaluate`` before it called ``special.dirichlet_sum``; the
+    library must reproduce its bits.
+    """
+    t_arr = np.asarray(t, dtype=np.float64)
+    m = np.arange(1, poly.length + 1, dtype=np.float64)
+    log_m = np.log(m)
+    amp = poly.as_array() * m ** (-sigma)
+    phases = np.exp(-1j * np.multiply.outer(t_arr, log_m))
+    out = phases @ amp
+    if np.isscalar(t) or t_arr.ndim == 0:
+        return complex(out)
+    return out
+
+
+_rng = np.random.default_rng(20261018)
+_EVALUATE_INPUTS = {
+    "scalar": 1234.5,
+    "zero_d": np.array(17.25),
+    "empty": np.array([]),
+    # 65 rows: the one-row tail joins the block before it.
+    "tail_of_one_row": _rng.uniform(0.0, 2000.0, 65),
+    # 130 rows in three row blocks, so two threads share them.
+    "two_d": _rng.uniform(0.0, 2000.0, (10, 13)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATE_INPUTS))
+@pytest.mark.parametrize("length", [1, 2, 5, 16])
+def test_evaluate_bit_identical_to_one_product(name, length, monkeypatch):
+    t = _EVALUATE_INPUTS[name]
+    real = _rng.normal(size=length)
+    for coefficients in (real, real + 1j * _rng.normal(size=length)):
+        poly = DirichletPolynomial(tuple(coefficients))
+        for sigma in (0.3, 0.45):
+            expected = _evaluate_one_product(poly, sigma, t)
+            for threads in (1, 2):
+                monkeypatch.setattr(special, "usable_cpus", lambda threads=threads: threads)
+                got = poly.evaluate(sigma, t)
+                assert type(got) is type(expected)
+                assert np.shape(got) == np.shape(expected)
+                bits = [np.asarray(v, dtype=np.complex128).reshape(-1).view(np.uint64) for v in (got, expected)]
+                assert np.array_equal(*bits), f"sigma={sigma}, threads={threads}"

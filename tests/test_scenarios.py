@@ -80,7 +80,7 @@ CHEAP_PARAMETERS = {
 def _scenario(kind: str, **overrides: str) -> Scenario:
     parameters = dict(CHEAP_PARAMETERS[kind])
     parameters.update(overrides)
-    return Scenario(kind=kind, parameters=parameters, stem=f"{kind}-test", formats=("json", "csv"), source="<memory>")
+    return Scenario(kind=kind, parameters=parameters, stem=f"{kind}-test", formats=("json", "csv"))
 
 
 def _write_ini(tmp_path: Path, name: str, text: str) -> Path:
@@ -148,7 +148,7 @@ def test_unknown_parameter_named_in_rejection():
 
 def test_missing_required_parameter_named():
     scenario = Scenario(
-        kind="saddle-l3", parameters={"k": "1", "t_grid": "50, 100"}, stem="x", formats=("json",), source="<memory>"
+        kind="saddle-l3", parameters={"k": "1", "t_grid": "50, 100"}, stem="x", formats=("json",)
     )
     with pytest.raises(ValidationError, match="alpha"):
         build_report(scenario)
@@ -756,6 +756,46 @@ def test_cli_run_names_a_mean_square_beyond_the_zeta_work_limit(tmp_path, capsys
     assert "above the limit MAX_ZETA_TERMS = 1073741824" in captured.err
     assert elapsed < 1.0
     assert not (tmp_path / "out").exists()
+
+
+def _run_cli(tmp_path, capsys, kind: str, parameters: dict) -> tuple[int, float, str]:
+    text = f"[scenario]\nkind = {kind}\n\n[parameters]\n"
+    path = _write_ini(tmp_path, "case.ini", text + "".join(f"{k} = {v}\n" for k, v in parameters.items()))
+    start = time.perf_counter()
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+    return code, elapsed, captured.err
+
+
+def test_cli_run_names_a_main_term_beyond_the_float_range(tmp_path, capsys):
+    # T^(2 - 2 sigma) overflows from about T = 1e237 at sigma = 0.35; the
+    # empty interval calls no zeta, so only main_term sees T.
+    parameters = {**CHEAP_PARAMETERS["mean-square"], "t_lo": "1e307", "t_hi": "1e307"}
+    code, elapsed, err = _run_cli(tmp_path, capsys, "mean-square", parameters)
+    assert code == EXIT_ERROR
+    assert err.startswith("error:")
+    assert "leaves the float range at T = 1e+307, sigma = 0.35" in err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    ("kind", "parameters", "interval"),
+    [
+        ("mean-square", {**CHEAP_PARAMETERS["mean-square"], "coefficients": "1e200, 1"}, "[0.0, 2.0]"),
+        ("theorem1", {**CHEAP_PARAMETERS["theorem1"], "coefficients": "1e200"}, "[60.0, 120.0]"),
+    ],
+)
+def test_cli_run_names_a_non_finite_integrand(tmp_path, capsys, kind, parameters, interval):
+    # |zeta A|^2 overflows for coefficients near 1e200; the quadrature used to
+    # report a NaN error estimate at floating-point panel resolution.
+    code, elapsed, err = _run_cli(tmp_path, capsys, kind, parameters)
+    assert code == EXIT_ERROR
+    assert err.startswith("error: integrand value inf at x = ")
+    assert f"is not finite on {interval}" in err
+    assert elapsed < 1.0
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -22,9 +22,10 @@ from zetastrip.special import (
     NU_BAND,
     X_SWITCH_JY,
     X_SWITCH_K,
-    _main_sum,
+    _zeta_em_f64,
     arcsinh,
     bessel,
+    dirichlet_sum,
     em_cutoff,
     gamma,
     zeta,
@@ -122,7 +123,7 @@ def _main_sum_one_shot(sigma: float, t: np.ndarray, n_cut: int) -> np.ndarray:
     """The main sum as one ``exp`` outer product over all rows per column chunk.
 
     This is the kernel before row blocking and threads; the library's
-    ``_main_sum`` must reproduce its bits.
+    ``dirichlet_sum`` of ``log n`` and ``n^-sigma`` must reproduce its bits.
     """
     out = np.zeros(t.size, dtype=np.complex128)
     chunk = max(1, _LINE_CHUNK // max(1, t.size))
@@ -164,14 +165,78 @@ def test_zeta_line_main_sum_bit_identical_to_one_shot(name, monkeypatch):
     if name == "column_chunks":
         assert n_cut - 1 > 2 * (_LINE_CHUNK // flat.size)
     expected = _main_sum_one_shot(0.4, flat, n_cut)
+    n = np.arange(1, n_cut, dtype=np.float64)
     for threads in (1, 2):
-        assert _same_bits(_main_sum(0.4, flat, n_cut, threads), expected), f"threads={threads}"
+        monkeypatch.setattr(special, "usable_cpus", lambda threads=threads: threads)
+        assert _same_bits(dirichlet_sum(flat, np.log(n), n ** -0.4), expected), f"threads={threads}"
     # The whole line (Euler-Maclaurin tail, sign fold, shape) on top of the
     # one-shot sum gives the same bits as the library's.
     blocked = zeta_line(0.4, t)
-    monkeypatch.setattr(special, "_main_sum", lambda sigma, t, n_cut, threads: _main_sum_one_shot(sigma, t, n_cut))
+    monkeypatch.setattr(special, "dirichlet_sum", lambda t, log_n, amp: _main_sum_one_shot(0.4, t, log_n.size + 1))
     assert _same_bits(blocked, zeta_line(0.4, t))
     assert blocked.shape == np.shape(t)
+
+
+def _em_former(total, s, n_cut: int):
+    """The main sum ``total`` plus the Euler--Maclaurin tail, and the B12
+    bound, as ``_zeta_em_f64`` (scalar ``s``) and ``zeta_line`` (array
+    ``s``) each wrote them before they shared one helper; the library must
+    reproduce their bits."""
+    b2k = {2: 1.0 / 6.0, 4: -1.0 / 30.0, 6: 1.0 / 42.0, 8: -1.0 / 30.0, 10: 5.0 / 66.0}
+    b12 = (-691.0 / 2730.0) / math.factorial(12)
+
+    def rising(z, m):
+        prod = 1.0 + 0.0j
+        for j in range(m):
+            prod *= z + j
+        return prod
+
+    if isinstance(s, np.ndarray):
+        total = total.copy()
+        total += n_cut ** (1.0 - s) / (s - 1.0)
+        total += 0.5 * n_cut ** (-s)
+        for order in (2, 4, 6, 8, 10):
+            rise = np.ones_like(s)
+            for j in range(order - 1):
+                rise = rise * (s + j)
+            total += b2k[order] / math.factorial(order) * rise * n_cut ** (1.0 - s - order)
+        return total, None
+    total += n_cut ** (1.0 - s) / (s - 1.0)
+    total += 0.5 * n_cut ** (-s)
+    for order in (2, 4, 6, 8, 10):
+        total += b2k[order] / math.factorial(order) * rising(s, order - 1) * n_cut ** (1.0 - s - order)
+    return total, float(abs(b12) * abs(rising(s, 11)) * n_cut ** (-s.real - 11.0))
+
+
+def test_em_tail_bit_identical_to_the_former_scalar_and_array_tails():
+    sigmas = (-0.5, -0.2, 0.0, 0.3, 0.4, 0.45, 0.9, 1.5, 2.0)
+    heights = np.concatenate([[0.0, 1e-3, 0.5, 14.134725], np.geomspace(1.0, 4000.0, 40)])
+    for sigma in sigmas:
+        for t in heights:
+            s = complex(sigma, t)
+            n_cut = em_cutoff(t)
+            n = np.arange(1, n_cut, dtype=np.float64)
+            expected, bound = _em_former(complex(np.sum(n ** (-s))), s, n_cut)
+            got, remainder = _zeta_em_f64(s, n_cut)
+            assert type(got) is complex and type(remainder) is float
+            assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex()), f"s={s}"
+            assert remainder.hex() == bound.hex(), f"s={s}"
+        s_vec = sigma + 1j * heights
+        n_cut = em_cutoff(float(heights.max()))
+        main = _main_sum_one_shot(sigma, heights, n_cut)
+        expected, _ = _em_former(main, s_vec, n_cut)
+        assert _same_bits(special._em_tail(main, s_vec, n_cut), expected), f"sigma={sigma}"
+
+
+def test_zeta_line_checks_the_remainder_bound_before_the_main_sum(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("main sum formed before the remainder check")
+
+    monkeypatch.setattr(special, "dirichlet_sum", kernel)
+    with pytest.raises(PrecisionError, match="remainder bound"):
+        zeta_line(-12.0, [0.0, 1.0])
+    with pytest.raises(AssertionError, match="main sum formed"):  # the stub is live
+        zeta_line(0.4, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("T", [250.0, 1000.0, 4000.0])
