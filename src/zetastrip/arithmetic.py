@@ -175,6 +175,10 @@ def unit_phase(numerator: int | np.ndarray, modulus: int) -> complex | np.ndarra
         # Python integers reduce exactly at any magnitude.
         return complex(np.exp((2j * np.pi / modulus) * (numerator % modulus)))
     reduced = np.mod(numerator, modulus)
+    if reduced.size > modulus:
+        # Only ``modulus`` values occur: a table of their exps, indexed by
+        # the reduced numerators, has the bits of the elementwise exp.
+        return np.exp((2j * np.pi / modulus) * np.arange(modulus))[reduced]
     out = np.exp((2j * np.pi / modulus) * reduced)
     if np.isscalar(numerator):
         return complex(out)

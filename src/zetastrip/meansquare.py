@@ -91,7 +91,8 @@ def integrand(t, config: StripConfig, poly: DirichletPolynomial) -> np.ndarray |
     if any(poly.coefficients):
         z = zeta_line(config.sigma, t_arr)
         a = poly.evaluate(config.sigma, t_arr)
-        out = np.abs(z * a) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):  # the quadrature names a non-finite value
+            out = np.abs(z * a) ** 2
     else:
         out = np.zeros(t_arr.shape)
     if np.isscalar(t) or t_arr.ndim == 0:

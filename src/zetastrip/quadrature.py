@@ -87,14 +87,17 @@ def _initial_edges(
     if initial_width is None:
         return seeds
     edges: list[float] = [seeds[0]]
+    append = edges.append
     for left, right in zip(seeds[:-1], seeds[1:]):
         x = left
         while x < right:
             w = initial_width(x)
-            if not (w > 0.0) or not math.isfinite(w):
+            if not 0.0 < w < math.inf:  # also false for NaN
                 raise ValidationError("initial_width must produce positive finite widths")
-            x = min(right, x + w)
-            edges.append(x)
+            x = x + w
+            if not x < right:
+                x = right
+            append(x)
             if len(edges) > MAX_PANELS:
                 raise ValidationError(
                     f"initial_width policy reached the panel budget {MAX_PANELS} on [{a!r}, {b!r}]"

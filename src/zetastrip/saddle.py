@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .quadrature import QuadratureResult, integrate_adaptive
-from .special import arcsinh
+from .special import arcsinh, cis
 
 __all__ = [
     "AUDIT_CONSTANT",
@@ -159,10 +159,12 @@ def _phase_integral(
 ) -> QuadratureResult:
     """Integral over ``[lo, hi]`` whose initial panels each advance the phase
     by PHASE_RADIANS_PER_PANEL radians, and are at most ``(hi - lo)/16`` wide."""
-    floor = PHASE_RADIANS_PER_PANEL / ((hi - lo) / 16.0)
+    step = PHASE_RADIANS_PER_PANEL
+    floor = step / ((hi - lo) / 16.0)
 
-    def width(y: float) -> float:
-        return PHASE_RADIANS_PER_PANEL / max(abs(derivative(y)), floor)
+    def width(y: float) -> float:  # called once per initial edge
+        rate = abs(derivative(y))
+        return step / (floor if floor > rate else rate)  # max(rate, floor)
 
     return integrate_adaptive(integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, initial_width=width)
 
@@ -182,7 +184,7 @@ def exp_integral_lhs(
         log_ratio = np.log(ratio)
         phase = T * log_ratio + signed_freq * y
         magnitude = y**-spec.alpha * (1.0 + y) ** -spec.beta * log_ratio**-spec.gamma
-        return magnitude * np.exp(1j * phase)
+        return magnitude * cis(phase)
 
     def derivative(y: float) -> float:
         return signed_freq - T / (y * (1.0 + y))
@@ -344,7 +346,7 @@ def _lemma3_integral(alpha: float, k: float, T: float) -> complex:
         u_sq = 0.25 + x / (2.0 * pi_k)
         phase = -(2.0 * x * asr + 2.0 * pi_k * np.sqrt(u_sq) - pi_k + 0.25 * math.pi)
         magnitude = x**-alpha / (asr * u_sq**0.25)
-        return magnitude * np.exp(1j * phase)
+        return magnitude * cis(phase)
 
     result = _phase_integral(integrand, lambda x: lemma3_phase_derivative(x, k), T, 2.0 * T, 1e-10, 1e-9)
     return complex(result.value)
@@ -512,7 +514,7 @@ def lemma4_compare(
             - radical
             + math.pi * x**2
         )
-        return phi_weight(alpha, T, x) * np.exp(1j * phase)
+        return phi_weight(alpha, T, x) * cis(phase)
 
     def derivative(x: float) -> float:
         core = 2.0 * math.pi * T + math.pi**2 * x**2

@@ -19,8 +19,10 @@ explicit and testable:
                     its bits are those of one ``exp`` outer product per
                     column chunk over the whole batch, for any thread
                     count.  Each thread's buffers hold at most 65 rows of
-                    one column chunk: under 1 MB for a 7 680-point
-                    quadrature batch, and never more than 4e6 elements.
+                    one column chunk (or about 16 384 elements): under 1 MB
+                    for a 7 680-point batch, never more than 4e6 elements.
+* ``cis``        -- ``exp(+-1j theta)`` bit for bit from one cos and one sin,
+                    for the Dirichlet sum and the saddle integrands.
 * ``gamma``      -- Lanczos approximation (g = 7, 9 coefficients) with
                     reflection for ``Re z < 1/2``; relative accuracy ~1e-13.
 * ``arcsinh``    -- log1p-based formula with an odd Taylor series below
@@ -30,7 +32,8 @@ explicit and testable:
                     asymptotics above it; Y and K at non-integer order come
                     from reflection formulas, and a short polynomial
                     continuation in the order bridges the removable
-                    singularity near integer order.
+                    singularity near integer order.  One call may ask for
+                    several kinds (``"KYJ"``), served by one asymptotic pass.
 
 Measured worst-case errors on the supported grids (see the test suite):
 zeta relative error < 1e-9 for sigma in [-0.5, 2], |Im s| <= 1e4 away from
@@ -57,6 +60,7 @@ __all__ = [
     "zeta",
     "zeta_line",
     "dirichlet_sum",
+    "cis",
     "ZETA_ABS_TOL",
     "em_cutoff",
     "gamma",
@@ -177,21 +181,39 @@ def _em_bound(s: complex, n_cut: int) -> float:
 # Complex elements per column chunk of a Dirichlet sum.  The chunk boundaries
 # and the per-chunk accumulation order fix the result bits.
 _LINE_CHUNK = 4_000_000
-# Rows per cache block.  Blocks start at multiples of 64, a multiple of the
+# Rows per cache block: 64, or for short sums a multiple of 64 up to about
+# _BLOCK_CELLS elements.  Blocks start at multiples of 64, a multiple of the
 # row unrolling of BLAS gemv kernels, so each row takes the same kernel path
 # as in one product over all rows even where unrolled and remainder paths
 # sum in different orders.
 _ROW_BLOCK = 64
+_BLOCK_CELLS = 16_384
 
 
-def _row_blocks(size: int) -> list[tuple[int, int]]:
-    """Row ranges of ``_ROW_BLOCK`` rows for ``size >= 1`` rows.
+def cis(theta: np.ndarray, sign: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.exp(sign * 1j * theta)`` for real ``theta`` and ``sign = +-1``, bit
+    for bit: the complex exp of ``0 + i y`` is ``cos y + i sin y``, and ``y``
+    is ``theta + 0.0`` for ``1j * theta``, ``-theta`` for ``-1j * theta``.
+    ``y``, its cos and its sin go straight into the halves of ``out`` (a new
+    complex array by default), with no complex multiply and no exp."""
+    out = np.empty(np.shape(theta), dtype=np.complex128) if out is None else out
+    if sign > 0:
+        np.add(theta, 0.0, out=out.imag)
+    else:
+        np.negative(theta, out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    return out
+
+
+def _row_blocks(size: int, step: int) -> list[tuple[int, int]]:
+    """Row ranges of ``step`` rows for ``size >= 1`` rows.
 
     A last block of one row joins the block before it: numpy sends a
     one-row product to BLAS ``dot``, which sums in another order than
     ``gemv``.
     """
-    starts = list(range(0, size, _ROW_BLOCK))
+    starts = list(range(0, size, step))
     if len(starts) > 1 and size - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [size]))
@@ -204,21 +226,23 @@ def dirichlet_sum(t: np.ndarray, log_n: np.ndarray, amp: np.ndarray) -> np.ndarr
     (``amp = n^-sigma``) and of a Dirichlet polynomial (``amp = a(m)
     m^-sigma``).  The result is bit-identical to one ``exp(-1j * outer(t,
     log_n)) @ amp`` product over all rows per column chunk of ``_LINE_CHUNK
-    // t.size`` columns, summed chunk by chunk: the rows are cut into blocks
-    of ``_ROW_BLOCK`` (see :func:`_row_blocks`) whose results do not depend
-    on the cut, and the blocks are shared among one thread per usable CPU
-    (numpy releases the GIL in ``exp`` and ``matmul``).  Each thread holds
-    one float64 and one complex128 buffer of ``min(t.size, _ROW_BLOCK + 1) *
-    min(chunk, log_n.size)`` elements, never more than ``_LINE_CHUNK``; for
-    a quadrature batch of 7 680 points that is under 1 MB.
+    // t.size`` columns, summed chunk by chunk, its ``exp`` formed by
+    :func:`cis`.  The rows are cut into blocks (see :func:`_row_blocks`)
+    whose results do not depend on the cut, and the blocks are shared among
+    one thread per usable CPU (numpy releases the GIL in ``cos``, ``sin``
+    and ``matmul``).  Each thread holds one float64 and one complex128
+    buffer of the largest block, at most ``max(65 * columns, _BLOCK_CELLS +
+    columns)`` elements for ``columns = min(chunk, log_n.size)`` and never
+    more than ``_LINE_CHUNK``; for a 7 680-point batch that is under 1 MB.
     """
     out = np.zeros(t.size, dtype=np.complex128)
     if t.size == 0:
         return out
     chunk = max(1, _LINE_CHUNK // t.size)
     columns = [(log_n[lo : lo + chunk], amp[lo : lo + chunk]) for lo in range(0, log_n.size, chunk)]
-    blocks = _row_blocks(t.size)
-    cells = max(hi - lo for lo, hi in blocks) * min(chunk, log_n.size)
+    width = min(chunk, log_n.size)
+    blocks = _row_blocks(t.size, _ROW_BLOCK * max(1, _BLOCK_CELLS // (_ROW_BLOCK * width)))
+    cells = max(hi - lo for lo, hi in blocks) * width
 
     def run(share: list[tuple[int, int]]) -> None:
         phase = np.empty(cells)
@@ -229,8 +253,7 @@ def dirichlet_sum(t: np.ndarray, log_n: np.ndarray, amp: np.ndarray) -> np.ndarr
                 x = phase[:size].reshape(hi - lo, log_c.size)
                 z = terms[:size].reshape(x.shape)
                 np.multiply.outer(t[lo:hi], log_c, out=x)
-                np.multiply(x, -1j, out=z)
-                out[lo:hi] += np.exp(z, out=z) @ amp_c
+                out[lo:hi] += cis(x, -1, out=z) @ amp_c
 
     threads = min(usable_cpus(), len(blocks))
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -343,20 +366,26 @@ _K_TRAP_TMAX = 3.2
 def bessel(kind: str, nu: float, x):
     """Bessel function ``J_nu``, ``Y_nu`` or ``K_nu`` for ``x > 0``, vectorised in x.
 
-    Supported order band: ``nu in [0.35, 1.15]`` (the band the Voronoi-series
-    evaluators actually use, with margin).  Branches:
+    ``kind`` is ``"J"``, ``"Y"`` or ``"K"``, or several of them such as
+    ``"KYJ"``: the result then stacks one row per letter on the shape of
+    ``x``.  Supported order band: ``nu in [0.35, 1.15]`` (the band the
+    Voronoi-series evaluators actually use, with margin).  Branches:
 
     * ``x <= X_SWITCH_JY`` (J, Y) or ``x <= X_SWITCH_K`` (K): ascending power
       series; Y and K by reflection from orders ``+nu`` and ``-nu``.
-    * above the switch: Hankel-type asymptotic expansions, truncated at the
-      smallest term per point.
+    * ``X_SWITCH_K < x <= X_SWITCH_K_ASYMPTOTIC`` (K): the integral
+      representation on a fixed trapezoid grid.
+    * above the switch: large-argument expansions, truncated at the
+      smallest term per point.  One pass of their term recurrence serves
+      every kind asked for, and each term is formed only on the points whose
+      expansion has not yet stopped.
 
     Within ``NEAR_INTEGER_DELTA`` of an integer order the reflection
     formulas lose meaning; there Y and K on the series branch are continued
     polynomially in the order through four nearby non-singular orders.
     """
-    if kind not in ("J", "Y", "K"):
-        raise ValidationError(f"bessel kind must be 'J', 'Y' or 'K', got {kind!r}")
+    if not isinstance(kind, str) or not kind or set(kind) - {"J", "Y", "K"}:
+        raise ValidationError(f"bessel kind must be 'J', 'Y', 'K' or several of them, got {kind!r}")
     if not (NU_BAND[0] <= nu <= NU_BAND[1]):
         raise ValidationError(
             f"bessel order {nu} outside supported band [{NU_BAND[0]}, {NU_BAND[1]}]"
@@ -365,26 +394,23 @@ def bessel(kind: str, nu: float, x):
     if np.any(arr <= 0.0):
         raise ValidationError("bessel requires x > 0")
     flat = arr.ravel()
-    out = np.empty_like(flat)
-    if kind == "K":
-        lo = flat <= X_SWITCH_K
-        mid = (~lo) & (flat <= X_SWITCH_K_ASYMPTOTIC)
-        hi = flat > X_SWITCH_K_ASYMPTOTIC
+    out = np.empty((len(kind), flat.size))
+    switch = {"J": X_SWITCH_JY, "Y": X_SWITCH_JY, "K": X_SWITCH_K_ASYMPTOTIC}
+    large = _bessel_large(kind, nu, flat[flat > min(switch[letter] for letter in kind)])
+    for row, letter in zip(out, kind):
+        lo = flat <= (X_SWITCH_K if letter == "K" else X_SWITCH_JY)
+        hi = flat > switch[letter]
+        mid = ~(lo | hi)  # K's trapezoid range; empty for J and Y
         if lo.any():
-            out[lo] = _bessel_small(kind, nu, flat[lo])
+            row[lo] = _bessel_small(letter, nu, flat[lo])
         if mid.any():
-            out[mid] = _k_trapezoid(nu, flat[mid])
-        if hi.any():
-            out[hi] = _bessel_large(kind, nu, flat[hi])
-    else:
-        lo = flat <= X_SWITCH_JY
-        if lo.any():
-            out[lo] = _bessel_small(kind, nu, flat[lo])
-        if (~lo).any():
-            out[~lo] = _bessel_large(kind, nu, flat[~lo])
+            row[mid] = _k_trapezoid(nu, flat[mid])
+        row[hi] = large[letter]
+    if len(kind) > 1:
+        return out.reshape((len(kind),) + arr.shape)
     if np.isscalar(x) or arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+        return float(out[0, 0])
+    return out[0].reshape(arr.shape)
 
 
 def _k_trapezoid(nu: float, x: np.ndarray) -> np.ndarray:
@@ -447,51 +473,50 @@ def _ascending_series(nu: float, x: np.ndarray, alternating: bool) -> np.ndarray
     return total
 
 
-def _asymptotic_terms(nu: float, x: np.ndarray):
-    """Terms ``k = 1, 2, ...`` of the large-argument expansions,
-    ``prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (8 j x)``, truncated per point:
-    from the first term that stops shrinking or falls below 1e-18, a point's
-    terms are zero.  Yields ``(k, term)``."""
+def _asymptotic_sums(nu: float, x: np.ndarray) -> np.ndarray:
+    """Rows P, Q and S of the large-argument expansions at each ``x``.
+
+    Term ``k >= 1`` is ``prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (8 j x)``;
+    ``P = 1 - t2 + t4 - ...`` and ``Q = t1 - t3 + t5 - ...`` serve J and Y,
+    ``S = 1 + t1 + t2 + ...`` serves K.  A point's sums stop before its
+    first term that does not shrink or falls below 1e-18; stopped points are
+    written out and dropped from the working arrays, so each term is formed
+    only on the points still active.
+    """
     mu = 4.0 * nu * nu
+    sums = np.empty((3, x.size))
+    index = np.arange(x.size)
+    work = np.stack([np.ones_like(x), np.zeros_like(x), np.ones_like(x)])
     term = np.ones_like(x)
     prev_mag = np.full(x.shape, np.inf)
-    active = np.ones(x.shape, dtype=bool)
     for k in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
+        if not index.size:
+            break
         term = term * (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x)
         mag = np.abs(term)
-        active = active & (mag < prev_mag) & (mag > 1e-18)
-        yield k, np.where(active, term, 0.0)
+        keep = (mag < prev_mag) & (mag > 1e-18)
+        if not keep.all():
+            sums[:, index[~keep]] = work[:, ~keep]
+            index, x, term, mag, work = index[keep], x[keep], term[keep], mag[keep], work[:, keep]
+        work[k % 2] += term if k % 4 < 2 else -term  # even terms to P, odd to Q
+        work[2] += term
         prev_mag = mag
-        if not active.any():
-            break
+    sums[:, index] = work
+    return sums
 
 
-def _hankel_pq(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P and Q sums of the large-argument expansion, truncated per point."""
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    for k, term in _asymptotic_terms(nu, x):
-        if k % 4 == 1:
-            q += term
-        elif k % 4 == 2:
-            p -= term
-        elif k % 4 == 3:
-            q -= term
-        else:
-            p += term
-    return p, q
-
-
-def _bessel_large(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
-    if kind == "K":
-        total = np.ones_like(x)
-        for _, term in _asymptotic_terms(nu, x):
-            total += term
-        return np.sqrt(0.5 * math.pi / x) * np.exp(-x) * total
-    p, q = _hankel_pq(nu, x)
-    omega = x - (0.5 * nu + 0.25) * math.pi
-    c, s = np.cos(omega), np.sin(omega)
-    amp = np.sqrt(2.0 / (math.pi * x))
-    if kind == "J":
-        return amp * (p * c - q * s)
-    return amp * (p * s + q * c)
+def _bessel_large(kinds: str, nu: float, x: np.ndarray) -> dict[str, np.ndarray]:
+    """Each kind in ``kinds`` above its switch point, from one
+    :func:`_asymptotic_sums` over ``x``: J and Y share its P and Q and one
+    cos and sin on all of ``x``; K takes its S on ``x > X_SWITCH_K_ASYMPTOTIC``."""
+    p, q, total = _asymptotic_sums(nu, x)
+    out = {}
+    if "K" in kinds:
+        top = x > X_SWITCH_K_ASYMPTOTIC
+        out["K"] = np.sqrt(0.5 * math.pi / x[top]) * np.exp(-x[top]) * total[top]
+    if kinds.strip("K"):
+        omega = x - (0.5 * nu + 0.25) * math.pi
+        c, s = np.cos(omega), np.sin(omega)
+        amp = np.sqrt(2.0 / (math.pi * x))
+        out["J"], out["Y"] = amp * (p * c - q * s), amp * (p * s + q * c)
+    return out

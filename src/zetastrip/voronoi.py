@@ -491,10 +491,8 @@ def delta_bessel(
     sin_half = math.sin(0.5 * math.pi * a)
 
     def kernel(n: np.ndarray) -> np.ndarray:
-        z = (4.0 * math.pi / spec.k_mod) * np.sqrt(n * x)
-        return -(2.0 / math.pi) * cos_half * (
-            bessel("K", nu, z) + (0.5 * math.pi) * bessel("Y", nu, z)
-        ) - sin_half * bessel("J", nu, z)
+        k, y, j = bessel("KYJ", nu, (4.0 * math.pi / spec.k_mod) * np.sqrt(n * x))
+        return -(2.0 / math.pi) * cos_half * (k + (0.5 * math.pi) * y) - sin_half * j
 
     return _series(spec, plan, twist, x ** (0.5 * (1.0 + a)), -0.5 * (1.0 + a), kernel)
 

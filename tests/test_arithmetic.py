@@ -143,6 +143,21 @@ def test_unit_phase_exactness():
         unit_phase(3, 0)
 
 
+def test_unit_phase_table_bit_identical_to_the_elementwise_exp():
+    # The former body: one exp per element of the reduced numerators.
+    rng = np.random.default_rng(20261018)
+    for modulus in range(1, 65):
+        for numerators in (
+            np.arange(-3 * modulus, 3 * modulus + 1, dtype=np.int64),
+            rng.integers(-(2**40), 2**40, 4000, dtype=np.int64),
+            rng.integers(2**31, 2**62, 3, dtype=np.int64),
+        ):
+            expected = np.exp((2j * np.pi / modulus) * np.mod(numerators, modulus))
+            got = unit_phase(numerators, modulus)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), modulus
+
+
 def test_dirichlet_polynomial_evaluate():
     poly = DirichletPolynomial((1.0, 0.5 + 0.25j, -0.75))
     assert poly.length == 3
@@ -187,6 +202,10 @@ _EVALUATE_INPUTS = {
     "tail_of_one_row": _rng.uniform(0.0, 2000.0, 65),
     # 130 rows in three row blocks, so two threads share them.
     "two_d": _rng.uniform(0.0, 2000.0, (10, 13)),
+    # A quadrature batch: one block of all rows at M <= 2, 1 024-row blocks at M = 16.
+    "quadrature_batch": _rng.uniform(0.0, 2000.0, 7680),
+    # One row past eight 1 024-row blocks: it joins the last of them.
+    "tail_of_one_row_after_long_blocks": _rng.uniform(-50.0, 2000.0, 8 * 1024 + 1),
 }
 
 

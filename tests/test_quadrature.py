@@ -334,3 +334,75 @@ def _calls_through(module, monkeypatch, run):
 def test_package_integrals_match_the_list_loop_bitwise(module, run, monkeypatch):
     for f, a, b, kwargs in _calls_through(module, monkeypatch, run):
         _assert_matches_oracle(f, a, b, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# The initial edges against the former per-edge loop
+# ---------------------------------------------------------------------------
+
+
+def _initial_edges_former(a, b, initial_width, breakpoints):
+    """``quadrature._initial_edges`` with its former per-edge checks and ``min``."""
+    seeds = sorted({a, b, *(p for p in breakpoints or () if a < p < b)})
+    if initial_width is None:
+        return seeds
+    edges = [seeds[0]]
+    for left, right in zip(seeds[:-1], seeds[1:]):
+        x = left
+        while x < right:
+            w = initial_width(x)
+            if not (w > 0.0) or not math.isfinite(w):
+                raise ValidationError("initial_width must produce positive finite widths")
+            x = min(right, x + w)
+            edges.append(x)
+            if len(edges) > quadrature.MAX_PANELS:
+                raise ValidationError(
+                    f"initial_width policy reached the panel budget {quadrature.MAX_PANELS} on [{a!r}, {b!r}]"
+                )
+    return edges
+
+
+@pytest.mark.parametrize(
+    "module, run",
+    [
+        (
+            meansquare,
+            lambda: meansquare.integrate_mean_square(
+                30.0, 60.0, meansquare.StripConfig(0.35), DirichletPolynomial((1.0, 0.5))
+            ),
+        ),
+        (
+            saddle,
+            lambda: saddle.lemma2_compare(
+                saddle.ExpIntegralSpec(0.6, 0.6, 1.0, 0.01, 1000.0, 5.0, 400.0, sign=-1)
+            ),
+        ),
+    ],
+    ids=["mean-square", "lemma2"],
+)
+def test_initial_edges_bit_identical_to_the_former_loop(module, run, monkeypatch):
+    for _, a, b, kwargs in _calls_through(module, monkeypatch, run):
+        policy = kwargs["initial_width"]
+        for lo, hi, breakpoints in ((a, b, None), (a, b, [a + 0.3 * (b - a), b + 1.0]), (0.5 * (a + b), b, None)):
+            edges = quadrature._initial_edges(lo, hi, policy, breakpoints)
+            assert len(edges) > 2
+            assert np.array(edges).tobytes() == np.array(_initial_edges_former(lo, hi, policy, breakpoints)).tobytes()
+
+
+@pytest.mark.parametrize("width", [0.0, -0.5, math.inf, -math.inf, math.nan])
+def test_initial_edges_reject_widths_that_are_not_positive_and_finite(width):
+    for edges in (quadrature._initial_edges, _initial_edges_former):
+        with pytest.raises(ValidationError, match="^initial_width must produce positive finite widths$"):
+            edges(0.0, 1.0, lambda x: width if x > 0.25 else 0.125, None)
+
+
+def test_initial_edges_panel_budget_error_unchanged(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
+    messages = []
+    for edges in (quadrature._initial_edges, _initial_edges_former):
+        with pytest.raises(ValidationError, match=r"panel budget 50 on \[2\.0, 3\.5\]$") as info:
+            edges(2.0, 3.5, lambda x: 0.01, [2.5])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    # 49 panels of 1/64 give 50 edges, the budget itself: no error.
+    assert len(quadrature._initial_edges(2.0, 2.765625, lambda x: 0.015625, [2.25])) == 50

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from zetastrip import saddle
 from zetastrip.errors import ValidationError
 from zetastrip.saddle import (
     AUDIT_CONSTANT,
@@ -231,3 +232,82 @@ def test_lemma4_endpoint_window_guard():
 
 def test_audit_constant_value():
     assert AUDIT_CONSTANT == 10.0
+
+
+# ---------------------------------------------------------------------------
+# Integrands from cos and sin, against the former complex exp
+# ---------------------------------------------------------------------------
+
+
+class _Captured(Exception):
+    """Stops a saddle computation at its phase-adaptive integral."""
+
+
+def _integrand_of(run, monkeypatch):
+    """The integrand ``run()`` hands to ``saddle._phase_integral``."""
+    captured = []
+
+    def capture(integrand, derivative, lo, hi, abs_tol, rel_tol):
+        captured.append((integrand, lo, hi))
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(saddle, "_phase_integral", capture)
+        with pytest.raises(_Captured):
+            run()
+    return captured[0]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: exp_integral_lhs(_spec()),
+        lambda: exp_integral_lhs(_spec(sign=-1, k_freq=5.0, T=400.0, b_hi=1000.0, alpha=0.55)),
+        lambda: lemma3_decay(1.5, 1.0, [400.0, 800.0]),
+        lambda: lemma4_compare(1.5, 3, math.sqrt(200.0), 10.0 * math.sqrt(200.0), 200.0),
+    ],
+    ids=["lemma2-plus", "lemma2-minus", "lemma3", "lemma4"],
+)
+def test_saddle_integrands_bit_identical_to_the_former_complex_exp(run, monkeypatch):
+    integrand, lo, hi = _integrand_of(run, monkeypatch)
+    nodes = np.linspace(lo, hi, 20_001)
+    got = integrand(nodes)
+    # The former integrand: the same magnitude times exp(1j * phase).
+    monkeypatch.setattr(saddle, "cis", lambda phase: np.exp(1j * phase))
+    former, _, _ = _integrand_of(run, monkeypatch)
+    expected = former(nodes)
+    assert got.dtype == expected.dtype == np.complex128
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: exp_integral_lhs(_spec()),
+        lambda: lemma3_decay(1.5, 1.0, [400.0, 800.0]),
+        lambda: lemma4_compare(1.5, 3, math.sqrt(200.0), 10.0 * math.sqrt(200.0), 200.0),
+    ],
+    ids=["lemma2", "lemma3", "lemma4"],
+)
+def test_phase_width_policy_bit_identical_to_the_former_max(run, monkeypatch):
+    captured = {}
+    phase_integral = saddle._phase_integral
+
+    def spy(integrand, derivative, lo, hi, abs_tol, rel_tol):
+        captured.update(derivative=derivative, lo=lo, hi=hi)
+        return phase_integral(integrand, derivative, lo, hi, abs_tol, rel_tol)
+
+    def stop(f, a, b, **kwargs):
+        captured["width"] = kwargs["initial_width"]
+        raise _Captured
+
+    monkeypatch.setattr(saddle, "_phase_integral", spy)
+    monkeypatch.setattr(saddle, "integrate_adaptive", stop)
+    with pytest.raises(_Captured):
+        run()
+    derivative, lo, hi = captured["derivative"], captured["lo"], captured["hi"]
+    floor = saddle.PHASE_RADIANS_PER_PANEL / ((hi - lo) / 16.0)
+    ys = np.linspace(lo, hi, 20_001).tolist()
+    got = [captured["width"](y) for y in ys]
+    expected = [saddle.PHASE_RADIANS_PER_PANEL / max(abs(derivative(y)), floor) for y in ys]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()

@@ -12,6 +12,7 @@ import pickle
 import signal
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -790,8 +791,12 @@ def test_cli_run_names_a_main_term_beyond_the_float_range(tmp_path, capsys):
 )
 def test_cli_run_names_a_non_finite_integrand(tmp_path, capsys, kind, parameters, interval):
     # |zeta A|^2 overflows for coefficients near 1e200; the quadrature used to
-    # report a NaN error estimate at floating-point panel resolution.
-    code, elapsed, err = _run_cli(tmp_path, capsys, kind, parameters)
+    # report a NaN error estimate at floating-point panel resolution, and numpy
+    # used to warn about the overflow before the one-line error.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, elapsed, err = _run_cli(tmp_path, capsys, kind, parameters)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert code == EXIT_ERROR
     assert err.startswith("error: integrand value inf at x = ")
     assert f"is not finite on {interval}" in err

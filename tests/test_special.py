@@ -22,6 +22,7 @@ from zetastrip.special import (
     NU_BAND,
     X_SWITCH_JY,
     X_SWITCH_K,
+    X_SWITCH_K_ASYMPTOTIC,
     _zeta_em_f64,
     arcsinh,
     bessel,
@@ -154,6 +155,8 @@ _LINE_INPUTS = {
     "ragged_2d": _rng.uniform(0.0, 120.0, (10, 13)),
     # 2 049 rows at N = 4 000 take three column chunks of 1 952 columns.
     "column_chunks": _rng.uniform(0.0, 2000.0, 2049),
+    # 19 columns take blocks of 832 rows; the last row joins the block before.
+    "short_sum_row_blocks": _rng.uniform(0.0, 9.5, 2 * 832 + 1),
 }
 
 
@@ -335,7 +338,7 @@ def test_bessel_scalar_return():
 
 def _k_large_loop(nu: float, x: np.ndarray) -> np.ndarray:
     """The large-x branch of ``bessel("K")`` as its own loop, kept as the
-    oracle for the shared term generator."""
+    oracle for the one pass that serves every kind."""
     mu = 4.0 * nu * nu
     total = np.ones_like(x)
     term = np.ones_like(x)
@@ -356,3 +359,114 @@ def test_bessel_k_large_branch_bit_identical_to_its_own_loop():
     x = 13.0 + (1e5 - 13.0) * np.arange(1, 20_002) / 20_001
     for nu in np.linspace(NU_BAND[0], NU_BAND[1], 41):
         assert _same_bits(bessel("K", float(nu), x), _k_large_loop(float(nu), x)), f"nu={nu}"
+
+
+def _jy_large_loop(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
+    """The large-x branch of ``bessel("J")`` and ``bessel("Y")`` as one kind
+    per call over its own masked term loop: the oracle for the one pass that
+    serves every kind."""
+    mu = 4.0 * nu * nu
+    p, q = np.ones_like(x), np.zeros_like(x)
+    term = np.ones_like(x)
+    prev_mag = np.full(x.shape, np.inf)
+    active = np.ones(x.shape, dtype=bool)
+    for k in range(1, 41):
+        term = term * (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x)
+        mag = np.abs(term)
+        active = active & (mag < prev_mag) & (mag > 1e-18)
+        masked = np.where(active, term, 0.0)
+        if k % 4 == 1:
+            q += masked
+        elif k % 4 == 2:
+            p -= masked
+        elif k % 4 == 3:
+            q -= masked
+        else:
+            p += masked
+        prev_mag = mag
+        if not active.any():
+            break
+    omega = x - (0.5 * nu + 0.25) * math.pi
+    c, s = np.cos(omega), np.sin(omega)
+    amp = np.sqrt(2.0 / (math.pi * x))
+    return amp * (p * c - q * s) if kind == "J" else amp * (p * s + q * c)
+
+
+def _bessel_per_kind(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
+    """``bessel(kind, nu, x)`` as it was formed one kind per call: the same
+    series and trapezoid branches, and the oracle loops above the switch."""
+    out = np.empty_like(x)
+    lo = x <= (X_SWITCH_K if kind == "K" else X_SWITCH_JY)
+    hi = x > (X_SWITCH_K_ASYMPTOTIC if kind == "K" else X_SWITCH_JY)
+    mid = ~(lo | hi)
+    out[lo] = special._bessel_small(kind, nu, x[lo])
+    if mid.any():
+        out[mid] = special._k_trapezoid(nu, x[mid])
+    out[hi] = _k_large_loop(nu, x[hi]) if kind == "K" else _jy_large_loop(kind, nu, x[hi])
+    return out
+
+
+# Orders across the band, the zero first term at nu = 0.5, and orders close to
+# the integer on both sides of the near-integer band.
+_ONE_PASS_ORDERS = sorted(
+    {*np.linspace(NU_BAND[0], NU_BAND[1], 17).tolist(), 0.5, 0.996, 0.9999, 1.0, 1.0001, 1.004, 1.006}
+)
+
+
+def test_bessel_one_pass_bit_identical_to_one_kind_per_call():
+    seams = [s * (1.0 + e) for s in (X_SWITCH_JY, X_SWITCH_K_ASYMPTOTIC) for e in (-1e-15, 0.0, 1e-15)]
+    x = np.concatenate([np.geomspace(0.05, 5000.0, 401), np.linspace(10.0, 14.0, 97), seams])
+    assert (x <= X_SWITCH_JY).any() and ((x > X_SWITCH_JY) & (x <= X_SWITCH_K_ASYMPTOTIC)).any()
+    for nu in _ONE_PASS_ORDERS:
+        stacked = bessel("KYJ", nu, x)
+        assert stacked.shape == (3, x.size)
+        for row, kind in zip(stacked, "KYJ"):
+            expected = _bessel_per_kind(kind, nu, x)
+            assert _same_bits(np.ascontiguousarray(row), expected), f"{kind} nu={nu}"
+            assert _same_bits(bessel(kind, nu, x), expected), f"{kind} alone, nu={nu}"
+        assert _same_bits(bessel("JY", nu, x), stacked[[2, 1]]), f"JY nu={nu}"
+
+
+def test_bessel_several_kinds_stack_on_the_shape_of_x():
+    assert bessel("KYJ", 0.8, 12.0).shape == (3,)
+    grid = np.linspace(1.0, 40.0, 12).reshape(3, 4)
+    stacked = bessel("YK", 0.8, grid)
+    assert stacked.shape == (2, 3, 4)
+    assert _same_bits(stacked[1], bessel("K", 0.8, grid))
+    for kind in ("", "JX", "j", None):
+        with pytest.raises(ValidationError, match="bessel kind"):
+            bessel(kind, 0.8, 1.0)
+
+
+def test_cis_bit_identical_to_complex_exp():
+    rng = np.random.default_rng(20261018)
+    theta = np.concatenate(
+        [
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.pi, -math.pi, 1e5 * math.log(4000.0)],
+            rng.uniform(0.0, 1e5 * math.log(4000.0), 200_000),
+            rng.uniform(-2e5, 0.0, 100_000),
+            rng.uniform(-10.0, 10.0, 100_000),
+        ]
+    )
+    assert _same_bits(special.cis(theta), np.exp(1j * theta))
+    assert _same_bits(special.cis(theta, -1), np.exp(-1j * theta))
+    # Written into a caller's buffer of another shape, as the Dirichlet sum does.
+    grid = theta[:300_000].reshape(600, 500)
+    buffer = np.empty(grid.shape, dtype=np.complex128)
+    assert special.cis(grid, -1, out=buffer) is buffer
+    assert _same_bits(buffer, np.exp(grid * -1j))
+
+
+@pytest.mark.parametrize("length", [1, 2, 16])
+def test_dirichlet_sum_short_sums_bit_identical_to_one_shot(length, monkeypatch):
+    # Short sums take blocks of many rows; the bits stay those of one product.
+    rng = np.random.default_rng(length)
+    log_n = np.log(np.arange(1, length + 1, dtype=np.float64))
+    amp = rng.normal(size=length) + 1j * rng.normal(size=length)
+    assert special._BLOCK_CELLS // (special._ROW_BLOCK * length) > 1
+    for size in (1, 2, 65, 1025, 8193, 7680):
+        t = rng.uniform(-300.0, 2000.0, size)
+        expected = np.exp(-1j * np.multiply.outer(t, log_n)) @ amp
+        for threads in (1, 2):
+            monkeypatch.setattr(special, "usable_cpus", lambda threads=threads: threads)
+            assert _same_bits(dirichlet_sum(t, log_n, amp), expected), f"size={size}, threads={threads}"
