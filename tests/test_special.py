@@ -470,3 +470,29 @@ def test_dirichlet_sum_short_sums_bit_identical_to_one_shot(length, monkeypatch)
         for threads in (1, 2):
             monkeypatch.setattr(special, "usable_cpus", lambda threads=threads: threads)
             assert _same_bits(dirichlet_sum(t, log_n, amp), expected), f"size={size}, threads={threads}"
+
+
+def test_dirichlet_sum_row_blocks_start_at_multiples_of_64(monkeypatch):
+    # The rule that keeps every row on the same BLAS gemv path as in one
+    # product.  A gemv that gives equal bits at any row offset lets the
+    # oracle tests above pass with blocks that start elsewhere.
+    row_blocks = special._row_blocks
+    seen = []
+
+    def spy(size, step):
+        blocks = row_blocks(size, step)
+        seen.append((size, blocks))
+        return blocks
+
+    monkeypatch.setattr(special, "_row_blocks", spy)
+    rng = np.random.default_rng(64)
+    for columns in (1, 2, 16, 19, 300, 4000):
+        log_n = np.log(np.arange(1, columns + 1, dtype=np.float64))
+        for size in (1, 2, 64, 65, 129, 7680, 8193):
+            dirichlet_sum(rng.uniform(0.0, 100.0, size), log_n, np.ones(columns))
+    assert len(seen) == 42
+    for size, blocks in seen:
+        assert [lo for lo, _ in blocks] == sorted({lo for lo, _ in blocks})
+        assert all(lo % special._ROW_BLOCK == 0 for lo, _ in blocks), size
+        assert blocks[0][0] == 0 and blocks[-1][1] == size
+        assert all(hi - lo > 1 for lo, hi in blocks) or size == 1, size
