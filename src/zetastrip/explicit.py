@@ -88,6 +88,7 @@ from .arithmetic import (
 )
 from .errors import ValidationError
 from .meansquare import StripConfig, integrate_mean_square, main_term
+from .special import cis
 
 __all__ = [
     "WindowConfig",
@@ -306,7 +307,7 @@ def _sigma1_sum(
         twist = unit_phase(
             pd.kappa_bar * np.arange(1, n_max + 1, dtype=np.int64), pd.lam
         )
-        inner = np.sum(amplitude * twist * np.exp(1j * phase))
+        inner = np.sum(amplitude * twist * cis(phase))
         coeff = product / pd.lcm ** (2.0 * sigma) * kl**sigma * base_rotation * t_power
         values.append(coeff * complex(inner))
         terms += n_max
@@ -365,7 +366,7 @@ def _sigma2_sum(
             sig
             * n ** (-sigma)
             * twist_values
-            * np.exp(1j * g_phase(T, u))
+            * cis(g_phase(T, u))
             / np.log(saddle_scale / u)
         )
         coeff = product / pd.lcm ** (2.0 * sigma) * (pd.kappa * pd.lam) ** sigma

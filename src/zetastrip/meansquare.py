@@ -40,7 +40,7 @@ import numpy as np
 from .arithmetic import DirichletPolynomial, coefficient_pairs, fsum_complex
 from .errors import ValidationError
 from .quadrature import NODES_PER_PANEL, QuadratureResult, integrate_adaptive
-from .special import em_cutoff, gamma, zeta, zeta_line
+from .special import gamma, zeta, zeta_line, zeta_terms
 
 __all__ = [
     "StripConfig",
@@ -57,9 +57,12 @@ SECONDARY_WEIGHTS = ("coprime", "lcm")
 _OSC_WIDTH_C = 3.0
 
 #: Largest zeta work one mean-square integral may start: initial quadrature
-#: evaluations times the Euler-Maclaurin cutoff at the top of the interval.
-#: [2000, 4000] needs about 6.6e8 terms (about 10 s on 2 threads) and is
-#: admitted; [4000, 8000] needs about 2.9e9 and is not.
+#: evaluations times the most main-sum terms ``zeta_line`` spends on one
+#: point of the interval (:func:`~zetastrip.special.zeta_terms`: the
+#: Euler-Maclaurin cutoff below ``special.RS_MIN_HEIGHT``, both
+#: Riemann-Siegel sums from there on).  [500, 1000] needs about 3.5e7 terms,
+#: [4000, 8000] about 1.3e7 and [50 000, 100 000] about 7.3e8, and they are
+#: admitted; [1e9, 1e9 + 1e4] needs about 2.6e10 and is not.
 MAX_ZETA_TERMS = 2**30
 
 
@@ -131,13 +134,13 @@ def integrate_mean_square(
         # at any cutoff, and the count may be inf, so the cutoff is not formed.
         panels = (t_hi - t_lo) / width(t_hi)
         if panels < MAX_ZETA_TERMS:
-            terms = NODES_PER_PANEL * math.ceil(panels) * em_cutoff(t_hi)
+            terms = NODES_PER_PANEL * math.ceil(panels) * zeta_terms(config.sigma, t_lo, t_hi)
         else:
             terms = math.inf
         if terms > MAX_ZETA_TERMS:
             raise ValidationError(
                 f"mean-square integral on [{t_lo!r}, {t_hi!r}] needs about {terms:.3g} zeta "
-                f"terms (initial evaluations x Euler-Maclaurin cutoff), above the limit "
+                f"terms (initial evaluations x zeta terms per point), above the limit "
                 f"MAX_ZETA_TERMS = {MAX_ZETA_TERMS}"
             )
     return integrate_adaptive(

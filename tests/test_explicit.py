@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zetastrip.arithmetic import DirichletPolynomial
@@ -287,3 +288,26 @@ def test_long_polynomial_blocks_match_benchmark_reference():
             expected = reference[f"M={length}.{end}"]
             for name in ("sigma1", "sigma2", "main"):
                 assert getattr(terms, name) == pytest.approx(expected[name], rel=1e-9), (length, end, name)
+
+
+@pytest.mark.parametrize("length", [1, 4, 16])
+def test_explicit_terms_bit_identical_to_the_former_complex_exp(length, monkeypatch):
+    # The inner Sigma_1 and Sigma_2 sums form exp(i phase) by special.cis;
+    # with cis patched back to np.exp(1j * phase) every block keeps its bits.
+    if length == 1:
+        coefficients = (1.0,)
+    else:
+        coefficients = tuple(_moebius(m) * math.log(length / m) / math.log(length) for m in range(1, length + 1))
+    poly = DirichletPolynomial(coefficients)
+    window = WindowConfig(0.5, 2.0, 250.0, 250.0)
+    flag_sets = [{}, {"sigma1_variant": "resolved", "sigma2_variant": "halved", "twist": "inverse"}]
+
+    def blocks():
+        return [explicit_terms(w, _CFG, poly, **flags) for w in (window, window.scaled(2.0)) for flags in flag_sets]
+
+    got = blocks()
+    monkeypatch.setattr(explicit_module, "cis", lambda phase: np.exp(1j * phase))
+    for new, old in zip(got, blocks()):
+        for name in ("sigma1", "sigma2", "main"):
+            assert getattr(new, name).hex() == getattr(old, name).hex(), (length, name)
+        assert (new.terms_used_1, new.terms_used_2) == (old.terms_used_1, old.terms_used_2)

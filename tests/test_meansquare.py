@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetastrip import meansquare
+from zetastrip import meansquare, special
 from zetastrip.arithmetic import DirichletPolynomial, pair_data
 from zetastrip.errors import ValidationError
 from zetastrip.meansquare import (
@@ -147,22 +147,37 @@ def test_integral_matches_mpmath_short_range():
             integrate_mean_square(t_lo, t_hi, cfg, poly)
 
 
+def test_integral_above_the_riemann_siegel_switch_runs(monkeypatch):
+    # [4000, 8000] needed about 2.9e9 Euler-Maclaurin terms and was refused;
+    # with Riemann-Siegel above special.RS_MIN_HEIGHT it needs about 1.3e7.
+    cfg = StripConfig(0.4)
+    poly = DirichletPolynomial((1.0,))
+    result = integrate_mean_square(4000.0, 8000.0, cfg, poly)
+    assert result.error_estimate <= 1e-8 * result.value
+    # The main term M(8000) - M(4000) = 70 205.2 leaves E(8000) - E(4000) = 5.3.
+    assert abs(result.value - (main_term(8000.0, cfg, poly) - main_term(4000.0, cfg, poly))) < 10.0
+    # On a short window the Euler-Maclaurin kernel is an independent oracle.
+    short = integrate_mean_square(4000.0, 4010.0, cfg, poly).value
+    monkeypatch.setattr(special, "RS_MIN_HEIGHT", math.inf)
+    assert short == pytest.approx(integrate_mean_square(4000.0, 4010.0, cfg, poly).value, rel=1e-11)
+
+
 def test_integral_rejects_zeta_work_above_the_limit_before_any_zeta_call(monkeypatch):
-    # [4000, 8000] used to run for minutes; its estimate is 2.9e9 zeta terms.
+    # 1.04e5 initial evaluations at 25 230 Riemann-Siegel terms each.
     def no_zeta(*args):
         raise AssertionError("zeta evaluated before the work check")
 
     monkeypatch.setattr(meansquare, "zeta_line", no_zeta)
     cfg = StripConfig(0.4)
-    with pytest.raises(ValidationError, match=r"\[4000\.0, 8000\.0\] needs about 2\.88e\+09 zeta terms"):
-        integrate_mean_square(4000.0, 8000.0, cfg, DirichletPolynomial((1.0,)))
+    with pytest.raises(ValidationError, match=r"\[1000000000\.0, 1000001000\.0\] needs about 2\.61e\+09 zeta terms"):
+        integrate_mean_square(1e9, 1e9 + 1e3, cfg, DirichletPolynomial((1.0,)))
     with pytest.raises(ValidationError, match="MAX_ZETA_TERMS = 1073741824"):
-        integrate_mean_square(1e6, 1e6 + 1e3, cfg, DirichletPolynomial((1.0, 0.5)))
+        integrate_mean_square(2e9, 2e9 + 1e3, cfg, DirichletPolynomial((1.0, 0.5)))
     # Past the float range the estimate is inf, not an OverflowError.
     with pytest.raises(ValidationError, match=r"\[0\.0, 1\.7e\+308\] needs about inf zeta terms"):
         integrate_mean_square(0.0, 1.7e308, cfg, DirichletPolynomial((1.0,)))
     # An empty interval, at any height, and A = 0 call no zeta, so they are
     # not bounded by zeta work.
     assert integrate_mean_square(1.7e308, 1.7e308, cfg, DirichletPolynomial((1.0,))).value == 0.0
-    assert integrate_mean_square(4000.0, 8000.0, cfg, DirichletPolynomial((0.0,))).value == 0.0
+    assert integrate_mean_square(1e9, 1e9 + 1e3, cfg, DirichletPolynomial((0.0,))).value == 0.0
 

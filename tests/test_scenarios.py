@@ -730,21 +730,22 @@ def test_cli_run_names_a_saddle_alpha_outside_its_band(tmp_path, capsys, kind, a
 @pytest.mark.parametrize(
     ("kind", "parameters", "need"),
     [
-        ("theorem1", {**CHEAP_PARAMETERS["theorem1"], "t": "4000"}, "[4000.0, 8000.0] needs about 2.88e+09"),
+        ("theorem1", {**CHEAP_PARAMETERS["theorem1"], "t": "70000"}, "[70000.0, 140000.0] needs about 1.24e+09"),
         (
             "mean-square",
-            {**CHEAP_PARAMETERS["mean-square"], "t_lo": "4000", "t_hi": "8000"},
-            "[4000.0, 8000.0] needs about 2.88e+09",
+            {**CHEAP_PARAMETERS["mean-square"], "t_lo": "1e9", "t_hi": "1.000001e9"},
+            "[1000000000.0, 1000001000.0] needs about 2.61e+09",
         ),
         ("mean-square", {**CHEAP_PARAMETERS["mean-square"], "t_hi": "1e307"}, "[0.0, 1e+307] needs about inf"),
         ("mean-square", {**CHEAP_PARAMETERS["mean-square"], "t_hi": "1.7e308"}, "[0.0, 1.7e+308] needs about inf"),
     ],
 )
 def test_cli_run_names_a_mean_square_beyond_the_zeta_work_limit(tmp_path, capsys, kind, parameters, need):
-    # theorem1 at t = 4000 used to run 43 s; its [4000, 8000] integral needs
-    # about 2.9e9 zeta terms.  Past about 7.6e305 the panel count, and past
-    # about 9e307 the zeta cutoff, leave the float range; neither may end in
-    # an OverflowError.
+    # theorem1 at t = 4000 used to run 43 s.  With Riemann-Siegel above
+    # t = 1000 its [4000, 8000] integral needs about 1.3e7 zeta terms and is
+    # admitted; t = 70 000 is refused (4.1e6 initial evaluations at 2 x 149
+    # terms).  Past about 7.6e305 the panel count leaves the float range; it
+    # may not end in an OverflowError.
     text = f"[scenario]\nkind = {kind}\n\n[parameters]\n"
     path = _write_ini(tmp_path, "big.ini", text + "".join(f"{k} = {v}\n" for k, v in parameters.items()))
     start = time.perf_counter()

@@ -8,7 +8,9 @@ a zero crossing is meaningless; K has no zeros and uses plain relative error.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -173,11 +175,61 @@ def test_zeta_line_main_sum_bit_identical_to_one_shot(name, monkeypatch):
         monkeypatch.setattr(special, "usable_cpus", lambda threads=threads: threads)
         assert _same_bits(dirichlet_sum(flat, np.log(n), n ** -0.4), expected), f"threads={threads}"
     # The whole line (Euler-Maclaurin tail, sign fold, shape) on top of the
-    # one-shot sum gives the same bits as the library's.
+    # one-shot sum gives the same bits as the library's.  "column_chunks"
+    # reaches the Riemann-Siegel switch, so there only its points below it
+    # take the main sum.
+    below = np.abs(t) < special.RS_MIN_HEIGHT
     blocked = zeta_line(0.4, t)
     monkeypatch.setattr(special, "dirichlet_sum", lambda t, log_n, amp: _main_sum_one_shot(0.4, t, log_n.size + 1))
-    assert _same_bits(blocked, zeta_line(0.4, t))
+    assert _same_bits(blocked[below], zeta_line(0.4, t)[below])
     assert blocked.shape == np.shape(t)
+
+
+def _zeta_line_em(sigma: float, t) -> np.ndarray:
+    """``zeta_line`` as it was before the Riemann-Siegel kernel: Euler--
+    Maclaurin at every height, one cutoff over the whole batch."""
+    t_arr = np.asarray(t, dtype=np.float64)
+    flat = np.abs(t_arr.ravel())
+    t_hi = float(flat.max()) if flat.size else 0.0
+    n_cut = em_cutoff(t_hi)
+    remainder = special._em_bound(sigma + 1j * t_hi, n_cut)
+    if remainder > special.ZETA_ABS_TOL:
+        raise PrecisionError(
+            f"Euler-Maclaurin remainder bound {remainder:.2e} exceeds "
+            f"ZETA_ABS_TOL {special.ZETA_ABS_TOL:.2e} on this ordinate batch"
+        )
+    n = np.arange(1, n_cut, dtype=np.float64)
+    out = special._em_tail(dirichlet_sum(flat, np.log(n), n ** (-sigma)), sigma + 1j * flat, n_cut)
+    out = np.where(np.ravel(t_arr) < 0.0, np.conj(out), out)
+    return out.reshape(t_arr.shape)
+
+
+_SWITCH_INPUTS = {
+    **_LINE_INPUTS,
+    "just_below": np.nextafter(special.RS_MIN_HEIGHT, 0.0) - np.array([0.0, 0.5, 3.0]),
+    "straddling": np.concatenate([_rng.uniform(-1500.0, 1500.0, 700), [-1000.0, 1000.0, 999.9999999999999]]),
+    "all_above": _rng.uniform(1000.0, 3000.0, (4, 5)),
+}
+
+
+@pytest.mark.parametrize("sigma", [0.4, -0.2, 1.5])
+@pytest.mark.parametrize("name", sorted(_SWITCH_INPUTS))
+def test_zeta_line_below_the_switch_bit_identical_to_euler_maclaurin(name, sigma):
+    t = _SWITCH_INPUTS[name]
+    below = np.abs(np.asarray(t)) < special.RS_MIN_HEIGHT
+    if not special.RS_SIGMA_BAND[0] <= sigma <= special.RS_SIGMA_BAND[1]:
+        below = np.full(np.shape(t), True)  # Euler-Maclaurin at every height off the band
+    # In a straddling batch only the sub-switch points take Euler-Maclaurin,
+    # with the cutoff of the largest of them.
+    try:
+        expected = _zeta_line_em(sigma, t[below] if not below.all() else t)
+    except PrecisionError as exc:  # short sums at sigma = -0.2
+        with pytest.raises(PrecisionError, match=re.escape(str(exc))):
+            zeta_line(sigma, t)
+        return
+    got = zeta_line(sigma, t)
+    assert got.shape == np.shape(t)
+    assert _same_bits(got[below] if not below.all() else got, expected)
 
 
 def _em_former(total, s, n_cut: int):
@@ -242,16 +294,124 @@ def test_zeta_line_checks_the_remainder_bound_before_the_main_sum(monkeypatch):
         zeta_line(0.4, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("T", [250.0, 1000.0, 4000.0])
+@functools.lru_cache(maxsize=None)
+def _mp_zeta(sigma: float, t: float) -> complex:
+    with mpmath.workprec(80):
+        return complex(mpmath.zeta(mpmath.mpc(sigma, t)))
+
+
+_HIGH_OFFSETS = np.array([0.0, 0.37, 1.1, 2.9, 7.3])
+
+
+@pytest.mark.parametrize("T", [250.0, 1000.0, 4000.0, 1e4, 1e5])
 def test_zeta_line_against_mpmath_at_large_height(T):
-    # Phase rounding in the main sum grows the absolute error like T times
-    # machine epsilon (measured: 9e-13, 1.3e-12, 1.8e-11 at sigma = 0.3).
-    t = T + np.array([0.0, 0.37, 1.1, 2.9, 7.3])
+    # Phase rounding in the Euler-Maclaurin main sum grows the absolute
+    # error like T times machine epsilon (measured: 9e-13 at T = 250, sigma =
+    # 0.3; 1.3e-12 and 1.8e-11 at 1000 and 4000 before Riemann-Siegel took
+    # them).  Riemann-Siegel measures 1.4e-14, 2.6e-14, 3.9e-13 and 3.8e-11
+    # at T = 1000, 4000, 1e4 and 1e5.
+    t = T + _HIGH_OFFSETS
     for sigma in (0.3, 0.4):
-        line = zeta_line(sigma, t)
-        for ti, vi in zip(t, line):
-            ref = complex(mpmath.zeta(mpmath.mpc(sigma, float(ti))))
-            assert abs(vi - ref) <= 2e-14 * T, f"sigma={sigma}, t={ti}"
+        for ti, vi in zip(t, zeta_line(sigma, t)):
+            assert abs(vi - _mp_zeta(sigma, float(ti))) <= 2e-14 * T, f"sigma={sigma}, t={ti}"
+
+
+# ---------------------------------------------------------------------------
+# zeta_line above the Riemann-Siegel switch
+# ---------------------------------------------------------------------------
+
+_RS_SIGMAS = (0.26, 0.3, 0.4, 0.45, 0.49)
+
+
+@pytest.mark.parametrize("T", [1000.0, 2000.0, 4000.0, 1e4, 1e5])
+def test_riemann_siegel_against_mpmath(T):
+    # Relative error measured at most 3e-15, 4e-14, 1.9e-13, 2.2e-13 and
+    # 3.2e-12 on these points: the rounding of log t in theta0 grows it
+    # like T.
+    t = T + _HIGH_OFFSETS[[0, 2, 4]]
+    for sigma in _RS_SIGMAS:
+        ref = np.array([_mp_zeta(sigma, float(x)) for x in t])
+        err = np.abs(zeta_line(sigma, t) - ref)
+        assert np.all(err <= 1e-16 * T * np.maximum(np.abs(ref), 1.0)), f"sigma={sigma}"
+
+
+@pytest.mark.parametrize("T", [1000.0, 2000.0, 4000.0])
+def test_riemann_siegel_closer_to_mpmath_than_euler_maclaurin(T):
+    # Measured 78 to 1 100 times closer on these points.
+    t = T + _HIGH_OFFSETS[[0, 2, 4]]
+    for sigma in _RS_SIGMAS:
+        ref = np.array([_mp_zeta(sigma, float(x)) for x in t])
+        rs = np.abs(zeta_line(sigma, t) - ref).max()
+        em = np.abs(_zeta_line_em(sigma, t) - ref).max()
+        assert rs <= 0.1 * em, f"sigma={sigma}: {rs:.2e} vs {em:.2e}"
+
+
+@pytest.mark.parametrize("T", [1000.0, 1e4, 1e5])
+def test_riemann_siegel_functional_equation(T):
+    # zeta(s) = chi(s) zeta(1 - s) with zeta(1 - s) = conj(zeta(1 - sigma +
+    # i t)): both sides from the kernel, chi(s) from mpmath's Gamma.
+    t = T + _HIGH_OFFSETS
+    for sigma in (0.0, 0.26, 0.4, 0.49):
+        left = zeta_line(sigma, t)
+        right = np.conj(zeta_line(1.0 - sigma, t))
+        for ti, lv, rv in zip(t, left, right):
+            with mpmath.workprec(80):
+                s = mpmath.mpc(sigma, float(ti))
+                chi = complex(2**s * mpmath.pi ** (s - 1) * mpmath.sin(mpmath.pi * s / 2) * mpmath.gamma(1 - s))
+            assert abs(lv - chi * rv) <= 1e-16 * T * max(abs(lv), 1.0), f"sigma={sigma}, t={ti}"
+
+
+def test_riemann_siegel_band_edges_against_mpmath():
+    t = 1000.0 + _HIGH_OFFSETS
+    for sigma in (0.0, 0.5, 0.75, 1.0):
+        ref = np.array([_mp_zeta(sigma, float(x)) for x in t])
+        assert np.all(np.abs(zeta_line(sigma, t) - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0)), f"sigma={sigma}"
+
+
+def test_riemann_siegel_coefficients_match_mpmath():
+    from mpmath.functions import rszeta
+
+    with mpmath.workprec(300):
+        c, _ = rszeta.coef(mpmath.mp, 40, mpmath.mpf(2) ** -250)
+        expected = [complex(c[2 * k]) for k in range(len(special._RS_F_TAYLOR))]
+    assert [complex(*pair) for pair in special._RS_F_TAYLOR] == expected
+
+
+def test_zeta_line_sends_the_points_at_or_above_the_switch_to_riemann_siegel(monkeypatch):
+    seen = []
+    kernel = special._zeta_rs
+
+    def spy(sigma, t, terms):
+        seen.append((sigma, t.tolist(), terms))
+        return kernel(sigma, t, terms)
+
+    monkeypatch.setattr(special, "_zeta_rs", spy)
+    t = np.array([-1000.0, 999.9999999999999, 1000.0, 5.0, -2500.0])
+    for sigma in (-0.01, 0.0, 0.4, 1.0, 1.01):
+        zeta_line(sigma, t)
+    # 14 correction terms at the band's ends, 13 inside, at t = 1000.
+    assert seen == [(sigma, [1000.0, 1000.0, 2500.0], terms) for sigma, terms in ((0.0, 14), (0.4, 13), (1.0, 14))]
+
+
+def test_zeta_terms_counts_the_kernel_that_runs():
+    assert special.zeta_terms(0.4, 0.0, 999.5) == em_cutoff(999.5) == 1999
+    assert special.zeta_terms(0.4, 1000.0, 2000.0) == 2 * 17
+    assert special.zeta_terms(0.4, 500.0, 2000.0) == em_cutoff(1000.0) == 2000
+    assert special.zeta_terms(1.5, 1000.0, 2000.0) == em_cutoff(2000.0)
+    assert special.zeta_terms(0.4, 1e9, 1e9 + 1e3) == 2 * 12615
+
+
+def test_riemann_siegel_truncation_bound_failure_is_named(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("main sum formed before the bound check")
+
+    monkeypatch.setattr(special, "_zeta_rs", kernel)
+    monkeypatch.setattr(special, "dirichlet_sum", kernel)
+    monkeypatch.setattr(special, "RS_MIN_HEIGHT", 100.0)
+    with pytest.raises(PrecisionError, match=r"^Riemann-Siegel correction bound .* at t = 150\.0, sigma = 0\.4$"):
+        zeta_line(0.4, [5.0, -150.0, 300.0])
+    with pytest.raises(AssertionError, match="main sum formed"):  # the stubs are live
+        zeta_line(0.4, [5.0, 300.0])
 
 
 # ---------------------------------------------------------------------------
