@@ -60,9 +60,10 @@ _OSC_WIDTH_C = 3.0
 #: evaluations times the most main-sum terms ``zeta_line`` spends on one
 #: point of the interval (:func:`~zetastrip.special.zeta_terms`: the
 #: Euler-Maclaurin cutoff below ``special.RS_MIN_HEIGHT``, both
-#: Riemann-Siegel sums from there on).  [500, 1000] needs about 3.5e7 terms,
-#: [4000, 8000] about 1.3e7 and [50 000, 100 000] about 7.3e8, and they are
-#: admitted; [1e9, 1e9 + 1e4] needs about 2.6e10 and is not.
+#: Riemann-Siegel sums from there on).  [500, 1000] needs about 3.5e7 terms
+#: and [4000, 8000] about 1.3e7; [1e9, 1e9 + 1e4] needs about 2.6e10 and is
+#: refused.  From T of about 12 000 on, a window [T, 2T] meets the
+#: quadrature's ``MAX_PANELS`` first.
 MAX_ZETA_TERMS = 2**30
 
 
