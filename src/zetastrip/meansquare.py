@@ -15,25 +15,23 @@ piece with a ``T^{2 - 2 sigma}`` off-diagonal piece::
           * Gamma(2 sigma - 1) zeta(2 sigma - 1)
           * W(k, l)^{2 sigma - 1} * T^{2 - 2 sigma} ]
 
-The weight ``W(k, l)`` in the secondary piece admits two readings that
-coincide for M = 1 but differ for M >= 2:
-
-* ``"coprime"`` (default): ``W = kappa * lambda = lcm(k,l) / gcd(k,l)``.
-  This is what the derivation through the shifted divisor sum produces (a
-  Lerch-sum reduction yields the denominator ``gcd^{2 sigma - 1} lcm``,
-  which is ``lcm^{2 sigma} / W^{2 sigma - 1}`` with this W), and it is the
-  only reading consistent with scaling: for a one-term polynomial
-  ``A(s) = m^{-s}`` the integrand is ``m^{-2 sigma} |zeta|^2`` exactly, so
-  the diagonal pair ``(m, m)`` must carry weight 1 -- which ``kappa lambda``
-  does and a bare lcm power does not.  Numerically this variant is the one
-  that tracks the quadrature for M >= 2 (see the regression tests).
-* ``"lcm"``: ``W = lcm(k, l)``, selectable for sensitivity runs.
+The weight ``W(k, l)`` of the secondary piece is ``kappa * lambda =
+lcm(k,l) / gcd(k,l)``.  This is what the derivation through the shifted
+divisor sum produces (a Lerch-sum reduction yields the denominator
+``gcd^{2 sigma - 1} lcm``, which is ``lcm^{2 sigma} / W^{2 sigma - 1}`` with
+this W), and it is the only reading consistent with scaling: for a one-term
+polynomial ``A(s) = m^{-s}`` the integrand is ``m^{-2 sigma} |zeta|^2``
+exactly, so the diagonal pair ``(m, m)`` must carry weight 1, which a bare
+``lcm(k, l)`` power does not.  Criterion 6's polynomial ``1 + 2^{-s}``
+holds such a pair, ``(2, 2)``, and its window identity passes with this
+weight and fails its residual gate with the lcm weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,12 +45,9 @@ __all__ = [
     "integrand",
     "integrate_mean_square",
     "main_term",
-    "SECONDARY_WEIGHTS",
+    "check_zeta_work",
     "MAX_ZETA_TERMS",
 ]
-
-#: Readings of the secondary weight ``W(k, l)``; the first is the default.
-SECONDARY_WEIGHTS = ("coprime", "lcm")
 
 _OSC_WIDTH_C = 3.0
 
@@ -104,6 +99,39 @@ def integrand(t, config: StripConfig, poly: DirichletPolynomial) -> np.ndarray |
     return out
 
 
+def _initial_width(poly: DirichletPolynomial) -> Callable[[float], float]:
+    """Initial panel width at ``t``: ``c / log(2 + t)`` for zeta, capped by
+    ``c / log(2 + M)`` for the Dirichlet polynomial."""
+    m_cap = _OSC_WIDTH_C / math.log(2.0 + poly.length)
+    return lambda t: min(_OSC_WIDTH_C / math.log(2.0 + abs(t)), m_cap)
+
+
+def check_zeta_work(t_lo: float, t_hi: float, config: StripConfig, poly: DirichletPolynomial) -> None:
+    """Reject an interval that is not ``0 <= t_lo <= t_hi < inf``, or whose
+    initial panels would need more than :data:`MAX_ZETA_TERMS` zeta terms,
+    without calling zeta."""
+    if not 0.0 <= t_lo <= t_hi < math.inf:  # written so that NaN fails too
+        raise ValidationError(
+            f"integrate_mean_square requires 0 <= t_lo <= t_hi < inf, got [{t_lo!r}, {t_hi!r}]"
+        )
+    if not any(poly.coefficients) or t_lo == t_hi:  # the integrand calls no zeta
+        return
+    # Widths shrink as t grows, so the width at t_hi never undercounts the
+    # initial panels.  From MAX_ZETA_TERMS panels on the limit is exceeded at
+    # any cutoff, and the count may be inf, so the cutoff is not formed.
+    panels = (t_hi - t_lo) / _initial_width(poly)(t_hi)
+    if panels < MAX_ZETA_TERMS:
+        terms = NODES_PER_PANEL * math.ceil(panels) * zeta_terms(config.sigma, t_lo, t_hi)
+    else:
+        terms = math.inf
+    if terms > MAX_ZETA_TERMS:
+        raise ValidationError(
+            f"mean-square integral on [{t_lo!r}, {t_hi!r}] needs about {terms:.3g} zeta "
+            f"terms (initial evaluations x zeta terms per point), above the limit "
+            f"MAX_ZETA_TERMS = {MAX_ZETA_TERMS}"
+        )
+
+
 def integrate_mean_square(
     t_lo: float,
     t_hi: float,
@@ -118,49 +146,20 @@ def integrate_mean_square(
     Initial panel widths are capped by the local oscillation scales of the
     two factors: ``c / log(2 + t)`` for zeta and ``c / log(2 + M)`` for the
     Dirichlet polynomial.  Before zeta is first called, the zeta work of the
-    initial panels is bounded by :data:`MAX_ZETA_TERMS`.
+    initial panels is bounded by :data:`MAX_ZETA_TERMS` (:func:`check_zeta_work`).
     """
-    if not 0.0 <= t_lo <= t_hi < math.inf:  # written so that NaN fails too
-        raise ValidationError(
-            f"integrate_mean_square requires 0 <= t_lo <= t_hi < inf, got [{t_lo!r}, {t_hi!r}]"
-        )
-    m_cap = _OSC_WIDTH_C / math.log(2.0 + poly.length)
-
-    def width(t: float) -> float:
-        return min(_OSC_WIDTH_C / math.log(2.0 + abs(t)), m_cap)
-
-    if any(poly.coefficients) and t_lo < t_hi:  # otherwise the integrand calls no zeta
-        # Widths shrink as t grows, so the width at t_hi never undercounts the
-        # initial panels.  From MAX_ZETA_TERMS panels on the limit is exceeded
-        # at any cutoff, and the count may be inf, so the cutoff is not formed.
-        panels = (t_hi - t_lo) / width(t_hi)
-        if panels < MAX_ZETA_TERMS:
-            terms = NODES_PER_PANEL * math.ceil(panels) * zeta_terms(config.sigma, t_lo, t_hi)
-        else:
-            terms = math.inf
-        if terms > MAX_ZETA_TERMS:
-            raise ValidationError(
-                f"mean-square integral on [{t_lo!r}, {t_hi!r}] needs about {terms:.3g} zeta "
-                f"terms (initial evaluations x zeta terms per point), above the limit "
-                f"MAX_ZETA_TERMS = {MAX_ZETA_TERMS}"
-            )
+    check_zeta_work(t_lo, t_hi, config, poly)
     return integrate_adaptive(
         lambda x: integrand(x, config, poly),
         t_lo,
         t_hi,
         abs_tol=abs_tol,
         rel_tol=rel_tol,
-        initial_width=width,
+        initial_width=_initial_width(poly),
     )
 
 
-def main_term(
-    T: float,
-    config: StripConfig,
-    poly: DirichletPolynomial,
-    *,
-    secondary_weight: str = "coprime",
-) -> float:
+def main_term(T: float, config: StripConfig, poly: DirichletPolynomial) -> float:
     """Analytic main term ``M(T, A)`` (see module docstring).
 
     The pairwise sum is accumulated in lexicographic ``(k, l)`` order with
@@ -171,8 +170,6 @@ def main_term(
     """
     if T <= 0.0:
         raise ValidationError("main_term requires T > 0")
-    if secondary_weight not in SECONDARY_WEIGHTS:
-        raise ValidationError(f"secondary_weight must be one of {SECONDARY_WEIGHTS}")
     sigma = config.sigma
     z1 = zeta(complex(2.0 * sigma)).real
     z2 = zeta(complex(2.0 * sigma - 1.0)).real
@@ -190,8 +187,7 @@ def main_term(
 
     terms = []
     for product, pd in coefficient_pairs(poly):
-        weight = pd.kappa * pd.lam if secondary_weight == "coprime" else pd.lcm
-        bracket = linear_scalar + secondary_scalar * weight ** (2.0 * sigma - 1.0)
+        bracket = linear_scalar + secondary_scalar * (pd.kappa * pd.lam) ** (2.0 * sigma - 1.0)
         terms.append(product / pd.lcm ** (2.0 * sigma) * bracket)
     total = fsum_complex(terms)
     if abs(total.imag) > 1e-8 * max(abs(total.real), 1e-300):

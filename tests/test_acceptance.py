@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from zetastrip.arithmetic import DirichletPolynomial
-from zetastrip.errors import ValidationError
 from zetastrip.explicit import (
     SIGMA1_VARIANTS,
     SIGMA2_VARIANTS,
@@ -225,15 +224,12 @@ def test_criterion_6_window_identity_residual_scaling():
         chosen = ("canonical", "canonical")
         chosen_spread, chosen_fraction = printed_spread, printed_fraction
     else:
-        # The flag-sign variants are fixed by cheaper facts at this scale: the
-        # inverse twist is identical to the direct one for a length-2
-        # polynomial, and the minus radicand is inadmissible on these windows.
+        # The twist is fixed by a cheaper fact at this scale: the inverse
+        # twist is identical to the direct one for a length-2 polynomial.
         window = WindowConfig(0.5, 2.0, 250.0, 250.0)
         direct = explicit_terms(window, cfg, A, twist="direct")
         inverse = explicit_terms(window, cfg, A, twist="inverse")
         assert direct.sigma2 == inverse.sigma2
-        with pytest.raises(ValidationError):
-            explicit_terms(window, cfg, A, radicand="minus")
 
         survey = {
             (s1, s2): gates(s1, s2)

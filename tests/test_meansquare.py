@@ -86,7 +86,7 @@ def test_non_finite_tolerance_fails_fast(tolerances):
         integrate_mean_square(10.0, 20.0, StripConfig(0.4), DirichletPolynomial((1.0,)), **tolerances)
 
 
-def _main_term_oracle(T: float, sigma: float, coeffs, weight: str) -> float:
+def _main_term_oracle(T: float, sigma: float, coeffs) -> float:
     z1 = mpmath.zeta(2 * sigma)
     z2 = mpmath.zeta(2 * sigma - 1)
     g = mpmath.gamma(2 * sigma - 1)
@@ -96,19 +96,18 @@ def _main_term_oracle(T: float, sigma: float, coeffs, weight: str) -> float:
     for k in range(1, M + 1):
         for l in range(1, M + 1):
             pd = pair_data(k, l)
-            w = pd.kappa * pd.lam if weight == "coprime" else pd.lcm
+            w = pd.kappa * pd.lam
             coeff = coeffs[k - 1] * mpmath.conj(mpmath.mpc(coeffs[l - 1]))
             total += (coeff / mpmath.mpf(pd.lcm) ** (2 * sigma) * (z1 * T + secondary * mpmath.mpf(w) ** (2 * sigma - 1))).real
     return float(total)
 
 
-@pytest.mark.parametrize("weight", ["coprime", "lcm"])
-def test_main_term_against_independent_oracle(weight):
+def test_main_term_against_independent_oracle():
     cfg = StripConfig(0.4)
     poly = DirichletPolynomial((1.0, 1.0, 0.5))
     for T in (10.0, 250.0, 2000.0):
-        mine = main_term(T, cfg, poly, secondary_weight=weight)
-        ref = _main_term_oracle(T, 0.4, [1.0, 1.0, 0.5], weight)
+        mine = main_term(T, cfg, poly)
+        ref = _main_term_oracle(T, 0.4, [1.0, 1.0, 0.5])
         assert mine == pytest.approx(ref, rel=1e-11)
 
 
@@ -130,8 +129,6 @@ def test_main_term_guards():
     poly = DirichletPolynomial((1.0,))
     with pytest.raises(ValidationError):
         main_term(0.0, cfg, poly)
-    with pytest.raises(ValidationError):
-        main_term(10.0, cfg, poly, secondary_weight="mystery")
 
 
 def test_integral_matches_mpmath_short_range():

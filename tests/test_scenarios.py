@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetastrip import cli, scenarios
+from zetastrip import cli, explicit, scenarios
 from zetastrip._env import PINNED_THREAD_VARS, pin_thread_env
 from zetastrip.errors import CalibrationError, PrecisionError, QuadratureNonConvergence, ValidationError
 from zetastrip.scenarios import (
@@ -162,6 +162,7 @@ _FUZZ_VALUE = st.one_of(
     st.sampled_from(
         ("inf", "-inf", "nan", "1e999", "-0", "0", "-1", "1e-320", "0x10", "1_0", "--1", "", ",", "1j", "nanj", "9" * 5000)
     ),
+    st.sampled_from(("bundled", "rescaled", "minus", "lcm")),  # readings removed from the library
     st.floats().map(repr),
     st.integers(-(10**30), 10**30).map(str),
     st.lists(st.complex_numbers().map(str), max_size=3).map(", ".join),
@@ -760,6 +761,26 @@ def test_cli_run_names_a_mean_square_beyond_the_zeta_work_limit(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    ("kind", "key", "value", "choices"),
+    [
+        ("theorem1", "sigma1_variant", "bundled", "['canonical', 'resolved']"),
+        ("theorem1", "radicand", "minus", "['plus']"),
+        ("theorem1", "secondary_weight", "lcm", "['coprime']"),
+        ("mean-square", "secondary_weight", "lcm", "['coprime']"),
+    ],
+)
+def test_cli_run_names_a_removed_reading(tmp_path, capsys, kind, key, value, choices):
+    code, elapsed = _run_with_parameter(tmp_path, kind, key, value)
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err.startswith("error:")
+    assert f"parameter '{key}' must be one of {choices}, got '{value}'" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert elapsed < 1.0
+    assert not (tmp_path / "out").exists()
+
+
 def _run_cli(tmp_path, capsys, kind: str, parameters: dict) -> tuple[int, float, str]:
     text = f"[scenario]\nkind = {kind}\n\n[parameters]\n"
     path = _write_ini(tmp_path, "case.ini", text + "".join(f"{k} = {v}\n" for k, v in parameters.items()))
@@ -770,6 +791,28 @@ def _run_cli(tmp_path, capsys, kind: str, parameters: dict) -> tuple[int, float,
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
     return code, elapsed, captured.err
+
+
+@pytest.mark.parametrize(
+    ("kind", "parameters", "need"),
+    [
+        ("theorem1", {"sigma": "0.4", "t": "80000", "coefficients": "1"}, "[80000.0, 160000.0] needs about"),
+        ("theorem2", {"sigma": "0.4", "t": "400000", "coefficients": "1, 1"}, "[0.0, 400000.0] needs about"),
+    ],
+)
+def test_cli_run_checks_the_zeta_work_before_forming_any_block(tmp_path, capsys, monkeypatch, kind, parameters, need):
+    # Both reports used to form every sigma1/sigma2 block before the first
+    # integral checked its zeta work, so a refused input first paid for them.
+    def no_block(*args):
+        raise AssertionError("a sigma1 block was formed before the zeta work check")
+
+    monkeypatch.setattr(explicit, "_sigma1_sum", no_block)
+    code, elapsed, err = _run_cli(tmp_path, capsys, kind, parameters)
+    assert code == EXIT_ERROR
+    assert err.startswith("error: mean-square integral on ")
+    assert need in err
+    assert "above the limit MAX_ZETA_TERMS = 1073741824" in err
+    assert elapsed < 1.0
 
 
 def test_cli_run_names_a_main_term_beyond_the_float_range(tmp_path, capsys):
