@@ -37,7 +37,7 @@ import numpy as np
 
 from .arithmetic import DirichletPolynomial, coefficient_pairs, fsum_complex
 from .errors import ValidationError
-from .quadrature import NODES_PER_PANEL, QuadratureResult, integrate_adaptive
+from .quadrature import NODES_PER_PANEL, QuadratureResult, integrate_adaptive, stage
 from .special import gamma, zeta, zeta_line, zeta_terms
 
 __all__ = [
@@ -55,8 +55,9 @@ _OSC_WIDTH_C = 3.0
 #: evaluations times the most main-sum terms ``zeta_line`` spends on one
 #: point of the interval (:func:`~zetastrip.special.zeta_terms`: the
 #: Euler-Maclaurin cutoff below ``special.RS_MIN_HEIGHT``, both
-#: Riemann-Siegel sums from there on).  [500, 1000] needs about 3.5e7 terms
-#: and [4000, 8000] about 1.3e7; [1e9, 1e9 + 1e4] needs about 2.6e10 and is
+#: Riemann-Siegel sums from there on).  [250, 500] needs about 8e6 terms,
+#: [500, 1000] about 4e5 (3.5e7 while Euler-Maclaurin ran up to 1000) and
+#: [4000, 8000] about 1.3e7; [1e9, 1e9 + 1e4] needs about 2.6e10 and is
 #: refused.  From T of about 12 000 on, a window [T, 2T] meets the
 #: quadrature's ``MAX_PANELS`` first.
 MAX_ZETA_TERMS = 2**30
@@ -149,14 +150,15 @@ def integrate_mean_square(
     initial panels is bounded by :data:`MAX_ZETA_TERMS` (:func:`check_zeta_work`).
     """
     check_zeta_work(t_lo, t_hi, config, poly)
-    return integrate_adaptive(
-        lambda x: integrand(x, config, poly),
-        t_lo,
-        t_hi,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        initial_width=_initial_width(poly),
-    )
+    with stage("mean-square integral"):
+        return integrate_adaptive(
+            lambda x: integrand(x, config, poly),
+            t_lo,
+            t_hi,
+            abs_tol=abs_tol,
+            rel_tol=rel_tol,
+            initial_width=_initial_width(poly),
+        )
 
 
 def main_term(T: float, config: StripConfig, poly: DirichletPolynomial) -> float:

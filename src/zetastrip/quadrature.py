@@ -9,7 +9,8 @@ indicator exceeds its fair share of the tolerance, so the subdivision depends
 only on the integrand values, never on timing or thread scheduling.  Totals
 are correctly rounded (``math.fsum``) and so independent of summation order;
 results are bit-for-bit reproducible.  An integral uses at most
-:data:`MAX_PANELS` panels.
+:data:`MAX_PANELS` panels; a caller names its stage in the error it raises
+when they run out (:func:`stage`).
 
 A width policy (a function of position) bounds the initial panel length, to
 resolve oscillatory integrands; explicit interior breakpoints let integrands
@@ -19,15 +20,16 @@ with known jump locations (divisor step functions) start panel-aligned.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .arithmetic import fsum_complex
 from .errors import PrecisionError, QuadratureNonConvergence, ValidationError
 
-__all__ = ["QuadratureResult", "integrate_adaptive", "MAX_PANELS", "NODES_PER_PANEL"]
+__all__ = ["QuadratureResult", "integrate_adaptive", "stage", "MAX_PANELS", "NODES_PER_PANEL"]
 
 # Gauss-Kronrod 7-15 pair on [-1, 1] (classical constants, full binary64).
 _XGK_HALF = (
@@ -211,3 +213,14 @@ def integrate_adaptive(
         )
         lefts[slots], rights[slots] = child_lefts, child_rights
         values[slots], errors[slots] = child_values, child_errors
+
+
+@contextmanager
+def stage(name: str) -> Iterator[None]:
+    """Prefix ``name``, the caller's stage, to the message of a
+    :class:`QuadratureNonConvergence` raised in the block; the interval, the
+    best value and its error estimate stay as they were."""
+    try:
+        yield
+    except QuadratureNonConvergence as exc:
+        raise QuadratureNonConvergence(f"{name}: {exc}", exc.value, exc.error_estimate) from None

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import QuadratureResult, integrate_adaptive
+from .quadrature import QuadratureResult, integrate_adaptive, stage
 from .special import arcsinh, cis
 
 __all__ = [
@@ -166,7 +166,8 @@ def _phase_integral(
         rate = abs(derivative(y))
         return step / (floor if floor > rate else rate)  # max(rate, floor)
 
-    return integrate_adaptive(integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, initial_width=width)
+    with stage("saddle phase integral"):
+        return integrate_adaptive(integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, initial_width=width)
 
 
 def exp_integral_lhs(

@@ -10,7 +10,7 @@ explicit and testable:
                     ``ZETA_ABS_TOL``.
 * ``zeta_line``  -- vectorised ``zeta(sigma + i t)`` along a fixed real part,
                     the quadrature integrand workhorse.  Below
-                    ``RS_MIN_HEIGHT`` = 1000 (and off ``RS_SIGMA_BAND``) it
+                    ``RS_MIN_HEIGHT`` = 500 (and off ``RS_SIGMA_BAND``) it
                     is Euler--Maclaurin under the same remainder bound and
                     tail as ``zeta``, with the same bits as before the
                     switch existed; from there on it is Riemann--Siegel
@@ -47,7 +47,7 @@ zeros of zeta (near a zero the absolute error is what matters: < 1e-10 for
 sigma >= 0.3; phase rounding in the main sum grows it like |Im s| times
 machine epsilon for negative sigma, reaching ~5e-7 absolute at
 sigma = -0.5, |Im s| = 1e4); zeta_line's Riemann--Siegel kernel < 1e-16 |Im s|
-relative for sigma in [0, 1] (3e-15 at 1000, 3e-12 at 1e5); gamma < 5e-12
+relative for sigma in [0, 1] (2e-14 on [500, 1000], 3e-12 at 1e5); gamma < 5e-12
 relative; J/Y < 5e-9 of the oscillation envelope and K < 5e-9 relative,
 including the branch-switch neighbourhoods.
 """
@@ -282,9 +282,9 @@ def zeta_line(sigma: float, t) -> np.ndarray:
       main-sum terms each and a correction series truncated where the bound
       of its omitted terms is at most ``RS_TRUNCATION_TOL``; a failing bound
       raises :class:`PrecisionError` naming Riemann--Siegel, ``t`` and
-      ``sigma``.  Against mpmath its relative error is about 3e-15 at ``t =
-      1000`` and 3e-12 at ``t = 1e5``, 80 to 1 000 times below
-      Euler--Maclaurin's on [1000, 4000].
+      ``sigma``.  Against mpmath its relative error is at most about 2e-14
+      on [500, 1000] and 3e-12 at ``t = 1e5``, 20 to 1 000 times below
+      Euler--Maclaurin's on [500, 4000].
     * The other points take Euler--Maclaurin with the shared cutoff ``N =
       max(20, ceil(2 max|t|))`` over them; a remainder bound above
       ``ZETA_ABS_TOL`` raises :class:`PrecisionError`.
@@ -322,7 +322,12 @@ def zeta_line(sigma: float, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 #: Ordinates from which :func:`zeta_line` takes the Riemann--Siegel kernel.
-RS_MIN_HEIGHT = 1000.0
+#: At 500 its correction series needs 15 or 16 terms, and on [500, 1000] it
+#: is 20 to 600 times closer to mpmath than Euler--Maclaurin.  Its truncation
+#: bound alone would allow about 215, but below 500 the kernel would reach
+#: the nodes of theorem1's [250, 500] window and move the last bits of its
+#: report's detail strings, which the reference gate still compares exactly.
+RS_MIN_HEIGHT = 500.0
 #: Real parts for which it does (the band its mpmath tests cover).
 RS_SIGMA_BAND = (0.0, 1.0)
 #: Largest accepted bound of the omitted correction terms.

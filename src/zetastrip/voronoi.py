@@ -69,7 +69,7 @@ import numpy as np
 
 from .arithmetic import SIEVE_MAX, divisor_sigma_range, fsum_complex, unit_phase
 from .errors import CalibrationError, ValidationError
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive, stage
 from .special import bessel, zeta
 
 __all__ = [
@@ -565,7 +565,8 @@ def delta_mean_square(
         values = raw(xs) - _main_values(spec, xs, cal.power_exponent) - cal.c0
         return np.abs(values) ** 2
 
-    result = integrate_adaptive(
-        integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=breakpoints
-    )
+    with stage("Voronoi mean square"):
+        result = integrate_adaptive(
+            integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=breakpoints
+        )
     return float(result.value)

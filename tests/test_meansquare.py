@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import contextlib
 import math
+import pickle
+import re
 import signal
 
 import mpmath
 import numpy as np
 import pytest
 
-from zetastrip import meansquare, special
+from zetastrip import meansquare, quadrature, special
 from zetastrip.arithmetic import DirichletPolynomial, pair_data
-from zetastrip.errors import ValidationError
+from zetastrip.errors import QuadratureNonConvergence, ValidationError
 from zetastrip.meansquare import (
     StripConfig,
     integrand,
@@ -157,6 +159,29 @@ def test_integral_above_the_riemann_siegel_switch_runs(monkeypatch):
     short = integrate_mean_square(4000.0, 4010.0, cfg, poly).value
     monkeypatch.setattr(special, "RS_MIN_HEIGHT", math.inf)
     assert short == pytest.approx(integrate_mean_square(4000.0, 4010.0, cfg, poly).value, rel=1e-11)
+
+
+def test_integral_just_above_the_switch_matches_euler_maclaurin(monkeypatch):
+    # Criterion 6's [500, 1000] window starts at the switch; on its first 60
+    # the Euler-Maclaurin kernel is the oracle, with the same panels.
+    cfg = StripConfig(0.4)
+    poly = DirichletPolynomial((1.0, 1.0))
+    window = (special.RS_MIN_HEIGHT, special.RS_MIN_HEIGHT + 60.0)
+    rs = integrate_mean_square(*window, cfg, poly)
+    monkeypatch.setattr(special, "RS_MIN_HEIGHT", math.inf)
+    em = integrate_mean_square(*window, cfg, poly)
+    assert rs.value == pytest.approx(em.value, rel=1e-12)
+    assert (rs.panels, rs.evaluations) == (em.panels, em.evaluations)
+
+
+def test_non_convergence_names_the_mean_square_stage(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2)
+    with pytest.raises(QuadratureNonConvergence) as info:
+        integrate_mean_square(100.0, 100.5, StripConfig(0.4), DirichletPolynomial((1.0,)), abs_tol=1e-300, rel_tol=0.0)
+    assert re.fullmatch(r"mean-square integral: panel budget 2 exhausted .* on \[100\.0, 100\.5\]", str(info.value))
+    assert info.value.value > 0.0 and info.value.error_estimate > 0.0
+    returned = pickle.loads(pickle.dumps(info.value))
+    assert (str(returned), vars(returned)) == (str(info.value), vars(info.value))
 
 
 def test_integral_rejects_zeta_work_above_the_limit_before_any_zeta_call(monkeypatch):

@@ -4,13 +4,14 @@ no-saddle decay integral, and the phi-weighted resonance integral."""
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
-from zetastrip import saddle
-from zetastrip.errors import ValidationError
+from zetastrip import quadrature, saddle
+from zetastrip.errors import QuadratureNonConvergence, ValidationError
 from zetastrip.saddle import (
     AUDIT_CONSTANT,
     ExpIntegralSpec,
@@ -70,6 +71,14 @@ def test_exp_integral_against_mpmath():
 
     ref = complex(mpmath.quad(integrand, [0.2, 1.0, 3.0]))
     assert abs(mine - ref) <= 1e-9
+
+
+def test_non_convergence_names_the_saddle_stage(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)  # 40 initial panels
+    with pytest.raises(QuadratureNonConvergence) as info:
+        exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0), abs_tol=1e-300, rel_tol=0.0)
+    assert re.fullmatch(r"saddle phase integral: panel budget 64 exhausted .* on \[0\.2, 3\.0\]", str(info.value))
+    assert info.value.value > 0.0 and info.value.error_estimate > 0.0
 
 
 def test_exp_integral_minus_sign_conjugates_frequency_only():

@@ -204,11 +204,14 @@ def _zeta_line_em(sigma: float, t) -> np.ndarray:
     return out.reshape(t_arr.shape)
 
 
+_SWITCH = special.RS_MIN_HEIGHT
 _SWITCH_INPUTS = {
     **_LINE_INPUTS,
-    "just_below": np.nextafter(special.RS_MIN_HEIGHT, 0.0) - np.array([0.0, 0.5, 3.0]),
-    "straddling": np.concatenate([_rng.uniform(-1500.0, 1500.0, 700), [-1000.0, 1000.0, 999.9999999999999]]),
-    "all_above": _rng.uniform(1000.0, 3000.0, (4, 5)),
+    "just_below": np.nextafter(_SWITCH, 0.0) - np.array([0.0, 0.5, 3.0]),
+    "straddling": np.concatenate(
+        [_rng.uniform(-1.5 * _SWITCH, 1.5 * _SWITCH, 700), [-_SWITCH, _SWITCH, np.nextafter(_SWITCH, 0.0)]]
+    ),
+    "all_above": _rng.uniform(_SWITCH, 3.0 * _SWITCH, (4, 5)),
 }
 
 
@@ -323,22 +326,23 @@ def test_zeta_line_against_mpmath_at_large_height(T):
 _RS_SIGMAS = (0.26, 0.3, 0.4, 0.45, 0.49)
 
 
-@pytest.mark.parametrize("T", [1000.0, 2000.0, 4000.0, 1e4, 1e5])
+@pytest.mark.parametrize("T", [500.0, 750.0, 1000.0, 2000.0, 4000.0, 1e4, 1e5])
 def test_riemann_siegel_against_mpmath(T):
-    # Relative error measured at most 3e-15, 4e-14, 1.9e-13, 2.2e-13 and
-    # 3.2e-12 on these points: the rounding of log t in theta0 grows it
-    # like T.  At T = 1000 the band's ends and sigma = 1/2 are checked too.
+    # Relative error measured at most 1.6e-15, 1.5e-14, 3e-15, 4e-14,
+    # 1.9e-13, 2.2e-13 and 3.2e-12 on these points: the rounding of log t in
+    # theta0 grows it like T.  At T = 500 and 1000 the band's ends and
+    # sigma = 1/2 are checked too.
     t = T + _HIGH_OFFSETS[[0, 2, 4]]
-    band_edges = (0.0, 0.5, 0.75, 1.0) if T == 1000.0 else ()
+    band_edges = (0.0, 0.5, 0.75, 1.0) if T in (500.0, 1000.0) else ()
     for sigma in _RS_SIGMAS + band_edges:
         ref = np.array([_mp_zeta(sigma, float(x)) for x in t])
         err = np.abs(zeta_line(sigma, t) - ref)
         assert np.all(err <= 1e-16 * T * np.maximum(np.abs(ref), 1.0)), f"sigma={sigma}"
 
 
-@pytest.mark.parametrize("T", [1000.0, 2000.0, 4000.0])
+@pytest.mark.parametrize("T", [500.0, 750.0, 1000.0, 2000.0, 4000.0])
 def test_riemann_siegel_closer_to_mpmath_than_euler_maclaurin(T):
-    # Measured 78 to 1 100 times closer on these points.
+    # Measured 21 (T = 750) to 1 100 times closer on these points.
     t = T + _HIGH_OFFSETS[[0, 2, 4]]
     for sigma in _RS_SIGMAS:
         ref = np.array([_mp_zeta(sigma, float(x)) for x in t])
@@ -347,7 +351,7 @@ def test_riemann_siegel_closer_to_mpmath_than_euler_maclaurin(T):
         assert rs <= 0.1 * em, f"sigma={sigma}: {rs:.2e} vs {em:.2e}"
 
 
-@pytest.mark.parametrize("T", [1000.0, 1e4, 1e5])
+@pytest.mark.parametrize("T", [500.0, 1000.0, 1e4, 1e5])
 def test_riemann_siegel_functional_equation(T):
     # zeta(s) = chi(s) zeta(1 - s) with zeta(1 - s) = conj(zeta(1 - sigma +
     # i t)): both sides from the kernel, chi(s) from mpmath's Gamma.
@@ -380,18 +384,19 @@ def test_zeta_line_sends_the_points_at_or_above_the_switch_to_riemann_siegel(mon
         return kernel(sigma, t, terms)
 
     monkeypatch.setattr(special, "_zeta_rs", spy)
-    t = np.array([-1000.0, 999.9999999999999, 1000.0, 5.0, -2500.0])
+    t = np.array([-_SWITCH, np.nextafter(_SWITCH, 0.0), _SWITCH, 5.0, -2.5 * _SWITCH])
     for sigma in (-0.01, 0.0, 0.4, 1.0, 1.01):
         zeta_line(sigma, t)
-    # 14 correction terms at the band's ends, 13 inside, at t = 1000.
-    assert seen == [(sigma, [1000.0, 1000.0, 2500.0], terms) for sigma, terms in ((0.0, 14), (0.4, 13), (1.0, 14))]
+    # 16 correction terms at the band's ends, 15 inside, at t = 500.
+    high = [_SWITCH, _SWITCH, 2.5 * _SWITCH]
+    assert seen == [(sigma, high, terms) for sigma, terms in ((0.0, 16), (0.4, 15), (1.0, 16))]
 
 
 def test_zeta_terms_counts_the_kernel_that_runs():
-    assert special.zeta_terms(0.4, 0.0, 999.5) == em_cutoff(999.5) == 1999
-    assert special.zeta_terms(0.4, 1000.0, 2000.0) == 2 * 17
-    assert special.zeta_terms(0.4, 500.0, 2000.0) == em_cutoff(1000.0) == 2000
-    assert special.zeta_terms(1.5, 1000.0, 2000.0) == em_cutoff(2000.0)
+    assert special.zeta_terms(0.4, 0.0, _SWITCH - 0.5) == em_cutoff(_SWITCH - 0.5) == 999
+    assert special.zeta_terms(0.4, _SWITCH, 2.0 * _SWITCH) == 2 * 12
+    assert special.zeta_terms(0.4, 0.5 * _SWITCH, 2.0 * _SWITCH) == em_cutoff(_SWITCH) == 1000
+    assert special.zeta_terms(1.5, _SWITCH, 2.0 * _SWITCH) == em_cutoff(2.0 * _SWITCH)
     assert special.zeta_terms(0.4, 1e9, 1e9 + 1e3) == 2 * 12615
 
 

@@ -11,14 +11,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
 
+from zetastrip import quadrature
 from zetastrip.arithmetic import divisor_sigma_range, unit_phase
-from zetastrip.errors import CalibrationError, ValidationError
+from zetastrip.errors import CalibrationError, QuadratureNonConvergence, ValidationError
 from zetastrip.special import bessel
 from zetastrip.voronoi import (
     TWIST_MODES,
@@ -338,6 +340,16 @@ def test_delta_mean_square_pin_and_guard():
     assert value == pytest.approx(231.68259320622565, rel=1e-10)
     with pytest.raises(ValidationError):
         delta_mean_square(spec, 2.0)
+
+
+def test_non_convergence_names_the_voronoi_stage(monkeypatch):
+    spec = _fresh_spec()
+    calibrate(spec, power_modulus_exponent=-0.8)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 3)  # 2 initial panels
+    with pytest.raises(QuadratureNonConvergence) as info:
+        delta_mean_square(spec, 4.0, abs_tol=1e-300, rel_tol=0.0)
+    assert re.fullmatch(r"Voronoi mean square: panel budget 3 exhausted .* on \[2\.0, 4\.0\]", str(info.value))
+    assert info.value.value > 0.0 and info.value.error_estimate > 0.0
 
 
 # ---------------------------------------------------------------------------
