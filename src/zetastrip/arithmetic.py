@@ -28,6 +28,7 @@ __all__ = [
     "DirichletPolynomial",
     "pair_data",
     "coefficient_pairs",
+    "pair_weights",
     "fsum_complex",
     "divisor_sigma_range",
     "unit_phase",
@@ -113,6 +114,13 @@ def coefficient_pairs(A: DirichletPolynomial) -> Iterator[tuple[complex, PairDat
     for k, ak in nonzero:
         for l, al in nonzero:
             yield ak * al.conjugate(), pair_data(k, l)
+
+
+def pair_weights(A: DirichletPolynomial, sigma: float) -> Iterator[tuple[complex, PairData]]:
+    """``(a(k) conj(a(l)) / lcm^{2 sigma}, pair_data(k, l))`` over :func:`coefficient_pairs`:
+    the pair weight of the main term and of both oscillatory sums."""
+    for product, pd in coefficient_pairs(A):
+        yield product / pd.lcm ** (2.0 * sigma), pd
 
 
 def fsum_complex(values: Iterable[complex] | np.ndarray) -> complex:

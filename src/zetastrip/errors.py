@@ -24,7 +24,7 @@ class QuadratureNonConvergence(ZetastripError, ArithmeticError):
         self.error_estimate = error_estimate
 
     def __reduce__(self):
-        # Rebuilt from all three arguments, so a suite worker can return it.
+        # Rebuilt from all three arguments, so a library caller's process pool can return it.
         return type(self), (str(self), self.value, self.error_estimate)
 
 

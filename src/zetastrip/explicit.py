@@ -40,24 +40,25 @@ Readings
 --------
 
 Three keywords of :func:`explicit_terms` and of both reports pick how the
-sums are normalised.  Criterion 6 (the window identity at ``sigma = 0.4``,
+sums are normalised.  Each names a key of one table, which holds its factor:
+``_SIGMA1_PREFACTORS`` and ``_SIGMA2_FACTORS`` (functions of sigma) and
+``_TWIST_MULTIPLIERS`` (the ``m`` of Sigma_2's ``e(m n/lambda)``, a function
+of the pair).  Criterion 6 (the window identity at ``sigma = 0.4``,
 ``A = 1 + 2^{-s}``, ``T`` in {125, ..., 1000}) keeps each reading left:
 
 * ``sigma1_variant``: ``canonical`` (unit prefactor, as printed; criterion
-  6's baseline) or ``resolved`` (``(2 pi)^{sigma-1/2} e^{2 i pi sigma}``,
-  which removes the printed ``e^{-2 i pi sigma}`` rotation).  Regressions of
-  windowed quadrature pin this scalar within ~1% and ~0.5 degrees at sigma
-  in {0.30, 0.40, 0.45} and M = 1, 2, 3; criterion 6 passes only with it.
-* ``sigma2_variant``: ``canonical`` (unit), ``halved`` (1/2, the classical
-  limiting coefficient at sigma = 1/2) or ``resolved``
-  (``(1/2) (2 pi)^{2 sigma - 1}``, within 4% of the same regressions).
-  Criterion 6 records ``halved``; ``resolved`` meets its residual fraction
-  gate too and misses only the looser spread gate.
-* ``twist``: ``e(-kappa n/lambda)`` (``direct``; cancels the ``2 pi u``
-  phase term) or ``e(-kappa_bar n/lambda)`` (``inverse``).  They coincide
-  while every ``lambda <= 4``, as for criterion 6's polynomial; the pair
-  ``(2, 5)`` separates them, and the regressions prefer ``direct`` by ~3.5
-  in residual norm.
+  6's baseline) or ``resolved``, which removes the printed
+  ``e^{-2 i pi sigma}`` rotation.  Regressions of windowed quadrature pin
+  this scalar within ~1% and ~0.5 degrees at sigma in {0.30, 0.40, 0.45}
+  and M = 1, 2, 3; criterion 6 passes only with it.
+* ``sigma2_variant``: ``canonical``, ``halved`` (the classical limiting
+  coefficient at sigma = 1/2) or ``resolved`` (within 4% of the same
+  regressions).  Criterion 6 records ``halved``; ``resolved`` meets its
+  residual fraction gate too and misses only the looser spread gate.
+* ``twist``: ``direct`` (cancels the ``2 pi u`` phase term) or ``inverse``.
+  They coincide while every ``lambda <= 4``, as for criterion 6's
+  polynomial; the pair ``(2, 5)`` separates them, and the regressions
+  prefer ``direct`` by ~3.5 in residual norm.
 
 Defaults are the printed forms.
 """
@@ -67,19 +68,23 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .arithmetic import (
     SIEVE_MAX,
     DirichletPolynomial,
+    PairData,
     coefficient_pairs,
     divisor_sigma_range,
     fsum_complex,
+    pair_weights,
     unit_phase,
 )
 from .errors import ValidationError
 from .meansquare import StripConfig, check_zeta_work, integrate_mean_square, main_term
+from .quadrature import QuadratureResult
 from .special import cis
 
 __all__ = [
@@ -98,9 +103,19 @@ __all__ = [
     "TWIST_MODES",
 ]
 
-SIGMA1_VARIANTS = ("canonical", "resolved")
-SIGMA2_VARIANTS = ("canonical", "halved", "resolved")
-TWIST_MODES = ("direct", "inverse")
+_SIGMA1_PREFACTORS = {
+    "canonical": lambda sigma: 1.0 + 0.0j,
+    "resolved": lambda sigma: (2.0 * math.pi) ** (sigma - 0.5) * cmath.exp(2j * math.pi * sigma),
+}
+_SIGMA2_FACTORS = {
+    "canonical": lambda sigma: 1.0,
+    "halved": lambda sigma: 0.5,
+    "resolved": lambda sigma: 0.5 * (2.0 * math.pi) ** (2.0 * sigma - 1.0),
+}
+_TWIST_MULTIPLIERS = {"direct": lambda pd: -pd.kappa, "inverse": lambda pd: -pd.kappa_bar}
+SIGMA1_VARIANTS = tuple(_SIGMA1_PREFACTORS)
+SIGMA2_VARIANTS = tuple(_SIGMA2_FACTORS)
+TWIST_MODES = tuple(_TWIST_MULTIPLIERS)
 
 
 @dataclass(frozen=True)
@@ -209,151 +224,112 @@ def g_phase(T: float, u: float | np.ndarray) -> float | np.ndarray:
     return out if u_arr.ndim else float(out)
 
 
-def _sigma1_prefactor(variant: str, sigma: float) -> complex:
-    if variant == "canonical":
-        return 1.0 + 0.0j
-    if variant == "resolved":
-        return (2.0 * math.pi) ** (sigma - 0.5) * cmath.exp(2j * math.pi * sigma)
-    raise ValidationError(f"sigma1 variant must be one of {SIGMA1_VARIANTS}")
+def _reading(table: dict, what: str, name: str):
+    """The factor a reading table holds for ``name``; ``what`` names the reading."""
+    if name not in table:
+        raise ValidationError(f"{what} must be one of {tuple(table)}")
+    return table[name]
 
 
-def _sigma2_prefactor(variant: str, sigma: float) -> float:
-    if variant == "canonical":
-        return 1.0
-    if variant == "halved":
-        return 0.5
-    if variant == "resolved":
-        return 0.5 * (2.0 * math.pi) ** (2.0 * sigma - 1.0)
-    raise ValidationError(f"sigma2 variant must be one of {SIGMA2_VARIANTS}")
+# Inner length of a pair's sum in each block at the block's cutoff: ``kappa lambda Y``
+# in Sigma_1 (cutoff ``Y``), ``lambda Ycut / kappa`` in Sigma_2 (``Ycut = xi(T, Y)``).
+_INNER_LENGTHS = {
+    "sigma1": lambda pd, cut: pd.kappa * pd.lam * cut,
+    "sigma2": lambda pd, cut: pd.lam * cut / pd.kappa,
+}
 
 
-def _sigma1_sum(
-    T: float,
-    Y: float,
-    cfg: StripConfig,
-    A: DirichletPolynomial,
-) -> tuple[complex, int]:
-    """Primary oscillatory sum ``S1(T, Y)`` before the variant prefactor and
-    the final ``Im{}``.  Returns ``(total, terms)``.
+def _pair_sum(A: DirichletPolynomial, sigma: float, block: str, cut: float, m, terms, outer=()) -> tuple[complex, int]:
+    """``(total, count)`` of the pair sum both blocks share: over the pairs of
+    :func:`~zetastrip.arithmetic.pair_weights`, weight * ``(kappa lambda)^sigma`` * each
+    ``outer`` factor * the sum of ``terms(pd, n, sigma_{2 sigma - 1}(n) n^{-sigma}, e(m(pd) n / lambda))``
+    over the ``count`` integers ``n`` up to each ``block`` inner length at ``cut``; every
+    product is formed left to right and the pairs are summed correctly rounded."""
+    values: list[complex] = []
+    count = 0
+    for weight, pd in pair_weights(A, sigma):
+        n_max = math.floor(_INNER_LENGTHS[block](pd, cut))
+        if n_max < 1:
+            continue
+        n_int = np.arange(1, n_max + 1, dtype=np.int64)
+        n = n_int.astype(np.float64)
+        base = divisor_sigma_range(2.0 * sigma - 1.0, n_max) * n ** (-sigma)
+        coeff = weight * (pd.kappa * pd.lam) ** sigma
+        for factor in outer:
+            coeff = coeff * factor
+        values.append(coeff * complex(np.sum(terms(pd, n, base, unit_phase(m(pd) * n_int, pd.lam)))))
+        count += n_max
+    return fsum_complex(values), count
 
-    For each index pair ``(k, l)`` with nonzero coefficient product the inner
-    sum runs over ``n <= kappa*lambda*Y`` and accumulates::
 
-        a(k) conj(a(l)) / lcm^{2 sigma} * (kappa lambda)^sigma
-            * e^{-2 i pi sigma} * sigma_{2 sigma - 1}(n) n^{-sigma}
-            * e(kappa_bar n / lambda) * T^{1/2 - sigma}
-            * arcsinh(sqrt(pi n / (2 T kappa lambda)))^{-1}
+def _sigma1_sum(T: float, Y: float, cfg: StripConfig, A: DirichletPolynomial) -> tuple[complex, int]:
+    """Primary oscillatory sum ``S1(T, Y)`` before the reading's prefactor and
+    the final ``Im{}``: :func:`_pair_sum` over ``n <= kappa*lambda*Y`` with
+    ``m = kappa_bar`` and outer factors ``e^{-2 i pi sigma} T^{1/2 - sigma}``,
+    whose terms carry after ``sigma_{2 sigma - 1}(n) n^{-sigma}``::
+
+        arcsinh(sqrt(pi n / (2 T kappa lambda)))^{-1}
             * (1 + 2 T kappa lambda/(pi n))^{-1/4}
+            * e(kappa_bar n / lambda)
             * exp(i (f(T, n/(kappa lambda)) - pi n/(kappa lambda) + pi/2))
 
-    ``S1`` is ``Im{prefactor * total}`` with the variant prefactor of the
-    module docstring.
+    ``S1`` is ``Im{prefactor * total}``.  Returns ``(total, terms)``.
     """
     if not (T > 0.0 and Y > 0.0):
         raise ValidationError("sigma1 requires T > 0 and Y > 0")
     sigma = cfg.sigma
-    exponent = 2.0 * sigma - 1.0
-    base_rotation = cmath.exp(-2j * math.pi * sigma)
-    t_power = T ** (0.5 - sigma)
-    values: list[complex] = []
-    terms = 0
-    for product, pd in coefficient_pairs(A):
+
+    def terms(pd: PairData, n: np.ndarray, base: np.ndarray, unit: np.ndarray) -> np.ndarray:
         kl = pd.kappa * pd.lam
-        n_max = math.floor(kl * Y)
-        if n_max < 1:
-            continue
-        n = np.arange(1, n_max + 1, dtype=np.float64)
-        sig = divisor_sigma_range(exponent, n_max)
         u = n / kl
         asc = np.arcsinh(np.sqrt(math.pi * n / (2.0 * T * kl)))
-        amplitude = (
-            sig
-            * n ** (-sigma)
-            / asc
-            * (1.0 + 2.0 * T * kl / (math.pi * n)) ** -0.25
-        )
         phase = f_phase(T, u) - math.pi * u + 0.5 * math.pi
-        twist = unit_phase(
-            pd.kappa_bar * np.arange(1, n_max + 1, dtype=np.int64), pd.lam
-        )
-        inner = np.sum(amplitude * twist * cis(phase))
-        coeff = product / pd.lcm ** (2.0 * sigma) * kl**sigma * base_rotation * t_power
-        values.append(coeff * complex(inner))
-        terms += n_max
-    return fsum_complex(values), terms
+        return base / asc * (1.0 + 2.0 * T * kl / (math.pi * n)) ** -0.25 * unit * cis(phase)
+
+    outer = (cmath.exp(-2j * math.pi * sigma), T ** (0.5 - sigma))
+    return _pair_sum(A, sigma, "sigma1", Y, lambda pd: pd.kappa_bar, terms, outer)
 
 
 def _sigma2_sum(
-    T: float,
-    y_cut: float,
-    cfg: StripConfig,
-    A: DirichletPolynomial,
-    twist: str,
+    T: float, y_cut: float, cfg: StripConfig, A: DirichletPolynomial, twist: str
 ) -> tuple[complex, int]:
     """Secondary oscillatory sum ``S2(T, Ycut)``, ``Ycut = xi(T, Y)``, before
-    the variant factor and the final ``Re{}``.  Returns ``(total, terms)``.
+    the reading's factor and the final ``Re{}``: ``-4 (2 pi T)^{1/2 - sigma}``
+    times :func:`_pair_sum` over ``n <= (lambda/kappa) Ycut`` with the twist's
+    ``m`` (``-kappa`` or ``-kappa_bar``), whose terms carry after
+    ``sigma_{2 sigma - 1}(n) n^{-sigma}``::
 
-    For each pair the inner cutoff is ``n <= (lambda/kappa) Ycut`` and the
-    accumulated term is::
+        e(m n / lambda) * exp(i g(T, kappa n / lambda)) / log(lambda T/(2 pi kappa n))
 
-        -4 (2 pi T)^{1/2 - sigma} * a(k) conj(a(l)) / lcm^{2 sigma}
-            * (kappa lambda)^sigma * sigma_{2 sigma - 1}(n) n^{-sigma}
-            * e(-kappa n / lambda)
-            * exp(i g(T, kappa n / lambda)) / log(lambda T/(2 pi kappa n))
-
-    (``e(-kappa_bar n / lambda)`` for the ``inverse`` twist).  Every retained
-    term must satisfy ``kappa n / lambda < T/(2 pi)`` strictly (positive
-    logarithm); violating cutoffs raise :class:`ValidationError`.
+    Every retained term must satisfy ``kappa n / lambda < T/(2 pi)`` strictly
+    (positive logarithm); violating cutoffs raise :class:`ValidationError`.
+    Returns ``(total, terms)``.
     """
     if not (T > 0.0 and y_cut >= 0.0):
         raise ValidationError("sigma2 requires T > 0 and Ycut >= 0")
-    if twist not in TWIST_MODES:
-        raise ValidationError(f"twist must be one of {TWIST_MODES}")
-    sigma = cfg.sigma
-    exponent = 2.0 * sigma - 1.0
+    multiplier = _reading(_TWIST_MULTIPLIERS, "twist", twist)
     saddle_scale = T / (2.0 * math.pi)
-    # -T^{1/2-sigma}/(pi^{1/2+sigma} 2^{sigma-1/2}) * 4 pi  ==  -4 (2 pi T)^{1/2-sigma}
-    scalar = -4.0 * (2.0 * math.pi * T) ** (0.5 - sigma)
-    values: list[complex] = []
-    terms = 0
-    for product, pd in coefficient_pairs(A):
-        n_max = math.floor(pd.lam * y_cut / pd.kappa)
-        if n_max < 1:
-            continue
-        n = np.arange(1, n_max + 1, dtype=np.float64)
+
+    def terms(pd: PairData, n: np.ndarray, base: np.ndarray, unit: np.ndarray) -> np.ndarray:
         u = pd.kappa * n / pd.lam
         if u[-1] >= saddle_scale:
             raise ValidationError(
-                "sigma2 retained a term with kappa*n/lambda >= T/(2 pi); "
-                "the window cutoff is inadmissible"
+                "sigma2 retained a term with kappa*n/lambda >= T/(2 pi); the window cutoff is inadmissible"
             )
-        sig = divisor_sigma_range(exponent, n_max)
-        n_int = np.arange(1, n_max + 1, dtype=np.int64)
-        multiplier = -pd.kappa if twist == "direct" else -pd.kappa_bar
-        twist_values = unit_phase(multiplier * n_int, pd.lam)
-        inner = np.sum(
-            sig
-            * n ** (-sigma)
-            * twist_values
-            * cis(g_phase(T, u))
-            / np.log(saddle_scale / u)
-        )
-        coeff = product / pd.lcm ** (2.0 * sigma) * (pd.kappa * pd.lam) ** sigma
-        values.append(coeff * complex(inner))
-        terms += n_max
-    return scalar * fsum_complex(values), terms
+        return base * unit * cis(g_phase(T, u)) / np.log(saddle_scale / u)
+
+    total, count = _pair_sum(A, cfg.sigma, "sigma2", y_cut, multiplier, terms)
+    # -T^{1/2-sigma}/(pi^{1/2+sigma} 2^{sigma-1/2}) * 4 pi  ==  -4 (2 pi T)^{1/2-sigma}
+    return -4.0 * (2.0 * math.pi * T) ** (0.5 - cfg.sigma) * total, count
 
 
 def _check_inner_lengths(window: WindowConfig, A: DirichletPolynomial) -> None:
     """Reject a window whose longest Σ₁ or Σ₂ inner sum would outgrow the
     divisor sieve, before any array is formed."""
     pairs = [pd for _, pd in coefficient_pairs(A)]
-    y_cut = xi(window.t, window.y)
-    longest = {
-        "sigma1": max((pd.kappa * pd.lam * window.y for pd in pairs), default=0.0),
-        "sigma2": max((pd.lam * y_cut / pd.kappa for pd in pairs), default=0.0),
-    }
-    for block, length in longest.items():
+    cutoffs = {"sigma1": window.y, "sigma2": xi(window.t, window.y)}
+    for block, cut in cutoffs.items():
+        length = max((_INNER_LENGTHS[block](pd, cut) for pd in pairs), default=0.0)
         if not length < SIEVE_MAX + 1:  # floor(length) terms; written so that NaN fails too
             raise ValidationError(
                 f"the {block} inner sum at t = {window.t!r}, y = {window.y!r} needs {length:.4g} "
@@ -372,8 +348,8 @@ def explicit_terms(
 ) -> ExplicitTerms:
     """All closed-form blocks of the window identity at one ``(T, Y)``."""
     _check_inner_lengths(window, A)
-    prefactor1 = _sigma1_prefactor(sigma1_variant, cfg.sigma)
-    factor2 = _sigma2_prefactor(sigma2_variant, cfg.sigma)
+    prefactor1 = _reading(_SIGMA1_PREFACTORS, "sigma1 variant", sigma1_variant)(cfg.sigma)
+    factor2 = _reading(_SIGMA2_FACTORS, "sigma2 variant", sigma2_variant)(cfg.sigma)
     total1, terms1 = _sigma1_sum(window.t, window.y, cfg, A)
     total2, terms2 = _sigma2_sum(window.t, xi(window.t, window.y), cfg, A, twist)
     return ExplicitTerms(
@@ -383,6 +359,24 @@ def explicit_terms(
         terms_used_1=terms1,
         terms_used_2=terms2,
     )
+
+
+def _theorem_step(
+    windows: Sequence[WindowConfig], intervals: Sequence[tuple[float, float]], cfg: StripConfig,
+    A: DirichletPolynomial, readings: dict, abs_tol: float, rel_tol: float,
+) -> tuple[list[ExplicitTerms], list[QuadratureResult]]:
+    """The blocks at every window, then the integral over every interval; every window's
+    sieve lengths and every integral's zeta work are checked before any block is formed."""
+    for window in windows:
+        _check_inner_lengths(window, A)
+    for t_lo, t_hi in intervals:
+        check_zeta_work(t_lo, t_hi, cfg, A)
+    blocks = [explicit_terms(window, cfg, A, **readings) for window in windows]
+    quads = [
+        integrate_mean_square(t_lo, t_hi, cfg, A, abs_tol=abs_tol, rel_tol=rel_tol)
+        for t_lo, t_hi in intervals
+    ]
+    return blocks, quads
 
 
 @dataclass(frozen=True)
@@ -427,19 +421,11 @@ def theorem1_report(
     abs_tol: float = 1e-6,
     rel_tol: float = 1e-8,
 ) -> Theorem1Report:
-    """Evaluate both sides of the window identity over ``[T, 2T]``.
-
-    Both windows' sieve lengths and the integral's zeta work are checked
-    before any block is formed.
-    """
-    flags = dict(sigma1_variant=sigma1_variant, sigma2_variant=sigma2_variant, twist=twist)
-    windows = (win.scaled(2.0), win)
-    for window in windows:
-        _check_inner_lengths(window, A)
-    check_zeta_work(win.t, 2.0 * win.t, cfg, A)
-    upper, lower = (explicit_terms(window, cfg, A, **flags) for window in windows)
-    quad = integrate_mean_square(
-        win.t, 2.0 * win.t, cfg, A, abs_tol=abs_tol, rel_tol=rel_tol
+    """Evaluate both sides of the window identity over ``[T, 2T]``
+    (:func:`_theorem_step`)."""
+    readings = dict(sigma1_variant=sigma1_variant, sigma2_variant=sigma2_variant, twist=twist)
+    (upper, lower), (quad,) = _theorem_step(
+        (win.scaled(2.0), win), [(win.t, 2.0 * win.t)], cfg, A, readings, abs_tol, rel_tol
     )
     return Theorem1Report(
         window=win,
@@ -506,11 +492,10 @@ def theorem2_report(
     only in how ``[0, T]`` was panelised.
 
     The blocks are evaluated once per scale ``2^{-j}``, ``j = 0..L``: each
-    scale is the upper end of one level and the lower end of the next.  Every
-    window's sieve lengths and every integral's zeta work are checked before
-    any block is formed.
+    scale is the upper end of one level and the lower end of the next
+    (:func:`_theorem_step`).
     """
-    flags = dict(sigma1_variant=sigma1_variant, sigma2_variant=sigma2_variant, twist=twist)
+    readings = dict(sigma1_variant=sigma1_variant, sigma2_variant=sigma2_variant, twist=twist)
     levels = _dyadic_levels(win.t, win.c_star, alpha)
     # Scaling by a power of two is exact, so each window equals the doubled
     # window of the next scale bit for bit.
@@ -518,14 +503,8 @@ def theorem2_report(
     stub_upper = windows[-1].t
     # [0, T], then the level [2^{-j} T, 2^{-j+1} T] of each j = 1..L, then the stub.
     intervals = [(0.0, win.t), *((w.t, 2.0 * w.t) for w in windows[1:]), (0.0, stub_upper)]
-    for window in windows:
-        _check_inner_lengths(window, A)
-    for t_lo, t_hi in intervals:
-        check_zeta_work(t_lo, t_hi, cfg, A)
-    blocks = [explicit_terms(w, cfg, A, **flags) for w in windows]
-    quad_direct, *quad_levels, quad_stub = (
-        integrate_mean_square(t_lo, t_hi, cfg, A, abs_tol=abs_tol, rel_tol=rel_tol)
-        for t_lo, t_hi in intervals
+    blocks, (quad_direct, *quad_levels, quad_stub) = _theorem_step(
+        windows, intervals, cfg, A, readings, abs_tol, rel_tol
     )
     direct_value = float(quad_direct.value) - blocks[0].block_total
     error_total = quad_direct.error_estimate

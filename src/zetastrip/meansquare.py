@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arithmetic import DirichletPolynomial, coefficient_pairs, fsum_complex
+from .arithmetic import DirichletPolynomial, fsum_complex, pair_weights
 from .errors import ValidationError
 from .quadrature import NODES_PER_PANEL, QuadratureResult, integrate_adaptive, stage
 from .special import gamma, zeta, zeta_line, zeta_terms
@@ -188,9 +188,9 @@ def main_term(T: float, config: StripConfig, poly: DirichletPolynomial) -> float
     linear_scalar = z1 * T
 
     terms = []
-    for product, pd in coefficient_pairs(poly):
+    for weight, pd in pair_weights(poly, sigma):
         bracket = linear_scalar + secondary_scalar * (pd.kappa * pd.lam) ** (2.0 * sigma - 1.0)
-        terms.append(product / pd.lcm ** (2.0 * sigma) * bracket)
+        terms.append(weight * bracket)
     total = fsum_complex(terms)
     if abs(total.imag) > 1e-8 * max(abs(total.real), 1e-300):
         raise ValidationError(

@@ -99,11 +99,11 @@ def _initial_edges(
             x = x + w
             if not x < right:
                 x = right
-            append(x)
-            if len(edges) > MAX_PANELS:
+            if len(edges) > MAX_PANELS:  # edges so far = panels with this one
                 raise ValidationError(
                     f"initial_width policy reached the panel budget {MAX_PANELS} on [{a!r}, {b!r}]"
                 )
+            append(x)
     return edges
 
 

@@ -43,6 +43,7 @@ Exit-code convention used by the command-line front end:
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import io
 import json
@@ -81,9 +82,9 @@ from .voronoi import (
     X_MAX,
     TwistedSumSpec,
     _check_plan_limits,
-    _delta_direct_values,
     calibrate,
     delta_bessel,
+    delta_direct,
     truncation_plan,
 )
 
@@ -255,7 +256,7 @@ def load_scenario(path: str | Path) -> Scenario:
             f"scenario {path.name} [output]",
         )
         stem = out["stem"]
-        if not stem or any(sep in stem for sep in ("/", "\\")):
+        if not stem or any(sep in stem for sep in ("/", "\\", "\0")):
             raise ValidationError(f"scenario {path.name}: output stem must be a bare file name")
         formats = tuple(token.strip() for token in out["formats"].split(",") if token.strip())
         for fmt in formats:
@@ -299,8 +300,7 @@ def _theorem_inputs(v: dict) -> tuple[WindowConfig, StripConfig, DirichletPolyno
     """Window, strip, polynomial and keyword options shared by both theorem kinds."""
     cfg = StripConfig(v["sigma"])
     win = WindowConfig(v["c1"], v["c2"], v["y"], v["t"])
-    options = {param.name: v[param.name] for param in _THEOREM_FLAGS}
-    options.update(abs_tol=v["abs_tol"], rel_tol=v["rel_tol"])
+    options = {name: v[name] for name in ("sigma1_variant", "sigma2_variant", "twist", "abs_tol", "rel_tol")}
     return win, cfg, DirichletPolynomial(v["coefficients"]), options
 
 
@@ -416,7 +416,7 @@ def _run_voronoi(v: dict) -> tuple:
     differences = []
     xs = np.geomspace(x_lo, x_hi, points)
     # One pass of the raw sum up to x_hi serves every point.
-    for x_val, direct_val in zip(xs, _delta_direct_values(spec, xs, calibration)):
+    for x_val, direct_val in zip(xs, delta_direct(spec, xs)):
         x, direct = float(x_val), complex(direct_val)
         bessel = delta_bessel(spec, x, plan, twist=v["twist"])
         diff = abs(direct - bessel)
@@ -560,18 +560,22 @@ def _choice(name: str, choices: tuple[str, ...]) -> _Param:
 # schema 2 re-records the reference reports without them.
 _SECONDARY_WEIGHT = _choice("secondary_weight", ("coprime",))
 _RADICAND = _choice("radicand", ("plus",))
-_THEOREM_FLAGS = (
-    _choice("sigma1_variant", SIGMA1_VARIANTS),
-    _choice("sigma2_variant", SIGMA2_VARIANTS),
-    _choice("twist", TWIST_MODES),
-)
 _COEFFICIENTS = _Param("coefficients", _list_of(_complex), (1 + 0j,))
-_WINDOW = (
+# The keys both theorem kinds share.  Config and the CSV preamble are sorted by
+# key, so a kind's key order shows only in which bad key is named first.
+_THEOREM_KEYS = (
     _Param("sigma"),
     _Param("t"),
     _Param("y", default=lambda v: v["t"]),
     _Param("c1", default=0.5),
     _Param("c2", default=2.0),
+    _COEFFICIENTS,
+    _choice("sigma1_variant", SIGMA1_VARIANTS),
+    _choice("sigma2_variant", SIGMA2_VARIANTS),
+    _choice("twist", TWIST_MODES),
+    _RADICAND,
+    _SECONDARY_WEIGHT,
+    *_tolerances(1e-6, 1e-8),
 )
 
 _KINDS: dict[str, _Kind] = {
@@ -587,29 +591,11 @@ _KINDS: dict[str, _Kind] = {
         _run_mean_square,
     ),
     "theorem1": _Kind(
-        (
-            *_WINDOW,
-            _COEFFICIENTS,
-            *_THEOREM_FLAGS,
-            _RADICAND,
-            _SECONDARY_WEIGHT,
-            *_tolerances(1e-6, 1e-8),
-            _Param("residual_fraction", _positive, 0.2),
-            _Param("error_multiple", _positive, 10.0),
-        ),
+        (*_THEOREM_KEYS, _Param("residual_fraction", _positive, 0.2), _Param("error_multiple", _positive, 10.0)),
         _run_theorem1,
     ),
     "theorem2": _Kind(
-        (
-            *_WINDOW,
-            _Param("alpha", default=1.0),
-            _COEFFICIENTS,
-            *_THEOREM_FLAGS,
-            _RADICAND,
-            _SECONDARY_WEIGHT,
-            *_tolerances(1e-6, 1e-8),
-            _Param("error_multiple", _positive, 3.0),
-        ),
+        (*_THEOREM_KEYS, _Param("alpha", default=1.0), _Param("error_multiple", _positive, 3.0)),
         _run_theorem2,
     ),
     "voronoi": _Kind(
@@ -731,27 +717,39 @@ def render_csv(report: dict) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", newline="", dir=path.parent, prefix=f".{path.name}.", delete=False
-    )
+    """Write ``text`` to ``path`` through a temporary file beside it; an
+    ``OSError`` becomes a :class:`ValidationError` that names ``path``."""
     try:
-        with handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(handle.name, path)
-    except BaseException:
+        handle = tempfile.NamedTemporaryFile(
+            "w", encoding="utf-8", newline="", dir=path.parent, prefix=f".{path.name}.", delete=False
+        )
         try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+            with handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(handle.name, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(handle.name)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write report {path}: {exc.strerror or exc}") from exc
+
+
+def _report_dir(out_dir: str | Path | None) -> Path:
+    """``out_dir`` (default: the current directory), made if missing; an ``OSError`` names it."""
+    target = Path(out_dir) if out_dir is not None else Path.cwd()
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create report directory {target}: {exc.strerror or exc}") from exc
+    return target
 
 
 def write_report(report: dict, out_dir: str | Path, stem: str, formats: Sequence[str]) -> list[str]:
     """Serialise a report into ``out_dir`` atomically; returns written paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _report_dir(out_dir)
     renderers = {"json": render_json, "csv": render_csv}
     written = []
     for fmt in formats:
@@ -773,10 +771,13 @@ class RunResult:
 
 
 def execute_scenario(path: str | Path, out_dir: str | Path | None = None) -> RunResult:
-    """Load, run and serialise one scenario file."""
+    """Load, run and serialise one scenario file.  A file in the report
+    directory's place is refused before the run, which creates nothing if it fails."""
     scenario = load_scenario(path)
-    report = build_report(scenario)
     target = Path(out_dir) if out_dir is not None else Path.cwd()
+    if target.exists() and not target.is_dir():
+        raise ValidationError(f"cannot create report directory {target}: a file of that name exists")
+    report = build_report(scenario)
     outputs = write_report(report, target, scenario.stem, scenario.formats)
     return RunResult(
         kind=scenario.kind,
@@ -821,10 +822,10 @@ def run_suite(
     """Run every scenario of a suite and write a summary report.
 
     The scenarios run on a thread pool of ``min(workers, len(scenarios))``
-    threads in the calling process, ``workers`` at once; each scenario's
-    ``zeta_line`` runs one thread per usable CPU beside them, and its bits
-    do not depend on that count.  The caller must have pinned BLAS to one
-    thread before numpy loaded (the CLI does).  Results are collected in
+    threads in the calling process, ``workers`` at once.  Only the
+    Euler-Maclaurin zeta points and A(s) sums use more (``dirichlet_sum``'s
+    threads), and no bit depends on their count.  The caller must have pinned
+    BLAS to one thread before numpy loaded (the CLI does).  Results are collected in
     listing order, so the summary and every per-scenario report are
     byte-identical for any worker count.  A failing scenario does not stop
     the others: they all run and write their reports, then the first failure
@@ -834,8 +835,7 @@ def run_suite(
     if workers < 1:
         raise ValidationError("workers must be at least 1")
     scenario_paths = load_suite(path)
-    target = Path(out_dir) if out_dir is not None else Path.cwd()
-    target.mkdir(parents=True, exist_ok=True)
+    target = _report_dir(out_dir)
 
     stems = [load_scenario(p).stem for p in scenario_paths]
     duplicates = sorted({s for s in stems if stems.count(s) > 1})

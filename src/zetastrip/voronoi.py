@@ -15,7 +15,8 @@ The remainder ``Delta`` has three independent evaluations, and cross-checking
 them is the point of this module:
 
 * :func:`delta_direct` - the definition: ``D(x)`` minus the smooth terms minus
-  a constant ``C0`` obtained by least-squares calibration (:func:`calibrate`);
+  a constant ``C0`` obtained by least-squares calibration (:func:`calibrate`),
+  at one ``x`` or at an array of them from one pass of the raw sum;
 * :func:`delta_bessel` - a Bessel-kernel series with terms
   ``sigma_a(n) e(-hn/k) n^(-(1+a)/2)`` against the kernel
   ``-(2/pi) cos(pi a/2) [K_{a+1} + (pi/2) Y_{a+1}] - sin(pi a/2) J_{1+a}``
@@ -62,6 +63,7 @@ the spec, later calls must agree on the parameters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -163,8 +165,8 @@ class TwistedSumSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.h, int) or not isinstance(self.k_mod, int):
             raise ValidationError("h and k_mod must be integers")
-        if self.k_mod < 1:
-            raise ValidationError(f"k_mod must be positive, got {self.k_mod}")
+        if not 1 <= self.k_mod <= X_MAX:  # so that every h n of a sum is exact in int64
+            raise ValidationError(f"k_mod must satisfy 1 <= k_mod <= {X_MAX:.0f}, got {self.k_mod}")
         if not 0 <= self.h < self.k_mod:
             raise ValidationError(
                 f"h must satisfy 0 <= h < k_mod, got h={self.h}, k_mod={self.k_mod}"
@@ -266,14 +268,12 @@ def twisted_sum(spec: TwistedSumSpec, x: float) -> complex:
     return complex(_twisted_values(spec, np.array([float(x)]))[0])
 
 
-def _main_values(
-    spec: TwistedSumSpec, xs: np.ndarray, power_modulus_exponent: float | None
-) -> np.ndarray:
+def _main_values(spec: TwistedSumSpec, xs: np.ndarray, exponent: float) -> np.ndarray:
     """Sum of the two smooth main terms of the twisted sum at each ``x``.
 
     ``k^(a-1) zeta(1-a) x + k^E zeta(1+a)/(1+a) x^(1+a)`` with ``E`` the
-    configurable modulus exponent (default ``1 - a``; the Estermann-residue
-    value is ``-1 - a`` -- see the module docstring).
+    modulus ``exponent`` (printed ``1 - a``; the Estermann-residue value is
+    ``-1 - a`` -- see the module docstring).
     """
     a = spec.a
     if a == 0.0:
@@ -281,7 +281,6 @@ def _main_values(
             "the smooth main terms require a < 0 (zeta(1+a) has a pole at a=0)"
         )
     k = float(spec.k_mod)
-    exponent = (1.0 - a) if power_modulus_exponent is None else float(power_modulus_exponent)
     linear_coeff = k ** (a - 1.0) * zeta(complex(1.0 - a)).real
     power_coeff = k**exponent * zeta(complex(1.0 + a)).real / (1.0 + a)
     return linear_coeff * xs + power_coeff * xs ** (1.0 + a)
@@ -319,9 +318,9 @@ def calibrate(
     if a == 0.0:
         raise ValidationError("calibration requires a < 0 (no smooth main terms at a=0)")
     exponent = (1.0 - a) if power_modulus_exponent is None else float(power_modulus_exponent)
-    if not math.isfinite(exponent):
+    if not (math.isfinite(exponent) and exponent * math.log(spec.k_mod) < math.log(sys.float_info.max)):
         raise ValidationError(
-            f"calibration requires a finite power_modulus_exponent, got {exponent}"
+            f"calibration requires a power_modulus_exponent E with k^E a finite float, got E = {exponent}"
         )
     stored = spec._calibration
     if stored is not None:
@@ -373,26 +372,26 @@ def calibrate(
     return result
 
 
-def _delta_direct_values(
-    spec: TwistedSumSpec, xs: np.ndarray, cal: Calibration
-) -> np.ndarray:
-    return (
-        _twisted_values(spec, xs)
-        - _main_values(spec, xs, cal.power_exponent)
-        - cal.c0
-    )
+def _delta(spec: TwistedSumSpec, raw: Callable, cal: Calibration, xs: np.ndarray) -> np.ndarray:
+    """``D(x) - main terms - C0`` at each ``x`` of ``xs``; ``raw`` is from :func:`_raw_sum`."""
+    return raw(xs) - _main_values(spec, xs, cal.power_exponent) - cal.c0
 
 
-def delta_direct(spec: TwistedSumSpec, x: float) -> complex:
+def delta_direct(spec: TwistedSumSpec, x: float | np.ndarray) -> complex | np.ndarray:
     """Oscillating remainder by definition: ``D(x) - main terms - C0``.
 
-    Uses the spec's stored calibration, running :func:`calibrate` with default
-    parameters first if needed (so a drifting decomposition raises
+    ``x`` is a float, giving a complex, or a 1-d array, giving an array from
+    one pass of the raw sum up to its largest x.  Uses the spec's stored
+    calibration, running :func:`calibrate` with default parameters first if
+    needed (so a drifting decomposition raises
     :class:`~zetastrip.errors.CalibrationError` here too).
     """
-    _check_x("delta_direct", x)
+    arr = np.asarray(x, dtype=np.float64)
+    xs = arr.reshape(-1)
+    _check_x("delta_direct", float(xs.min()))  # _raw_sum checks the largest against X_MAX
     cal = spec._calibration or calibrate(spec)
-    return complex(_delta_direct_values(spec, np.array([float(x)]), cal)[0])
+    values = _delta(spec, _raw_sum(spec, float(xs.max())), cal, xs)
+    return values if arr.ndim else complex(values[0])
 
 
 def term_envelope(spec: TwistedSumSpec, x: float, n) -> np.ndarray | float:
@@ -561,12 +560,9 @@ def delta_mean_square(
     interior = np.arange(math.floor(lo) + 1, math.ceil(hi))
     breakpoints = [float(m) for m in interior if lo < m < hi]
 
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        values = raw(xs) - _main_values(spec, xs, cal.power_exponent) - cal.c0
-        return np.abs(values) ** 2
-
     with stage("Voronoi mean square"):
         result = integrate_adaptive(
-            integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=breakpoints
+            lambda xs: np.abs(_delta(spec, raw, cal, xs)) ** 2,
+            lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=breakpoints,
         )
     return float(result.value)

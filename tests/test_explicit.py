@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import json
 import math
 from pathlib import Path
@@ -9,10 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetastrip.arithmetic import DirichletPolynomial
+from zetastrip.arithmetic import DirichletPolynomial, coefficient_pairs, divisor_sigma_range, fsum_complex, unit_phase
 from zetastrip.errors import ValidationError
 import zetastrip.explicit as explicit_module
 from zetastrip.explicit import (
+    SIGMA1_VARIANTS,
+    SIGMA2_VARIANTS,
+    TWIST_MODES,
+    ExplicitTerms,
     WindowConfig,
     _dyadic_levels,
     _sigma1_sum,
@@ -25,6 +31,7 @@ from zetastrip.explicit import (
     xi,
 )
 from zetastrip.meansquare import StripConfig, integrate_mean_square, main_term
+from zetastrip.special import cis, gamma, zeta
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +311,122 @@ def test_explicit_terms_bit_identical_to_the_former_complex_exp(length, monkeypa
         for name in ("sigma1", "sigma2", "main"):
             assert getattr(new, name).hex() == getattr(old, name).hex(), (length, name)
         assert (new.terms_used_1, new.terms_used_2) == (old.terms_used_1, old.terms_used_2)
+
+
+# ---------------------------------------------------------------------------
+# Former block sums, kept as bitwise oracles of the shared pair sum
+# ---------------------------------------------------------------------------
+
+
+def _sigma1_prefactor_oracle(variant: str, sigma: float) -> complex:
+    if variant == "canonical":
+        return 1.0 + 0.0j
+    return (2.0 * math.pi) ** (sigma - 0.5) * cmath.exp(2j * math.pi * sigma)
+
+
+def _sigma2_prefactor_oracle(variant: str, sigma: float) -> float:
+    if variant == "canonical":
+        return 1.0
+    if variant == "halved":
+        return 0.5
+    return 0.5 * (2.0 * math.pi) ** (2.0 * sigma - 1.0)
+
+
+def _sigma1_sum_oracle(T, Y, cfg, A):
+    sigma = cfg.sigma
+    exponent = 2.0 * sigma - 1.0
+    base_rotation = cmath.exp(-2j * math.pi * sigma)
+    t_power = T ** (0.5 - sigma)
+    values = []
+    terms = 0
+    for product, pd in coefficient_pairs(A):
+        kl = pd.kappa * pd.lam
+        n_max = math.floor(kl * Y)
+        if n_max < 1:
+            continue
+        n = np.arange(1, n_max + 1, dtype=np.float64)
+        sig = divisor_sigma_range(exponent, n_max)
+        u = n / kl
+        asc = np.arcsinh(np.sqrt(math.pi * n / (2.0 * T * kl)))
+        amplitude = sig * n ** (-sigma) / asc * (1.0 + 2.0 * T * kl / (math.pi * n)) ** -0.25
+        phase = f_phase(T, u) - math.pi * u + 0.5 * math.pi
+        twist = unit_phase(pd.kappa_bar * np.arange(1, n_max + 1, dtype=np.int64), pd.lam)
+        inner = np.sum(amplitude * twist * cis(phase))
+        coeff = product / pd.lcm ** (2.0 * sigma) * kl**sigma * base_rotation * t_power
+        values.append(coeff * complex(inner))
+        terms += n_max
+    return fsum_complex(values), terms
+
+
+def _sigma2_sum_oracle(T, y_cut, cfg, A, twist):
+    sigma = cfg.sigma
+    exponent = 2.0 * sigma - 1.0
+    saddle_scale = T / (2.0 * math.pi)
+    scalar = -4.0 * (2.0 * math.pi * T) ** (0.5 - sigma)
+    values = []
+    terms = 0
+    for product, pd in coefficient_pairs(A):
+        n_max = math.floor(pd.lam * y_cut / pd.kappa)
+        if n_max < 1:
+            continue
+        n = np.arange(1, n_max + 1, dtype=np.float64)
+        u = pd.kappa * n / pd.lam
+        sig = divisor_sigma_range(exponent, n_max)
+        n_int = np.arange(1, n_max + 1, dtype=np.int64)
+        multiplier = -pd.kappa if twist == "direct" else -pd.kappa_bar
+        twist_values = unit_phase(multiplier * n_int, pd.lam)
+        inner = np.sum(sig * n ** (-sigma) * twist_values * cis(g_phase(T, u)) / np.log(saddle_scale / u))
+        coeff = product / pd.lcm ** (2.0 * sigma) * (pd.kappa * pd.lam) ** sigma
+        values.append(coeff * complex(inner))
+        terms += n_max
+    return scalar * fsum_complex(values), terms
+
+
+def _main_term_oracle(T, cfg, A):
+    sigma = cfg.sigma
+    z1 = zeta(complex(2.0 * sigma)).real
+    z2 = zeta(complex(2.0 * sigma - 1.0)).real
+    g2 = gamma(2.0 * sigma - 1.0)
+    secondary_scalar = math.cos((sigma - 0.5) * math.pi) / (1.0 - sigma) * g2 * z2 * T ** (2.0 - 2.0 * sigma)
+    linear_scalar = z1 * T
+    terms = []
+    for product, pd in coefficient_pairs(A):
+        bracket = linear_scalar + secondary_scalar * (pd.kappa * pd.lam) ** (2.0 * sigma - 1.0)
+        terms.append(product / pd.lcm ** (2.0 * sigma) * bracket)
+    return fsum_complex(terms).real
+
+
+_READINGS = list(itertools.product(SIGMA1_VARIANTS, SIGMA2_VARIANTS, TWIST_MODES))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 16])
+def test_blocks_bit_identical_to_the_former_block_sums(length, monkeypatch):
+    # Random complex coefficients, every reading, sigma in {0.3, 0.4, 0.45}
+    # and T in {60, 250, 1000} at Y = T: each block keeps the bits of the
+    # former separate Sigma_1 and Sigma_2 loops and main-term pair loop.
+    rng = np.random.default_rng(length)
+    poly = DirichletPolynomial(tuple(rng.normal(size=length) + 1j * rng.normal(size=length)))
+    for sigma, T in itertools.product((0.3, 0.4, 0.45), (60.0, 250.0, 1000.0)):
+        cfg, window = StripConfig(sigma), WindowConfig(0.5, 2.0, T, T)
+        y_cut = xi(T, T)
+        sum1 = _sigma1_sum(T, T, cfg, poly)
+        assert sum1 == _sigma1_sum_oracle(T, T, cfg, poly), (sigma, T)
+        sums2 = {twist: _sigma2_sum(T, y_cut, cfg, poly, twist) for twist in TWIST_MODES}
+        for twist, got in sums2.items():
+            assert got == _sigma2_sum_oracle(T, y_cut, cfg, poly, twist), (sigma, T, twist)
+        main = _main_term_oracle(T, cfg, poly)
+        # The readings apply scalar factors to the same sums.
+        monkeypatch.setattr(explicit_module, "_sigma1_sum", lambda *args: sum1)
+        monkeypatch.setattr(explicit_module, "_sigma2_sum", lambda *args: sums2[args[-1]])
+        for s1, s2, twist in _READINGS:
+            got = explicit_terms(window, cfg, poly, sigma1_variant=s1, sigma2_variant=s2, twist=twist)
+            total1, terms1 = sum1
+            total2, terms2 = sums2[twist]
+            assert got == ExplicitTerms(
+                sigma1=(_sigma1_prefactor_oracle(s1, sigma) * total1).imag,
+                sigma2=_sigma2_prefactor_oracle(s2, sigma) * total2.real,
+                main=main,
+                terms_used_1=terms1,
+                terms_used_2=terms2,
+            ), (sigma, T, s1, s2, twist)
+        monkeypatch.undo()

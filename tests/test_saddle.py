@@ -74,11 +74,23 @@ def test_exp_integral_against_mpmath():
 
 
 def test_non_convergence_names_the_saddle_stage(monkeypatch):
-    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)  # 40 initial panels
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 40)  # 40 initial panels
     with pytest.raises(QuadratureNonConvergence) as info:
         exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0), abs_tol=1e-300, rel_tol=0.0)
-    assert re.fullmatch(r"saddle phase integral: panel budget 64 exhausted .* on \[0\.2, 3\.0\]", str(info.value))
+    assert re.fullmatch(r"saddle phase integral: panel budget 40 exhausted .* on \[0\.2, 3\.0\]", str(info.value))
     assert info.value.value > 0.0 and info.value.error_estimate > 0.0
+
+
+def test_initial_panels_may_fill_the_whole_budget(monkeypatch):
+    # 40 initial panels converge within a budget of exactly 40; one panel
+    # less is refused before any evaluation.
+    spec = _spec(a_lo=0.2, b_hi=3.0, T=40.0)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 40)
+    result = exp_integral_lhs(spec)
+    assert (result.panels, result.evaluations) == (40, 40 * quadrature.NODES_PER_PANEL)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 39)
+    with pytest.raises(ValidationError, match=r"^initial_width policy reached the panel budget 39 on \[0\.2, 3\.0\]$"):
+        exp_integral_lhs(spec)
 
 
 def test_exp_integral_minus_sign_conjugates_frequency_only():

@@ -670,10 +670,13 @@ def test_cli_run_rejects_non_positive_limit(tmp_path, capsys, kind, key, value):
         ("points", "1000000000000", "'points' × max('n_terms', 1024) = 1000000000000 × 1024 exceed"),
         ("calibration_samples", "65544", "parameter 'calibration_samples' must be at most 65536, got 65544"),
         ("calibration_samples", "800000000000", "parameter 'calibration_samples' must be at most 65536"),
+        ("k", "9" * 40, "k_mod must satisfy 1 <= k_mod <= 1048576, got 9999"),
+        ("power_modulus_exponent", "1000", "power_modulus_exponent E with k^E a finite float, got E = 1000.0"),
     ],
 )
 def test_cli_run_names_voronoi_input_beyond_its_limits(tmp_path, capsys, key, value, constraint):
-    # These inputs used to end in a reshape ValueError or an IndexError traceback.
+    # These inputs used to end in a reshape ValueError, an IndexError or an
+    # OverflowError traceback.
     code, elapsed = _run_with_parameter(tmp_path, "voronoi", key, value)
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
@@ -845,6 +848,93 @@ def test_cli_run_names_a_non_finite_integrand(tmp_path, capsys, kind, parameters
     assert err.startswith("error: integrand value inf at x = ")
     assert f"is not finite on {interval}" in err
     assert elapsed < 1.0
+
+
+def _assert_one_error_line(captured, *fragments: str) -> None:
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
+    for fragment in fragments:
+        assert fragment in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_cli_names_an_existing_file_given_as_out_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # The report directory is made ready before any scenario runs; a regular
+    # file in its place used to end in a FileExistsError traceback after the run.
+    calls = []
+    params = scenarios._KINDS["saddle-l3"].params
+    monkeypatch.setitem(scenarios._KINDS, "saddle-l3", scenarios._Kind(params, lambda v: calls.append(v)))
+    path = _write_ini(tmp_path, "decay.ini", _scenario_text("saddle-l3"))
+    if command == "suite":
+        path = _write_ini(tmp_path, "bench.ini", "[suite]\nscenarios = decay.ini\n")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    code = cli.main([command, str(path), "--out", str(taken)])
+    assert code == EXIT_ERROR
+    _assert_one_error_line(capsys.readouterr(), f"cannot create report directory {taken}")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    ("stem", "fragment"),
+    [("a\0b", "output stem must be a bare file name"), ("x" * 300, "cannot write report ")],
+    ids=["nul", "too-long"],
+)
+def test_cli_run_names_an_unusable_output_stem(tmp_path, capsys, stem, fragment):
+    # A NUL byte is refused when the file is read; a name too long for the
+    # file system is named with its path when the report is written.
+    path = _write_ini(tmp_path, "decay.ini", _scenario_text("saddle-l3", f"[output]\nstem = {stem}"))
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    _assert_one_error_line(capsys.readouterr(), fragment)
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+def _cli_fuzz_value(param, cheap: str | None) -> st.SearchStrategy[str]:
+    """Text for ``param``, whose cheap value is ``cheap`` or its default: a
+    choice, that value scaled by a small factor, or a malformed or
+    out-of-range value."""
+    bad = st.sampled_from(("", "x", "nan", "inf", "-inf", "1e999", "0", "-1", "9" * 40, "1, 2", "1j"))
+    if param.choices is not None:
+        return bad | st.sampled_from(param.choices + ("bundled", "other"))
+    try:
+        number = float(cheap if cheap is not None else param.default)
+    except (TypeError, ValueError):  # a list, a callable default or a text key
+        return bad | st.sampled_from(("50, 100", "50, 100, 200", "10, 20", "1, 0.5", "0.5+0.5j, -1", "residue"))
+    as_int = param.parse is scenarios._int
+    factors = st.sampled_from((-1.0, 0.0, 0.5, 1.5, 2.0))
+    return bad | factors.map(lambda f: str(int(number * f)) if as_int else repr(number * f))
+
+
+@st.composite
+def _cli_fuzz_case(draw) -> tuple[str, str]:
+    """Scenario text of any kind with up to three keys changed, perhaps an
+    ``[output]`` section, and the kind of ``--out`` to pass."""
+    kind = draw(st.sampled_from(SCENARIO_KINDS))
+    parameters = dict(CHEAP_PARAMETERS[kind])
+    for param in draw(st.sets(st.sampled_from(scenarios._KINDS[kind].params), max_size=3)):
+        parameters[param.name] = draw(_cli_fuzz_value(param, parameters.get(param.name)))
+    lines = ["[scenario]", f"kind = {kind}", "[parameters]", *(f"{k} = {v}" for k, v in parameters.items())]
+    if draw(st.booleans()):
+        stem = draw(st.sampled_from(("report",) * 4 + ("a/b", "a\0b", "x" * 300, "é" * 128)))
+        formats = draw(st.sampled_from(("json", "csv", "json, csv", "yaml")))
+        lines += ["[output]", f"stem = {stem}", f"formats = {formats}"]
+    return "\n".join(lines) + "\n", draw(st.sampled_from(("directory",) * 3 + ("file",)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=_cli_fuzz_case())
+def test_fuzzed_scenario_runs_through_the_cli_with_a_defined_exit(case):
+    # Every generated scenario, run end to end by ``zetastrip run``, exits 0, 1
+    # or 2; an exception escaping cli.main would be a traceback.
+    text, out = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(text, encoding="utf-8")
+        target = Path(tmp) / "out"
+        if out == "file":
+            target.write_text("", encoding="utf-8")
+        assert cli.main(["run", str(path), "--out", str(target)]) in (EXIT_PASS, EXIT_ERROR, EXIT_FAIL)
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -37,7 +37,6 @@ from zetastrip.voronoi import (
     twisted_sum,
     X_MAX,
 )
-from zetastrip.voronoi import _delta_direct_values  # the direct column of a voronoi scenario
 from zetastrip.voronoi import _main_values  # the main terms every Delta path subtracts
 from zetastrip.voronoi import _twisted_values  # the raw sum every D(x) path forms
 
@@ -125,7 +124,7 @@ def test_voronoi_main_against_zeta_oracle():
     a, k, x = -0.2, 3, 100.0
     lin_ref = mpmath.mpf(k) ** (a - 1) * mpmath.zeta(1 - a) * x
     pow_ref = mpmath.mpf(k) ** (1 - a) * mpmath.zeta(1 + a) / (1 + a) * mpmath.mpf(x) ** (1 + a)
-    main = _main_values(spec, np.array([x]), None)[0]
+    main = _main_values(spec, np.array([x]), 1.0 - a)[0]
     assert main == pytest.approx(float(lin_ref + pow_ref), rel=1e-12)
     # Residue-derived modulus exponent flips k^(1-a) to k^(-1-a).
     pow_res = mpmath.mpf(k) ** (-1 - a) * mpmath.zeta(1 + a) / (1 + a) * mpmath.mpf(x) ** (1 + a)
@@ -135,7 +134,7 @@ def test_voronoi_main_against_zeta_oracle():
     assert main == pytest.approx(149.61985405140373 - 825.2730145961475, rel=1e-13)
     assert main_res == pytest.approx(149.61985405140373 - 91.69700162179416, rel=1e-13)
     with pytest.raises(ValidationError):
-        _main_values(TwistedSumSpec(0.0, 0, 1), np.array([10.0]), None)  # zeta(1+a) pole at a=0
+        _main_values(TwistedSumSpec(0.0, 0, 1), np.array([10.0]), 1.0)  # zeta(1+a) pole at a=0
 
 
 def test_calibrate_accepts_residue_exponent_and_pins():
@@ -450,6 +449,11 @@ def test_raw_sum_bit_identical_to_the_padded_prefix_sums(a, hk):
         assert twisted_sum(spec, x) == complex(_twisted_values_oracle(spec, np.array([x]))[0])
 
 
+def _delta_direct_values_oracle(spec, xs, cal):
+    """The former array path of the direct column, kept as a bitwise oracle."""
+    return _twisted_values(spec, xs) - _main_values(spec, xs, cal.power_exponent) - cal.c0
+
+
 @pytest.mark.parametrize(("a", "hk"), _BIT_GRID)
 def test_direct_column_bit_identical_to_single_points(a, hk):
     # A voronoi scenario forms its whole direct column from one pass of the
@@ -457,5 +461,6 @@ def test_direct_column_bit_identical_to_single_points(a, hk):
     spec = TwistedSumSpec(a, *hk)
     cal = calibrate(spec, power_modulus_exponent=-1.0 - a, x_lo=400.0)
     xs = np.concatenate((np.geomspace(40.0, 3e4, 60), [41.0, 1024.0, 2047.0]))
-    column = _delta_direct_values(spec, xs, cal)
+    column = delta_direct(spec, xs)
     assert [complex(v) for v in column] == [delta_direct(spec, float(x)) for x in xs]
+    assert np.array_equal(column, _delta_direct_values_oracle(spec, xs, cal))
