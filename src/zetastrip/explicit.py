@@ -342,9 +342,9 @@ def explicit_terms(
     cfg: StripConfig,
     A: DirichletPolynomial,
     *,
-    sigma1_variant: str = "canonical",
-    sigma2_variant: str = "canonical",
-    twist: str = "direct",
+    sigma1_variant: str = SIGMA1_VARIANTS[0],
+    sigma2_variant: str = SIGMA2_VARIANTS[0],
+    twist: str = TWIST_MODES[0],
 ) -> ExplicitTerms:
     """All closed-form blocks of the window identity at one ``(T, Y)``."""
     _check_inner_lengths(window, A)
@@ -415,9 +415,9 @@ def theorem1_report(
     cfg: StripConfig,
     A: DirichletPolynomial,
     *,
-    sigma1_variant: str = "canonical",
-    sigma2_variant: str = "canonical",
-    twist: str = "direct",
+    sigma1_variant: str = SIGMA1_VARIANTS[0],
+    sigma2_variant: str = SIGMA2_VARIANTS[0],
+    twist: str = TWIST_MODES[0],
     abs_tol: float = 1e-6,
     rel_tol: float = 1e-8,
 ) -> Theorem1Report:
@@ -475,9 +475,9 @@ def theorem2_report(
     A: DirichletPolynomial,
     alpha: float,
     *,
-    sigma1_variant: str = "canonical",
-    sigma2_variant: str = "canonical",
-    twist: str = "direct",
+    sigma1_variant: str = SIGMA1_VARIANTS[0],
+    sigma2_variant: str = SIGMA2_VARIANTS[0],
+    twist: str = TWIST_MODES[0],
     abs_tol: float = 1e-6,
     rel_tol: float = 1e-8,
 ) -> Theorem2Report:
