@@ -170,24 +170,18 @@ def divisor_sigma_range(a: float, n_max: int) -> np.ndarray:
     return sieve[:n_max]
 
 
-def unit_phase(numerator: int | np.ndarray, modulus: int) -> complex | np.ndarray:
+def unit_phase(numerator: np.ndarray, modulus: int) -> np.ndarray:
     """``e(numerator / modulus) = exp(2 pi i numerator / modulus)``.
 
-    Accepts a scalar or integer array of numerators; the reduction modulo
-    ``modulus`` is done in exact integer arithmetic before the complex
-    exponential, which keeps distant terms of long sums phase-accurate.
+    Takes an integer array of numerators; the reduction modulo ``modulus``
+    is done in exact integer arithmetic before the complex exponential,
+    which keeps distant terms of long sums phase-accurate.
     """
     if modulus < 1:
         raise ValidationError("unit_phase requires modulus >= 1")
-    if isinstance(numerator, int):
-        # Python integers reduce exactly at any magnitude.
-        return complex(np.exp((2j * np.pi / modulus) * (numerator % modulus)))
     reduced = np.mod(numerator, modulus)
     if reduced.size > modulus:
         # Only ``modulus`` values occur: a table of their exps, indexed by
         # the reduced numerators, has the bits of the elementwise exp.
         return np.exp((2j * np.pi / modulus) * np.arange(modulus))[reduced]
-    out = np.exp((2j * np.pi / modulus) * reduced)
-    if np.isscalar(numerator):
-        return complex(out)
-    return out
+    return np.exp((2j * np.pi / modulus) * reduced)

@@ -13,8 +13,9 @@ results are bit-for-bit reproducible.  An integral uses at most
 when they run out (:func:`stage`).
 
 A width policy (a function of position) bounds the initial panel length, to
-resolve oscillatory integrands; explicit interior breakpoints let integrands
-with known jump locations (divisor step functions) start panel-aligned.
+resolve oscillatory integrands; a policy that steps to the next integer lets
+integrands with jumps at the integers (divisor step functions) start
+panel-aligned.  The panel budget bounds the initial panels too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -79,31 +80,24 @@ class QuadratureResult:
             raise ValidationError("error_estimate must be non-negative")
 
 
-def _initial_edges(
-    a: float,
-    b: float,
-    initial_width: Callable[[float], float] | None,
-    breakpoints: Sequence[float] | None,
-) -> list[float]:
-    seeds = sorted({a, b, *(p for p in breakpoints or () if a < p < b)})
+def _initial_edges(a: float, b: float, initial_width: Callable[[float], float] | None) -> list[float]:
     if initial_width is None:
-        return seeds
-    edges: list[float] = [seeds[0]]
+        return [a, b]
+    edges: list[float] = [a]
     append = edges.append
-    for left, right in zip(seeds[:-1], seeds[1:]):
-        x = left
-        while x < right:
-            w = initial_width(x)
-            if not 0.0 < w < math.inf:  # also false for NaN
-                raise ValidationError("initial_width must produce positive finite widths")
-            x = x + w
-            if not x < right:
-                x = right
-            if len(edges) > MAX_PANELS:  # edges so far = panels with this one
-                raise ValidationError(
-                    f"initial_width policy reached the panel budget {MAX_PANELS} on [{a!r}, {b!r}]"
-                )
-            append(x)
+    x = a
+    while x < b:
+        w = initial_width(x)
+        if not 0.0 < w < math.inf:  # also false for NaN
+            raise ValidationError("initial_width must produce positive finite widths")
+        x = x + w
+        if not x < b:
+            x = b
+        if len(edges) > MAX_PANELS:  # edges so far = panels with this one
+            raise ValidationError(
+                f"initial_width policy reached the panel budget {MAX_PANELS} on [{a!r}, {b!r}]"
+            )
+        append(x)
     return edges
 
 
@@ -143,7 +137,6 @@ def integrate_adaptive(
     abs_tol: float = 1e-8,
     rel_tol: float = 1e-8,
     initial_width: Callable[[float], float] | None = None,
-    breakpoints: Sequence[float] | None = None,
 ) -> QuadratureResult:
     """Integrate vectorised ``f`` over ``[a, b]`` to the requested tolerance.
 
@@ -169,7 +162,7 @@ def integrate_adaptive(
     if b == a:
         return QuadratureResult(0.0, 0.0, 0, 0)
 
-    edges = np.array(_initial_edges(a, b, initial_width, breakpoints))
+    edges = np.array(_initial_edges(a, b, initial_width))
     lefts, rights = edges[:-1], edges[1:]
     values, errors = _evaluate_panels(f, lefts, rights, a, b)
     evaluations = NODES_PER_PANEL * lefts.size

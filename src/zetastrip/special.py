@@ -55,6 +55,7 @@ including the branch-switch neighbourhoods.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -85,24 +86,33 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _ARCSINH_SERIES_CUT = 2.0 ** -20
+# The largest float whose square is finite: sqrt(max) rounds down.
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
+_LN2 = math.log(2.0)
 
 
 def arcsinh(x):
     """Inverse hyperbolic sine, scalar or array.
 
     For ``|x| < 2**-20`` the odd Taylor series ``x - x^3/6`` is used (the
-    next term is below one ulp there); otherwise the cancellation-free
-    form ``log1p(x + x^2/(1 + sqrt(1 + x^2)))`` with odd symmetry.
+    next term is below one ulp there); where ``x^2`` overflows,
+    ``log|x| + log 2`` (the rest is below one ulp there); otherwise the
+    cancellation-free form ``log1p(x + x^2/(1 + sqrt(1 + x^2)))``.  The last
+    two are formed on ``|x|`` and restored by odd symmetry.
     """
     arr = np.asarray(x, dtype=np.float64)
     ax = np.abs(arr)
     small = ax < _ARCSINH_SERIES_CUT
-    # series branch
-    series = arr - arr * arr * arr / 6.0
+    huge = ax > _SQUARE_MAX  # where x^2 overflows, infinite x included
+    # series branch, formed on the small entries only
+    tiny = np.where(small, arr, 0.0)
+    series = tiny - tiny * tiny * tiny / 6.0
     # log1p branch on |x|, restored by symmetry
-    ax_safe = np.where(small, 1.0, ax)
+    ax_safe = np.where(small | huge, 1.0, ax)
     big = np.sign(arr) * np.log1p(ax_safe + ax_safe * ax_safe / (1.0 + np.sqrt(1.0 + ax_safe * ax_safe)))
     out = np.where(small, series, big)
+    if huge.any():  # log branch on |x|, restored by symmetry
+        out = np.where(huge, np.sign(arr) * (np.log(np.where(huge, ax, 1.0)) + _LN2), out)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out

@@ -36,19 +36,17 @@ common and both are adapted here explicitly:
   (``a = 2 sigma - 1``).
 
 The endpoint ``a = 0`` (plain divisor function ``d(n)``) is admitted for the
-raw sum :func:`twisted_sum`; the smooth main terms have a zeta pole there and
-raise.
+raw sum; the smooth main terms have a zeta pole there and raise.
 
 The modulus exponent on the power term
 --------------------------------------
 Two values of the exponent ``E`` on ``k^E x^(1+a)`` are in circulation; they
-agree at ``k = 1``.  The default here is ``E = 1 - a``.  Computing the residue
-of the underlying Estermann series ``sum sigma_a(n) e(hn/k) n^(-s)`` at
-``s = 1 + a`` gives ``E = -1 - a`` instead.  The module does not silently pick
-one: :func:`calibrate` fits the constant ``C0`` block-wise over a window, and
-a wrong exponent for ``k >= 2`` shows up as a smooth drift that fails the fit
-(:class:`~zetastrip.errors.CalibrationError` reports the drift ratio).  Pass
-``power_modulus_exponent=-1 - a`` to use the residue-derived value; every
+agree at ``k = 1``.  The residue of the underlying Estermann series
+``sum sigma_a(n) e(hn/k) n^(-s)`` at ``s = 1 + a`` gives ``E = -1 - a``, the
+exponent used here.  The printed ``E = 1 - a`` fails the constant fit for
+every ``k >= 2``: :func:`calibrate` fits ``C0`` block-wise over a window, and
+a wrong exponent shows up as a smooth drift
+(:class:`~zetastrip.errors.CalibrationError` reports the drift ratio).  Every
 calibration records which exponent it used.
 
 Determinism
@@ -79,7 +77,6 @@ __all__ = [
     "TruncationPlan",
     "Calibration",
     "exponent_from_sigma",
-    "twisted_sum",
     "calibrate",
     "delta_direct",
     "delta_bessel",
@@ -106,6 +103,10 @@ X_MAX = SIEVE_MAX
 #: Relative validity floor for the cosine asymptotics: the smallest phase
 #: argument 4 pi sqrt(x) / k must be at least this large.
 ASYMPTOTIC_PHASE_FLOOR = 10.0
+
+#: Tolerances of the mean-square integral :func:`delta_mean_square`.
+_MEAN_SQUARE_ABS_TOL = 1e-6
+_MEAN_SQUARE_REL_TOL = 1e-8
 
 #: Which unit twists the Voronoi series: ``h`` (``direct``) or its inverse
 #: modulo ``k`` (``inverse``); the first is the default.
@@ -229,11 +230,6 @@ def _check_x(name: str, x: float) -> None:
     _check_x_max(x)
 
 
-def _phases(m: int, n: np.ndarray, k: int) -> np.ndarray:
-    """``e(m n / k)``, formed without exponentials when ``m = 0``."""
-    return unit_phase(m * n, k) if m else np.ones(n.size, dtype=np.complex128)
-
-
 def _raw_sum(spec: TwistedSumSpec, x_max: float) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorised ``D(x)`` for ``1 <= x <= x_max``, half weight at integer x.
 
@@ -243,7 +239,7 @@ def _raw_sum(spec: TwistedSumSpec, x_max: float) -> Callable[[np.ndarray], np.nd
     """
     _check_x_max(x_max)
     n = np.arange(1, math.floor(x_max) + 1, dtype=np.int64)
-    terms = divisor_sigma_range(spec.a, n.size) * _phases(spec.h, n, spec.k_mod)
+    terms = divisor_sigma_range(spec.a, n.size) * unit_phase(spec.h * n, spec.k_mod)
     cum = np.cumsum(terms)
 
     def values(xs: np.ndarray) -> np.ndarray:
@@ -257,23 +253,12 @@ def _raw_sum(spec: TwistedSumSpec, x_max: float) -> Callable[[np.ndarray], np.nd
     return values
 
 
-def _twisted_values(spec: TwistedSumSpec, xs: np.ndarray) -> np.ndarray:
-    """``D(x)`` at every ``x`` in ``xs``, from one pass up to the largest."""
-    return _raw_sum(spec, float(np.max(xs)))(xs)
-
-
-def twisted_sum(spec: TwistedSumSpec, x: float) -> complex:
-    """``sum'_{n <= x} sigma_a(n) e(h n / k_mod)``, last term halved at integer x."""
-    _check_x("twisted_sum", x)
-    return complex(_twisted_values(spec, np.array([float(x)]))[0])
-
-
 def _main_values(spec: TwistedSumSpec, xs: np.ndarray, exponent: float) -> np.ndarray:
     """Sum of the two smooth main terms of the twisted sum at each ``x``.
 
     ``k^(a-1) zeta(1-a) x + k^E zeta(1+a)/(1+a) x^(1+a)`` with ``E`` the
-    modulus ``exponent`` (printed ``1 - a``; the Estermann-residue value is
-    ``-1 - a`` -- see the module docstring).
+    modulus ``exponent`` (the Estermann-residue value is ``-1 - a``; see the
+    module docstring).
     """
     a = spec.a
     if a == 0.0:
@@ -301,7 +286,8 @@ def calibrate(
     drift detector.  A smooth systematic error (wrong main terms, wrong
     modulus exponent) inflates the block-mean scatter far above the
     oscillation level; the fit rejects when the standard error exceeds 10% of
-    the oscillation RMS.
+    the oscillation RMS.  ``power_modulus_exponent`` defaults to the residue
+    value ``-1 - a``.
 
     The first successful call stores its result on the spec; repeated calls
     must use the same parameters and return the stored result.
@@ -317,10 +303,19 @@ def calibrate(
     a = spec.a
     if a == 0.0:
         raise ValidationError("calibration requires a < 0 (no smooth main terms at a=0)")
-    exponent = (1.0 - a) if power_modulus_exponent is None else float(power_modulus_exponent)
+    exponent = (-1.0 - a) if power_modulus_exponent is None else float(power_modulus_exponent)
     if not (math.isfinite(exponent) and exponent * math.log(spec.k_mod) < math.log(sys.float_info.max)):
         raise ValidationError(
             f"calibration requires a power_modulus_exponent E with k^E a finite float, got E = {exponent}"
+        )
+    x_hi = 4.0 * x_lo
+    # The fit sums the squares of residuals up to twice the power term's
+    # largest value on the window: checked before any array is formed.
+    power_top = spec.k_mod**exponent * abs(zeta(complex(1.0 + a)).real / (1.0 + a)) * x_hi ** (1.0 + a)
+    if not math.isfinite(4.0 * samples * power_top * power_top):
+        raise ValidationError(
+            "calibration requires a power_modulus_exponent E with the squares of the power term "
+            f"k^E zeta(1+a)/(1+a) x^(1+a) finite over {samples} samples up to x = {x_hi:g}, got E = {exponent}"
         )
     stored = spec._calibration
     if stored is not None:
@@ -335,11 +330,10 @@ def calibrate(
             f"(stored exponent {stored.power_exponent}, window [{stored.x_lo}, "
             f"{stored.x_hi}], {stored.samples} samples)"
         )
-    x_hi = 4.0 * x_lo
     # Midpoint grid: sample offsets (j + 1/2)/samples never hit the window
     # edges, and for the default window land on no integers.
     xs = x_lo + (x_hi - x_lo) * (np.arange(samples) + 0.5) / samples
-    residual = _twisted_values(spec, xs) - _main_values(spec, xs, exponent)
+    residual = _raw_sum(spec, x_hi)(xs) - _main_values(spec, xs, exponent)
     c0 = complex(np.mean(residual))
     blocks = residual.reshape(_CALIBRATION_BLOCKS, -1)
     block_means = blocks.mean(axis=1)
@@ -461,7 +455,7 @@ def _series(
     n_int = np.arange(1, plan.n_terms + 1, dtype=np.int64)
     n = n_int.astype(np.float64)
     sig = divisor_sigma_range(spec.a, plan.n_terms)
-    return fsum_complex(scale * sig * n**power * kernel(n) * _phases(-m, n_int, spec.k_mod))
+    return fsum_complex(scale * sig * n**power * kernel(n) * unit_phase(-m * n_int, spec.k_mod))
 
 
 def delta_bessel(
@@ -538,31 +532,27 @@ def delta_asymptotic(
     return _series(spec, plan, twist, prefactor, -0.25 * (3.0 + 2.0 * a), kernel)
 
 
-def delta_mean_square(
-    spec: TwistedSumSpec,
-    u: float,
-    *,
-    abs_tol: float = 1e-6,
-    rel_tol: float = 1e-8,
-) -> float:
+def delta_mean_square(spec: TwistedSumSpec, u: float) -> float:
     """``integral_{u/2}^{u} |delta_direct(x)|^2 dx`` by adaptive quadrature.
 
     The integrand has jump discontinuities at the integers (the raw sum
-    steps); those are passed to the quadrature as breakpoints, inside which
-    the integrand is smooth and low-frequency.  Propagates
+    steps), so each initial panel runs to the next integer, and inside the
+    panels the integrand is smooth and low-frequency.  The quadrature's panel
+    budget bounds these panels too.  Propagates
     :class:`~zetastrip.errors.CalibrationError` from the constant fit.
     """
     if not (math.isfinite(u) and u >= 4.0):
         raise ValidationError(f"delta_mean_square requires u >= 4, got {u}")
     lo, hi = 0.5 * u, float(u)
-    raw = _raw_sum(spec, hi)  # checks u <= X_MAX before the fit and the breakpoints
+    raw = _raw_sum(spec, hi)  # checks u <= X_MAX before the fit
     cal = spec._calibration or calibrate(spec)
-    interior = np.arange(math.floor(lo) + 1, math.ceil(hi))
-    breakpoints = [float(m) for m in interior if lo < m < hi]
 
     with stage("Voronoi mean square"):
         result = integrate_adaptive(
             lambda xs: np.abs(_delta(spec, raw, cal, xs)) ** 2,
-            lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, breakpoints=breakpoints,
+            lo, hi, abs_tol=_MEAN_SQUARE_ABS_TOL, rel_tol=_MEAN_SQUARE_REL_TOL,
+            # For x >= 1 this width is exact and x + width is the next
+            # integer, so every jump of the raw sum is a panel edge.
+            initial_width=lambda x: math.floor(x) + 1.0 - x,
         )
     return float(result.value)

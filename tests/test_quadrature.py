@@ -81,9 +81,10 @@ def test_complex_fresnel_against_mpmath():
 
 
 def test_breakpoints_resolve_kinks():
-    # |x - 1| on [0, 3]: exact value 0.5 + 2 = 2.5; the kink is declared.
+    # |x - 1| on [0, 3]: exact value 0.5 + 2 = 2.5; unit initial panels put
+    # the kink on a panel edge.
     result = integrate_adaptive(
-        lambda x: np.abs(x - 1.0), 0.0, 3.0, abs_tol=1e-13, breakpoints=[1.0]
+        lambda x: np.abs(x - 1.0), 0.0, 3.0, abs_tol=1e-13, initial_width=lambda x: 1.0
     )
     assert result.value == pytest.approx(2.5, abs=1e-12)
 
@@ -152,21 +153,15 @@ def test_failures_name_the_interval(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _oracle(f, a, b, *, abs_tol=1e-8, rel_tol=1e-8, initial_width=None, breakpoints=None,
-            max_panels=40_000):
+def _oracle(f, a, b, *, abs_tol=1e-8, rel_tol=1e-8, initial_width=None, max_panels=40_000):
     """The list-splicing refinement loop, kept as the bitwise reference."""
-    seeds = [a, b]
-    if breakpoints is not None:
-        seeds.extend(p for p in breakpoints if a < p < b)
-    seeds = sorted(set(seeds))
-    edges = seeds
+    edges = [a, b]
     if initial_width is not None:
-        edges = [seeds[0]]
-        for left, right in zip(seeds[:-1], seeds[1:]):
-            x = left
-            while x < right:
-                x = min(right, x + initial_width(x))
-                edges.append(x)
+        edges = [a]
+        x = a
+        while x < b:
+            x = min(b, x + initial_width(x))
+            edges.append(x)
     panel_lr, values, errors = [], [], []
     evaluations = 0
 
@@ -258,7 +253,7 @@ _CLOSED_FORMS = [
         12.0,
         {"abs_tol": 1e-11, "rel_tol": 1e-12, "initial_width": lambda x: 1.0 / max(2.0 * abs(x), 0.5)},
     ),
-    (lambda x: np.abs(x - 1.0), 0.0, 3.0, {"abs_tol": 1e-13, "breakpoints": [1.0]}),
+    (lambda x: np.abs(x - 1.0), 0.0, 3.0, {"abs_tol": 1e-13, "initial_width": lambda x: 1.0}),
     (lambda x: np.exp(-x) * np.sin(7.0 * x), 0.0, 10.0, {"abs_tol": 1e-10}),
     (lambda x: np.sin(3.0 * x) / (1.0 + x**2), 0.0, 30.0, {"abs_tol": 1e-11, "initial_width": lambda x: 0.7}),
 ]
@@ -329,7 +324,7 @@ def _calls_through(module, monkeypatch, run):
             ),
         ),
     ],
-    ids=["mean-square-window", "voronoi-breakpoints", "lemma2"],
+    ids=["mean-square-window", "voronoi-integer-steps", "lemma2"],
 )
 def test_package_integrals_match_the_list_loop_bitwise(module, run, monkeypatch):
     for f, a, b, kwargs in _calls_through(module, monkeypatch, run):
@@ -341,24 +336,22 @@ def test_package_integrals_match_the_list_loop_bitwise(module, run, monkeypatch)
 # ---------------------------------------------------------------------------
 
 
-def _initial_edges_former(a, b, initial_width, breakpoints):
+def _initial_edges_former(a, b, initial_width):
     """``quadrature._initial_edges`` with its former per-edge checks and ``min``."""
-    seeds = sorted({a, b, *(p for p in breakpoints or () if a < p < b)})
     if initial_width is None:
-        return seeds
-    edges = [seeds[0]]
-    for left, right in zip(seeds[:-1], seeds[1:]):
-        x = left
-        while x < right:
-            w = initial_width(x)
-            if not (w > 0.0) or not math.isfinite(w):
-                raise ValidationError("initial_width must produce positive finite widths")
-            x = min(right, x + w)
-            edges.append(x)
-            if len(edges) > quadrature.MAX_PANELS:
-                raise ValidationError(
-                    f"initial_width policy reached the panel budget {quadrature.MAX_PANELS} on [{a!r}, {b!r}]"
-                )
+        return [a, b]
+    edges = [a]
+    x = a
+    while x < b:
+        w = initial_width(x)
+        if not (w > 0.0) or not math.isfinite(w):
+            raise ValidationError("initial_width must produce positive finite widths")
+        x = min(b, x + w)
+        edges.append(x)
+        if len(edges) > quadrature.MAX_PANELS:
+            raise ValidationError(
+                f"initial_width policy reached the panel budget {quadrature.MAX_PANELS} on [{a!r}, {b!r}]"
+            )
     return edges
 
 
@@ -383,17 +376,29 @@ def _initial_edges_former(a, b, initial_width, breakpoints):
 def test_initial_edges_bit_identical_to_the_former_loop(module, run, monkeypatch):
     for _, a, b, kwargs in _calls_through(module, monkeypatch, run):
         policy = kwargs["initial_width"]
-        for lo, hi, breakpoints in ((a, b, None), (a, b, [a + 0.3 * (b - a), b + 1.0]), (0.5 * (a + b), b, None)):
-            edges = quadrature._initial_edges(lo, hi, policy, breakpoints)
+        for lo, hi in ((a, b), (a + 0.3 * (b - a), b), (0.5 * (a + b), b)):
+            edges = quadrature._initial_edges(lo, hi, policy)
             assert len(edges) > 2
-            assert np.array(edges).tobytes() == np.array(_initial_edges_former(lo, hi, policy, breakpoints)).tobytes()
+            assert np.array(edges).tobytes() == np.array(_initial_edges_former(lo, hi, policy)).tobytes()
+
+
+@pytest.mark.parametrize("u", [4.0, 5.0, 64.0, 129.5, 512.0, 777.25, 10000.5])
+def test_integer_steps_give_the_former_integer_seeded_edges(u, monkeypatch):
+    # delta_mean_square seeds its panels by stepping to the next integer; the
+    # edges must be those it formerly got from the integers in (u/2, u).
+    spec = _calibrated_spec()
+    ((_, a, b, kwargs),) = _calls_through(voronoi, monkeypatch, lambda: voronoi.delta_mean_square(spec, u))
+    assert (a, b) == (0.5 * u, u)
+    former = sorted({a, b, *(float(m) for m in range(math.floor(a) + 1, math.ceil(b)) if a < m < b)})
+    edges = quadrature._initial_edges(a, b, kwargs["initial_width"])
+    assert np.array(edges).tobytes() == np.array(former).tobytes()
 
 
 @pytest.mark.parametrize("width", [0.0, -0.5, math.inf, -math.inf, math.nan])
 def test_initial_edges_reject_widths_that_are_not_positive_and_finite(width):
     for edges in (quadrature._initial_edges, _initial_edges_former):
         with pytest.raises(ValidationError, match="^initial_width must produce positive finite widths$"):
-            edges(0.0, 1.0, lambda x: width if x > 0.25 else 0.125, None)
+            edges(0.0, 1.0, lambda x: width if x > 0.25 else 0.125)
 
 
 def test_initial_edges_panel_budget_error_unchanged(monkeypatch):
@@ -401,8 +406,8 @@ def test_initial_edges_panel_budget_error_unchanged(monkeypatch):
     messages = []
     for edges in (quadrature._initial_edges, _initial_edges_former):
         with pytest.raises(ValidationError, match=r"panel budget 50 on \[2\.0, 3\.5\]$") as info:
-            edges(2.0, 3.5, lambda x: 0.01, [2.5])
+            edges(2.0, 3.5, lambda x: 0.01)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     # 49 panels of 1/64 give 50 edges, the budget itself: no error.
-    assert len(quadrature._initial_edges(2.0, 2.765625, lambda x: 0.015625, [2.25])) == 50
+    assert len(quadrature._initial_edges(2.0, 2.765625, lambda x: 0.015625)) == 50

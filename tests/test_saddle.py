@@ -223,15 +223,18 @@ def test_lemma4_pins_and_log_constant_adjudication():
     a_lo, b_hi = math.sqrt(T), 10.0 * math.sqrt(T)
     two_pi = lemma4_compare(1.5, 3, a_lo, b_hi, T)
     assert two_pi.delta == 1
-    assert two_pi.saddle_log_constant == 2.0
+    assert saddle.LOG_CONSTANT == 2.0
     assert two_pi.lhs == pytest.approx(complex(0.012141308179507367, -0.035625007919350984), abs=1e-10)
     assert two_pi.saddle == pytest.approx(complex(0.005839143715812735, -0.0345212439008637), abs=1e-12)
     assert two_pi.difference == pytest.approx(0.006398091272869014, abs=1e-10)
     assert two_pi.passed
-    three_pi = lemma4_compare(1.5, 3, a_lo, b_hi, T, log_constant="three-pi")
-    assert three_pi.difference == pytest.approx(0.026697279788470547, abs=1e-9)
+    # The 3 pi reading of the phase constant, formed here from the same
+    # amplitude: -T log(T/(3 pi n)) = -T log(T/(2 pi n)) + T log(3/2).
+    three_pi_saddle = two_pi.saddle * complex(math.cos(T * math.log(1.5)), math.sin(T * math.log(1.5)))
+    three_pi_difference = abs(two_pi.lhs - three_pi_saddle)
+    assert three_pi_difference == pytest.approx(0.026697279788470547, abs=1e-9)
     # The two-pi constant reconciles several times better at this node.
-    assert three_pi.difference > 4.0 * two_pi.difference
+    assert three_pi_difference > 4.0 * two_pi.difference
 
 
 def test_lemma4_no_saddle_case_compares_against_zero():
@@ -241,6 +244,17 @@ def test_lemma4_no_saddle_case_compares_against_zero():
     report = lemma4_compare(1.5, 7, math.sqrt(T), 10.0 * math.sqrt(T), T)
     assert report.delta == 0
     assert report.saddle == 0j
+    assert report.passed
+
+
+@pytest.mark.parametrize("T", [200.0, 800.0])
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 5.0])
+def test_lemma4_endpoint_budget_follows_the_lower_endpoint(alpha, T):
+    # At a_lo = 0.06 sqrt(T) the budget without the (a_lo/sqrt(T))^-alpha
+    # factor was 30 to 1.5e5 times too small; with it each cell reads 0.114.
+    report = lemma4_compare(alpha, 3, 0.06 * math.sqrt(T), 10.0 * math.sqrt(T), T)
+    assert report.delta == 1
+    assert 0.11 < report.difference / report.budget_total < 0.12
     assert report.passed
 
 

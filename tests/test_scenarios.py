@@ -671,7 +671,6 @@ def test_cli_run_rejects_non_positive_limit(tmp_path, capsys, kind, key, value):
         ("calibration_samples", "65544", "parameter 'calibration_samples' must be at most 65536, got 65544"),
         ("calibration_samples", "800000000000", "parameter 'calibration_samples' must be at most 65536"),
         ("k", "9" * 40, "k_mod must satisfy 1 <= k_mod <= 1048576, got 9999"),
-        ("power_modulus_exponent", "1000", "power_modulus_exponent E with k^E a finite float, got E = 1000.0"),
     ],
 )
 def test_cli_run_names_voronoi_input_beyond_its_limits(tmp_path, capsys, key, value, constraint):
@@ -771,6 +770,9 @@ def test_cli_run_names_a_mean_square_beyond_the_zeta_work_limit(tmp_path, capsys
         ("theorem1", "radicand", "minus", "['plus']"),
         ("theorem1", "secondary_weight", "lcm", "['coprime']"),
         ("mean-square", "secondary_weight", "lcm", "['coprime']"),
+        ("voronoi", "power_modulus_exponent", "printed", "['residue']"),
+        ("voronoi", "power_modulus_exponent", "-0.8", "['residue']"),
+        ("saddle-l4", "log_constant", "three-pi", "['two-pi']"),
     ],
 )
 def test_cli_run_names_a_removed_reading(tmp_path, capsys, kind, key, value, choices):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -55,6 +56,20 @@ def test_arcsinh_against_oracle():
     for x, mine in zip(xs, ours):
         ref = float(mpmath.asinh(mpmath.mpf(float(x))))
         assert mine == pytest.approx(ref, rel=1e-14, abs=1e-300)
+
+
+def test_arcsinh_at_huge_arguments_without_warnings():
+    # x * x overflows from |x| ~ 1.34e154 and the series' x^3 from ~5.6e102:
+    # 1e200 used to give nan after four RuntimeWarnings.
+    xs = np.array([1e155, -1e155, 1e200, 1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = arcsinh(xs)
+        scalars = [arcsinh(float(x)) for x in xs]
+    for x, mine, scalar in zip(xs, ours, scalars):
+        ref = float(mpmath.asinh(mpmath.mpf(float(x))))
+        assert mine == pytest.approx(ref, rel=4e-16)
+        assert scalar == mine
 
 
 def test_arcsinh_scalar_and_odd():

@@ -12,13 +12,15 @@ import itertools
 import math
 import random
 import re
+import time
+import warnings
 from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
 
-from zetastrip import quadrature
+from zetastrip import quadrature, voronoi
 from zetastrip.arithmetic import divisor_sigma_range, unit_phase
 from zetastrip.errors import CalibrationError, QuadratureNonConvergence, ValidationError
 from zetastrip.special import bessel
@@ -34,17 +36,25 @@ from zetastrip.voronoi import (
     exponent_from_sigma,
     term_envelope,
     truncation_plan,
-    twisted_sum,
     X_MAX,
 )
 from zetastrip.voronoi import _main_values  # the main terms every Delta path subtracts
-from zetastrip.voronoi import _twisted_values  # the raw sum every D(x) path forms
+from zetastrip.voronoi import _raw_sum  # the raw sum every D(x) path forms
 
 mpmath.mp.prec = 200
 
 
 def _fresh_spec(a=-0.2, h=1, k=3) -> TwistedSumSpec:
     return TwistedSumSpec(a, h, k)
+
+
+def _twisted_values(spec: TwistedSumSpec, xs: np.ndarray) -> np.ndarray:
+    """``D(x)`` at every ``x`` of ``xs``, from one raw-sum pass up to the largest."""
+    return _raw_sum(spec, float(np.max(xs)))(xs)
+
+
+def twisted_sum(spec: TwistedSumSpec, x: float) -> complex:
+    return complex(_twisted_values(spec, np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +114,6 @@ def test_twisted_sum_against_oracle():
     # Frozen regression value (200-bit oracle, half-weight at the integer).
     pinned = complex(0.72066809503044939611, 0.03089157368653181691)
     assert abs(twisted_sum(spec, 10.0) - pinned) < 1e-13
-    with pytest.raises(ValidationError):
-        twisted_sum(spec, 0.5)
 
 
 def test_twisted_sum_plain_divisor_case():
@@ -158,7 +166,7 @@ def test_calibrate_accepts_residue_exponent_and_pins():
 def test_calibrate_rejects_printed_exponent_for_k_ge_2():
     spec = _fresh_spec()
     with pytest.raises(CalibrationError) as info:
-        calibrate(spec)  # default exponent 1 - a drifts for k >= 2
+        calibrate(spec, power_modulus_exponent=1.2)  # the printed 1 - a drifts for k >= 2
     message = str(info.value)
     assert "residue-derived" in message and "-0.8" in message
 
@@ -167,8 +175,15 @@ def test_calibrate_printed_exponent_harmless_at_k_1():
     # At k = 1 the two candidate exponents give the same factor 1^E: the
     # printed form calibrates cleanly, isolating the drift to the modulus.
     spec = TwistedSumSpec(-0.2, 0, 1)
-    cal = calibrate(spec)
+    cal = calibrate(spec, power_modulus_exponent=1.2)
     assert cal.drift_ratio < 0.1
+    assert cal.c0 == calibrate(TwistedSumSpec(-0.2, 0, 1)).c0
+
+
+def test_calibrate_defaults_to_the_residue_exponent():
+    spec = _fresh_spec()
+    assert calibrate(spec) is calibrate(spec, power_modulus_exponent=-0.8)
+    assert spec.calibration.power_exponent == -0.8
 
 
 def test_calibrate_rejects_a_zero():
@@ -203,7 +218,7 @@ def test_twisted_sum_paths_reject_x_beyond_the_sieve_bound(x):
         calibrate(_fresh_spec(), x_lo=x)
     spec = _fresh_spec()
     calibrate(spec, power_modulus_exponent=-0.8)
-    for call in (twisted_sum, delta_direct, delta_mean_square):
+    for call in (delta_direct, delta_mean_square):
         with pytest.raises(ValidationError, match="formed only up to"):
             call(spec, x)
     # The series paths used to return nan+nanj at 1e306 (noise of 1e30 at 1e200),
@@ -287,11 +302,13 @@ def test_delta_equivalence_random_points():
 
 
 def test_delta_direct_auto_calibration_raises_on_drift():
-    # Without a stored calibration the defaults (printed exponent) drift at
-    # k = 3, so the definitional evaluation refuses too.
-    spec = _fresh_spec()
+    # Without a stored calibration the default window is marginal for k = 5
+    # (block scatter a shade over the 10% gate), so the definitional
+    # evaluation refuses too.
+    spec = TwistedSumSpec(-0.2, 2, 5)
     with pytest.raises(CalibrationError):
         delta_direct(spec, 50.0)
+    assert spec.calibration is None
 
 
 def test_delta_bessel_empty_plan_is_zero():
@@ -341,12 +358,66 @@ def test_delta_mean_square_pin_and_guard():
         delta_mean_square(spec, 2.0)
 
 
+def test_delta_mean_square_keeps_the_bits_of_the_integer_breakpoints():
+    # Values of the former integration, whose panels were seeded at the integers.
+    spec = _fresh_spec()
+    calibrate(spec, power_modulus_exponent=-0.8)
+    pinned = {
+        64.0: "0x1.cf5d7cdb526c0p+7",
+        128.0: "0x1.34c5ed4e06fe8p+9",
+        256.0: "0x1.98630830de364p+10",
+        512.0: "0x1.0de8a6a6fbcdbp+12",
+    }
+    assert {u: delta_mean_square(spec, u).hex() for u in pinned} == pinned
+
+
+def test_delta_mean_square_panels_are_bounded_by_the_budget(monkeypatch):
+    # u = 1e5 needs 50 000 unit panels; they used to start unchecked.  The
+    # divisor sieve that D(x) needs up to u is formed first (about 0.3 s
+    # cold), so it is warmed here and only the refusal is timed: about
+    # 0.04 s, bounded loosely here for a shared host.
+    spec = _fresh_spec()
+    calibrate(spec, power_modulus_exponent=-0.8)
+    divisor_sigma_range(spec.a, 100_000)
+
+    def no_integrand(*args):
+        raise AssertionError("the integrand ran")
+
+    monkeypatch.setattr(voronoi, "_delta", no_integrand)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"panel budget 40000 on \[50000\.0, 100000\.0\]$"):
+        delta_mean_square(spec, 1e5)
+    assert time.perf_counter() - start < 0.25
+
+
+@pytest.mark.parametrize(
+    ("k", "exponent", "fragment"),
+    [
+        (3, 1000.0, "k^E a finite float, got E = 1000.0"),
+        (100000, 61.6, "x^(1+a) finite over 640 samples up to x = 160, got E = 61.6"),
+        (100000, 40.0, "x^(1+a) finite over 640 samples up to x = 160, got E = 40.0"),
+    ],
+)
+def test_calibrate_refuses_a_power_term_that_overflows(k, exponent, fragment):
+    # At k = 1e5, E = 61.6 k^E is finite but the power term is not, and at
+    # E = 40 the squares the fit sums are not: the fit used to print
+    # RuntimeWarnings and end in a CalibrationError over a NaN or an inf.
+    spec = TwistedSumSpec(-0.2, 1, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(fragment)):
+            calibrate(spec, power_modulus_exponent=exponent)
+    assert spec.calibration is None
+
+
 def test_non_convergence_names_the_voronoi_stage(monkeypatch):
     spec = _fresh_spec()
     calibrate(spec, power_modulus_exponent=-0.8)
     monkeypatch.setattr(quadrature, "MAX_PANELS", 3)  # 2 initial panels
+    monkeypatch.setattr(voronoi, "_MEAN_SQUARE_ABS_TOL", 1e-300)
+    monkeypatch.setattr(voronoi, "_MEAN_SQUARE_REL_TOL", 0.0)
     with pytest.raises(QuadratureNonConvergence) as info:
-        delta_mean_square(spec, 4.0, abs_tol=1e-300, rel_tol=0.0)
+        delta_mean_square(spec, 4.0)
     assert re.fullmatch(r"Voronoi mean square: panel budget 3 exhausted .* on \[2\.0, 4\.0\]", str(info.value))
     assert info.value.value > 0.0 and info.value.error_estimate > 0.0
 
