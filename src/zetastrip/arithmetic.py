@@ -75,15 +75,11 @@ class DirichletPolynomial:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coefficients, dtype=np.complex128)
 
-    def evaluate(self, sigma: float, t: np.ndarray | float) -> np.ndarray | complex:
-        """Evaluate ``A(sigma + i t)`` for scalar or array ``t``: one
+    def evaluate(self, sigma: float, t: np.ndarray) -> np.ndarray:
+        """``A(sigma + i t)`` at each entry of the 1-d ``t``: one
         :func:`zetastrip.special.dirichlet_sum`, as for zeta's main sum."""
-        t_arr = np.asarray(t, dtype=np.float64)
         m = np.arange(1, self.length + 1, dtype=np.float64)
-        out = dirichlet_sum(t_arr.ravel(), np.log(m), self.as_array() * m ** (-sigma)).reshape(t_arr.shape)
-        if np.isscalar(t) or t_arr.ndim == 0:
-            return complex(out)
-        return out
+        return dirichlet_sum(t, np.log(m), self.as_array() * m ** (-sigma))
 
 
 def pair_data(k: int, l: int) -> PairData:

@@ -39,9 +39,9 @@ polynomial the secondary phase reduces to the classical
 Readings
 --------
 
-Three keywords of :func:`explicit_terms` and of both reports pick how the
-sums are normalised.  Each names a key of one table, which holds its factor:
-``_SIGMA1_PREFACTORS`` and ``_SIGMA2_FACTORS`` (functions of sigma) and
+Three keywords of :func:`explicit_terms`, which both reports pass on, pick
+how the sums are normalised.  Each names a key of one table, which holds its
+factor: ``_SIGMA1_PREFACTORS`` and ``_SIGMA2_FACTORS`` (functions of sigma) and
 ``_TWIST_MULTIPLIERS`` (the ``m`` of Sigma_2's ``e(m n/lambda)``, a function
 of the pair).  Criterion 6 (the window identity at ``sigma = 0.4``,
 ``A = 1 + 2^{-s}``, ``T`` in {125, ..., 1000}) keeps each reading left:
@@ -54,7 +54,9 @@ of the pair).  Criterion 6 (the window identity at ``sigma = 0.4``,
 * ``sigma2_variant``: ``canonical``, ``halved`` (the classical limiting
   coefficient at sigma = 1/2) or ``resolved`` (within 4% of the same
   regressions).  Criterion 6 records ``halved``; ``resolved`` meets its
-  residual fraction gate too and misses only the looser spread gate.
+  residual fraction gate too and misses only the looser spread gate.  At
+  A = 1 both ``resolved`` readings are the blocks of Matsumoto's explicit
+  formula for E_sigma(T), and ``halved`` is (2 pi)^(1 - 2 sigma) times it.
 * ``twist``: ``direct`` (cancels the ``2 pi u`` phase term) or ``inverse``.
   They coincide while every ``lambda <= 4``, as for criterion 6's
   polynomial; the pair ``(2, 5)`` separates them, and the regressions
@@ -415,15 +417,12 @@ def theorem1_report(
     cfg: StripConfig,
     A: DirichletPolynomial,
     *,
-    sigma1_variant: str = SIGMA1_VARIANTS[0],
-    sigma2_variant: str = SIGMA2_VARIANTS[0],
-    twist: str = TWIST_MODES[0],
     abs_tol: float = 1e-6,
     rel_tol: float = 1e-8,
+    **readings: str,
 ) -> Theorem1Report:
     """Evaluate both sides of the window identity over ``[T, 2T]``
-    (:func:`_theorem_step`)."""
-    readings = dict(sigma1_variant=sigma1_variant, sigma2_variant=sigma2_variant, twist=twist)
+    (:func:`_theorem_step`); ``readings`` go to :func:`explicit_terms`."""
     (upper, lower), (quad,) = _theorem_step(
         (win.scaled(2.0), win), [(win.t, 2.0 * win.t)], cfg, A, readings, abs_tol, rel_tol
     )
@@ -475,11 +474,9 @@ def theorem2_report(
     A: DirichletPolynomial,
     alpha: float,
     *,
-    sigma1_variant: str = SIGMA1_VARIANTS[0],
-    sigma2_variant: str = SIGMA2_VARIANTS[0],
-    twist: str = TWIST_MODES[0],
     abs_tol: float = 1e-6,
     rel_tol: float = 1e-8,
+    **readings: str,
 ) -> Theorem2Report:
     """Dyadic reconstruction consistency check (both paths, with errors).
 
@@ -493,9 +490,8 @@ def theorem2_report(
 
     The blocks are evaluated once per scale ``2^{-j}``, ``j = 0..L``: each
     scale is the upper end of one level and the lower end of the next
-    (:func:`_theorem_step`).
+    (:func:`_theorem_step`).  ``readings`` go to :func:`explicit_terms`.
     """
-    readings = dict(sigma1_variant=sigma1_variant, sigma2_variant=sigma2_variant, twist=twist)
     levels = _dyadic_levels(win.t, win.c_star, alpha)
     # Scaling by a power of two is exact, so each window equals the doubled
     # window of the next scale bit for bit.

@@ -82,22 +82,17 @@ class StripConfig:
             )
 
 
-def integrand(t, config: StripConfig, poly: DirichletPolynomial) -> np.ndarray | float:
-    """``|zeta(sigma + i t) A(sigma + i t)|^2``, vectorised over ``t``.
+def integrand(t: np.ndarray, config: StripConfig, poly: DirichletPolynomial) -> np.ndarray:
+    """``|zeta(sigma + i t) A(sigma + i t)|^2`` at each entry of the 1-d ``t``.
 
     For ``A = 0`` it is +0.0 at every node, so zeta is not evaluated.
     """
-    t_arr = np.asarray(t, dtype=np.float64)
-    if any(poly.coefficients):
-        z = zeta_line(config.sigma, t_arr)
-        a = poly.evaluate(config.sigma, t_arr)
-        with np.errstate(over="ignore", invalid="ignore"):  # the quadrature names a non-finite value
-            out = np.abs(z * a) ** 2
-    else:
-        out = np.zeros(t_arr.shape)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+    if not any(poly.coefficients):
+        return np.zeros(t.shape)
+    z = zeta_line(config.sigma, t)
+    a = poly.evaluate(config.sigma, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # the quadrature names a non-finite value
+        return np.abs(z * a) ** 2
 
 
 def _initial_width(poly: DirichletPolynomial) -> Callable[[float], float]:

@@ -12,10 +12,10 @@ results are bit-for-bit reproducible.  An integral uses at most
 :data:`MAX_PANELS` panels; a caller names its stage in the error it raises
 when they run out (:func:`stage`).
 
-A width policy (a function of position) bounds the initial panel length, to
-resolve oscillatory integrands; a policy that steps to the next integer lets
-integrands with jumps at the integers (divisor step functions) start
-panel-aligned.  The panel budget bounds the initial panels too.
+Every integral's width policy (a function of position) sets its initial
+panel lengths, to resolve oscillatory integrands; a policy that steps to the
+next integer lets integrands with jumps at the integers (divisor step
+functions) start panel-aligned.  The panel budget bounds them too.
 """
 
 from __future__ import annotations
@@ -80,9 +80,7 @@ class QuadratureResult:
             raise ValidationError("error_estimate must be non-negative")
 
 
-def _initial_edges(a: float, b: float, initial_width: Callable[[float], float] | None) -> list[float]:
-    if initial_width is None:
-        return [a, b]
+def _initial_edges(a: float, b: float, initial_width: Callable[[float], float]) -> list[float]:
     edges: list[float] = [a]
     append = edges.append
     x = a
@@ -136,12 +134,13 @@ def integrate_adaptive(
     *,
     abs_tol: float = 1e-8,
     rel_tol: float = 1e-8,
-    initial_width: Callable[[float], float] | None = None,
+    initial_width: Callable[[float], float],
 ) -> QuadratureResult:
     """Integrate vectorised ``f`` over ``[a, b]`` to the requested tolerance.
 
     ``f`` receives a flat numpy array of abscissae and must return values of
-    the same shape (real or complex).  Raises
+    the same shape (real or complex).  The initial panels step from ``a`` by
+    ``initial_width(x)`` at each left end ``x``.  Raises
     :class:`QuadratureNonConvergence` (carrying the best value and its error
     estimate) if the panel budget :data:`MAX_PANELS` is exhausted first,
     and :class:`PrecisionError` at the first value of ``f`` that is not

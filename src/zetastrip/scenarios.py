@@ -251,21 +251,18 @@ def load_scenario(path: str | Path) -> Scenario:
     formats: tuple[str, ...] = REPORT_FORMATS
     if parser.has_section("output"):
         out = _parse_section(
-            (_Param("stem", str.strip, stem), _Param("formats", str.strip, ",".join(REPORT_FORMATS))),
+            (_Param("stem", str.strip, stem), _Param("formats", _list_of(str), formats)),
             parser["output"],
             f"scenario {path.name} [output]",
         )
-        stem = out["stem"]
+        stem, formats = out["stem"], out["formats"]
         if not stem or any(sep in stem for sep in ("/", "\\", "\0")):
             raise ValidationError(f"scenario {path.name}: output stem must be a bare file name")
-        formats = tuple(token.strip() for token in out["formats"].split(",") if token.strip())
         for fmt in formats:
             if fmt not in REPORT_FORMATS:
                 raise ValidationError(
                     f"scenario {path.name}: unknown output format {fmt!r}; expected {list(REPORT_FORMATS)}"
                 )
-        if not formats:
-            raise ValidationError(f"scenario {path.name}: formats must name at least one of {list(REPORT_FORMATS)}")
     return Scenario(kind=head["kind"], parameters=parameters, stem=stem, formats=formats)
 
 

@@ -33,13 +33,13 @@ explicit and testable:
                     reflection for ``Re z < 1/2``; relative accuracy ~1e-13.
 * ``arcsinh``    -- log1p-based formula with an odd Taylor series below
                     ``|x| < 2**-20`` (documented switch).
-* ``bessel``     -- J, Y, K of real order in the band [0.35, 1.15] for x > 0:
-                    ascending series below a per-kind switch point and Hankel
-                    asymptotics above it; Y and K at non-integer order come
-                    from reflection formulas, and a short polynomial
-                    continuation in the order bridges the removable
-                    singularity near integer order.  One call may ask for
-                    several kinds (``"KYJ"``), served by one asymptotic pass.
+* ``bessel``     -- rows K, Y, J of real order in the band [0.35, 1.15] on a
+                    1-d array of x > 0: ascending series below a per-kind
+                    switch point and Hankel asymptotics above it, one
+                    asymptotic pass serving all three; Y and K at non-integer
+                    order come from reflection formulas, and a short
+                    polynomial continuation in the order bridges the
+                    removable singularity near integer order.
 
 Measured worst-case errors on the supported grids (see the test suite):
 zeta relative error < 1e-9 for sigma in [-0.5, 2], |Im s| <= 1e4 away from
@@ -618,12 +618,10 @@ _K_TRAP_STEP = 0.1
 _K_TRAP_TMAX = 3.2
 
 
-def bessel(kind: str, nu: float, x):
-    """Bessel function ``J_nu``, ``Y_nu`` or ``K_nu`` for ``x > 0``, vectorised in x.
+def bessel(nu: float, x: np.ndarray) -> np.ndarray:
+    """Rows ``K_nu``, ``Y_nu`` and ``J_nu`` at each entry of the 1-d ``x > 0``.
 
-    ``kind`` is ``"J"``, ``"Y"`` or ``"K"``, or several of them such as
-    ``"KYJ"``: the result then stacks one row per letter on the shape of
-    ``x``.  Supported order band: ``nu in [0.35, 1.15]`` (the band the
+    Supported order band: ``nu in [0.35, 1.15]`` (the band the
     Voronoi-series evaluators actually use, with margin).  Branches:
 
     * ``x <= X_SWITCH_JY`` (J, Y) or ``x <= X_SWITCH_K`` (K): ascending power
@@ -632,40 +630,31 @@ def bessel(kind: str, nu: float, x):
       representation on a fixed trapezoid grid.
     * above the switch: large-argument expansions, truncated at the
       smallest term per point.  One pass of their term recurrence serves
-      every kind asked for, and each term is formed only on the points whose
+      all three kinds, and each term is formed only on the points whose
       expansion has not yet stopped.
 
     Within ``NEAR_INTEGER_DELTA`` of an integer order the reflection
     formulas lose meaning; there Y and K on the series branch are continued
     polynomially in the order through four nearby non-singular orders.
     """
-    if not isinstance(kind, str) or not kind or set(kind) - {"J", "Y", "K"}:
-        raise ValidationError(f"bessel kind must be 'J', 'Y', 'K' or several of them, got {kind!r}")
     if not (NU_BAND[0] <= nu <= NU_BAND[1]):
         raise ValidationError(
             f"bessel order {nu} outside supported band [{NU_BAND[0]}, {NU_BAND[1]}]"
         )
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 0.0):
+    if np.any(x <= 0.0):
         raise ValidationError("bessel requires x > 0")
-    flat = arr.ravel()
-    out = np.empty((len(kind), flat.size))
-    switch = {"J": X_SWITCH_JY, "Y": X_SWITCH_JY, "K": X_SWITCH_K_ASYMPTOTIC}
-    large = _bessel_large(kind, nu, flat[flat > min(switch[letter] for letter in kind)])
-    for row, letter in zip(out, kind):
-        lo = flat <= (X_SWITCH_K if letter == "K" else X_SWITCH_JY)
-        hi = flat > switch[letter]
+    out = np.empty((3, x.size))
+    large = _bessel_large(nu, x[x > X_SWITCH_JY])
+    for row, kind, values in zip(out, "KYJ", large):
+        lo = x <= (X_SWITCH_K if kind == "K" else X_SWITCH_JY)
+        hi = x > (X_SWITCH_K_ASYMPTOTIC if kind == "K" else X_SWITCH_JY)
         mid = ~(lo | hi)  # K's trapezoid range; empty for J and Y
         if lo.any():
-            row[lo] = _bessel_small(letter, nu, flat[lo])
+            row[lo] = _bessel_small(kind, nu, x[lo])
         if mid.any():
-            row[mid] = _k_trapezoid(nu, flat[mid])
-        row[hi] = large[letter]
-    if len(kind) > 1:
-        return out.reshape((len(kind),) + arr.shape)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out[0, 0])
-    return out[0].reshape(arr.shape)
+            row[mid] = _k_trapezoid(nu, x[mid])
+        row[hi] = values
+    return out
 
 
 def _k_trapezoid(nu: float, x: np.ndarray) -> np.ndarray:
@@ -760,18 +749,14 @@ def _asymptotic_sums(nu: float, x: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _bessel_large(kinds: str, nu: float, x: np.ndarray) -> dict[str, np.ndarray]:
-    """Each kind in ``kinds`` above its switch point, from one
-    :func:`_asymptotic_sums` over ``x``: J and Y share its P and Q and one
-    cos and sin on all of ``x``; K takes its S on ``x > X_SWITCH_K_ASYMPTOTIC``."""
+def _bessel_large(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K, Y and J above their switch points, from one :func:`_asymptotic_sums`
+    over ``x > X_SWITCH_JY``: J and Y share its P and Q and one cos and sin on
+    all of ``x``; K takes its S on ``x > X_SWITCH_K_ASYMPTOTIC``."""
     p, q, total = _asymptotic_sums(nu, x)
-    out = {}
-    if "K" in kinds:
-        top = x > X_SWITCH_K_ASYMPTOTIC
-        out["K"] = np.sqrt(0.5 * math.pi / x[top]) * np.exp(-x[top]) * total[top]
-    if kinds.strip("K"):
-        omega = x - (0.5 * nu + 0.25) * math.pi
-        c, s = np.cos(omega), np.sin(omega)
-        amp = np.sqrt(2.0 / (math.pi * x))
-        out["J"], out["Y"] = amp * (p * c - q * s), amp * (p * s + q * c)
-    return out
+    top = x > X_SWITCH_K_ASYMPTOTIC
+    k = np.sqrt(0.5 * math.pi / x[top]) * np.exp(-x[top]) * total[top]
+    omega = x - (0.5 * nu + 0.25) * math.pi
+    c, s = np.cos(omega), np.sin(omega)
+    amp = np.sqrt(2.0 / (math.pi * x))
+    return k, amp * (p * s + q * c), amp * (p * c - q * s)

@@ -60,6 +60,7 @@ the spec, later calls must agree on the parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -484,7 +485,7 @@ def delta_bessel(
     sin_half = math.sin(0.5 * math.pi * a)
 
     def kernel(n: np.ndarray) -> np.ndarray:
-        k, y, j = bessel("KYJ", nu, (4.0 * math.pi / spec.k_mod) * np.sqrt(n * x))
+        k, y, j = bessel(nu, (4.0 * math.pi / spec.k_mod) * np.sqrt(n * x))
         return -(2.0 / math.pi) * cos_half * (k + (0.5 * math.pi) * y) - sin_half * j
 
     return _series(spec, plan, twist, x ** (0.5 * (1.0 + a)), -0.5 * (1.0 + a), kernel)
@@ -544,12 +545,15 @@ def delta_mean_square(spec: TwistedSumSpec, u: float) -> float:
     if not (math.isfinite(u) and u >= 4.0):
         raise ValidationError(f"delta_mean_square requires u >= 4, got {u}")
     lo, hi = 0.5 * u, float(u)
-    raw = _raw_sum(spec, hi)  # checks u <= X_MAX before the fit
+    _check_x_max(hi)  # before the fit
     cal = spec._calibration or calibrate(spec)
+    # Formed at the first integrand call, once the panel budget has passed
+    # the initial panels, so a refused u pays for no sieve of u entries.
+    raw = functools.cache(lambda: _raw_sum(spec, hi))
 
     with stage("Voronoi mean square"):
         result = integrate_adaptive(
-            lambda xs: np.abs(_delta(spec, raw, cal, xs)) ** 2,
+            lambda xs: np.abs(_delta(spec, raw(), cal, xs)) ** 2,
             lo, hi, abs_tol=_MEAN_SQUARE_ABS_TOL, rel_tol=_MEAN_SQUARE_REL_TOL,
             # For x >= 1 this width is exact and x + width is the next
             # integer, so every jump of the raw sum is a panel edge.

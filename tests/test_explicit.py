@@ -164,6 +164,59 @@ def test_sigma2_rejects_nonpositive_log_cutoff():
 
 
 # ---------------------------------------------------------------------------
+# A = 1 against Matsumoto's explicit formula for E_sigma(T)
+# ---------------------------------------------------------------------------
+
+
+def _divisor_power_sum(e: float, n: int) -> float:
+    """``sigma_e(n)``, the divisors found by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in small if d * d != n]
+    return math.fsum(float(d) ** e for d in small + large)
+
+
+def _matsumoto_blocks(sigma: float, T: float, Y: float) -> tuple[float, float]:
+    """Sigma_1 and Sigma_2 of Matsumoto's explicit formula for E_sigma(T)
+    (Japan. J. Math. 15, 1989; Ivic, Mean Values of the Riemann Zeta
+    Function, ch. 2), term by term in Python floats, over the cutoffs
+    ``explicit_terms`` uses at A = 1 (``n <= Y`` and ``n <= xi(T, Y)``)::
+
+        Sigma_1 = 2^(sigma-1) (pi/T)^(sigma-1/2) sum (-1)^n sigma_{1-2 sigma}(n) n^(sigma-1)
+                  arsinh(sqrt(pi n / 2T))^-1 (T/(2 pi n) + 1/4)^(-1/4) cos f(T, n)
+        Sigma_2 = -2 (2 pi/T)^(sigma-1/2) sum sigma_{1-2 sigma}(n) n^(sigma-1)
+                  log(T/(2 pi n))^-1 cos(T log(T/(2 pi n)) - T + pi/4)
+    """
+    e = 1.0 - 2.0 * sigma
+    terms1 = []
+    for n in range(1, math.floor(Y) + 1):
+        root = math.asinh(math.sqrt(math.pi * n / (2.0 * T)))
+        f = 2.0 * T * root + math.sqrt(2.0 * math.pi * n * T + (math.pi * n) ** 2) - 0.25 * math.pi
+        weight = _divisor_power_sum(e, n) * n ** (sigma - 1.0) / root
+        terms1.append((-1) ** n * weight * (T / (2.0 * math.pi * n) + 0.25) ** -0.25 * math.cos(f))
+    terms2 = []
+    for n in range(1, math.floor(xi(T, Y)) + 1):
+        log_ratio = math.log(T / (2.0 * math.pi * n))
+        g = T * log_ratio - T + 0.25 * math.pi
+        terms2.append(_divisor_power_sum(e, n) * n ** (sigma - 1.0) / log_ratio * math.cos(g))
+    sigma1 = 2.0 ** (sigma - 1.0) * (math.pi / T) ** (sigma - 0.5) * math.fsum(terms1)
+    sigma2 = -2.0 * (2.0 * math.pi / T) ** (sigma - 0.5) * math.fsum(terms2)
+    return sigma1, sigma2
+
+
+@pytest.mark.parametrize("T", [250.0, 1000.0])
+@pytest.mark.parametrize("sigma", [0.3, 0.4, 0.45])
+def test_resolved_blocks_at_a_equal_one_match_matsumoto(sigma, T):
+    window, cfg, one = WindowConfig(0.5, 2.0, T, T), StripConfig(sigma), DirichletPolynomial((1.0,))
+    sigma1, sigma2 = _matsumoto_blocks(sigma, T, T)
+    resolved = explicit_terms(window, cfg, one, sigma1_variant="resolved", sigma2_variant="resolved")
+    assert resolved.sigma1 == pytest.approx(sigma1, rel=1e-10)
+    assert resolved.sigma2 == pytest.approx(sigma2, rel=1e-10)
+    # Criterion 6's ``halved`` is (2 pi)^(1 - 2 sigma) times the formula's Sigma_2.
+    halved = explicit_terms(window, cfg, one, sigma2_variant="halved").sigma2
+    assert halved / resolved.sigma2 == pytest.approx((2.0 * math.pi) ** (1.0 - 2.0 * sigma), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 

@@ -37,14 +37,14 @@ def test_strip_config_rejects_outside_strip():
 def test_integrand_against_mpmath():
     cfg = StripConfig(0.4)
     poly = DirichletPolynomial((1.0, 0.5))
-    for t in (0.7, 12.0, 85.3):
-        mine = integrand(t, cfg, poly)
+    ts = np.array([0.7, 12.0, 85.3])
+    values = integrand(ts, cfg, poly)
+    assert values.shape == (3,)
+    for t, mine in zip(ts.tolist(), values):
         z = mpmath.zeta(mpmath.mpc(0.4, t))
         a = sum(mpmath.mpc(c) * mpmath.power(m, -mpmath.mpc(0.4, t)) for m, c in ((1, 1.0), (2, 0.5)))
         ref = float(abs(z * a) ** 2)
         assert mine == pytest.approx(ref, rel=1e-10)
-    vec = integrand(np.array([0.7, 12.0]), cfg, poly)
-    assert vec.shape == (2,)
 
 
 def test_integrand_of_zero_polynomial_skips_zeta(monkeypatch):
@@ -58,10 +58,8 @@ def test_integrand_of_zero_polynomial_skips_zeta(monkeypatch):
 
     monkeypatch.setattr(meansquare, "zeta_line", forbidden)
     skipped = integrand(t, cfg, poly)
-    # Same bits as |zeta * 0|^2 (+0.0 everywhere), same shapes.
+    # Same bits as |zeta * 0|^2 (+0.0 everywhere), same shape.
     assert np.array_equal(skipped.view(np.uint64), computed.view(np.uint64))
-    assert integrand(300.0, cfg, poly) == 0.0
-    assert isinstance(integrand(300.0, cfg, poly), float)
 
 
 @contextlib.contextmanager

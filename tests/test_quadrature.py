@@ -17,7 +17,7 @@ mpmath.mp.prec = 120
 
 
 def test_polynomial_exact():
-    result = integrate_adaptive(lambda x: x**2, 0.0, 1.0)
+    result = integrate_adaptive(lambda x: x**2, 0.0, 1.0, initial_width=lambda x: 1.0)
     assert result.value == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert result.error_estimate >= 0.0
     assert result.panels >= 1
@@ -25,14 +25,14 @@ def test_polynomial_exact():
 
 
 def test_empty_and_reversed_interval():
-    zero = integrate_adaptive(lambda x: x, 2.0, 2.0)
+    zero = integrate_adaptive(lambda x: x, 2.0, 2.0, initial_width=lambda x: 1.0)
     assert zero.value == 0.0 and zero.panels == 0
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda x: x, 1.0, 0.0)
+        integrate_adaptive(lambda x: x, 1.0, 0.0, initial_width=lambda x: 1.0)
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda x: x, 0.0, math.inf)
+        integrate_adaptive(lambda x: x, 0.0, math.inf, initial_width=lambda x: 1.0)
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda x: x, 0.0, 1.0, abs_tol=0.0)
+        integrate_adaptive(lambda x: x, 0.0, 1.0, abs_tol=0.0, initial_width=lambda x: 1.0)
 
 
 @pytest.mark.parametrize(
@@ -49,9 +49,9 @@ def test_non_finite_tolerance_is_rejected_before_any_evaluation(tolerances):
         return np.cos(x)
 
     with pytest.raises(ValidationError, match="finite"):
-        integrate_adaptive(f, 10.0, 20.0, **tolerances)
+        integrate_adaptive(f, 10.0, 20.0, initial_width=lambda x: 10.0, **tolerances)
     with pytest.raises(ValidationError, match="finite"):
-        integrate_adaptive(f, 10.0, 10.0, **tolerances)
+        integrate_adaptive(f, 10.0, 10.0, initial_width=lambda x: 10.0, **tolerances)
     assert calls == []
 
 
@@ -91,7 +91,7 @@ def test_breakpoints_resolve_kinks():
 
 def test_error_estimate_is_conservative():
     result = integrate_adaptive(
-        lambda x: np.exp(-x) * np.sin(7.0 * x), 0.0, 10.0, abs_tol=1e-10
+        lambda x: np.exp(-x) * np.sin(7.0 * x), 0.0, 10.0, abs_tol=1e-10, initial_width=lambda x: 10.0
     )
     ref = float(mpmath.quad(lambda x: mpmath.exp(-x) * mpmath.sin(7 * x), [0, 10]))
     assert abs(result.value - ref) <= max(result.error_estimate, 1e-12)
@@ -107,6 +107,9 @@ def _last_bit(x):
 
 
 _ULP_WINDOW = (1.0, 1.0 + 2.0**-46)  # 64 units in the last place
+# Width policies of one initial panel on [0, 1] and on the ULP window.
+_UNIT_PANEL = {"initial_width": lambda x: 1.0}
+_ULP_PANEL = {"initial_width": lambda x: 2.0**-46}
 
 
 def test_non_convergence_carries_best_value(monkeypatch):
@@ -114,7 +117,7 @@ def test_non_convergence_carries_best_value(monkeypatch):
     # result attached rather than silently returning garbage.
     monkeypatch.setattr(quadrature, "MAX_PANELS", 40)
     with pytest.raises(QuadratureNonConvergence) as info:
-        integrate_adaptive(_needle, 0.0, 1.0, abs_tol=1e-12)
+        integrate_adaptive(_needle, 0.0, 1.0, abs_tol=1e-12, **_UNIT_PANEL)
     assert info.value.error_estimate > 0.0
     assert math.isfinite(info.value.value.real if isinstance(info.value.value, complex) else info.value.value)
 
@@ -140,10 +143,10 @@ def test_width_policy_validation(monkeypatch):
 
 def test_failures_name_the_interval(monkeypatch):
     with pytest.raises(QuadratureNonConvergence, match=r"panel resolution .* on \[1\.0, 1\.0000000000000142\]$"):
-        integrate_adaptive(_last_bit, *_ULP_WINDOW, abs_tol=1e-300, rel_tol=0.0)
+        integrate_adaptive(_last_bit, *_ULP_WINDOW, abs_tol=1e-300, rel_tol=0.0, **_ULP_PANEL)
     monkeypatch.setattr(quadrature, "MAX_PANELS", 40)
     with pytest.raises(QuadratureNonConvergence, match=r"budget 40 exhausted .* on \[0\.0, 1\.0\]$"):
-        integrate_adaptive(_needle, 0.0, 1.0, abs_tol=1e-12)
+        integrate_adaptive(_needle, 0.0, 1.0, abs_tol=1e-12, **_UNIT_PANEL)
     with pytest.raises(ValidationError, match=r"panel budget 40 on \[2\.0, 3\.5\]$"):
         integrate_adaptive(lambda x: x, 2.0, 3.5, initial_width=lambda x: 0.01)
 
@@ -153,15 +156,13 @@ def test_failures_name_the_interval(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _oracle(f, a, b, *, abs_tol=1e-8, rel_tol=1e-8, initial_width=None, max_panels=40_000):
+def _oracle(f, a, b, *, abs_tol=1e-8, rel_tol=1e-8, initial_width, max_panels=40_000):
     """The list-splicing refinement loop, kept as the bitwise reference."""
-    edges = [a, b]
-    if initial_width is not None:
-        edges = [a]
-        x = a
-        while x < b:
-            x = min(b, x + initial_width(x))
-            edges.append(x)
+    edges = [a]
+    x = a
+    while x < b:
+        x = min(b, x + initial_width(x))
+        edges.append(x)
     panel_lr, values, errors = [], [], []
     evaluations = 0
 
@@ -244,7 +245,7 @@ def _assert_matches_oracle(f, a, b, **kwargs):
 
 
 _CLOSED_FORMS = [
-    (lambda x: x**2, 0.0, 1.0, {}),
+    (lambda x: x**2, 0.0, 1.0, _UNIT_PANEL),
     (np.cos, 0.0, 20.0 * math.pi, {"abs_tol": 1e-12, "initial_width": lambda x: 1.0}),
     (np.cos, 0.0, 20.0 * math.pi, {"abs_tol": 1e-14, "initial_width": lambda x: 0.05}),  # 3 batches
     (
@@ -254,7 +255,7 @@ _CLOSED_FORMS = [
         {"abs_tol": 1e-11, "rel_tol": 1e-12, "initial_width": lambda x: 1.0 / max(2.0 * abs(x), 0.5)},
     ),
     (lambda x: np.abs(x - 1.0), 0.0, 3.0, {"abs_tol": 1e-13, "initial_width": lambda x: 1.0}),
-    (lambda x: np.exp(-x) * np.sin(7.0 * x), 0.0, 10.0, {"abs_tol": 1e-10}),
+    (lambda x: np.exp(-x) * np.sin(7.0 * x), 0.0, 10.0, {"abs_tol": 1e-10, "initial_width": lambda x: 10.0}),
     (lambda x: np.sin(3.0 * x) / (1.0 + x**2), 0.0, 30.0, {"abs_tol": 1e-11, "initial_width": lambda x: 0.7}),
 ]
 
@@ -271,8 +272,8 @@ def test_closed_forms_match_the_list_loop_bitwise(f, a, b, kwargs):
 @pytest.mark.parametrize(
     "f, window, kwargs, max_panels",
     [
-        (_needle, (0.0, 1.0), {"abs_tol": 1e-12}, 40),
-        (_last_bit, _ULP_WINDOW, {"abs_tol": 1e-300, "rel_tol": 0.0}, 40_000),
+        (_needle, (0.0, 1.0), {"abs_tol": 1e-12, **_UNIT_PANEL}, 40),
+        (_last_bit, _ULP_WINDOW, {"abs_tol": 1e-300, "rel_tol": 0.0, **_ULP_PANEL}, 40_000),
     ],
     ids=["panel-budget", "resolution"],
 )
@@ -338,8 +339,6 @@ def test_package_integrals_match_the_list_loop_bitwise(module, run, monkeypatch)
 
 def _initial_edges_former(a, b, initial_width):
     """``quadrature._initial_edges`` with its former per-edge checks and ``min``."""
-    if initial_width is None:
-        return [a, b]
     edges = [a]
     x = a
     while x < b:

@@ -459,6 +459,9 @@ def test_gamma_reflection_identity_and_poles():
 # ---------------------------------------------------------------------------
 
 
+_ROW = {"K": 0, "Y": 1, "J": 2}  # the rows of bessel(nu, x)
+
+
 def _bessel_ref(kind: str, nu: float, x: float) -> float:
     f = {"J": mpmath.besselj, "Y": mpmath.bessely, "K": mpmath.besselk}[kind]
     return float(f(mpmath.mpf(nu), mpmath.mpf(x)))
@@ -474,7 +477,7 @@ def _bessel_grid() -> np.ndarray:
 def test_bessel_against_mpmath(nu):
     xs = _bessel_grid()
     for kind in ("J", "Y", "K"):
-        ours = bessel(kind, nu, xs)
+        ours = bessel(nu, xs)[_ROW[kind]]
         for x, mine in zip(xs, ours):
             ref = _bessel_ref(kind, nu, float(x))
             if kind == "K":
@@ -487,9 +490,7 @@ def test_bessel_against_mpmath(nu):
 
 def test_bessel_half_order_closed_forms():
     xs = np.geomspace(0.1, 60.0, 25)
-    j = bessel("J", 0.5, xs)
-    y = bessel("Y", 0.5, xs)
-    k = bessel("K", 0.5, xs)
+    k, y, j = bessel(0.5, xs)
     pref = np.sqrt(2.0 / (np.pi * xs))
     assert np.max(np.abs(j - pref * np.sin(xs))) <= 5e-9 * np.max(pref)
     assert np.max(np.abs(y + pref * np.cos(xs))) <= 5e-9 * np.max(pref)
@@ -499,19 +500,13 @@ def test_bessel_half_order_closed_forms():
 
 def test_bessel_domain_guards():
     with pytest.raises(ValidationError):
-        bessel("J", NU_BAND[0] - 0.01, 1.0)
+        bessel(NU_BAND[0] - 0.01, np.array([1.0]))
     with pytest.raises(ValidationError):
-        bessel("I", 0.8, 1.0)
-    with pytest.raises(ValidationError):
-        bessel("J", 0.8, 0.0)
-
-
-def test_bessel_scalar_return():
-    assert isinstance(bessel("J", 0.8, 2.0), float)
+        bessel(0.8, np.array([1.0, 0.0]))
 
 
 def _k_large_loop(nu: float, x: np.ndarray) -> np.ndarray:
-    """The large-x branch of ``bessel("K")`` as its own loop, kept as the
+    """The large-x branch of ``bessel``'s K row as its own loop, kept as the
     oracle for the one pass that serves every kind."""
     mu = 4.0 * nu * nu
     total = np.ones_like(x)
@@ -532,11 +527,11 @@ def _k_large_loop(nu: float, x: np.ndarray) -> np.ndarray:
 def test_bessel_k_large_branch_bit_identical_to_its_own_loop():
     x = 13.0 + (1e5 - 13.0) * np.arange(1, 20_002) / 20_001
     for nu in np.linspace(NU_BAND[0], NU_BAND[1], 41):
-        assert _same_bits(bessel("K", float(nu), x), _k_large_loop(float(nu), x)), f"nu={nu}"
+        assert _same_bits(bessel(float(nu), x)[_ROW["K"]], _k_large_loop(float(nu), x)), f"nu={nu}"
 
 
 def _jy_large_loop(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
-    """The large-x branch of ``bessel("J")`` and ``bessel("Y")`` as one kind
+    """The large-x branch of ``bessel``'s J and Y rows as one kind
     per call over its own masked term loop: the oracle for the one pass that
     serves every kind."""
     mu = 4.0 * nu * nu
@@ -567,8 +562,8 @@ def _jy_large_loop(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_per_kind(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
-    """``bessel(kind, nu, x)`` as it was formed one kind per call: the same
-    series and trapezoid branches, and the oracle loops above the switch."""
+    """``bessel(nu, x)[_ROW[kind]]`` as it was formed one kind per call: the
+    same series and trapezoid branches, and the oracle loops above the switch."""
     out = np.empty_like(x)
     lo = x <= (X_SWITCH_K if kind == "K" else X_SWITCH_JY)
     hi = x > (X_SWITCH_K_ASYMPTOTIC if kind == "K" else X_SWITCH_JY)
@@ -592,24 +587,11 @@ def test_bessel_one_pass_bit_identical_to_one_kind_per_call():
     x = np.concatenate([np.geomspace(0.05, 5000.0, 401), np.linspace(10.0, 14.0, 97), seams])
     assert (x <= X_SWITCH_JY).any() and ((x > X_SWITCH_JY) & (x <= X_SWITCH_K_ASYMPTOTIC)).any()
     for nu in _ONE_PASS_ORDERS:
-        stacked = bessel("KYJ", nu, x)
+        stacked = bessel(nu, x)
         assert stacked.shape == (3, x.size)
-        for row, kind in zip(stacked, "KYJ"):
+        for kind in "KYJ":
             expected = _bessel_per_kind(kind, nu, x)
-            assert _same_bits(np.ascontiguousarray(row), expected), f"{kind} nu={nu}"
-            assert _same_bits(bessel(kind, nu, x), expected), f"{kind} alone, nu={nu}"
-        assert _same_bits(bessel("JY", nu, x), stacked[[2, 1]]), f"JY nu={nu}"
-
-
-def test_bessel_several_kinds_stack_on_the_shape_of_x():
-    assert bessel("KYJ", 0.8, 12.0).shape == (3,)
-    grid = np.linspace(1.0, 40.0, 12).reshape(3, 4)
-    stacked = bessel("YK", 0.8, grid)
-    assert stacked.shape == (2, 3, 4)
-    assert _same_bits(stacked[1], bessel("K", 0.8, grid))
-    for kind in ("", "JX", "j", None):
-        with pytest.raises(ValidationError, match="bessel kind"):
-            bessel(kind, 0.8, 1.0)
+            assert _same_bits(np.ascontiguousarray(stacked[_ROW[kind]]), expected), f"{kind} nu={nu}"
 
 
 def test_cis_bit_identical_to_complex_exp():
