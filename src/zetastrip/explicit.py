@@ -385,7 +385,6 @@ def _theorem_step(
 class Theorem1Report:
     """Window identity evaluated once: quadrature side, block sides, residual."""
 
-    window: WindowConfig
     quadrature_value: float
     quadrature_error: float
     upper: ExplicitTerms
@@ -427,7 +426,6 @@ def theorem1_report(
         (win.scaled(2.0), win), [(win.t, 2.0 * win.t)], cfg, A, readings, abs_tol, rel_tol
     )
     return Theorem1Report(
-        window=win,
         quadrature_value=float(quad.value),
         quadrature_error=quad.error_estimate,
         upper=upper,

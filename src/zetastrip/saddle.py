@@ -34,10 +34,10 @@ phase predicts for them:
 
 Error budgets evaluate the power-scale terms of each comparison; genuinely
 exponentially small contributions (``exp(-CT)`` with an unspecified absolute
-constant) are not evaluated and are documented per operation.  Verdicts use a
-fixed audit constant: a comparison passes when the difference is within
-``AUDIT_CONSTANT`` times its evaluated budget, and every report carries the
-full budget breakdown so a failure is diagnosable.
+constant) are not evaluated and are documented per operation.  Lemmas 2 and 4
+return one record, :class:`SaddleComparison`: the integral, its saddle term and
+the named budgets; it passes when the difference is within ``AUDIT_CONSTANT``
+times their total, and the breakdown makes a failure diagnosable.
 
 The ``log(T/(2 pi n))`` in lemma4's saddle term is printed inconsistently in
 its sources (a ``3 pi`` appears in one place).  Only ``2 pi`` matches the
@@ -58,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .errors import ValidationError
 from .quadrature import QuadratureResult, integrate_adaptive, stage
 from .special import arcsinh, cis
@@ -66,6 +67,7 @@ __all__ = [
     "AUDIT_CONSTANT",
     "LEMMA3_RATIO_CAP",
     "ExpIntegralSpec",
+    "SaddleComparison",
     "Lemma2Report",
     "Lemma3Report",
     "Lemma4Report",
@@ -212,7 +214,36 @@ def saddle_term(spec: ExpIntegralSpec) -> complex:
 
 
 @dataclass(frozen=True)
-class Lemma2Report:
+class SaddleComparison:
+    """An integral against its saddle term, with the named budgets of their difference.
+
+    ``budgets`` maps each budget's name to its value in report-column order,
+    and ``budget_total`` adds them in that order.
+    """
+
+    lhs: complex
+    saddle: complex
+    quadrature_error: float
+    budgets: dict[str, float]
+
+    @property
+    def difference(self) -> float:
+        return abs(self.lhs - self.saddle)
+
+    @property
+    def budget_total(self) -> float:
+        total = 0.0  # a left-to-right sum: sum() compensates on Python 3.12+
+        for value in self.budgets.values():
+            total += value
+        return total
+
+    @property
+    def passed(self) -> bool:
+        return self.difference <= AUDIT_CONSTANT * self.budget_total
+
+
+@dataclass(frozen=True)
+class Lemma2Report(SaddleComparison):
     """Comparison of the logarithmic-kernel integral with its saddle term.
 
     ``budget_endpoint_a`` is ``a^(1-alpha)/T``, ``budget_endpoint_b`` is
@@ -223,26 +254,7 @@ class Lemma2Report:
     its remainder are absent and compared against zero).
     """
 
-    spec: ExpIntegralSpec
-    lhs: complex
-    saddle: complex
-    quadrature_error: float
-    budget_endpoint_a: float
-    budget_endpoint_b: float
-    budget_saddle_r: float
     r_branch: str
-
-    @property
-    def difference(self) -> float:
-        return abs(self.lhs - self.saddle)
-
-    @property
-    def budget_total(self) -> float:
-        return self.budget_endpoint_a + self.budget_endpoint_b + self.budget_saddle_r
-
-    @property
-    def passed(self) -> bool:
-        return self.difference <= AUDIT_CONSTANT * self.budget_total
 
 
 def lemma2_compare(
@@ -274,32 +286,25 @@ def lemma2_compare(
         )
     result = exp_integral_lhs(spec, abs_tol=abs_tol, rel_tol=rel_tol)
     exponent = spec.gamma - spec.alpha - spec.beta
-    budget_a = spec.a_lo ** (1.0 - spec.alpha) / T
-    budget_b = spec.b_hi**exponent / k
+    budgets = {
+        "budget_endpoint_a": spec.a_lo ** (1.0 - spec.alpha) / T,
+        "budget_endpoint_b": spec.b_hi**exponent / k,
+    }
     if spec.sign == +1:
         saddle = saddle_term(spec)
         if k <= T:
             r_branch = "k<=T"
-            budget_r = T ** (0.5 * exponent - 0.25) * k ** (-0.5 * exponent - 1.25)
+            budgets["budget_saddle_r"] = T ** (0.5 * exponent - 0.25) * k ** (-0.5 * exponent - 1.25)
         else:
             r_branch = "k>=T"
-            budget_r = T ** (-0.5 - spec.alpha) * k ** (spec.alpha - 1.0)
+            budgets["budget_saddle_r"] = T ** (-0.5 - spec.alpha) * k ** (spec.alpha - 1.0)
     else:
         # No saddle with the minus sign: the integral itself must sit inside
         # the endpoint budget, and the remainder power is dropped with it.
         saddle = 0.0 + 0.0j
         r_branch = "omitted"
-        budget_r = 0.0
-    return Lemma2Report(
-        spec=spec,
-        lhs=complex(result.value),
-        saddle=saddle,
-        quadrature_error=float(result.error_estimate),
-        budget_endpoint_a=budget_a,
-        budget_endpoint_b=budget_b,
-        budget_saddle_r=budget_r,
-        r_branch=r_branch,
-    )
+        budgets["budget_saddle_r"] = 0.0
+    return Lemma2Report(complex(result.value), saddle, float(result.error_estimate), budgets, r_branch)
 
 
 def lemma3_phase_derivative(x, k: float):
@@ -322,8 +327,6 @@ def lemma3_phase_derivative(x, k: float):
 class Lemma3Report:
     """Decay check of the no-saddle integral against ``T^(3/4 - alpha)``."""
 
-    alpha: float
-    k: float
     t_values: tuple[float, ...]
     magnitudes: tuple[float, ...]
     ratios: tuple[float, ...]
@@ -370,17 +373,19 @@ def lemma3_decay(alpha: float, k: float, t_grid) -> Lemma3Report:
     if k <= 0.0:
         raise ValidationError(f"k must be positive, got {k}")
     _check_exponent("alpha", alpha)
+    for t in t_values:
+        # |phase'| decreases in x: no initial panel on [T, 2T] is wider than at 2T.
+        panels = max(t * abs(lemma3_phase_derivative(2.0 * t, k)) / PHASE_RADIANS_PER_PANEL, 16.0)
+        if panels > quadrature.MAX_PANELS:
+            raise ValidationError(
+                f"lemma3_decay at T = {t:g}, k = {k:g} needs at least {panels:.0f} initial "
+                f"panels on [T, 2T], above the panel budget {quadrature.MAX_PANELS}"
+            )
     magnitudes = tuple(abs(_lemma3_integral(alpha, k, t)) for t in t_values)
     ratios = tuple(
         magnitude / t ** (0.75 - alpha) for magnitude, t in zip(magnitudes, t_values)
     )
-    return Lemma3Report(
-        alpha=float(alpha),
-        k=float(k),
-        t_values=t_values,
-        magnitudes=magnitudes,
-        ratios=ratios,
-    )
+    return Lemma3Report(t_values=t_values, magnitudes=magnitudes, ratios=ratios)
 
 
 def phi_weight(alpha: float, T: float, x) -> np.ndarray | float:
@@ -415,7 +420,7 @@ def lemma4_delta(n: int, a_lo: float, b_hi: float, T: float) -> int:
 
 
 @dataclass(frozen=True)
-class Lemma4Report:
+class Lemma4Report(SaddleComparison):
     """Comparison of the phi-weighted integral with its saddle term.
 
     ``budget_saddle`` is ``delta n^((alpha-1)/2) (T/2pi - n)^(1-alpha)
@@ -427,30 +432,7 @@ class Lemma4Report:
     Exponentially small terms are not evaluated.
     """
 
-    alpha: float
-    n: int
-    a_lo: float
-    b_hi: float
-    T: float
     delta: int
-    lhs: complex
-    saddle: complex
-    quadrature_error: float
-    budget_saddle: float
-    budget_endpoint_a: float
-    budget_endpoint_b: float
-
-    @property
-    def difference(self) -> float:
-        return abs(self.lhs - self.saddle)
-
-    @property
-    def budget_total(self) -> float:
-        return self.budget_saddle + self.budget_endpoint_a + self.budget_endpoint_b
-
-    @property
-    def passed(self) -> bool:
-        return self.difference <= AUDIT_CONSTANT * self.budget_total
 
 
 def lemma4_compare(
@@ -541,17 +523,5 @@ def lemma4_compare(
     budget_a = T ** (-0.5 * alpha) * resonance * endpoint_scale**-alpha
     budget_b = b_hi**-alpha / (root_n + T / b_hi)
 
-    return Lemma4Report(
-        alpha=float(alpha),
-        n=int(n),
-        a_lo=float(a_lo),
-        b_hi=float(b_hi),
-        T=float(T),
-        delta=delta,
-        lhs=complex(result.value),
-        saddle=saddle,
-        quadrature_error=float(result.error_estimate),
-        budget_saddle=budget_saddle,
-        budget_endpoint_a=budget_a,
-        budget_endpoint_b=budget_b,
-    )
+    budgets = {"budget_saddle": budget_saddle, "budget_endpoint_a": budget_a, "budget_endpoint_b": budget_b}
+    return Lemma4Report(complex(result.value), saddle, float(result.error_estimate), budgets, delta)

@@ -83,6 +83,7 @@ from .voronoi import (
     TwistedSumSpec,
     _check_plan_limits,
     calibrate,
+    calibration_x_lo,
     delta_bessel,
     delta_direct,
     truncation_plan,
@@ -429,6 +430,30 @@ def _run_voronoi(v: dict) -> tuple:
     return rows, scalars, passed, detail
 
 
+def _saddle_result(report, head: dict, tail: dict, suffix: str = "") -> tuple:
+    """The row and verdict of a lemma-2 or lemma-4 comparison: ``head``'s
+    columns, the comparison's, then ``tail``'s; ``suffix`` ends the detail."""
+    row = {
+        **head,
+        "lhs_re": report.lhs.real,
+        "lhs_im": report.lhs.imag,
+        "saddle_re": report.saddle.real,
+        "saddle_im": report.saddle.imag,
+        "difference": report.difference,
+        "quadrature_error": report.quadrature_error,
+        **report.budgets,
+        "budget_total": report.budget_total,
+        "audit_constant": AUDIT_CONSTANT,
+        **tail,
+        "passed": report.passed,
+    }
+    detail = (
+        f"|integral - saddle| {report.difference!r} vs "
+        f"{AUDIT_CONSTANT!r} * budget {report.budget_total!r}{suffix}"
+    )
+    return [row], {}, report.passed, detail
+
+
 def _run_saddle_l2(v: dict) -> tuple:
     spec = ExpIntegralSpec(
         alpha=v["alpha"],
@@ -441,26 +466,7 @@ def _run_saddle_l2(v: dict) -> tuple:
         sign=v["sign"],
     )
     report = lemma2_compare(spec, abs_tol=v["abs_tol"], rel_tol=v["rel_tol"])
-    row = {
-        "lhs_re": report.lhs.real,
-        "lhs_im": report.lhs.imag,
-        "saddle_re": report.saddle.real,
-        "saddle_im": report.saddle.imag,
-        "difference": report.difference,
-        "quadrature_error": report.quadrature_error,
-        "budget_endpoint_a": report.budget_endpoint_a,
-        "budget_endpoint_b": report.budget_endpoint_b,
-        "budget_saddle_r": report.budget_saddle_r,
-        "budget_total": report.budget_total,
-        "audit_constant": AUDIT_CONSTANT,
-        "r_branch": report.r_branch,
-        "passed": report.passed,
-    }
-    detail = (
-        f"|integral - saddle| {report.difference!r} vs "
-        f"{AUDIT_CONSTANT!r} * budget {report.budget_total!r}"
-    )
-    return [row], {}, report.passed, detail
+    return _saddle_result(report, {}, {"r_branch": report.r_branch})
 
 
 def _run_saddle_l3(v: dict) -> tuple:
@@ -488,27 +494,8 @@ def _run_saddle_l4(v: dict) -> tuple:
         abs_tol=v["abs_tol"],
         rel_tol=v["rel_tol"],
     )
-    row = {
-        "delta": report.delta,
-        "lhs_re": report.lhs.real,
-        "lhs_im": report.lhs.imag,
-        "saddle_re": report.saddle.real,
-        "saddle_im": report.saddle.imag,
-        "difference": report.difference,
-        "quadrature_error": report.quadrature_error,
-        "budget_saddle": report.budget_saddle,
-        "budget_endpoint_a": report.budget_endpoint_a,
-        "budget_endpoint_b": report.budget_endpoint_b,
-        "budget_total": report.budget_total,
-        "audit_constant": AUDIT_CONSTANT,
-        "saddle_log_constant": LOG_CONSTANT,
-        "passed": report.passed,
-    }
-    detail = (
-        f"|integral - saddle| {report.difference!r} vs "
-        f"{AUDIT_CONSTANT!r} * budget {report.budget_total!r} (delta = {report.delta})"
-    )
-    return [row], {}, report.passed, detail
+    tail = {"saddle_log_constant": LOG_CONSTANT}
+    return _saddle_result(report, {"delta": report.delta}, tail, f" (delta = {report.delta})")
 
 
 @dataclass(frozen=True)
@@ -589,7 +576,7 @@ _KINDS: dict[str, _Kind] = {
             _Param("x_hi", default=400.0),
             _Param("points", _int, 50),
             _Param("n_terms", _int, 2000),
-            _Param("calibration_x_lo", default=40.0),
+            _Param("calibration_x_lo", default=lambda v: calibration_x_lo(v["k"])),
             _Param("calibration_samples", _int, 640),
             _Param("tolerance_floor", _positive, 1e-3),
             _Param("tail_multiple", _positive, 3.0),

@@ -16,7 +16,8 @@ them is the point of this module:
 
 * :func:`delta_direct` - the definition: ``D(x)`` minus the smooth terms minus
   a constant ``C0`` obtained by least-squares calibration (:func:`calibrate`),
-  at one ``x`` or at an array of them from one pass of the raw sum;
+  at one ``x`` or at an array of them from one pass of the raw sum, fitted
+  on a default window that grows with ``k`` (:func:`calibration_x_lo`);
 * :func:`delta_bessel` - a Bessel-kernel series with terms
   ``sigma_a(n) e(-hn/k) n^(-(1+a)/2)`` against the kernel
   ``-(2/pi) cos(pi a/2) [K_{a+1} + (pi/2) Y_{a+1}] - sin(pi a/2) J_{1+a}``
@@ -78,6 +79,7 @@ __all__ = [
     "TruncationPlan",
     "Calibration",
     "exponent_from_sigma",
+    "calibration_x_lo",
     "calibrate",
     "delta_direct",
     "delta_bessel",
@@ -119,6 +121,17 @@ def exponent_from_sigma(sigma: float) -> float:
     if not 0.25 < sigma < 0.5:
         raise ValidationError(f"sigma must lie in (1/4, 1/2), got {sigma}")
     return 2.0 * sigma - 1.0
+
+
+def calibration_x_lo(k_mod: int) -> float:
+    """Default lower end of the calibration window: ``40 max(1, k/3)^2``.
+
+    The kernel argument ``4 pi sqrt(x)/k`` then spans the same range on the
+    window for every ``k >= 3``; a fixed ``x_lo = 40`` rejected the right fit
+    for ``k >= 5`` (drift ratio 0.12-0.17 against the limit 0.1).  A modulus
+    beyond ``X_MAX``, which no spec admits, is read as ``X_MAX``.
+    """
+    return 40.0 * max(1.0, min(k_mod, X_MAX) / 3.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -276,7 +289,7 @@ def calibrate(
     spec: TwistedSumSpec,
     *,
     power_modulus_exponent: float | None = None,
-    x_lo: float = 40.0,
+    x_lo: float | None = None,
     samples: int = 640,
 ) -> Calibration:
     """Fit the constant ``C0`` of the decomposition over ``x in [x_lo, 4 x_lo]``.
@@ -288,11 +301,13 @@ def calibrate(
     modulus exponent) inflates the block-mean scatter far above the
     oscillation level; the fit rejects when the standard error exceeds 10% of
     the oscillation RMS.  ``power_modulus_exponent`` defaults to the residue
-    value ``-1 - a``.
+    value ``-1 - a`` and ``x_lo`` to :func:`calibration_x_lo` of the modulus.
 
     The first successful call stores its result on the spec; repeated calls
     must use the same parameters and return the stored result.
     """
+    if x_lo is None:
+        x_lo = calibration_x_lo(spec.k_mod)
     if not (math.isfinite(x_lo) and x_lo >= 1.0):
         raise ValidationError(f"calibration requires x_lo >= 1, got {x_lo}")
     _check_x_max(4.0 * x_lo)  # the window's top, before its grid is formed

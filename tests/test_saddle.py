@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 
 import mpmath
 import numpy as np
@@ -128,9 +129,9 @@ def test_lemma2_report_pins():
     assert report.lhs == pytest.approx(complex(-0.7284223281370131, -0.8058348253203957), abs=1e-9)
     assert report.saddle == pytest.approx(complex(-0.7577719429141538, -0.7547805089461632), abs=1e-12)
     assert report.r_branch == "k<=T"
-    assert report.budget_endpoint_a == pytest.approx(0.0015848931924611134, rel=1e-12)
-    assert report.budget_endpoint_b == pytest.approx(0.3465724215775733, rel=1e-12)
-    assert report.budget_saddle_r == pytest.approx(0.19952623149688797, rel=1e-12)
+    assert report.budgets["budget_endpoint_a"] == pytest.approx(0.0015848931924611134, rel=1e-12)
+    assert report.budgets["budget_endpoint_b"] == pytest.approx(0.3465724215775733, rel=1e-12)
+    assert report.budgets["budget_saddle_r"] == pytest.approx(0.19952623149688797, rel=1e-12)
     assert report.difference < report.budget_total  # well inside, pre-audit
     assert report.passed
 
@@ -139,7 +140,7 @@ def test_lemma2_minus_sign_compares_against_zero():
     report = lemma2_compare(_spec(sign=-1))
     assert report.saddle == 0j
     assert report.r_branch == "omitted"
-    assert report.budget_saddle_r == 0.0
+    assert report.budgets["budget_saddle_r"] == 0.0
     assert abs(report.lhs) == report.difference
     assert report.passed
 
@@ -187,6 +188,42 @@ def test_lemma3_grid_validation():
         lemma3_decay(1.5, 1.0, [5.0, 10.0])  # T below 10
     with pytest.raises(ValidationError):
         lemma3_decay(1.5, 0.0, [50.0, 100.0])
+
+
+def test_lemma3_phase_derivative_magnitude_decreases_in_x():
+    # lemma3_decay's panel bound reads |phase'| at 2T as its least on [T, 2T].
+    xs = np.geomspace(1.0, 1e7, 400)
+    for k in np.geomspace(1e-6, 1e300, 200):
+        assert np.all(np.diff(np.abs(lemma3_phase_derivative(xs, float(k)))) < 0.0), k
+
+
+def _no_integral(*args):
+    raise AssertionError("an integral ran")
+
+
+@pytest.mark.parametrize(
+    ("k", "where"),
+    [(1e100, "T = 400, k = 1e+100 needs at least 60110"), (1e300, "T = 100, k = 1e+300 needs at least 45821")],
+)
+def test_lemma3_refuses_a_grid_over_the_panel_budget_before_any_integral(monkeypatch, k, where):
+    # Both used to spend 2.5-2.9 s in the initial-width loop before its error.
+    monkeypatch.setattr(saddle, "_lemma3_integral", _no_integral)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=f"^lemma3_decay at {re.escape(where)} initial panels on "):
+        lemma3_decay(1.5, k, [50.0, 100.0, 200.0, 400.0])
+    assert time.perf_counter() - start < 0.25
+
+
+def test_lemma3_panel_bound_reads_the_budget_at_call_time(monkeypatch):
+    # At k = 1 the bound is 16 panels up to T = 200 and 23.6 at T = 400.
+    monkeypatch.setattr(saddle, "_lemma3_integral", _no_integral)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 20)
+    with pytest.raises(ValidationError, match=r"at T = 400, k = 1 needs at least 24 .* panel budget 20$"):
+        lemma3_decay(1.5, 1.0, [50.0, 100.0, 200.0, 400.0])
+    # k = 1e30 needs at most 17 128 panels: inside the default budget.
+    monkeypatch.undo()
+    monkeypatch.setattr(saddle, "_lemma3_integral", lambda alpha, k, T: 1.0)
+    assert lemma3_decay(1.5, 1e30, [50.0, 100.0, 200.0, 400.0]).magnitudes == (1.0,) * 4
 
 
 # ---------------------------------------------------------------------------

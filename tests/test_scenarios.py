@@ -671,6 +671,7 @@ def test_cli_run_rejects_non_positive_limit(tmp_path, capsys, kind, key, value):
         ("calibration_samples", "65544", "parameter 'calibration_samples' must be at most 65536, got 65544"),
         ("calibration_samples", "800000000000", "parameter 'calibration_samples' must be at most 65536"),
         ("k", "9" * 40, "k_mod must satisfy 1 <= k_mod <= 1048576, got 9999"),
+        ("k", "9" * 400, "k_mod must satisfy 1 <= k_mod <= 1048576, got 9999"),
     ],
 )
 def test_cli_run_names_voronoi_input_beyond_its_limits(tmp_path, capsys, key, value, constraint):
@@ -728,6 +729,122 @@ def test_cli_run_names_a_saddle_alpha_outside_its_band(tmp_path, capsys, kind, a
     assert "Traceback" not in captured.out + captured.err
     assert elapsed < 1.0
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("k", "where"),
+    [("1e300", "T = 100, k = 1e+300 needs at least 45821"), ("1e100", "T = 400, k = 1e+100 needs at least 60110")],
+)
+def test_cli_run_refuses_a_saddle_l3_grid_over_the_panel_budget(tmp_path, capsys, k, where):
+    # Both used to spend 2.5-2.9 s in the initial-width loop before its error.
+    parameters = {"alpha": "1.5", "k": k, "t_grid": "50, 100, 200, 400"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, elapsed, err = _run_cli(tmp_path, capsys, "saddle-l3", parameters)
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error: lemma3_decay at {where} initial panels on [T, 2T]")
+    assert err.endswith("above the panel budget 40000\n")
+    assert elapsed < 0.25
+
+
+_LEMMA2 = {"alpha": "0.6", "beta": "0.6", "gamma": "1.0", "a_lo": "0.01", "b_hi": "200", "k": "1", "t": "100"}
+
+
+# Each row as the report recorded it before the two comparisons shared one record.
+@pytest.mark.parametrize(
+    ("kind", "parameters", "expected"),
+    [
+        (
+            "saddle-l2",
+            {**_LEMMA2, "sign": "-1"},
+            {
+                "lhs_re": -0.026243288157710248,
+                "lhs_im": 0.04871289312323564,
+                "saddle_re": 0.0,
+                "saddle_im": 0.0,
+                "difference": 0.05533223409337809,
+                "quadrature_error": 9.12614161776822e-13,
+                "budget_endpoint_a": 0.0015848931924611134,
+                "budget_endpoint_b": 0.3465724215775733,
+                "budget_saddle_r": 0.0,
+                "budget_total": 0.3481573147700344,
+                "audit_constant": 10.0,
+                "r_branch": "omitted",
+                "passed": True,
+            },
+        ),
+        (
+            "saddle-l2",
+            {**_LEMMA2, "k": "50", "t": "20", "a_lo": "0.001", "b_hi": "60"},
+            {
+                "lhs_re": -0.005553342940784524,
+                "lhs_im": 0.059221613938934485,
+                "saddle_re": -0.006090838018374816,
+                "saddle_im": 0.06100113455167202,
+                "difference": 0.0018589229595632956,
+                "quadrature_error": 2.401220452501212e-11,
+                "budget_endpoint_a": 0.003154786722400966,
+                "budget_endpoint_b": 0.008818602062217207,
+                "budget_saddle_r": 0.007749594937741684,
+                "budget_total": 0.01972298372235986,
+                "audit_constant": 10.0,
+                "r_branch": "k>=T",
+                "passed": True,
+            },
+        ),
+        (
+            "saddle-l4",
+            {"alpha": "1.5", "n": "40", "t": "200"},
+            {
+                "delta": 0,
+                "lhs_re": -0.0002659218588150973,
+                "lhs_im": 0.00024193467160311925,
+                "saddle_re": 0.0,
+                "saddle_im": 0.0,
+                "difference": 0.0003595091380193078,
+                "quadrature_error": 4.76554083635832e-14,
+                "budget_saddle": 0.0,
+                "budget_endpoint_a": 0.002161477373938882,
+                "budget_endpoint_b": 7.683438625875471e-05,
+                "budget_total": 0.0022383117601976364,
+                "audit_constant": 10.0,
+                "saddle_log_constant": 2.0,
+                "passed": True,
+            },
+        ),
+    ],
+    ids=["l2-minus-sign", "l2-k-above-t", "l4-no-saddle"],
+)
+def test_cli_run_pins_the_saddle_branches_no_committed_scenario_reaches(tmp_path, capsys, kind, parameters, expected):
+    text = f"[scenario]\nkind = {kind}\n\n[parameters]\n" + "".join(f"{k} = {v}\n" for k, v in parameters.items())
+    path = _write_ini(tmp_path, "branch.ini", text)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_PASS
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "branch.json").read_text(encoding="utf-8"))
+    assert report["columns"] == list(expected)
+    (row,) = report["rows"]
+    for name, value, want in zip(report["columns"], row, expected.values()):
+        if isinstance(want, float):
+            assert abs(value - want) <= 1e-12 * abs(want), name
+        else:
+            assert value == want, name
+    total = 0.0
+    for name, value in zip(report["columns"], row):
+        if name.startswith("budget_") and name != "budget_total":
+            total += value
+    assert row[report["columns"].index("budget_total")] == total
+
+
+@pytest.mark.parametrize(("h", "k"), [(1, 5), (2, 5), (1, 7), (3, 7)])
+def test_cli_run_fits_the_voronoi_constant_at_moduli_from_five(tmp_path, capsys, h, k):
+    # A window of [40, 160] for every modulus used to reject these fits with
+    # "constant fit rejected"; the default window now grows with k.
+    text = f"[scenario]\nkind = voronoi\n\n[parameters]\na = -0.2\nh = {h}\nk = {k}\ntwist = inverse\n"
+    path = _write_ini(tmp_path, "modulus.ini", text)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith("PASS voronoi modulus:")
+    report = json.loads((tmp_path / "out" / "modulus.json").read_text(encoding="utf-8"))
+    assert report["config"]["calibration_x_lo"] == 40.0 * (k / 3.0) ** 2
 
 
 @pytest.mark.parametrize(

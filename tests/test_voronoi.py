@@ -29,6 +29,7 @@ from zetastrip.voronoi import (
     TruncationPlan,
     TwistedSumSpec,
     calibrate,
+    calibration_x_lo,
     delta_asymptotic,
     delta_bessel,
     delta_direct,
@@ -176,14 +177,28 @@ def _estermann_at_zero(a: float, h: int, k: int) -> complex:
     return complex(mpmath.mpf(k) ** a * total)
 
 
-# k >= 5 is left out: the default window's drift gate rejects those fits.
 @pytest.mark.parametrize(
     ("a", "h", "k"),
-    [(-0.2, 0, 1), (-0.2, 1, 2), (-0.2, 1, 3), (-0.2, 2, 3), (-0.35, 1, 4), (-0.35, 3, 4), (-0.45, 2, 3)],
+    [
+        (-0.2, 0, 1),
+        (-0.2, 1, 2),
+        (-0.2, 1, 3),
+        (-0.2, 2, 3),
+        (-0.35, 1, 4),
+        (-0.35, 3, 4),
+        (-0.45, 2, 3),
+        (-0.2, 1, 5),
+        (-0.2, 2, 5),
+        (-0.35, 3, 7),
+        (-0.2, 2, 7),
+        (-0.45, 5, 11),
+        (-0.2, 5, 13),
+    ],
 )
 def test_calibrated_constant_lies_within_three_standard_errors_of_estermann(a, h, k):
+    # k >= 5 passes the drift gate since the default window grows with k.
     cal = calibrate(_fresh_spec(a, h, k))
-    assert (cal.x_lo, cal.samples) == (40.0, 640)
+    assert (cal.x_lo, cal.samples) == (calibration_x_lo(k), 640)
     assert abs(cal.c0 - _estermann_at_zero(a, h, k)) <= 3.0 * cal.std_error
 
 
@@ -325,10 +340,11 @@ def test_delta_equivalence_random_points():
         assert diff <= tolerance, f"x={x} diff={diff}"
 
 
-def test_delta_direct_auto_calibration_raises_on_drift():
-    # Without a stored calibration the default window is marginal for k = 5
-    # (block scatter a shade over the 10% gate), so the definitional
+def test_delta_direct_auto_calibration_raises_on_drift(monkeypatch):
+    # Without a stored calibration, a window of [40, 160] is marginal for
+    # k = 5 (block scatter a shade over the 10% gate), so the definitional
     # evaluation refuses too.
+    monkeypatch.setattr(voronoi, "calibration_x_lo", lambda k_mod: 40.0)
     spec = TwistedSumSpec(-0.2, 2, 5)
     with pytest.raises(CalibrationError):
         delta_direct(spec, 50.0)
@@ -431,7 +447,7 @@ def test_calibrate_refuses_a_power_term_that_overflows(k, exponent, fragment):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=re.escape(fragment)):
-            calibrate(spec, power_modulus_exponent=exponent)
+            calibrate(spec, power_modulus_exponent=exponent, x_lo=40.0)
     assert spec.calibration is None
 
 
