@@ -54,6 +54,7 @@ scope has at most one interior stationary point at desk scales.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,6 +373,9 @@ def lemma3_decay(alpha: float, k: float, t_grid) -> Lemma3Report:
             raise ValidationError("t_grid must double at each step")
     if k <= 0.0:
         raise ValidationError(f"k must be positive, got {k}")
+    if not math.isfinite(2.0 * math.pi * k):  # the phase and its derivative divide by 2 pi k
+        limit = sys.float_info.max / (2.0 * math.pi)
+        raise ValidationError(f"k must keep 2 pi k finite, k <= {limit:.6g}, got {k:g}")
     _check_exponent("alpha", alpha)
     for t in t_values:
         # |phase'| decreases in x: no initial panel on [T, 2T] is wider than at 2T.

@@ -790,14 +790,17 @@ def run_suite(
 
     The scenarios run on a thread pool of ``min(workers, len(scenarios))``
     threads in the calling process, ``workers`` at once.  Only the
-    Euler-Maclaurin zeta points and A(s) sums use more (``dirichlet_sum``'s
-    threads), and no bit depends on their count.  The caller must have pinned
-    BLAS to one thread before numpy loaded (the CLI does).  Results are collected in
-    listing order, so the summary and every per-scenario report are
-    byte-identical for any worker count.  A failing scenario does not stop
-    the others: they all run and write their reports, then the first failure
-    in listing order is raised and no summary is written.  An interrupt
-    cancels every scenario not yet started; those already running finish.
+    Euler-Maclaurin zeta points and A(s) sums use more: each scenario thread
+    runs one share of its ``dirichlet_sum`` and hands the others to the
+    process's one pool of ``usable CPUs - 1`` threads, so at most ``workers
+    + CPUs - 1`` threads evaluate zeta, and no bit depends on their count.
+    The caller must have pinned BLAS to one thread before numpy loaded (the
+    CLI does).  Results are collected in listing order, so the summary and
+    every per-scenario report are byte-identical for any worker count.  A
+    failing scenario does not stop the others: they all run and write their
+    reports, then the first failure in listing order is raised and no
+    summary is written.  An interrupt cancels every scenario not yet
+    started; those already running finish.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")

@@ -21,12 +21,15 @@ explicit and testable:
 * ``dirichlet_sum`` -- ``sum_j amp[j] exp(-i t log_n[j])`` over a batch of
                     ``t``: zeta_line's main sum and the Dirichlet polynomial
                     ``A(sigma + i t)`` both run through it.  It works in
-                    cache-sized row blocks on one thread per usable CPU, and
-                    its bits are those of one ``exp`` outer product per
-                    column chunk over the whole batch, for any thread
-                    count.  Each thread's buffers hold at most 65 rows of
-                    one column chunk (or about 16 384 elements): under 1 MB
-                    for a 7 680-point batch, never more than 4e6 elements.
+                    cache-sized row blocks, dealt into one share per usable
+                    CPU: the calling thread runs the first share and one
+                    process-wide pool of ``usable CPUs - 1`` threads the
+                    others.  Its bits are those of one ``exp`` outer product
+                    per column chunk over the whole batch, for any thread
+                    count.  Each share holds one complex buffer of at most
+                    65 rows of one column chunk (or about 16 384 elements):
+                    under 1 MB for a 7 680-point batch, never more than 4e6
+                    elements.
 * ``cis``        -- ``exp(+-1j theta)`` bit for bit from one cos and one sin,
                     for the Dirichlet sum and the saddle integrands.
 * ``gamma``      -- Lanczos approximation (g = 7, 9 coefficients) with
@@ -55,8 +58,9 @@ including the branch-switch neighbourhoods.
 from __future__ import annotations
 
 import math
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -214,7 +218,8 @@ def cis(theta: np.ndarray, sign: int = 1, out: np.ndarray | None = None) -> np.n
     for bit: the complex exp of ``0 + i y`` is ``cos y + i sin y``, and ``y``
     is ``theta + 0.0`` for ``1j * theta``, ``-theta`` for ``-1j * theta``.
     ``y``, its cos and its sin go straight into the halves of ``out`` (a new
-    complex array by default), with no complex multiply and no exp."""
+    complex array by default), with no complex multiply and no exp;
+    ``theta`` may be ``out.imag`` itself."""
     out = np.empty(np.shape(theta), dtype=np.complex128) if out is None else out
     if sign > 0:
         np.add(theta, 0.0, out=out.imag)
@@ -238,6 +243,25 @@ def _row_blocks(size: int, step: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [size]))
 
 
+def _new_pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=max(1, usable_cpus() - 1), thread_name_prefix="dirichlet_sum")
+
+
+# The one pool of every Dirichlet sum in the process.  Its threads start when
+# a sum first hands it a share, and stay for the process; a forked child has
+# none of them, so it gets a new pool.
+_POOL = _new_pool()
+
+
+def _renew_pool() -> None:
+    global _POOL
+    _POOL = _new_pool()
+
+
+if hasattr(os, "register_at_fork"):  # no fork on Windows
+    os.register_at_fork(after_in_child=_renew_pool)
+
+
 def dirichlet_sum(t: np.ndarray, log_n: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """``sum_j amp[j] exp(-i t log_n[j])`` for each entry of the 1-d ``t``.
 
@@ -247,12 +271,15 @@ def dirichlet_sum(t: np.ndarray, log_n: np.ndarray, amp: np.ndarray) -> np.ndarr
     log_n)) @ amp`` product over all rows per column chunk of ``_LINE_CHUNK
     // t.size`` columns, summed chunk by chunk, its ``exp`` formed by
     :func:`cis`.  The rows are cut into blocks (see :func:`_row_blocks`)
-    whose results do not depend on the cut, and the blocks are shared among
-    one thread per usable CPU (numpy releases the GIL in ``cos``, ``sin``
-    and ``matmul``).  Each thread holds one float64 and one complex128
-    buffer of the largest block, at most ``max(65 * columns, _BLOCK_CELLS +
-    columns)`` elements for ``columns = min(chunk, log_n.size)`` and never
-    more than ``_LINE_CHUNK``; for a 7 680-point batch that is under 1 MB.
+    whose results do not depend on the cut, and the blocks are dealt into
+    one share per usable CPU (numpy releases the GIL in ``cos``, ``sin``
+    and ``matmul``).  The calling thread runs the first share and the
+    process's pool the others, so a sum of one block starts no thread.
+    Each share holds one complex128 buffer of the largest block, the
+    products ``t log_n`` written into its imaginary half for :func:`cis`:
+    at most ``max(65 * columns, _BLOCK_CELLS + columns)`` elements for
+    ``columns = min(chunk, log_n.size)`` and never more than
+    ``_LINE_CHUNK``; for a 7 680-point batch that is under 1 MB.
     """
     out = np.zeros(t.size, dtype=np.complex128)
     if t.size == 0:
@@ -264,20 +291,21 @@ def dirichlet_sum(t: np.ndarray, log_n: np.ndarray, amp: np.ndarray) -> np.ndarr
     cells = max(hi - lo for lo, hi in blocks) * width
 
     def run(share: list[tuple[int, int]]) -> None:
-        phase = np.empty(cells)
         terms = np.empty(cells, dtype=np.complex128)
         for lo, hi in share:
             for log_c, amp_c in columns:
-                size = (hi - lo) * log_c.size
-                x = phase[:size].reshape(hi - lo, log_c.size)
-                z = terms[:size].reshape(x.shape)
-                np.multiply.outer(t[lo:hi], log_c, out=x)
-                out[lo:hi] += cis(x, -1, out=z) @ amp_c
+                z = terms[: (hi - lo) * log_c.size].reshape(hi - lo, log_c.size)
+                np.multiply.outer(t[lo:hi], log_c, out=z.imag)
+                out[lo:hi] += cis(z.imag, -1, out=z) @ amp_c
 
-    threads = min(usable_cpus(), len(blocks))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for future in [pool.submit(run, blocks[k::threads]) for k in range(threads)]:
-            future.result()
+    shares = min(usable_cpus(), len(blocks))
+    futures = [_POOL.submit(run, blocks[k::shares]) for k in range(1, shares)]
+    try:
+        run(blocks[::shares])
+    finally:
+        wait(futures)  # the pool's shares write into out
+    for future in futures:
+        future.result()
     return out
 
 

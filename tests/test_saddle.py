@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import re
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -212,6 +213,19 @@ def test_lemma3_refuses_a_grid_over_the_panel_budget_before_any_integral(monkeyp
     with pytest.raises(ValidationError, match=f"^lemma3_decay at {re.escape(where)} initial panels on "):
         lemma3_decay(1.5, k, [50.0, 100.0, 200.0, 400.0])
     assert time.perf_counter() - start < 0.25
+
+
+@pytest.mark.parametrize("k", [5e307, 1e308, 1.797e308])
+def test_lemma3_refuses_a_k_whose_2_pi_k_overflows_before_any_phase_derivative(monkeypatch, k):
+    # 1e308 and 1.797e308 used to warn "invalid value encountered in scalar
+    # divide" in the phase derivative; 5e307 reached the panel bound.
+    monkeypatch.setattr(saddle, "lemma3_phase_derivative", _no_integral)
+    monkeypatch.setattr(saddle, "_lemma3_integral", _no_integral)
+    message = f"k must keep 2 pi k finite, k <= 2.86112e+307, got {k:g}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            lemma3_decay(1.5, k, [50.0, 100.0])
 
 
 def test_lemma3_panel_bound_reads_the_budget_at_call_time(monkeypatch):

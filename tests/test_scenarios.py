@@ -747,6 +747,19 @@ def test_cli_run_refuses_a_saddle_l3_grid_over_the_panel_budget(tmp_path, capsys
     assert elapsed < 0.25
 
 
+@pytest.mark.parametrize("k", ["1e308", "1.797e308"])
+def test_cli_run_names_a_saddle_l3_k_whose_2_pi_k_overflows(tmp_path, capsys, k):
+    # Both used to print numpy's "invalid value encountered in scalar divide"
+    # before the quadrature's error.
+    parameters = {"alpha": "1.5", "k": k, "t_grid": "50, 100"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, elapsed, err = _run_cli(tmp_path, capsys, "saddle-l3", parameters)
+    assert code == EXIT_ERROR
+    assert err == f"error: k must keep 2 pi k finite, k <= 2.86112e+307, got {float(k):g}\n"
+    assert elapsed < 0.25
+
+
 _LEMMA2 = {"alpha": "0.6", "beta": "0.6", "gamma": "1.0", "a_lo": "0.01", "b_hi": "200", "k": "1", "t": "100"}
 
 

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import functools
 import math
+import multiprocessing
 import re
+import threading
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from zetastrip import special
+from zetastrip.arithmetic import DirichletPolynomial
 from zetastrip.errors import PrecisionError, ValidationError
+from zetastrip.scenarios import run_suite
 from zetastrip.special import (
     _LINE_CHUNK,
     NEAR_INTEGER_DELTA,
@@ -652,3 +657,87 @@ def test_dirichlet_sum_row_blocks_start_at_multiples_of_64(monkeypatch):
         assert all(lo % special._ROW_BLOCK == 0 for lo, _ in blocks), size
         assert blocks[0][0] == 0 and blocks[-1][1] == size
         assert all(hi - lo > 1 for lo, hi in blocks) or size == 1, size
+
+
+# ---------------------------------------------------------------------------
+# The Dirichlet-sum pool
+# ---------------------------------------------------------------------------
+
+# 7 000 ordinates below the Riemann-Siegel switch: 110 row blocks of zeta's
+# Euler-Maclaurin main sum, dealt into two shares.
+_POOL_BATCH = np.random.default_rng(7000).uniform(0.0, 400.0, 7000)
+_SUITE = Path(__file__).resolve().parent.parent / "scenarios" / "suite.ini"
+
+
+@pytest.fixture
+def two_cpu_pool(monkeypatch):
+    """Two shares per sum and a new pool of one worker, as on a 2-CPU host,
+    so that the pool runs a share on any host."""
+    monkeypatch.setattr(special, "usable_cpus", lambda: 2)
+    pool = special._new_pool()
+    monkeypatch.setattr(special, "_POOL", pool)
+    yield pool
+    pool.shutdown()
+
+
+def _thread_starts(monkeypatch) -> list[str]:
+    """The names of the threads started from now on in this test."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def test_dirichlet_pool_starts_its_worker_once(two_cpu_pool, monkeypatch, tmp_path):
+    started = _thread_starts(monkeypatch)
+    zeta_line(0.4, _POOL_BATCH)
+    assert started == ["dirichlet_sum_0"]
+    started.clear()
+    zeta_line(0.4, _POOL_BATCH)
+    n = np.arange(1.0, 801.0)
+    dirichlet_sum(_POOL_BATCH, np.log(n), n**-0.4)
+    run_suite(_SUITE, tmp_path, workers=1)
+    # Only the suite's one scenario thread.
+    assert [name for name in started if name.startswith("dirichlet_sum")] == []
+    assert len(started) == 1
+
+
+def test_one_block_polynomial_starts_no_thread(two_cpu_pool, monkeypatch):
+    started = _thread_starts(monkeypatch)
+    # Two columns take blocks of 8 192 rows: the batch is one block.
+    DirichletPolynomial((1.0, -0.5)).evaluate(0.4, _POOL_BATCH)
+    assert started == []
+
+
+def _send_zeta_line(conn) -> None:
+    conn.send_bytes(zeta_line(0.4, _POOL_BATCH).tobytes())
+    conn.close()
+
+
+# Python 3.12 warns at os.fork() in a process with threads; the child here
+# touches none of the parent's threads, only the pool the fork hook gives it.
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_gets_a_new_dirichlet_pool(two_cpu_pool):
+    # Without a new pool the child's first share waits for a worker that
+    # was not forked with it.
+    expected = zeta_line(0.4, _POOL_BATCH)
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_send_zeta_line, args=(send,))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(30.0), "the forked child gave no zeta_line within 30 s"
+        got = np.frombuffer(receive.recv_bytes(), dtype=np.complex128)
+    finally:
+        child.join(5.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child was still alive")
+    assert _same_bits(got, expected)
