@@ -396,7 +396,7 @@ def _run_voronoi(v: dict) -> tuple:
     differences = []
     xs = np.geomspace(x_lo, x_hi, points)
     # One pass of the raw sum up to x_hi serves every point.
-    for x_val, direct_val in zip(xs, delta_direct(spec, xs)):
+    for x_val, direct_val in zip(xs, delta_direct(spec, xs, calibration)):
         x, direct = float(x_val), complex(direct_val)
         bessel = delta_bessel(spec, x, plan, twist=v["twist"])
         diff = abs(direct - bessel)

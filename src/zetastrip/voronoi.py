@@ -16,8 +16,8 @@ them is the point of this module:
 
 * :func:`delta_direct` - the definition: ``D(x)`` minus the smooth terms minus
   a constant ``C0`` obtained by least-squares calibration (:func:`calibrate`),
-  at one ``x`` or at an array of them from one pass of the raw sum, fitted
-  on a default window that grows with ``k`` (:func:`calibration_x_lo`);
+  at one ``x`` or at an array of them from one pass of the raw sum, by
+  default fitted on a window that grows with ``k`` (:func:`calibration_x_lo`);
 * :func:`delta_bessel` - a Bessel-kernel series with terms
   ``sigma_a(n) e(-hn/k) n^(-(1+a)/2)`` against the kernel
   ``-(2/pi) cos(pi a/2) [K_{a+1} + (pi/2) Y_{a+1}] - sin(pi a/2) J_{1+a}``
@@ -55,8 +55,6 @@ Determinism
 Series terms are evaluated index-parallel (vectorised) and summed with
 ``math.fsum``, which is correctly rounded, so values do not depend on
 batching or summation order.
-Calibration is a one-time phase per spec: the first call stores its result on
-the spec, later calls must agree on the parameters.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -136,22 +134,23 @@ def calibration_x_lo(k_mod: int) -> float:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Result of the one-time constant fit for a :class:`TwistedSumSpec`.
+    """The constant fit of a :class:`TwistedSumSpec`, made by :func:`calibrate`.
 
     ``c0`` is the fitted constant; ``std_error`` is the standard error of the
     block means around it (the drift detector); ``oscillation_rms`` is the
     within-block RMS of the oscillating part.  ``power_exponent`` records the
     modulus exponent that was used on the power term, since the fitted
-    constant is only meaningful together with it.
+    constant is only meaningful together with it.  ``linear_coeff`` and
+    ``power_coeff`` are the smooth terms' coefficients ``k^(a-1) zeta(1-a)``
+    and ``k^E zeta(1+a)/(1+a)``, which every remainder of the fit subtracts.
     """
 
     c0: complex
     std_error: float
     oscillation_rms: float
-    x_lo: float
-    x_hi: float
-    samples: int
     power_exponent: float
+    linear_coeff: float
+    power_coeff: float
 
     @property
     def drift_ratio(self) -> float:
@@ -173,9 +172,6 @@ class TwistedSumSpec:
     a: float
     h: int
     k_mod: int
-    _calibration: Calibration | None = field(
-        default=None, compare=False, repr=False, hash=False
-    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.h, int) or not isinstance(self.k_mod, int):
@@ -194,11 +190,6 @@ class TwistedSumSpec:
         if not -0.5 < a <= 0.0:
             raise ValidationError(f"exponent a must lie in (-1/2, 0], got {self.a}")
         object.__setattr__(self, "a", a)
-
-    @property
-    def calibration(self) -> Calibration | None:
-        """The stored calibration, or ``None`` before :func:`calibrate`."""
-        return self._calibration
 
 
 @dataclass(frozen=True)
@@ -267,21 +258,18 @@ def _raw_sum(spec: TwistedSumSpec, x_max: float) -> Callable[[np.ndarray], np.nd
     return values
 
 
-def _main_values(spec: TwistedSumSpec, xs: np.ndarray, exponent: float) -> np.ndarray:
-    """Sum of the two smooth main terms of the twisted sum at each ``x``.
-
-    ``k^(a-1) zeta(1-a) x + k^E zeta(1+a)/(1+a) x^(1+a)`` with ``E`` the
-    modulus ``exponent`` (the Estermann-residue value is ``-1 - a``; see the
-    module docstring).
-    """
+def _smooth_coefficients(spec: TwistedSumSpec, exponent: float) -> tuple[float, float]:
+    """The smooth main terms' coefficients ``k^(a-1) zeta(1-a)`` and ``k^E zeta(1+a)/(1+a)``
+    for ``a < 0``, with ``E`` the modulus ``exponent`` (see the module docstring)."""
     a = spec.a
-    if a == 0.0:
-        raise ValidationError(
-            "the smooth main terms require a < 0 (zeta(1+a) has a pole at a=0)"
-        )
     k = float(spec.k_mod)
     linear_coeff = k ** (a - 1.0) * zeta(complex(1.0 - a)).real
     power_coeff = k**exponent * zeta(complex(1.0 + a)).real / (1.0 + a)
+    return linear_coeff, power_coeff
+
+
+def _main_values(a: float, linear_coeff: float, power_coeff: float, xs: np.ndarray) -> np.ndarray:
+    """Sum of the two smooth main terms ``linear_coeff x + power_coeff x^(1+a)`` at each ``x``."""
     return linear_coeff * xs + power_coeff * xs ** (1.0 + a)
 
 
@@ -303,8 +291,9 @@ def calibrate(
     the oscillation RMS.  ``power_modulus_exponent`` defaults to the residue
     value ``-1 - a`` and ``x_lo`` to :func:`calibration_x_lo` of the modulus.
 
-    The first successful call stores its result on the spec; repeated calls
-    must use the same parameters and return the stored result.
+    Nothing is stored on the spec: the fit is returned, and a call whose
+    resolved parameters (spec, exponent, ``x_lo``, samples) were fitted
+    before returns that fit again.
     """
     if x_lo is None:
         x_lo = calibration_x_lo(spec.k_mod)
@@ -324,32 +313,27 @@ def calibrate(
         raise ValidationError(
             f"calibration requires a power_modulus_exponent E with k^E a finite float, got E = {exponent}"
         )
+    return _fit(spec, exponent, x_lo, samples)
+
+
+@functools.lru_cache(maxsize=64)
+def _fit(spec: TwistedSumSpec, exponent: float, x_lo: float, samples: int) -> Calibration:
+    """The fit of :func:`calibrate` on its checked, resolved parameters."""
+    a = spec.a
     x_hi = 4.0 * x_lo
+    linear_coeff, power_coeff = _smooth_coefficients(spec, exponent)
     # The fit sums the squares of residuals up to twice the power term's
     # largest value on the window: checked before any array is formed.
-    power_top = spec.k_mod**exponent * abs(zeta(complex(1.0 + a)).real / (1.0 + a)) * x_hi ** (1.0 + a)
+    power_top = abs(power_coeff) * x_hi ** (1.0 + a)
     if not math.isfinite(4.0 * samples * power_top * power_top):
         raise ValidationError(
             "calibration requires a power_modulus_exponent E with the squares of the power term "
             f"k^E zeta(1+a)/(1+a) x^(1+a) finite over {samples} samples up to x = {x_hi:g}, got E = {exponent}"
         )
-    stored = spec._calibration
-    if stored is not None:
-        if (
-            stored.power_exponent == exponent
-            and stored.x_lo == x_lo
-            and stored.samples == samples
-        ):
-            return stored
-        raise ValidationError(
-            "spec already calibrated with different parameters "
-            f"(stored exponent {stored.power_exponent}, window [{stored.x_lo}, "
-            f"{stored.x_hi}], {stored.samples} samples)"
-        )
     # Midpoint grid: sample offsets (j + 1/2)/samples never hit the window
     # edges, and for the default window land on no integers.
     xs = x_lo + (x_hi - x_lo) * (np.arange(samples) + 0.5) / samples
-    residual = _raw_sum(spec, x_hi)(xs) - _main_values(spec, xs, exponent)
+    residual = _raw_sum(spec, x_hi)(xs) - _main_values(a, linear_coeff, power_coeff, xs)
     c0 = complex(np.mean(residual))
     blocks = residual.reshape(_CALIBRATION_BLOCKS, -1)
     block_means = blocks.mean(axis=1)
@@ -365,10 +349,9 @@ def calibrate(
         c0=c0,
         std_error=std_error,
         oscillation_rms=oscillation_rms,
-        x_lo=float(x_lo),
-        x_hi=float(x_hi),
-        samples=int(samples),
         power_exponent=exponent,
+        linear_coeff=linear_coeff,
+        power_coeff=power_coeff,
     )
     if not result.drift_ratio <= 0.1:  # written so that a NaN ratio fails
         raise CalibrationError(
@@ -378,28 +361,31 @@ def calibrate(
             f"on the power term is wrong (used {exponent:g}; the "
             f"residue-derived value is {-1.0 - a:g})."
         )
-    object.__setattr__(spec, "_calibration", result)
     return result
 
 
 def _delta(spec: TwistedSumSpec, raw: Callable, cal: Calibration, xs: np.ndarray) -> np.ndarray:
     """``D(x) - main terms - C0`` at each ``x`` of ``xs``; ``raw`` is from :func:`_raw_sum`."""
-    return raw(xs) - _main_values(spec, xs, cal.power_exponent) - cal.c0
+    return raw(xs) - _main_values(spec.a, cal.linear_coeff, cal.power_coeff, xs) - cal.c0
 
 
-def delta_direct(spec: TwistedSumSpec, x: float | np.ndarray) -> complex | np.ndarray:
+def delta_direct(
+    spec: TwistedSumSpec, x: float | np.ndarray, calibration: Calibration | None = None
+) -> complex | np.ndarray:
     """Oscillating remainder by definition: ``D(x) - main terms - C0``.
 
-    ``x`` is a float, giving a complex, or a 1-d array, giving an array from
-    one pass of the raw sum up to its largest x.  Uses the spec's stored
-    calibration, running :func:`calibrate` with default parameters first if
-    needed (so a drifting decomposition raises
-    :class:`~zetastrip.errors.CalibrationError` here too).
+    ``x`` is a float, giving a complex, or a non-empty 1-d array, giving an
+    array from one pass of the raw sum up to its largest x.  ``calibration``
+    is a fit of this spec from :func:`calibrate`; ``None`` means
+    ``calibrate(spec)`` with default parameters (so a drifting decomposition
+    raises :class:`~zetastrip.errors.CalibrationError` here too).
     """
     arr = np.asarray(x, dtype=np.float64)
     xs = arr.reshape(-1)
+    if not xs.size:
+        raise ValidationError(f"delta_direct requires at least one x, got {x!r}")
     _check_x("delta_direct", float(xs.min()))  # _raw_sum checks the largest against X_MAX
-    cal = spec._calibration or calibrate(spec)
+    cal = calibrate(spec) if calibration is None else calibration
     values = _delta(spec, _raw_sum(spec, float(xs.max())), cal, xs)
     return values if arr.ndim else complex(values[0])
 
@@ -421,12 +407,14 @@ def term_envelope(spec: TwistedSumSpec, x: float, n) -> np.ndarray | float:
         * math.sqrt(spec.k_mod)
         / (math.pi * math.sqrt(2.0))
     )
-    n_arr = np.asarray(n, dtype=np.float64)
-    n_max = int(np.max(n_arr))
-    sig = divisor_sigma_range(spec.a, n_max)
+    n_int = np.asarray(n)
+    if not (n_int.size and np.issubdtype(n_int.dtype, np.integer) and n_int.min() >= 1):
+        raise ValidationError(f"term_envelope requires integers n >= 1, got {n!r}")
+    n_arr = n_int.astype(np.float64)
+    sig = divisor_sigma_range(spec.a, int(n_int.max()))
     values = (
         const
-        * sig[n_arr.astype(np.int64) - 1]
+        * sig[n_int - 1]
         * n_arr ** (-half)
         * x**half
         * (n_arr * x) ** -0.25
@@ -548,20 +536,21 @@ def delta_asymptotic(
     return _series(spec, plan, twist, prefactor, -0.25 * (3.0 + 2.0 * a), kernel)
 
 
-def delta_mean_square(spec: TwistedSumSpec, u: float) -> float:
+def delta_mean_square(spec: TwistedSumSpec, u: float, calibration: Calibration | None = None) -> float:
     """``integral_{u/2}^{u} |delta_direct(x)|^2 dx`` by adaptive quadrature.
 
     The integrand has jump discontinuities at the integers (the raw sum
     steps), so each initial panel runs to the next integer, and inside the
     panels the integrand is smooth and low-frequency.  The quadrature's panel
-    budget bounds these panels too.  Propagates
-    :class:`~zetastrip.errors.CalibrationError` from the constant fit.
+    budget bounds these panels too.  ``calibration`` is read as by
+    :func:`delta_direct`; without one, a
+    :class:`~zetastrip.errors.CalibrationError` of the default fit propagates.
     """
     if not (math.isfinite(u) and u >= 4.0):
         raise ValidationError(f"delta_mean_square requires u >= 4, got {u}")
     lo, hi = 0.5 * u, float(u)
     _check_x_max(hi)  # before the fit
-    cal = spec._calibration or calibrate(spec)
+    cal = calibrate(spec) if calibration is None else calibration
     # Formed at the first integrand call, once the panel budget has passed
     # the initial panels, so a refused u pays for no sieve of u entries.
     raw = functools.cache(lambda: _raw_sum(spec, hi))

@@ -123,7 +123,7 @@ def test_criterion_2_voronoi_equivalence():
     tolerance = max(1e-3, 3.0 * plan.tail_estimate + cal.std_error)
     xs = np.geomspace(40.0, 400.0, 50)
     worst = max(
-        abs(delta_direct(spec, float(x)) - delta_bessel(spec, float(x), plan)) for x in xs
+        abs(delta_direct(spec, float(x), cal) - delta_bessel(spec, float(x), plan)) for x in xs
     )
     elapsed = time.perf_counter() - start
     ok = worst <= tolerance
@@ -138,9 +138,9 @@ def test_criterion_3_delta_mean_square_envelope():
     start = time.perf_counter()
     sigma = 0.4
     spec = TwistedSumSpec(a=exponent_from_sigma(sigma), h=1, k_mod=3)
-    calibrate(spec, power_modulus_exponent=-1.0 - spec.a)
+    cal = calibrate(spec, power_modulus_exponent=-1.0 - spec.a)
     exponent = 0.5 + 2.0 * sigma
-    ratios = [delta_mean_square(spec, u) / u**exponent for u in (64.0, 128.0, 256.0, 512.0)]
+    ratios = [delta_mean_square(spec, u, cal) / u**exponent for u in (64.0, 128.0, 256.0, 512.0)]
     spread = max(ratios) / min(ratios)
     elapsed = time.perf_counter() - start
     ok = spread <= 20.0

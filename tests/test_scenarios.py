@@ -15,10 +15,11 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetastrip import cli, explicit, scenarios
+from zetastrip import cli, explicit, scenarios, voronoi
 from zetastrip._env import PINNED_THREAD_VARS, pin_thread_env
 from zetastrip.errors import CalibrationError, PrecisionError, QuadratureNonConvergence, ValidationError
 from zetastrip.scenarios import (
@@ -231,6 +232,24 @@ def test_every_kind_builds_a_consistent_report(kind):
         assert len(row) == width
     json.loads(render_json(report))  # canonical text is valid JSON
     render_csv(report)
+
+
+def test_voronoi_report_writes_the_direct_column_of_its_own_fit():
+    # The default window's fit of an equal spec, made first, must not serve
+    # a scenario that names its own calibration window.
+    default = build_report(_scenario("voronoi"))
+    wider = build_report(_scenario("voronoi", calibration_x_lo="80"))
+    spec = voronoi.TwistedSumSpec(-0.2, 1, 3)
+    cal = voronoi.calibrate(spec, x_lo=80.0)
+    columns = wider["columns"]
+    xs = np.array([row[columns.index("x")] for row in wider["rows"]])
+
+    def direct(report):
+        return [complex(row[columns.index("direct_re")], row[columns.index("direct_im")]) for row in report["rows"]]
+
+    assert direct(wider) == [complex(v) for v in voronoi.delta_direct(spec, xs, cal)]
+    assert direct(wider) != direct(default)
+    assert (wider["scalars"]["c0_re"], wider["scalars"]["c0_im"]) == (cal.c0.real, cal.c0.imag)
 
 
 _REPO = Path(__file__).resolve().parent.parent

@@ -8,6 +8,7 @@ guard against being wrong in the first place).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -23,7 +24,7 @@ import pytest
 from zetastrip import arithmetic, quadrature, voronoi
 from zetastrip.arithmetic import divisor_sigma_range, unit_phase
 from zetastrip.errors import CalibrationError, QuadratureNonConvergence, ValidationError
-from zetastrip.special import bessel
+from zetastrip.special import bessel, zeta
 from zetastrip.voronoi import (
     TWIST_MODES,
     TruncationPlan,
@@ -39,10 +40,16 @@ from zetastrip.voronoi import (
     truncation_plan,
     X_MAX,
 )
-from zetastrip.voronoi import _main_values  # the main terms every Delta path subtracts
+from zetastrip.voronoi import _main_values, _smooth_coefficients  # the main terms every Delta path subtracts
 from zetastrip.voronoi import _raw_sum  # the raw sum every D(x) path forms
 
 mpmath.mp.prec = 200
+
+
+@pytest.fixture(autouse=True)
+def _cold_fits():
+    """Each test starts with no memoised fit, so cold work is counted as cold."""
+    voronoi._fit.cache_clear()
 
 
 def _fresh_spec(a=-0.2, h=1, k=3) -> TwistedSumSpec:
@@ -133,17 +140,17 @@ def test_voronoi_main_against_zeta_oracle():
     a, k, x = -0.2, 3, 100.0
     lin_ref = mpmath.mpf(k) ** (a - 1) * mpmath.zeta(1 - a) * x
     pow_ref = mpmath.mpf(k) ** (1 - a) * mpmath.zeta(1 + a) / (1 + a) * mpmath.mpf(x) ** (1 + a)
-    main = _main_values(spec, np.array([x]), 1.0 - a)[0]
+    main = _main_values(a, *_smooth_coefficients(spec, 1.0 - a), np.array([x]))[0]
     assert main == pytest.approx(float(lin_ref + pow_ref), rel=1e-12)
     # Residue-derived modulus exponent flips k^(1-a) to k^(-1-a).
     pow_res = mpmath.mpf(k) ** (-1 - a) * mpmath.zeta(1 + a) / (1 + a) * mpmath.mpf(x) ** (1 + a)
-    main_res = _main_values(spec, np.array([x]), -1 - a)[0]
+    main_res = _main_values(a, *_smooth_coefficients(spec, -1 - a), np.array([x]))[0]
     assert main_res == pytest.approx(float(lin_ref + pow_res), rel=1e-12)
     # Frozen regression values (linear + power terms).
     assert main == pytest.approx(149.61985405140373 - 825.2730145961475, rel=1e-13)
     assert main_res == pytest.approx(149.61985405140373 - 91.69700162179416, rel=1e-13)
-    with pytest.raises(ValidationError):
-        _main_values(TwistedSumSpec(0.0, 0, 1), np.array([10.0]), 1.0)  # zeta(1+a) pole at a=0
+    with pytest.raises(ValidationError, match=r"a < 0"):
+        delta_direct(TwistedSumSpec(0.0, 0, 1), 10.0)  # zeta(1+a) pole at a=0
 
 
 def test_calibrate_accepts_residue_exponent_and_pins():
@@ -155,13 +162,14 @@ def test_calibrate_accepts_residue_exponent_and_pins():
     assert cal.oscillation_rms == pytest.approx(3.0504924922085883, rel=1e-10)
     assert cal.drift_ratio < 0.1
     assert cal.power_exponent == -0.8
-    # Same parameters: stored result returned (identical object).
-    again = calibrate(spec, power_modulus_exponent=-0.8)
-    assert again is cal
-    assert spec.calibration is cal
-    # Different parameters after storage: refused.
-    with pytest.raises(ValidationError):
-        calibrate(spec, power_modulus_exponent=-0.8, x_lo=80.0)
+    # Same parameters: the memoised fit returned (identical object, no refit).
+    assert calibrate(spec, power_modulus_exponent=-0.8) is cal
+    # Other parameters: their own fit, and the first one is unchanged.
+    before = dataclasses.astuple(cal)
+    wider = calibrate(spec, power_modulus_exponent=-0.8, x_lo=80.0)
+    assert wider.c0 != cal.c0 and wider.std_error != cal.std_error
+    assert dataclasses.astuple(cal) == before
+    assert calibrate(spec, power_modulus_exponent=-0.8) is cal
 
 
 def _estermann_at_zero(a: float, h: int, k: int) -> complex:
@@ -198,7 +206,7 @@ def _estermann_at_zero(a: float, h: int, k: int) -> complex:
 def test_calibrated_constant_lies_within_three_standard_errors_of_estermann(a, h, k):
     # k >= 5 passes the drift gate since the default window grows with k.
     cal = calibrate(_fresh_spec(a, h, k))
-    assert (cal.x_lo, cal.samples) == (calibration_x_lo(k), 640)
+    assert cal is calibrate(_fresh_spec(a, h, k), x_lo=calibration_x_lo(k), samples=640)
     assert abs(cal.c0 - _estermann_at_zero(a, h, k)) <= 3.0 * cal.std_error
 
 
@@ -222,7 +230,7 @@ def test_calibrate_printed_exponent_harmless_at_k_1():
 def test_calibrate_defaults_to_the_residue_exponent():
     spec = _fresh_spec()
     assert calibrate(spec) is calibrate(spec, power_modulus_exponent=-0.8)
-    assert spec.calibration.power_exponent == -0.8
+    assert calibrate(spec).power_exponent == -0.8
 
 
 def test_calibrate_rejects_a_zero():
@@ -236,7 +244,6 @@ def test_calibrate_rejects_non_finite_exponent(exponent):
     spec = _fresh_spec()
     with pytest.raises(ValidationError, match="power_modulus_exponent"):
         calibrate(spec, power_modulus_exponent=exponent)
-    assert spec.calibration is None
 
 
 def test_calibrate_rejects_samples_off_the_block_grid():
@@ -244,7 +251,6 @@ def test_calibrate_rejects_samples_off_the_block_grid():
     spec = _fresh_spec()
     with pytest.raises(ValidationError, match="multiple of its 8 drift blocks"):
         calibrate(spec, samples=641)
-    assert spec.calibration is None
 
 
 @pytest.mark.parametrize("x", [2.0 * X_MAX, 1e306])
@@ -313,6 +319,25 @@ def test_term_envelope_positive_and_decaying():
     assert np.mean(values[-200:]) < 0.2 * np.mean(values[:200])
 
 
+@pytest.mark.parametrize(
+    ("call", "fragment"),
+    [
+        (lambda spec: term_envelope(spec, 100.0, np.array([0, 1, 2])), "got array([0, 1, 2])"),
+        (lambda spec: term_envelope(spec, 100.0, 2.5), "got 2.5"),
+        (lambda spec: delta_direct(spec, np.array([])), "delta_direct requires at least one x, got array([]"),
+    ],
+    ids=["term_envelope-n-0", "term_envelope-n-2.5", "delta_direct-empty-x"],
+)
+def test_voronoi_entry_points_refuse_a_bad_n_or_an_empty_x(call, fragment):
+    # n = 0 used to read sigma_a at index -1 (inf, after a divide-by-zero
+    # warning), n = 2.5 to use sigma_a(2), and an empty x to end in numpy's
+    # zero-size reduction ValueError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(fragment)):
+            call(_fresh_spec())
+
+
 # ---------------------------------------------------------------------------
 # The three remainder evaluations
 # ---------------------------------------------------------------------------
@@ -326,6 +351,12 @@ def test_delta_direct_and_bessel_pins():
     db = delta_bessel(spec, 50.5, plan)
     assert dd == pytest.approx(complex(-0.19516672524165662, -1.7701797311795424), abs=1e-12)
     assert db == pytest.approx(complex(-0.0861925834390897, -1.6641905691660974), abs=1e-12)
+    # A fit on another window leaves the default remainder of this spec, and
+    # of every equal spec, bit for bit as it was.
+    calibrate(spec, power_modulus_exponent=-0.8, x_lo=80.0)
+    xs = np.array([50.5, 100.0, 333.3])
+    assert delta_direct(spec, 50.5) == dd
+    assert delta_direct(spec, xs).tobytes() == delta_direct(_fresh_spec(), xs).tobytes()
 
 
 def test_delta_equivalence_random_points():
@@ -341,14 +372,14 @@ def test_delta_equivalence_random_points():
 
 
 def test_delta_direct_auto_calibration_raises_on_drift(monkeypatch):
-    # Without a stored calibration, a window of [40, 160] is marginal for
-    # k = 5 (block scatter a shade over the 10% gate), so the definitional
-    # evaluation refuses too.
-    monkeypatch.setattr(voronoi, "calibration_x_lo", lambda k_mod: 40.0)
+    # Without a fit, a window of [40, 160] is marginal for k = 5 (block
+    # scatter a shade over the 10% gate), so the definitional evaluation
+    # refuses too, even after a fit on the default window of the rule.
     spec = TwistedSumSpec(-0.2, 2, 5)
+    delta_direct(spec, 50.0)
+    monkeypatch.setattr(voronoi, "calibration_x_lo", lambda k_mod: 40.0)
     with pytest.raises(CalibrationError):
         delta_direct(spec, 50.0)
-    assert spec.calibration is None
 
 
 def test_delta_bessel_empty_plan_is_zero():
@@ -389,13 +420,25 @@ def test_twist_direction_changes_series_for_large_moduli():
         delta_bessel(spec, 60.5, plan, twist="sideways")
 
 
-def test_delta_mean_square_pin_and_guard():
+def test_delta_mean_square_pin_and_guard(monkeypatch):
     spec = _fresh_spec()
-    calibrate(spec, power_modulus_exponent=-0.8)
+    cal = calibrate(spec, power_modulus_exponent=-0.8)
     value = delta_mean_square(spec, 64.0)
+    direct = delta_direct(spec, 50.5)
     assert value == pytest.approx(231.68259320622565, rel=1e-10)
     with pytest.raises(ValidationError):
         delta_mean_square(spec, 2.0)
+
+    # Given its fit, neither remainder path forms zeta again.
+    def no_zeta(s):
+        raise AssertionError(f"zeta({s}) called")
+
+    monkeypatch.setattr(voronoi, "zeta", no_zeta)
+    voronoi._fit.cache_clear()
+    assert delta_mean_square(spec, 64.0, cal) == value
+    assert delta_direct(spec, 50.5, cal) == direct
+    with pytest.raises(AssertionError, match="zeta"):
+        delta_direct(spec, 50.5)  # without it, the fit is formed again
 
 
 def test_delta_mean_square_keeps_the_bits_of_the_integer_breakpoints():
@@ -448,7 +491,6 @@ def test_calibrate_refuses_a_power_term_that_overflows(k, exponent, fragment):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=re.escape(fragment)):
             calibrate(spec, power_modulus_exponent=exponent, x_lo=40.0)
-    assert spec.calibration is None
 
 
 def test_non_convergence_names_the_voronoi_stage(monkeypatch):
@@ -561,8 +603,13 @@ def test_raw_sum_bit_identical_to_the_padded_prefix_sums(a, hk):
 
 
 def _delta_direct_values_oracle(spec, xs, cal):
-    """The former array path of the direct column, kept as a bitwise oracle."""
-    return _twisted_values(spec, xs) - _main_values(spec, xs, cal.power_exponent) - cal.c0
+    """The former array path of the direct column, with the smooth terms formed
+    from zeta at every call, kept as a bitwise oracle."""
+    a, k = spec.a, float(spec.k_mod)
+    linear_coeff = k ** (a - 1.0) * zeta(complex(1.0 - a)).real
+    power_coeff = k**cal.power_exponent * zeta(complex(1.0 + a)).real / (1.0 + a)
+    main = linear_coeff * xs + power_coeff * xs ** (1.0 + a)
+    return _twisted_values(spec, xs) - main - cal.c0
 
 
 @pytest.mark.parametrize(("a", "hk"), _BIT_GRID)
@@ -572,6 +619,6 @@ def test_direct_column_bit_identical_to_single_points(a, hk):
     spec = TwistedSumSpec(a, *hk)
     cal = calibrate(spec, power_modulus_exponent=-1.0 - a, x_lo=400.0)
     xs = np.concatenate((np.geomspace(40.0, 3e4, 60), [41.0, 1024.0, 2047.0]))
-    column = delta_direct(spec, xs)
-    assert [complex(v) for v in column] == [delta_direct(spec, float(x)) for x in xs]
+    column = delta_direct(spec, xs, cal)
+    assert [complex(v) for v in column] == [delta_direct(spec, float(x), cal) for x in xs]
     assert np.array_equal(column, _delta_direct_values_oracle(spec, xs, cal))
