@@ -16,8 +16,13 @@ explicit and testable:
                     switch existed; from there on it is Riemann--Siegel
                     (Arias de Reyna's general-sigma correction series),
                     about ``2 sqrt(t / 2 pi)`` main-sum terms per point in
-                    place of ``2 t``.  ``zeta_terms`` counts either for work
-                    limits.  The scalar ``zeta`` stays Euler--Maclaurin.
+                    place of ``2 t``: exact phases ``t log p`` for the
+                    primes only, each composite's column as the product of
+                    two earlier ones, the correction as one polynomial of
+                    degree 40 in p per ``floor(sqrt(t / 2 pi))``, unit
+                    phases from one ``tan`` each, on the calling thread.
+                    ``zeta_terms`` counts either kernel for work limits.
+                    The scalar ``zeta`` stays Euler--Maclaurin.
 * ``dirichlet_sum`` -- ``sum_j amp[j] exp(-i t log_n[j])`` over a batch of
                     ``t``: zeta_line's main sum and the Dirichlet polynomial
                     ``A(sigma + i t)`` both run through it.  It works in
@@ -392,16 +397,27 @@ _RS_F_TAYLOR = (
     (2.7498231887637325e-26, 2.3622132419636895e-26), (-9.115688251159012e-28, 1.524413235942887e-27),
     (-7.84470186886044e-29, -3.0537676963256187e-29), (7.919817544119006e-31, -3.7815907075540576e-30),
 )
-_RS_DEGREE = 2 * len(_RS_F_TAYLOR)
+# Width of the Taylor table: derivatives of F up to order 3 (_RS_MAX_TERMS - 1)
+# are formed from it exactly.
+_RS_TAYLOR_WIDTH = 2 * len(_RS_F_TAYLOR)
+# Degree at which the kernel cuts the correction R as a polynomial in p,
+# |p| <= 1: from t = RS_MIN_HEIGHT the omitted powers add at most 5e-19 for
+# every sigma in RS_SIGMA_BAND and every term count up to _RS_MAX_TERMS.
+_RS_DEGREE = 40
+# Rows per Riemann--Siegel block, and per piece of a block in which the main
+# sums and R are formed: _RS_PIECE rows while the main sums have at most
+# _BLOCK_CELLS / _RS_PIECE terms, fewer above.
+_RS_ROWS = 2048
+_RS_PIECE = 512
 
 
 def _rs_derivatives() -> np.ndarray:
     """Row m: the coefficients in p of the m-th derivative F^(m)(p)."""
-    c = np.zeros(_RS_DEGREE, dtype=np.complex128)
+    c = np.zeros(_RS_TAYLOR_WIDTH, dtype=np.complex128)
     c[::2] = [complex(*pair) for pair in _RS_F_TAYLOR]
-    rows = np.zeros((3 * _RS_MAX_TERMS, _RS_DEGREE), dtype=np.complex128)
+    rows = np.zeros((3 * _RS_MAX_TERMS, _RS_TAYLOR_WIDTH), dtype=np.complex128)
     for m, row in enumerate(rows):
-        for j in range(_RS_DEGREE - m):
+        for j in range(_RS_TAYLOR_WIDTH - m):
             row[j] = c[j + m] * (math.factorial(j + m) // math.factorial(j))
     return rows
 
@@ -505,6 +521,22 @@ def _log_pair(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi + lo, lo - ((hi + lo) - hi)
 
 
+def _turn(theta: np.ndarray) -> np.ndarray:
+    """``exp(-i theta)`` from ``tau = tan(theta / 2)``: ``((1 - tau^2) - 2 i
+    tau) / (1 + tau^2)``, within 3e-16 of it (absolute), since numpy's
+    ``tan`` is within about 1/2 ulp at any size of ``theta``.  One ``tan``
+    costs far less than :func:`cis`'s cos and sin: 2.2 ns per element
+    against about 18 ns for each of them, measured with numpy 2.4 on an
+    AVX-512 Xeon."""
+    tau = np.tan(0.5 * theta)
+    square = tau * tau
+    scale = 1.0 / (1.0 + square)
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.multiply(1.0 - square, scale, out=out.real)
+    np.multiply(-2.0 * tau, scale, out=out.imag)
+    return out
+
+
 def _siegel_rotation(t: np.ndarray) -> np.ndarray:
     """``exp(-i theta0(t))`` for ``theta0 = t/2 log(t / 2 pi) - t/2 - pi/8``.
 
@@ -524,7 +556,70 @@ def _siegel_rotation(t: np.ndarray) -> np.ndarray:
     q_hi, q_lo = _two_product(half, np.log1p(m - 1.0))
     s_hi = p_hi + q_hi
     rest = (q_hi - (s_hi - p_hi)) + p_lo + q_lo + half * k_lo - math.pi / 8.0
-    return cis(s_hi, -1) * cis(rest, -1)
+    return _turn(s_hi) * _turn(rest)
+
+
+def _rs_tilt(t: np.ndarray, log_t: np.ndarray, delta: float) -> np.ndarray:
+    """``chi(s) / U^2 = exp(-2 i D)`` at ``s = 1/2 + delta + i t``, with
+    ``log_t = log(t / 2 pi)``.
+
+    ``D = theta(t - i delta) - theta0(t)`` from ``theta(z) = z/2 log(z / 2
+    pi) - z/2 - pi/8 + 1/(48 z) + 7/(5760 z^3) + 31/(80640 z^5)``: its large
+    terms cancel analytically, leaving a series in ``u = -i delta / t``,
+    whose even powers are real and odd powers imaginary.
+    """
+    w = 1.0 / (t - 1j * delta)
+    w2 = w * w
+    d = w * (1.0 / 48.0 + w2 * (7.0 / 5760.0 + w2 * (31.0 / 80640.0)))
+    v = delta / t
+    d_re = d.real + 0.5 * delta * v * (v * v / 12.0 - 0.5)
+    d_im = d.imag + 0.5 * delta * (v * v * (v * v / 20.0 - 1.0 / 6.0) - log_t)
+    return np.exp(2.0 * d_im) * _turn(2.0 * d_re)
+
+
+def _prime_columns(size: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """How the columns ``n = 1 .. size`` of the main sums are formed: the
+    primes ``n`` (indices ``n - 1``), and the composites in rounds by their
+    number of prime factors, each round as indices of ``n``, of its smallest
+    prime factor ``p`` and of ``n / p``, whose columns are made in earlier
+    rounds."""
+    spf = list(range(size + 1))
+    for p in range(2, math.isqrt(size) + 1):
+        if spf[p] == p:
+            for q in range(p * p, size + 1, p):
+                spf[q] = min(spf[q], p)
+    factors = [0, 0]
+    for n in range(2, size + 1):
+        factors.append(factors[n // spf[n]] + 1)
+    primes = np.array([n - 1 for n in range(2, size + 1) if spf[n] == n], dtype=np.intp)
+    rounds = []
+    for count in range(2, max(factors) + 1):
+        ns = np.array([n for n in range(2, size + 1) if factors[n] == count], dtype=np.intp)
+        ps = np.array([spf[n] for n in ns], dtype=np.intp)
+        rounds.append((ns - 1, ps - 1, ns // ps - 1))
+    return primes, rounds
+
+
+def _rs_polynomials(sigma: float, terms: int, m: np.ndarray) -> np.ndarray:
+    """Entry ``[i, x]``: the coefficients in p, through degree ``_RS_DEGREE``,
+    of ``Re R_sigma``, ``Re R_(1-sigma)``, ``Im R_sigma`` and ``Im R_(1-sigma)``
+    (``x`` = 0 .. 3) on the ordinates with ``floor(a) = m[i]``.
+
+    There ``a = m + (1 - p)/2``, so ``R = sum_k a^-k P_k(p)``, with the
+    ``P_k`` of :func:`_rs_series`, is a power series in p: by Horner's rule
+    in ``1/a = (m + 1/2)^-1 sum_j (p / (2m + 1))^j``, each product cut at
+    the degree kept.
+    """
+    width = _RS_DEGREE + 1
+    series = np.concatenate([_rs_series(sigma, terms), _rs_series(1.0 - sigma, terms)])[:, :width]
+    series = np.concatenate([series.real, series.imag]).reshape(4, terms, width)
+    lag = np.arange(width) - np.arange(width)[:, None]  # [j, l]: p^j times p^lag is p^l
+    ratio = (1.0 / (2.0 * m + 1.0))[:, None] ** np.arange(width)
+    divide = np.where(lag >= 0, ratio[:, np.maximum(lag, 0)], 0.0) / (m + 0.5)[:, None, None]  # times 1/a
+    out = np.broadcast_to(series[:, -1], (m.size, 4, width))
+    for k in range(terms - 2, -1, -1):
+        out = series[:, k] + out @ divide
+    return out
 
 
 def _zeta_rs(sigma: float, t: np.ndarray, terms: int) -> np.ndarray:
@@ -535,42 +630,85 @@ def _zeta_rs(sigma: float, t: np.ndarray, terms: int) -> np.ndarray:
                   + (-1)^(m-1) U [a^-sigma R_sigma + chi conj(a^(sigma-1) U R_(1-sigma))]
 
     with ``a = sqrt(t / 2 pi)``, ``m = floor(a)``, ``p = 1 - 2 (a - m)``, ``U
-    = exp(-i theta0(t))`` and ``R_x = sum_k a^-k P_k(p)`` from
-    :func:`_rs_series`.  ``chi(s) = exp(-2 i theta(t - i (sigma - 1/2)))``
-    from the Stirling series of log Gamma, split as ``U^2 exp(-2 i D)``
-    so that only ``theta0`` is large.
+    = exp(-i theta0(t))`` and ``R_x = sum_k a^-k P_k(p)``, one polynomial
+    in p per ``m`` from :func:`_rs_polynomials`.  ``chi(s) = exp(-2 i
+    theta(t - i (sigma - 1/2)))`` from the Stirling series of log Gamma,
+    split as ``U^2 exp(-2 i D)`` so that only ``theta0`` is large.
+
+    Both main sums share the columns ``exp(-i t log n)``: a prime's column
+    from the exact phase ``t log p`` (:func:`_two_product` of ``t`` and
+    :func:`_log_pair`), a composite's as the product of the columns of its
+    smallest prime factor and of its cofactor.  Every unit phase comes from
+    :func:`_turn`.  The ordinates go in blocks of ``_RS_ROWS``, and a block
+    forms its main sums and R in pieces of ``_RS_PIECE`` ordinates (fewer
+    for long main sums), so that the arrays stay under about 0.6 MB.  It
+    all runs on the calling thread: dealt over two threads like
+    :func:`dirichlet_sum`'s blocks, its many short numpy calls made it
+    slower, not faster, on a 2-vCPU host.
     """
     n = np.arange(1.0, np.floor(np.sqrt(t.max() / (2.0 * math.pi))) + 1.0)
-    amp = np.stack([n ** -sigma, n ** (sigma - 1.0)], axis=1)
-    log_hi, log_lo = _log_pair(n)
-    series = np.concatenate([_rs_series(sigma, terms), _rs_series(1.0 - sigma, terms)], axis=0).T
-    series = np.concatenate([series.real, series.imag], axis=1)  # columns: Re R_x, Re R_y, Im R_x, Im R_y
-    delta = sigma - 0.5
-    out = np.empty(t.size, dtype=np.complex128)
-    step = max(1, _BLOCK_CELLS // max(n.size, _RS_DEGREE))
-    for lo in range(0, t.size, step):
-        tb = t[lo : lo + step]
+    amp = np.stack([n ** -sigma, n ** (sigma - 1.0)])
+    primes, rounds = _prime_columns(n.size)
+    log_hi, log_lo = (part[:, None] for part in _log_pair(n[primes]))
+    present = np.bincount(np.floor(np.sqrt(t / (2.0 * math.pi))).astype(np.intp), minlength=n.size + 1) > 0
+    polynomials = _rs_polynomials(sigma, terms, np.flatnonzero(present))
+    row_of = np.cumsum(present) - 1  # m -> its polynomials
+    piece = max(1, min(_RS_PIECE, _BLOCK_CELLS // n.size))
+
+    def main_sums(tb: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Rows: both main sums on a piece of ordinates."""
+        # t log p as an exact product plus a small rest, so that
+        # exp(-i t log p) = exp(-i phase) (1 - i rest) to O(rest^2).
+        phase, rest = _two_product(log_hi, tb)
+        rest += log_lo * tb
+        prime = _turn(phase)
+        real = prime.real.copy()
+        prime.real += rest * prime.imag
+        prime.imag -= rest * real
+        columns = np.empty((n.size, tb.size), dtype=np.complex128)
+        columns[0] = 1.0
+        columns[primes] = prime
+        for ns, ps, qs in rounds:
+            columns[ns] = columns[ps] * columns[qs]
+        low = int(m.min())  # columns n <= low are in every ordinate's sums
+        columns[low:] *= n[low:, None] <= m
+        return (amp @ columns.view(np.float64)).view(np.complex128)  # real and imaginary parts alike
+
+    def corrections(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Rows: the four real parts of R on a piece of ordinates, from the
+        polynomials of its heights at the powers of p."""
+        powers = np.empty((_RS_DEGREE + 1, p.size))
+        powers[0], powers[1] = 1.0, p
+        done = 2
+        while done <= _RS_DEGREE:  # p^done ... as p^(done - 1) times p^1 ...
+            take = min(done - 1, _RS_DEGREE + 1 - done)
+            np.multiply(powers[1 : 1 + take], powers[done - 1], out=powers[done : done + take])
+            done += take
+        rows = row_of[m.astype(np.intp)]
+        first, last = rows.min(), rows.max()
+        r = (polynomials[first : last + 1].reshape(-1, _RS_DEGREE + 1) @ powers).reshape(-1, 4, p.size)
+        return r[0] if first == last else r[rows - first, :, np.arange(p.size)].T
+
+    def block(tb: np.ndarray) -> np.ndarray:
+        log_t = np.log(tb / (2.0 * math.pi))
         a = np.sqrt(tb / (2.0 * math.pi))
         m = np.floor(a)
-        # t log n as an exact product plus a small rest, so that
-        # exp(-i t log n) = cis(-hi) (1 - i rest) to O(rest^2).
-        hi, rest = _two_product(tb[:, None], log_hi)
-        terms_n = cis(hi, -1) * (1.0 - 1j * (rest + tb[:, None] * log_lo))
-        terms_n[n > m[:, None]] = 0.0
-        sums = terms_n @ amp
-        poly = (np.vander(1.0 - 2.0 * (a - m), _RS_DEGREE, increasing=True) @ series).reshape(-1, 4, terms)
-        r = np.einsum("rjk,rk->rj", poly, np.vander(1.0 / a, terms, increasing=True))
-        # D = theta(t - i delta) - theta0(t) from theta(z) = z/2 log(z / 2 pi)
-        # - z/2 - pi/8 + 1/(48 z) + 7/(5760 z^3) + 31/(80640 z^5): its large
-        # terms cancel analytically, leaving a series in u = -i delta / t.
-        z, u = tb - 1j * delta, -1j * delta / tb
-        d = -0.5j * delta * np.log(tb / (2.0 * math.pi)) + 1.0 / (48.0 * z) + 7.0 / (5760.0 * z**3)
-        d = d + 31.0 / (80640.0 * z**5) + 0.5 * tb * (u**2 / 2.0 - u**3 / 6.0 + u**4 / 12.0 - u**5 / 20.0)
-        tilt = np.exp(-2j * d)  # chi(s) / U^2
+        p = 1.0 - 2.0 * (a - m)
+        sums = np.empty((2, tb.size), dtype=np.complex128)
+        r = np.empty((4, tb.size))
+        for lo in range(0, tb.size, piece):
+            sums[:, lo : lo + piece] = main_sums(tb[lo : lo + piece], m[lo : lo + piece])
+            r[:, lo : lo + piece] = corrections(m[lo : lo + piece], p[lo : lo + piece])
+        tilt = _rs_tilt(tb, log_t, sigma - 0.5)
         rotation = _siegel_rotation(tb)
-        r_x, conj_r_y = r[:, 0] + 1j * r[:, 2], r[:, 1] - 1j * r[:, 3]
-        correction = np.where(m % 2.0 == 1.0, 1.0, -1.0) * (a**-sigma * r_x + tilt * a ** (sigma - 1.0) * conj_r_y)
-        out[lo : lo + step] = sums[:, 0] + rotation * (correction + rotation * tilt * np.conj(sums[:, 1]))
+        sign = np.where(m % 2.0 == 1.0, 1.0, -1.0)
+        correction = np.exp(-0.5 * sigma * log_t) * (r[0] + 1j * r[2])
+        correction += tilt * np.exp(0.5 * (sigma - 1.0) * log_t) * (r[1] - 1j * r[3])
+        return sums[0] + rotation * (sign * correction + rotation * tilt * np.conj(sums[1]))
+
+    out = np.empty(t.size, dtype=np.complex128)
+    for lo in range(0, t.size, _RS_ROWS):
+        out[lo : lo + _RS_ROWS] = block(t[lo : lo + _RS_ROWS])
     return out
 
 

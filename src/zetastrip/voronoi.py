@@ -48,7 +48,7 @@ exponent used here.  The printed ``E = 1 - a`` fails the constant fit for
 every ``k >= 2``: :func:`calibrate` fits ``C0`` block-wise over a window, and
 a wrong exponent shows up as a smooth drift
 (:class:`~zetastrip.errors.CalibrationError` reports the drift ratio).  Every
-calibration records which exponent it used.
+calibration records which exponent it used, and for which spec.
 
 Determinism
 -----------
@@ -136,7 +136,9 @@ def calibration_x_lo(k_mod: int) -> float:
 class Calibration:
     """The constant fit of a :class:`TwistedSumSpec`, made by :func:`calibrate`.
 
-    ``c0`` is the fitted constant; ``std_error`` is the standard error of the
+    ``spec`` is the sum it was fitted for, the only one whose remainders
+    :func:`delta_direct` and :func:`delta_mean_square` form with it.  ``c0``
+    is the fitted constant; ``std_error`` is the standard error of the
     block means around it (the drift detector); ``oscillation_rms`` is the
     within-block RMS of the oscillating part.  ``power_exponent`` records the
     modulus exponent that was used on the power term, since the fitted
@@ -145,6 +147,7 @@ class Calibration:
     and ``k^E zeta(1+a)/(1+a)``, which every remainder of the fit subtracts.
     """
 
+    spec: TwistedSumSpec
     c0: complex
     std_error: float
     oscillation_rms: float
@@ -346,6 +349,7 @@ def _fit(spec: TwistedSumSpec, exponent: float, x_lo: float, samples: int) -> Ca
     )
     std_error = block_scatter / math.sqrt(_CALIBRATION_BLOCKS)
     result = Calibration(
+        spec=spec,
         c0=c0,
         std_error=std_error,
         oscillation_rms=oscillation_rms,
@@ -364,6 +368,15 @@ def _fit(spec: TwistedSumSpec, exponent: float, x_lo: float, samples: int) -> Ca
     return result
 
 
+def _calibration_of(spec: TwistedSumSpec, calibration: Calibration | None, name: str) -> Calibration:
+    """``calibration`` if it is a fit of ``spec``, ``calibrate(spec)`` if it is ``None``."""
+    if calibration is None:
+        return calibrate(spec)
+    if calibration.spec != spec:
+        raise ValidationError(f"{name} of {spec} was given a calibration fitted for {calibration.spec}")
+    return calibration
+
+
 def _delta(spec: TwistedSumSpec, raw: Callable, cal: Calibration, xs: np.ndarray) -> np.ndarray:
     """``D(x) - main terms - C0`` at each ``x`` of ``xs``; ``raw`` is from :func:`_raw_sum`."""
     return raw(xs) - _main_values(spec.a, cal.linear_coeff, cal.power_coeff, xs) - cal.c0
@@ -376,18 +389,20 @@ def delta_direct(
 
     ``x`` is a float, giving a complex, or a non-empty 1-d array, giving an
     array from one pass of the raw sum up to its largest x.  ``calibration``
-    is a fit of this spec from :func:`calibrate`; ``None`` means
-    ``calibrate(spec)`` with default parameters (so a drifting decomposition
-    raises :class:`~zetastrip.errors.CalibrationError` here too).
+    is a fit of this spec from :func:`calibrate` (a fit of another spec is
+    refused); ``None`` means ``calibrate(spec)`` with default parameters (so
+    a drifting decomposition raises :class:`~zetastrip.errors.CalibrationError`
+    here too).
     """
-    arr = np.asarray(x, dtype=np.float64)
-    xs = arr.reshape(-1)
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim > 1:
+        raise ValidationError(f"delta_direct requires a float or a 1-d array of x, got shape {xs.shape}")
     if not xs.size:
         raise ValidationError(f"delta_direct requires at least one x, got {x!r}")
     _check_x("delta_direct", float(xs.min()))  # _raw_sum checks the largest against X_MAX
-    cal = calibrate(spec) if calibration is None else calibration
-    values = _delta(spec, _raw_sum(spec, float(xs.max())), cal, xs)
-    return values if arr.ndim else complex(values[0])
+    cal = _calibration_of(spec, calibration, "delta_direct")
+    values = _delta(spec, _raw_sum(spec, float(xs.max())), cal, xs.reshape(-1))
+    return values if xs.ndim else complex(values[0])
 
 
 def term_envelope(spec: TwistedSumSpec, x: float, n) -> np.ndarray | float:
@@ -400,6 +415,7 @@ def term_envelope(spec: TwistedSumSpec, x: float, n) -> np.ndarray | float:
 
     with ``c = (|cos(pi a/2)| + |sin(pi a/2)|) sqrt(k) / (pi sqrt(2))``.
     """
+    _check_x("term_envelope", x)
     a = spec.a
     half = 0.5 * (1.0 + a)
     const = (
@@ -550,7 +566,7 @@ def delta_mean_square(spec: TwistedSumSpec, u: float, calibration: Calibration |
         raise ValidationError(f"delta_mean_square requires u >= 4, got {u}")
     lo, hi = 0.5 * u, float(u)
     _check_x_max(hi)  # before the fit
-    cal = calibrate(spec) if calibration is None else calibration
+    cal = _calibration_of(spec, calibration, "delta_mean_square")
     # Formed at the first integrand call, once the panel budget has passed
     # the initial panels, so a refused u pays for no sieve of u entries.
     raw = functools.cache(lambda: _raw_sum(spec, hi))

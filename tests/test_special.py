@@ -433,6 +433,86 @@ def test_riemann_siegel_truncation_bound_failure_is_named(monkeypatch):
         zeta_line(0.4, [5.0, 300.0])
 
 
+def _siegel_rotation_before(t: np.ndarray) -> np.ndarray:
+    """``special._siegel_rotation`` with both unit phases from cos and sin."""
+    m, e = np.frexp(t)
+    low = m < math.sqrt(0.5)
+    m, e = np.where(low, 2.0 * m, m), (e - low).astype(np.float64)
+    half = 0.5 * t
+    k_hi = e * special._LN2_HI - special._LN2PI_E_HI
+    k_lo = ((e * special._LN2_HI - k_hi) - special._LN2PI_E_HI) + (e * special._LN2_LO - special._LN2PI_E_LO)
+    p_hi, p_lo = special._two_product(half, k_hi)
+    q_hi, q_lo = special._two_product(half, np.log1p(m - 1.0))
+    s_hi = p_hi + q_hi
+    rest = (q_hi - (s_hi - p_hi)) + p_lo + q_lo + half * k_lo - math.pi / 8.0
+    return special.cis(s_hi, -1) * special.cis(rest, -1)
+
+
+def _zeta_rs_before(sigma: float, t: np.ndarray, terms: int) -> np.ndarray:
+    """``special._zeta_rs`` as it was before prime columns, degree-40
+    polynomials and tangent half-angles: every column ``exp(-i t log n)``
+    from its exact phase through cos and sin, the correction polynomials at
+    the Taylor table's full width and Horner in ``1/a`` per row, in blocks
+    of 273 rows on the calling thread."""
+    n = np.arange(1.0, np.floor(np.sqrt(t.max() / (2.0 * math.pi))) + 1.0)
+    amp = np.stack([n**-sigma, n ** (sigma - 1.0)], axis=1)
+    log_hi, log_lo = special._log_pair(n)
+    series = np.concatenate([special._rs_series(sigma, terms), special._rs_series(1.0 - sigma, terms)], axis=0).T
+    series = np.concatenate([series.real, series.imag], axis=1)
+    width = series.shape[0]
+    delta = sigma - 0.5
+    out = np.empty(t.size, dtype=np.complex128)
+    step = max(1, special._BLOCK_CELLS // max(n.size, width))
+    for lo in range(0, t.size, step):
+        tb = t[lo : lo + step]
+        a = np.sqrt(tb / (2.0 * math.pi))
+        m = np.floor(a)
+        hi, rest = special._two_product(tb[:, None], log_hi)
+        terms_n = special.cis(hi, -1) * (1.0 - 1j * (rest + tb[:, None] * log_lo))
+        terms_n[n > m[:, None]] = 0.0
+        sums = terms_n @ amp
+        poly = (np.vander(1.0 - 2.0 * (a - m), width, increasing=True) @ series).reshape(-1, 4, terms)
+        r = np.einsum("rjk,rk->rj", poly, np.vander(1.0 / a, terms, increasing=True))
+        z, u = tb - 1j * delta, -1j * delta / tb
+        d = -0.5j * delta * np.log(tb / (2.0 * math.pi)) + 1.0 / (48.0 * z) + 7.0 / (5760.0 * z**3)
+        d = d + 31.0 / (80640.0 * z**5) + 0.5 * tb * (u**2 / 2.0 - u**3 / 6.0 + u**4 / 12.0 - u**5 / 20.0)
+        tilt = np.exp(-2j * d)
+        rotation = _siegel_rotation_before(tb)
+        r_x, conj_r_y = r[:, 0] + 1j * r[:, 2], r[:, 1] - 1j * r[:, 3]
+        correction = np.where(m % 2.0 == 1.0, 1.0, -1.0) * (a**-sigma * r_x + tilt * a ** (sigma - 1.0) * conj_r_y)
+        out[lo : lo + step] = sums[:, 0] + rotation * (correction + rotation * tilt * np.conj(sums[:, 1]))
+    return out
+
+
+@pytest.mark.parametrize("T", [500.0, 1000.0, 2000.0, 1e4, 1e5])
+def test_riemann_siegel_kernel_stays_near_the_former_kernel(T):
+    # Measured at most 4.8e-18 T max(|zeta|, 1) apart on these points; the
+    # limit is that of the mpmath tests above.
+    t = np.random.default_rng(int(T)).uniform(T, 2.0 * T, 600)
+    for sigma in (0.0, 0.26, 0.4, 0.49, 0.5, 0.75, 1.0):
+        terms = special._rs_terms(sigma, float(t.min()))
+        expected = _zeta_rs_before(sigma, t, terms)
+        got = special._zeta_rs(sigma, t, terms)
+        assert np.all(np.abs(got - expected) <= 1e-16 * T * np.maximum(np.abs(expected), 1.0)), f"sigma={sigma}"
+
+
+def test_riemann_siegel_polynomials_omit_below_1e_17(monkeypatch):
+    # The powers of p above _RS_DEGREE that the kernel drops, summed for |p|
+    # <= 1, at the four lowest heights it serves (m = 8 at t = 500): at
+    # most 4.6e-19 measured.  Formed at the Taylor table's full width; the
+    # powers beyond it are below 1e-30.
+    kept = special._RS_DEGREE
+    monkeypatch.setattr(special, "_RS_DEGREE", special._RS_TAYLOR_WIDTH - 1)
+    lowest = math.floor(math.sqrt(special.RS_MIN_HEIGHT / (2.0 * math.pi)))
+    heights = np.arange(lowest, lowest + 4)
+    worst = 0.0
+    for sigma in np.linspace(*special.RS_SIGMA_BAND, 21):
+        for terms in range(1, special._RS_MAX_TERMS + 1):
+            coefficients = special._rs_polynomials(float(sigma), terms, heights)
+            worst = max(worst, float(np.abs(coefficients[:, :, kept + 1 :]).sum(axis=2).max()))
+    assert worst <= 1e-17
+
+
 # ---------------------------------------------------------------------------
 # gamma
 # ---------------------------------------------------------------------------
@@ -705,6 +785,33 @@ def test_dirichlet_pool_starts_its_worker_once(two_cpu_pool, monkeypatch, tmp_pa
     # Only the suite's one scenario thread.
     assert [name for name in started if name.startswith("dirichlet_sum")] == []
     assert len(started) == 1
+
+
+def test_riemann_siegel_runs_on_the_calling_thread(two_cpu_pool, monkeypatch):
+    # Its bits do not depend on the CPU count, and a batch of four blocks
+    # starts no thread.
+    t = np.random.default_rng(7680).uniform(1000.0, 2000.0, 7680)
+    started = _thread_starts(monkeypatch)
+    two = zeta_line(0.4, t)
+    monkeypatch.setattr(special, "usable_cpus", lambda: 1)
+    assert _same_bits(zeta_line(0.4, t), two)
+    assert started == []
+
+
+def test_no_committed_report_reaches_riemann_siegel(monkeypatch, tmp_path):
+    # Every node of the committed scenarios lies below RS_MIN_HEIGHT, so no
+    # report byte depends on _zeta_rs; its bits are free to change while its
+    # mpmath tests hold.
+    calls = []
+    kernel = special._zeta_rs
+
+    def spy(sigma, t, terms):
+        calls.append(t.size)
+        return kernel(sigma, t, terms)
+
+    monkeypatch.setattr(special, "_zeta_rs", spy)
+    run_suite(_SUITE, tmp_path, workers=1)
+    assert calls == []
 
 
 def test_one_block_polynomial_starts_no_thread(two_cpu_pool, monkeypatch):

@@ -338,6 +338,35 @@ def test_voronoi_entry_points_refuse_a_bad_n_or_an_empty_x(call, fragment):
             call(_fresh_spec())
 
 
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+def test_term_envelope_refuses_a_bad_x_before_any_power(x):
+    # x = 0 and -1 used to warn in the powers of x, and nan to return nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(f"term_envelope requires x >= 1, got {x}")):
+            term_envelope(_fresh_spec(), x, np.arange(1, 4))
+
+
+def test_delta_direct_refuses_an_x_of_two_dimensions():
+    # It used to flatten [[100, 200]] into two values.
+    with pytest.raises(ValidationError, match=re.escape("a float or a 1-d array of x, got shape (1, 2)")):
+        delta_direct(_fresh_spec(), [[100.0, 200.0]])
+
+
+def test_remainders_refuse_the_calibration_of_another_spec():
+    # delta_direct used to return -42.9+0.30i here, against 0.69+0.27i from
+    # the spec's own fit.
+    spec, other = TwistedSumSpec(-0.3, 1, 3), TwistedSumSpec(-0.2, 1, 3)
+    cal = calibrate(other)
+    assert cal.spec == other
+    named = re.escape(f"of {spec} was given a calibration fitted for {other}")
+    with pytest.raises(ValidationError, match=f"^delta_direct {named}$"):
+        delta_direct(spec, 100.0, cal)
+    with pytest.raises(ValidationError, match=f"^delta_mean_square {named}$"):
+        delta_mean_square(spec, 64.0, cal)
+    assert delta_direct(spec, 100.0, calibrate(TwistedSumSpec(-0.3, 1, 3))) == delta_direct(spec, 100.0)
+
+
 # ---------------------------------------------------------------------------
 # The three remainder evaluations
 # ---------------------------------------------------------------------------
