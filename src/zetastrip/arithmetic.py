@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -39,17 +39,10 @@ __all__ = [
 class PairData:
     """Derived arithmetic data for an index pair ``(k, l)``."""
 
-    k: int
-    l: int
-    gcd: int
     lcm: int
     kappa: int
     lam: int
     kappa_bar: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.l < 1:
-            raise ValidationError("pair indices must satisfy k >= 1 and l >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,14 +65,11 @@ class DirichletPolynomial:
     def length(self) -> int:
         return len(self.coefficients)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=np.complex128)
-
     def evaluate(self, sigma: float, t: np.ndarray) -> np.ndarray:
         """``A(sigma + i t)`` at each entry of the 1-d ``t``: one
         :func:`zetastrip.special.dirichlet_sum`, as for zeta's main sum."""
         m = np.arange(1, self.length + 1, dtype=np.float64)
-        return dirichlet_sum(t, np.log(m), self.as_array() * m ** (-sigma))
+        return dirichlet_sum(t, np.log(m), np.asarray(self.coefficients, dtype=np.complex128) * m ** (-sigma))
 
 
 def pair_data(k: int, l: int) -> PairData:
@@ -96,7 +86,7 @@ def pair_data(k: int, l: int) -> PairData:
     kappa = k // g
     lam = l // g
     kappa_bar = pow(kappa, -1, lam) if lam > 1 else 0
-    return PairData(k=k, l=l, gcd=g, lcm=lcm, kappa=kappa, lam=lam, kappa_bar=kappa_bar)
+    return PairData(lcm=lcm, kappa=kappa, lam=lam, kappa_bar=kappa_bar)
 
 
 def coefficient_pairs(A: DirichletPolynomial) -> Iterator[tuple[complex, PairData]]:
@@ -119,9 +109,9 @@ def pair_weights(A: DirichletPolynomial, sigma: float) -> Iterator[tuple[complex
         yield product / pd.lcm ** (2.0 * sigma), pd
 
 
-def fsum_complex(values: Iterable[complex] | np.ndarray) -> complex:
+def fsum_complex(values: list[complex] | np.ndarray) -> complex:
     """Correctly rounded sum of complex values, real and imaginary parts apart."""
-    parts = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=np.complex128)
+    parts = np.asarray(values, dtype=np.complex128)
     return complex(math.fsum(parts.real.tolist()), math.fsum(parts.imag.tolist()))
 
 
@@ -171,13 +161,10 @@ def unit_phase(numerator: np.ndarray, modulus: int) -> np.ndarray:
 
     Takes an integer array of numerators; the reduction modulo ``modulus``
     is done in exact integer arithmetic before the complex exponential,
-    which keeps distant terms of long sums phase-accurate.
+    which keeps distant terms of long sums phase-accurate.  Only ``modulus``
+    values occur: a table of their exps, indexed by the reduced numerators,
+    has the bits of the elementwise exp.
     """
     if modulus < 1:
         raise ValidationError("unit_phase requires modulus >= 1")
-    reduced = np.mod(numerator, modulus)
-    if reduced.size > modulus:
-        # Only ``modulus`` values occur: a table of their exps, indexed by
-        # the reduced numerators, has the bits of the elementwise exp.
-        return np.exp((2j * np.pi / modulus) * np.arange(modulus))[reduced]
-    return np.exp((2j * np.pi / modulus) * reduced)
+    return np.exp((2j * np.pi / modulus) * np.arange(modulus))[np.mod(numerator, modulus)]

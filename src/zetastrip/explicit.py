@@ -200,30 +200,26 @@ def xi(T: float, u: float) -> float:
     return a * a / (a + 0.5 * u + math.sqrt(0.25 * u * u + u * a))
 
 
-def f_phase(T: float, u: float | np.ndarray) -> float | np.ndarray:
-    """Primary-sum phase ``2T arcsinh sqrt(pi u/2T) + sqrt(2 pi u T + pi^2 u^2) - pi/4``;
-    ``u`` is a scalar or an array."""
+def f_phase(T: float, u: np.ndarray) -> np.ndarray:
+    """Primary-sum phase ``2T arcsinh sqrt(pi u/2T) + sqrt(2 pi u T + pi^2 u^2) - pi/4``
+    at each entry of the 1-d float array ``u``."""
     if not (T > 0.0 and math.isfinite(T)):
         raise ValidationError("f_phase requires T > 0")
-    u_arr = np.asarray(u, dtype=np.float64)
-    if not np.all((u_arr >= 0.0) & (u_arr < math.inf)):
+    if not np.all((u >= 0.0) & (u < math.inf)):
         raise ValidationError("f_phase requires finite u >= 0")
-    root = np.arcsinh(np.sqrt(math.pi * u_arr / (2.0 * T)))
-    rad = 2.0 * math.pi * u_arr * T + (math.pi * u_arr) ** 2
-    out = 2.0 * T * root + np.sqrt(rad) - 0.25 * math.pi
-    return out if u_arr.ndim else float(out)
+    root = np.arcsinh(np.sqrt(math.pi * u / (2.0 * T)))
+    rad = 2.0 * math.pi * u * T + (math.pi * u) ** 2
+    return 2.0 * T * root + np.sqrt(rad) - 0.25 * math.pi
 
 
-def g_phase(T: float, u: float | np.ndarray) -> float | np.ndarray:
-    """Secondary-sum phase ``T log(T/(2 pi u)) - T + 2 pi u + pi/4``; ``u`` is
-    a scalar or an array."""
+def g_phase(T: float, u: np.ndarray) -> np.ndarray:
+    """Secondary-sum phase ``T log(T/(2 pi u)) - T + 2 pi u + pi/4`` at each
+    entry of the 1-d float array ``u``."""
     if not (T > 0.0 and math.isfinite(T)):
         raise ValidationError("g_phase requires T > 0")
-    u_arr = np.asarray(u, dtype=np.float64)
-    if not np.all((u_arr > 0.0) & (u_arr < math.inf)):
+    if not np.all((u > 0.0) & (u < math.inf)):
         raise ValidationError("g_phase requires finite u > 0")
-    out = T * np.log(T / (2.0 * math.pi * u_arr)) - T + 2.0 * math.pi * u_arr + 0.25 * math.pi
-    return out if u_arr.ndim else float(out)
+    return T * np.log(T / (2.0 * math.pi * u)) - T + 2.0 * math.pi * u + 0.25 * math.pi
 
 
 def _reading(table: dict, what: str, name: str):

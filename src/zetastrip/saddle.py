@@ -392,25 +392,24 @@ def lemma3_decay(alpha: float, k: float, t_grid) -> Lemma3Report:
     return Lemma3Report(t_values=t_values, magnitudes=magnitudes, ratios=ratios)
 
 
-def phi_weight(alpha: float, T: float, x) -> np.ndarray | float:
-    """The shared saddle weight ``phi_alpha(T, x)``.
+def phi_weight(alpha: float, T: float, x: np.ndarray) -> np.ndarray:
+    """The shared saddle weight ``phi_alpha(T, x)`` at each entry of the 1-d
+    float array ``x``.
 
     ``x^(-alpha) arcsinh^(-1)(x sqrt(pi/2T))
     (sqrt(T/(2 pi x^2) + 1/4) + 1/2)^(-1) (T/(2 pi x^2) + 1/4)^(-1/4)``.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 0.0):
+    if np.any(x <= 0.0):
         raise ValidationError("phi_weight requires x > 0")
     if T <= 0.0:
         raise ValidationError(f"phi_weight requires T > 0, got {T}")
-    core = T / (2.0 * math.pi * arr**2) + 0.25
-    value = (
-        arr**-alpha
-        / arcsinh(arr * math.sqrt(math.pi / (2.0 * T)))
+    core = T / (2.0 * math.pi * x**2) + 0.25
+    return (
+        x**-alpha
+        / arcsinh(x * math.sqrt(math.pi / (2.0 * T)))
         / (np.sqrt(core) + 0.5)
         / core**0.25
     )
-    return float(value) if np.isscalar(x) else value
 
 
 def lemma4_delta(n: int, a_lo: float, b_hi: float, T: float) -> int:

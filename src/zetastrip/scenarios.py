@@ -81,7 +81,6 @@ from .voronoi import (
     TWIST_MODES as VORONOI_TWISTS,
     X_MAX,
     TwistedSumSpec,
-    _check_plan_limits,
     calibrate,
     calibration_x_lo,
     delta_bessel,
@@ -363,8 +362,6 @@ def _run_theorem2(v: dict) -> tuple:
 #: run takes about 4 s on one core of a 2-vCPU machine.
 VORONOI_MAX_SERIES_TERMS = 2**21
 VORONOI_POINT_TERMS = 1024
-#: Largest ``calibration_samples``, about 100 times the default 640.
-VORONOI_MAX_CALIBRATION_SAMPLES = 2**16
 
 
 def _run_voronoi(v: dict) -> tuple:
@@ -374,22 +371,16 @@ def _run_voronoi(v: dict) -> tuple:
     if points < 2:
         raise ValidationError("voronoi needs at least two evaluation points")
     n_terms = v["n_terms"]
-    _check_plan_limits((x_lo, x_hi), n_terms)
     point_terms = max(n_terms, VORONOI_POINT_TERMS)
     if points * point_terms > VORONOI_MAX_SERIES_TERMS:
         raise ValidationError(
             f"scenario kind 'voronoi': parameters 'points' × max('n_terms', {VORONOI_POINT_TERMS}) = "
             f"{points} × {point_terms} exceed the series work limit {VORONOI_MAX_SERIES_TERMS}"
         )
-    if v["calibration_samples"] > VORONOI_MAX_CALIBRATION_SAMPLES:
-        raise ValidationError(
-            f"scenario kind 'voronoi': parameter 'calibration_samples' must be at most "
-            f"{VORONOI_MAX_CALIBRATION_SAMPLES}, got {v['calibration_samples']}"
-        )
 
     spec = TwistedSumSpec(v["a"], v["h"], v["k"])
+    plan = truncation_plan(spec, (x_lo, x_hi), n_terms)  # refuses a negative n_terms before the fit
     calibration = calibrate(spec, x_lo=v["calibration_x_lo"], samples=v["calibration_samples"])
-    plan = truncation_plan(spec, (x_lo, x_hi), n_terms)
     tolerance = max(v["tolerance_floor"], v["tail_multiple"] * plan.tail_estimate + calibration.std_error)
 
     rows = []

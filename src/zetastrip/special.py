@@ -146,13 +146,6 @@ def em_cutoff(t_max: float) -> int:
     return max(20, int(math.ceil(2.0 * t_max)))
 
 
-def _rising(s: complex, m: int) -> complex:
-    prod = 1.0 + 0.0j
-    for j in range(m):
-        prod *= s + j
-    return prod
-
-
 def zeta(s: complex) -> complex:
     """Riemann zeta at a complex point ``s != 1``.
 
@@ -160,9 +153,13 @@ def zeta(s: complex) -> complex:
     Bernoulli corrections through B10.  The first omitted correction term
     bounds the remainder; if it exceeds ``ZETA_ABS_TOL`` the cutoff is
     enlarged once (which only helps when ``Re s`` is not too negative) and
-    a :class:`PrecisionError` is raised if the bound still fails.
+    a :class:`PrecisionError` is raised if the bound still fails.  A
+    non-finite real part sigma or imaginary part t is refused.
     """
     s = complex(s)
+    for name, part in (("sigma = Re s", s.real), ("t = Im s", s.imag)):
+        if not math.isfinite(part):
+            raise ValidationError(f"zeta requires a finite {name}, got {part!r}")
     if s == 1.0:
         raise ValidationError("zeta has a pole at s = 1")
     value, remainder = _zeta_em_f64(s, em_cutoff(abs(s.imag)))
@@ -203,7 +200,10 @@ def _em_tail(total, s, n_cut: int):
 def _em_bound(s: complex, n_cut: int) -> float:
     """Size of the first omitted (B12) Euler--Maclaurin term at ``s``: the
     remainder bound checked against ``ZETA_ABS_TOL``."""
-    return float(abs(_B12_OVER_12FACT) * abs(_rising(s, 11)) * n_cut ** (-s.real - 11.0))
+    rise = 1.0 + 0.0j  # the rising factorial s (s + 1) ... (s + 10)
+    for j in range(11):
+        rise *= s + j
+    return float(abs(_B12_OVER_12FACT) * abs(rise) * n_cut ** (-s.real - 11.0))
 
 
 # Complex elements per column chunk of a Dirichlet sum.  The chunk boundaries
@@ -279,7 +279,8 @@ def dirichlet_sum(t: np.ndarray, log_n: np.ndarray, amp: np.ndarray) -> np.ndarr
     whose results do not depend on the cut, and the blocks are dealt into
     one share per usable CPU (numpy releases the GIL in ``cos``, ``sin``
     and ``matmul``).  The calling thread runs the first share and the
-    process's pool the others, so a sum of one block starts no thread.
+    process's pool the others, so a sum of one block starts no thread, and
+    an empty one (no ``t`` or no terms) is zeros.
     Each share holds one complex128 buffer of the largest block, the
     products ``t log_n`` written into its imaginary half for :func:`cis`:
     at most ``max(65 * columns, _BLOCK_CELLS + columns)`` elements for
@@ -287,7 +288,7 @@ def dirichlet_sum(t: np.ndarray, log_n: np.ndarray, amp: np.ndarray) -> np.ndarr
     ``_LINE_CHUNK``; for a 7 680-point batch that is under 1 MB.
     """
     out = np.zeros(t.size, dtype=np.complex128)
-    if t.size == 0:
+    if t.size == 0 or log_n.size == 0:
         return out
     chunk = max(1, _LINE_CHUNK // t.size)
     columns = [(log_n[lo : lo + chunk], amp[lo : lo + chunk]) for lo in range(0, log_n.size, chunk)]
@@ -336,10 +337,16 @@ def zeta_line(sigma: float, t) -> np.ndarray:
     Euler--Maclaurin main sum is one :func:`dirichlet_sum` with the bits of
     the one-shot product, so a sub-switch point's value depends only on the
     number and largest ordinate of the sub-switch points in its batch, and
-    a batch below the switch has the bits of Euler--Maclaurin alone.
+    a batch below the switch has the bits of Euler--Maclaurin alone.  A
+    non-finite ``sigma`` or ``t`` is refused before any sum.
     """
+    if not math.isfinite(sigma):
+        raise ValidationError(f"zeta_line requires a finite sigma, got {sigma!r}")
     t_arr = np.asarray(t, dtype=np.float64)
     flat = np.abs(t_arr.ravel())
+    t_top = float(np.max(flat, initial=0.0))  # NaN if any t is NaN
+    if not t_top < math.inf:
+        raise ValidationError(f"zeta_line requires every t finite, got max |t| = {t_top!r}")
     high = _uses_rs(sigma, flat)
     low = flat[~high]
     t_hi = float(low.max()) if low.size else 0.0

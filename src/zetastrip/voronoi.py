@@ -96,6 +96,8 @@ TAIL_SAFETY = 4.0
 
 #: Number of blocks used by the calibration drift check.
 _CALIBRATION_BLOCKS = 8
+#: Largest calibration sample count, about 100 times the default 640.
+_CALIBRATION_MAX_SAMPLES = 2**16
 
 #: Largest x at which the raw sum D(x) or the series is formed, and largest
 #: series length: the divisor sieve has about x (or n_terms) entries.
@@ -197,31 +199,27 @@ class TwistedSumSpec:
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Truncation of the oscillating series at ``n_terms`` over ``x_range``.
+    """Truncation of the oscillating series at ``n_terms``.
 
-    ``tail_estimate`` bounds the truncation error over the range; it is
-    computed by :func:`truncation_plan` from the envelope of the last included
-    term times the local phase-coherence length, and is positive even for the
-    ``n_terms = 0`` sentinel (where it estimates the whole remainder's scale).
+    ``tail_estimate`` bounds the truncation error over the x range it was
+    planned for; it is computed by :func:`truncation_plan` from the envelope
+    of the last included term times the local phase-coherence length, and is
+    positive even for the ``n_terms = 0`` sentinel (where it estimates the
+    whole remainder's scale).
     """
 
     n_terms: int
     tail_estimate: float
-    x_range: tuple[float, float]
 
     def __post_init__(self) -> None:
-        _check_plan_limits(self.x_range, self.n_terms)
+        _check_n_terms(self.n_terms)
         if not (self.tail_estimate > 0.0 and math.isfinite(self.tail_estimate)):
             raise ValidationError(
                 f"tail_estimate must be positive and finite, got {self.tail_estimate}"
             )
 
 
-def _check_plan_limits(x_range: tuple[float, float], n_terms: int) -> None:
-    lo, hi = x_range
-    if not (math.isfinite(lo) and math.isfinite(hi) and 1.0 <= lo <= hi):
-        raise ValidationError(f"x_range must satisfy 1 <= lo <= hi, got {x_range}")
-    _check_x_max(hi)
+def _check_n_terms(n_terms: int) -> None:
     if not 0 <= n_terms <= X_MAX:  # the series' divisor sieve has n_terms entries
         raise ValidationError(f"n_terms must satisfy 0 <= n_terms <= {X_MAX:.0f}, got {n_terms}")
 
@@ -293,6 +291,8 @@ def calibrate(
     oscillation level; the fit rejects when the standard error exceeds 10% of
     the oscillation RMS.  ``power_modulus_exponent`` defaults to the residue
     value ``-1 - a`` and ``x_lo`` to :func:`calibration_x_lo` of the modulus.
+    ``samples`` is a multiple of 8 from 64 to 65 536, checked before any
+    array is formed.
 
     Nothing is stored on the spec: the fit is returned, and a call whose
     resolved parameters (spec, exponent, ``x_lo``, samples) were fitted
@@ -303,10 +303,10 @@ def calibrate(
     if not (math.isfinite(x_lo) and x_lo >= 1.0):
         raise ValidationError(f"calibration requires x_lo >= 1, got {x_lo}")
     _check_x_max(4.0 * x_lo)  # the window's top, before its grid is formed
-    if samples < 8 * _CALIBRATION_BLOCKS or samples % _CALIBRATION_BLOCKS:
+    if not 8 * _CALIBRATION_BLOCKS <= samples <= _CALIBRATION_MAX_SAMPLES or samples % _CALIBRATION_BLOCKS:
         raise ValidationError(
-            f"calibration needs >= {8 * _CALIBRATION_BLOCKS} samples, a multiple of its "
-            f"{_CALIBRATION_BLOCKS} drift blocks, got {samples}"
+            f"calibration needs {8 * _CALIBRATION_BLOCKS} to {_CALIBRATION_MAX_SAMPLES} samples, "
+            f"a multiple of its {_CALIBRATION_BLOCKS} drift blocks, got {samples}"
         )
     a = spec.a
     if a == 0.0:
@@ -453,12 +453,16 @@ def truncation_plan(
     bounds the scale of the whole remainder.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
-    _check_plan_limits((lo, hi), n_terms)  # before the sieve and the envelope's powers
+    # Checked before the sieve and the envelope's powers.
+    if not (math.isfinite(lo) and math.isfinite(hi) and 1.0 <= lo <= hi):
+        raise ValidationError(f"x_range must satisfy 1 <= lo <= hi, got {(lo, hi)}")
+    _check_x_max(hi)
+    _check_n_terms(n_terms)
     n_edge = max(n_terms, 1)
     envelope = float(term_envelope(spec, hi, n_edge))
     coherence = max(1.0, spec.k_mod * math.sqrt(n_edge) / math.sqrt(lo))
     tail = TAIL_SAFETY * envelope * coherence
-    return TruncationPlan(n_terms=int(n_terms), tail_estimate=tail, x_range=(lo, hi))
+    return TruncationPlan(n_terms=int(n_terms), tail_estimate=tail)
 
 
 def _series(

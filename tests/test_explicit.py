@@ -80,18 +80,20 @@ def test_xi_defining_identity_and_range():
 
 def test_f_phase_values_and_guards():
     T = 100.0
-    assert f_phase(T, 0.0) == pytest.approx(-0.25 * math.pi)
+    assert f_phase(T, np.array([0.0]))[0] == pytest.approx(-0.25 * math.pi)
     u = 7.3
     expected = (
         2.0 * T * math.asinh(math.sqrt(math.pi * u / (2.0 * T)))
         + math.sqrt(2.0 * math.pi * u * T + (math.pi * u) ** 2)
         - 0.25 * math.pi
     )
-    assert f_phase(T, u) == pytest.approx(expected, rel=1e-15)
+    assert f_phase(T, np.array([u]))[0] == pytest.approx(expected, rel=1e-15)
     with pytest.raises(TypeError):
-        f_phase(T, 1.0, radicand="plus")  # the radical has one sign only
+        f_phase(T, np.array([1.0]), radicand="plus")  # the radical has one sign only
     with pytest.raises(ValidationError):
-        f_phase(-1.0, 1.0)
+        f_phase(-1.0, np.array([1.0]))
+    with pytest.raises(ValidationError):
+        f_phase(T, np.array([1.0, -1.0]))
 
 
 def test_f_phase_derivative_closed_form():
@@ -100,21 +102,21 @@ def test_f_phase_derivative_closed_form():
     #   d/du sqrt(pi u (2T + pi u))  = sqrt(pi) (T + pi u)/sqrt(u (2T + pi u)),
     # and the sum telescopes to sqrt(2 pi T/u + pi^2).  Central differences.
     T, u, h = 180.0, 11.0, 1e-5
-    numeric = (f_phase(T, u + h) - f_phase(T, u - h)) / (2.0 * h)
+    numeric = (f_phase(T, np.array([u + h])) - f_phase(T, np.array([u - h])))[0] / (2.0 * h)
     assert numeric == pytest.approx(math.sqrt(2.0 * math.pi * T / u + math.pi**2), rel=1e-9)
 
 
 def test_g_phase_closed_form():
     T, u = 90.0, 4.2
     expected = T * math.log(T / (2.0 * math.pi * u)) - T + 2.0 * math.pi * u + 0.25 * math.pi
-    assert g_phase(T, u) == pytest.approx(expected, rel=1e-15)
+    assert g_phase(T, np.array([u]))[0] == pytest.approx(expected, rel=1e-15)
     # Stationary point of g in u is at u = T/(2 pi).
     h = 1e-6
     u0 = T / (2.0 * math.pi)
-    numeric = (g_phase(T, u0 + h) - g_phase(T, u0 - h)) / (2.0 * h)
+    numeric = (g_phase(T, np.array([u0 + h])) - g_phase(T, np.array([u0 - h])))[0] / (2.0 * h)
     assert abs(numeric) < 1e-6
     with pytest.raises(ValidationError):
-        g_phase(T, 0.0)
+        g_phase(T, np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def test_phi_weight_closed_form():
         / (math.sqrt(T / (2.0 * math.pi * x**2) + 0.25) + 0.5)
         / (T / (2.0 * math.pi * x**2) + 0.25) ** 0.25
     )
-    assert phi_weight(alpha, T, x) == pytest.approx(expected, rel=1e-13)
+    assert phi_weight(alpha, T, np.array([x]))[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_lemma4_delta_saddle_membership():

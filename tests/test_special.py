@@ -131,6 +131,34 @@ def test_zeta_pole_and_remainder_guard():
         zeta(complex(-12.0, 0.0))
 
 
+def _no_sum(*args):
+    raise AssertionError("a sum was formed")
+
+
+@pytest.mark.parametrize(
+    ("call", "constraint"),
+    [
+        (lambda: zeta(complex(0.4, math.inf)), "zeta requires a finite t = Im s, got inf"),
+        (lambda: zeta(complex(0.4, math.nan)), "zeta requires a finite t = Im s, got nan"),
+        (lambda: zeta(complex(math.nan, 1.0)), "zeta requires a finite sigma = Re s, got nan"),
+        (lambda: zeta(math.inf), "zeta requires a finite sigma = Re s, got inf"),
+        (lambda: zeta_line(0.4, np.array([1.0, math.nan])), "zeta_line requires every t finite, got max |t| = nan"),
+        (lambda: zeta_line(0.4, np.array([-math.inf])), "zeta_line requires every t finite, got max |t| = inf"),
+        (lambda: zeta_line(math.nan, np.array([1.0])), "zeta_line requires a finite sigma, got nan"),
+    ],
+    ids=["t=inf", "t=nan", "sigma=nan", "s=inf", "line_t=nan", "line_t=-inf", "line_sigma=nan"],
+)
+def test_zeta_refuses_a_non_finite_argument_by_name(call, constraint, monkeypatch):
+    # These raised OverflowError or ValueError, or returned NaN (s = inf with
+    # a RuntimeWarning).  Every warning is an error here.
+    for kernel in ("_zeta_em_f64", "dirichlet_sum", "_zeta_rs"):
+        monkeypatch.setattr(special, kernel, _no_sum)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(constraint)):
+            call()
+
+
 def test_zeta_line_matches_scalar_and_folds_sign():
     t = np.array([-35.0, -1.0, 0.5, 14.134725, 250.0])
     line = zeta_line(0.4, t)
@@ -818,6 +846,14 @@ def test_one_block_polynomial_starts_no_thread(two_cpu_pool, monkeypatch):
     started = _thread_starts(monkeypatch)
     # Two columns take blocks of 8 192 rows: the batch is one block.
     DirichletPolynomial((1.0, -0.5)).evaluate(0.4, _POOL_BATCH)
+    assert started == []
+
+
+def test_an_empty_dirichlet_sum_is_zero(two_cpu_pool, monkeypatch):
+    # It used to raise ZeroDivisionError in the block-size division.
+    started = _thread_starts(monkeypatch)
+    out = dirichlet_sum(_POOL_BATCH, np.array([]), np.array([]))
+    assert out.shape == _POOL_BATCH.shape and not out.any()
     assert started == []
 
 

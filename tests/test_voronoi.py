@@ -253,6 +253,15 @@ def test_calibrate_rejects_samples_off_the_block_grid():
         calibrate(spec, samples=641)
 
 
+def test_calibrate_bounds_its_samples_before_any_array(monkeypatch):
+    def raw_sum(*args):
+        raise AssertionError("the raw sum was formed")
+
+    monkeypatch.setattr(voronoi, "_raw_sum", raw_sum)
+    with pytest.raises(ValidationError, match="calibration needs 64 to 65536 samples, .* got 65544"):
+        calibrate(_fresh_spec(), samples=2**16 + 8)
+
+
 @pytest.mark.parametrize("x", [2.0 * X_MAX, 1e306])
 def test_twisted_sum_paths_reject_x_beyond_the_sieve_bound(x):
     # 1e306 used to overflow floor(x) to the int64 limit and end in an IndexError.
@@ -283,7 +292,7 @@ def test_series_length_is_bounded_by_the_sieve(n_terms):
     with pytest.raises(ValidationError, match=r"n_terms <= 1048576, got "):
         truncation_plan(spec, (40.0, 400.0), n_terms)
     with pytest.raises(ValidationError, match=r"n_terms <= 1048576, got "):
-        TruncationPlan(n_terms=n_terms, tail_estimate=1.0, x_range=(40.0, 400.0))
+        TruncationPlan(n_terms=n_terms, tail_estimate=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +304,20 @@ def test_truncation_plan_pins_and_monotonicity():
     spec = _fresh_spec()
     plan = truncation_plan(spec, (40.0, 400.0), 2000)
     assert plan.n_terms == 2000
-    assert plan.x_range == (40.0, 400.0)
     assert plan.tail_estimate == pytest.approx(7.439739075463656, rel=1e-12)
     # The estimate is driven by the envelope of the first omitted term, so it
     # inherits the divisor function's fluctuations in n_terms; in the range
     # endpoint it is exactly monotone.
     narrower = truncation_plan(spec, (40.0, 100.0), 2000)
     assert narrower.tail_estimate < plan.tail_estimate
+    with pytest.raises(ValidationError, match="n_terms must satisfy 0 <= n_terms <= 1048576, got -1"):
+        truncation_plan(spec, (40.0, 400.0), -1)
     with pytest.raises(ValidationError):
-        TruncationPlan(n_terms=-1, tail_estimate=1.0, x_range=(40.0, 400.0))
+        TruncationPlan(n_terms=-1, tail_estimate=1.0)
     with pytest.raises(ValidationError):
-        TruncationPlan(n_terms=10, tail_estimate=0.0, x_range=(40.0, 400.0))
-    with pytest.raises(ValidationError):
-        TruncationPlan(n_terms=10, tail_estimate=1.0, x_range=(400.0, 40.0))
+        TruncationPlan(n_terms=10, tail_estimate=0.0)
+    with pytest.raises(ValidationError, match="x_range must satisfy 1 <= lo <= hi"):
+        truncation_plan(spec, (400.0, 40.0), 10)
 
 
 def test_term_envelope_positive_and_decaying():
