@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ __all__ = [
     "SIEVE_MAX",
     "PairData",
     "DirichletPolynomial",
-    "pair_data",
     "coefficient_pairs",
     "pair_weights",
     "fsum_complex",
@@ -60,6 +60,8 @@ class DirichletPolynomial:
         if len(self.coefficients) < 1:
             raise ValidationError("a Dirichlet polynomial needs at least one coefficient")
         object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
+        if not all(cmath.isfinite(c) for c in self.coefficients):
+            raise ValidationError(f"a Dirichlet polynomial needs finite coefficients, got {self.coefficients}")
 
     @property
     def length(self) -> int:
@@ -72,15 +74,13 @@ class DirichletPolynomial:
         return dirichlet_sum(t, np.log(m), np.asarray(self.coefficients, dtype=np.complex128) * m ** (-sigma))
 
 
-def pair_data(k: int, l: int) -> PairData:
-    """Compute gcd/lcm/coprime-part data for ``(k, l)``.
+def _pair_data(k: int, l: int) -> PairData:
+    """Compute gcd/lcm/coprime-part data for the indices ``k, l >= 1``.
 
     The modular inverse ``kappa_bar`` satisfies
     ``kappa * kappa_bar == 1 (mod lam)`` and lies in ``[0, lam - 1]``;
     it is ``0`` exactly when ``lam == 1``.
     """
-    if k < 1 or l < 1:
-        raise ValidationError("pair indices must satisfy k >= 1 and l >= 1")
     g = math.gcd(k, l)
     lcm = k * l // g
     kappa = k // g
@@ -90,7 +90,7 @@ def pair_data(k: int, l: int) -> PairData:
 
 
 def coefficient_pairs(A: DirichletPolynomial) -> Iterator[tuple[complex, PairData]]:
-    """``(a(k) conj(a(l)), pair_data(k, l))`` for every pair ``(k, l)`` whose
+    """``(a(k) conj(a(l)), _pair_data(k, l))`` for every pair ``(k, l)`` whose
     two coefficients are nonzero, ``k`` then ``l`` ascending.
 
     Every pair sum of the window identity (the main term and both
@@ -99,18 +99,21 @@ def coefficient_pairs(A: DirichletPolynomial) -> Iterator[tuple[complex, PairDat
     nonzero = [(m, c) for m, c in enumerate(A.coefficients, start=1) if c != 0]
     for k, ak in nonzero:
         for l, al in nonzero:
-            yield ak * al.conjugate(), pair_data(k, l)
+            yield ak * al.conjugate(), _pair_data(k, l)
 
 
 def pair_weights(A: DirichletPolynomial, sigma: float) -> Iterator[tuple[complex, PairData]]:
-    """``(a(k) conj(a(l)) / lcm^{2 sigma}, pair_data(k, l))`` over :func:`coefficient_pairs`:
-    the pair weight of the main term and of both oscillatory sums."""
+    """``(a(k) conj(a(l)) / lcm^{2 sigma}, _pair_data(k, l))`` over :func:`coefficient_pairs`:
+    the pair weight of the main term and of both oscillatory sums, for a finite ``sigma``."""
+    if not math.isfinite(sigma):
+        raise ValidationError(f"pair_weights requires a finite sigma, got {sigma!r}")
     for product, pd in coefficient_pairs(A):
         yield product / pd.lcm ** (2.0 * sigma), pd
 
 
 def fsum_complex(values: list[complex] | np.ndarray) -> complex:
-    """Correctly rounded sum of complex values, real and imaginary parts apart."""
+    """Correctly rounded sum of finite complex values, real and imaginary
+    parts apart.  Every caller sums finite terms, so none is checked."""
     parts = np.asarray(values, dtype=np.complex128)
     return complex(math.fsum(parts.real.tolist()), math.fsum(parts.imag.tolist()))
 
@@ -136,10 +139,13 @@ def divisor_sigma_range(a: float, n_max: int) -> np.ndarray:
     A view of one divisor sieve per exponent, which doubles in length until
     it covers ``n_max``: O(n log n) work over all calls.  Entry ``n`` adds its
     divisors in ascending order whatever the sieve's length, so a prefix has
-    the bits of a sieve of exactly ``n_max`` entries.
+    the bits of a sieve of exactly ``n_max`` entries.  Needs ``|a| <= 1``
+    (no ``d^a`` over- or underflows) and ``1 <= n_max <= SIEVE_MAX``.
     """
-    if n_max < 1:
-        raise ValidationError("divisor_sigma_range requires n_max >= 1")
+    if not -1.0 <= a <= 1.0:  # written so that NaN fails too
+        raise ValidationError(f"divisor_sigma_range requires an exponent a in [-1, 1], got a = {a!r}")
+    if not 1 <= n_max <= SIEVE_MAX:
+        raise ValidationError(f"divisor_sigma_range requires 1 <= n_max <= {SIEVE_MAX:.0f}, got n_max = {n_max!r}")
     a = float(a)
     sieve = _sigma_sieves.get(a)
     if sieve is None or sieve.size < n_max:
@@ -165,6 +171,8 @@ def unit_phase(numerator: np.ndarray, modulus: int) -> np.ndarray:
     values occur: a table of their exps, indexed by the reduced numerators,
     has the bits of the elementwise exp.
     """
-    if modulus < 1:
-        raise ValidationError("unit_phase requires modulus >= 1")
+    if not np.issubdtype(np.asarray(numerator).dtype, np.integer):
+        raise ValidationError(f"unit_phase requires an integer numerator, got dtype {np.asarray(numerator).dtype}")
+    if not 1 <= modulus <= SIEVE_MAX:  # written so that NaN fails too
+        raise ValidationError(f"unit_phase requires 1 <= modulus <= {SIEVE_MAX:.0f}, got modulus = {modulus!r}")
     return np.exp((2j * np.pi / modulus) * np.arange(modulus))[np.mod(numerator, modulus)]

@@ -22,14 +22,14 @@ package ("theorem 1" and "theorem 2" in the API names):
 Phase functions
 ---------------
 
-``xi``, ``f_phase`` and ``g_phase`` are the saddle-point phase functions of
+``_xi``, ``_f_phase`` and ``_g_phase`` are the saddle-point phase functions of
 the two oscillatory sums::
 
     xi(T, u) = T/(2 pi) + u/2 - sqrt(u^2/4 + u T/(2 pi))
     f(T, u)  = 2 T arcsinh(sqrt(pi u / (2 T))) + sqrt(2 pi u T + pi^2 u^2) - pi/4
     g(T, u)  = T log(T / (2 pi u)) - T + 2 pi u + pi/4
 
-``xi`` is evaluated in the rationalised form ``A^2 / (A + u/2 + sqrt(...))``
+``_xi`` is evaluated in the rationalised form ``A^2 / (A + u/2 + sqrt(...))``
 with ``A = T/(2 pi)``, which is free of subtractive cancellation for large
 ``u``.  The ``+2 pi u`` term of ``g`` cancels exactly against the unit twist
 ``e(-kappa n / lambda)`` carried by the secondary sum, so for a trivial
@@ -94,9 +94,6 @@ __all__ = [
     "ExplicitTerms",
     "Theorem1Report",
     "Theorem2Report",
-    "xi",
-    "f_phase",
-    "g_phase",
     "explicit_terms",
     "theorem1_report",
     "theorem2_report",
@@ -186,39 +183,27 @@ class ExplicitTerms:
         return self.main + self.sigma1 + self.sigma2
 
 
-def xi(T: float, u: float) -> float:
-    """Secondary cutoff map ``T/(2 pi) + u/2 - sqrt(u^2/4 + u T/(2 pi))``.
+def _xi(T: float, u: float) -> float:
+    """Secondary cutoff map ``T/(2 pi) + u/2 - sqrt(u^2/4 + u T/(2 pi))`` for finite ``T > 0``, ``u >= 0``.
 
     Evaluated in rationalised form; satisfies ``0 < xi <= T/(2 pi)`` and the
     defining radical identity ``(T/(2 pi) + u/2 - xi)^2 = u^2/4 + u T/(2 pi)``.
     """
-    if not (T > 0.0 and math.isfinite(T)):
-        raise ValidationError("xi requires T > 0")
-    if not (u >= 0.0 and math.isfinite(u)):
-        raise ValidationError("xi requires u >= 0")
     a = T / (2.0 * math.pi)
     return a * a / (a + 0.5 * u + math.sqrt(0.25 * u * u + u * a))
 
 
-def f_phase(T: float, u: np.ndarray) -> np.ndarray:
+def _f_phase(T: float, u: np.ndarray) -> np.ndarray:
     """Primary-sum phase ``2T arcsinh sqrt(pi u/2T) + sqrt(2 pi u T + pi^2 u^2) - pi/4``
-    at each entry of the 1-d float array ``u``."""
-    if not (T > 0.0 and math.isfinite(T)):
-        raise ValidationError("f_phase requires T > 0")
-    if not np.all((u >= 0.0) & (u < math.inf)):
-        raise ValidationError("f_phase requires finite u >= 0")
+    at each entry of the 1-d float array ``u``, for finite ``T > 0`` and ``u >= 0``."""
     root = np.arcsinh(np.sqrt(math.pi * u / (2.0 * T)))
     rad = 2.0 * math.pi * u * T + (math.pi * u) ** 2
     return 2.0 * T * root + np.sqrt(rad) - 0.25 * math.pi
 
 
-def g_phase(T: float, u: np.ndarray) -> np.ndarray:
+def _g_phase(T: float, u: np.ndarray) -> np.ndarray:
     """Secondary-sum phase ``T log(T/(2 pi u)) - T + 2 pi u + pi/4`` at each
-    entry of the 1-d float array ``u``."""
-    if not (T > 0.0 and math.isfinite(T)):
-        raise ValidationError("g_phase requires T > 0")
-    if not np.all((u > 0.0) & (u < math.inf)):
-        raise ValidationError("g_phase requires finite u > 0")
+    entry of the 1-d float array ``u``, for finite ``T > 0`` and ``u > 0``."""
     return T * np.log(T / (2.0 * math.pi * u)) - T + 2.0 * math.pi * u + 0.25 * math.pi
 
 
@@ -273,15 +258,13 @@ def _sigma1_sum(T: float, Y: float, cfg: StripConfig, A: DirichletPolynomial) ->
 
     ``S1`` is ``Im{prefactor * total}``.  Returns ``(total, terms)``.
     """
-    if not (T > 0.0 and Y > 0.0):
-        raise ValidationError("sigma1 requires T > 0 and Y > 0")
     sigma = cfg.sigma
 
     def terms(pd: PairData, n: np.ndarray, base: np.ndarray, unit: np.ndarray) -> np.ndarray:
         kl = pd.kappa * pd.lam
         u = n / kl
         asc = np.arcsinh(np.sqrt(math.pi * n / (2.0 * T * kl)))
-        phase = f_phase(T, u) - math.pi * u + 0.5 * math.pi
+        phase = _f_phase(T, u) - math.pi * u + 0.5 * math.pi
         return base / asc * (1.0 + 2.0 * T * kl / (math.pi * n)) ** -0.25 * unit * cis(phase)
 
     outer = (cmath.exp(-2j * math.pi * sigma), T ** (0.5 - sigma))
@@ -303,8 +286,6 @@ def _sigma2_sum(
     (positive logarithm); violating cutoffs raise :class:`ValidationError`.
     Returns ``(total, terms)``.
     """
-    if not (T > 0.0 and y_cut >= 0.0):
-        raise ValidationError("sigma2 requires T > 0 and Ycut >= 0")
     multiplier = _reading(_TWIST_MULTIPLIERS, "twist", twist)
     saddle_scale = T / (2.0 * math.pi)
 
@@ -314,7 +295,7 @@ def _sigma2_sum(
             raise ValidationError(
                 "sigma2 retained a term with kappa*n/lambda >= T/(2 pi); the window cutoff is inadmissible"
             )
-        return base * unit * cis(g_phase(T, u)) / np.log(saddle_scale / u)
+        return base * unit * cis(_g_phase(T, u)) / np.log(saddle_scale / u)
 
     total, count = _pair_sum(A, cfg.sigma, "sigma2", y_cut, multiplier, terms)
     # -T^{1/2-sigma}/(pi^{1/2+sigma} 2^{sigma-1/2}) * 4 pi  ==  -4 (2 pi T)^{1/2-sigma}
@@ -325,7 +306,7 @@ def _check_inner_lengths(window: WindowConfig, A: DirichletPolynomial) -> None:
     """Reject a window whose longest Σ₁ or Σ₂ inner sum would outgrow the
     divisor sieve, before any array is formed."""
     pairs = [pd for _, pd in coefficient_pairs(A)]
-    cutoffs = {"sigma1": window.y, "sigma2": xi(window.t, window.y)}
+    cutoffs = {"sigma1": window.y, "sigma2": _xi(window.t, window.y)}
     for block, cut in cutoffs.items():
         length = max((_INNER_LENGTHS[block](pd, cut) for pd in pairs), default=0.0)
         if not length < SIEVE_MAX + 1:  # floor(length) terms; written so that NaN fails too
@@ -349,7 +330,7 @@ def explicit_terms(
     prefactor1 = _reading(_SIGMA1_PREFACTORS, "sigma1 variant", sigma1_variant)(cfg.sigma)
     factor2 = _reading(_SIGMA2_FACTORS, "sigma2 variant", sigma2_variant)(cfg.sigma)
     total1, terms1 = _sigma1_sum(window.t, window.y, cfg, A)
-    total2, terms2 = _sigma2_sum(window.t, xi(window.t, window.y), cfg, A, twist)
+    total2, terms2 = _sigma2_sum(window.t, _xi(window.t, window.y), cfg, A, twist)
     return ExplicitTerms(
         sigma1=(prefactor1 * total1).imag,
         sigma2=factor2 * total2.real,

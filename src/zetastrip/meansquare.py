@@ -46,7 +46,6 @@ __all__ = [
     "integrate_mean_square",
     "main_term",
     "check_zeta_work",
-    "MAX_ZETA_TERMS",
 ]
 
 _OSC_WIDTH_C = 3.0
@@ -60,7 +59,7 @@ _OSC_WIDTH_C = 3.0
 #: [4000, 8000] about 1.3e7; [1e9, 1e9 + 1e4] needs about 2.6e10 and is
 #: refused.  From T of about 12 000 on, a window [T, 2T] meets the
 #: quadrature's ``MAX_PANELS`` first.
-MAX_ZETA_TERMS = 2**30
+_MAX_ZETA_TERMS = 2**30
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def _initial_width(poly: DirichletPolynomial) -> Callable[[float], float]:
 
 def check_zeta_work(t_lo: float, t_hi: float, config: StripConfig, poly: DirichletPolynomial) -> None:
     """Reject an interval that is not ``0 <= t_lo <= t_hi < inf``, or whose
-    initial panels would need more than :data:`MAX_ZETA_TERMS` zeta terms,
+    initial panels would need more than :data:`_MAX_ZETA_TERMS` zeta terms,
     without calling zeta."""
     if not 0.0 <= t_lo <= t_hi < math.inf:  # written so that NaN fails too
         raise ValidationError(
@@ -113,18 +112,18 @@ def check_zeta_work(t_lo: float, t_hi: float, config: StripConfig, poly: Dirichl
     if not any(poly.coefficients) or t_lo == t_hi:  # the integrand calls no zeta
         return
     # Widths shrink as t grows, so the width at t_hi never undercounts the
-    # initial panels.  From MAX_ZETA_TERMS panels on the limit is exceeded at
+    # initial panels.  From _MAX_ZETA_TERMS panels on the limit is exceeded at
     # any cutoff, and the count may be inf, so the cutoff is not formed.
     panels = (t_hi - t_lo) / _initial_width(poly)(t_hi)
-    if panels < MAX_ZETA_TERMS:
+    if panels < _MAX_ZETA_TERMS:
         terms = NODES_PER_PANEL * math.ceil(panels) * zeta_terms(config.sigma, t_lo, t_hi)
     else:
         terms = math.inf
-    if terms > MAX_ZETA_TERMS:
+    if terms > _MAX_ZETA_TERMS:
         raise ValidationError(
-            f"mean-square integral on [{t_lo!r}, {t_hi!r}] needs about {terms:.3g} zeta "
+            f"mean-square integral on [t_lo, t_hi] = [{t_lo!r}, {t_hi!r}] needs about {terms:.3g} zeta "
             f"terms (initial evaluations x zeta terms per point), above the limit "
-            f"MAX_ZETA_TERMS = {MAX_ZETA_TERMS}"
+            f"MAX_ZETA_TERMS = {_MAX_ZETA_TERMS}"
         )
 
 
@@ -142,7 +141,7 @@ def integrate_mean_square(
     Initial panel widths are capped by the local oscillation scales of the
     two factors: ``c / log(2 + t)`` for zeta and ``c / log(2 + M)`` for the
     Dirichlet polynomial.  Before zeta is first called, the zeta work of the
-    initial panels is bounded by :data:`MAX_ZETA_TERMS` (:func:`check_zeta_work`).
+    initial panels is bounded by :data:`_MAX_ZETA_TERMS` (:func:`check_zeta_work`).
     """
     check_zeta_work(t_lo, t_hi, config, poly)
     with stage("mean-square integral"):

@@ -75,10 +75,6 @@ class QuadratureResult:
     panels: int
     evaluations: int
 
-    def __post_init__(self) -> None:
-        if self.error_estimate < 0.0:
-            raise ValidationError("error_estimate must be non-negative")
-
 
 def _initial_edges(a: float, b: float, initial_width: Callable[[float], float]) -> list[float]:
     edges: list[float] = [a]
@@ -147,7 +143,7 @@ def integrate_adaptive(
     finite.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValidationError("integration endpoints must be finite")
+        raise ValidationError(f"integration endpoints must be finite, got a = {a!r}, b = {b!r}")
     if b < a:
         raise ValidationError("integration requires b >= a")
     if not (0.0 < abs_tol < math.inf and 0.0 <= rel_tol < math.inf):

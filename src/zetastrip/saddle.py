@@ -27,10 +27,10 @@ phase predicts for them:
   derivative keeps one sign, checked to decay like ``T^(3/4 - alpha)``.
 
 * :func:`lemma4_compare` - the Voronoi-side integral weighted by
-  :func:`phi_weight` with phase
+  :func:`_phi_weight` with phase
   ``4 pi x sqrt(n) - 2 T arcsinh(x sqrt(pi/2T)) - sqrt(2 pi x^2 T + pi^2 x^4)
   + pi x^2``, against its saddle term at ``x0 = (T/(2 pi) - n)/sqrt(n)``
-  (present exactly when the indicator :func:`lemma4_delta` is 1).
+  (present exactly when the indicator :func:`_lemma4_delta` is 1).
 
 Error budgets evaluate the power-scale terms of each comparison; genuinely
 exponentially small contributions (``exp(-CT)`` with an unspecified absolute
@@ -72,13 +72,8 @@ __all__ = [
     "Lemma2Report",
     "Lemma3Report",
     "Lemma4Report",
-    "exp_integral_lhs",
-    "saddle_term",
     "lemma2_compare",
     "lemma3_decay",
-    "lemma3_phase_derivative",
-    "phi_weight",
-    "lemma4_delta",
     "lemma4_compare",
     "LOG_CONSTANT",
 ]
@@ -134,14 +129,14 @@ class ExpIntegralSpec:
             raise ValidationError(
                 f"alpha must keep |alpha - 1| > 0.01, got {self.alpha}"
             )
-        if not (0.0 < self.a_lo < self.b_hi):
+        if not (0.0 < self.a_lo < self.b_hi < math.inf):
             raise ValidationError(
                 f"need 0 < a_lo < b_hi, got a_lo={self.a_lo}, b_hi={self.b_hi}"
             )
-        if self.k_freq <= 0.0:
-            raise ValidationError(f"k_freq must be positive, got {self.k_freq}")
-        if self.T < 1.0:
-            raise ValidationError(f"T must be >= 1, got {self.T}")
+        if not 0.0 < self.k_freq < math.inf:
+            raise ValidationError(f"k_freq must be positive and finite, got {self.k_freq}")
+        if not 1.0 <= self.T < math.inf:
+            raise ValidationError(f"T must be finite and >= 1, got {self.T}")
         if self.sign not in (+1, -1):
             raise ValidationError(f"sign must be +1 or -1, got {self.sign}")
 
@@ -172,7 +167,7 @@ def _phase_integral(
         return integrate_adaptive(integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, initial_width=width)
 
 
-def exp_integral_lhs(
+def _exp_integral_lhs(
     spec: ExpIntegralSpec,
     *,
     abs_tol: float = 1e-7,
@@ -195,7 +190,7 @@ def exp_integral_lhs(
     return _phase_integral(integrand, derivative, spec.a_lo, spec.b_hi, abs_tol, rel_tol)
 
 
-def saddle_term(spec: ExpIntegralSpec) -> complex:
+def _saddle_term(spec: ExpIntegralSpec) -> complex:
     """The explicit stationary-phase term of the logarithmic-kernel integral.
 
     Defined for the plus sign and ``k > 0`` only (with the minus sign the
@@ -285,14 +280,14 @@ def lemma2_compare(
         raise ValidationError(
             f"lemma2 mode requires b_hi >= max(T, 1/k, U - 1/2) = {b_floor:.4g}"
         )
-    result = exp_integral_lhs(spec, abs_tol=abs_tol, rel_tol=rel_tol)
+    result = _exp_integral_lhs(spec, abs_tol=abs_tol, rel_tol=rel_tol)
     exponent = spec.gamma - spec.alpha - spec.beta
     budgets = {
         "budget_endpoint_a": spec.a_lo ** (1.0 - spec.alpha) / T,
         "budget_endpoint_b": spec.b_hi**exponent / k,
     }
     if spec.sign == +1:
-        saddle = saddle_term(spec)
+        saddle = _saddle_term(spec)
         if k <= T:
             r_branch = "k<=T"
             budgets["budget_saddle_r"] = T ** (0.5 * exponent - 0.25) * k ** (-0.5 * exponent - 1.25)
@@ -308,7 +303,7 @@ def lemma2_compare(
     return Lemma2Report(complex(result.value), saddle, float(result.error_estimate), budgets, r_branch)
 
 
-def lemma3_phase_derivative(x, k: float):
+def _lemma3_phase_derivative(x, k: float):
     """Derivative of the no-saddle phase; negative for all ``x > 0``.
 
     ``-2 arcsinh sqrt(pi k/2x) + sqrt(pi k)/sqrt(pi k + 2x)
@@ -352,7 +347,7 @@ def _lemma3_integral(alpha: float, k: float, T: float) -> complex:
         magnitude = x**-alpha / (asr * u_sq**0.25)
         return magnitude * cis(phase)
 
-    result = _phase_integral(integrand, lambda x: lemma3_phase_derivative(x, k), T, 2.0 * T, 1e-10, 1e-9)
+    result = _phase_integral(integrand, lambda x: _lemma3_phase_derivative(x, k), T, 2.0 * T, 1e-10, 1e-9)
     return complex(result.value)
 
 
@@ -366,8 +361,8 @@ def lemma3_decay(alpha: float, k: float, t_grid) -> Lemma3Report:
     t_values = tuple(float(t) for t in t_grid)
     if len(t_values) < 2:
         raise ValidationError("lemma3_decay needs at least two T values")
-    if any(t < 10.0 for t in t_values):
-        raise ValidationError("lemma3_decay requires T >= 10")
+    if not all(10.0 <= t < math.inf for t in t_values):
+        raise ValidationError(f"lemma3_decay requires T >= 10, finite, at each T of t_grid, got {t_values}")
     for earlier, later in zip(t_values, t_values[1:]):
         if not math.isclose(later, 2.0 * earlier, rel_tol=1e-12):
             raise ValidationError("t_grid must double at each step")
@@ -379,7 +374,7 @@ def lemma3_decay(alpha: float, k: float, t_grid) -> Lemma3Report:
     _check_exponent("alpha", alpha)
     for t in t_values:
         # |phase'| decreases in x: no initial panel on [T, 2T] is wider than at 2T.
-        panels = max(t * abs(lemma3_phase_derivative(2.0 * t, k)) / PHASE_RADIANS_PER_PANEL, 16.0)
+        panels = max(t * abs(_lemma3_phase_derivative(2.0 * t, k)) / PHASE_RADIANS_PER_PANEL, 16.0)
         if panels > quadrature.MAX_PANELS:
             raise ValidationError(
                 f"lemma3_decay at T = {t:g}, k = {k:g} needs at least {panels:.0f} initial "
@@ -392,17 +387,13 @@ def lemma3_decay(alpha: float, k: float, t_grid) -> Lemma3Report:
     return Lemma3Report(t_values=t_values, magnitudes=magnitudes, ratios=ratios)
 
 
-def phi_weight(alpha: float, T: float, x: np.ndarray) -> np.ndarray:
+def _phi_weight(alpha: float, T: float, x: np.ndarray) -> np.ndarray:
     """The shared saddle weight ``phi_alpha(T, x)`` at each entry of the 1-d
-    float array ``x``.
+    float array ``x > 0``, for ``T > 0``.
 
     ``x^(-alpha) arcsinh^(-1)(x sqrt(pi/2T))
     (sqrt(T/(2 pi x^2) + 1/4) + 1/2)^(-1) (T/(2 pi x^2) + 1/4)^(-1/4)``.
     """
-    if np.any(x <= 0.0):
-        raise ValidationError("phi_weight requires x > 0")
-    if T <= 0.0:
-        raise ValidationError(f"phi_weight requires T > 0, got {T}")
     core = T / (2.0 * math.pi * x**2) + 0.25
     return (
         x**-alpha
@@ -412,12 +403,10 @@ def phi_weight(alpha: float, T: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def lemma4_delta(n: int, a_lo: float, b_hi: float, T: float) -> int:
-    """Saddle indicator: 1 iff ``n <= T/(2 pi)`` and
+def _lemma4_delta(n: int, a_lo: float, b_hi: float, T: float) -> int:
+    """Saddle indicator of an integer ``n >= 1``: 1 iff ``n <= T/(2 pi)`` and
     ``n a^2 <= (T/(2 pi) - n)^2 <= n b^2`` (the saddle
     ``x0 = (T/(2 pi) - n)/sqrt(n)`` lies inside ``[a, b]``)."""
-    if n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n}")
     t_over = T / (2.0 * math.pi)
     return int(n <= t_over and n * a_lo**2 <= (t_over - n) ** 2 <= n * b_hi**2)
 
@@ -461,7 +450,8 @@ def lemma4_compare(
     with ``c`` = :data:`LOG_CONSTANT` = 2 (see the module docstring).
 
     Requires ``a_lo/sqrt(T)`` inside ``[0.05, 100]`` (the fixed-constant
-    window of the hypothesis ``A sqrt(T) < a < B sqrt(T)``).
+    window of the hypothesis ``A sqrt(T) < a < B sqrt(T)``), and at most
+    ``MAX_PANELS`` periods ``2 sqrt(n) (b_hi - a_lo)`` of the phase's linear part.
     """
     _check_exponent("alpha", alpha)
     if n < 1:
@@ -476,6 +466,10 @@ def lemma4_compare(
             f"a_lo/sqrt(T) = {endpoint_scale:.4g} outside "
             f"[{LEMMA4_ENDPOINT_LO}, {LEMMA4_ENDPOINT_HI}]"
         )
+    periods = 2.0 * math.sqrt(n) * (b_hi - a_lo)  # of the phase's linear part 4 pi sqrt(n) x
+    if not periods <= quadrature.MAX_PANELS:  # written so that NaN fails too
+        raise ValidationError(f"lemma4 at n = {n} on [a_lo, b_hi] = [{a_lo}, {b_hi}] spans 2 sqrt(n) (b_hi - a_lo) "
+                              f"= {periods:.4g} periods of its phase, above the panel budget {quadrature.MAX_PANELS}")
     root_n = math.sqrt(n)
     sqrt_half = math.sqrt(math.pi / (2.0 * T))
 
@@ -487,7 +481,7 @@ def lemma4_compare(
             - radical
             + math.pi * x**2
         )
-        return phi_weight(alpha, T, x) * cis(phase)
+        return _phi_weight(alpha, T, x) * cis(phase)
 
     def derivative(x: float) -> float:
         core = 2.0 * math.pi * T + math.pi**2 * x**2
@@ -499,7 +493,7 @@ def lemma4_compare(
 
     result = _phase_integral(integrand, derivative, a_lo, b_hi, abs_tol, rel_tol)
 
-    delta = lemma4_delta(n, a_lo, b_hi, T)
+    delta = _lemma4_delta(n, a_lo, b_hi, T)
     t_over = T / (2.0 * math.pi)
     if delta == 1:
         gap = t_over - n

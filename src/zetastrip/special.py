@@ -7,7 +7,7 @@ explicit and testable:
 * ``zeta``       -- Riemann zeta via Euler--Maclaurin with Bernoulli
                     corrections through B10; remainder is estimated and a
                     :class:`PrecisionError` is raised when it exceeds
-                    ``ZETA_ABS_TOL``.
+                    ``_ZETA_ABS_TOL``.
 * ``zeta_line``  -- vectorised ``zeta(sigma + i t)`` along a fixed real part,
                     the quadrature integrand workhorse.  Below
                     ``RS_MIN_HEIGHT`` = 500 (and off ``RS_SIGMA_BAND``) it
@@ -78,15 +78,11 @@ __all__ = [
     "zeta_line",
     "dirichlet_sum",
     "cis",
-    "ZETA_ABS_TOL",
     "em_cutoff",
     "zeta_terms",
     "RS_MIN_HEIGHT",
     "gamma",
     "bessel",
-    "X_SWITCH_JY",
-    "X_SWITCH_K",
-    "NEAR_INTEGER_DELTA",
 ]
 
 
@@ -107,10 +103,14 @@ def arcsinh(x):
     next term is below one ulp there); where ``x^2`` overflows,
     ``log|x| + log 2`` (the rest is below one ulp there); otherwise the
     cancellation-free form ``log1p(x + x^2/(1 + sqrt(1 + x^2)))``.  The last
-    two are formed on ``|x|`` and restored by odd symmetry.
+    two are formed on ``|x|`` and restored by odd symmetry.  A non-finite
+    ``x`` is refused.
     """
     arr = np.asarray(x, dtype=np.float64)
     ax = np.abs(arr)
+    top = float(np.max(ax, initial=0.0))  # NaN if any x is NaN
+    if not top < math.inf:
+        raise ValidationError(f"arcsinh requires every x finite, got max |x| = {top!r}")
     small = ax < _ARCSINH_SERIES_CUT
     huge = ax > _SQUARE_MAX  # where x^2 overflows, infinite x included
     # series branch, formed on the small entries only
@@ -120,7 +120,7 @@ def arcsinh(x):
     ax_safe = np.where(small | huge, 1.0, ax)
     big = np.sign(arr) * np.log1p(ax_safe + ax_safe * ax_safe / (1.0 + np.sqrt(1.0 + ax_safe * ax_safe)))
     out = np.where(small, series, big)
-    if huge.any():  # log branch on |x|, restored by symmetry
+    if top > _SQUARE_MAX:  # log branch on |x|, restored by symmetry
         out = np.where(huge, np.sign(arr) * (np.log(np.where(huge, ax, 1.0)) + _LN2), out)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
@@ -136,13 +136,18 @@ _B2K = {2: 1.0 / 6.0, 4: -1.0 / 30.0, 6: 1.0 / 42.0, 8: -1.0 / 30.0, 10: 5.0 / 6
 _B12_OVER_12FACT = (-691.0 / 2730.0) / math.factorial(12)
 _EM_ORDERS = (2, 4, 6, 8, 10)
 # Largest accepted Euler--Maclaurin remainder bound (absolute).
-ZETA_ABS_TOL = 1e-12
+_ZETA_ABS_TOL = 1e-12
+# Bounds of zeta and zeta_line: |sigma| (beyond, zeta is 1 or no cutoff meets the tolerance), terms per point.
+_SIGMA_MAX = 100.0
+_POINT_TERMS = 2**22
 
 
 def em_cutoff(t_max: float) -> int:
     """Euler--Maclaurin cutoff ``max(20, ceil(2 t_max))`` of :func:`zeta` and
     :func:`zeta_line` at heights up to ``t_max``: the number of terms of the
-    main sum."""
+    main sum.  ``2 |t_max|`` must be a finite float."""
+    if not 2.0 * abs(t_max) < math.inf:  # written so that NaN fails too
+        raise ValidationError(f"em_cutoff requires a finite 2 |t_max|, got t_max = {t_max!r}")
     return max(20, int(math.ceil(2.0 * t_max)))
 
 
@@ -151,26 +156,31 @@ def zeta(s: complex) -> complex:
 
     Euler--Maclaurin with cutoff ``N = max(20, ceil(2 |Im s|))`` and
     Bernoulli corrections through B10.  The first omitted correction term
-    bounds the remainder; if it exceeds ``ZETA_ABS_TOL`` the cutoff is
+    bounds the remainder; if it exceeds ``_ZETA_ABS_TOL`` the cutoff is
     enlarged once (which only helps when ``Re s`` is not too negative) and
     a :class:`PrecisionError` is raised if the bound still fails.  A
-    non-finite real part sigma or imaginary part t is refused.
+    non-finite real part sigma or imaginary part t is refused, and so are
+    ``|sigma| > _SIGMA_MAX`` and ``N > _POINT_TERMS``.
     """
     s = complex(s)
     for name, part in (("sigma = Re s", s.real), ("t = Im s", s.imag)):
         if not math.isfinite(part):
             raise ValidationError(f"zeta requires a finite {name}, got {part!r}")
+    if not (abs(s.real) <= _SIGMA_MAX and 2.0 * abs(s.imag) <= _POINT_TERMS):
+        raise ValidationError(
+            f"zeta requires |sigma = Re s| <= {_SIGMA_MAX:g} and 2 |t = Im s| <= {_POINT_TERMS}, got s = {s!r}"
+        )
     if s == 1.0:
         raise ValidationError("zeta has a pole at s = 1")
     value, remainder = _zeta_em_f64(s, em_cutoff(abs(s.imag)))
-    if remainder > ZETA_ABS_TOL:
+    if remainder > _ZETA_ABS_TOL:
         # One retry with a larger cutoff before giving up.
         bigger = 4 * em_cutoff(abs(s.imag))
         value, remainder = _zeta_em_f64(s, bigger)
-        if remainder > ZETA_ABS_TOL:
+        if remainder > _ZETA_ABS_TOL:
             raise PrecisionError(
                 f"Euler-Maclaurin remainder {remainder:.2e} exceeds "
-                f"ZETA_ABS_TOL {ZETA_ABS_TOL:.2e} at s = {s}"
+                f"ZETA_ABS_TOL {_ZETA_ABS_TOL:.2e} at s = {s}"
             )
     return value
 
@@ -199,7 +209,7 @@ def _em_tail(total, s, n_cut: int):
 
 def _em_bound(s: complex, n_cut: int) -> float:
     """Size of the first omitted (B12) Euler--Maclaurin term at ``s``: the
-    remainder bound checked against ``ZETA_ABS_TOL``."""
+    remainder bound checked against ``_ZETA_ABS_TOL``."""
     rise = 1.0 + 0.0j  # the rising factorial s (s + 1) ... (s + 10)
     for j in range(11):
         rise *= s + j
@@ -224,7 +234,7 @@ def cis(theta: np.ndarray, sign: int = 1, out: np.ndarray | None = None) -> np.n
     is ``theta + 0.0`` for ``1j * theta``, ``-theta`` for ``-1j * theta``.
     ``y``, its cos and its sin go straight into the halves of ``out`` (a new
     complex array by default), with no complex multiply and no exp;
-    ``theta`` may be ``out.imag`` itself."""
+    ``theta`` may be ``out.imag`` itself.  Unchecked: every caller hands it finite ``theta``."""
     out = np.empty(np.shape(theta), dtype=np.complex128) if out is None else out
     if sign > 0:
         np.add(theta, 0.0, out=out.imag)
@@ -285,7 +295,8 @@ def dirichlet_sum(t: np.ndarray, log_n: np.ndarray, amp: np.ndarray) -> np.ndarr
     products ``t log_n`` written into its imaginary half for :func:`cis`:
     at most ``max(65 * columns, _BLOCK_CELLS + columns)`` elements for
     ``columns = min(chunk, log_n.size)`` and never more than
-    ``_LINE_CHUNK``; for a 7 680-point batch that is under 1 MB.
+    ``_LINE_CHUNK``; for a 7 680-point batch that is under 1 MB.  Every
+    caller hands it finite values, so none is checked.
     """
     out = np.zeros(t.size, dtype=np.complex128)
     if t.size == 0 or log_n.size == 0:
@@ -331,14 +342,17 @@ def zeta_line(sigma: float, t) -> np.ndarray:
       Euler--Maclaurin's on [500, 4000].
     * The other points take Euler--Maclaurin with the shared cutoff ``N =
       max(20, ceil(2 max|t|))`` over them; a remainder bound above
-      ``ZETA_ABS_TOL`` raises :class:`PrecisionError`.
+      ``_ZETA_ABS_TOL`` raises :class:`PrecisionError`.
 
     Both bounds are checked before any main sum is formed.  The
     Euler--Maclaurin main sum is one :func:`dirichlet_sum` with the bits of
     the one-shot product, so a sub-switch point's value depends only on the
     number and largest ordinate of the sub-switch points in its batch, and
     a batch below the switch has the bits of Euler--Maclaurin alone.  A
-    non-finite ``sigma`` or ``t`` is refused before any sum.
+    non-finite ``sigma`` or ``t`` is refused before any sum, and so are
+    ``|sigma| > _SIGMA_MAX`` and ``zeta_terms(sigma, 0, max|t|) >
+    _POINT_TERMS``.  Where the remainder bound fails at ``N``, the cutoff
+    is ``4 N``, as in :func:`zeta`.
     """
     if not math.isfinite(sigma):
         raise ValidationError(f"zeta_line requires a finite sigma, got {sigma!r}")
@@ -347,15 +361,21 @@ def zeta_line(sigma: float, t) -> np.ndarray:
     t_top = float(np.max(flat, initial=0.0))  # NaN if any t is NaN
     if not t_top < math.inf:
         raise ValidationError(f"zeta_line requires every t finite, got max |t| = {t_top!r}")
+    if not (abs(sigma) <= _SIGMA_MAX and zeta_terms(sigma, 0.0, t_top) <= _POINT_TERMS):
+        raise ValidationError(f"zeta_line requires |sigma| <= {_SIGMA_MAX:g} and at most {_POINT_TERMS} terms "
+                              f"per point, got sigma = {sigma!r}, max |t| = {t_top!r}")
     high = _uses_rs(sigma, flat)
     low = flat[~high]
     t_hi = float(low.max()) if low.size else 0.0
     n_cut = zeta_terms(sigma, 0.0, t_hi)
     remainder = _em_bound(sigma + 1j * t_hi, n_cut)
-    if remainder > ZETA_ABS_TOL:
+    if remainder > _ZETA_ABS_TOL:
+        n_cut *= 4
+        remainder = _em_bound(sigma + 1j * t_hi, n_cut)
+    if remainder > _ZETA_ABS_TOL:
         raise PrecisionError(
             f"Euler-Maclaurin remainder bound {remainder:.2e} exceeds "
-            f"ZETA_ABS_TOL {ZETA_ABS_TOL:.2e} on this ordinate batch"
+            f"ZETA_ABS_TOL {_ZETA_ABS_TOL:.2e} on this ordinate batch"
         )
     terms = _rs_terms(sigma, float(flat[high].min())) if high.any() else 0
     out = np.empty(flat.size, dtype=np.complex128)
@@ -446,6 +466,9 @@ def zeta_terms(sigma: float, t_lo: float, t_hi: float) -> int:
     """Most main-sum terms :func:`zeta_line` spends on one point with
     ``t_lo <= |t| <= t_hi``: the Euler--Maclaurin cutoff below the switch,
     ``2 floor(sqrt(t / 2 pi))`` (both Riemann--Siegel sums) at and above it."""
+    if not (math.isfinite(sigma) and 0.0 <= t_lo <= t_hi < math.inf):  # written so that NaN fails too
+        raise ValidationError(f"zeta_terms requires a finite sigma and 0 <= t_lo <= t_hi < inf, "
+                              f"got sigma = {sigma!r}, [t_lo, t_hi] = [{t_lo!r}, {t_hi!r}]")
     if not _uses_rs(sigma, np.float64(t_hi)):
         return em_cutoff(t_hi)
     rs = 2 * math.floor(math.sqrt(t_hi / (2.0 * math.pi)))
@@ -740,10 +763,12 @@ _LANCZOS_COEF = (
 def gamma(z: complex) -> complex:
     """Gamma function for complex ``z`` (Lanczos g=7 with reflection).
 
-    Raises :class:`ValidationError` at the poles (non-positive integers).
-    Returns a real float for real input.
+    Raises :class:`ValidationError` at the poles (non-positive integers)
+    and for ``|z| > 140``.  Returns a real float for real input.
     """
     zc = complex(z)
+    if not abs(zc) <= 140.0:  # Lanczos's (z + 6.5)^(z - 1/2) overflows from z = 143; NaN fails too
+        raise ValidationError(f"gamma requires |z| <= 140, got z = {z!r}")
     real_input = zc.imag == 0.0
     if real_input and zc.real <= 0.0 and zc.real == int(zc.real):
         raise ValidationError(f"gamma pole at z = {zc.real:g}")
@@ -775,10 +800,10 @@ def _sinpi(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 NU_BAND = (0.35, 1.15)
-X_SWITCH_JY = 11.0
-X_SWITCH_K = 5.0
+_X_SWITCH_JY = 11.0
+_X_SWITCH_K = 5.0
 X_SWITCH_K_ASYMPTOTIC = 13.0
-NEAR_INTEGER_DELTA = 5e-3
+_NEAR_INTEGER_DELTA = 5e-3
 _NEAR_INTEGER_NODES = (-0.0175, -0.0125, -0.0075, 0.0075, 0.0125, 0.0175)
 _SERIES_MAX_TERMS = 220
 _ASYMPTOTIC_MAX_TERMS = 40
@@ -797,30 +822,34 @@ def bessel(nu: float, x: np.ndarray) -> np.ndarray:
     Supported order band: ``nu in [0.35, 1.15]`` (the band the
     Voronoi-series evaluators actually use, with margin).  Branches:
 
-    * ``x <= X_SWITCH_JY`` (J, Y) or ``x <= X_SWITCH_K`` (K): ascending power
+    * ``x <= _X_SWITCH_JY`` (J, Y) or ``x <= _X_SWITCH_K`` (K): ascending power
       series; Y and K by reflection from orders ``+nu`` and ``-nu``.
-    * ``X_SWITCH_K < x <= X_SWITCH_K_ASYMPTOTIC`` (K): the integral
+    * ``_X_SWITCH_K < x <= X_SWITCH_K_ASYMPTOTIC`` (K): the integral
       representation on a fixed trapezoid grid.
     * above the switch: large-argument expansions, truncated at the
       smallest term per point.  One pass of their term recurrence serves
       all three kinds, and each term is formed only on the points whose
       expansion has not yet stopped.
 
-    Within ``NEAR_INTEGER_DELTA`` of an integer order the reflection
+    Within ``_NEAR_INTEGER_DELTA`` of an integer order the reflection
     formulas lose meaning; there Y and K on the series branch are continued
     polynomially in the order through four nearby non-singular orders.
+    Above ``x = 2**25`` the rounding of ``x`` alone moves the phase by more
+    than the 5e-9 accuracy of J and Y, so such an ``x`` is refused.
     """
     if not (NU_BAND[0] <= nu <= NU_BAND[1]):
         raise ValidationError(
-            f"bessel order {nu} outside supported band [{NU_BAND[0]}, {NU_BAND[1]}]"
+            f"bessel order nu = {nu} outside supported band [{NU_BAND[0]}, {NU_BAND[1]}]"
         )
-    if np.any(x <= 0.0):
+    if not np.min(x, initial=1.0) > 0.0:  # NaN if any x is NaN
         raise ValidationError("bessel requires x > 0")
+    if not np.max(x, initial=1.0) <= 2.0**25:
+        raise ValidationError(f"bessel requires x <= 2**25, got max x = {float(np.max(x))!r}")
     out = np.empty((3, x.size))
-    large = _bessel_large(nu, x[x > X_SWITCH_JY])
+    large = _bessel_large(nu, x[x > _X_SWITCH_JY])
     for row, kind, values in zip(out, "KYJ", large):
-        lo = x <= (X_SWITCH_K if kind == "K" else X_SWITCH_JY)
-        hi = x > (X_SWITCH_K_ASYMPTOTIC if kind == "K" else X_SWITCH_JY)
+        lo = x <= (_X_SWITCH_K if kind == "K" else _X_SWITCH_JY)
+        hi = x > (X_SWITCH_K_ASYMPTOTIC if kind == "K" else _X_SWITCH_JY)
         mid = ~(lo | hi)  # K's trapezoid range; empty for J and Y
         if lo.any():
             row[lo] = _bessel_small(kind, nu, x[lo])
@@ -846,10 +875,10 @@ def _k_trapezoid(nu: float, x: np.ndarray) -> np.ndarray:
 
 def _bessel_small(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
     near = round(nu)
-    if kind != "J" and abs(nu - near) < NEAR_INTEGER_DELTA:
+    if kind != "J" and abs(nu - near) < _NEAR_INTEGER_DELTA:
         # Polynomial continuation in the order across the removable
         # singularity of the reflection formula.  Node orders sit at least
-        # 0.0075 from the integer, outside the NEAR_INTEGER_DELTA band, so
+        # 0.0075 from the integer, outside the _NEAR_INTEGER_DELTA band, so
         # each evaluates directly.
         nodes = [near + d for d in _NEAR_INTEGER_NODES]
         values = [_bessel_small(kind, node, x) for node in nodes]
@@ -924,7 +953,7 @@ def _asymptotic_sums(nu: float, x: np.ndarray) -> np.ndarray:
 
 def _bessel_large(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K, Y and J above their switch points, from one :func:`_asymptotic_sums`
-    over ``x > X_SWITCH_JY``: J and Y share its P and Q and one cos and sin on
+    over ``x > _X_SWITCH_JY``: J and Y share its P and Q and one cos and sin on
     all of ``x``; K takes its S on ``x > X_SWITCH_K_ASYMPTOTIC``."""
     p, q, total = _asymptotic_sums(nu, x)
     top = x > X_SWITCH_K_ASYMPTOTIC

@@ -83,7 +83,6 @@ __all__ = [
     "delta_bessel",
     "delta_asymptotic",
     "delta_mean_square",
-    "term_envelope",
     "truncation_plan",
     "TWIST_MODES",
     "X_MAX",
@@ -128,10 +127,16 @@ def calibration_x_lo(k_mod: int) -> float:
 
     The kernel argument ``4 pi sqrt(x)/k`` then spans the same range on the
     window for every ``k >= 3``; a fixed ``x_lo = 40`` rejected the right fit
-    for ``k >= 5`` (drift ratio 0.12-0.17 against the limit 0.1).  A modulus
-    beyond ``X_MAX``, which no spec admits, is read as ``X_MAX``.
+    for ``k >= 5`` (drift ratio 0.12-0.17 against the limit 0.1).  ``k_mod``
+    must lie in ``[1, X_MAX]``, as in every spec.
     """
-    return 40.0 * max(1.0, min(k_mod, X_MAX) / 3.0) ** 2
+    _check_k_mod(k_mod)
+    return 40.0 * max(1.0, k_mod / 3.0) ** 2
+
+
+def _check_k_mod(k_mod: int) -> None:
+    if not 1 <= k_mod <= X_MAX:  # so that every h n of a sum is exact in int64
+        raise ValidationError(f"k_mod must satisfy 1 <= k_mod <= {X_MAX:.0f}, got {k_mod}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +186,7 @@ class TwistedSumSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.h, int) or not isinstance(self.k_mod, int):
             raise ValidationError("h and k_mod must be integers")
-        if not 1 <= self.k_mod <= X_MAX:  # so that every h n of a sum is exact in int64
-            raise ValidationError(f"k_mod must satisfy 1 <= k_mod <= {X_MAX:.0f}, got {self.k_mod}")
+        _check_k_mod(self.k_mod)
         if not 0 <= self.h < self.k_mod:
             raise ValidationError(
                 f"h must satisfy 0 <= h < k_mod, got h={self.h}, k_mod={self.k_mod}"
@@ -224,9 +228,9 @@ def _check_n_terms(n_terms: int) -> None:
         raise ValidationError(f"n_terms must satisfy 0 <= n_terms <= {X_MAX:.0f}, got {n_terms}")
 
 
-def _check_x_max(x: float) -> None:
+def _check_x_max(x: float, source: str = "") -> None:  # source: the argument x comes from
     if not x <= X_MAX:  # written so that NaN fails too
-        raise ValidationError(f"the twisted sum is formed only up to x = {X_MAX:g}, got x = {x!r}")
+        raise ValidationError(f"the twisted sum is formed only up to x = {X_MAX:g}, got x = {x!r}{source}")
 
 
 def _check_x(name: str, x: float) -> None:
@@ -302,7 +306,7 @@ def calibrate(
         x_lo = calibration_x_lo(spec.k_mod)
     if not (math.isfinite(x_lo) and x_lo >= 1.0):
         raise ValidationError(f"calibration requires x_lo >= 1, got {x_lo}")
-    _check_x_max(4.0 * x_lo)  # the window's top, before its grid is formed
+    _check_x_max(4.0 * x_lo, f" from x_lo = {x_lo!r}")  # the window's top, before its grid is formed
     if not 8 * _CALIBRATION_BLOCKS <= samples <= _CALIBRATION_MAX_SAMPLES or samples % _CALIBRATION_BLOCKS:
         raise ValidationError(
             f"calibration needs {8 * _CALIBRATION_BLOCKS} to {_CALIBRATION_MAX_SAMPLES} samples, "
@@ -405,7 +409,7 @@ def delta_direct(
     return values if xs.ndim else complex(values[0])
 
 
-def term_envelope(spec: TwistedSumSpec, x: float, n) -> np.ndarray | float:
+def _term_envelope(spec: TwistedSumSpec, x: float, n) -> np.ndarray:
     """Envelope of the ``n``-th oscillating-series term at ``x``.
 
     In the oscillatory regime (``4 pi sqrt(nx)/k`` large) every kernel branch
@@ -413,29 +417,18 @@ def term_envelope(spec: TwistedSumSpec, x: float, n) -> np.ndarray | float:
 
         envelope(n) = c(a, k) sigma_a(n) n^(-(1+a)/2) x^((1+a)/2) (n x)^(-1/4)
 
-    with ``c = (|cos(pi a/2)| + |sin(pi a/2)|) sqrt(k) / (pi sqrt(2))``.
+    with ``c = (|cos(pi a/2)| + |sin(pi a/2)|) sqrt(k) / (pi sqrt(2))``,
+    for ``1 <= x <= X_MAX`` and integers ``n >= 1``.
     """
-    _check_x("term_envelope", x)
     a = spec.a
     half = 0.5 * (1.0 + a)
-    const = (
-        (abs(math.cos(0.5 * math.pi * a)) + abs(math.sin(0.5 * math.pi * a)))
-        * math.sqrt(spec.k_mod)
-        / (math.pi * math.sqrt(2.0))
+    const = (abs(math.cos(0.5 * math.pi * a)) + abs(math.sin(0.5 * math.pi * a))) * math.sqrt(spec.k_mod) / (
+        math.pi * math.sqrt(2.0)
     )
     n_int = np.asarray(n)
-    if not (n_int.size and np.issubdtype(n_int.dtype, np.integer) and n_int.min() >= 1):
-        raise ValidationError(f"term_envelope requires integers n >= 1, got {n!r}")
     n_arr = n_int.astype(np.float64)
     sig = divisor_sigma_range(spec.a, int(n_int.max()))
-    values = (
-        const
-        * sig[n_int - 1]
-        * n_arr ** (-half)
-        * x**half
-        * (n_arr * x) ** -0.25
-    )
-    return float(values) if np.isscalar(n) else values
+    return const * sig[n_int - 1] * n_arr ** (-half) * x**half * (n_arr * x) ** -0.25
 
 
 def truncation_plan(
@@ -456,10 +449,10 @@ def truncation_plan(
     # Checked before the sieve and the envelope's powers.
     if not (math.isfinite(lo) and math.isfinite(hi) and 1.0 <= lo <= hi):
         raise ValidationError(f"x_range must satisfy 1 <= lo <= hi, got {(lo, hi)}")
-    _check_x_max(hi)
+    _check_x_max(hi, f" from x_range = {x_range!r}")
     _check_n_terms(n_terms)
     n_edge = max(n_terms, 1)
-    envelope = float(term_envelope(spec, hi, n_edge))
+    envelope = float(_term_envelope(spec, hi, n_edge))
     coherence = max(1.0, spec.k_mod * math.sqrt(n_edge) / math.sqrt(lo))
     tail = TAIL_SAFETY * envelope * coherence
     return TruncationPlan(n_terms=int(n_terms), tail_estimate=tail)
@@ -569,7 +562,7 @@ def delta_mean_square(spec: TwistedSumSpec, u: float, calibration: Calibration |
     if not (math.isfinite(u) and u >= 4.0):
         raise ValidationError(f"delta_mean_square requires u >= 4, got {u}")
     lo, hi = 0.5 * u, float(u)
-    _check_x_max(hi)  # before the fit
+    _check_x_max(hi, f" from u = {u!r}")  # before the fit
     cal = _calibration_of(spec, calibration, "delta_mean_square")
     # Formed at the first integrand call, once the panel budget has passed
     # the initial panels, so a refused u pays for no sieve of u entries.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,11 +14,12 @@ import pytest
 import zetastrip.arithmetic as arithmetic_module
 from zetastrip import special
 from zetastrip.arithmetic import (
+    SIEVE_MAX,
     DirichletPolynomial,
     coefficient_pairs,
     divisor_sigma_range,
     fsum_complex,
-    pair_data,
+    _pair_data,
     unit_phase,
 )
 from zetastrip.errors import ValidationError
@@ -28,7 +30,7 @@ def test_pair_data_identities():
     for _ in range(300):
         k = rng.randint(1, 400)
         l = rng.randint(1, 400)
-        pd = pair_data(k, l)
+        pd = _pair_data(k, l)
         g = math.gcd(k, l)
         assert pd.lcm == k * l // g
         assert pd.kappa * g == k and pd.lam * g == l
@@ -38,15 +40,13 @@ def test_pair_data_identities():
         else:
             assert 0 <= pd.kappa_bar < pd.lam
             assert (pd.kappa * pd.kappa_bar) % pd.lam == 1
-    with pytest.raises(ValidationError):
-        pair_data(0, 3)
 
 
 def test_coefficient_pairs_skip_zeros_in_order():
     A = DirichletPolynomial((2.0, 0.0, 1.0 - 1.0j))
     pairs = list(coefficient_pairs(A))
     # Each of the four pairs has its own data: lcm tells (1, 1) from (3, 3).
-    assert [pd for _, pd in pairs] == [pair_data(k, l) for k, l in [(1, 1), (1, 3), (3, 1), (3, 3)]]
+    assert [pd for _, pd in pairs] == [_pair_data(k, l) for k, l in [(1, 1), (1, 3), (3, 1), (3, 3)]]
     assert [product for product, _ in pairs] == [4.0, 2.0 + 2.0j, 2.0 - 2.0j, 2.0]
     assert fsum_complex([product for product, _ in pairs]) == 10.0
     assert fsum_complex([1e16 + 1j, 1.0 - 1e16j, -1e16 + 1e16j]) == 1.0 + 1.0j
@@ -126,6 +126,33 @@ def test_divisor_sigma_range_is_shared_by_threads(monkeypatch):
             assert arithmetic_module._sigma_sieves[a].size >= max(lengths)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    ("call", "fragment"),
+    [
+        (lambda: unit_phase(np.array([0, 1]), int(SIEVE_MAX) + 1), "1 <= modulus <= 1048576, got modulus = 1048577"),
+        (lambda: unit_phase(np.array([0, 1]), 10**30), "got modulus = 1000000000000000000000000000000"),
+        (lambda: unit_phase(np.array([0.5]), 7), "unit_phase requires an integer numerator, got dtype float64"),
+        (lambda: divisor_sigma_range(math.nan, 10), "exponent a in [-1, 1], got a = nan"),
+        (lambda: divisor_sigma_range(-math.inf, 10), "exponent a in [-1, 1], got a = -inf"),
+        (lambda: divisor_sigma_range(0.5, int(SIEVE_MAX) + 1), "1 <= n_max <= 1048576, got n_max = 1048577"),
+        (lambda: divisor_sigma_range(0.5, 10**30), "got n_max = 1000000000000000000000000000000"),
+        (lambda: DirichletPolynomial((1.0, math.nan)), "finite coefficients, got ((1+0j), (nan+0j))"),
+        (lambda: DirichletPolynomial((complex(1.0, math.inf),)), "finite coefficients, got ((1+infj),)"),
+    ],
+    ids=[
+        "modulus-above-sieve", "modulus-1e30", "float-numerator", "a-nan", "a-inf",
+        "n_max-above-sieve", "n_max-1e30", "nan-coefficient", "inf-coefficient",
+    ],
+)
+def test_arithmetic_refuses_by_name_before_forming_any_array(call, fragment, no_new_arrays):
+    # unit_phase used to build the table of all modulus exps (a 4 GB table at
+    # 2^28), or end in numpy's ValueError; divisor_sigma_range returned nan
+    # entries for a = nan and ended in numpy's ValueError above the sieve; and
+    # the polynomial took non-finite coefficients.
+    with pytest.raises(ValidationError, match=re.escape(fragment)):
+        call()
 
 
 def test_unit_phase_exactness():

@@ -24,11 +24,11 @@ from zetastrip.explicit import (
     _sigma1_sum,
     _sigma2_sum,
     explicit_terms,
-    f_phase,
-    g_phase,
+    _f_phase,
+    _g_phase,
     theorem1_report,
     theorem2_report,
-    xi,
+    _xi,
 )
 from zetastrip.meansquare import StripConfig, integrate_mean_square, main_term
 from zetastrip.special import cis, gamma, zeta
@@ -62,38 +62,30 @@ def test_window_validation_and_scaling():
 def test_xi_defining_identity_and_range():
     for T in (10.0, 250.0, 5000.0):
         a = T / (2.0 * math.pi)
-        assert xi(T, 0.0) == pytest.approx(a, rel=1e-14)
+        assert _xi(T, 0.0) == pytest.approx(a, rel=1e-14)
         last = a
         for u in (0.1, 1.0, T, 10.0 * T):
-            val = xi(T, u)
+            val = _xi(T, u)
             assert 0.0 < val <= a
             lhs = (a + 0.5 * u - val) ** 2
             rhs = 0.25 * u * u + u * a
             assert lhs == pytest.approx(rhs, rel=1e-12)
             assert val < last  # strictly decreasing in u
             last = val
-    with pytest.raises(ValidationError):
-        xi(0.0, 1.0)
-    with pytest.raises(ValidationError):
-        xi(10.0, -1.0)
 
 
 def test_f_phase_values_and_guards():
     T = 100.0
-    assert f_phase(T, np.array([0.0]))[0] == pytest.approx(-0.25 * math.pi)
+    assert _f_phase(T, np.array([0.0]))[0] == pytest.approx(-0.25 * math.pi)
     u = 7.3
     expected = (
         2.0 * T * math.asinh(math.sqrt(math.pi * u / (2.0 * T)))
         + math.sqrt(2.0 * math.pi * u * T + (math.pi * u) ** 2)
         - 0.25 * math.pi
     )
-    assert f_phase(T, np.array([u]))[0] == pytest.approx(expected, rel=1e-15)
+    assert _f_phase(T, np.array([u]))[0] == pytest.approx(expected, rel=1e-15)
     with pytest.raises(TypeError):
-        f_phase(T, np.array([1.0]), radicand="plus")  # the radical has one sign only
-    with pytest.raises(ValidationError):
-        f_phase(-1.0, np.array([1.0]))
-    with pytest.raises(ValidationError):
-        f_phase(T, np.array([1.0, -1.0]))
+        _f_phase(T, np.array([1.0]), radicand="plus")  # the radical has one sign only
 
 
 def test_f_phase_derivative_closed_form():
@@ -102,21 +94,19 @@ def test_f_phase_derivative_closed_form():
     #   d/du sqrt(pi u (2T + pi u))  = sqrt(pi) (T + pi u)/sqrt(u (2T + pi u)),
     # and the sum telescopes to sqrt(2 pi T/u + pi^2).  Central differences.
     T, u, h = 180.0, 11.0, 1e-5
-    numeric = (f_phase(T, np.array([u + h])) - f_phase(T, np.array([u - h])))[0] / (2.0 * h)
+    numeric = (_f_phase(T, np.array([u + h])) - _f_phase(T, np.array([u - h])))[0] / (2.0 * h)
     assert numeric == pytest.approx(math.sqrt(2.0 * math.pi * T / u + math.pi**2), rel=1e-9)
 
 
 def test_g_phase_closed_form():
     T, u = 90.0, 4.2
     expected = T * math.log(T / (2.0 * math.pi * u)) - T + 2.0 * math.pi * u + 0.25 * math.pi
-    assert g_phase(T, np.array([u]))[0] == pytest.approx(expected, rel=1e-15)
+    assert _g_phase(T, np.array([u]))[0] == pytest.approx(expected, rel=1e-15)
     # Stationary point of g in u is at u = T/(2 pi).
     h = 1e-6
     u0 = T / (2.0 * math.pi)
-    numeric = (g_phase(T, np.array([u0 + h])) - g_phase(T, np.array([u0 - h])))[0] / (2.0 * h)
+    numeric = (_g_phase(T, np.array([u0 + h])) - _g_phase(T, np.array([u0 - h])))[0] / (2.0 * h)
     assert abs(numeric) < 1e-6
-    with pytest.raises(ValidationError):
-        g_phase(T, np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +186,7 @@ def _matsumoto_blocks(sigma: float, T: float, Y: float) -> tuple[float, float]:
         weight = _divisor_power_sum(e, n) * n ** (sigma - 1.0) / root
         terms1.append((-1) ** n * weight * (T / (2.0 * math.pi * n) + 0.25) ** -0.25 * math.cos(f))
     terms2 = []
-    for n in range(1, math.floor(xi(T, Y)) + 1):
+    for n in range(1, math.floor(_xi(T, Y)) + 1):
         log_ratio = math.log(T / (2.0 * math.pi * n))
         g = T * log_ratio - T + 0.25 * math.pi
         terms2.append(_divisor_power_sum(e, n) * n ** (sigma - 1.0) / log_ratio * math.cos(g))
@@ -404,7 +394,7 @@ def _sigma1_sum_oracle(T, Y, cfg, A):
         u = n / kl
         asc = np.arcsinh(np.sqrt(math.pi * n / (2.0 * T * kl)))
         amplitude = sig * n ** (-sigma) / asc * (1.0 + 2.0 * T * kl / (math.pi * n)) ** -0.25
-        phase = f_phase(T, u) - math.pi * u + 0.5 * math.pi
+        phase = _f_phase(T, u) - math.pi * u + 0.5 * math.pi
         twist = unit_phase(pd.kappa_bar * np.arange(1, n_max + 1, dtype=np.int64), pd.lam)
         inner = np.sum(amplitude * twist * cis(phase))
         coeff = product / pd.lcm ** (2.0 * sigma) * kl**sigma * base_rotation * t_power
@@ -430,7 +420,7 @@ def _sigma2_sum_oracle(T, y_cut, cfg, A, twist):
         n_int = np.arange(1, n_max + 1, dtype=np.int64)
         multiplier = -pd.kappa if twist == "direct" else -pd.kappa_bar
         twist_values = unit_phase(multiplier * n_int, pd.lam)
-        inner = np.sum(sig * n ** (-sigma) * twist_values * cis(g_phase(T, u)) / np.log(saddle_scale / u))
+        inner = np.sum(sig * n ** (-sigma) * twist_values * cis(_g_phase(T, u)) / np.log(saddle_scale / u))
         coeff = product / pd.lcm ** (2.0 * sigma) * (pd.kappa * pd.lam) ** sigma
         values.append(coeff * complex(inner))
         terms += n_max
@@ -463,7 +453,7 @@ def test_blocks_bit_identical_to_the_former_block_sums(length, monkeypatch):
     poly = DirichletPolynomial(tuple(rng.normal(size=length) + 1j * rng.normal(size=length)))
     for sigma, T in itertools.product((0.3, 0.4, 0.45), (60.0, 250.0, 1000.0)):
         cfg, window = StripConfig(sigma), WindowConfig(0.5, 2.0, T, T)
-        y_cut = xi(T, T)
+        y_cut = _xi(T, T)
         sum1 = _sigma1_sum(T, T, cfg, poly)
         assert sum1 == _sigma1_sum_oracle(T, T, cfg, poly), (sigma, T)
         sums2 = {twist: _sigma2_sum(T, y_cut, cfg, poly, twist) for twist in TWIST_MODES}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from zetastrip import meansquare, quadrature, special
-from zetastrip.arithmetic import DirichletPolynomial, pair_data
+from zetastrip.arithmetic import DirichletPolynomial, _pair_data
 from zetastrip.errors import QuadratureNonConvergence, ValidationError
 from zetastrip.meansquare import (
     StripConfig,
@@ -95,7 +95,7 @@ def _main_term_oracle(T: float, sigma: float, coeffs) -> float:
     M = len(coeffs)
     for k in range(1, M + 1):
         for l in range(1, M + 1):
-            pd = pair_data(k, l)
+            pd = _pair_data(k, l)
             w = pd.kappa * pd.lam
             coeff = coeffs[k - 1] * mpmath.conj(mpmath.mpc(coeffs[l - 1]))
             total += (coeff / mpmath.mpf(pd.lcm) ** (2 * sigma) * (z1 * T + secondary * mpmath.mpf(w) ** (2 * sigma - 1))).real

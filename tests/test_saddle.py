@@ -17,14 +17,14 @@ from zetastrip.errors import QuadratureNonConvergence, ValidationError
 from zetastrip.saddle import (
     AUDIT_CONSTANT,
     ExpIntegralSpec,
-    exp_integral_lhs,
+    _exp_integral_lhs,
     lemma2_compare,
     lemma3_decay,
-    lemma3_phase_derivative,
+    _lemma3_phase_derivative,
     lemma4_compare,
-    lemma4_delta,
-    phi_weight,
-    saddle_term,
+    _lemma4_delta,
+    _phi_weight,
+    _saddle_term,
 )
 
 mpmath.mp.prec = 120
@@ -64,7 +64,7 @@ def test_spec_validation_and_derived_quantities():
 
 def test_exp_integral_against_mpmath():
     spec = _spec(a_lo=0.2, b_hi=3.0, T=40.0)
-    mine = exp_integral_lhs(spec, abs_tol=1e-10, rel_tol=1e-11).value
+    mine = _exp_integral_lhs(spec, abs_tol=1e-10, rel_tol=1e-11).value
 
     def integrand(y):
         phase = spec.T * mpmath.log((1 + y) / y) + 2 * mpmath.pi * spec.k_freq * y
@@ -78,7 +78,7 @@ def test_exp_integral_against_mpmath():
 def test_non_convergence_names_the_saddle_stage(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 40)  # 40 initial panels
     with pytest.raises(QuadratureNonConvergence) as info:
-        exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0), abs_tol=1e-300, rel_tol=0.0)
+        _exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0), abs_tol=1e-300, rel_tol=0.0)
     assert re.fullmatch(r"saddle phase integral: panel budget 40 exhausted .* on \[0\.2, 3\.0\]", str(info.value))
     assert info.value.value > 0.0 and info.value.error_estimate > 0.0
 
@@ -88,25 +88,25 @@ def test_initial_panels_may_fill_the_whole_budget(monkeypatch):
     # less is refused before any evaluation.
     spec = _spec(a_lo=0.2, b_hi=3.0, T=40.0)
     monkeypatch.setattr(quadrature, "MAX_PANELS", 40)
-    result = exp_integral_lhs(spec)
+    result = _exp_integral_lhs(spec)
     assert (result.panels, result.evaluations) == (40, 40 * quadrature.NODES_PER_PANEL)
     monkeypatch.setattr(quadrature, "MAX_PANELS", 39)
     with pytest.raises(ValidationError, match=r"^initial_width policy reached the panel budget 39 on \[0\.2, 3\.0\]$"):
-        exp_integral_lhs(spec)
+        _exp_integral_lhs(spec)
 
 
 def test_exp_integral_minus_sign_conjugates_frequency_only():
     # The minus case flips the linear frequency, not the whole phase: the
     # integral is NOT the conjugate of the plus case.
-    plus = exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0)).value
-    minus = exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0, sign=-1)).value
+    plus = _exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0)).value
+    minus = _exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0, sign=-1)).value
     assert abs(minus - plus.conjugate()) > 0.01
     assert abs(minus) < abs(plus)  # no interior stationary point survives
 
 
 def test_saddle_term_closed_form():
     spec = _spec()
-    term = saddle_term(spec)
+    term = _saddle_term(spec)
     U, V = spec.u_value, spec.v_value
     k, T = spec.k_freq, spec.T
     expected_mag = math.sqrt(T) / (
@@ -122,7 +122,7 @@ def test_saddle_term_closed_form():
     expected = expected_mag * complex(math.cos(phase), math.sin(phase))
     assert term == pytest.approx(expected, rel=1e-13)
     with pytest.raises(ValidationError):
-        saddle_term(_spec(sign=-1))
+        _saddle_term(_spec(sign=-1))
 
 
 def test_lemma2_report_pins():
@@ -166,7 +166,7 @@ def test_lemma2_precondition_checks():
 
 def test_lemma3_phase_derivative_never_vanishes():
     xs = np.geomspace(0.05, 5000.0, 200)
-    d = lemma3_phase_derivative(xs, 1.0)
+    d = _lemma3_phase_derivative(xs, 1.0)
     assert np.all(np.abs(d) > 0.0)
 
 
@@ -195,7 +195,7 @@ def test_lemma3_phase_derivative_magnitude_decreases_in_x():
     # lemma3_decay's panel bound reads |phase'| at 2T as its least on [T, 2T].
     xs = np.geomspace(1.0, 1e7, 400)
     for k in np.geomspace(1e-6, 1e300, 200):
-        assert np.all(np.diff(np.abs(lemma3_phase_derivative(xs, float(k)))) < 0.0), k
+        assert np.all(np.diff(np.abs(_lemma3_phase_derivative(xs, float(k)))) < 0.0), k
 
 
 def _no_integral(*args):
@@ -219,7 +219,7 @@ def test_lemma3_refuses_a_grid_over_the_panel_budget_before_any_integral(monkeyp
 def test_lemma3_refuses_a_k_whose_2_pi_k_overflows_before_any_phase_derivative(monkeypatch, k):
     # 1e308 and 1.797e308 used to warn "invalid value encountered in scalar
     # divide" in the phase derivative; 5e307 reached the panel bound.
-    monkeypatch.setattr(saddle, "lemma3_phase_derivative", _no_integral)
+    monkeypatch.setattr(saddle, "_lemma3_phase_derivative", _no_integral)
     monkeypatch.setattr(saddle, "_lemma3_integral", _no_integral)
     message = f"k must keep 2 pi k finite, k <= 2.86112e+307, got {k:g}"
     with warnings.catch_warnings():
@@ -253,19 +253,19 @@ def test_phi_weight_closed_form():
         / (math.sqrt(T / (2.0 * math.pi * x**2) + 0.25) + 0.5)
         / (T / (2.0 * math.pi * x**2) + 0.25) ** 0.25
     )
-    assert phi_weight(alpha, T, np.array([x]))[0] == pytest.approx(expected, rel=1e-13)
+    assert _phi_weight(alpha, T, np.array([x]))[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_lemma4_delta_saddle_membership():
     T = 200.0
     n_limit = T / (2.0 * math.pi)  # ~31.83
     a_lo, b_hi = math.sqrt(T), 10.0 * math.sqrt(T)
-    assert lemma4_delta(3, a_lo, b_hi, T) == 1
-    assert lemma4_delta(40, a_lo, b_hi, T) == 0  # n beyond T/(2 pi)
+    assert _lemma4_delta(3, a_lo, b_hi, T) == 1
+    assert _lemma4_delta(40, a_lo, b_hi, T) == 0  # n beyond T/(2 pi)
     # Saddle x0 = (T/2pi - n)/sqrt(n) must lie inside [a, b].
     n_outside = 7
     x0 = (T / (2.0 * math.pi) - n_outside) / math.sqrt(n_outside)
-    assert x0 < a_lo or x0 > b_hi or lemma4_delta(n_outside, a_lo, b_hi, T) == 1
+    assert x0 < a_lo or x0 > b_hi or _lemma4_delta(n_outside, a_lo, b_hi, T) == 1
     assert n_limit > 3
 
 
@@ -347,8 +347,8 @@ def _integrand_of(run, monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: exp_integral_lhs(_spec()),
-        lambda: exp_integral_lhs(_spec(sign=-1, k_freq=5.0, T=400.0, b_hi=1000.0, alpha=0.55)),
+        lambda: _exp_integral_lhs(_spec()),
+        lambda: _exp_integral_lhs(_spec(sign=-1, k_freq=5.0, T=400.0, b_hi=1000.0, alpha=0.55)),
         lambda: lemma3_decay(1.5, 1.0, [400.0, 800.0]),
         lambda: lemma4_compare(1.5, 3, math.sqrt(200.0), 10.0 * math.sqrt(200.0), 200.0),
     ],
@@ -369,7 +369,7 @@ def test_saddle_integrands_bit_identical_to_the_former_complex_exp(run, monkeypa
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: exp_integral_lhs(_spec()),
+        lambda: _exp_integral_lhs(_spec()),
         lambda: lemma3_decay(1.5, 1.0, [400.0, 800.0]),
         lambda: lemma4_compare(1.5, 3, math.sqrt(200.0), 10.0 * math.sqrt(200.0), 200.0),
     ],

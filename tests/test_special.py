@@ -26,10 +26,10 @@ from zetastrip.errors import PrecisionError, ValidationError
 from zetastrip.scenarios import run_suite
 from zetastrip.special import (
     _LINE_CHUNK,
-    NEAR_INTEGER_DELTA,
+    _NEAR_INTEGER_DELTA,
     NU_BAND,
-    X_SWITCH_JY,
-    X_SWITCH_K,
+    _X_SWITCH_JY,
+    _X_SWITCH_K,
     X_SWITCH_K_ASYMPTOTIC,
     _zeta_em_f64,
     arcsinh,
@@ -39,6 +39,7 @@ from zetastrip.special import (
     gamma,
     zeta,
     zeta_line,
+    zeta_terms,
 )
 
 mpmath.mp.prec = 200
@@ -129,6 +130,35 @@ def test_zeta_pole_and_remainder_guard():
     # cutoff: the guard must refuse rather than return garbage.
     with pytest.raises(PrecisionError):
         zeta(complex(-12.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    ("call", "constraint"),
+    [
+        (lambda: em_cutoff(math.inf), "em_cutoff requires a finite 2 |t_max|, got t_max = inf"),
+        (lambda: zeta_terms(0.4, 100.0, math.inf), "got sigma = 0.4, [t_lo, t_hi] = [100.0, inf]"),
+        (lambda: zeta_terms(math.nan, 100.0, 200.0), "zeta_terms requires a finite sigma"),
+        (lambda: gamma(1e308), "gamma requires |z| <= 140, got z = 1e+308"),
+        (lambda: gamma(complex(math.inf, 1.0)), "gamma requires |z| <= 140, got z = (inf+1j)"),
+        (lambda: arcsinh(np.array([math.inf])), "arcsinh requires every x finite, got max |x| = inf"),
+        (lambda: bessel(0.6, np.array([math.inf])), "bessel requires x <= 2**25, got max x = inf"),
+        (lambda: bessel(0.6, np.array([1e308])), "bessel requires x <= 2**25, got max x = 1e+308"),
+        (lambda: bessel(0.6, np.array([math.nan])), "bessel requires x > 0"),
+        (lambda: zeta_line(0.4, np.array([1e300])), "got sigma = 0.4, max |t| = 1e+300"),
+        (lambda: zeta_line(1e308, np.array([1.0])), "zeta_line requires |sigma| <= 100 and at most 4194304 terms"),
+        (lambda: zeta(complex(1e308, 1.0)), "and 2 |t = Im s| <= 4194304, got s = (1e+308+1j)"),
+    ],
+    ids=[
+        "em_cutoff-inf", "zeta_terms-t_hi-inf", "zeta_terms-sigma-nan", "gamma-1e308", "gamma-inf+1j",
+        "arcsinh-inf", "bessel-inf", "bessel-1e308", "bessel-nan", "zeta_line-1e300", "zeta_line-sigma", "zeta-sigma",
+    ],
+)
+def test_special_refuses_by_name_before_forming_any_array(call, constraint, no_new_arrays):
+    # These raised OverflowError or numpy's "Maximum allowed size exceeded",
+    # warned in cos or of an overflow, or returned nan (gamma(inf + 1j),
+    # arcsinh([inf]) returned inf, zeta_terms(nan, 100, 200) returned 400).
+    with pytest.raises(ValidationError, match=re.escape(constraint)):
+        call()
 
 
 def _no_sum(*args):
@@ -235,16 +265,20 @@ def test_zeta_line_main_sum_bit_identical_to_one_shot(name, monkeypatch):
 
 def _zeta_line_em(sigma: float, t) -> np.ndarray:
     """``zeta_line`` as it was before the Riemann-Siegel kernel: Euler--
-    Maclaurin at every height, one cutoff over the whole batch."""
+    Maclaurin at every height, one cutoff over the whole batch (four times
+    the first where the remainder bound fails at the first, as in ``zeta``)."""
     t_arr = np.asarray(t, dtype=np.float64)
     flat = np.abs(t_arr.ravel())
     t_hi = float(flat.max()) if flat.size else 0.0
     n_cut = em_cutoff(t_hi)
     remainder = special._em_bound(sigma + 1j * t_hi, n_cut)
-    if remainder > special.ZETA_ABS_TOL:
+    if remainder > special._ZETA_ABS_TOL:
+        n_cut *= 4
+        remainder = special._em_bound(sigma + 1j * t_hi, n_cut)
+    if remainder > special._ZETA_ABS_TOL:
         raise PrecisionError(
             f"Euler-Maclaurin remainder bound {remainder:.2e} exceeds "
-            f"ZETA_ABS_TOL {special.ZETA_ABS_TOL:.2e} on this ordinate batch"
+            f"ZETA_ABS_TOL {special._ZETA_ABS_TOL:.2e} on this ordinate batch"
         )
     n = np.arange(1, n_cut, dtype=np.float64)
     out = special._em_tail(dirichlet_sum(flat, np.log(n), n ** (-sigma)), sigma + 1j * flat, n_cut)
@@ -581,12 +615,12 @@ def _bessel_ref(kind: str, nu: float, x: float) -> float:
 
 
 def _bessel_grid() -> np.ndarray:
-    seams = [X_SWITCH_JY * (1 + eps) for eps in (-1e-3, 0.0, 1e-3)]
-    seams += [X_SWITCH_K * (1 + eps) for eps in (-1e-3, 0.0, 1e-3)]
+    seams = [_X_SWITCH_JY * (1 + eps) for eps in (-1e-3, 0.0, 1e-3)]
+    seams += [_X_SWITCH_K * (1 + eps) for eps in (-1e-3, 0.0, 1e-3)]
     return np.unique(np.concatenate([np.geomspace(0.05, 500.0, 40), np.array(seams)]))
 
 
-@pytest.mark.parametrize("nu", [0.35, 0.55, 0.8, 0.95, 1.0, 1.0 + 0.4 * NEAR_INTEGER_DELTA, 1.05, 1.15])
+@pytest.mark.parametrize("nu", [0.35, 0.55, 0.8, 0.95, 1.0, 1.0 + 0.4 * _NEAR_INTEGER_DELTA, 1.05, 1.15])
 def test_bessel_against_mpmath(nu):
     xs = _bessel_grid()
     for kind in ("J", "Y", "K"):
@@ -678,8 +712,8 @@ def _bessel_per_kind(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
     """``bessel(nu, x)[_ROW[kind]]`` as it was formed one kind per call: the
     same series and trapezoid branches, and the oracle loops above the switch."""
     out = np.empty_like(x)
-    lo = x <= (X_SWITCH_K if kind == "K" else X_SWITCH_JY)
-    hi = x > (X_SWITCH_K_ASYMPTOTIC if kind == "K" else X_SWITCH_JY)
+    lo = x <= (_X_SWITCH_K if kind == "K" else _X_SWITCH_JY)
+    hi = x > (X_SWITCH_K_ASYMPTOTIC if kind == "K" else _X_SWITCH_JY)
     mid = ~(lo | hi)
     out[lo] = special._bessel_small(kind, nu, x[lo])
     if mid.any():
@@ -696,9 +730,9 @@ _ONE_PASS_ORDERS = sorted(
 
 
 def test_bessel_one_pass_bit_identical_to_one_kind_per_call():
-    seams = [s * (1.0 + e) for s in (X_SWITCH_JY, X_SWITCH_K_ASYMPTOTIC) for e in (-1e-15, 0.0, 1e-15)]
+    seams = [s * (1.0 + e) for s in (_X_SWITCH_JY, X_SWITCH_K_ASYMPTOTIC) for e in (-1e-15, 0.0, 1e-15)]
     x = np.concatenate([np.geomspace(0.05, 5000.0, 401), np.linspace(10.0, 14.0, 97), seams])
-    assert (x <= X_SWITCH_JY).any() and ((x > X_SWITCH_JY) & (x <= X_SWITCH_K_ASYMPTOTIC)).any()
+    assert (x <= _X_SWITCH_JY).any() and ((x > _X_SWITCH_JY) & (x <= X_SWITCH_K_ASYMPTOTIC)).any()
     for nu in _ONE_PASS_ORDERS:
         stacked = bessel(nu, x)
         assert stacked.shape == (3, x.size)

@@ -36,7 +36,7 @@ from zetastrip.voronoi import (
     delta_direct,
     delta_mean_square,
     exponent_from_sigma,
-    term_envelope,
+    _term_envelope,
     truncation_plan,
     X_MAX,
 )
@@ -322,7 +322,7 @@ def test_truncation_plan_pins_and_monotonicity():
 
 def test_term_envelope_positive_and_decaying():
     spec = _fresh_spec()
-    values = term_envelope(spec, 100.0, np.arange(1, 2001))
+    values = _term_envelope(spec, 100.0, np.arange(1, 2001))
     assert np.all(values > 0.0)
     # Pointwise values ride sigma_a(n); block means decay like n^(-(3+2a)/4)
     # times the slowly saturating divisor mean.
@@ -332,29 +332,23 @@ def test_term_envelope_positive_and_decaying():
 @pytest.mark.parametrize(
     ("call", "fragment"),
     [
-        (lambda spec: term_envelope(spec, 100.0, np.array([0, 1, 2])), "got array([0, 1, 2])"),
-        (lambda spec: term_envelope(spec, 100.0, 2.5), "got 2.5"),
         (lambda spec: delta_direct(spec, np.array([])), "delta_direct requires at least one x, got array([]"),
     ],
-    ids=["term_envelope-n-0", "term_envelope-n-2.5", "delta_direct-empty-x"],
+    ids=["delta_direct-empty-x"],
 )
 def test_voronoi_entry_points_refuse_a_bad_n_or_an_empty_x(call, fragment):
-    # n = 0 used to read sigma_a at index -1 (inf, after a divide-by-zero
-    # warning), n = 2.5 to use sigma_a(2), and an empty x to end in numpy's
-    # zero-size reduction ValueError.
+    # An empty x used to end in numpy's zero-size reduction ValueError.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=re.escape(fragment)):
             call(_fresh_spec())
 
 
-@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
-def test_term_envelope_refuses_a_bad_x_before_any_power(x):
-    # x = 0 and -1 used to warn in the powers of x, and nan to return nan.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=re.escape(f"term_envelope requires x >= 1, got {x}")):
-            term_envelope(_fresh_spec(), x, np.arange(1, 4))
+@pytest.mark.parametrize("k_mod", [0, -3, int(X_MAX) + 1])
+def test_calibration_x_lo_refuses_a_modulus_no_spec_admits(k_mod):
+    # k = 0 used to give 40.0, and a k beyond X_MAX the window of X_MAX.
+    with pytest.raises(ValidationError, match=re.escape(f"k_mod must satisfy 1 <= k_mod <= 1048576, got {k_mod}")):
+        calibration_x_lo(k_mod)
 
 
 def test_delta_direct_refuses_an_x_of_two_dimensions():
