@@ -76,6 +76,10 @@ class QuadratureResult:
     evaluations: int
 
 
+class _PanelBudget(ValidationError):
+    """The width policy's initial panels exceed the panel budget."""
+
+
 def _initial_edges(a: float, b: float, initial_width: Callable[[float], float]) -> list[float]:
     edges: list[float] = [a]
     append = edges.append
@@ -88,7 +92,7 @@ def _initial_edges(a: float, b: float, initial_width: Callable[[float], float]) 
         if not x < b:
             x = b
         if len(edges) > MAX_PANELS:  # edges so far = panels with this one
-            raise ValidationError(
+            raise _PanelBudget(
                 f"initial_width policy reached the panel budget {MAX_PANELS} on [{a!r}, {b!r}]"
             )
         append(x)
@@ -205,10 +209,12 @@ def integrate_adaptive(
 
 @contextmanager
 def stage(name: str) -> Iterator[None]:
-    """Prefix ``name``, the caller's stage, to the message of a
-    :class:`QuadratureNonConvergence` raised in the block; the interval, the
-    best value and its error estimate stay as they were."""
+    """Prefix ``name``, the caller's stage, to the message of a non-convergence
+    or initial panel-budget error raised in the block; the interval, the best
+    value and its error estimate stay as they were."""
     try:
         yield
     except QuadratureNonConvergence as exc:
         raise QuadratureNonConvergence(f"{name}: {exc}", exc.value, exc.error_estimate) from None
+    except _PanelBudget as exc:
+        raise ValidationError(f"{name}: {exc}") from None

@@ -5,36 +5,22 @@ runtime) so that accuracy contracts, branch switches, and failure modes are
 explicit and testable:
 
 * ``zeta``       -- Riemann zeta via Euler--Maclaurin with Bernoulli
-                    corrections through B10; remainder is estimated and a
-                    :class:`PrecisionError` is raised when it exceeds
-                    ``_ZETA_ABS_TOL``.
+                    corrections through B10 at a cutoff N, or 4 N where the
+                    remainder bound fails at N; :class:`PrecisionError`
+                    where it exceeds ``_ZETA_ABS_TOL`` at 4 N too.
 * ``zeta_line``  -- vectorised ``zeta(sigma + i t)`` along a fixed real part,
-                    the quadrature integrand workhorse.  Below
-                    ``RS_MIN_HEIGHT`` = 500 (and off ``RS_SIGMA_BAND``) it
-                    is Euler--Maclaurin under the same remainder bound and
-                    tail as ``zeta``, with the same bits as before the
-                    switch existed; from there on it is Riemann--Siegel
-                    (Arias de Reyna's general-sigma correction series),
-                    about ``2 sqrt(t / 2 pi)`` main-sum terms per point in
-                    place of ``2 t``: exact phases ``t log p`` for the
-                    primes only, each composite's column as the product of
-                    two earlier ones, the correction as one polynomial of
-                    degree 40 in p per ``floor(sqrt(t / 2 pi))``, unit
-                    phases from one ``tan`` each, on the calling thread.
+                    the quadrature integrand workhorse: Euler--Maclaurin
+                    under ``zeta``'s cutoff rule, bound and tail below
+                    ``RS_MIN_HEIGHT`` = 500 (and off ``RS_SIGMA_BAND``),
+                    Riemann--Siegel from there on, about ``2 sqrt(t / 2 pi)``
+                    main-sum terms per point in place of ``2 t``.
                     ``zeta_terms`` counts either kernel for work limits.
                     The scalar ``zeta`` stays Euler--Maclaurin.
 * ``dirichlet_sum`` -- ``sum_j amp[j] exp(-i t log_n[j])`` over a batch of
                     ``t``: zeta_line's main sum and the Dirichlet polynomial
-                    ``A(sigma + i t)`` both run through it.  It works in
-                    cache-sized row blocks, dealt into one share per usable
-                    CPU: the calling thread runs the first share and one
-                    process-wide pool of ``usable CPUs - 1`` threads the
-                    others.  Its bits are those of one ``exp`` outer product
-                    per column chunk over the whole batch, for any thread
-                    count.  Each share holds one complex buffer of at most
-                    65 rows of one column chunk (or about 16 384 elements):
-                    under 1 MB for a 7 680-point batch, never more than 4e6
-                    elements.
+                    ``A(sigma + i t)`` both run through it, in cache-sized
+                    row blocks dealt over one thread per usable CPU, with
+                    the bits of one ``exp`` outer product per column chunk.
 * ``cis``        -- ``exp(+-1j theta)`` bit for bit from one cos and one sin,
                     for the Dirichlet sum and the saddle integrands.
 * ``gamma``      -- Lanczos approximation (g = 7, 9 coefficients) with
@@ -42,12 +28,11 @@ explicit and testable:
 * ``arcsinh``    -- log1p-based formula with an odd Taylor series below
                     ``|x| < 2**-20`` (documented switch).
 * ``bessel``     -- rows K, Y, J of real order in the band [0.35, 1.15] on a
-                    1-d array of x > 0: ascending series below a per-kind
-                    switch point and Hankel asymptotics above it, one
-                    asymptotic pass serving all three; Y and K at non-integer
-                    order come from reflection formulas, and a short
-                    polynomial continuation in the order bridges the
-                    removable singularity near integer order.
+                    1-d array of x in [2**-20, 2**25]: up to one switch
+                    point, x = 13, the integral representations (DLMF
+                    10.32.9, 10.9.7, 10.9.6) by Gauss--Legendre rules, valid
+                    at every order, integer orders included; above it the
+                    Hankel expansions, one asymptotic pass serving all three.
 
 Measured worst-case errors on the supported grids (see the test suite):
 zeta relative error < 1e-9 for sigma in [-0.5, 2], |Im s| <= 1e4 away from
@@ -56,12 +41,16 @@ sigma >= 0.3; phase rounding in the main sum grows it like |Im s| times
 machine epsilon for negative sigma, reaching ~5e-7 absolute at
 sigma = -0.5, |Im s| = 1e4); zeta_line's Riemann--Siegel kernel < 1e-16 |Im s|
 relative for sigma in [0, 1] (2e-14 on [500, 1000], 3e-12 at 1e5); gamma < 5e-12
-relative; J/Y < 5e-9 of the oscillation envelope and K < 5e-9 relative,
-including the branch-switch neighbourhoods.
+relative.  Bessel J and Y, against max(|J|, sqrt(2/(pi x))) (the
+oscillation envelope), and K, relative: on x in [1e-5, 13] at most 2e-15
+and 4e-15 for nu in {0.35, 0.5, 0.8, 0.996, 0.999, 1, 1.001, 1.004, 1.15};
+on (13, 1e4] at most 9e-13 and 5e-13 across the band, growing like x times
+machine epsilon for J and Y (the rounding of x in the phase).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -143,9 +132,9 @@ _POINT_TERMS = 2**22
 
 
 def em_cutoff(t_max: float) -> int:
-    """Euler--Maclaurin cutoff ``max(20, ceil(2 t_max))`` of :func:`zeta` and
-    :func:`zeta_line` at heights up to ``t_max``: the number of terms of the
-    main sum.  ``2 |t_max|`` must be a finite float."""
+    """Euler--Maclaurin cutoff ``max(20, ceil(2 t_max))`` at heights up to
+    ``t_max``, the first that :func:`_em_terms` tries: the number of terms of
+    the main sum.  ``2 |t_max|`` must be a finite float."""
     if not 2.0 * abs(t_max) < math.inf:  # written so that NaN fails too
         raise ValidationError(f"em_cutoff requires a finite 2 |t_max|, got t_max = {t_max!r}")
     return max(20, int(math.ceil(2.0 * t_max)))
@@ -154,35 +143,38 @@ def em_cutoff(t_max: float) -> int:
 def zeta(s: complex) -> complex:
     """Riemann zeta at a complex point ``s != 1``.
 
-    Euler--Maclaurin with cutoff ``N = max(20, ceil(2 |Im s|))`` and
-    Bernoulli corrections through B10.  The first omitted correction term
-    bounds the remainder; if it exceeds ``_ZETA_ABS_TOL`` the cutoff is
-    enlarged once (which only helps when ``Re s`` is not too negative) and
-    a :class:`PrecisionError` is raised if the bound still fails.  A
-    non-finite real part sigma or imaginary part t is refused, and so are
-    ``|sigma| > _SIGMA_MAX`` and ``N > _POINT_TERMS``.
+    Euler--Maclaurin with Bernoulli corrections through B10, at the cutoff
+    of :func:`_em_terms`.  A non-finite real part sigma or imaginary part t
+    is refused, and so are ``|sigma| > _SIGMA_MAX`` and a cutoff above
+    ``_POINT_TERMS``, before any sum is formed.
     """
     s = complex(s)
     for name, part in (("sigma = Re s", s.real), ("t = Im s", s.imag)):
         if not math.isfinite(part):
             raise ValidationError(f"zeta requires a finite {name}, got {part!r}")
-    if not (abs(s.real) <= _SIGMA_MAX and 2.0 * abs(s.imag) <= _POINT_TERMS):
-        raise ValidationError(
-            f"zeta requires |sigma = Re s| <= {_SIGMA_MAX:g} and 2 |t = Im s| <= {_POINT_TERMS}, got s = {s!r}"
-        )
+    within = abs(s.real) <= _SIGMA_MAX and 2.0 * abs(s.imag) <= _POINT_TERMS
+    if not (within and (n_cut := _em_terms(s)) <= _POINT_TERMS):
+        raise ValidationError(f"zeta requires at most {_POINT_TERMS} terms, |sigma = Re s| <= {_SIGMA_MAX:g} "
+                              f"and 2 |t = Im s| <= {_POINT_TERMS}, got s = {s!r}")
     if s == 1.0:
         raise ValidationError("zeta has a pole at s = 1")
-    value, remainder = _zeta_em_f64(s, em_cutoff(abs(s.imag)))
+    return _zeta_em_f64(s, n_cut)[0]
+
+
+def _em_terms(s: complex) -> int:
+    """The Euler--Maclaurin cutoff of :func:`zeta` and :func:`zeta_line` (at
+    its largest ordinate): ``N = em_cutoff(|Im s|)``, or ``4 N`` where the
+    remainder bound :func:`_em_bound` exceeds ``_ZETA_ABS_TOL`` at ``N``; a
+    bound that fails at ``4 N`` too raises :class:`PrecisionError`."""
+    n_cut = em_cutoff(abs(s.imag))
+    if _em_bound(s, n_cut) > _ZETA_ABS_TOL:
+        n_cut *= 4
+    remainder = _em_bound(s, n_cut)
     if remainder > _ZETA_ABS_TOL:
-        # One retry with a larger cutoff before giving up.
-        bigger = 4 * em_cutoff(abs(s.imag))
-        value, remainder = _zeta_em_f64(s, bigger)
-        if remainder > _ZETA_ABS_TOL:
-            raise PrecisionError(
-                f"Euler-Maclaurin remainder {remainder:.2e} exceeds "
-                f"ZETA_ABS_TOL {_ZETA_ABS_TOL:.2e} at s = {s}"
-            )
-    return value
+        raise PrecisionError(
+            f"Euler-Maclaurin remainder bound {remainder:.2e} exceeds ZETA_ABS_TOL {_ZETA_ABS_TOL:.2e} at s = {s}"
+        )
+    return n_cut
 
 
 def _zeta_em_f64(s: complex, n_cut: int) -> tuple[complex, float]:
@@ -340,9 +332,8 @@ def zeta_line(sigma: float, t) -> np.ndarray:
       ``sigma``.  Against mpmath its relative error is at most about 2e-14
       on [500, 1000] and 3e-12 at ``t = 1e5``, 20 to 1 000 times below
       Euler--Maclaurin's on [500, 4000].
-    * The other points take Euler--Maclaurin with the shared cutoff ``N =
-      max(20, ceil(2 max|t|))`` over them; a remainder bound above
-      ``_ZETA_ABS_TOL`` raises :class:`PrecisionError`.
+    * The other points take Euler--Maclaurin with the shared cutoff of
+      :func:`_em_terms` at their largest ``|t|``.
 
     Both bounds are checked before any main sum is formed.  The
     Euler--Maclaurin main sum is one :func:`dirichlet_sum` with the bits of
@@ -351,8 +342,7 @@ def zeta_line(sigma: float, t) -> np.ndarray:
     a batch below the switch has the bits of Euler--Maclaurin alone.  A
     non-finite ``sigma`` or ``t`` is refused before any sum, and so are
     ``|sigma| > _SIGMA_MAX`` and ``zeta_terms(sigma, 0, max|t|) >
-    _POINT_TERMS``.  Where the remainder bound fails at ``N``, the cutoff
-    is ``4 N``, as in :func:`zeta`.
+    _POINT_TERMS``.
     """
     if not math.isfinite(sigma):
         raise ValidationError(f"zeta_line requires a finite sigma, got {sigma!r}")
@@ -366,17 +356,7 @@ def zeta_line(sigma: float, t) -> np.ndarray:
                               f"per point, got sigma = {sigma!r}, max |t| = {t_top!r}")
     high = _uses_rs(sigma, flat)
     low = flat[~high]
-    t_hi = float(low.max()) if low.size else 0.0
-    n_cut = zeta_terms(sigma, 0.0, t_hi)
-    remainder = _em_bound(sigma + 1j * t_hi, n_cut)
-    if remainder > _ZETA_ABS_TOL:
-        n_cut *= 4
-        remainder = _em_bound(sigma + 1j * t_hi, n_cut)
-    if remainder > _ZETA_ABS_TOL:
-        raise PrecisionError(
-            f"Euler-Maclaurin remainder bound {remainder:.2e} exceeds "
-            f"ZETA_ABS_TOL {_ZETA_ABS_TOL:.2e} on this ordinate batch"
-        )
+    n_cut = _em_terms(sigma + 1j * (float(low.max()) if low.size else 0.0))
     terms = _rs_terms(sigma, float(flat[high].min())) if high.any() else 0
     out = np.empty(flat.size, dtype=np.complex128)
     n = np.arange(1, n_cut, dtype=np.float64)
@@ -464,13 +444,14 @@ def _uses_rs(sigma: float, t_abs: np.ndarray) -> np.ndarray:
 
 def zeta_terms(sigma: float, t_lo: float, t_hi: float) -> int:
     """Most main-sum terms :func:`zeta_line` spends on one point with
-    ``t_lo <= |t| <= t_hi``: the Euler--Maclaurin cutoff below the switch,
-    ``2 floor(sqrt(t / 2 pi))`` (both Riemann--Siegel sums) at and above it."""
-    if not (math.isfinite(sigma) and 0.0 <= t_lo <= t_hi < math.inf):  # written so that NaN fails too
-        raise ValidationError(f"zeta_terms requires a finite sigma and 0 <= t_lo <= t_hi < inf, "
-                              f"got sigma = {sigma!r}, [t_lo, t_hi] = [{t_lo!r}, {t_hi!r}]")
+    ``t_lo <= |t| <= t_hi``: the Euler--Maclaurin cutoff of :func:`_em_terms`
+    below the switch, ``2 floor(sqrt(t / 2 pi))`` (both Riemann--Siegel
+    sums) at and above it."""
+    if not (abs(sigma) <= _SIGMA_MAX and 0.0 <= t_lo <= t_hi < math.inf):  # written so that NaN fails too
+        raise ValidationError(f"zeta_terms requires a finite sigma, |sigma| <= {_SIGMA_MAX:g} and "
+                              f"0 <= t_lo <= t_hi < inf, got sigma = {sigma!r}, [t_lo, t_hi] = [{t_lo!r}, {t_hi!r}]")
     if not _uses_rs(sigma, np.float64(t_hi)):
-        return em_cutoff(t_hi)
+        return _em_terms(sigma + 1j * t_hi)
     rs = 2 * math.floor(math.sqrt(t_hi / (2.0 * math.pi)))
     return rs if t_lo >= RS_MIN_HEIGHT else max(rs, em_cutoff(RS_MIN_HEIGHT))
 
@@ -800,123 +781,90 @@ def _sinpi(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 NU_BAND = (0.35, 1.15)
-_X_SWITCH_JY = 11.0
-_X_SWITCH_K = 5.0
-X_SWITCH_K_ASYMPTOTIC = 13.0
-_NEAR_INTEGER_DELTA = 5e-3
-_NEAR_INTEGER_NODES = (-0.0175, -0.0125, -0.0075, 0.0075, 0.0125, 0.0175)
-_SERIES_MAX_TERMS = 220
+#: Arguments up to which :func:`bessel` integrates, and above which it takes
+#: the large-argument expansions.
+X_SWITCH_ASYMPTOTIC = 13.0
+# Smallest x, so that the nodes stay bounded (190 at 2**-20); Voronoi's 4 pi sqrt(nx)/k >= 4 pi / X_MAX.
+_X_FLOOR = 2.0**-20
+_THETA_NODES = 32
+_NODES_PER_UNIT = 10
 _ASYMPTOTIC_MAX_TERMS = 40
-# Fixed trapezoid grid for the K integral representation on (5, 13]:
-# the integrand exp(-x cosh t) cosh(nu t) is even and entire, so the
-# trapezoid rule converges geometrically; t_max covers the slowest decay
-# (x = 5) beyond 1e-24 relative and h = 0.1 puts the discretisation error
-# far below binary64 resolution.
-_K_TRAP_STEP = 0.1
-_K_TRAP_TMAX = 3.2
 
 
 def bessel(nu: float, x: np.ndarray) -> np.ndarray:
-    """Rows ``K_nu``, ``Y_nu`` and ``J_nu`` at each entry of the 1-d ``x > 0``.
+    """Rows ``K_nu``, ``Y_nu`` and ``J_nu`` at each entry of the 1-d ``x``.
 
-    Supported order band: ``nu in [0.35, 1.15]`` (the band the
-    Voronoi-series evaluators actually use, with margin).  Branches:
-
-    * ``x <= _X_SWITCH_JY`` (J, Y) or ``x <= _X_SWITCH_K`` (K): ascending power
-      series; Y and K by reflection from orders ``+nu`` and ``-nu``.
-    * ``_X_SWITCH_K < x <= X_SWITCH_K_ASYMPTOTIC`` (K): the integral
-      representation on a fixed trapezoid grid.
-    * above the switch: large-argument expansions, truncated at the
-      smallest term per point.  One pass of their term recurrence serves
-      all three kinds, and each term is formed only on the points whose
-      expansion has not yet stopped.
-
-    Within ``_NEAR_INTEGER_DELTA`` of an integer order the reflection
-    formulas lose meaning; there Y and K on the series branch are continued
-    polynomially in the order through four nearby non-singular orders.
-    Above ``x = 2**25`` the rounding of ``x`` alone moves the phase by more
-    than the 5e-9 accuracy of J and Y, so such an ``x`` is refused.
+    Supported: ``nu in [0.35, 1.15]`` (the band the Voronoi-series evaluators
+    use, with margin) and ``2**-20 <= x <= 2**25``.  Up to ``X_SWITCH_ASYMPTOTIC``
+    the integral representations (:func:`_bessel_small`) serve every order,
+    integer orders included; above it the large-argument expansions
+    (:func:`_bessel_large`).  Above ``x = 2**25`` the rounding of ``x`` alone
+    moves the phase of J and Y by more than 1e-9, so such an ``x`` is refused.
     """
     if not (NU_BAND[0] <= nu <= NU_BAND[1]):
         raise ValidationError(
             f"bessel order nu = {nu} outside supported band [{NU_BAND[0]}, {NU_BAND[1]}]"
         )
-    if not np.min(x, initial=1.0) > 0.0:  # NaN if any x is NaN
-        raise ValidationError("bessel requires x > 0")
+    if not np.min(x, initial=1.0) >= _X_FLOOR:  # NaN if any x is NaN
+        raise ValidationError(f"bessel requires x >= 2**-20, got min x = {float(np.min(x))!r}")
     if not np.max(x, initial=1.0) <= 2.0**25:
         raise ValidationError(f"bessel requires x <= 2**25, got max x = {float(np.max(x))!r}")
     out = np.empty((3, x.size))
-    large = _bessel_large(nu, x[x > _X_SWITCH_JY])
-    for row, kind, values in zip(out, "KYJ", large):
-        lo = x <= (_X_SWITCH_K if kind == "K" else _X_SWITCH_JY)
-        hi = x > (X_SWITCH_K_ASYMPTOTIC if kind == "K" else _X_SWITCH_JY)
-        mid = ~(lo | hi)  # K's trapezoid range; empty for J and Y
-        if lo.any():
-            row[lo] = _bessel_small(kind, nu, x[lo])
-        if mid.any():
-            row[mid] = _k_trapezoid(nu, x[mid])
-        row[hi] = values
+    small = x <= X_SWITCH_ASYMPTOTIC
+    if small.any():
+        out[:, small] = _bessel_small(nu, x[small])
+    large = ~small
+    for row, values in zip(out, _bessel_large(nu, x[large])):  # row by row: no stacked copy
+        row[large] = values
     return out
 
 
-def _k_trapezoid(nu: float, x: np.ndarray) -> np.ndarray:
-    """K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt on a fixed grid.
-
-    Free of the catastrophic I_{-nu} - I_nu cancellation that rules out the
-    reflection formula for mid-range x, and uniformly accurate in the order
-    (integer orders included).
-    """
-    t = np.arange(0.0, _K_TRAP_TMAX + 0.5 * _K_TRAP_STEP, _K_TRAP_STEP)
-    weights = np.full(t.shape, _K_TRAP_STEP)
-    weights[0] = 0.5 * _K_TRAP_STEP
-    kernel = np.exp(-np.multiply.outer(x, np.cosh(t))) * np.cosh(nu * t)
-    return kernel @ weights
-
-
-def _bessel_small(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
-    near = round(nu)
-    if kind != "J" and abs(nu - near) < _NEAR_INTEGER_DELTA:
-        # Polynomial continuation in the order across the removable
-        # singularity of the reflection formula.  Node orders sit at least
-        # 0.0075 from the integer, outside the _NEAR_INTEGER_DELTA band, so
-        # each evaluates directly.
-        nodes = [near + d for d in _NEAR_INTEGER_NODES]
-        values = [_bessel_small(kind, node, x) for node in nodes]
-        out = np.zeros_like(x)
-        for i, node_i in enumerate(nodes):
-            weight = 1.0
-            for j, node_j in enumerate(nodes):
-                if i != j:
-                    weight *= (nu - node_j) / (node_i - node_j)
-            out += weight * values[i]
-        return out
-    if kind == "J":
-        return _ascending_series(nu, x, alternating=True)
-    # Y by reflection from J_{+nu} and J_{-nu}; K from I_{+nu} and I_{-nu}.
-    plus, minus = (_ascending_series(order, x, alternating=kind == "Y") for order in (nu, -nu))
-    s = math.sin(math.pi * nu)
-    if kind == "Y":
-        return (plus * math.cos(math.pi * nu) - minus) / s
-    return 0.5 * math.pi * (minus - plus) / s
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``nodes``-point Gauss--Legendre rule on [0, 1]:
+    six Newton steps on ``P_nodes(2u - 1)`` from ``x = cos(pi (i + 3/4) /
+    (nodes + 1/2))``, weights ``1 / ((1 - x^2) P'(x)^2)``."""
+    x = np.cos(math.pi * (np.arange(nodes) + 0.75) / (nodes + 0.5))
+    for _ in range(6):
+        before, p = np.ones_like(x), x  # P_(k-1) and P_k by the three-term recurrence
+        for k in range(2, nodes + 1):
+            before, p = p, ((2 * k - 1) * x * p - (k - 1) * before) / k
+        slope = nodes * (x * p - before) / (x * x - 1.0)
+        x = x - p / slope
+    return 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * slope * slope)
 
 
-def _ascending_series(nu: float, x: np.ndarray, alternating: bool) -> np.ndarray:
-    half = 0.5 * x
-    quarter_sq = half * half
-    if alternating:
-        quarter_sq = -quarter_sq
-    term = half ** nu / gamma(nu + 1.0)
-    total = term.copy()
-    active = np.ones(x.shape, dtype=bool)
-    for m in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * quarter_sq / (m * (nu + m))
-        total = np.where(active, total + term, total)
-        active = active & (np.abs(term) > 1e-17 * np.abs(total))
-        if not active.any():
-            break
-    else:  # pragma: no cover - cap chosen far beyond need on the supported domain
-        raise PrecisionError("bessel ascending series failed to converge")
-    return total
+def _bessel_small(nu: float, x: np.ndarray) -> np.ndarray:
+    """Rows K, Y and J at ``x <= X_SWITCH_ASYMPTOTIC`` (DLMF 10.32.9, 10.9.7, 10.9.6):
+
+        K = int_0^inf exp(-x cosh t) cosh(nu t) dt
+        Y = (1/pi) [int_0^pi sin(x sin h - nu h) dh
+                    - int_0^inf (e^(nu t) + cos(nu pi) e^(-nu t)) e^(-x sinh t) dt]
+        J = (1/pi) [int_0^pi cos(x sin h - nu h) dh - sin(nu pi) int_0^inf e^(-x sinh t - nu t) dt]
+
+    by Gauss--Legendre: ``_THETA_NODES`` nodes on [0, pi] and ``_NODES_PER_UNIT``
+    per unit on [0, t_max], ``t_max = acosh(1 + 40 / min x)``, past which each
+    integrand is below exp(-40) of its scale (``exp(-x)`` for K).  The points
+    go in row blocks of about ``_BLOCK_CELLS`` node values."""
+    u, w = _gauss_legendre(_THETA_NODES)
+    theta, theta_weights = math.pi * u, math.pi * w
+    t_max = math.acosh(1.0 + 40.0 / float(x.min()))
+    u, w = _gauss_legendre(math.ceil(_NODES_PER_UNIT * t_max))
+    t, weights = t_max * u, t_max * w
+    decay = weights * np.exp(-nu * t)
+    k_weights = weights * np.cosh(nu * t)
+    y_weights = weights * np.exp(nu * t) + math.cos(math.pi * nu) * decay
+    j_weights = math.sin(math.pi * nu) * decay
+    sin_theta, sinh_t, cosh_t = np.sin(theta), np.sinh(t), np.cosh(t)
+    out = np.empty((3, x.size))
+    rows = max(1, _BLOCK_CELLS // t.size)
+    for lo in range(0, x.size, rows):
+        xb = x[lo : lo + rows, None]
+        phase, tail = xb * sin_theta - nu * theta, np.exp(-xb * sinh_t)
+        out[0, lo : lo + rows] = np.exp(-xb * cosh_t) @ k_weights
+        out[1, lo : lo + rows] = (np.sin(phase) @ theta_weights - tail @ y_weights) / math.pi
+        out[2, lo : lo + rows] = (np.cos(phase) @ theta_weights - tail @ j_weights) / math.pi
+    return out
 
 
 def _asymptotic_sums(nu: float, x: np.ndarray) -> np.ndarray:
@@ -952,12 +900,10 @@ def _asymptotic_sums(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_large(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K, Y and J above their switch points, from one :func:`_asymptotic_sums`
-    over ``x > _X_SWITCH_JY``: J and Y share its P and Q and one cos and sin on
-    all of ``x``; K takes its S on ``x > X_SWITCH_K_ASYMPTOTIC``."""
+    """K, Y and J at ``x > X_SWITCH_ASYMPTOTIC`` from one :func:`_asymptotic_sums`:
+    J and Y share its P and Q and one cos and sin, K takes its S."""
     p, q, total = _asymptotic_sums(nu, x)
-    top = x > X_SWITCH_K_ASYMPTOTIC
-    k = np.sqrt(0.5 * math.pi / x[top]) * np.exp(-x[top]) * total[top]
+    k = np.sqrt(0.5 * math.pi / x) * np.exp(-x) * total
     omega = x - (0.5 * nu + 0.25) * math.pi
     c, s = np.cos(omega), np.sin(omega)
     amp = np.sqrt(2.0 / (math.pi * x))

@@ -95,6 +95,9 @@ TAIL_SAFETY = 4.0
 
 #: Number of blocks used by the calibration drift check.
 _CALIBRATION_BLOCKS = 8
+#: Smallest calibration sample count: below it the drift test rejects correct fits
+#: (of the Estermann oracle's 13 specs, 5 at 64 samples, 1 at 128 and at 192, none from 256).
+_CALIBRATION_MIN_SAMPLES = 256
 #: Largest calibration sample count, about 100 times the default 640.
 _CALIBRATION_MAX_SAMPLES = 2**16
 
@@ -295,7 +298,7 @@ def calibrate(
     oscillation level; the fit rejects when the standard error exceeds 10% of
     the oscillation RMS.  ``power_modulus_exponent`` defaults to the residue
     value ``-1 - a`` and ``x_lo`` to :func:`calibration_x_lo` of the modulus.
-    ``samples`` is a multiple of 8 from 64 to 65 536, checked before any
+    ``samples`` is a multiple of 8 from 256 to 65 536, checked before any
     array is formed.
 
     Nothing is stored on the spec: the fit is returned, and a call whose
@@ -307,9 +310,9 @@ def calibrate(
     if not (math.isfinite(x_lo) and x_lo >= 1.0):
         raise ValidationError(f"calibration requires x_lo >= 1, got {x_lo}")
     _check_x_max(4.0 * x_lo, f" from x_lo = {x_lo!r}")  # the window's top, before its grid is formed
-    if not 8 * _CALIBRATION_BLOCKS <= samples <= _CALIBRATION_MAX_SAMPLES or samples % _CALIBRATION_BLOCKS:
+    if not _CALIBRATION_MIN_SAMPLES <= samples <= _CALIBRATION_MAX_SAMPLES or samples % _CALIBRATION_BLOCKS:
         raise ValidationError(
-            f"calibration needs {8 * _CALIBRATION_BLOCKS} to {_CALIBRATION_MAX_SAMPLES} samples, "
+            f"calibration needs {_CALIBRATION_MIN_SAMPLES} to {_CALIBRATION_MAX_SAMPLES} samples, "
             f"a multiple of its {_CALIBRATION_BLOCKS} drift blocks, got {samples}"
         )
     a = spec.a

@@ -79,7 +79,8 @@ def test_non_convergence_names_the_saddle_stage(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 40)  # 40 initial panels
     with pytest.raises(QuadratureNonConvergence) as info:
         _exp_integral_lhs(_spec(a_lo=0.2, b_hi=3.0, T=40.0), abs_tol=1e-300, rel_tol=0.0)
-    assert re.fullmatch(r"saddle phase integral: panel budget 40 exhausted .* on \[0\.2, 3\.0\]", str(info.value))
+    stage = r"lemma2 integral on \[a_lo, b_hi\] at T = 40\.0, k_freq = 1\.0"
+    assert re.fullmatch(stage + r": panel budget 40 exhausted .* on \[0\.2, 3\.0\]", str(info.value))
     assert info.value.value > 0.0 and info.value.error_estimate > 0.0
 
 
@@ -91,7 +92,8 @@ def test_initial_panels_may_fill_the_whole_budget(monkeypatch):
     result = _exp_integral_lhs(spec)
     assert (result.panels, result.evaluations) == (40, 40 * quadrature.NODES_PER_PANEL)
     monkeypatch.setattr(quadrature, "MAX_PANELS", 39)
-    with pytest.raises(ValidationError, match=r"^initial_width policy reached the panel budget 39 on \[0\.2, 3\.0\]$"):
+    stage = r"lemma2 integral on \[a_lo, b_hi\] at T = 40\.0, k_freq = 1\.0"
+    with pytest.raises(ValidationError, match=rf"^{stage}: initial_width policy reached the panel budget 39 on \[0\.2, 3\.0\]$"):
         _exp_integral_lhs(spec)
 
 
@@ -307,6 +309,34 @@ def test_lemma4_endpoint_budget_follows_the_lower_endpoint(alpha, T):
     assert report.delta == 1
     assert 0.11 < report.difference / report.budget_total < 0.12
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    ("run", "refusal"),
+    [
+        (
+            lambda: lemma4_compare(1.5, 400, math.sqrt(200.0), 1000.0, 200.0),
+            "lemma4 integral on [a_lo, b_hi] at n = 400, T = 200.0: initial_width policy reached the panel budget "
+            "40000 on [14.142135623730951, 1000.0]",
+        ),
+        (
+            lambda: lemma2_compare(_spec(b_hi=1e6)),
+            "lemma2 integral on [a_lo, b_hi] at T = 100.0, k_freq = 1.0: initial_width policy reached the panel "
+            "budget 40000 on [0.01, 1000000.0]",
+        ),
+    ],
+    ids=["lemma4", "lemma2"],
+)
+def test_initial_panels_past_the_budget_are_refused_naming_the_lemma(run, refusal):
+    # lemma4 counted 39 434 periods, under its former 40 000-period bound, and
+    # then met the quadrature's refusal, which named neither lemma nor n.
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            run()
+    assert str(info.value) == refusal
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lemma4_endpoint_window_guard():

@@ -688,8 +688,8 @@ def test_cli_run_rejects_non_positive_limit(tmp_path, capsys, kind, key, value):
         ("n_terms", "1048576", "'points' × max('n_terms', 1024) = 3 × 1048576 exceed the series work limit 2097152"),
         ("points", "100000", "'points' × max('n_terms', 1024) = 100000 × 1024 exceed the series work limit"),
         ("points", "1000000000000", "'points' × max('n_terms', 1024) = 1000000000000 × 1024 exceed"),
-        ("calibration_samples", "65544", "calibration needs 64 to 65536 samples, a multiple of its 8 drift blocks, got 65544"),
-        ("calibration_samples", "800000000000", "calibration needs 64 to 65536 samples"),
+        ("calibration_samples", "65544", "calibration needs 256 to 65536 samples, a multiple of its 8 drift blocks, got 65544"),
+        ("calibration_samples", "800000000000", "calibration needs 256 to 65536 samples"),
         ("k", "9" * 40, "k_mod must satisfy 1 <= k_mod <= 1048576, got 9999"),
         ("k", "9" * 400, "k_mod must satisfy 1 <= k_mod <= 1048576, got 9999"),
     ],

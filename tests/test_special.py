@@ -26,11 +26,8 @@ from zetastrip.errors import PrecisionError, ValidationError
 from zetastrip.scenarios import run_suite
 from zetastrip.special import (
     _LINE_CHUNK,
-    _NEAR_INTEGER_DELTA,
     NU_BAND,
-    _X_SWITCH_JY,
-    _X_SWITCH_K,
-    X_SWITCH_K_ASYMPTOTIC,
+    X_SWITCH_ASYMPTOTIC,
     _zeta_em_f64,
     arcsinh,
     bessel,
@@ -143,20 +140,29 @@ def test_zeta_pole_and_remainder_guard():
         (lambda: arcsinh(np.array([math.inf])), "arcsinh requires every x finite, got max |x| = inf"),
         (lambda: bessel(0.6, np.array([math.inf])), "bessel requires x <= 2**25, got max x = inf"),
         (lambda: bessel(0.6, np.array([1e308])), "bessel requires x <= 2**25, got max x = 1e+308"),
-        (lambda: bessel(0.6, np.array([math.nan])), "bessel requires x > 0"),
+        (lambda: bessel(0.6, np.array([math.nan])), "bessel requires x >= 2**-20, got min x = nan"),
         (lambda: zeta_line(0.4, np.array([1e300])), "got sigma = 0.4, max |t| = 1e+300"),
         (lambda: zeta_line(1e308, np.array([1.0])), "zeta_line requires |sigma| <= 100 and at most 4194304 terms"),
         (lambda: zeta(complex(1e308, 1.0)), "and 2 |t = Im s| <= 4194304, got s = (1e+308+1j)"),
+        (lambda: zeta_terms(-1e308, 0.0, 1.0), "zeta_terms requires a finite sigma, |sigma| <= 100"),
+        # The cutoff 4 N where the remainder bound fails at N counts too.
+        (lambda: zeta_line(-0.5, np.array([524289.0])), "at most 4194304 terms per point, got sigma = -0.5"),
+        (
+            lambda: zeta(complex(-0.5, 524289.0)),
+            "zeta requires at most 4194304 terms, |sigma = Re s| <= 100 and 2 |t = Im s| <= 4194304, got s = (-0.5+524289j)",
+        ),
     ],
     ids=[
         "em_cutoff-inf", "zeta_terms-t_hi-inf", "zeta_terms-sigma-nan", "gamma-1e308", "gamma-inf+1j",
         "arcsinh-inf", "bessel-inf", "bessel-1e308", "bessel-nan", "zeta_line-1e300", "zeta_line-sigma", "zeta-sigma",
+        "zeta_terms-sigma", "zeta_line-4N", "zeta-4N",
     ],
 )
 def test_special_refuses_by_name_before_forming_any_array(call, constraint, no_new_arrays):
     # These raised OverflowError or numpy's "Maximum allowed size exceeded",
     # warned in cos or of an overflow, or returned nan (gamma(inf + 1j),
-    # arcsinh([inf]) returned inf, zeta_terms(nan, 100, 200) returned 400).
+    # arcsinh([inf]) returned inf, zeta_terms(nan, 100, 200) returned 400);
+    # zeta_line and zeta at s = -0.5 + 524289 i summed 4 194 312 terms.
     with pytest.raises(ValidationError, match=re.escape(constraint)):
         call()
 
@@ -480,6 +486,8 @@ def test_zeta_terms_counts_the_kernel_that_runs():
     assert special.zeta_terms(0.4, 0.5 * _SWITCH, 2.0 * _SWITCH) == em_cutoff(_SWITCH) == 1000
     assert special.zeta_terms(1.5, _SWITCH, 2.0 * _SWITCH) == em_cutoff(2.0 * _SWITCH)
     assert special.zeta_terms(0.4, 1e9, 1e9 + 1e3) == 2 * 12615
+    # Where the remainder bound fails at N, Euler--Maclaurin sums 4 N terms.
+    assert special.zeta_terms(-0.5, 0.0, 524289.0) == 4 * em_cutoff(524289.0) == 4194312
 
 
 def test_riemann_siegel_truncation_bound_failure_is_named(monkeypatch):
@@ -615,12 +623,11 @@ def _bessel_ref(kind: str, nu: float, x: float) -> float:
 
 
 def _bessel_grid() -> np.ndarray:
-    seams = [_X_SWITCH_JY * (1 + eps) for eps in (-1e-3, 0.0, 1e-3)]
-    seams += [_X_SWITCH_K * (1 + eps) for eps in (-1e-3, 0.0, 1e-3)]
+    seams = [X_SWITCH_ASYMPTOTIC * (1 + eps) for eps in (-1e-3, 0.0, 1e-3)]
     return np.unique(np.concatenate([np.geomspace(0.05, 500.0, 40), np.array(seams)]))
 
 
-@pytest.mark.parametrize("nu", [0.35, 0.55, 0.8, 0.95, 1.0, 1.0 + 0.4 * _NEAR_INTEGER_DELTA, 1.05, 1.15])
+@pytest.mark.parametrize("nu", [0.35, 0.55, 0.8, 0.95, 1.0, 1.002, 1.05, 1.15])
 def test_bessel_against_mpmath(nu):
     xs = _bessel_grid()
     for kind in ("J", "Y", "K"):
@@ -633,6 +640,19 @@ def test_bessel_against_mpmath(nu):
                 envelope = math.sqrt(2.0 / (math.pi * float(x)))
                 scale = max(abs(ref), envelope)
                 assert abs(mine - ref) <= 5e-9 * scale, f"{kind} nu={nu} x={x}"
+
+
+@pytest.mark.parametrize("nu", [0.35, 0.5, 0.8, 0.996, 0.999, 1.0, 1.001, 1.004, 1.15])
+def test_bessel_integrals_against_mpmath_below_the_switch(nu):
+    # The integral representations hold at every order: near the integer the
+    # reflection formulas' continuation in the order was off by 1.08e-8.
+    xs = np.concatenate([np.geomspace(1e-5, X_SWITCH_ASYMPTOTIC, 60), [2.0**-20]])
+    ours = bessel(nu, xs)
+    for kind in ("J", "Y", "K"):
+        for x, mine in zip(xs, ours[_ROW[kind]]):
+            ref = _bessel_ref(kind, nu, float(x))
+            scale = abs(ref) if kind == "K" else max(abs(ref), math.sqrt(2.0 / (math.pi * float(x))))
+            assert abs(mine - ref) <= 1e-12 * scale, f"{kind} nu={nu} x={x}"
 
 
 def test_bessel_half_order_closed_forms():
@@ -650,6 +670,9 @@ def test_bessel_domain_guards():
         bessel(NU_BAND[0] - 0.01, np.array([1.0]))
     with pytest.raises(ValidationError):
         bessel(0.8, np.array([1.0, 0.0]))
+    # Below the floor the integration nodes would grow without bound.
+    with pytest.raises(ValidationError, match=r"x >= 2\*\*-20, got min x = 4\.76"):
+        bessel(0.8, np.array([1.0, 2.0**-21]))
 
 
 def _k_large_loop(nu: float, x: np.ndarray) -> np.ndarray:
@@ -710,29 +733,24 @@ def _jy_large_loop(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
 
 def _bessel_per_kind(kind: str, nu: float, x: np.ndarray) -> np.ndarray:
     """``bessel(nu, x)[_ROW[kind]]`` as it was formed one kind per call: the
-    same series and trapezoid branches, and the oracle loops above the switch."""
+    same integrals up to the switch, and the oracle loops above it."""
     out = np.empty_like(x)
-    lo = x <= (_X_SWITCH_K if kind == "K" else _X_SWITCH_JY)
-    hi = x > (X_SWITCH_K_ASYMPTOTIC if kind == "K" else _X_SWITCH_JY)
-    mid = ~(lo | hi)
-    out[lo] = special._bessel_small(kind, nu, x[lo])
-    if mid.any():
-        out[mid] = special._k_trapezoid(nu, x[mid])
-    out[hi] = _k_large_loop(nu, x[hi]) if kind == "K" else _jy_large_loop(kind, nu, x[hi])
+    lo = x <= X_SWITCH_ASYMPTOTIC
+    out[lo] = special._bessel_small(nu, x[lo])[_ROW[kind]]
+    out[~lo] = _k_large_loop(nu, x[~lo]) if kind == "K" else _jy_large_loop(kind, nu, x[~lo])
     return out
 
 
 # Orders across the band, the zero first term at nu = 0.5, and orders close to
-# the integer on both sides of the near-integer band.
+# the integer on both sides.
 _ONE_PASS_ORDERS = sorted(
     {*np.linspace(NU_BAND[0], NU_BAND[1], 17).tolist(), 0.5, 0.996, 0.9999, 1.0, 1.0001, 1.004, 1.006}
 )
 
 
 def test_bessel_one_pass_bit_identical_to_one_kind_per_call():
-    seams = [s * (1.0 + e) for s in (_X_SWITCH_JY, X_SWITCH_K_ASYMPTOTIC) for e in (-1e-15, 0.0, 1e-15)]
+    seams = [X_SWITCH_ASYMPTOTIC * (1.0 + e) for e in (-1e-15, 0.0, 1e-15)]
     x = np.concatenate([np.geomspace(0.05, 5000.0, 401), np.linspace(10.0, 14.0, 97), seams])
-    assert (x <= _X_SWITCH_JY).any() and ((x > _X_SWITCH_JY) & (x <= X_SWITCH_K_ASYMPTOTIC)).any()
     for nu in _ONE_PASS_ORDERS:
         stacked = bessel(nu, x)
         assert stacked.shape == (3, x.size)
@@ -872,6 +890,21 @@ def test_no_committed_report_reaches_riemann_siegel(monkeypatch, tmp_path):
         return kernel(sigma, t, terms)
 
     monkeypatch.setattr(special, "_zeta_rs", spy)
+    run_suite(_SUITE, tmp_path, workers=1)
+    assert calls == []
+
+
+def test_no_committed_report_reaches_the_bessel_integrals(monkeypatch, tmp_path):
+    # Every Voronoi argument of the committed scenarios lies above
+    # X_SWITCH_ASYMPTOTIC, so no report byte depends on _bessel_small.
+    calls = []
+    kernel = special._bessel_small
+
+    def spy(nu, x):
+        calls.append(x.size)
+        return kernel(nu, x)
+
+    monkeypatch.setattr(special, "_bessel_small", spy)
     run_suite(_SUITE, tmp_path, workers=1)
     assert calls == []
 

@@ -258,8 +258,16 @@ def test_calibrate_bounds_its_samples_before_any_array(monkeypatch):
         raise AssertionError("the raw sum was formed")
 
     monkeypatch.setattr(voronoi, "_raw_sum", raw_sum)
-    with pytest.raises(ValidationError, match="calibration needs 64 to 65536 samples, .* got 65544"):
+    with pytest.raises(ValidationError, match="calibration needs 256 to 65536 samples, .* got 65544"):
         calibrate(_fresh_spec(), samples=2**16 + 8)
+
+
+@pytest.mark.parametrize("samples", [64, 128, 248])
+def test_calibrate_refuses_too_few_samples_for_its_drift_test(samples, no_new_arrays):
+    # At 64 samples the drift test rejected correct fits (drift ratio 0.194
+    # for a = -0.2, k = 1, x_lo = 40, where 640 samples fit).
+    with pytest.raises(ValidationError, match=f"calibration needs 256 to 65536 samples, .* got {samples}$"):
+        calibrate(_fresh_spec(), samples=samples)
 
 
 @pytest.mark.parametrize("x", [2.0 * X_MAX, 1e306])
@@ -501,7 +509,7 @@ def test_delta_mean_square_panels_are_bounded_by_the_budget(monkeypatch):
 
     monkeypatch.setattr(voronoi, "_delta", no_integrand)
     start = time.perf_counter()
-    with pytest.raises(ValidationError, match=r"panel budget 40000 on \[50000\.0, 100000\.0\]$"):
+    with pytest.raises(ValidationError, match=r"^Voronoi mean square: initial_width policy reached the panel budget 40000 on \[50000\.0, 100000\.0\]$"):
         delta_mean_square(spec, 1e5)
     assert time.perf_counter() - start < 0.25
     assert {a: sieve.size for a, sieve in arithmetic._sigma_sieves.items()} == {spec.a: 160}
