@@ -104,11 +104,19 @@ def coefficient_pairs(A: DirichletPolynomial) -> Iterator[tuple[complex, PairDat
 
 def pair_weights(A: DirichletPolynomial, sigma: float) -> Iterator[tuple[complex, PairData]]:
     """``(a(k) conj(a(l)) / lcm^{2 sigma}, _pair_data(k, l))`` over :func:`coefficient_pairs`:
-    the pair weight of the main term and of both oscillatory sums, for a finite ``sigma``."""
+    the pair weight of the main term and of both oscillatory sums, for a finite ``sigma``
+    at which dividing by ``lcm^{2 sigma}`` keeps each finite ``a(k) conj(a(l))`` finite."""
     if not math.isfinite(sigma):
         raise ValidationError(f"pair_weights requires a finite sigma, got {sigma!r}")
     for product, pd in coefficient_pairs(A):
-        yield product / pd.lcm ** (2.0 * sigma), pd
+        try:
+            weight = product / pd.lcm ** (2.0 * sigma)
+        except (OverflowError, ZeroDivisionError):  # lcm^{2 sigma} overflows, or underflows to 0
+            weight = math.inf
+        if cmath.isfinite(product) and not cmath.isfinite(weight):
+            raise ValidationError(f"pair_weights requires a finite a(k) conj(a(l)) / lcm^(2 sigma) at every pair, "
+                                  f"got sigma = {sigma!r} at lcm = {pd.lcm}")
+        yield weight, pd
 
 
 def fsum_complex(values: list[complex] | np.ndarray) -> complex:

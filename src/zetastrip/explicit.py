@@ -39,11 +39,10 @@ polynomial the secondary phase reduces to the classical
 Readings
 --------
 
-Three keywords of :func:`explicit_terms`, which both reports pass on, pick
+Two keywords of :func:`explicit_terms`, which both reports pass on, pick
 how the sums are normalised.  Each names a key of one table, which holds its
-factor: ``_SIGMA1_PREFACTORS`` and ``_SIGMA2_FACTORS`` (functions of sigma) and
-``_TWIST_MULTIPLIERS`` (the ``m`` of Sigma_2's ``e(m n/lambda)``, a function
-of the pair).  Criterion 6 (the window identity at ``sigma = 0.4``,
+factor as a function of sigma: ``_SIGMA1_PREFACTORS`` and
+``_SIGMA2_FACTORS``.  Criterion 6 (the window identity at ``sigma = 0.4``,
 ``A = 1 + 2^{-s}``, ``T`` in {125, ..., 1000}) keeps each reading left:
 
 * ``sigma1_variant``: ``canonical`` (unit prefactor, as printed; criterion
@@ -57,12 +56,12 @@ of the pair).  Criterion 6 (the window identity at ``sigma = 0.4``,
   residual fraction gate too and misses only the looser spread gate.  At
   A = 1 both ``resolved`` readings are the blocks of Matsumoto's explicit
   formula for E_sigma(T), and ``halved`` is (2 pi)^(1 - 2 sigma) times it.
-* ``twist``: ``direct`` (cancels the ``2 pi u`` phase term) or ``inverse``.
-  They coincide while every ``lambda <= 4``, as for criterion 6's
-  polynomial; the pair ``(2, 5)`` separates them, and the regressions
-  prefer ``direct`` by ~3.5 in residual norm.
 
-Defaults are the printed forms.
+Defaults are the printed forms.  Sigma_2 twists by ``e(-kappa n / lambda)``
+alone.  The other reading, ``e(-kappa_bar n / lambda)``, can differ only where
+some ``lambda >= 5``; on five such cross pairs, over sigma in [0.27, 0.48]
+and ``T`` in [1000, 8000], its worst window residual is 2 to 13 times this
+one's (``tests/pair_residuals.py``).
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ __all__ = [
     "theorem2_report",
     "SIGMA1_VARIANTS",
     "SIGMA2_VARIANTS",
-    "TWIST_MODES",
 ]
 
 _SIGMA1_PREFACTORS = {
@@ -111,10 +109,8 @@ _SIGMA2_FACTORS = {
     "halved": lambda sigma: 0.5,
     "resolved": lambda sigma: 0.5 * (2.0 * math.pi) ** (2.0 * sigma - 1.0),
 }
-_TWIST_MULTIPLIERS = {"direct": lambda pd: -pd.kappa, "inverse": lambda pd: -pd.kappa_bar}
 SIGMA1_VARIANTS = tuple(_SIGMA1_PREFACTORS)
 SIGMA2_VARIANTS = tuple(_SIGMA2_FACTORS)
-TWIST_MODES = tuple(_TWIST_MULTIPLIERS)
 
 
 @dataclass(frozen=True)
@@ -271,22 +267,18 @@ def _sigma1_sum(T: float, Y: float, cfg: StripConfig, A: DirichletPolynomial) ->
     return _pair_sum(A, sigma, "sigma1", Y, lambda pd: pd.kappa_bar, terms, outer)
 
 
-def _sigma2_sum(
-    T: float, y_cut: float, cfg: StripConfig, A: DirichletPolynomial, twist: str
-) -> tuple[complex, int]:
+def _sigma2_sum(T: float, y_cut: float, cfg: StripConfig, A: DirichletPolynomial) -> tuple[complex, int]:
     """Secondary oscillatory sum ``S2(T, Ycut)``, ``Ycut = xi(T, Y)``, before
     the reading's factor and the final ``Re{}``: ``-4 (2 pi T)^{1/2 - sigma}``
-    times :func:`_pair_sum` over ``n <= (lambda/kappa) Ycut`` with the twist's
-    ``m`` (``-kappa`` or ``-kappa_bar``), whose terms carry after
-    ``sigma_{2 sigma - 1}(n) n^{-sigma}``::
+    times :func:`_pair_sum` over ``n <= (lambda/kappa) Ycut`` with
+    ``m = -kappa``, whose terms carry after ``sigma_{2 sigma - 1}(n) n^{-sigma}``::
 
-        e(m n / lambda) * exp(i g(T, kappa n / lambda)) / log(lambda T/(2 pi kappa n))
+        e(-kappa n / lambda) * exp(i g(T, kappa n / lambda)) / log(lambda T/(2 pi kappa n))
 
     Every retained term must satisfy ``kappa n / lambda < T/(2 pi)`` strictly
     (positive logarithm); violating cutoffs raise :class:`ValidationError`.
     Returns ``(total, terms)``.
     """
-    multiplier = _reading(_TWIST_MULTIPLIERS, "twist", twist)
     saddle_scale = T / (2.0 * math.pi)
 
     def terms(pd: PairData, n: np.ndarray, base: np.ndarray, unit: np.ndarray) -> np.ndarray:
@@ -297,7 +289,7 @@ def _sigma2_sum(
             )
         return base * unit * cis(_g_phase(T, u)) / np.log(saddle_scale / u)
 
-    total, count = _pair_sum(A, cfg.sigma, "sigma2", y_cut, multiplier, terms)
+    total, count = _pair_sum(A, cfg.sigma, "sigma2", y_cut, lambda pd: -pd.kappa, terms)
     # -T^{1/2-sigma}/(pi^{1/2+sigma} 2^{sigma-1/2}) * 4 pi  ==  -4 (2 pi T)^{1/2-sigma}
     return -4.0 * (2.0 * math.pi * T) ** (0.5 - cfg.sigma) * total, count
 
@@ -323,14 +315,13 @@ def explicit_terms(
     *,
     sigma1_variant: str = SIGMA1_VARIANTS[0],
     sigma2_variant: str = SIGMA2_VARIANTS[0],
-    twist: str = TWIST_MODES[0],
 ) -> ExplicitTerms:
     """All closed-form blocks of the window identity at one ``(T, Y)``."""
     _check_inner_lengths(window, A)
     prefactor1 = _reading(_SIGMA1_PREFACTORS, "sigma1 variant", sigma1_variant)(cfg.sigma)
     factor2 = _reading(_SIGMA2_FACTORS, "sigma2 variant", sigma2_variant)(cfg.sigma)
     total1, terms1 = _sigma1_sum(window.t, window.y, cfg, A)
-    total2, terms2 = _sigma2_sum(window.t, _xi(window.t, window.y), cfg, A, twist)
+    total2, terms2 = _sigma2_sum(window.t, _xi(window.t, window.y), cfg, A)
     return ExplicitTerms(
         sigma1=(prefactor1 * total1).imag,
         sigma2=factor2 * total2.real,

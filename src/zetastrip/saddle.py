@@ -372,6 +372,8 @@ def lemma3_decay(alpha: float, k: float, t_grid) -> Lemma3Report:
     if not math.isfinite(2.0 * math.pi * k):  # the phase and its derivative divide by 2 pi k
         limit = sys.float_info.max / (2.0 * math.pi)
         raise ValidationError(f"k must keep 2 pi k finite, k <= {limit:.6g}, got {k:g}")
+    if not 2.0 * t_values[-1] / (2.0 * math.pi * k) < math.inf:  # x / (2 pi k) up to x = 2 T
+        raise ValidationError(f"k must keep 2 T / (2 pi k) finite at T = {t_values[-1]:g}, got {k:g}")
     _check_exponent("alpha", alpha)
     for t in t_values:
         # |phase'| decreases in x: no initial panel on [T, 2T] is wider than at 2T.

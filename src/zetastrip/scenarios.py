@@ -62,7 +62,6 @@ from .errors import ValidationError
 from .explicit import (
     SIGMA1_VARIANTS,
     SIGMA2_VARIANTS,
-    TWIST_MODES,
     WindowConfig,
     theorem1_report,
     theorem2_report,
@@ -78,7 +77,7 @@ from .saddle import (
     lemma4_compare,
 )
 from .voronoi import (
-    TWIST_MODES as VORONOI_TWISTS,
+    TWIST_MODES,
     X_MAX,
     TwistedSumSpec,
     calibrate,
@@ -297,7 +296,7 @@ def _theorem_inputs(v: dict) -> tuple[WindowConfig, StripConfig, DirichletPolyno
     """Window, strip, polynomial and keyword options shared by both theorem kinds."""
     cfg = StripConfig(v["sigma"])
     win = WindowConfig(v["c1"], v["c2"], v["y"], v["t"])
-    options = {name: v[name] for name in ("sigma1_variant", "sigma2_variant", "twist", "abs_tol", "rel_tol")}
+    options = {name: v[name] for name in ("sigma1_variant", "sigma2_variant", "abs_tol", "rel_tol")}
     return win, cfg, DirichletPolynomial(v["coefficients"]), options
 
 
@@ -515,6 +514,7 @@ def _choice(name: str, choices: tuple[str, ...]) -> _Param:
 # keeps echoing them, so committed reports keep their bytes, until report
 # schema 2 re-records the reference reports without them.
 _SECONDARY_WEIGHT = _choice("secondary_weight", ("coprime",))
+_TWIST = _choice("twist", ("direct",))
 _RADICAND = _choice("radicand", ("plus",))
 _POWER_MODULUS_EXPONENT = _choice("power_modulus_exponent", ("residue",))
 _LOG_CONSTANT = _choice("log_constant", ("two-pi",))
@@ -530,7 +530,7 @@ _THEOREM_KEYS = (
     _COEFFICIENTS,
     _choice("sigma1_variant", SIGMA1_VARIANTS),
     _choice("sigma2_variant", SIGMA2_VARIANTS),
-    _choice("twist", TWIST_MODES),
+    _TWIST,
     _RADICAND,
     _SECONDARY_WEIGHT,
     *_tolerances(1e-6, 1e-8),
@@ -562,7 +562,7 @@ _KINDS: dict[str, _Kind] = {
             _Param("h", _int),
             _Param("k", _int),
             _POWER_MODULUS_EXPONENT,
-            _choice("twist", VORONOI_TWISTS),
+            _choice("twist", TWIST_MODES),
             _Param("x_lo", default=40.0),
             _Param("x_hi", default=400.0),
             _Param("points", _int, 50),

@@ -25,8 +25,8 @@ explicit and testable:
                     for the Dirichlet sum and the saddle integrands.
 * ``gamma``      -- Lanczos approximation (g = 7, 9 coefficients) with
                     reflection for ``Re z < 1/2``; relative accuracy ~1e-13.
-* ``arcsinh``    -- log1p-based formula with an odd Taylor series below
-                    ``|x| < 2**-20`` (documented switch).
+* ``arcsinh``    -- log1p-based formula, and ``log 2|x|`` where ``x^2``
+                    overflows.
 * ``bessel``     -- rows K, Y, J of real order in the band [0.35, 1.15] on a
                     1-d array of x in [2**-20, 2**25]: up to one switch
                     point, x = 13, the integral representations (DLMF
@@ -50,6 +50,7 @@ machine epsilon for J and Y (the rounding of x in the phase).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
@@ -67,7 +68,6 @@ __all__ = [
     "zeta_line",
     "dirichlet_sum",
     "cis",
-    "em_cutoff",
     "zeta_terms",
     "RS_MIN_HEIGHT",
     "gamma",
@@ -79,7 +79,6 @@ __all__ = [
 # arcsinh
 # ---------------------------------------------------------------------------
 
-_ARCSINH_SERIES_CUT = 2.0 ** -20
 # The largest float whose square is finite: sqrt(max) rounds down.
 _SQUARE_MAX = math.sqrt(sys.float_info.max)
 _LN2 = math.log(2.0)
@@ -88,27 +87,19 @@ _LN2 = math.log(2.0)
 def arcsinh(x):
     """Inverse hyperbolic sine, scalar or array.
 
-    For ``|x| < 2**-20`` the odd Taylor series ``x - x^3/6`` is used (the
-    next term is below one ulp there); where ``x^2`` overflows,
-    ``log|x| + log 2`` (the rest is below one ulp there); otherwise the
-    cancellation-free form ``log1p(x + x^2/(1 + sqrt(1 + x^2)))``.  The last
-    two are formed on ``|x|`` and restored by odd symmetry.  A non-finite
-    ``x`` is refused.
+    The cancellation-free form ``log1p(x + x^2/(1 + sqrt(1 + x^2)))``, or
+    where ``x^2`` overflows ``log|x| + log 2`` (the rest is below one ulp
+    there), both formed on ``|x|`` and restored by odd symmetry.  A
+    non-finite ``x`` is refused.
     """
     arr = np.asarray(x, dtype=np.float64)
     ax = np.abs(arr)
     top = float(np.max(ax, initial=0.0))  # NaN if any x is NaN
     if not top < math.inf:
         raise ValidationError(f"arcsinh requires every x finite, got max |x| = {top!r}")
-    small = ax < _ARCSINH_SERIES_CUT
-    huge = ax > _SQUARE_MAX  # where x^2 overflows, infinite x included
-    # series branch, formed on the small entries only
-    tiny = np.where(small, arr, 0.0)
-    series = tiny - tiny * tiny * tiny / 6.0
-    # log1p branch on |x|, restored by symmetry
-    ax_safe = np.where(small | huge, 1.0, ax)
-    big = np.sign(arr) * np.log1p(ax_safe + ax_safe * ax_safe / (1.0 + np.sqrt(1.0 + ax_safe * ax_safe)))
-    out = np.where(small, series, big)
+    huge = ax > _SQUARE_MAX  # where x^2 overflows
+    ax_safe = np.where(huge, 1.0, ax)
+    out = np.sign(arr) * np.log1p(ax_safe + ax_safe * ax_safe / (1.0 + np.sqrt(1.0 + ax_safe * ax_safe)))
     if top > _SQUARE_MAX:  # log branch on |x|, restored by symmetry
         out = np.where(huge, np.sign(arr) * (np.log(np.where(huge, ax, 1.0)) + _LN2), out)
     if np.isscalar(x) or arr.ndim == 0:
@@ -129,15 +120,6 @@ _ZETA_ABS_TOL = 1e-12
 # Bounds of zeta and zeta_line: |sigma| (beyond, zeta is 1 or no cutoff meets the tolerance), terms per point.
 _SIGMA_MAX = 100.0
 _POINT_TERMS = 2**22
-
-
-def em_cutoff(t_max: float) -> int:
-    """Euler--Maclaurin cutoff ``max(20, ceil(2 t_max))`` at heights up to
-    ``t_max``, the first that :func:`_em_terms` tries: the number of terms of
-    the main sum.  ``2 |t_max|`` must be a finite float."""
-    if not 2.0 * abs(t_max) < math.inf:  # written so that NaN fails too
-        raise ValidationError(f"em_cutoff requires a finite 2 |t_max|, got t_max = {t_max!r}")
-    return max(20, int(math.ceil(2.0 * t_max)))
 
 
 def zeta(s: complex) -> complex:
@@ -162,17 +144,23 @@ def zeta(s: complex) -> complex:
 
 
 def _em_terms(s: complex) -> int:
-    """The Euler--Maclaurin cutoff of :func:`zeta` and :func:`zeta_line` (at
-    its largest ordinate): ``N = em_cutoff(|Im s|)``, or ``4 N`` where the
-    remainder bound :func:`_em_bound` exceeds ``_ZETA_ABS_TOL`` at ``N``; a
-    bound that fails at ``4 N`` too raises :class:`PrecisionError`."""
-    n_cut = em_cutoff(abs(s.imag))
+    """The one Euler--Maclaurin cutoff rule, for :func:`zeta`, :func:`zeta_line`
+    (at its largest ordinate) and :func:`zeta_terms`, at a finite ``2 |Im s|``:
+    ``N = max(20, ceil(2 |Im s|))`` terms of the main sum, or ``4 N`` where
+    the remainder bound :func:`_em_bound` exceeds ``_ZETA_ABS_TOL`` at ``N``;
+    a bound that fails at ``4 N`` too raises :class:`PrecisionError`.  An
+    ``N`` above ``_POINT_TERMS``, which every caller refuses, is returned
+    unchecked."""
+    n_cut = max(20, math.ceil(2.0 * abs(s.imag)))
+    if n_cut > _POINT_TERMS:
+        return n_cut
     if _em_bound(s, n_cut) > _ZETA_ABS_TOL:
         n_cut *= 4
     remainder = _em_bound(s, n_cut)
     if remainder > _ZETA_ABS_TOL:
         raise PrecisionError(
-            f"Euler-Maclaurin remainder bound {remainder:.2e} exceeds ZETA_ABS_TOL {_ZETA_ABS_TOL:.2e} at s = {s}"
+            f"Euler-Maclaurin remainder bound {remainder:.2e} exceeds ZETA_ABS_TOL {_ZETA_ABS_TOL:.2e} "
+            f"at s = sigma + i t = {s}"
         )
     return n_cut
 
@@ -201,11 +189,15 @@ def _em_tail(total, s, n_cut: int):
 
 def _em_bound(s: complex, n_cut: int) -> float:
     """Size of the first omitted (B12) Euler--Maclaurin term at ``s``: the
-    remainder bound checked against ``_ZETA_ABS_TOL``."""
+    remainder bound checked against ``_ZETA_ABS_TOL``; inf where it
+    overflows."""
     rise = 1.0 + 0.0j  # the rising factorial s (s + 1) ... (s + 10)
     for j in range(11):
         rise *= s + j
-    return float(abs(_B12_OVER_12FACT) * abs(rise) * n_cut ** (-s.real - 11.0))
+    try:
+        return float(abs(_B12_OVER_12FACT) * abs(rise) * n_cut ** (-s.real - 11.0))
+    except OverflowError:  # n_cut ** (...) beyond the floats
+        return math.inf
 
 
 # Complex elements per column chunk of a Dirichlet sum.  The chunk boundaries
@@ -340,7 +332,7 @@ def zeta_line(sigma: float, t) -> np.ndarray:
     the one-shot product, so a sub-switch point's value depends only on the
     number and largest ordinate of the sub-switch points in its batch, and
     a batch below the switch has the bits of Euler--Maclaurin alone.  A
-    non-finite ``sigma`` or ``t`` is refused before any sum, and so are
+    non-finite ``sigma`` or ``2 |t|`` is refused before any sum, and so are
     ``|sigma| > _SIGMA_MAX`` and ``zeta_terms(sigma, 0, max|t|) >
     _POINT_TERMS``.
     """
@@ -349,8 +341,8 @@ def zeta_line(sigma: float, t) -> np.ndarray:
     t_arr = np.asarray(t, dtype=np.float64)
     flat = np.abs(t_arr.ravel())
     t_top = float(np.max(flat, initial=0.0))  # NaN if any t is NaN
-    if not t_top < math.inf:
-        raise ValidationError(f"zeta_line requires every t finite, got max |t| = {t_top!r}")
+    if not 2.0 * t_top < math.inf:
+        raise ValidationError(f"zeta_line requires a finite 2 |t| at every t, got max |t| = {t_top!r}")
     if not (abs(sigma) <= _SIGMA_MAX and zeta_terms(sigma, 0.0, t_top) <= _POINT_TERMS):
         raise ValidationError(f"zeta_line requires |sigma| <= {_SIGMA_MAX:g} and at most {_POINT_TERMS} terms "
                               f"per point, got sigma = {sigma!r}, max |t| = {t_top!r}")
@@ -447,13 +439,13 @@ def zeta_terms(sigma: float, t_lo: float, t_hi: float) -> int:
     ``t_lo <= |t| <= t_hi``: the Euler--Maclaurin cutoff of :func:`_em_terms`
     below the switch, ``2 floor(sqrt(t / 2 pi))`` (both Riemann--Siegel
     sums) at and above it."""
-    if not (abs(sigma) <= _SIGMA_MAX and 0.0 <= t_lo <= t_hi < math.inf):  # written so that NaN fails too
-        raise ValidationError(f"zeta_terms requires a finite sigma, |sigma| <= {_SIGMA_MAX:g} and "
-                              f"0 <= t_lo <= t_hi < inf, got sigma = {sigma!r}, [t_lo, t_hi] = [{t_lo!r}, {t_hi!r}]")
+    if not (abs(sigma) <= _SIGMA_MAX and 0.0 <= t_lo <= t_hi and 2.0 * t_hi < math.inf):  # so that NaN fails too
+        raise ValidationError(f"zeta_terms requires a finite sigma, |sigma| <= {_SIGMA_MAX:g}, 0 <= t_lo <= t_hi and "
+                              f"a finite 2 t_hi, got sigma = {sigma!r}, [t_lo, t_hi] = [{t_lo!r}, {t_hi!r}]")
     if not _uses_rs(sigma, np.float64(t_hi)):
         return _em_terms(sigma + 1j * t_hi)
     rs = 2 * math.floor(math.sqrt(t_hi / (2.0 * math.pi)))
-    return rs if t_lo >= RS_MIN_HEIGHT else max(rs, em_cutoff(RS_MIN_HEIGHT))
+    return rs if t_lo >= RS_MIN_HEIGHT else max(rs, _em_terms(sigma + 1j * RS_MIN_HEIGHT))
 
 
 def _rs_terms(sigma: float, t_min: float) -> int:
@@ -744,8 +736,9 @@ _LANCZOS_COEF = (
 def gamma(z: complex) -> complex:
     """Gamma function for complex ``z`` (Lanczos g=7 with reflection).
 
-    Raises :class:`ValidationError` at the poles (non-positive integers)
-    and for ``|z| > 140``.  Returns a real float for real input.
+    Raises :class:`ValidationError` at the poles (non-positive integers),
+    for ``|z| > 140`` and where the value is not a finite float.  Returns a
+    real float for real input.
     """
     zc = complex(z)
     if not abs(zc) <= 140.0:  # Lanczos's (z + 6.5)^(z - 1/2) overflows from z = 143; NaN fails too
@@ -753,19 +746,23 @@ def gamma(z: complex) -> complex:
     real_input = zc.imag == 0.0
     if real_input and zc.real <= 0.0 and zc.real == int(zc.real):
         raise ValidationError(f"gamma pole at z = {zc.real:g}")
-    if zc.real < 0.5:
-        # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        value = math.pi / (_sinpi(zc) * gamma(1.0 - zc))
-    else:
-        w = zc - 1.0
-        acc = _LANCZOS_COEF[0]
-        for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-            acc += c / (w + i)
-        tt = w + _LANCZOS_G + 0.5
-        value = math.sqrt(2.0 * math.pi) * tt ** (w + 0.5) * np.exp(-tt) * acc
-    if real_input:
-        return float(value.real) if isinstance(value, complex) else float(value)
-    return complex(value)
+    # below Re z = 1/2 by reflection, gamma(z) gamma(1 - z) = pi / sin(pi z), with |1 - z| <= 141
+    value = math.pi / (_sinpi(zc) * _lanczos(1.0 - zc)) if zc.real < 0.5 else _lanczos(zc)
+    if not cmath.isfinite(value):
+        raise ValidationError(f"gamma overflows a float at z = {z!r}")
+    return float(value.real) if real_input else value
+
+
+def _lanczos(z: complex) -> complex:
+    """The Lanczos sum for ``Re z >= 1/2``, ``|z| < 143``, as a Python
+    complex: numpy's complex division would round the reflection's
+    ``pi / (...)`` differently."""
+    w = z - 1.0
+    acc = _LANCZOS_COEF[0]
+    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
+        acc += c / (w + i)
+    tt = w + _LANCZOS_G + 0.5
+    return complex(math.sqrt(2.0 * math.pi) * tt ** (w + 0.5) * np.exp(-tt) * acc)
 
 
 def _sinpi(z: complex) -> complex:

@@ -29,7 +29,7 @@ from zetastrip.meansquare import StripConfig, integrate_mean_square
 from zetastrip.saddle import AUDIT_CONSTANT, ExpIntegralSpec, lemma2_compare, lemma3_decay
 from zetastrip.scenarios import run_suite
 from zetastrip.special import arcsinh, bessel, gamma, zeta
-from zetastrip.special import _zeta_em_f64, em_cutoff  # doubled-parameter self-oracle
+from zetastrip.special import _zeta_em_f64  # doubled-parameter self-oracle
 from zetastrip.voronoi import (
     TwistedSumSpec,
     calibrate,
@@ -68,7 +68,7 @@ def test_criterion_1_special_function_oracles():
 
     em_rel = 0.0
     for s in (complex(0.4, 80.0), complex(0.3, 500.0), complex(-0.5, 40.0)):
-        cutoff = em_cutoff(abs(s.imag))
+        cutoff = max(20, math.ceil(2.0 * abs(s.imag)))
         base, _ = _zeta_em_f64(s, cutoff)
         doubled, _ = _zeta_em_f64(s, 2 * cutoff)
         em_rel = max(em_rel, abs(base - doubled) / abs(doubled))
@@ -225,13 +225,6 @@ def test_criterion_6_window_identity_residual_scaling():
         chosen = ("canonical", "canonical")
         chosen_spread, chosen_fraction = printed_spread, printed_fraction
     else:
-        # The twist is fixed by a cheaper fact at this scale: the inverse
-        # twist is identical to the direct one for a length-2 polynomial.
-        window = WindowConfig(0.5, 2.0, 250.0, 250.0)
-        direct = explicit_terms(window, cfg, A, twist="direct")
-        inverse = explicit_terms(window, cfg, A, twist="inverse")
-        assert direct.sigma2 == inverse.sigma2
-
         survey = {
             (s1, s2): gates(s1, s2)
             for s1, s2 in itertools.product(SIGMA1_VARIANTS, SIGMA2_VARIANTS)

@@ -20,6 +20,7 @@ from zetastrip.arithmetic import (
     divisor_sigma_range,
     fsum_complex,
     _pair_data,
+    pair_weights,
     unit_phase,
 )
 from zetastrip.errors import ValidationError
@@ -50,6 +51,14 @@ def test_coefficient_pairs_skip_zeros_in_order():
     assert [product for product, _ in pairs] == [4.0, 2.0 + 2.0j, 2.0 - 2.0j, 2.0]
     assert fsum_complex([product for product, _ in pairs]) == 10.0
     assert fsum_complex([1e16 + 1j, 1.0 - 1e16j, -1e16 + 1e16j]) == 1.0 + 1.0j
+
+
+@pytest.mark.parametrize("sigma", [2000.0, 1e154, -530.0, -1e15])
+def test_pair_weights_refuse_a_sigma_whose_lcm_power_leaves_the_floats(sigma):
+    # 2 ** (2 sigma) raised OverflowError at 2000, was 0 (ZeroDivisionError)
+    # at -1e15 and subnormal at -530, where the weight was inf.
+    with pytest.raises(ValidationError, match=re.escape(f"got sigma = {sigma!r} at lcm = 2")):
+        list(pair_weights(DirichletPolynomial((1.0, 1.0)), sigma))
 
 
 def _divisor_sigma(a: float, n: int) -> float:

@@ -17,7 +17,6 @@ import zetastrip.explicit as explicit_module
 from zetastrip.explicit import (
     SIGMA1_VARIANTS,
     SIGMA2_VARIANTS,
-    TWIST_MODES,
     ExplicitTerms,
     WindowConfig,
     _dyadic_levels,
@@ -32,6 +31,8 @@ from zetastrip.explicit import (
 )
 from zetastrip.meansquare import StripConfig, integrate_mean_square, main_term
 from zetastrip.special import cis, gamma, zeta
+
+from pair_residuals import cross_pair_residuals, sigma2_sum as _sigma2_sum_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +138,26 @@ def test_sigma1_variant_scalings():
         _sigma1(sigma1_variant="other")
 
 
-def test_sigma2_variant_scalings_and_twist_noop_small_moduli():
+def test_sigma2_variant_scalings():
     canonical = _sigma2()
     halved = _sigma2(sigma2_variant="halved")
     resolved = _sigma2(sigma2_variant="resolved")
     assert halved == pytest.approx(0.5 * canonical, rel=1e-13)
     assert resolved == pytest.approx(halved * (2.0 * math.pi) ** (2 * 0.4 - 1.0), rel=1e-13)
-    # For M = 2 every pair has lambda <= 2, where kappa_bar == kappa mod
-    # lambda: the twist direction cannot matter.
-    assert _sigma2(twist="direct") == _sigma2(twist="inverse")
 
 
 def test_sigma2_rejects_nonpositive_log_cutoff():
     # Retained terms need kappa n / lambda < T/(2 pi) strictly; a cutoff
     # beyond that bound must refuse rather than fold in log of <= 0.
     with pytest.raises(ValidationError):
-        _sigma2_sum(10.0, 3.0, _CFG, DirichletPolynomial((1.0,)), "direct")
+        _sigma2_sum(10.0, 3.0, _CFG, DirichletPolynomial((1.0,)))
+
+
+def test_the_kept_twist_leaves_a_fifth_of_the_other_twists_cross_pair_residual():
+    # At sigma = 0.3, T = 1000 the cross pair (2, 5) has kappa_bar = 3 != kappa = 2
+    # mod 5, so the two twists of Sigma_2 differ; |R| reads 0.348 against 6.284.
+    residuals = cross_pair_residuals(0.3, 1000.0, 2, 5)
+    assert abs(residuals["resolved", "direct"]) < abs(residuals["resolved", "inverse"]) / 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +350,7 @@ def test_explicit_terms_bit_identical_to_the_former_complex_exp(length, monkeypa
         coefficients = tuple(_moebius(m) * math.log(length / m) / math.log(length) for m in range(1, length + 1))
     poly = DirichletPolynomial(coefficients)
     window = WindowConfig(0.5, 2.0, 250.0, 250.0)
-    flag_sets = [{}, {"sigma1_variant": "resolved", "sigma2_variant": "halved", "twist": "inverse"}]
+    flag_sets = [{}, {"sigma1_variant": "resolved", "sigma2_variant": "halved"}]
 
     def blocks():
         return [explicit_terms(w, _CFG, poly, **flags) for w in (window, window.scaled(2.0)) for flags in flag_sets]
@@ -403,30 +408,6 @@ def _sigma1_sum_oracle(T, Y, cfg, A):
     return fsum_complex(values), terms
 
 
-def _sigma2_sum_oracle(T, y_cut, cfg, A, twist):
-    sigma = cfg.sigma
-    exponent = 2.0 * sigma - 1.0
-    saddle_scale = T / (2.0 * math.pi)
-    scalar = -4.0 * (2.0 * math.pi * T) ** (0.5 - sigma)
-    values = []
-    terms = 0
-    for product, pd in coefficient_pairs(A):
-        n_max = math.floor(pd.lam * y_cut / pd.kappa)
-        if n_max < 1:
-            continue
-        n = np.arange(1, n_max + 1, dtype=np.float64)
-        u = pd.kappa * n / pd.lam
-        sig = divisor_sigma_range(exponent, n_max)
-        n_int = np.arange(1, n_max + 1, dtype=np.int64)
-        multiplier = -pd.kappa if twist == "direct" else -pd.kappa_bar
-        twist_values = unit_phase(multiplier * n_int, pd.lam)
-        inner = np.sum(sig * n ** (-sigma) * twist_values * cis(_g_phase(T, u)) / np.log(saddle_scale / u))
-        coeff = product / pd.lcm ** (2.0 * sigma) * (pd.kappa * pd.lam) ** sigma
-        values.append(coeff * complex(inner))
-        terms += n_max
-    return scalar * fsum_complex(values), terms
-
-
 def _main_term_oracle(T, cfg, A):
     sigma = cfg.sigma
     z1 = zeta(complex(2.0 * sigma)).real
@@ -441,7 +422,7 @@ def _main_term_oracle(T, cfg, A):
     return fsum_complex(terms).real
 
 
-_READINGS = list(itertools.product(SIGMA1_VARIANTS, SIGMA2_VARIANTS, TWIST_MODES))
+_READINGS = list(itertools.product(SIGMA1_VARIANTS, SIGMA2_VARIANTS))
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 16])
@@ -456,22 +437,21 @@ def test_blocks_bit_identical_to_the_former_block_sums(length, monkeypatch):
         y_cut = _xi(T, T)
         sum1 = _sigma1_sum(T, T, cfg, poly)
         assert sum1 == _sigma1_sum_oracle(T, T, cfg, poly), (sigma, T)
-        sums2 = {twist: _sigma2_sum(T, y_cut, cfg, poly, twist) for twist in TWIST_MODES}
-        for twist, got in sums2.items():
-            assert got == _sigma2_sum_oracle(T, y_cut, cfg, poly, twist), (sigma, T, twist)
+        sum2 = _sigma2_sum(T, y_cut, cfg, poly)
+        assert sum2 == _sigma2_sum_oracle(T, y_cut, cfg, poly, "direct"), (sigma, T)
         main = _main_term_oracle(T, cfg, poly)
         # The readings apply scalar factors to the same sums.
         monkeypatch.setattr(explicit_module, "_sigma1_sum", lambda *args: sum1)
-        monkeypatch.setattr(explicit_module, "_sigma2_sum", lambda *args: sums2[args[-1]])
-        for s1, s2, twist in _READINGS:
-            got = explicit_terms(window, cfg, poly, sigma1_variant=s1, sigma2_variant=s2, twist=twist)
+        monkeypatch.setattr(explicit_module, "_sigma2_sum", lambda *args: sum2)
+        for s1, s2 in _READINGS:
+            got = explicit_terms(window, cfg, poly, sigma1_variant=s1, sigma2_variant=s2)
             total1, terms1 = sum1
-            total2, terms2 = sums2[twist]
+            total2, terms2 = sum2
             assert got == ExplicitTerms(
                 sigma1=(_sigma1_prefactor_oracle(s1, sigma) * total1).imag,
                 sigma2=_sigma2_prefactor_oracle(s2, sigma) * total2.real,
                 main=main,
                 terms_used_1=terms1,
                 terms_used_2=terms2,
-            ), (sigma, T, s1, s2, twist)
+            ), (sigma, T, s1, s2)
         monkeypatch.undo()

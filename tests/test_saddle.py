@@ -230,6 +230,18 @@ def test_lemma3_refuses_a_k_whose_2_pi_k_overflows_before_any_phase_derivative(m
             lemma3_decay(1.5, k, [50.0, 100.0])
 
 
+@pytest.mark.parametrize("k", [5e-324, 1e-307])
+def test_lemma3_refuses_a_k_whose_x_over_2_pi_k_overflows_before_any_phase_derivative(monkeypatch, k):
+    # 5e-324 used to warn "overflow encountered in divide" in the phase derivative.
+    monkeypatch.setattr(saddle, "_lemma3_phase_derivative", _no_integral)
+    monkeypatch.setattr(saddle, "_lemma3_integral", _no_integral)
+    message = f"k must keep 2 T / (2 pi k) finite at T = 100, got {k:g}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            lemma3_decay(1.5, k, [50.0, 100.0])
+
+
 def test_lemma3_panel_bound_reads_the_budget_at_call_time(monkeypatch):
     # At k = 1 the bound is 16 panels up to T = 200 and 23.6 at T = 400.
     monkeypatch.setattr(saddle, "_lemma3_integral", _no_integral)

@@ -918,6 +918,8 @@ def test_cli_run_names_a_mean_square_beyond_the_zeta_work_limit(tmp_path, capsys
     [
         ("theorem1", "sigma1_variant", "bundled", "['canonical', 'resolved']"),
         ("theorem1", "radicand", "minus", "['plus']"),
+        ("theorem1", "twist", "inverse", "['direct']"),
+        ("theorem2", "twist", "inverse", "['direct']"),
         ("theorem1", "secondary_weight", "lcm", "['coprime']"),
         ("mean-square", "secondary_weight", "lcm", "['coprime']"),
         ("voronoi", "power_modulus_exponent", "printed", "['residue']"),

@@ -13,6 +13,7 @@ import math
 import multiprocessing
 import re
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from zetastrip.special import (
     arcsinh,
     bessel,
     dirichlet_sum,
-    em_cutoff,
     gamma,
     zeta,
     zeta_line,
@@ -73,6 +73,18 @@ def test_arcsinh_at_huge_arguments_without_warnings():
         ref = float(mpmath.asinh(mpmath.mpf(float(x))))
         assert mine == pytest.approx(ref, rel=4e-16)
         assert scalar == mine
+
+
+def test_arcsinh_below_two_to_the_minus_20_against_mpmath():
+    # One log1p form down to the subnormals, with no series branch.
+    xs = np.concatenate([np.geomspace(5e-324, 2.0**-20, 1000), np.geomspace(1e-300, 2.0**-20, 1000)])
+    xs = np.concatenate([xs, -xs, [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = arcsinh(xs)
+    for x, mine in zip(xs, ours):
+        ref = mpmath.asinh(mpmath.mpf(float(x)))
+        assert abs(mine - ref) <= 2e-16 * abs(ref), x
 
 
 def test_arcsinh_scalar_and_odd():
@@ -120,6 +132,11 @@ def test_zeta_doubled_cutoff_consistency():
         assert r2 < r1
 
 
+def _first_cutoff(t: float) -> int:
+    """The first Euler--Maclaurin cutoff ``special._em_terms`` tries at height ``t``."""
+    return max(20, math.ceil(2.0 * t))
+
+
 def test_zeta_pole_and_remainder_guard():
     with pytest.raises(ValidationError):
         zeta(1.0)
@@ -130,9 +147,36 @@ def test_zeta_pole_and_remainder_guard():
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda: zeta(complex(-100.0, 2000.0)),
+        lambda: zeta_line(-100.0, np.array([2000.0])),
+        lambda: zeta_terms(-100.0, 0.0, 2000.0),
+        lambda: zeta(complex(-100.0, 1e6)),
+    ],
+    ids=["zeta", "zeta_line", "zeta_terms", "zeta-1e6"],
+)
+def test_an_overflowing_remainder_bound_is_a_failed_bound(call, monkeypatch):
+    # The bound N^(-sigma - 11) exceeds the floats at 4 N = 16 000 and sigma = -100:
+    # these ended in OverflowError.
+    for kernel in ("_zeta_em_f64", "dirichlet_sum", "_zeta_rs"):
+        monkeypatch.setattr(special, kernel, _no_sum)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=re.escape("remainder bound inf exceeds ZETA_ABS_TOL")):
+            call()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
     ("call", "constraint"),
     [
-        (lambda: em_cutoff(math.inf), "em_cutoff requires a finite 2 |t_max|, got t_max = inf"),
+        (
+            lambda: zeta_terms(1.5, 0.0, 1e308),
+            "and a finite 2 t_hi, got sigma = 1.5, [t_lo, t_hi] = [0.0, 1e+308]",
+        ),
+        (lambda: zeta_line(1.5, np.array([1e308])), "zeta_line requires a finite 2 |t| at every t, got max |t| = 1e+308"),
         (lambda: zeta_terms(0.4, 100.0, math.inf), "got sigma = 0.4, [t_lo, t_hi] = [100.0, inf]"),
         (lambda: zeta_terms(math.nan, 100.0, 200.0), "zeta_terms requires a finite sigma"),
         (lambda: gamma(1e308), "gamma requires |z| <= 140, got z = 1e+308"),
@@ -153,7 +197,7 @@ def test_zeta_pole_and_remainder_guard():
         ),
     ],
     ids=[
-        "em_cutoff-inf", "zeta_terms-t_hi-inf", "zeta_terms-sigma-nan", "gamma-1e308", "gamma-inf+1j",
+        "zeta_terms-t_hi-1e308", "zeta_line-1e308", "zeta_terms-t_hi-inf", "zeta_terms-sigma-nan", "gamma-1e308", "gamma-inf+1j",
         "arcsinh-inf", "bessel-inf", "bessel-1e308", "bessel-nan", "zeta_line-1e300", "zeta_line-sigma", "zeta-sigma",
         "zeta_terms-sigma", "zeta_line-4N", "zeta-4N",
     ],
@@ -178,8 +222,8 @@ def _no_sum(*args):
         (lambda: zeta(complex(0.4, math.nan)), "zeta requires a finite t = Im s, got nan"),
         (lambda: zeta(complex(math.nan, 1.0)), "zeta requires a finite sigma = Re s, got nan"),
         (lambda: zeta(math.inf), "zeta requires a finite sigma = Re s, got inf"),
-        (lambda: zeta_line(0.4, np.array([1.0, math.nan])), "zeta_line requires every t finite, got max |t| = nan"),
-        (lambda: zeta_line(0.4, np.array([-math.inf])), "zeta_line requires every t finite, got max |t| = inf"),
+        (lambda: zeta_line(0.4, np.array([1.0, math.nan])), "zeta_line requires a finite 2 |t| at every t, got max |t| = nan"),
+        (lambda: zeta_line(0.4, np.array([-math.inf])), "zeta_line requires a finite 2 |t| at every t, got max |t| = inf"),
         (lambda: zeta_line(math.nan, np.array([1.0])), "zeta_line requires a finite sigma, got nan"),
     ],
     ids=["t=inf", "t=nan", "sigma=nan", "s=inf", "line_t=nan", "line_t=-inf", "line_sigma=nan"],
@@ -250,7 +294,7 @@ _LINE_INPUTS = {
 def test_zeta_line_main_sum_bit_identical_to_one_shot(name, monkeypatch):
     t = _LINE_INPUTS[name]
     flat = np.abs(np.ravel(t))
-    n_cut = em_cutoff(float(flat.max()) if flat.size else 0.0)
+    n_cut = _first_cutoff(float(flat.max()) if flat.size else 0.0)
     if name == "column_chunks":
         assert n_cut - 1 > 2 * (_LINE_CHUNK // flat.size)
     expected = _main_sum_one_shot(0.4, flat, n_cut)
@@ -276,7 +320,7 @@ def _zeta_line_em(sigma: float, t) -> np.ndarray:
     t_arr = np.asarray(t, dtype=np.float64)
     flat = np.abs(t_arr.ravel())
     t_hi = float(flat.max()) if flat.size else 0.0
-    n_cut = em_cutoff(t_hi)
+    n_cut = _first_cutoff(t_hi)
     remainder = special._em_bound(sigma + 1j * t_hi, n_cut)
     if remainder > special._ZETA_ABS_TOL:
         n_cut *= 4
@@ -360,7 +404,7 @@ def test_em_tail_bit_identical_to_the_former_scalar_and_array_tails():
     for sigma in sigmas:
         for t in heights:
             s = complex(sigma, t)
-            n_cut = em_cutoff(t)
+            n_cut = _first_cutoff(t)
             n = np.arange(1, n_cut, dtype=np.float64)
             expected, bound = _em_former(complex(np.sum(n ** (-s))), s, n_cut)
             got, remainder = _zeta_em_f64(s, n_cut)
@@ -368,7 +412,7 @@ def test_em_tail_bit_identical_to_the_former_scalar_and_array_tails():
             assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex()), f"s={s}"
             assert remainder.hex() == bound.hex(), f"s={s}"
         s_vec = sigma + 1j * heights
-        n_cut = em_cutoff(float(heights.max()))
+        n_cut = _first_cutoff(float(heights.max()))
         main = _main_sum_one_shot(sigma, heights, n_cut)
         expected, _ = _em_former(main, s_vec, n_cut)
         assert _same_bits(special._em_tail(main, s_vec, n_cut), expected), f"sigma={sigma}"
@@ -481,13 +525,13 @@ def test_zeta_line_sends_the_points_at_or_above_the_switch_to_riemann_siegel(mon
 
 
 def test_zeta_terms_counts_the_kernel_that_runs():
-    assert special.zeta_terms(0.4, 0.0, _SWITCH - 0.5) == em_cutoff(_SWITCH - 0.5) == 999
+    assert special.zeta_terms(0.4, 0.0, _SWITCH - 0.5) == _first_cutoff(_SWITCH - 0.5) == 999
     assert special.zeta_terms(0.4, _SWITCH, 2.0 * _SWITCH) == 2 * 12
-    assert special.zeta_terms(0.4, 0.5 * _SWITCH, 2.0 * _SWITCH) == em_cutoff(_SWITCH) == 1000
-    assert special.zeta_terms(1.5, _SWITCH, 2.0 * _SWITCH) == em_cutoff(2.0 * _SWITCH)
+    assert special.zeta_terms(0.4, 0.5 * _SWITCH, 2.0 * _SWITCH) == _first_cutoff(_SWITCH) == 1000
+    assert special.zeta_terms(1.5, _SWITCH, 2.0 * _SWITCH) == _first_cutoff(2.0 * _SWITCH)
     assert special.zeta_terms(0.4, 1e9, 1e9 + 1e3) == 2 * 12615
     # Where the remainder bound fails at N, Euler--Maclaurin sums 4 N terms.
-    assert special.zeta_terms(-0.5, 0.0, 524289.0) == 4 * em_cutoff(524289.0) == 4194312
+    assert special.zeta_terms(-0.5, 0.0, 524289.0) == 4 * _first_cutoff(524289.0) == 4194312
 
 
 def test_riemann_siegel_truncation_bound_failure_is_named(monkeypatch):
@@ -607,6 +651,20 @@ def test_gamma_reflection_identity_and_poles():
     for bad in (0.0, -1.0, -7.0):
         with pytest.raises(ValidationError):
             gamma(bad)
+
+
+def test_gamma_reflects_to_the_edge_of_its_domain_and_refuses_an_overflow_by_name():
+    # The reflection's 1 - z reaches |1 - z| = 141 inside the Lanczos kernel's
+    # domain: gamma(-139.5) was refused as "got z = (140.5+0j)".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (-139.5, complex(-139.5, 0.5), -0.5 - 139.99j):
+            ref = complex(mpmath.gamma(mpmath.mpc(complex(z).real, complex(z).imag)))
+            assert abs(gamma(z) - ref) <= 1e-10 * abs(ref), z
+        # gamma(5e-324) was inf and gamma(-1e-310) -inf.
+        for z in (5e-324, -1e-310, complex(5e-324, 0.0)):
+            with pytest.raises(ValidationError, match=re.escape(f"gamma overflows a float at z = {z!r}")):
+                gamma(z)
 
 
 # ---------------------------------------------------------------------------

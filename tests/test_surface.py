@@ -33,7 +33,7 @@ from zetastrip.saddle import ExpIntegralSpec
 from zetastrip.voronoi import TruncationPlan, TwistedSumSpec
 
 _MODULES = ("arithmetic", "explicit", "meansquare", "quadrature", "saddle", "special", "voronoi")
-_BAD_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308)
+_BAD_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 1e154, 5e-324)
 _BAD_INTS = (math.nan, math.inf, -math.inf, 0, -1, 10**30)
 _CALL_SECONDS = 1.0
 
@@ -152,7 +152,6 @@ _ENTRIES = {
     "zeta_line": (
         "special", lambda: dict(sigma=0.4, t=np.array([10.0, 600.0])), {"sigma": "float", "t": "float_array"}
     ),
-    "em_cutoff": ("special", lambda: dict(t_max=100.0), {"t_max": "float"}),
     "zeta_terms": (
         "special", lambda: dict(sigma=0.4, t_lo=100.0, t_hi=200.0),
         {"sigma": "float", "t_lo": "float", "t_hi": "float"},
