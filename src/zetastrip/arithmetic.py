@@ -120,10 +120,14 @@ def pair_weights(A: DirichletPolynomial, sigma: float) -> Iterator[tuple[complex
 
 
 def fsum_complex(values: list[complex] | np.ndarray) -> complex:
-    """Correctly rounded sum of finite complex values, real and imaginary
-    parts apart.  Every caller sums finite terms, so none is checked."""
+    """Correctly rounded sum of complex values, real and imaginary parts
+    apart.  No term is checked: a sum that leaves the floats comes out
+    inf or nan, for the caller to check."""
     parts = np.asarray(values, dtype=np.complex128)
-    return complex(math.fsum(parts.real.tolist()), math.fsum(parts.imag.tolist()))
+    try:
+        return complex(math.fsum(parts.real.tolist()), math.fsum(parts.imag.tolist()))
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        return complex(math.nan, math.nan)
 
 
 #: Longest divisor sieve any caller forms: 2^20 entries, about 2 s on one

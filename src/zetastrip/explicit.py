@@ -316,19 +316,20 @@ def explicit_terms(
     sigma1_variant: str = SIGMA1_VARIANTS[0],
     sigma2_variant: str = SIGMA2_VARIANTS[0],
 ) -> ExplicitTerms:
-    """All closed-form blocks of the window identity at one ``(T, Y)``."""
+    """All closed-form blocks of the window identity at one ``(T, Y)``; a block
+    that is not a finite float raises :class:`ValidationError`."""
     _check_inner_lengths(window, A)
     prefactor1 = _reading(_SIGMA1_PREFACTORS, "sigma1 variant", sigma1_variant)(cfg.sigma)
     factor2 = _reading(_SIGMA2_FACTORS, "sigma2 variant", sigma2_variant)(cfg.sigma)
     total1, terms1 = _sigma1_sum(window.t, window.y, cfg, A)
     total2, terms2 = _sigma2_sum(window.t, _xi(window.t, window.y), cfg, A)
-    return ExplicitTerms(
-        sigma1=(prefactor1 * total1).imag,
-        sigma2=factor2 * total2.real,
-        main=main_term(window.t, cfg, A),
-        terms_used_1=terms1,
-        terms_used_2=terms2,
-    )
+    sigma1, sigma2 = (prefactor1 * total1).imag, factor2 * total2.real
+    if not (math.isfinite(sigma1) and math.isfinite(sigma2)):
+        raise ValidationError(
+            f"the sigma1 and sigma2 blocks at t = {window.t!r}, y = {window.y!r} are {sigma1!r} and {sigma2!r}, "
+            f"not finite floats, for the coefficients {A.coefficients}"
+        )
+    return ExplicitTerms(sigma1, sigma2, main_term(window.t, cfg, A), terms1, terms2)
 
 
 def _theorem_step(

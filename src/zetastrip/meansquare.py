@@ -159,10 +159,10 @@ def main_term(T: float, config: StripConfig, poly: DirichletPolynomial) -> float
     """Analytic main term ``M(T, A)`` (see module docstring).
 
     The pairwise sum is accumulated in lexicographic ``(k, l)`` order with
-    compensated summation; the imaginary residue left by rounding must stay
-    below ``1e-8`` of the real part, otherwise the coefficient bookkeeping
-    is inconsistent and an :class:`ValidationError` is raised.  So is a
-    ``T`` whose power ``T^(2 - 2 sigma)`` is not a finite float.
+    compensated summation; the terms of ``(k, l)`` and ``(l, k)`` are exact
+    conjugates, so the real part is the whole sum.  A ``T`` whose power
+    ``T^(2 - 2 sigma)`` is not a finite float raises :class:`ValidationError`,
+    and so do coefficients at which the sum is not.
     """
     if T <= 0.0:
         raise ValidationError("main_term requires T > 0")
@@ -185,11 +185,10 @@ def main_term(T: float, config: StripConfig, poly: DirichletPolynomial) -> float
     for weight, pd in pair_weights(poly, sigma):
         bracket = linear_scalar + secondary_scalar * (pd.kappa * pd.lam) ** (2.0 * sigma - 1.0)
         terms.append(weight * bracket)
-    total = fsum_complex(terms)
-    if abs(total.imag) > 1e-8 * max(abs(total.real), 1e-300):
+    total = fsum_complex(terms).real
+    if not math.isfinite(total):
         raise ValidationError(
-            f"main_term imaginary residue {total.imag:.3e} exceeds 1e-8 of the "
-            f"real part {total.real:.3e}; coefficient conjugation is inconsistent"
+            f"main_term at T = {T!r} is {total!r}, not a finite float, for the coefficients {poly.coefficients}"
         )
-    return total.real
+    return total
 

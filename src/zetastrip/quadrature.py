@@ -20,6 +20,7 @@ functions) start panel-aligned.  The panel budget bounds them too.
 
 from __future__ import annotations
 
+import cmath
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -143,8 +144,8 @@ def integrate_adaptive(
     ``initial_width(x)`` at each left end ``x``.  Raises
     :class:`QuadratureNonConvergence` (carrying the best value and its error
     estimate) if the panel budget :data:`MAX_PANELS` is exhausted first,
-    and :class:`PrecisionError` at the first value of ``f`` that is not
-    finite.
+    and :class:`PrecisionError` at the first value of ``f``, or a sum of
+    panel values, that is not finite.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError(f"integration endpoints must be finite, got a = {a!r}, b = {b!r}")
@@ -167,6 +168,8 @@ def integrate_adaptive(
     evaluations = NODES_PER_PANEL * lefts.size
     while True:
         total = fsum_complex(values)
+        if not cmath.isfinite(total):  # finite panel values can sum past the floats
+            raise PrecisionError(f"the sum of the panel values is not finite on [{a!r}, {b!r}]")
         if total.imag == 0.0:
             total = total.real
         total_err = math.fsum(errors.tolist())
@@ -180,11 +183,9 @@ def integrate_adaptive(
             raise QuadratureNonConvergence(
                 f"panel budget {MAX_PANELS} exhausted with {unmet}", best, total_err
             )
+        # Some panel exceeds its share: were every indicator <= tol/(2n), their
+        # fsum would be <= tol (1 + 2 eps)/2 < tol, and the loop has returned.
         split = errors > 0.5 * tol / n
-        if not split.any():
-            # Cannot happen when total_err > tol, but guard against a
-            # degenerate all-equal distribution under rounding.
-            split[np.argmax(errors)] = True
         split[np.cumsum(split) > MAX_PANELS - n] = False
         mids = 0.5 * (lefts + rights)
         split &= (lefts < mids) & (mids < rights)  # else at floating-point resolution

@@ -195,10 +195,8 @@ def _saddle_term(spec: ExpIntegralSpec) -> complex:
 
     Defined for the plus sign and ``k > 0`` only (with the minus sign the
     phase derivative never vanishes inside the range and there is no saddle
-    contribution).
+    contribution); its one caller calls it only then.
     """
-    if spec.sign != +1:
-        raise ValidationError("saddle_term exists only for sign=+1")
     T, k = spec.T, spec.k_freq
     U, V = spec.u_value, spec.v_value
     phase = T * V + 2.0 * math.pi * k * U - math.pi * k + 0.25 * math.pi

@@ -41,14 +41,13 @@ raw sum; the smooth main terms have a zeta pole there and raise.
 
 The modulus exponent on the power term
 --------------------------------------
-Two values of the exponent ``E`` on ``k^E x^(1+a)`` are in circulation; they
-agree at ``k = 1``.  The residue of the underlying Estermann series
-``sum sigma_a(n) e(hn/k) n^(-s)`` at ``s = 1 + a`` gives ``E = -1 - a``, the
-exponent used here.  The printed ``E = 1 - a`` fails the constant fit for
-every ``k >= 2``: :func:`calibrate` fits ``C0`` block-wise over a window, and
-a wrong exponent shows up as a smooth drift
-(:class:`~zetastrip.errors.CalibrationError` reports the drift ratio).  Every
-calibration records which exponent it used, and for which spec.
+The power term carries ``k^E`` with ``E = -1 - a``, the residue of the
+Estermann series ``sum sigma_a(n) e(hn/k) n^(-s)`` at ``s = 1 + a``; it is
+fixed, not an option of :func:`calibrate`.  The printed ``E = 1 - a`` agrees
+only at ``k = 1``.  A wrong exponent shows up as a smooth drift of the
+constant fit: at each of the Estermann oracle's 12 specs with ``k >= 2`` its
+drift ratio is 2.52-2.98 (limit 0.1) where ``-1 - a`` reads 0.027-0.074
+(``tests/test_voronoi.py::test_printed_exponent_drifts_at_every_k_ge_2``).
 
 Determinism
 -----------
@@ -61,7 +60,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -150,11 +148,11 @@ class Calibration:
     :func:`delta_direct` and :func:`delta_mean_square` form with it.  ``c0``
     is the fitted constant; ``std_error`` is the standard error of the
     block means around it (the drift detector); ``oscillation_rms`` is the
-    within-block RMS of the oscillating part.  ``power_exponent`` records the
-    modulus exponent that was used on the power term, since the fitted
-    constant is only meaningful together with it.  ``linear_coeff`` and
-    ``power_coeff`` are the smooth terms' coefficients ``k^(a-1) zeta(1-a)``
-    and ``k^E zeta(1+a)/(1+a)``, which every remainder of the fit subtracts.
+    within-block RMS of the oscillating part.  ``power_exponent`` is the
+    modulus exponent on the power term, always the residue value ``-1 - a``
+    (see the module docstring).  ``linear_coeff`` and ``power_coeff`` are the
+    smooth terms' coefficients ``k^(a-1) zeta(1-a)`` and
+    ``k^E zeta(1+a)/(1+a)``, which every remainder of the fit subtracts.
     """
 
     spec: TwistedSumSpec
@@ -293,17 +291,17 @@ def calibrate(
     Least squares against the model ``C0 + oscillation`` on a uniform grid:
     ``C0`` is the grand mean, the oscillation RMS is measured within
     8 blocks, and the standard error of the block means around ``C0`` is the
-    drift detector.  A smooth systematic error (wrong main terms, wrong
-    modulus exponent) inflates the block-mean scatter far above the
+    drift detector.  A smooth systematic error (wrong main terms, a window
+    too short for the modulus) inflates the block-mean scatter far above the
     oscillation level; the fit rejects when the standard error exceeds 10% of
-    the oscillation RMS.  ``power_modulus_exponent`` defaults to the residue
-    value ``-1 - a`` and ``x_lo`` to :func:`calibration_x_lo` of the modulus.
-    ``samples`` is a multiple of 8 from 256 to 65 536, checked before any
-    array is formed.
+    the oscillation RMS.  ``power_modulus_exponent`` may only repeat the
+    residue value ``-1.0 - spec.a`` (see the module docstring), ``x_lo``
+    defaults to :func:`calibration_x_lo` of the modulus, and ``samples`` is a
+    multiple of 8 from 256 to 65 536, all checked before any array is formed.
 
     Nothing is stored on the spec: the fit is returned, and a call whose
-    resolved parameters (spec, exponent, ``x_lo``, samples) were fitted
-    before returns that fit again.
+    resolved parameters (spec, ``x_lo``, samples) were fitted before returns
+    that fit again.
     """
     if x_lo is None:
         x_lo = calibration_x_lo(spec.k_mod)
@@ -318,28 +316,23 @@ def calibrate(
     a = spec.a
     if a == 0.0:
         raise ValidationError("calibration requires a < 0 (no smooth main terms at a=0)")
-    exponent = (-1.0 - a) if power_modulus_exponent is None else float(power_modulus_exponent)
-    if not (math.isfinite(exponent) and exponent * math.log(spec.k_mod) < math.log(sys.float_info.max)):
+    if power_modulus_exponent is not None and power_modulus_exponent != -1.0 - a:
         raise ValidationError(
-            f"calibration requires a power_modulus_exponent E with k^E a finite float, got E = {exponent}"
+            f"calibration uses the residue value -1 - a = {-1.0 - a!r} as its power_modulus_exponent; "
+            f"omit it or pass that value, got {power_modulus_exponent!r}"
         )
-    return _fit(spec, exponent, x_lo, samples)
+    return _fit(spec, x_lo, samples)
 
 
 @functools.lru_cache(maxsize=64)
-def _fit(spec: TwistedSumSpec, exponent: float, x_lo: float, samples: int) -> Calibration:
+def _fit(spec: TwistedSumSpec, x_lo: float, samples: int) -> Calibration:
     """The fit of :func:`calibrate` on its checked, resolved parameters."""
     a = spec.a
     x_hi = 4.0 * x_lo
+    exponent = -1.0 - a
+    # No square the fit sums overflows: k^E <= 1, x_hi <= 2^20, |zeta(1+a)/(1+a)| < 1e16 (zeta
+    # refuses the pole once 1 + a rounds to 1), samples <= 2^16: 4 samples (power term)^2 < 1e50.
     linear_coeff, power_coeff = _smooth_coefficients(spec, exponent)
-    # The fit sums the squares of residuals up to twice the power term's
-    # largest value on the window: checked before any array is formed.
-    power_top = abs(power_coeff) * x_hi ** (1.0 + a)
-    if not math.isfinite(4.0 * samples * power_top * power_top):
-        raise ValidationError(
-            "calibration requires a power_modulus_exponent E with the squares of the power term "
-            f"k^E zeta(1+a)/(1+a) x^(1+a) finite over {samples} samples up to x = {x_hi:g}, got E = {exponent}"
-        )
     # Midpoint grid: sample offsets (j + 1/2)/samples never hit the window
     # edges, and for the default window land on no integers.
     xs = x_lo + (x_hi - x_lo) * (np.arange(samples) + 0.5) / samples
@@ -367,10 +360,9 @@ def _fit(spec: TwistedSumSpec, exponent: float, x_lo: float, samples: int) -> Ca
     if not result.drift_ratio <= 0.1:  # written so that a NaN ratio fails
         raise CalibrationError(
             "constant fit rejected: block-mean standard error is "
-            f"{result.drift_ratio:.3g} of the oscillation RMS (limit 0.1). "
-            "A smooth drift of this size usually means the modulus exponent "
-            f"on the power term is wrong (used {exponent:g}; the "
-            f"residue-derived value is {-1.0 - a:g})."
+            f"{result.drift_ratio:.3g} of the oscillation RMS (limit 0.1) on [{x_lo:g}, {x_hi:g}]. "
+            "A smooth drift of this size usually means the window is too short "
+            f"for the modulus k = {spec.k_mod} (see calibration_x_lo)."
         )
     return result
 

@@ -6,6 +6,7 @@ import cmath
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,25 @@ def test_explicit_terms_block_total_consistency():
     assert terms.block_total == pytest.approx(terms.main + terms.sigma1 + terms.sigma2)
     assert terms.terms_used_1 > 0 and terms.terms_used_2 > 0
     assert terms.main == pytest.approx(main_term(40.0, _CFG, _POLY2), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    ("coefficients", "blocks", "main"),
+    [
+        ((1e200,), "are nan and nan", "is nan"),
+        ((1e154,), "are nan and -inf", "is inf"),  # |a|^2 = 1e308 is finite: a bound on it misses this
+        ((1e153, 1e153), None, "is nan"),  # finite terms whose sum overflows
+    ],
+)
+def test_blocks_that_leave_the_floats_are_refused_by_name(coefficients, blocks, main):
+    # These blocks used to come out nan or inf with no refusal.
+    A = DirichletPolynomial(coefficients)
+    named = f"not a finite float, for the coefficients {A.coefficients}"
+    with pytest.raises(ValidationError, match=re.escape(f"main_term at T = 60.0 {main}, {named}")):
+        main_term(60.0, StripConfig(0.4), A)
+    expected = f"sigma1 and sigma2 blocks at t = 60.0, y = 60.0 {blocks}, not finite floats" if blocks else named
+    with pytest.raises(ValidationError, match=re.escape(expected)):
+        explicit_terms(WindowConfig(0.5, 2.0, 60.0, 60.0), StripConfig(0.4), A)
 
 
 def test_theorem1_report_wiring():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from zetastrip import meansquare, quadrature, saddle, voronoi
 from zetastrip.arithmetic import DirichletPolynomial
-from zetastrip.errors import QuadratureNonConvergence, ValidationError
+from zetastrip.errors import PrecisionError, QuadratureNonConvergence, ValidationError
 from zetastrip.quadrature import QuadratureResult, integrate_adaptive
 
 mpmath.mp.prec = 120
@@ -33,6 +34,12 @@ def test_empty_and_reversed_interval():
         integrate_adaptive(lambda x: x, 0.0, math.inf, initial_width=lambda x: 1.0)
     with pytest.raises(ValidationError):
         integrate_adaptive(lambda x: x, 0.0, 1.0, abs_tol=0.0, initial_width=lambda x: 1.0)
+
+
+def test_panel_values_that_sum_past_the_floats_are_refused():
+    # 100 panels of 1e307 each: the sum used to end in fsum's OverflowError.
+    with pytest.raises(PrecisionError, match=re.escape("the sum of the panel values is not finite on [0.0, 100.0]")):
+        integrate_adaptive(lambda x: np.full_like(x, 1e307), 0.0, 100.0, initial_width=lambda x: 1.0)
 
 
 @pytest.mark.parametrize(

@@ -987,7 +987,6 @@ def test_cli_run_names_a_main_term_beyond_the_float_range(tmp_path, capsys):
     ("kind", "parameters", "interval"),
     [
         ("mean-square", {**CHEAP_PARAMETERS["mean-square"], "coefficients": "1e200, 1"}, "[0.0, 2.0]"),
-        ("theorem1", {**CHEAP_PARAMETERS["theorem1"], "coefficients": "1e200"}, "[60.0, 120.0]"),
     ],
 )
 def test_cli_run_names_a_non_finite_integrand(tmp_path, capsys, kind, parameters, interval):
@@ -1001,6 +1000,25 @@ def test_cli_run_names_a_non_finite_integrand(tmp_path, capsys, kind, parameters
     assert code == EXIT_ERROR
     assert err.startswith("error: integrand value inf at x = ")
     assert f"is not finite on {interval}" in err
+    assert elapsed < 1.0
+
+
+def test_cli_run_names_coefficients_whose_window_blocks_leave_the_floats(tmp_path, capsys, monkeypatch):
+    # At coefficient 1e200 the blocks used to come out nan, and the run failed
+    # only later, naming the integrand on [60.0, 120.0]; it now stops at the
+    # first window, before any quadrature.
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran before the blocks were refused")
+
+    monkeypatch.setattr(explicit, "integrate_mean_square", no_quadrature)
+    parameters = {**CHEAP_PARAMETERS["theorem1"], "coefficients": "1e200"}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, elapsed, err = _run_cli(tmp_path, capsys, "theorem1", parameters)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == EXIT_ERROR
+    assert err.startswith("error: the sigma1 and sigma2 blocks at t = ")
+    assert err.rstrip().endswith("are nan and nan, not finite floats, for the coefficients ((1e+200+0j),)")
     assert elapsed < 1.0
 
 

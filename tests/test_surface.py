@@ -57,9 +57,7 @@ def _window():
 
 
 def _voronoi_spec():
-    # k = 1: the power term's modulus exponent then leaves the fit unchanged,
-    # so every finite exponent fits.  At k >= 2 a wrong exponent is refused
-    # by the fit's drift test (CalibrationError), a verdict, not an input error.
+    # k = 1: the smallest default calibration window, so every fit is cheap.
     return TwistedSumSpec(-0.2, 0, 1)
 
 

@@ -185,24 +185,24 @@ def _estermann_at_zero(a: float, h: int, k: int) -> complex:
     return complex(mpmath.mpf(k) ** a * total)
 
 
-@pytest.mark.parametrize(
-    ("a", "h", "k"),
-    [
-        (-0.2, 0, 1),
-        (-0.2, 1, 2),
-        (-0.2, 1, 3),
-        (-0.2, 2, 3),
-        (-0.35, 1, 4),
-        (-0.35, 3, 4),
-        (-0.45, 2, 3),
-        (-0.2, 1, 5),
-        (-0.2, 2, 5),
-        (-0.35, 3, 7),
-        (-0.2, 2, 7),
-        (-0.45, 5, 11),
-        (-0.2, 5, 13),
-    ],
-)
+_ESTERMANN_SPECS = [
+    (-0.2, 0, 1),
+    (-0.2, 1, 2),
+    (-0.2, 1, 3),
+    (-0.2, 2, 3),
+    (-0.35, 1, 4),
+    (-0.35, 3, 4),
+    (-0.45, 2, 3),
+    (-0.2, 1, 5),
+    (-0.2, 2, 5),
+    (-0.35, 3, 7),
+    (-0.2, 2, 7),
+    (-0.45, 5, 11),
+    (-0.2, 5, 13),
+]
+
+
+@pytest.mark.parametrize(("a", "h", "k"), _ESTERMANN_SPECS)
 def test_calibrated_constant_lies_within_three_standard_errors_of_estermann(a, h, k):
     # k >= 5 passes the drift gate since the default window grows with k.
     cal = calibrate(_fresh_spec(a, h, k))
@@ -210,21 +210,24 @@ def test_calibrated_constant_lies_within_three_standard_errors_of_estermann(a, h
     assert abs(cal.c0 - _estermann_at_zero(a, h, k)) <= 3.0 * cal.std_error
 
 
-def test_calibrate_rejects_printed_exponent_for_k_ge_2():
-    spec = _fresh_spec()
-    with pytest.raises(CalibrationError) as info:
-        calibrate(spec, power_modulus_exponent=1.2)  # the printed 1 - a drifts for k >= 2
-    message = str(info.value)
-    assert "residue-derived" in message and "-0.8" in message
-
-
-def test_calibrate_printed_exponent_harmless_at_k_1():
-    # At k = 1 the two candidate exponents give the same factor 1^E: the
-    # printed form calibrates cleanly, isolating the drift to the modulus.
-    spec = TwistedSumSpec(-0.2, 0, 1)
-    cal = calibrate(spec, power_modulus_exponent=1.2)
-    assert cal.drift_ratio < 0.1
-    assert cal.c0 == calibrate(TwistedSumSpec(-0.2, 0, 1)).c0
+@pytest.mark.parametrize(("a", "h", "k"), _ESTERMANN_SPECS)
+def test_printed_exponent_drifts_at_every_k_ge_2(a, h, k, monkeypatch):
+    # The evidence for the residue exponent -1 - a: with the printed k^(1 - a)
+    # on the power term, the drift test rejects the fit at every k >= 2
+    # (drift ratio 2.52-2.98, limit 0.1), and at k = 1, where 1^E = 1, the
+    # fit is the residue fit.
+    residue = calibrate(_fresh_spec(a, h, k)) if k == 1 else None
+    smooth = voronoi._smooth_coefficients
+    monkeypatch.setattr(voronoi, "_smooth_coefficients", lambda spec, exponent: smooth(spec, 1.0 - spec.a))
+    voronoi._fit.cache_clear()
+    try:
+        if k == 1:
+            assert calibrate(_fresh_spec(a, h, k)) == residue
+        else:
+            with pytest.raises(CalibrationError, match=r"standard error is 2\.\d+ of the oscillation RMS \(limit 0\.1\)"):
+                calibrate(_fresh_spec(a, h, k))
+    finally:
+        voronoi._fit.cache_clear()  # no fit of the printed exponent outlives the test
 
 
 def test_calibrate_defaults_to_the_residue_exponent():
@@ -238,12 +241,26 @@ def test_calibrate_rejects_a_zero():
         calibrate(TwistedSumSpec(0.0, 0, 1))
 
 
-@pytest.mark.parametrize("exponent", [math.nan, math.inf])
-def test_calibrate_rejects_non_finite_exponent(exponent):
+@pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+def test_calibrate_rejects_non_finite_exponent(exponent, no_new_arrays):
     # A NaN drift ratio used to pass the drift gate and store a NaN fit.
     spec = _fresh_spec()
     with pytest.raises(ValidationError, match="power_modulus_exponent"):
         calibrate(spec, power_modulus_exponent=exponent)
+
+
+@pytest.mark.parametrize(
+    ("k", "exponent"),
+    [(3, 1000.0), (3, 1.2), (1, 1.2), (3, -0.7), (100000, 40.0)],
+    ids=["overflowing", "printed", "printed-at-k-1", "another-a", "overflowing-squares"],
+)
+def test_calibrate_refuses_every_exponent_but_the_residue_value(k, exponent, no_new_arrays):
+    # E = 1000 used to overflow k^E, and E = 40 at k = 1e5 the squares the fit
+    # sums; the printed 1 - a = 1.2 used to fit at k = 1 and drift at k >= 2.
+    spec = TwistedSumSpec(-0.2, 1 % k, k)
+    message = f"residue value -1 - a = -0.8 as its power_modulus_exponent; omit it or pass that value, got {exponent!r}"
+    with pytest.raises(ValidationError, match=f"^calibration uses the {re.escape(message)}$"):
+        calibrate(spec, power_modulus_exponent=exponent, x_lo=40.0)
 
 
 def test_calibrate_rejects_samples_off_the_block_grid():
@@ -513,25 +530,6 @@ def test_delta_mean_square_panels_are_bounded_by_the_budget(monkeypatch):
         delta_mean_square(spec, 1e5)
     assert time.perf_counter() - start < 0.25
     assert {a: sieve.size for a, sieve in arithmetic._sigma_sieves.items()} == {spec.a: 160}
-
-
-@pytest.mark.parametrize(
-    ("k", "exponent", "fragment"),
-    [
-        (3, 1000.0, "k^E a finite float, got E = 1000.0"),
-        (100000, 61.6, "x^(1+a) finite over 640 samples up to x = 160, got E = 61.6"),
-        (100000, 40.0, "x^(1+a) finite over 640 samples up to x = 160, got E = 40.0"),
-    ],
-)
-def test_calibrate_refuses_a_power_term_that_overflows(k, exponent, fragment):
-    # At k = 1e5, E = 61.6 k^E is finite but the power term is not, and at
-    # E = 40 the squares the fit sums are not: the fit used to print
-    # RuntimeWarnings and end in a CalibrationError over a NaN or an inf.
-    spec = TwistedSumSpec(-0.2, 1, k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=re.escape(fragment)):
-            calibrate(spec, power_modulus_exponent=exponent, x_lo=40.0)
 
 
 def test_non_convergence_names_the_voronoi_stage(monkeypatch):
