@@ -77,7 +77,6 @@ from .saddle import (
     lemma4_compare,
 )
 from .voronoi import (
-    TWIST_MODES,
     X_MAX,
     TwistedSumSpec,
     calibrate,
@@ -162,7 +161,8 @@ class _Param:
     """One INI key: its parser, its default and, for text keys, its choices.
 
     ``default`` is a value, ``_REQUIRED``, or a callable of the values parsed
-    before this key (returning ``_REQUIRED`` when no default applies).
+    before this key; a callable leaves the refusal of a bad value it reads to
+    the library call that takes that value.
     """
 
     name: str
@@ -363,6 +363,11 @@ VORONOI_MAX_SERIES_TERMS = 2**21
 VORONOI_POINT_TERMS = 1024
 
 
+def _voronoi_twist(v: dict) -> str:
+    """The series' twist ``h_bar``, named: ``direct`` where ``h_bar = h``, else ``inverse``."""
+    return "direct" if TwistedSumSpec(v["a"], v["h"], v["k"]).h_bar == v["h"] else "inverse"
+
+
 def _run_voronoi(v: dict) -> tuple:
     x_lo, x_hi, points = v["x_lo"], v["x_hi"], v["points"]
     if not (1.0 <= x_lo < x_hi <= X_MAX):
@@ -378,6 +383,11 @@ def _run_voronoi(v: dict) -> tuple:
         )
 
     spec = TwistedSumSpec(v["a"], v["h"], v["k"])
+    if v["twist"] == "direct" and spec.h_bar != spec.h:
+        raise ValidationError(
+            f"scenario kind 'voronoi': parameter 'twist' = 'direct' would twist the series by h = {spec.h}, but it "
+            f"twists by h_bar = {spec.h_bar}, the inverse of h mod k = {spec.k_mod}; omit the key or write 'inverse'"
+        )
     plan = truncation_plan(spec, (x_lo, x_hi), n_terms)  # refuses a negative n_terms before the fit
     calibration = calibrate(spec, x_lo=v["calibration_x_lo"], samples=v["calibration_samples"])
     tolerance = max(v["tolerance_floor"], v["tail_multiple"] * plan.tail_estimate + calibration.std_error)
@@ -388,7 +398,7 @@ def _run_voronoi(v: dict) -> tuple:
     # One pass of the raw sum up to x_hi serves every point.
     for x_val, direct_val in zip(xs, delta_direct(spec, xs, calibration)):
         x, direct = float(x_val), complex(direct_val)
-        bessel = delta_bessel(spec, x, plan, twist=v["twist"])
+        bessel = delta_bessel(spec, x, plan)
         diff = abs(direct - bessel)
         differences.append(diff)
         rows.append(
@@ -562,7 +572,7 @@ _KINDS: dict[str, _Kind] = {
             _Param("h", _int),
             _Param("k", _int),
             _POWER_MODULUS_EXPONENT,
-            _choice("twist", TWIST_MODES),
+            _Param("twist", str.strip, _voronoi_twist, ("direct", "inverse")),
             _Param("x_lo", default=40.0),
             _Param("x_hi", default=400.0),
             _Param("points", _int, 50),
@@ -597,8 +607,8 @@ _KINDS: dict[str, _Kind] = {
             _Param("alpha"),
             _Param("n", _int),
             _Param("t"),
-            _Param("a_lo", default=lambda v: math.sqrt(v["t"]) if v["t"] > 0 else _REQUIRED),
-            _Param("b_hi", default=lambda v: 10.0 * math.sqrt(v["t"]) if v["t"] > 0 else _REQUIRED),
+            _Param("a_lo", default=lambda v: math.sqrt(max(v["t"], 0.0))),
+            _Param("b_hi", default=lambda v: 10.0 * math.sqrt(max(v["t"], 0.0))),
             _LOG_CONSTANT,
             *_tolerances(1e-8, 1e-9),
         ),

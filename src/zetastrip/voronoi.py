@@ -19,7 +19,7 @@ them is the point of this module:
   at one ``x`` or at an array of them from one pass of the raw sum, by
   default fitted on a window that grows with ``k`` (:func:`calibration_x_lo`);
 * :func:`delta_bessel` - a Bessel-kernel series with terms
-  ``sigma_a(n) e(-hn/k) n^(-(1+a)/2)`` against the kernel
+  ``sigma_a(n) e(-h_bar n/k) n^(-(1+a)/2)`` against the kernel
   ``-(2/pi) cos(pi a/2) [K_{a+1} + (pi/2) Y_{a+1}] - sin(pi a/2) J_{1+a}``
   evaluated at ``z = 4 pi sqrt(n x) / k``;
 * :func:`delta_asymptotic` - the large-``z`` cosine form of the same series,
@@ -38,6 +38,12 @@ common and both are adapted here explicitly:
 
 The endpoint ``a = 0`` (plain divisor function ``d(n)``) is admitted for the
 raw sum; the smooth main terms have a zeta pole there and raise.
+
+The twist of the series
+-----------------------
+Both series twist by ``e(-h_bar n/k)``, ``h h_bar = 1 (mod k)``, as Voronoi's formula
+(Estermann 1930) does.  Where ``h_bar != h``, ``e(-hn/k)`` leaves the series farther from
+``delta_direct`` than zero is (``test_the_inverse_twist_fits_the_remainder_where_the_twists_differ``).
 
 The modulus exponent on the power term
 --------------------------------------
@@ -82,7 +88,6 @@ __all__ = [
     "delta_asymptotic",
     "delta_mean_square",
     "truncation_plan",
-    "TWIST_MODES",
     "X_MAX",
 ]
 
@@ -110,10 +115,6 @@ ASYMPTOTIC_PHASE_FLOOR = 10.0
 #: Tolerances of the mean-square integral :func:`delta_mean_square`.
 _MEAN_SQUARE_ABS_TOL = 1e-6
 _MEAN_SQUARE_REL_TOL = 1e-8
-
-#: Which unit twists the Voronoi series: ``h`` (``direct``) or its inverse
-#: modulo ``k`` (``inverse``); the first is the default.
-TWIST_MODES = ("direct", "inverse")
 
 
 def exponent_from_sigma(sigma: float) -> float:
@@ -177,7 +178,7 @@ class TwistedSumSpec:
 
     ``a`` is the signed exponent in ``(-1/2, 0]`` (zero gives the plain
     divisor function and is admitted for the raw sum only); ``h`` is reduced,
-    ``0 <= h < k_mod``, and coprime to the modulus when nonzero.
+    ``0 <= h < k_mod``, and coprime to the modulus (``h = 0`` only at ``k_mod = 1``).
     """
 
     a: float
@@ -192,7 +193,7 @@ class TwistedSumSpec:
             raise ValidationError(
                 f"h must satisfy 0 <= h < k_mod, got h={self.h}, k_mod={self.k_mod}"
             )
-        if self.h != 0 and math.gcd(self.h, self.k_mod) != 1:
+        if math.gcd(self.h, self.k_mod) != 1:
             raise ValidationError(
                 f"h={self.h} and k_mod={self.k_mod} must be coprime"
             )
@@ -200,6 +201,11 @@ class TwistedSumSpec:
         if not -0.5 < a <= 0.0:
             raise ValidationError(f"exponent a must lie in (-1/2, 0], got {self.a}")
         object.__setattr__(self, "a", a)
+
+    @property
+    def h_bar(self) -> int:
+        """``h``'s inverse mod ``k_mod`` (0 at ``k_mod = 1``), the twist of both series."""
+        return pow(self.h, -1, self.k_mod)
 
 
 @dataclass(frozen=True)
@@ -453,40 +459,26 @@ def truncation_plan(
     return TruncationPlan(n_terms=int(n_terms), tail_estimate=tail)
 
 
-def _series(
-    spec: TwistedSumSpec, plan: TruncationPlan, twist: str, scale: float, power: float, kernel
-) -> complex:
-    """``scale sum_{n <= N} sigma_a(n) n^power kernel(n) e(-m n/k)``, the product
-    formed left to right and summed correctly rounded; ``m`` is ``h`` or its
-    inverse mod ``k`` as ``twist`` says, and an empty plan gives zero."""
+def _series(spec: TwistedSumSpec, plan: TruncationPlan, scale: float, power: float, kernel) -> complex:
+    """``scale sum_{n <= N} sigma_a(n) n^power kernel(n) e(-h_bar n/k)``, formed left
+    to right and summed correctly rounded; an empty plan gives zero."""
     if plan.n_terms == 0:
         return 0.0 + 0.0j
-    if twist not in TWIST_MODES:
-        raise ValidationError(f"twist must be one of {TWIST_MODES}, got {twist!r}")
-    m = spec.h if twist == "direct" or spec.h == 0 else pow(spec.h, -1, spec.k_mod)
     n_int = np.arange(1, plan.n_terms + 1, dtype=np.int64)
     n = n_int.astype(np.float64)
     sig = divisor_sigma_range(spec.a, plan.n_terms)
-    return fsum_complex(scale * sig * n**power * kernel(n) * unit_phase(-m * n_int, spec.k_mod))
+    return fsum_complex(scale * sig * n**power * kernel(n) * unit_phase(-spec.h_bar * n_int, spec.k_mod))
 
 
-def delta_bessel(
-    spec: TwistedSumSpec,
-    x: float,
-    plan: TruncationPlan,
-    *,
-    twist: str = "direct",
-) -> complex:
+def delta_bessel(spec: TwistedSumSpec, x: float, plan: TruncationPlan) -> complex:
     """Bessel-kernel series for the oscillating remainder, truncated per plan.
 
-    ``x^((1+a)/2) sum_{n <= N} sigma_a(n) e(-hn/k) n^(-(1+a)/2) kernel(z)``
-    with ``z = 4 pi sqrt(nx)/k`` and
+    ``x^((1+a)/2) sum_{n <= N} sigma_a(n) e(-h_bar n/k) n^(-(1+a)/2) kernel(z)``
+    with ``h_bar`` = :attr:`TwistedSumSpec.h_bar`, ``z = 4 pi sqrt(nx)/k`` and
 
         kernel(z) = -(2/pi) cos(pi a/2) [K_{a+1}(z) + (pi/2) Y_{a+1}(z)]
                     - sin(pi a/2) J_{1+a}(z).
 
-    ``twist='inverse'`` replaces ``h`` by its inverse mod ``k``; both are kept
-    because downstream applications are not consistent about which one enters.
     The truncation error is bounded by ``plan.tail_estimate``.
     """
     _check_x("delta_bessel", x)
@@ -499,19 +491,13 @@ def delta_bessel(
         k, y, j = bessel(nu, (4.0 * math.pi / spec.k_mod) * np.sqrt(n * x))
         return -(2.0 / math.pi) * cos_half * (k + (0.5 * math.pi) * y) - sin_half * j
 
-    return _series(spec, plan, twist, x ** (0.5 * (1.0 + a)), -0.5 * (1.0 + a), kernel)
+    return _series(spec, plan, x ** (0.5 * (1.0 + a)), -0.5 * (1.0 + a), kernel)
 
 
-def delta_asymptotic(
-    spec: TwistedSumSpec,
-    x: float,
-    plan: TruncationPlan,
-    *,
-    twist: str = "direct",
-) -> complex:
+def delta_asymptotic(spec: TwistedSumSpec, x: float, plan: TruncationPlan) -> complex:
     """Large-argument cosine form of the oscillating series.
 
-    ``sqrt(k)/(sqrt(2) pi) x^((2a+1)/4) sum_{n <= N} sigma_a(n) e(-hn/k)
+    ``sqrt(k)/(sqrt(2) pi) x^((2a+1)/4) sum_{n <= N} sigma_a(n) e(-h_bar n/k)
     n^(-(3+2a)/4) [cos(theta) - c_n sin(theta)]`` with
     ``theta = 4 pi sqrt(nx)/k - pi/4`` and the first-order correction
     ``c_n = (4 (1+a)^2 - 1) k / (32 pi sqrt(nx))``.  The correction
@@ -541,7 +527,7 @@ def delta_asymptotic(
         return np.cos(theta) - correction * np.sin(theta)
 
     prefactor = math.sqrt(k) / (math.sqrt(2.0) * math.pi) * x ** (0.25 * (2.0 * a + 1.0))
-    return _series(spec, plan, twist, prefactor, -0.25 * (3.0 + 2.0 * a), kernel)
+    return _series(spec, plan, prefactor, -0.25 * (3.0 + 2.0 * a), kernel)
 
 
 def delta_mean_square(spec: TwistedSumSpec, u: float, calibration: Calibration | None = None) -> float:

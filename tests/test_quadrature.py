@@ -42,6 +42,15 @@ def test_panel_values_that_sum_past_the_floats_are_refused():
         integrate_adaptive(lambda x: np.full_like(x, 1e307), 0.0, 100.0, initial_width=lambda x: 1.0)
 
 
+@pytest.mark.parametrize("value", [1e308, -1e308, 1e308 - 1e308j])
+def test_panel_values_past_the_floats_are_refused_with_no_warning(value):
+    # Finite integrand values near the float limit overflow a panel's Kronrod
+    # product; under the suite's warnings-as-errors filter that used to end in
+    # numpy's "overflow encountered in matmul" before the panel-sum refusal.
+    with pytest.raises(PrecisionError, match=re.escape("the sum of the panel values is not finite on [0.0, 100.0]")):
+        integrate_adaptive(lambda x: np.full_like(x, value, dtype=type(value)), 0.0, 100.0, initial_width=lambda x: 1.0)
+
+
 @pytest.mark.parametrize(
     "tolerances",
     [{"abs_tol": math.nan}, {"rel_tol": math.nan}, {"abs_tol": math.inf}, {"rel_tol": math.inf}],

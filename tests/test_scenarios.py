@@ -880,6 +880,79 @@ def test_cli_run_fits_the_voronoi_constant_at_moduli_from_five(tmp_path, capsys,
     assert report["config"]["calibration_x_lo"] == 40.0 * (k / 3.0) ** 2
 
 
+@pytest.mark.parametrize(("h", "k", "echo"), [(2, 5, "inverse"), (1, 3, "direct"), (2, 3, "direct")])
+def test_cli_run_echoes_the_one_voronoi_twist(tmp_path, capsys, h, k, echo):
+    # The series twists by h_bar = h^-1 mod k; the key names that reading,
+    # 'direct' where h_bar = h (every unit mod 3) and 'inverse' elsewhere.
+    text = _scenario_text("voronoi").replace("h = 1\nk = 3\n", f"h = {h}\nk = {k}\n")
+    path = _write_ini(tmp_path, "twist.ini", text)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith("PASS voronoi twist:")
+    report = json.loads((tmp_path / "out" / "twist.json").read_text(encoding="utf-8"))
+    assert report["config"]["twist"] == echo
+    assert f"# config.twist = {echo}\n" in (tmp_path / "out" / "twist.csv").read_text(encoding="utf-8")
+
+
+def test_cli_run_keeps_an_explicit_direct_twist_where_h_bar_is_h(tmp_path, capsys):
+    text = _scenario_text("voronoi", "twist = direct")
+    path = _write_ini(tmp_path, "twist.ini", text)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_PASS
+    report = json.loads((tmp_path / "out" / "twist.json").read_text(encoding="utf-8"))
+    assert report["config"]["twist"] == "direct"
+    assert report == build_report(_scenario("voronoi"))
+
+
+def test_cli_run_refuses_the_direct_twist_where_h_bar_is_not_h(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the constant was fitted before the twist was refused")
+
+    monkeypatch.setattr(scenarios, "calibrate", no_fit)
+    parameters = {**CHEAP_PARAMETERS["voronoi"], "h": "2", "k": "5", "twist": "direct"}
+    code, _elapsed, err = _run_cli(tmp_path, capsys, "voronoi", parameters)
+    assert code == EXIT_ERROR
+    assert err.startswith("error: scenario kind 'voronoi': parameter 'twist' = 'direct' would twist the series by h = 2,")
+    assert "but it twists by h_bar = 3, the inverse of h mod k = 5; omit the key or write 'inverse'" in err
+
+
+@pytest.mark.parametrize(
+    ("kind", "parameters", "refusal"),
+    [
+        # y <- t (theorem kinds)
+        *[
+            (kind, {"sigma": "0.4", "t": t}, f"WindowConfig requires t >= max(e, 1/c1) = 2.718281828459045; got t={t}.0")
+            for kind in ("theorem1", "theorem2")
+            for t in ("0", "-1")
+        ],
+        # calibration_x_lo <- k (the twist given, so its default reads nothing)
+        *[
+            ("voronoi", {"a": "-0.2", "h": "1", "k": k, "twist": "inverse"}, f"k_mod must satisfy 1 <= k_mod <= 1048576, got {k}")
+            for k in ("0", "-1", "-3")
+        ],
+        # twist <- a, h, k
+        *[
+            ("voronoi", {"a": "-0.2", "h": "1", "k": k}, f"k_mod must satisfy 1 <= k_mod <= 1048576, got {k}")
+            for k in ("0", "-1", "-3")
+        ],
+        ("voronoi", {"a": "-1", "h": "1", "k": "3"}, "exponent a must lie in (-1/2, 0], got -1.0"),
+        ("voronoi", {"a": "0", "h": "1", "k": "3"}, "calibration requires a < 0"),
+        ("voronoi", {"a": "-0.2", "h": "0", "k": "3"}, "h=0 and k_mod=3 must be coprime"),
+        ("voronoi", {"a": "-0.2", "h": "-1", "k": "3"}, "h must satisfy 0 <= h < k_mod, got h=-1, k_mod=3"),
+        ("voronoi", {"a": "-0.2", "h": "2", "k": "4"}, "h=2 and k_mod=4 must be coprime"),
+        ("voronoi", {"a": "-0.2", "h": "5", "k": "3"}, "h must satisfy 0 <= h < k_mod, got h=5, k_mod=3"),
+        # a_lo, b_hi <- t
+        *[("saddle-l4", {"alpha": "1.5", "n": "3", "t": t}, f"T must be >= 10, got {t}.0") for t in ("0", "-1", "-5")],
+    ],
+)
+def test_cli_run_leaves_a_callable_defaults_refusal_to_the_key_it_reads(tmp_path, capsys, kind, parameters, refusal):
+    # A saddle-l4 scenario at t = -5 used to exit with "missing required
+    # parameter 'a_lo'", although a_lo is optional and t is at fault.
+    code, _elapsed, err = _run_cli(tmp_path, capsys, kind, parameters)
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ")
+    assert refusal in err
+    assert "missing required parameter" not in err
+
+
 @pytest.mark.parametrize(
     ("kind", "parameters", "need"),
     [

@@ -24,9 +24,8 @@ import pytest
 from zetastrip import arithmetic, quadrature, voronoi
 from zetastrip.arithmetic import divisor_sigma_range, unit_phase
 from zetastrip.errors import CalibrationError, QuadratureNonConvergence, ValidationError
-from zetastrip.special import bessel, zeta
+from zetastrip.special import zeta
 from zetastrip.voronoi import (
-    TWIST_MODES,
     TruncationPlan,
     TwistedSumSpec,
     calibrate,
@@ -42,6 +41,8 @@ from zetastrip.voronoi import (
 )
 from zetastrip.voronoi import _main_values, _smooth_coefficients  # the main terms every Delta path subtracts
 from zetastrip.voronoi import _raw_sum  # the raw sum every D(x) path forms
+from voronoi_twists import ESTERMANN_SPECS as _ESTERMANN_SPECS, twist_residuals
+from voronoi_twists import delta_bessel_oracle as _delta_bessel_oracle, phases_oracle as _phases_oracle
 
 mpmath.mp.prec = 200
 
@@ -76,6 +77,8 @@ def test_spec_validation():
     assert TwistedSumSpec(0.0, 0, 1).a == 0.0  # plain divisor sums admitted
     with pytest.raises(ValidationError):
         TwistedSumSpec(-0.2, 2, 4)  # gcd(h, k) != 1
+    with pytest.raises(ValidationError, match="h=0 and k_mod=3 must be coprime"):
+        TwistedSumSpec(-0.2, 0, 3)  # the untwisted sum is that of k = 1
     with pytest.raises(ValidationError):
         TwistedSumSpec(-0.2, 3, 3)  # h out of range
     with pytest.raises(ValidationError):
@@ -183,23 +186,6 @@ def _estermann_at_zero(a: float, h: int, k: int) -> complex:
         for beta in range(1, k + 1):
             total += mpmath.expjpi(mpmath.mpf(2 * h * alpha * beta) / k) * hurwitz * (0.5 - mpmath.mpf(beta) / k)
     return complex(mpmath.mpf(k) ** a * total)
-
-
-_ESTERMANN_SPECS = [
-    (-0.2, 0, 1),
-    (-0.2, 1, 2),
-    (-0.2, 1, 3),
-    (-0.2, 2, 3),
-    (-0.35, 1, 4),
-    (-0.35, 3, 4),
-    (-0.45, 2, 3),
-    (-0.2, 1, 5),
-    (-0.2, 2, 5),
-    (-0.35, 3, 7),
-    (-0.2, 2, 7),
-    (-0.45, 5, 11),
-    (-0.2, 5, 13),
-]
 
 
 @pytest.mark.parametrize(("a", "h", "k"), _ESTERMANN_SPECS)
@@ -463,19 +449,23 @@ def test_delta_asymptotic_rejects_small_phase():
         delta_asymptotic(spec, 1.0, plan)  # 4 pi sqrt(x)/k below the floor
 
 
-def test_twist_direction_changes_series_for_large_moduli():
-    spec = TwistedSumSpec(-0.2, 2, 5)
-    # The default x_lo = 40 window is marginal for k = 5 (block scatter a
-    # shade over the 10% gate from fit noise alone); a wider window settles
-    # well inside it, while the wrong modulus exponent stays ~20x outside.
-    calibrate(spec, power_modulus_exponent=-0.8, x_lo=80.0)
-    plan = truncation_plan(spec, (40.0, 100.0), 1000)
-    direct = delta_bessel(spec, 60.5, plan)
-    inverse = delta_bessel(spec, 60.5, plan, twist="inverse")
-    # inverse of 2 mod 5 is 3, so the two series genuinely differ.
-    assert abs(direct - inverse) > 1e-3
-    with pytest.raises(ValidationError):
-        delta_bessel(spec, 60.5, plan, twist="sideways")
+@pytest.mark.parametrize(("a", "h", "k"), _ESTERMANN_SPECS)
+def test_h_bar_is_the_inverse_of_h(a, h, k):
+    spec = TwistedSumSpec(a, h, k)
+    assert 0 <= spec.h_bar < k and spec.h_bar * h % k == 1 % k
+
+
+_TWISTS_DIFFER = [(a, h, k) for a, h, k in _ESTERMANN_SPECS if TwistedSumSpec(a, h, k).h_bar != h]
+
+
+@pytest.mark.parametrize(("a", "h", "k"), _TWISTS_DIFFER)
+def test_the_inverse_twist_fits_the_remainder_where_the_twists_differ(a, h, k):
+    # The evidence for twisting by h_bar alone: on [40, 400] the series twisted
+    # by h is farther from the remainder than zero is, and 4.25-6.37 times
+    # farther than the one twisted by h_bar (tests/voronoi_twists.py).
+    deleted, kept, zero = twist_residuals(TwistedSumSpec(a, h, k), (40.0, 400.0))
+    assert kept < deleted / 3.0
+    assert deleted > zero
 
 
 def test_delta_mean_square_pin_and_guard(monkeypatch):
@@ -570,31 +560,6 @@ def _twisted_values_oracle(spec: TwistedSumSpec, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _phases_oracle(spec: TwistedSumSpec, n_int: np.ndarray, twist: str) -> np.ndarray:
-    multiplier = spec.h if twist == "direct" else (pow(spec.h, -1, spec.k_mod) if spec.h else 0)
-    if multiplier == 0:
-        return np.ones(n_int.size, dtype=np.complex128)
-    return unit_phase(-multiplier * n_int, spec.k_mod)
-
-
-def _delta_bessel_oracle(spec: TwistedSumSpec, x: float, n_terms: int, twist: str) -> complex:
-    if n_terms == 0:
-        return 0.0 + 0.0j
-    a, k = spec.a, spec.k_mod
-    nu = a + 1.0
-    n_int = np.arange(1, n_terms + 1, dtype=np.int64)
-    n = n_int.astype(np.float64)
-    z = (4.0 * math.pi / k) * np.sqrt(n * x)
-    cos_half = math.cos(0.5 * math.pi * a)
-    sin_half = math.sin(0.5 * math.pi * a)
-    k_nu, y_nu, j_nu = bessel(nu, z)  # each row bit-identical to one kind per call (test_special)
-    kernel = -(2.0 / math.pi) * cos_half * (k_nu + (0.5 * math.pi) * y_nu) - sin_half * j_nu
-    sig = divisor_sigma_range(a, n_terms)
-    amplitude = x ** (0.5 * (1.0 + a)) * sig * n ** (-0.5 * (1.0 + a)) * kernel
-    terms = amplitude * _phases_oracle(spec, n_int, twist)
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
-
-
 def _delta_asymptotic_oracle(spec: TwistedSumSpec, x: float, n_terms: int, twist: str) -> complex:
     if n_terms == 0:
         return 0.0 + 0.0j
@@ -622,12 +587,10 @@ _BIT_GRID = list(itertools.product((-0.2, -0.003, -0.49), ((1, 3), (2, 5), (0, 1
 @pytest.mark.parametrize(("a", "hk"), _BIT_GRID)
 def test_series_bit_identical_to_the_former_loops(a, hk):
     spec = TwistedSumSpec(a, *hk)
-    for n_terms, twist, x in itertools.product((0, 2000), TWIST_MODES, (41.0, 123.4, 400.0)):
+    for n_terms, x in itertools.product((0, 2000), (41.0, 123.4, 400.0)):
         plan = truncation_plan(spec, (40.0, 400.0), n_terms)
-        assert delta_bessel(spec, x, plan, twist=twist) == _delta_bessel_oracle(spec, x, n_terms, twist)
-        assert delta_asymptotic(spec, x, plan, twist=twist) == _delta_asymptotic_oracle(
-            spec, x, n_terms, twist
-        )
+        assert delta_bessel(spec, x, plan) == _delta_bessel_oracle(spec, x, n_terms, "inverse")
+        assert delta_asymptotic(spec, x, plan) == _delta_asymptotic_oracle(spec, x, n_terms, "inverse")
 
 
 @pytest.mark.parametrize(("a", "hk"), _BIT_GRID)
