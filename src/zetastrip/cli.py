@@ -80,13 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_outcome(entry: dict) -> None:
+    print(f"{'PASS' if entry['passed'] else 'FAIL'} {entry['kind']} {entry['stem']}: {entry['detail']}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = scenarios.execute_scenario(args.scenario, args.out)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {result.kind} {result.stem}: {result.detail}")
-    for path in result.outputs:
+    entry, outputs = scenarios.execute_scenario(args.scenario, args.out)
+    _print_outcome(entry)
+    for path in outputs:
         print(f"  wrote {path}")
-    return scenarios.EXIT_PASS if result.passed else scenarios.EXIT_FAIL
+    return scenarios.EXIT_PASS if entry["passed"] else scenarios.EXIT_FAIL
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -103,8 +106,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     summary = scenarios.run_suite(args.suite, args.out, workers=args.workers)
     for entry in summary["scenarios"]:
-        status = "PASS" if entry["passed"] else "FAIL"
-        print(f"{status} {entry['kind']} {entry['stem']}: {entry['detail']}")
+        _print_outcome(entry)
     verdict = summary["verdict"]
     print(f"suite: {verdict['detail']} (summary at {summary['summary_path']})")
     return scenarios.EXIT_PASS if verdict["passed"] else scenarios.EXIT_FAIL

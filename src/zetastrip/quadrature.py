@@ -10,7 +10,7 @@ only on the integrand values, never on timing or thread scheduling.  Totals
 are correctly rounded (``math.fsum``) and so independent of summation order;
 results are bit-for-bit reproducible.  An integral uses at most
 :data:`MAX_PANELS` panels; a caller names its stage in the error it raises
-when they run out (:func:`stage`).
+when they run out or its width policy fails (:func:`stage`).
 
 Every integral's width policy (a function of position) sets its initial
 panel lengths, to resolve oscillatory integrands; a policy that steps to the
@@ -77,8 +77,9 @@ class QuadratureResult:
     evaluations: int
 
 
-class _PanelBudget(ValidationError):
-    """The width policy's initial panels exceed the panel budget."""
+class _WidthPolicyError(ValidationError):
+    """The width policy gave a width that is not positive and finite, or more
+    initial panels than the panel budget."""
 
 
 def _initial_edges(a: float, b: float, initial_width: Callable[[float], float]) -> list[float]:
@@ -88,12 +89,14 @@ def _initial_edges(a: float, b: float, initial_width: Callable[[float], float]) 
     while x < b:
         w = initial_width(x)
         if not 0.0 < w < math.inf:  # also false for NaN
-            raise ValidationError("initial_width must produce positive finite widths")
+            raise _WidthPolicyError(
+                f"initial_width must produce positive finite widths, got {w!r} at x = {x!r} on [{a!r}, {b!r}]"
+            )
         x = x + w
         if not x < b:
             x = b
         if len(edges) > MAX_PANELS:  # edges so far = panels with this one
-            raise _PanelBudget(
+            raise _WidthPolicyError(
                 f"initial_width policy reached the panel budget {MAX_PANELS} on [{a!r}, {b!r}]"
             )
         append(x)
@@ -213,11 +216,11 @@ def integrate_adaptive(
 @contextmanager
 def stage(name: str) -> Iterator[None]:
     """Prefix ``name``, the caller's stage, to the message of a non-convergence
-    or initial panel-budget error raised in the block; the interval, the best
-    value and its error estimate stay as they were."""
+    or width-policy error raised in the block; the interval, the best value
+    and its error estimate stay as they were."""
     try:
         yield
     except QuadratureNonConvergence as exc:
         raise QuadratureNonConvergence(f"{name}: {exc}", exc.value, exc.error_estimate) from None
-    except _PanelBudget as exc:
+    except _WidthPolicyError as exc:
         raise ValidationError(f"{name}: {exc}") from None

@@ -24,13 +24,18 @@ two runs of the same scenario on the same build produce byte-identical
 files regardless of worker count; complex quantities are split into
 ``_re``/``_im`` fields.
 
-``compare_reports`` diffs a JSON report against a stored baseline field by
-field: numeric fields must agree within a relative tolerance (default
-``DEFAULT_COMPARE_REL_TOL``, overridable per dotted field path via a
-``[tolerances]`` INI file), strings and booleans exactly.  A *suite file*
-lists scenario files (``[suite] scenarios = ...``, one per line, resolved
-relative to the suite file) and runs them on a thread pool of the calling
-process, ``workers`` scenarios at once.
+A run's outcome is one record, ``file``, ``kind``, ``stem``, ``passed`` and
+``detail``: ``execute_scenario`` returns it with the paths it wrote, and a
+suite summary lists it as it is.  A *suite file* lists scenario files
+(``[suite] scenarios = ...``, one per line, resolved relative to the suite
+file) and runs them on a thread pool of the calling process, ``workers``
+scenarios at once.
+
+``compare_reports`` diffs a JSON report against a stored baseline in one pass
+over the flattened fields: numeric fields must agree within a relative
+tolerance (default ``DEFAULT_COMPARE_REL_TOL``, overridable per dotted field
+path via a ``[tolerances]`` INI file), strings and booleans exactly, and no
+NaN or infinity agrees with another value.
 
 Exit-code convention used by the command-line front end:
 
@@ -246,22 +251,21 @@ def load_scenario(path: str | Path) -> Scenario:
 
     parameters = dict(parser["parameters"]) if parser.has_section("parameters") else {}
 
-    stem = path.stem
-    formats: tuple[str, ...] = REPORT_FORMATS
-    if parser.has_section("output"):
-        out = _parse_section(
-            (_Param("stem", str.strip, stem), _Param("formats", _list_of(str), formats)),
-            parser["output"],
-            f"scenario {path.name} [output]",
-        )
-        stem, formats = out["stem"], out["formats"]
-        if not stem or any(sep in stem for sep in ("/", "\\", "\0")):
-            raise ValidationError(f"scenario {path.name}: output stem must be a bare file name")
-        for fmt in formats:
-            if fmt not in REPORT_FORMATS:
-                raise ValidationError(
-                    f"scenario {path.name}: unknown output format {fmt!r}; expected {list(REPORT_FORMATS)}"
-                )
+    out = _parse_section(
+        (_Param("stem", str.strip, path.stem), _Param("formats", _list_of(str), REPORT_FORMATS)),
+        parser["output"] if parser.has_section("output") else {},
+        f"scenario {path.name} [output]",
+    )
+    stem, formats = out["stem"], out["formats"]
+    if not stem or any(sep in stem for sep in ("/", "\\", "\0")):
+        raise ValidationError(f"scenario {path.name}: output stem must be a bare file name")
+    for index, fmt in enumerate(formats):
+        if fmt not in REPORT_FORMATS:
+            raise ValidationError(
+                f"scenario {path.name}: unknown output format {fmt!r}; expected {list(REPORT_FORMATS)}"
+            )
+        if fmt in formats[:index]:
+            raise ValidationError(f"scenario {path.name}: output format {fmt!r} is listed twice")
     return Scenario(kind=head["kind"], parameters=parameters, stem=stem, formats=formats)
 
 
@@ -393,14 +397,11 @@ def _run_voronoi(v: dict) -> tuple:
     tolerance = max(v["tolerance_floor"], v["tail_multiple"] * plan.tail_estimate + calibration.std_error)
 
     rows = []
-    differences = []
     xs = np.geomspace(x_lo, x_hi, points)
     # One pass of the raw sum up to x_hi serves every point.
     for x_val, direct_val in zip(xs, delta_direct(spec, xs, calibration)):
         x, direct = float(x_val), complex(direct_val)
         bessel = delta_bessel(spec, x, plan)
-        diff = abs(direct - bessel)
-        differences.append(diff)
         rows.append(
             {
                 "x": x,
@@ -408,10 +409,10 @@ def _run_voronoi(v: dict) -> tuple:
                 "direct_im": direct.imag,
                 "bessel_re": bessel.real,
                 "bessel_im": bessel.imag,
-                "difference": diff,
+                "difference": abs(direct - bessel),
             }
         )
-    max_difference = max(differences)
+    max_difference = max(row["difference"] for row in rows)
     passed = max_difference <= tolerance
     scalars = {
         "power_exponent": calibration.power_exponent,
@@ -456,14 +457,7 @@ def _saddle_result(report, head: dict, tail: dict, suffix: str = "") -> tuple:
 
 def _run_saddle_l2(v: dict) -> tuple:
     spec = ExpIntegralSpec(
-        alpha=v["alpha"],
-        beta=v["beta"],
-        gamma=v["gamma"],
-        a_lo=v["a_lo"],
-        b_hi=v["b_hi"],
-        k_freq=v["k"],
-        T=v["t"],
-        sign=v["sign"],
+        v["alpha"], v["beta"], v["gamma"], v["a_lo"], v["b_hi"], k_freq=v["k"], T=v["t"], sign=v["sign"]
     )
     report = lemma2_compare(spec, abs_tol=v["abs_tol"], rel_tol=v["rel_tol"])
     return _saddle_result(report, {}, {"r_branch": report.r_branch})
@@ -486,13 +480,7 @@ def _run_saddle_l3(v: dict) -> tuple:
 
 def _run_saddle_l4(v: dict) -> tuple:
     report = lemma4_compare(
-        v["alpha"],
-        v["n"],
-        v["a_lo"],
-        v["b_hi"],
-        v["t"],
-        abs_tol=v["abs_tol"],
-        rel_tol=v["rel_tol"],
+        v["alpha"], v["n"], v["a_lo"], v["b_hi"], v["t"], abs_tol=v["abs_tol"], rel_tol=v["rel_tol"]
     )
     tail = {"saddle_log_constant": LOG_CONSTANT}
     return _saddle_result(report, {"delta": report.delta}, tail, f" (delta = {report.delta})")
@@ -727,33 +715,19 @@ def write_report(report: dict, out_dir: str | Path, stem: str, formats: Sequence
     return written
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Outcome of executing one scenario file end to end."""
-
-    kind: str
-    stem: str
-    passed: bool
-    detail: str
-    outputs: tuple[str, ...]
-
-
-def execute_scenario(path: str | Path, out_dir: str | Path | None = None) -> RunResult:
-    """Load, run and serialise one scenario file.  A file in the report
-    directory's place is refused before the run, which creates nothing if it fails."""
+def execute_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[dict, list[str]]:
+    """Load, run and serialise one scenario file; returns its outcome record,
+    the entry a suite summary lists (``file``, ``kind``, ``stem``, ``passed``,
+    ``detail``), and the paths written.  A file in the report directory's
+    place is refused before the run, which creates nothing if it fails."""
+    path = Path(path)
     scenario = load_scenario(path)
     target = Path(out_dir) if out_dir is not None else Path.cwd()
     if target.exists() and not target.is_dir():
         raise ValidationError(f"cannot create report directory {target}: a file of that name exists")
     report = build_report(scenario)
     outputs = write_report(report, target, scenario.stem, scenario.formats)
-    return RunResult(
-        kind=scenario.kind,
-        stem=scenario.stem,
-        passed=report["verdict"]["passed"],
-        detail=report["verdict"]["detail"],
-        outputs=tuple(outputs),
-    )
+    return {"file": path.name, "kind": scenario.kind, "stem": scenario.stem, **report["verdict"]}, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -769,24 +743,14 @@ def load_suite(path: str | Path) -> list[Path]:
     entries = [line.strip() for line in head["scenarios"].splitlines() if line.strip()]
     if not entries:
         raise ValidationError(f"suite {path.name}: 'scenarios' lists no files")
-    base = path.parent
-    resolved = []
-    for entry in entries:
-        candidate = Path(entry)
-        if not candidate.is_absolute():
-            candidate = base / candidate
+    resolved = [path.parent / entry for entry in entries]  # an absolute entry replaces the base
+    for candidate in resolved:
         if not candidate.is_file():
             raise ValidationError(f"suite {path.name}: scenario file not found: {candidate}")
-        resolved.append(candidate)
     return resolved
 
 
-def run_suite(
-    path: str | Path,
-    out_dir: str | Path | None = None,
-    *,
-    workers: int = 1,
-) -> dict:
+def run_suite(path: str | Path, out_dir: str | Path | None = None, *, workers: int = 1) -> dict:
     """Run every scenario of a suite and write a summary report.
 
     The scenarios run on a thread pool of ``min(workers, len(scenarios))``
@@ -806,12 +770,12 @@ def run_suite(
     if workers < 1:
         raise ValidationError("workers must be at least 1")
     scenario_paths = load_suite(path)
-    target = _report_dir(out_dir)
-
-    stems = [load_scenario(p).stem for p in scenario_paths]
+    # The summary's own stem counts, so no scenario report can be overwritten by it.
+    stems = [load_scenario(p).stem for p in scenario_paths] + ["suite_summary"]
     duplicates = sorted({s for s in stems if stems.count(s) > 1})
     if duplicates:
         raise ValidationError(f"suite: duplicate output stem(s) {duplicates}; reports would overwrite")
+    target = _report_dir(out_dir)
 
     pool = ThreadPoolExecutor(max_workers=min(workers, len(scenario_paths)))
     try:
@@ -819,29 +783,22 @@ def run_suite(
         wait(futures)
     finally:
         pool.shutdown(cancel_futures=True)
-    entries = [future.result() for future in futures]
+    entries, outputs = zip(*(future.result() for future in futures))
 
+    passed = sum(entry["passed"] for entry in entries)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "kind": "suite",
-        "scenarios": [
-            {
-                "file": scenario_path.name,
-                "kind": entry.kind,
-                "stem": entry.stem,
-                "passed": entry.passed,
-                "detail": entry.detail,
-            }
-            for scenario_path, entry in zip(scenario_paths, entries)
-        ],
+        "scenarios": list(entries),
         "verdict": {
-            "passed": all(entry.passed for entry in entries),
-            "detail": f"{sum(entry.passed for entry in entries)} of {len(entries)} scenario verdicts passed",
+            "passed": passed == len(entries),
+            "detail": f"{passed} of {len(entries)} scenario verdicts passed",
         },
     }
-    _write_atomic(target / "suite_summary.json", render_json(summary))
-    summary["outputs"] = [list(entry.outputs) for entry in entries]
-    summary["summary_path"] = str(target / "suite_summary.json")
+    summary_path = target / "suite_summary.json"
+    _write_atomic(summary_path, render_json(summary))
+    summary["outputs"] = list(outputs)
+    summary["summary_path"] = str(summary_path)
     return summary
 
 
@@ -867,15 +824,19 @@ def load_tolerances(path: str | Path | None) -> dict[str, float]:
     return table
 
 
-def _flatten(value, prefix: str, into: dict[str, object]) -> None:
+def _flatten(value, prefix: str = "") -> dict[str, object]:
+    """Leaf values by dotted path (``config.sigma``, ``rows[3][2]``); an
+    empty section or list has no leaves."""
     if isinstance(value, dict):
-        for key in value:
-            _flatten(value[key], f"{prefix}.{key}" if prefix else str(key), into)
+        children = ((f"{prefix}.{key}" if prefix else str(key), item) for key, item in value.items())
     elif isinstance(value, list):
-        for index, item in enumerate(value):
-            _flatten(item, f"{prefix}[{index}]", into)
+        children = ((f"{prefix}[{index}]", item) for index, item in enumerate(value))
     else:
-        into[prefix] = value
+        return {prefix: value}
+    flat: dict[str, object] = {}
+    for name, item in children:
+        flat.update(_flatten(item, name))
+    return flat
 
 
 def _tolerance_for(field: str, tolerances: Mapping[str, float]) -> float:
@@ -889,14 +850,14 @@ def compare_reports(
     """Field-by-field drift check of a report against a stored baseline.
 
     Returns ``(exit_code, messages)``: structural differences (schema or
-    kind mismatch, missing or extra fields, type changes) give exit 1;
-    numeric drift beyond tolerance or a changed string/boolean gives exit 2;
-    agreement gives exit 0.  Tolerances are relative, keyed by dotted field
-    path (``rows[3][2]`` may be keyed exactly or as ``rows``).
+    kind mismatch, missing or extra sections or fields, type changes) give
+    exit 1; numeric drift beyond tolerance or a changed string/boolean gives
+    exit 2, the changed fields listed before the drifted ones; agreement
+    gives exit 0.  Tolerances are relative, keyed by dotted field path
+    (``rows[3][2]`` may be keyed exactly or as ``rows``).  Numbers that are
+    not exactly equal agree only when their relative deviation is at most
+    the tolerance, so a NaN or an infinity agrees with no other value.
     """
-    tolerances = dict(tolerances or {})
-    messages: list[str] = []
-
     for name in ("schema_version", "kind"):
         if current.get(name) != baseline.get(name):
             return EXIT_ERROR, [
@@ -906,63 +867,64 @@ def compare_reports(
     if set(current) != set(baseline):
         gone = sorted(set(baseline) - set(current))
         new = sorted(set(current) - set(baseline))
-        return EXIT_ERROR, [
-            f"structural mismatch: top-level sections differ (missing {gone}, extra {new})"
-        ]
+        return EXIT_ERROR, [f"structural mismatch: top-level sections differ (missing {gone}, extra {new})"]
 
-    flat_current: dict[str, object] = {}
-    flat_baseline: dict[str, object] = {}
-    _flatten(current, "", flat_current)
-    _flatten(baseline, "", flat_baseline)
-
-    missing = sorted(set(flat_baseline) - set(flat_current))
-    extra = sorted(set(flat_current) - set(flat_baseline))
-    if missing or extra:
-        return EXIT_ERROR, [
-            *(f"structural mismatch: field {name} missing from current report" for name in missing),
-            *(f"structural mismatch: field {name} absent from baseline" for name in extra),
-        ]
-
-    drifts: list[str] = []  # reported after the changed strings and booleans
-    for name in sorted(flat_current):
+    flat_current, flat_baseline = _flatten(current), _flatten(baseline)
+    structural: list[str] = []
+    changed: list[str] = []
+    drifted: list[str] = []
+    for name in sorted(flat_current.keys() | flat_baseline.keys()):
+        if name not in flat_current or name not in flat_baseline:
+            where = "absent from baseline" if name in flat_current else "missing from current report"
+            structural.append(f"structural mismatch: field {name} {where}")
+            continue
         a, b = flat_current[name], flat_baseline[name]
         a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
         b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
         if a_num != b_num:
-            return EXIT_ERROR, [
-                f"structural mismatch: field {name} changed type "
-                f"({type(a).__name__} vs {type(b).__name__})"
-            ]
-        if a_num:
-            diff = abs(float(a) - float(b))
-            scale = max(abs(float(a)), abs(float(b)))
-            if diff == 0.0:
-                continue
-            relative = diff / scale if scale > 0.0 else math.inf
-            tol = _tolerance_for(name, tolerances)
-            if relative > tol:
-                drifts.append(
-                    f"field {name} drifted: current {float(a)!r}, baseline {float(b)!r}, "
+            structural.append(
+                f"structural mismatch: field {name} changed type ({type(a).__name__} vs {type(b).__name__})"
+            )
+        elif a == b:
+            continue
+        elif not a_num:
+            changed.append(f"field {name} changed: current {a!r}, baseline {b!r}")
+        else:
+            a, b = float(a), float(b)
+            scale = max(abs(a), abs(b))
+            relative = abs(a - b) / scale if scale > 0.0 else math.inf
+            tol = _tolerance_for(name, tolerances or {})
+            if not relative <= tol:
+                drifted.append(
+                    f"field {name} drifted: current {a!r}, baseline {b!r}, "
                     f"relative deviation {relative:.3e} > tolerance {tol:.3e}"
                 )
-        elif a != b:
-            messages.append(f"field {name} changed: current {a!r}, baseline {b!r}")
 
-    messages += drifts
-    if messages:
-        return EXIT_FAIL, messages
+    if structural:
+        return EXIT_ERROR, structural
+    if changed or drifted:
+        return EXIT_FAIL, changed + drifted
     return EXIT_PASS, [f"reports agree on all {len(flat_current)} fields"]
 
 
 def load_report(path: str | Path) -> dict:
-    """Read a JSON report, validating the framing fields."""
+    """Read a JSON report, validating the framing fields; a NaN or an
+    infinity (``NaN``, ``Infinity``, or a number past the float range) is
+    refused, since ``render_json`` never writes one."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read report {path}: {exc.strerror or exc}") from exc
+
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValidationError(f"report {path} holds the non-finite number {token}")
+        return value
+
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"report {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "schema_version" not in payload or "kind" not in payload:

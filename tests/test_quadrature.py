@@ -411,9 +411,19 @@ def test_integer_steps_give_the_former_integer_seeded_edges(u, monkeypatch):
 
 @pytest.mark.parametrize("width", [0.0, -0.5, math.inf, -math.inf, math.nan])
 def test_initial_edges_reject_widths_that_are_not_positive_and_finite(width):
-    for edges in (quadrature._initial_edges, _initial_edges_former):
-        with pytest.raises(ValidationError, match="^initial_width must produce positive finite widths$"):
-            edges(0.0, 1.0, lambda x: width if x > 0.25 else 0.125)
+    def policy(x):
+        return width if x > 0.25 else 0.125
+
+    with pytest.raises(ValidationError, match="^initial_width must produce positive finite widths$"):
+        _initial_edges_former(0.0, 1.0, policy)
+    # The refusal names the width, the point and the interval, and a stage prefixes it.
+    message = f"initial_width must produce positive finite widths, got {width!r} at x = 0.375 on [0.0, 1.0]"
+    with pytest.raises(ValidationError) as info:
+        quadrature._initial_edges(0.0, 1.0, policy)
+    assert str(info.value) == message
+    with pytest.raises(ValidationError) as info, quadrature.stage("test stage"):
+        quadrature._initial_edges(0.0, 1.0, policy)
+    assert str(info.value) == f"test stage: {message}"
 
 
 def test_initial_edges_panel_budget_error_unchanged(monkeypatch):

@@ -6,6 +6,7 @@ import copy
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -343,13 +344,11 @@ def test_strip_violation_is_a_named_input_error():
 def test_execute_scenario_writes_both_formats(tmp_path):
     path = _write_ini(tmp_path, "decay.ini", _scenario_text("saddle-l3"))
     out_dir = tmp_path / "reports"
-    result = execute_scenario(path, out_dir)
-    assert result.kind == "saddle-l3"
-    assert result.stem == "decay"
-    assert result.passed is True
-    assert tuple(Path(p).name for p in result.outputs) == ("decay.json", "decay.csv")
+    entry, outputs = execute_scenario(path, out_dir)
     payload = load_report(out_dir / "decay.json")
-    assert payload["kind"] == "saddle-l3"
+    assert entry == {"file": "decay.ini", "kind": "saddle-l3", "stem": "decay", **payload["verdict"]}
+    assert entry["passed"] is True
+    assert [Path(p).name for p in outputs] == ["decay.json", "decay.csv"]
     assert (out_dir / "decay.csv").read_text(encoding="utf-8") == render_csv(payload)
 
 
@@ -423,6 +422,50 @@ def test_compare_structural_mismatches(l3_report):
     assert "kind" in messages[0]
 
 
+@pytest.mark.parametrize(
+    ("current", "baseline"),
+    [(float("nan"), 1.25), (1.25, float("nan")), (math.inf, -math.inf), (math.inf, 1.25), (-1.25, -math.inf)],
+    ids=["nan-vs-finite", "finite-vs-nan", "inf-vs-minus-inf", "inf-vs-finite", "finite-vs-minus-inf"],
+)
+def test_compare_non_finite_values_drift(l3_report, current, baseline):
+    # A NaN or an infinity used to agree with any value: its relative
+    # deviation is NaN, and "NaN > tol" is false.
+    ours, theirs = copy.deepcopy(l3_report), copy.deepcopy(l3_report)
+    ours["rows"][0][1], theirs["rows"][0][1] = current, baseline
+    code, messages = compare_reports(ours, theirs)
+    assert code == EXIT_FAIL
+    assert len(messages) == 1 and messages[0].startswith("field rows[0][1] drifted: ")
+    # Equal infinities agree; a NaN agrees with nothing, not even a NaN.
+    assert compare_reports(ours, copy.deepcopy(ours))[0] == (EXIT_FAIL if math.isnan(current) else EXIT_PASS)
+
+
+def test_compare_structural_mismatches_keep_their_first_message():
+    square = build_report(_scenario("mean-square"))
+    assert square["scalars"] == {}
+    unscaled = copy.deepcopy(square)
+    del unscaled["scalars"]
+    assert compare_reports(unscaled, square) == (
+        EXIT_ERROR,
+        ["structural mismatch: top-level sections differ (missing ['scalars'], extra [])"],
+    )
+    assert compare_reports(square, unscaled)[1][0] == (
+        "structural mismatch: top-level sections differ (missing [], extra ['scalars'])"
+    )
+
+    retyped = copy.deepcopy(square)
+    retyped["rows"][0][0] = "large"  # integral
+    retyped["rows"][0][1] *= 2.0  # error_estimate drifts too
+    code, messages = compare_reports(retyped, square)
+    assert code == EXIT_ERROR
+    assert messages[0] == "structural mismatch: field rows[0][0] changed type (str vs float)"
+
+    for name, value in (("schema_version", 2), ("kind", "theorem1")):
+        other = {**copy.deepcopy(square), name: value}
+        code, messages = compare_reports(other, square)
+        assert code == EXIT_ERROR
+        assert messages[0] == f"structural mismatch: {name} differs (current {value!r}, baseline {square[name]!r})"
+
+
 def test_load_tolerances(tmp_path):
     assert load_tolerances(None) == {}
     path = _write_ini(tmp_path, "tol.ini", "[tolerances]\nrows = 1e-3\nscalars.max_min_ratio = 0.5\n")
@@ -445,6 +488,22 @@ def test_load_report_framing(tmp_path):
     unframed = _write_ini(tmp_path, "unframed.json", json.dumps({"rows": []}))
     with pytest.raises(ValidationError, match="framing"):
         load_report(unframed)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_cli_compare_refuses_a_report_holding_a_non_finite_number(tmp_path, capsys, token):
+    # render_json never writes these; Python's json module reads them, and a
+    # baseline holding one used to agree with any current value.
+    report = build_report(_scenario("saddle-l3"))
+    good = tmp_path / "good.json"
+    good.write_text(render_json(report), encoding="utf-8")
+    text = render_json(report).replace(repr(report["scalars"]["max_min_ratio"]), token)
+    bad = _write_ini(tmp_path, "bad.json", text)
+    for argv in (["compare", str(good), str(bad)], ["compare", str(bad), str(good)]):
+        assert cli.main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: report {bad} holds the non-finite number {token}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +563,19 @@ def test_run_suite_is_worker_count_invariant(tmp_path):
     summary_payload = load_report(dir_one / "suite_summary.json")
     assert summary_payload["kind"] == "suite"
     assert [entry["file"] for entry in summary_payload["scenarios"]] == ["decay.ini", "square.ini", "resonance.ini"]
+
+
+def test_run_suite_summary_lists_the_records_execute_scenario_returns(tmp_path):
+    suite_path = _write_suite(tmp_path)
+    records = [execute_scenario(p, tmp_path / "single")[0] for p in load_suite(suite_path)]
+    assert [record["file"] for record in records] == ["decay.ini", "resonance.ini"]
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        summary = run_suite(suite_path, out, workers=workers)
+        assert summary["scenarios"] == records
+        assert load_report(out / "suite_summary.json")["scenarios"] == records
+        written = [[str(out / f"{stem}.{fmt}") for fmt in REPORT_FORMATS] for stem in ("decay", "resonance")]
+        assert summary["outputs"] == written
 
 
 def test_run_suite_starts_no_process_at_any_worker_count(tmp_path, monkeypatch):
@@ -570,6 +642,28 @@ def test_run_suite_rejects_duplicate_stems(tmp_path):
         run_suite(suite_path, tmp_path / "out")
     with pytest.raises(ValidationError, match="workers"):
         run_suite(suite_path, tmp_path / "out", workers=0)
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_cli_refuses_a_report_path_written_twice_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # A scenario stem of suite_summary used to have its JSON report overwritten
+    # by the summary, and a format listed twice wrote its file twice.
+    calls = []
+    params = scenarios._KINDS["saddle-l3"].params
+    monkeypatch.setitem(scenarios._KINDS, "saddle-l3", scenarios._Kind(params, lambda v: calls.append(v)))
+    if command == "suite":
+        _write_ini(tmp_path, "decay.ini", _scenario_text("saddle-l3"))
+        _write_ini(tmp_path, "summary.ini", _scenario_text("saddle-l3", "[output]\nstem = suite_summary"))
+        path = _write_ini(tmp_path, "bench.ini", "[suite]\nscenarios =\n    decay.ini\n    summary.ini\n")
+        refusal = "suite: duplicate output stem(s) ['suite_summary']; reports would overwrite"
+    else:
+        path = _write_ini(tmp_path, "decay.ini", _scenario_text("saddle-l3", "[output]\nformats = json, csv, json"))
+        refusal = "scenario decay.ini: output format 'json' is listed twice"
+    code = cli.main([command, str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1073,6 +1167,19 @@ def test_cli_run_names_a_non_finite_integrand(tmp_path, capsys, kind, parameters
     assert code == EXIT_ERROR
     assert err.startswith("error: integrand value inf at x = ")
     assert f"is not finite on {interval}" in err
+    assert elapsed < 1.0
+
+
+def test_cli_run_names_the_stage_of_a_width_policy_refusal(tmp_path, capsys):
+    # The lemma-2 width policy yields a zero width at a_lo = 1e-300, T = 1e300;
+    # the refusal used to name no stage, point or interval.
+    parameters = {**CHEAP_PARAMETERS["saddle-l2"], "a_lo": "1e-300", "b_hi": "1e300", "t": "1e300"}
+    code, elapsed, err = _run_cli(tmp_path, capsys, "saddle-l2", parameters)
+    assert code == EXIT_ERROR
+    assert err == (
+        "error: lemma2 integral on [a_lo, b_hi] at T = 1e+300, k_freq = 1.0: initial_width must produce "
+        "positive finite widths, got 0.0 at x = 1e-300 on [1e-300, 1e+300]\n"
+    )
     assert elapsed < 1.0
 
 
