@@ -4,10 +4,12 @@
 report; ``zetastrip suite FILE`` runs every scenario a suite file lists and
 writes a summary, running ``--workers`` scenarios at once (default 1) on
 threads of this process; ``zetastrip compare CURRENT BASELINE``
-diffs two JSON reports field by field.  Exit codes: 0 when everything
-passed, 2 when the machinery worked but a verdict failed or a baseline
-drifted, 1 for a usage error, bad input or an execution error (the offending
-option or constraint is named on stderr).
+diffs two JSON reports field by field, numbers within the relative
+tolerance ``scenarios.DEFAULT_COMPARE_REL_TOL`` and everything else
+exactly.  Exit codes: 0 when everything passed, 2 when the machinery worked
+but a verdict failed or a baseline drifted, 1 for a usage error, bad input
+or an execution error (the offending option or constraint is named on
+stderr).
 """
 
 from __future__ import annotations
@@ -60,12 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="diff a JSON report against a stored baseline")
     compare.add_argument("report", help="current JSON report")
     compare.add_argument("baseline", help="baseline JSON report")
-    compare.add_argument(
-        "--tol",
-        default=None,
-        metavar="FILE",
-        help="INI file with a [tolerances] section of per-field relative tolerances",
-    )
 
     suite = sub.add_parser("suite", help="run every scenario listed by a suite file")
     suite.add_argument("suite", help="path to a suite INI file")
@@ -95,8 +91,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     current = scenarios.load_report(args.report)
     baseline = scenarios.load_report(args.baseline)
-    tolerances = scenarios.load_tolerances(args.tol)
-    code, messages = scenarios.compare_reports(current, baseline, tolerances)
+    code, messages = scenarios.compare_reports(current, baseline)
     stream = sys.stdout if code == scenarios.EXIT_PASS else sys.stderr
     for message in messages:
         print(message, file=stream)

@@ -8,7 +8,15 @@ class ZetastripError(Exception):
 
 
 class ValidationError(ZetastripError, ValueError):
-    """A configuration value violates a documented constraint."""
+    """A configuration value violates a documented constraint.
+
+    ``argument``, when given, names the one argument at fault, so that a
+    caller can name the input the value came from.
+    """
+
+    def __init__(self, message: str, argument: str | None = None) -> None:
+        super().__init__(message)
+        self.argument = argument
 
 
 class PrecisionError(ZetastripError, ArithmeticError):

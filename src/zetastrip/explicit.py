@@ -138,7 +138,7 @@ class WindowConfig:
             raise ValidationError("WindowConfig requires 0 < c1 < c2")
         if self.t < self.c_star:
             raise ValidationError(
-                f"WindowConfig requires t >= max(e, 1/c1) = {self.c_star!r}; got t={self.t!r}"
+                f"WindowConfig requires t >= max(e, 1/c1) = {self.c_star!r}; got t={self.t!r}", "t"
             )
         if not self.c1 * self.t < self.y < self.c2 * self.t:
             raise ValidationError(

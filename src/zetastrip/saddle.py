@@ -134,9 +134,9 @@ class ExpIntegralSpec:
                 f"need 0 < a_lo < b_hi, got a_lo={self.a_lo}, b_hi={self.b_hi}"
             )
         if not 0.0 < self.k_freq < math.inf:
-            raise ValidationError(f"k_freq must be positive and finite, got {self.k_freq}")
+            raise ValidationError(f"k_freq must be positive and finite, got {self.k_freq}", "k_freq")
         if not 1.0 <= self.T < math.inf:
-            raise ValidationError(f"T must be finite and >= 1, got {self.T}")
+            raise ValidationError(f"T must be finite and >= 1, got {self.T}", "T")
         if self.sign not in (+1, -1):
             raise ValidationError(f"sign must be +1 or -1, got {self.sign}")
 
@@ -458,7 +458,7 @@ def lemma4_compare(
     if not 1 <= n < math.inf:  # written so that NaN fails too
         raise ValidationError(f"n must be a positive integer, got {n}")
     if T < 10.0:
-        raise ValidationError(f"T must be >= 10, got {T}")
+        raise ValidationError(f"T must be >= 10, got {T}", "T")
     if not (0.0 < a_lo < b_hi < math.inf):
         raise ValidationError(f"need 0 < a_lo < b_hi < inf, got a_lo = {a_lo}, b_hi = {b_hi}")
     endpoint_scale = a_lo / math.sqrt(T)

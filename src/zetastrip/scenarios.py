@@ -12,12 +12,12 @@ A *scenario file* is flat INI text with three sections::
 
     [output]                   # optional
     stem = my_run              # default: scenario file name without suffix
-    formats = json, csv        # default: both
 
 Every run produces a *report*: a schema-versioned payload with the fully
 resolved configuration (defaults filled in), a fixed per-kind column layout,
-the data rows, run-level scalars, and a verdict.  The JSON file is the
-payload verbatim; the CSV file mirrors it one-to-one (configuration,
+the data rows, run-level scalars, and a verdict.  Each run writes two
+files, ``<stem>.json`` and ``<stem>.csv``.  The JSON file is the payload
+verbatim; the CSV file mirrors it one-to-one (configuration,
 scalars and verdict as ``# key = value`` preamble lines, then the tabular
 part).  Reports carry no timestamps, hostnames or environment echoes, so
 two runs of the same scenario on the same build produce byte-identical
@@ -28,13 +28,12 @@ A run's outcome is one record, ``file``, ``kind``, ``stem``, ``passed`` and
 ``detail``: ``execute_scenario`` returns it with the paths it wrote, and a
 suite summary lists it as it is.  A *suite file* lists scenario files
 (``[suite] scenarios = ...``, one per line, resolved relative to the suite
-file) and runs them on a thread pool of the calling process, ``workers``
-scenarios at once.
+file); each is read once and run on a thread pool of the calling process,
+``workers`` scenarios at once.
 
 ``compare_reports`` diffs a JSON report against a stored baseline in one pass
-over the flattened fields: numeric fields must agree within a relative
-tolerance (default ``DEFAULT_COMPARE_REL_TOL``, overridable per dotted field
-path via a ``[tolerances]`` INI file), strings and booleans exactly, and no
+over the flattened fields: numeric fields must agree within the relative
+tolerance ``DEFAULT_COMPARE_REL_TOL``, strings and booleans exactly, and no
 NaN or infinity agrees with another value.
 
 Exit-code convention used by the command-line front end:
@@ -92,7 +91,6 @@ from .voronoi import (
 )
 
 SCHEMA_VERSION = 1
-REPORT_FORMATS = ("json", "csv")
 DEFAULT_COMPARE_REL_TOL = 1e-9
 # Every kernel evaluates in binary64.  Reports keep recording it so they
 # stay comparable with baselines that carry the field.
@@ -208,19 +206,16 @@ def _parse_section(params: Sequence[_Param], raw: Mapping[str, str], context: st
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario file: kind, raw parameters, output naming."""
+    """Parsed scenario file: kind, raw parameters, report file stem."""
 
     kind: str
     parameters: Mapping[str, str]
     stem: str
-    formats: tuple[str, ...]
 
 
-def _read_ini(
-    path: Path, *, context: str, required: str, optional: tuple[str, ...] | None = ()
-) -> configparser.ConfigParser:
-    """Parsed INI file that has the ``[required]`` section and, unless
-    ``optional`` is ``None``, no sections but it and ``optional``."""
+def _read_ini(path: Path, *, context: str, required: str, optional: tuple[str, ...] = ()) -> configparser.ConfigParser:
+    """Parsed INI file that has the ``[required]`` section and no sections
+    but it and ``optional``."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         text = path.read_text(encoding="utf-8")
@@ -232,10 +227,9 @@ def _read_ini(
         raise ValidationError(f"{context}: malformed INI in {path}: {exc}") from exc
     if not parser.has_section(required):
         raise ValidationError(f"{context}: {path} is missing the [{required}] section")
-    if optional is not None:
-        extra = set(parser.sections()) - {required, *optional}
-        if extra:
-            raise ValidationError(f"{context} {path.name}: unknown section(s) {sorted(extra)}")
+    extra = set(parser.sections()) - {required, *optional}
+    if extra:
+        raise ValidationError(f"{context} {path.name}: unknown section(s) {sorted(extra)}")
     return parser
 
 
@@ -251,22 +245,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
     parameters = dict(parser["parameters"]) if parser.has_section("parameters") else {}
 
-    out = _parse_section(
-        (_Param("stem", str.strip, path.stem), _Param("formats", _list_of(str), REPORT_FORMATS)),
-        parser["output"] if parser.has_section("output") else {},
-        f"scenario {path.name} [output]",
-    )
-    stem, formats = out["stem"], out["formats"]
+    output = parser["output"] if parser.has_section("output") else {}
+    stem = _parse_section((_Param("stem", str.strip, path.stem),), output, f"scenario {path.name} [output]")["stem"]
     if not stem or any(sep in stem for sep in ("/", "\\", "\0")):
         raise ValidationError(f"scenario {path.name}: output stem must be a bare file name")
-    for index, fmt in enumerate(formats):
-        if fmt not in REPORT_FORMATS:
-            raise ValidationError(
-                f"scenario {path.name}: unknown output format {fmt!r}; expected {list(REPORT_FORMATS)}"
-            )
-        if fmt in formats[:index]:
-            raise ValidationError(f"scenario {path.name}: output format {fmt!r} is listed twice")
-    return Scenario(kind=head["kind"], parameters=parameters, stem=stem, formats=formats)
+    return Scenario(kind=head["kind"], parameters=parameters, stem=stem)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +370,13 @@ def _run_voronoi(v: dict) -> tuple:
         )
 
     spec = TwistedSumSpec(v["a"], v["h"], v["k"])
-    if v["twist"] == "direct" and spec.h_bar != spec.h:
+    twist = _voronoi_twist(v)
+    if v["twist"] != twist:
+        by_h, by_h_bar = f"h = {spec.h}", f"h_bar = {spec.h_bar}, the inverse of h mod k = {spec.k_mod}"
+        said, done = (by_h, by_h_bar) if twist == "inverse" else (by_h_bar, by_h)
         raise ValidationError(
-            f"scenario kind 'voronoi': parameter 'twist' = 'direct' would twist the series by h = {spec.h}, but it "
-            f"twists by h_bar = {spec.h_bar}, the inverse of h mod k = {spec.k_mod}; omit the key or write 'inverse'"
+            f"scenario kind 'voronoi': parameter 'twist' = {v['twist']!r} would twist the series by {said}, but it "
+            f"twists by {done}; omit the key or write {twist!r}"
         )
     plan = truncation_plan(spec, (x_lo, x_hi), n_terms)  # refuses a negative n_terms before the fit
     calibration = calibrate(spec, x_lo=v["calibration_x_lo"], samples=v["calibration_samples"])
@@ -618,11 +604,24 @@ def _config_value(value):
     return value
 
 
+#: Scenario keys that reach the library under another argument name.
+_KEY_OF_ARGUMENT = {"k_mod": "k", "k_freq": "k", "T": "t"}
+
+
 def build_report(scenario: Scenario) -> dict:
-    """Execute one scenario and return its full report payload."""
+    """Execute one scenario and return its full report payload.  A library
+    refusal that names the argument at fault is prefixed with the kind and
+    the scenario key that argument came from."""
     kind = _KINDS[scenario.kind]
-    values = _parse_section(kind.params, scenario.parameters, f"scenario kind '{scenario.kind}'")
-    rows, scalars, passed, detail = kind.run(values)
+    context = f"scenario kind '{scenario.kind}'"
+    try:
+        values = _parse_section(kind.params, scenario.parameters, context)
+        rows, scalars, passed, detail = kind.run(values)
+    except ValidationError as exc:
+        if exc.argument is None:
+            raise
+        key = _KEY_OF_ARGUMENT.get(exc.argument, exc.argument)
+        raise ValidationError(f"{context}: parameter '{key}': {exc}") from exc
     config = {name: _config_value(value) for name, value in values.items()}
     config["precision_bits"] = PRECISION_BITS
     return {
@@ -703,16 +702,23 @@ def _report_dir(out_dir: str | Path | None) -> Path:
     return target
 
 
-def write_report(report: dict, out_dir: str | Path, stem: str, formats: Sequence[str]) -> list[str]:
-    """Serialise a report into ``out_dir`` atomically; returns written paths."""
+def write_report(report: dict, out_dir: str | Path, stem: str) -> list[str]:
+    """Serialise a report into ``out_dir`` atomically as ``<stem>.json`` and
+    its CSV mirror ``<stem>.csv``; returns the written paths."""
     out_dir = _report_dir(out_dir)
-    renderers = {"json": render_json, "csv": render_csv}
     written = []
-    for fmt in formats:
-        path = out_dir / f"{stem}.{fmt}"
-        _write_atomic(path, renderers[fmt](report))
+    for suffix, render in (("json", render_json), ("csv", render_csv)):
+        path = out_dir / f"{stem}.{suffix}"
+        _write_atomic(path, render(report))
         written.append(str(path))
     return written
+
+
+def _run_scenario(path: Path, scenario: Scenario, out_dir: str | Path) -> tuple[dict, list[str]]:
+    """Run and serialise ``scenario``, read from ``path``; see :func:`execute_scenario`."""
+    report = build_report(scenario)
+    entry = {"file": path.name, "kind": scenario.kind, "stem": scenario.stem, **report["verdict"]}
+    return entry, write_report(report, out_dir, scenario.stem)
 
 
 def execute_scenario(path: str | Path, out_dir: str | Path | None = None) -> tuple[dict, list[str]]:
@@ -725,9 +731,7 @@ def execute_scenario(path: str | Path, out_dir: str | Path | None = None) -> tup
     target = Path(out_dir) if out_dir is not None else Path.cwd()
     if target.exists() and not target.is_dir():
         raise ValidationError(f"cannot create report directory {target}: a file of that name exists")
-    report = build_report(scenario)
-    outputs = write_report(report, target, scenario.stem, scenario.formats)
-    return {"file": path.name, "kind": scenario.kind, "stem": scenario.stem, **report["verdict"]}, outputs
+    return _run_scenario(path, scenario, target)
 
 
 # ---------------------------------------------------------------------------
@@ -769,17 +773,17 @@ def run_suite(path: str | Path, out_dir: str | Path | None = None, *, workers: i
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
-    scenario_paths = load_suite(path)
+    loaded = [(p, load_scenario(p)) for p in load_suite(path)]
     # The summary's own stem counts, so no scenario report can be overwritten by it.
-    stems = [load_scenario(p).stem for p in scenario_paths] + ["suite_summary"]
+    stems = [scenario.stem for _, scenario in loaded] + ["suite_summary"]
     duplicates = sorted({s for s in stems if stems.count(s) > 1})
     if duplicates:
         raise ValidationError(f"suite: duplicate output stem(s) {duplicates}; reports would overwrite")
     target = _report_dir(out_dir)
 
-    pool = ThreadPoolExecutor(max_workers=min(workers, len(scenario_paths)))
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(loaded)))
     try:
-        futures = [pool.submit(execute_scenario, p, target) for p in scenario_paths]
+        futures = [pool.submit(_run_scenario, p, scenario, target) for p, scenario in loaded]
         wait(futures)
     finally:
         pool.shutdown(cancel_futures=True)
@@ -807,23 +811,6 @@ def run_suite(path: str | Path, out_dir: str | Path | None = None, *, workers: i
 # ---------------------------------------------------------------------------
 
 
-def load_tolerances(path: str | Path | None) -> dict[str, float]:
-    """Per-field relative tolerances from a ``[tolerances]`` INI file."""
-    if path is None:
-        return {}
-    parser = _read_ini(Path(path), context="tolerances", required="tolerances", optional=None)
-    table = {}
-    for key, text in parser["tolerances"].items():
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise ValidationError(f"tolerances: field {key!r} has a non-numeric tolerance {text!r}") from exc
-        if not (value >= 0.0 and math.isfinite(value)):
-            raise ValidationError(f"tolerances: field {key!r} needs a finite tolerance >= 0, got {value!r}")
-        table[key] = value
-    return table
-
-
 def _flatten(value, prefix: str = "") -> dict[str, object]:
     """Leaf values by dotted path (``config.sigma``, ``rows[3][2]``); an
     empty section or list has no leaves."""
@@ -839,24 +826,16 @@ def _flatten(value, prefix: str = "") -> dict[str, object]:
     return flat
 
 
-def _tolerance_for(field: str, tolerances: Mapping[str, float]) -> float:
-    base = field.split("[", 1)[0]
-    return tolerances.get(field, tolerances.get(base, DEFAULT_COMPARE_REL_TOL))
-
-
-def compare_reports(
-    current: dict, baseline: dict, tolerances: Mapping[str, float] | None = None
-) -> tuple[int, list[str]]:
+def compare_reports(current: dict, baseline: dict) -> tuple[int, list[str]]:
     """Field-by-field drift check of a report against a stored baseline.
 
     Returns ``(exit_code, messages)``: structural differences (schema or
     kind mismatch, missing or extra sections or fields, type changes) give
     exit 1; numeric drift beyond tolerance or a changed string/boolean gives
     exit 2, the changed fields listed before the drifted ones; agreement
-    gives exit 0.  Tolerances are relative, keyed by dotted field path
-    (``rows[3][2]`` may be keyed exactly or as ``rows``).  Numbers that are
-    not exactly equal agree only when their relative deviation is at most
-    the tolerance, so a NaN or an infinity agrees with no other value.
+    gives exit 0.  Numbers that are not exactly equal agree only when their
+    relative deviation is at most ``DEFAULT_COMPARE_REL_TOL``, so a NaN or an
+    infinity agrees with no other value.
     """
     for name in ("schema_version", "kind"):
         if current.get(name) != baseline.get(name):
@@ -893,11 +872,10 @@ def compare_reports(
             a, b = float(a), float(b)
             scale = max(abs(a), abs(b))
             relative = abs(a - b) / scale if scale > 0.0 else math.inf
-            tol = _tolerance_for(name, tolerances or {})
-            if not relative <= tol:
+            if not relative <= DEFAULT_COMPARE_REL_TOL:
                 drifted.append(
                     f"field {name} drifted: current {a!r}, baseline {b!r}, "
-                    f"relative deviation {relative:.3e} > tolerance {tol:.3e}"
+                    f"relative deviation {relative:.3e} > tolerance {DEFAULT_COMPARE_REL_TOL:.3e}"
                 )
 
     if structural:

@@ -138,7 +138,7 @@ def calibration_x_lo(k_mod: int) -> float:
 
 def _check_k_mod(k_mod: int) -> None:
     if not 1 <= k_mod <= X_MAX:  # so that every h n of a sum is exact in int64
-        raise ValidationError(f"k_mod must satisfy 1 <= k_mod <= {X_MAX:.0f}, got {k_mod}")
+        raise ValidationError(f"k_mod must satisfy 1 <= k_mod <= {X_MAX:.0f}, got {k_mod}", "k_mod")
 
 
 @dataclass(frozen=True)
@@ -191,15 +191,15 @@ class TwistedSumSpec:
         _check_k_mod(self.k_mod)
         if not 0 <= self.h < self.k_mod:
             raise ValidationError(
-                f"h must satisfy 0 <= h < k_mod, got h={self.h}, k_mod={self.k_mod}"
+                f"h must satisfy 0 <= h < k_mod, got h={self.h}, k_mod={self.k_mod}", "h"
             )
         if math.gcd(self.h, self.k_mod) != 1:
             raise ValidationError(
-                f"h={self.h} and k_mod={self.k_mod} must be coprime"
+                f"h={self.h} and k_mod={self.k_mod} must be coprime", "h"
             )
         a = float(self.a)
         if not -0.5 < a <= 0.0:
-            raise ValidationError(f"exponent a must lie in (-1/2, 0], got {self.a}")
+            raise ValidationError(f"exponent a must lie in (-1/2, 0], got {self.a}", "a")
         object.__setattr__(self, "a", a)
 
     @property
@@ -321,7 +321,7 @@ def calibrate(
         )
     a = spec.a
     if a == 0.0:
-        raise ValidationError("calibration requires a < 0 (no smooth main terms at a=0)")
+        raise ValidationError("calibration requires a < 0 (no smooth main terms at a=0)", "a")
     if power_modulus_exponent is not None and power_modulus_exponent != -1.0 - a:
         raise ValidationError(
             f"calibration uses the residue value -1 - a = {-1.0 - a!r} as its power_modulus_exponent; "
