@@ -1,5 +1,5 @@
-"""Elementary arithmetic helpers: gcd/lcm pair data, divisor power sums,
-Dirichlet polynomials and exact unit phases.
+"""Elementary arithmetic helpers: gcd/lcm pair data, divisor power sums from
+a sieve memoised by its inputs, Dirichlet polynomials and exact unit phases.
 
 Conventions used throughout the package:
 
@@ -13,8 +13,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -135,43 +135,33 @@ def fsum_complex(values: list[complex] | np.ndarray) -> complex:
 #: forming any array, so that a too-long sum is a named input error.
 SIEVE_MAX = 2.0**20
 
-# One divisor sieve per exponent, grown on demand and shared by the threads
-# of a suite.  Each call returns a view of a sieve it read or built itself,
-# and publishing a finished, read-only sieve is one dict store, so no call
-# sees a partial sieve.  The lock makes the length check and the store one
-# step, so a longer sieve is never replaced by a shorter one.
-_sigma_sieves: dict[float, np.ndarray] = {}
-_publish = threading.Lock()
+
+@functools.lru_cache(maxsize=64)
+def _sieve(a: float, length: int) -> np.ndarray:
+    """Read-only ``sigma_a(n)`` for ``n = 1..length``.  Entry ``n`` adds its
+    divisors in ascending order whatever ``length`` is, so a prefix has the
+    bits of a shorter sieve."""
+    sieve = np.zeros(length, dtype=np.float64)
+    for d in range(1, length + 1):
+        sieve[d - 1 :: d] += float(d) ** a
+    sieve.setflags(write=False)
+    return sieve
 
 
 def divisor_sigma_range(a: float, n_max: int) -> np.ndarray:
     """Read-only vector of ``sigma_a(n)`` for ``n = 1..n_max`` (index 0 holds
     ``sigma_a(1)``).
 
-    A view of one divisor sieve per exponent, which doubles in length until
-    it covers ``n_max``: O(n log n) work over all calls.  Entry ``n`` adds its
-    divisors in ascending order whatever the sieve's length, so a prefix has
-    the bits of a sieve of exactly ``n_max`` entries.  Needs ``|a| <= 1``
-    (no ``d^a`` over- or underflows) and ``1 <= n_max <= SIEVE_MAX``.
+    A view of the memoised sieve whose length is the power of two at or
+    above ``n_max``: O(n log n) work over all calls, with the bits of a sieve
+    of exactly ``n_max`` entries.  Needs ``|a| <= 1`` (no ``d^a`` over- or
+    underflows) and an integer ``1 <= n_max <= SIEVE_MAX``.
     """
     if not -1.0 <= a <= 1.0:  # written so that NaN fails too
         raise ValidationError(f"divisor_sigma_range requires an exponent a in [-1, 1], got a = {a!r}")
     if not 1 <= n_max <= SIEVE_MAX:
         raise ValidationError(f"divisor_sigma_range requires 1 <= n_max <= {SIEVE_MAX:.0f}, got n_max = {n_max!r}")
-    a = float(a)
-    sieve = _sigma_sieves.get(a)
-    if sieve is None or sieve.size < n_max:
-        length = n_max if sieve is None else max(n_max, 2 * sieve.size)
-        sieve = np.zeros(length, dtype=np.float64)
-        for d in range(1, length + 1):
-            sieve[d - 1 :: d] += float(d) ** a
-        sieve.setflags(write=False)
-        with _publish:
-            cached = _sigma_sieves.get(a)
-            publish = cached.size < length if cached is not None else len(_sigma_sieves) < 64
-            if publish:
-                _sigma_sieves[a] = sieve
-    return sieve[:n_max]
+    return _sieve(float(a), 1 << int(n_max - 1).bit_length())[:n_max]
 
 
 def unit_phase(numerator: np.ndarray, modulus: int) -> np.ndarray:
@@ -180,11 +170,17 @@ def unit_phase(numerator: np.ndarray, modulus: int) -> np.ndarray:
     Takes an integer array of numerators; the reduction modulo ``modulus``
     is done in exact integer arithmetic before the complex exponential,
     which keeps distant terms of long sums phase-accurate.  Only ``modulus``
-    values occur: a table of their exps, indexed by the reduced numerators,
-    has the bits of the elementwise exp.
+    values occur: with at least ``modulus`` numerators, a table of their
+    exps, indexed by the reduced numerators, has the bits of the elementwise
+    exp, which fewer numerators take directly.
     """
     if not np.issubdtype(np.asarray(numerator).dtype, np.integer):
         raise ValidationError(f"unit_phase requires an integer numerator, got dtype {np.asarray(numerator).dtype}")
-    if not 1 <= modulus <= SIEVE_MAX:  # written so that NaN fails too
-        raise ValidationError(f"unit_phase requires 1 <= modulus <= {SIEVE_MAX:.0f}, got modulus = {modulus!r}")
-    return np.exp((2j * np.pi / modulus) * np.arange(modulus))[np.mod(numerator, modulus)]
+    if not (isinstance(modulus, (int, np.integer)) and 1 <= modulus <= SIEVE_MAX):
+        raise ValidationError(
+            f"unit_phase requires an integer 1 <= modulus <= {SIEVE_MAX:.0f}, got modulus = {modulus!r}"
+        )
+    reduced = np.mod(numerator, modulus)
+    if reduced.size < modulus:
+        return np.exp((2j * np.pi / modulus) * reduced)
+    return np.exp((2j * np.pi / modulus) * np.arange(modulus))[reduced]

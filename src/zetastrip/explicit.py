@@ -67,6 +67,7 @@ one's (``tests/pair_residuals.py``).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -218,14 +219,10 @@ _INNER_LENGTHS = {
 }
 
 
-def _pair_sum(A: DirichletPolynomial, sigma: float, block: str, cut: float, m, terms, outer=()) -> tuple[complex, int]:
-    """``(total, count)`` of the pair sum both blocks share: over the pairs of
-    :func:`~zetastrip.arithmetic.pair_weights`, weight * ``(kappa lambda)^sigma`` * each
-    ``outer`` factor * the sum of ``terms(pd, n, sigma_{2 sigma - 1}(n) n^{-sigma}, e(m(pd) n / lambda))``
-    over the ``count`` integers ``n`` up to each ``block`` inner length at ``cut``; every
-    product is formed left to right and the pairs are summed correctly rounded."""
-    values: list[complex] = []
-    count = 0
+def _pair_inputs(A: DirichletPolynomial, sigma: float, block: str, cut: float, m):
+    """Per pair of :func:`~zetastrip.arithmetic.pair_weights` whose ``block`` inner length
+    at ``cut`` reaches 1: its data, weight * ``(kappa lambda)^sigma``, ``n`` up to that
+    length, ``sigma_{2 sigma - 1}(n) n^{-sigma}`` and ``e(m(pd) n / lambda)``."""
     for weight, pd in pair_weights(A, sigma):
         n_max = math.floor(_INNER_LENGTHS[block](pd, cut))
         if n_max < 1:
@@ -233,65 +230,75 @@ def _pair_sum(A: DirichletPolynomial, sigma: float, block: str, cut: float, m, t
         n_int = np.arange(1, n_max + 1, dtype=np.int64)
         n = n_int.astype(np.float64)
         base = divisor_sigma_range(2.0 * sigma - 1.0, n_max) * n ** (-sigma)
-        coeff = weight * (pd.kappa * pd.lam) ** sigma
-        for factor in outer:
-            coeff = coeff * factor
-        values.append(coeff * complex(np.sum(terms(pd, n, base, unit_phase(m(pd) * n_int, pd.lam)))))
-        count += n_max
-    return fsum_complex(values), count
+        yield pd, weight * (pd.kappa * pd.lam) ** sigma, n, base, unit_phase(m(pd) * n_int, pd.lam)
 
 
-def _sigma1_sum(T: float, Y: float, cfg: StripConfig, A: DirichletPolynomial) -> tuple[complex, int]:
+@dataclass(frozen=True)
+class _BlockSums:
+    """One oscillatory block before its reading: ``(pair data, factor, sum of its terms, term count)``
+    per pair with terms, and ``scale`` (``None`` for none); memory holds one pair's terms at a time."""
+
+    pairs: tuple[tuple[PairData, complex, complex, int], ...]
+    scale: float | None = None  # not 1.0: a float times a complex may flip the sign of a zero part
+
+    def total(self) -> tuple[complex, int]:
+        """``(total, count)``: each pair's factor times its terms' sum, summed correctly rounded, times ``scale``."""
+        total = fsum_complex([factor * pair_sum for _, factor, pair_sum, _ in self.pairs])
+        return (total if self.scale is None else self.scale * total), sum(pair[3] for pair in self.pairs)
+
+
+def _sigma1_sum(T: float, Y: float, cfg: StripConfig, A: DirichletPolynomial) -> _BlockSums:
     """Primary oscillatory sum ``S1(T, Y)`` before the reading's prefactor and
-    the final ``Im{}``: :func:`_pair_sum` over ``n <= kappa*lambda*Y`` with
-    ``m = kappa_bar`` and outer factors ``e^{-2 i pi sigma} T^{1/2 - sigma}``,
-    whose terms carry after ``sigma_{2 sigma - 1}(n) n^{-sigma}``::
+    the final ``Im{}``: over ``n <= kappa*lambda*Y``, each pair's factor is
+    weight * ``(kappa lambda)^sigma e^{-2 i pi sigma} T^{1/2 - sigma}`` and its
+    terms carry after ``sigma_{2 sigma - 1}(n) n^{-sigma}``::
 
         arcsinh(sqrt(pi n / (2 T kappa lambda)))^{-1}
             * (1 + 2 T kappa lambda/(pi n))^{-1/4}
             * e(kappa_bar n / lambda)
             * exp(i (f(T, n/(kappa lambda)) - pi n/(kappa lambda) + pi/2))
 
-    ``S1`` is ``Im{prefactor * total}``.  Returns ``(total, terms)``.
+    ``S1`` is ``Im{prefactor * total}``.
     """
     sigma = cfg.sigma
+    rotation, t_power = cmath.exp(-2j * math.pi * sigma), T ** (0.5 - sigma)
 
-    def terms(pd: PairData, n: np.ndarray, base: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    def pair(pd: PairData, coeff: complex, n: np.ndarray, base: np.ndarray, unit: np.ndarray):
         kl = pd.kappa * pd.lam
         u = n / kl
         asc = np.arcsinh(np.sqrt(math.pi * n / (2.0 * T * kl)))
         phase = _f_phase(T, u) - math.pi * u + 0.5 * math.pi
-        return base / asc * (1.0 + 2.0 * T * kl / (math.pi * n)) ** -0.25 * unit * cis(phase)
+        terms = base / asc * (1.0 + 2.0 * T * kl / (math.pi * n)) ** -0.25 * unit * cis(phase)
+        return pd, coeff * rotation * t_power, complex(np.sum(terms)), terms.size
 
-    outer = (cmath.exp(-2j * math.pi * sigma), T ** (0.5 - sigma))
-    return _pair_sum(A, sigma, "sigma1", Y, lambda pd: pd.kappa_bar, terms, outer)
+    return _BlockSums(tuple(itertools.starmap(pair, _pair_inputs(A, sigma, "sigma1", Y, lambda pd: pd.kappa_bar))))
 
 
-def _sigma2_sum(T: float, y_cut: float, cfg: StripConfig, A: DirichletPolynomial) -> tuple[complex, int]:
+def _sigma2_sum(T: float, y_cut: float, cfg: StripConfig, A: DirichletPolynomial) -> _BlockSums:
     """Secondary oscillatory sum ``S2(T, Ycut)``, ``Ycut = xi(T, Y)``, before
-    the reading's factor and the final ``Re{}``: ``-4 (2 pi T)^{1/2 - sigma}``
-    times :func:`_pair_sum` over ``n <= (lambda/kappa) Ycut`` with
-    ``m = -kappa``, whose terms carry after ``sigma_{2 sigma - 1}(n) n^{-sigma}``::
+    the reading's factor and the final ``Re{}``: scale ``-4 (2 pi T)^{1/2 - sigma}``;
+    over ``n <= (lambda/kappa) Ycut``, each pair's factor is weight * ``(kappa lambda)^sigma``
+    and its terms carry after ``sigma_{2 sigma - 1}(n) n^{-sigma}``::
 
         e(-kappa n / lambda) * exp(i g(T, kappa n / lambda)) / log(lambda T/(2 pi kappa n))
 
     Every retained term must satisfy ``kappa n / lambda < T/(2 pi)`` strictly
     (positive logarithm); violating cutoffs raise :class:`ValidationError`.
-    Returns ``(total, terms)``.
     """
     saddle_scale = T / (2.0 * math.pi)
 
-    def terms(pd: PairData, n: np.ndarray, base: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    def pair(pd: PairData, coeff: complex, n: np.ndarray, base: np.ndarray, unit: np.ndarray):
         u = pd.kappa * n / pd.lam
         if u[-1] >= saddle_scale:
             raise ValidationError(
                 "sigma2 retained a term with kappa*n/lambda >= T/(2 pi); the window cutoff is inadmissible"
             )
-        return base * unit * cis(_g_phase(T, u)) / np.log(saddle_scale / u)
+        terms = base * unit * cis(_g_phase(T, u)) / np.log(saddle_scale / u)
+        return pd, coeff, complex(np.sum(terms)), terms.size
 
-    total, count = _pair_sum(A, cfg.sigma, "sigma2", y_cut, lambda pd: -pd.kappa, terms)
+    pairs = itertools.starmap(pair, _pair_inputs(A, cfg.sigma, "sigma2", y_cut, lambda pd: -pd.kappa))
     # -T^{1/2-sigma}/(pi^{1/2+sigma} 2^{sigma-1/2}) * 4 pi  ==  -4 (2 pi T)^{1/2-sigma}
-    return -4.0 * (2.0 * math.pi * T) ** (0.5 - cfg.sigma) * total, count
+    return _BlockSums(tuple(pairs), -4.0 * (2.0 * math.pi * T) ** (0.5 - cfg.sigma))
 
 
 def _check_inner_lengths(window: WindowConfig, A: DirichletPolynomial) -> None:
@@ -321,8 +328,8 @@ def explicit_terms(
     _check_inner_lengths(window, A)
     prefactor1 = _reading(_SIGMA1_PREFACTORS, "sigma1 variant", sigma1_variant)(cfg.sigma)
     factor2 = _reading(_SIGMA2_FACTORS, "sigma2 variant", sigma2_variant)(cfg.sigma)
-    total1, terms1 = _sigma1_sum(window.t, window.y, cfg, A)
-    total2, terms2 = _sigma2_sum(window.t, _xi(window.t, window.y), cfg, A)
+    total1, terms1 = _sigma1_sum(window.t, window.y, cfg, A).total()
+    total2, terms2 = _sigma2_sum(window.t, _xi(window.t, window.y), cfg, A).total()
     sigma1, sigma2 = (prefactor1 * total1).imag, factor2 * total2.real
     if not (math.isfinite(sigma1) and math.isfinite(sigma2)):
         raise ValidationError(
@@ -426,7 +433,7 @@ class Theorem2Report:
 
 def _dyadic_levels(T: float, c_star: float, alpha: float) -> int:
     if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValidationError("alpha must be positive and finite")
+        raise ValidationError("alpha must be positive and finite", "alpha")
     if T < c_star:
         raise ValidationError("dyadic reconstruction requires T >= c_star")
     levels = math.floor(

@@ -76,9 +76,7 @@ class StripConfig:
 
     def __post_init__(self) -> None:
         if not (0.25 < self.sigma < 0.5):
-            raise ValidationError(
-                f"sigma must lie strictly inside (1/4, 1/2), got {self.sigma}"
-            )
+            raise ValidationError(f"sigma must lie strictly inside (1/4, 1/2), got {self.sigma}", "sigma")
 
 
 def integrand(t: np.ndarray, config: StripConfig, poly: DirichletPolynomial) -> np.ndarray:

@@ -99,7 +99,7 @@ LOG_CONSTANT = 2.0
 def _check_exponent(name: str, value: float) -> None:
     """The band (0, 10] of every amplitude exponent of the three lemmas."""
     if not (0.0 < value <= 10.0):  # written so that NaN fails too
-        raise ValidationError(f"{name} must lie in (0, 10], got {value}")
+        raise ValidationError(f"{name} must lie in (0, 10], got {value}", name)
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,7 @@ class ExpIntegralSpec:
         for name in ("alpha", "beta", "gamma"):
             _check_exponent(name, getattr(self, name))
         if abs(self.alpha - 1.0) <= 0.01:
-            raise ValidationError(
-                f"alpha must keep |alpha - 1| > 0.01, got {self.alpha}"
-            )
+            raise ValidationError(f"alpha must keep |alpha - 1| > 0.01, got {self.alpha}", "alpha")
         if not (0.0 < self.a_lo < self.b_hi < math.inf):
             raise ValidationError(
                 f"need 0 < a_lo < b_hi, got a_lo={self.a_lo}, b_hi={self.b_hi}"
@@ -138,7 +136,7 @@ class ExpIntegralSpec:
         if not 1.0 <= self.T < math.inf:
             raise ValidationError(f"T must be finite and >= 1, got {self.T}", "T")
         if self.sign not in (+1, -1):
-            raise ValidationError(f"sign must be +1 or -1, got {self.sign}")
+            raise ValidationError(f"sign must be +1 or -1, got {self.sign}", "sign")
 
     @property
     def u_value(self) -> float:
@@ -268,7 +266,7 @@ def lemma2_compare(
     """
     T, k = spec.T, spec.k_freq
     if not spec.a_lo < 0.5:
-        raise ValidationError(f"lemma2 mode requires a_lo < 1/2, got {spec.a_lo}")
+        raise ValidationError(f"lemma2 mode requires a_lo < 1/2, got {spec.a_lo}", "a_lo")
     if not spec.a_lo < T / (8.0 * math.pi * k):
         raise ValidationError(
             f"lemma2 mode requires a_lo < T/(8 pi k) = {T / (8.0 * math.pi * k):.4g}"
@@ -359,17 +357,17 @@ def lemma3_decay(alpha: float, k: float, t_grid) -> Lemma3Report:
     """
     t_values = tuple(float(t) for t in t_grid)
     if len(t_values) < 2:
-        raise ValidationError("lemma3_decay needs at least two T values")
+        raise ValidationError("lemma3_decay needs at least two T values", "t_grid")
     if not all(10.0 <= t < math.inf for t in t_values):
-        raise ValidationError(f"lemma3_decay requires T >= 10, finite, at each T of t_grid, got {t_values}")
+        raise ValidationError(f"lemma3_decay requires T >= 10, finite, at each T of t_grid, got {t_values}", "t_grid")
     for earlier, later in zip(t_values, t_values[1:]):
         if not math.isclose(later, 2.0 * earlier, rel_tol=1e-12):
-            raise ValidationError("t_grid must double at each step")
+            raise ValidationError("t_grid must double at each step", "t_grid")
     if k <= 0.0:
-        raise ValidationError(f"k must be positive, got {k}")
+        raise ValidationError(f"k must be positive, got {k}", "k")
     if not math.isfinite(2.0 * math.pi * k):  # the phase and its derivative divide by 2 pi k
         limit = sys.float_info.max / (2.0 * math.pi)
-        raise ValidationError(f"k must keep 2 pi k finite, k <= {limit:.6g}, got {k:g}")
+        raise ValidationError(f"k must keep 2 pi k finite, k <= {limit:.6g}, got {k:g}", "k")
     if not 2.0 * t_values[-1] / (2.0 * math.pi * k) < math.inf:  # x / (2 pi k) up to x = 2 T
         raise ValidationError(f"k must keep 2 T / (2 pi k) finite at T = {t_values[-1]:g}, got {k:g}")
     _check_exponent("alpha", alpha)
@@ -456,7 +454,7 @@ def lemma4_compare(
     """
     _check_exponent("alpha", alpha)
     if not 1 <= n < math.inf:  # written so that NaN fails too
-        raise ValidationError(f"n must be a positive integer, got {n}")
+        raise ValidationError(f"n must be a positive integer, got {n}", "n")
     if T < 10.0:
         raise ValidationError(f"T must be >= 10, got {T}", "T")
     if not (0.0 < a_lo < b_hi < math.inf):

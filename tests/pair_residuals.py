@@ -44,14 +44,16 @@ GRID = (
 
 
 def sigma2_sum(T, y_cut, cfg, A, twist):
-    """Σ₂ before its reading's factor, as a ``(total, terms)`` pair, under
-    ``twist``: ``direct`` (``m = -kappa``) or ``inverse`` (``m = -kappa_bar``)."""
+    """Σ₂ before its reading's factor, as ``(total, terms, pairs)``, under
+    ``twist``: ``direct`` (``m = -kappa``) or ``inverse`` (``m = -kappa_bar``).
+    ``pairs`` holds ``(pair data, factor, inner sum, term count)`` per pair with terms."""
     sigma = cfg.sigma
     exponent = 2.0 * sigma - 1.0
     saddle_scale = T / (2.0 * math.pi)
     scalar = -4.0 * (2.0 * math.pi * T) ** (0.5 - sigma)
     values = []
     terms = 0
+    pairs = []
     for product, pd in coefficient_pairs(A):
         n_max = math.floor(pd.lam * y_cut / pd.kappa)
         if n_max < 1:
@@ -66,7 +68,8 @@ def sigma2_sum(T, y_cut, cfg, A, twist):
         coeff = product / pd.lcm ** (2.0 * sigma) * (pd.kappa * pd.lam) ** sigma
         values.append(coeff * complex(inner))
         terms += n_max
-    return scalar * fsum_complex(values), terms
+        pairs.append((pd, coeff, complex(inner), n_max))
+    return scalar * fsum_complex(values), terms, pairs
 
 
 def _polynomial(k: int, l: int, c: complex) -> DirichletPolynomial:

@@ -87,20 +87,20 @@ def test_divisor_sigma_range_matches_scalar():
         divisor_sigma_range(-0.2, 0)
 
 
-@pytest.mark.parametrize("lengths", [(1000, 4097), (4097, 1000), (7, 123457)])
-def test_divisor_sigma_range_prefix_views_match_a_fresh_sieve(monkeypatch, lengths):
-    # One sieve per exponent serves every length: a prefix view must have the
-    # bits of a sieve of exactly that length, whichever length came first.
+@pytest.mark.parametrize("lengths", [(1000, 4097), (4097, 1000), (7, 123457), (4095, 4096, 4097)])
+def test_divisor_sigma_range_prefix_views_match_a_fresh_sieve(lengths):
+    # A memoised sieve serves every length up to its own: a prefix view must
+    # have the bits of a sieve of exactly that length, whichever length came first.
     a = -0.3
 
     def fresh(n_max: int) -> np.ndarray:
-        monkeypatch.setattr(arithmetic_module, "_sigma_sieves", {})
+        arithmetic_module._sieve.cache_clear()
         return divisor_sigma_range(a, n_max).copy()
 
     expected = {n: fresh(n) for n in lengths}
-    monkeypatch.setattr(arithmetic_module, "_sigma_sieves", {})
+    arithmetic_module._sieve.cache_clear()
     views = {n: divisor_sigma_range(a, n) for n in lengths}
-    views[lengths[0]] = divisor_sigma_range(a, lengths[0])  # again, after the other
+    views[lengths[0]] = divisor_sigma_range(a, lengths[0])  # again, after the others
     for n, view in views.items():
         assert view.shape == (n,)
         assert not view.flags.writeable
@@ -109,16 +109,23 @@ def test_divisor_sigma_range_prefix_views_match_a_fresh_sieve(monkeypatch, lengt
         assert views[max(lengths)][n - 1] == _divisor_sigma(a, n)  # bitwise: same order of additions
 
 
-def test_divisor_sigma_range_is_shared_by_threads(monkeypatch):
-    # Scenario threads of a suite share the sieve cache.  A thread that read
-    # a short sieve may finish its own after another thread published a
-    # longer one: every view must still have the bits of a fresh sieve, and
-    # the longer sieve must stay cached.  Each round has a few such overlaps.
+def test_divisor_sigma_range_views_share_the_power_of_two_sieve():
+    arithmetic_module._sieve.cache_clear()
+    longer, longest = divisor_sigma_range(-0.3, 4097), divisor_sigma_range(-0.3, 8192)
+    assert longer.base is longest.base
+    assert longest.base.size == 8192
+    assert divisor_sigma_range(-0.3, 4096).base.size == 4096
+
+
+def test_divisor_sigma_range_is_shared_by_threads():
+    # Scenario threads of a suite share the memoised sieves: every view must
+    # have the bits of a fresh sieve, whichever thread built its sieve, and
+    # the longest sieve must stay cached.  Each round has a few overlaps.
     a = -0.3
     lengths = [3_000, 12_345, 2_000, 1_000, 10_000, 10_000, 10_000]
 
     def fresh(n_max: int) -> bytes:
-        monkeypatch.setattr(arithmetic_module, "_sigma_sieves", {})
+        arithmetic_module._sieve.cache_clear()
         return divisor_sigma_range(a, n_max).tobytes()
 
     expected = {n: fresh(n) for n in set(lengths)}
@@ -126,13 +133,15 @@ def test_divisor_sigma_range_is_shared_by_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(8):
-            monkeypatch.setattr(arithmetic_module, "_sigma_sieves", {})
+            arithmetic_module._sieve.cache_clear()
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [pool.submit(divisor_sigma_range, a, n) for n in lengths]
                 views = [future.result(timeout=60) for future in futures]
             for n, view in zip(lengths, views):
                 assert view.tobytes() == expected[n], n
-            assert arithmetic_module._sigma_sieves[a].size >= max(lengths)
+            hits = arithmetic_module._sieve.cache_info().hits
+            divisor_sigma_range(a, max(lengths))
+            assert arithmetic_module._sieve.cache_info().hits == hits + 1
     finally:
         sys.setswitchinterval(interval)
 
@@ -143,6 +152,8 @@ def test_divisor_sigma_range_is_shared_by_threads(monkeypatch):
         (lambda: unit_phase(np.array([0, 1]), int(SIEVE_MAX) + 1), "1 <= modulus <= 1048576, got modulus = 1048577"),
         (lambda: unit_phase(np.array([0, 1]), 10**30), "got modulus = 1000000000000000000000000000000"),
         (lambda: unit_phase(np.array([0.5]), 7), "unit_phase requires an integer numerator, got dtype float64"),
+        (lambda: unit_phase(np.array([0, 1]), 7.5), "an integer 1 <= modulus <= 1048576, got modulus = 7.5"),
+        (lambda: unit_phase(np.array([0, 1]), 7.0), "an integer 1 <= modulus <= 1048576, got modulus = 7.0"),
         (lambda: divisor_sigma_range(math.nan, 10), "exponent a in [-1, 1], got a = nan"),
         (lambda: divisor_sigma_range(-math.inf, 10), "exponent a in [-1, 1], got a = -inf"),
         (lambda: divisor_sigma_range(0.5, int(SIEVE_MAX) + 1), "1 <= n_max <= 1048576, got n_max = 1048577"),
@@ -151,7 +162,8 @@ def test_divisor_sigma_range_is_shared_by_threads(monkeypatch):
         (lambda: DirichletPolynomial((complex(1.0, math.inf),)), "finite coefficients, got ((1+infj),)"),
     ],
     ids=[
-        "modulus-above-sieve", "modulus-1e30", "float-numerator", "a-nan", "a-inf",
+        "modulus-above-sieve", "modulus-1e30", "float-numerator", "float-modulus", "integral-float-modulus",
+        "a-nan", "a-inf",
         "n_max-above-sieve", "n_max-1e30", "nan-coefficient", "inf-coefficient",
     ],
 )
@@ -192,6 +204,29 @@ def test_unit_phase_table_bit_identical_to_the_elementwise_exp():
             got = unit_phase(numerators, modulus)
             assert got.shape == expected.shape
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), modulus
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 7, 1000, 1_048_573])
+def test_unit_phase_exps_at_most_one_element_per_numerator_or_residue(modulus, monkeypatch):
+    # At modulus 1 048 573 the table of every residue's exp cost 57 ms per call
+    # for 300 numerators.  Both paths give the table's bits.
+    rng = np.random.default_rng(modulus)
+    exp = np.exp
+    seen = []
+
+    def spy(z, *args, **kwargs):
+        seen.append(np.size(z))
+        return exp(z, *args, **kwargs)
+
+    for count in sorted({1, max(modulus - 1, 1), modulus, modulus + 1, 300}):
+        numerators = rng.integers(-(2**40), 2**40, count, dtype=np.int64)
+        expected = exp((2j * np.pi / modulus) * np.arange(modulus))[np.mod(numerators, modulus)]
+        seen.clear()
+        monkeypatch.setattr(np, "exp", spy)
+        got = unit_phase(numerators, modulus)
+        monkeypatch.undo()
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (modulus, count)
+        assert sum(seen) <= min(count, modulus), (modulus, count)
 
 
 def test_dirichlet_polynomial_evaluate():

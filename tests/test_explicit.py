@@ -133,7 +133,7 @@ def _sigma2(**flags) -> float:
 def test_sigma1_variant_scalings():
     scale = (2.0 * math.pi) ** (0.4 - 0.5)
     resolved = _sigma1(sigma1_variant="resolved")
-    total, _ = _sigma1_sum(60.0, 60.0, _CFG, _POLY2)
+    total, _ = _sigma1_sum(60.0, 60.0, _CFG, _POLY2).total()
     assert abs(resolved) <= scale * abs(total) + 1e-12
     with pytest.raises(ValidationError):
         _sigma1(sigma1_variant="other")
@@ -409,6 +409,7 @@ def _sigma1_sum_oracle(T, Y, cfg, A):
     t_power = T ** (0.5 - sigma)
     values = []
     terms = 0
+    pairs = []
     for product, pd in coefficient_pairs(A):
         kl = pd.kappa * pd.lam
         n_max = math.floor(kl * Y)
@@ -425,7 +426,24 @@ def _sigma1_sum_oracle(T, Y, cfg, A):
         coeff = product / pd.lcm ** (2.0 * sigma) * kl**sigma * base_rotation * t_power
         values.append(coeff * complex(inner))
         terms += n_max
-    return fsum_complex(values), terms
+        pairs.append((pd, coeff, complex(inner), n_max))
+    return fsum_complex(values), terms, pairs
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _assert_pairs_bit_identical(block, oracle_pairs):
+    """Each pair of a block value has the data, factor, terms' sum and term count of the oracle's pair."""
+    assert len(block.pairs) == len(oracle_pairs)
+    for (pd, factor, pair_sum, count), (oracle_pd, oracle_factor, oracle_sum, oracle_count) in zip(
+        block.pairs, oracle_pairs
+    ):
+        assert pd == oracle_pd
+        assert _bits(factor) == _bits(oracle_factor)
+        assert _bits(pair_sum) == _bits(oracle_sum)
+        assert count == oracle_count
 
 
 def _main_term_oracle(T, cfg, A):
@@ -449,20 +467,25 @@ _READINGS = list(itertools.product(SIGMA1_VARIANTS, SIGMA2_VARIANTS))
 def test_blocks_bit_identical_to_the_former_block_sums(length, monkeypatch):
     # Random complex coefficients, every reading, sigma in {0.3, 0.4, 0.45}
     # and T in {60, 250, 1000} at Y = T: each block keeps the bits of the
-    # former separate Sigma_1 and Sigma_2 loops and main-term pair loop.
+    # former separate Sigma_1 and Sigma_2 loops and main-term pair loop, and
+    # each Sigma_1 and Sigma_2 pair keeps the loops' factor, terms' sum and count.
     rng = np.random.default_rng(length)
     poly = DirichletPolynomial(tuple(rng.normal(size=length) + 1j * rng.normal(size=length)))
     for sigma, T in itertools.product((0.3, 0.4, 0.45), (60.0, 250.0, 1000.0)):
         cfg, window = StripConfig(sigma), WindowConfig(0.5, 2.0, T, T)
         y_cut = _xi(T, T)
-        sum1 = _sigma1_sum(T, T, cfg, poly)
-        assert sum1 == _sigma1_sum_oracle(T, T, cfg, poly), (sigma, T)
-        sum2 = _sigma2_sum(T, y_cut, cfg, poly)
-        assert sum2 == _sigma2_sum_oracle(T, y_cut, cfg, poly, "direct"), (sigma, T)
+        block1, block2 = _sigma1_sum(T, T, cfg, poly), _sigma2_sum(T, y_cut, cfg, poly)
+        *oracle1, pairs1 = _sigma1_sum_oracle(T, T, cfg, poly)
+        *oracle2, pairs2 = _sigma2_sum_oracle(T, y_cut, cfg, poly, "direct")
+        sum1, sum2 = block1.total(), block2.total()
+        assert sum1 == tuple(oracle1), (sigma, T)
+        assert sum2 == tuple(oracle2), (sigma, T)
+        _assert_pairs_bit_identical(block1, pairs1)
+        _assert_pairs_bit_identical(block2, pairs2)
         main = _main_term_oracle(T, cfg, poly)
         # The readings apply scalar factors to the same sums.
-        monkeypatch.setattr(explicit_module, "_sigma1_sum", lambda *args: sum1)
-        monkeypatch.setattr(explicit_module, "_sigma2_sum", lambda *args: sum2)
+        monkeypatch.setattr(explicit_module, "_sigma1_sum", lambda *args: block1)
+        monkeypatch.setattr(explicit_module, "_sigma2_sum", lambda *args: block2)
         for s1, s2 in _READINGS:
             got = explicit_terms(window, cfg, poly, sigma1_variant=s1, sigma2_variant=s2)
             total1, terms1 = sum1

@@ -67,3 +67,74 @@ def test_every_private_module_name_is_used_in_its_module(path):
         and name not in loaded
     ]
     assert unused == []
+
+
+_MUTATORS = {"append", "update", "setdefault", "pop", "clear", "add"}
+# The one state a function may rebind: a forked child's own Dirichlet pool.
+_STATE_EXCEPTIONS = {("special.py", "_renew_pool")}
+
+
+def _state_writes(function: ast.AST, module_names: set[str]) -> list[str]:
+    """What ``function`` rebinds or mutates of the module-level ``module_names``
+    that it does not bind locally (nested functions included): a ``global``,
+    an item or attribute store or deletion, or a mutating method call."""
+    local = {arg.arg for node in ast.walk(function) if isinstance(node, ast.arguments)
+             for arg in (*node.posonlyargs, *node.args, *node.kwonlyargs, node.vararg, node.kwarg) if arg}
+    local |= {node.id for node in ast.walk(function) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    shared = module_names - local
+
+    def root(node: ast.AST) -> str | None:
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        return node.id if isinstance(node, ast.Name) else None
+
+    writes = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Global):
+            writes += [f"global {name}" for name in node.names]
+        targets = list(getattr(node, "targets", [getattr(node, "target", None)]))
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif isinstance(target, (ast.Subscript, ast.Attribute)) and root(target) in shared:
+                writes.append(f"{ast.unparse(target)} (line {node.lineno})")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS
+                and root(node.func.value) in shared):
+            writes.append(f"{ast.unparse(node.func)}() (line {node.lineno})")
+    return writes
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_function_rebinds_or_mutates_module_state(path):
+    # Module state a function writes is shared by every scenario thread of a
+    # suite, hidden from its callers; a memoised pure function needs none.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = (ast.Import, ast.ImportFrom)  # a module's own state, not another module's
+    module_names = {name for name, node in _module_names(tree).items() if not isinstance(node, imports)}
+    found = {
+        f"{node.name}: {write}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (path.name, node.name) not in _STATE_EXCEPTIONS
+        for write in _state_writes(node, module_names)
+    }
+    assert sorted(found) == []
+
+
+def test_the_state_guard_sees_the_pool_hook_and_a_registry_store():
+    source = (
+        "_POOL = None\n_CACHE = {}\n"
+        "def renew():\n    global _POOL\n    _POOL = 1\n"
+        "def store(a, value):\n    _CACHE[a] = value\n    _CACHE.setdefault(a, value)\n"
+        "def local(a):\n    _CACHE = {}\n    _CACHE[a] = 1\n"
+    )
+    tree = ast.parse(source)
+    names = set(_module_names(tree))
+    writes = {node.name: _state_writes(node, names) for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert writes == {
+        "renew": ["global _POOL"],
+        "store": ["_CACHE[a] (line 7)", "_CACHE.setdefault() (line 8)"],
+        "local": [],
+    }

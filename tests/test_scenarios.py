@@ -876,7 +876,9 @@ def test_cli_run_names_a_saddle_l3_k_whose_2_pi_k_overflows(tmp_path, capsys, k)
         warnings.simplefilter("error")
         code, elapsed, err = _run_cli(tmp_path, capsys, "saddle-l3", parameters)
     assert code == EXIT_ERROR
-    assert err == f"error: k must keep 2 pi k finite, k <= 2.86112e+307, got {float(k):g}\n"
+    assert err == (
+        f"error: scenario kind 'saddle-l3': parameter 'k': k must keep 2 pi k finite, k <= 2.86112e+307, got {float(k):g}\n"
+    )
     assert elapsed < 0.25
 
 
@@ -1069,6 +1071,57 @@ def test_cli_run_leaves_a_callable_defaults_refusal_to_the_key_it_reads(tmp_path
     assert code == EXIT_ERROR
     assert err.startswith(f"error: scenario kind '{kind}': parameter '{key}': {refusal}")
     assert "missing required parameter" not in err
+
+
+_L3, _L4, _THEOREM = CHEAP_PARAMETERS["saddle-l3"], CHEAP_PARAMETERS["saddle-l4"], CHEAP_PARAMETERS["theorem1"]
+
+
+@pytest.mark.parametrize(
+    ("kind", "parameters", "key", "refusal"),
+    [
+        ("saddle-l2", {**_LEMMA2, "alpha": "0"}, "alpha", "alpha must lie in (0, 10], got 0.0"),
+        ("saddle-l2", {**_LEMMA2, "beta": "11"}, "beta", "beta must lie in (0, 10], got 11.0"),
+        ("saddle-l2", {**_LEMMA2, "gamma": "-1"}, "gamma", "gamma must lie in (0, 10], got -1.0"),
+        ("saddle-l2", {**_LEMMA2, "alpha": "1.005"}, "alpha", "alpha must keep |alpha - 1| > 0.01, got 1.005"),
+        ("saddle-l2", {**_LEMMA2, "sign": "2"}, "sign", "sign must be +1 or -1, got 2"),
+        ("saddle-l2", {**_LEMMA2, "a_lo": "0.6"}, "a_lo", "lemma2 mode requires a_lo < 1/2, got 0.6"),
+        ("saddle-l2", {**_LEMMA2, "a_lo": "0.45", "t": "10"}, None, "lemma2 mode requires a_lo < T/(8 pi k) = 0.3979"),
+        ("saddle-l2", {**_LEMMA2, "b_hi": "50"}, None, "lemma2 mode requires b_hi >= max(T, 1/k, U - 1/2) = 100"),
+        ("saddle-l3", {**_L3, "alpha": "0"}, "alpha", "alpha must lie in (0, 10], got 0.0"),
+        ("saddle-l3", {**_L3, "k": "0"}, "k", "k must be positive, got 0.0"),
+        ("saddle-l3", {**_L3, "k": "1e308"}, "k", "k must keep 2 pi k finite, k <= 2.86112e+307, got 1e+308"),
+        ("saddle-l3", {**_L3, "k": "1e-320"}, None, "k must keep 2 T / (2 pi k) finite at T = 100, got 9.99989e-321"),
+        ("saddle-l3", {**_L3, "t_grid": "50"}, "t_grid", "lemma3_decay needs at least two T values"),
+        (
+            "saddle-l3", {**_L3, "t_grid": "5, 10"}, "t_grid",
+            "lemma3_decay requires T >= 10, finite, at each T of t_grid, got (5.0, 10.0)",
+        ),
+        ("saddle-l3", {**_L3, "t_grid": "50, 120"}, "t_grid", "t_grid must double at each step"),
+        ("saddle-l4", {**_L4, "alpha": "11"}, "alpha", "alpha must lie in (0, 10], got 11.0"),
+        ("saddle-l4", {**_L4, "n": "0"}, "n", "n must be a positive integer, got 0"),
+        ("saddle-l4", {**_L4, "a_lo": "0.1"}, None, "a_lo/sqrt(T) = 0.007071 outside [0.05, 100.0]"),
+        ("mean-square", {"sigma": "0.25", "t_hi": "2"}, "sigma", "sigma must lie strictly inside (1/4, 1/2), got 0.25"),
+        ("theorem1", {**_THEOREM, "sigma": "0.2"}, "sigma", "sigma must lie strictly inside (1/4, 1/2), got 0.2"),
+        (
+            "theorem1", {**_THEOREM, "y": "1000"}, None,
+            "WindowConfig requires c1*t < y < c2*t; got y=1000.0 outside (30.0, 120.0)",
+        ),
+        (
+            "theorem2", {**_THEOREM, "y": "10"}, None,
+            "WindowConfig requires c1*t < y < c2*t; got y=10.0 outside (30.0, 120.0)",
+        ),
+        ("theorem2", {**_THEOREM, "alpha": "-1"}, "alpha", "alpha must be positive and finite"),
+    ],
+)
+def test_cli_run_names_the_key_of_a_one_argument_refusal(tmp_path, capsys, kind, parameters, key, refusal):
+    # Each keyed row used to print the library's refusal alone, with no
+    # scenario key.  A bound of several keys (a_lo or b_hi against t and k,
+    # k against t_grid, y against t) names none: whichever key moved, the
+    # message states the bound.
+    code, _elapsed, err = _run_cli(tmp_path, capsys, kind, parameters)
+    assert code == EXIT_ERROR
+    prefix = "" if key is None else f"scenario kind '{kind}': parameter '{key}': "
+    assert err == f"error: {prefix}{refusal}\n"
 
 
 @pytest.mark.parametrize(

@@ -505,9 +505,10 @@ def test_delta_mean_square_keeps_the_bits_of_the_integer_breakpoints():
 def test_delta_mean_square_panels_are_bounded_by_the_budget(monkeypatch):
     # u = 1e5 needs 50 000 unit panels; they used to start unchecked.  With a
     # cold sieve the refusal comes before D(x) forms the divisor sieve up to
-    # u (about 0.3 s), so only the calibration's 160 entries exist: about
-    # 0.03 s, bounded loosely here for a shared host.
-    monkeypatch.setattr(arithmetic, "_sigma_sieves", {})
+    # u (about 0.3 s), so only the calibration's sieve exists (its 160 entries
+    # at the power of two above): about 0.03 s, bounded loosely here for a
+    # shared host.
+    arithmetic._sieve.cache_clear()
     spec = _fresh_spec()
     calibrate(spec, power_modulus_exponent=-0.8)
 
@@ -519,7 +520,10 @@ def test_delta_mean_square_panels_are_bounded_by_the_budget(monkeypatch):
     with pytest.raises(ValidationError, match=r"^Voronoi mean square: initial_width policy reached the panel budget 40000 on \[50000\.0, 100000\.0\]$"):
         delta_mean_square(spec, 1e5)
     assert time.perf_counter() - start < 0.25
-    assert {a: sieve.size for a, sieve in arithmetic._sigma_sieves.items()} == {spec.a: 160}
+    assert arithmetic._sieve.cache_info().currsize == 1
+    hits = arithmetic._sieve.cache_info().hits
+    arithmetic._sieve(spec.a, 256)
+    assert arithmetic._sieve.cache_info()[:2] == (hits + 1, 1)  # (hits, misses): the one sieve is this one
 
 
 def test_non_convergence_names_the_voronoi_stage(monkeypatch):
