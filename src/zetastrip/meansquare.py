@@ -37,7 +37,7 @@ import numpy as np
 
 from .arithmetic import DirichletPolynomial, fsum_complex, pair_weights
 from .errors import ValidationError
-from .quadrature import NODES_PER_PANEL, QuadratureResult, integrate_adaptive, stage
+from .quadrature import NODES_PER_PANEL, QuadratureResult, integrate_adaptive
 from .special import gamma, zeta, zeta_line, zeta_terms
 
 __all__ = [
@@ -142,15 +142,15 @@ def integrate_mean_square(
     initial panels is bounded by :data:`_MAX_ZETA_TERMS` (:func:`check_zeta_work`).
     """
     check_zeta_work(t_lo, t_hi, config, poly)
-    with stage("mean-square integral"):
-        return integrate_adaptive(
-            lambda x: integrand(x, config, poly),
-            t_lo,
-            t_hi,
-            abs_tol=abs_tol,
-            rel_tol=rel_tol,
-            initial_width=_initial_width(poly),
-        )
+    return integrate_adaptive(
+        lambda x: integrand(x, config, poly),
+        t_lo,
+        t_hi,
+        stage="mean-square integral",
+        abs_tol=abs_tol,
+        rel_tol=rel_tol,
+        initial_width=_initial_width(poly),
+    )
 
 
 def main_term(T: float, config: StripConfig, poly: DirichletPolynomial) -> float:

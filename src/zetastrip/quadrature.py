@@ -9,8 +9,8 @@ indicator exceeds its fair share of the tolerance, so the subdivision depends
 only on the integrand values, never on timing or thread scheduling.  Totals
 are correctly rounded (``math.fsum``) and so independent of summation order;
 results are bit-for-bit reproducible.  An integral uses at most
-:data:`MAX_PANELS` panels; a caller names its stage in the error it raises
-when they run out or its width policy fails (:func:`stage`).
+:data:`MAX_PANELS` panels.  Every refusal the engine raises begins with the
+caller's ``stage``; an integrand's own exceptions pass through unchanged.
 
 Every integral's width policy (a function of position) sets its initial
 panel lengths, to resolve oscillatory integrands; a policy that steps to the
@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .arithmetic import fsum_complex
 from .errors import PrecisionError, QuadratureNonConvergence, ValidationError
 
-__all__ = ["QuadratureResult", "integrate_adaptive", "stage", "MAX_PANELS", "NODES_PER_PANEL"]
+__all__ = ["QuadratureResult", "integrate_adaptive", "MAX_PANELS", "NODES_PER_PANEL"]
 
 # Gauss-Kronrod 7-15 pair on [-1, 1] (classical constants, full binary64).
 _XGK_HALF = (
@@ -77,34 +76,29 @@ class QuadratureResult:
     evaluations: int
 
 
-class _WidthPolicyError(ValidationError):
-    """The width policy gave a width that is not positive and finite, or more
-    initial panels than the panel budget."""
-
-
-def _initial_edges(a: float, b: float, initial_width: Callable[[float], float]) -> list[float]:
+def _initial_edges(a: float, b: float, initial_width: Callable[[float], float], stage: str) -> list[float]:
     edges: list[float] = [a]
     append = edges.append
     x = a
     while x < b:
         w = initial_width(x)
         if not 0.0 < w < math.inf:  # also false for NaN
-            raise _WidthPolicyError(
-                f"initial_width must produce positive finite widths, got {w!r} at x = {x!r} on [{a!r}, {b!r}]"
+            raise ValidationError(
+                f"{stage}: initial_width must produce positive finite widths, got {w!r} at x = {x!r} on [{a!r}, {b!r}]"
             )
         x = x + w
         if not x < b:
             x = b
         if len(edges) > MAX_PANELS:  # edges so far = panels with this one
-            raise _WidthPolicyError(
-                f"initial_width policy reached the panel budget {MAX_PANELS} on [{a!r}, {b!r}]"
+            raise ValidationError(
+                f"{stage}: initial_width policy reached the panel budget {MAX_PANELS} on [{a!r}, {b!r}]"
             )
         append(x)
     return edges
 
 
 def _evaluate_panels(
-    f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights: np.ndarray, a: float, b: float
+    f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray, rights: np.ndarray, a: float, b: float, stage: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod values and ``|K15 - G7|`` indicators, ``_PANEL_BATCH`` panels
     per call of ``f``.  A value of ``f`` that is not finite raises
@@ -122,7 +116,7 @@ def _evaluate_panels(
         if not finite.all():
             first = np.flatnonzero(~finite)[0]
             raise PrecisionError(
-                f"integrand value {fv.flat[first].item()!r} at x = {nodes.flat[first].item()!r} "
+                f"{stage}: integrand value {fv.flat[first].item()!r} at x = {nodes.flat[first].item()!r} "
                 f"is not finite on [{a!r}, {b!r}]"
             )
         # Finite values near the float limit can sum past it; the panel-sum check names the interval.
@@ -138,6 +132,7 @@ def integrate_adaptive(
     a: float,
     b: float,
     *,
+    stage: str,
     abs_tol: float = 1e-8,
     rel_tol: float = 1e-8,
     initial_width: Callable[[float], float],
@@ -150,31 +145,33 @@ def integrate_adaptive(
     :class:`QuadratureNonConvergence` (carrying the best value and its error
     estimate) if the panel budget :data:`MAX_PANELS` is exhausted first,
     and :class:`PrecisionError` at the first value of ``f``, or a sum of
-    panel values, that is not finite.
+    panel values, that is not finite.  Each of these refusals, and each
+    :class:`ValidationError` of the arguments or of the width policy, begins
+    with ``"<stage>: "``.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValidationError(f"integration endpoints must be finite, got a = {a!r}, b = {b!r}")
+        raise ValidationError(f"{stage}: integration endpoints must be finite, got a = {a!r}, b = {b!r}")
     if b < a:
-        raise ValidationError("integration requires b >= a")
+        raise ValidationError(f"{stage}: integration requires b >= a")
     if not (0.0 < abs_tol < math.inf and 0.0 <= rel_tol < math.inf):
         # Written so that NaN fails too: a NaN tolerance is never met, and
         # refinement would split one panel per pass up to MAX_PANELS.
         raise ValidationError(
-            f"abs_tol must be positive and finite and rel_tol non-negative and finite, "
+            f"{stage}: abs_tol must be positive and finite and rel_tol non-negative and finite, "
             f"got abs_tol={abs_tol!r}, rel_tol={rel_tol!r}"
         )
     a, b = float(a), float(b)
     if b == a:
         return QuadratureResult(0.0, 0.0, 0, 0)
 
-    edges = np.array(_initial_edges(a, b, initial_width))
+    edges = np.array(_initial_edges(a, b, initial_width, stage))
     lefts, rights = edges[:-1], edges[1:]
-    values, errors = _evaluate_panels(f, lefts, rights, a, b)
+    values, errors = _evaluate_panels(f, lefts, rights, a, b, stage)
     evaluations = NODES_PER_PANEL * lefts.size
     while True:
         total = fsum_complex(values)
         if not cmath.isfinite(total):  # finite panel values can sum past the floats
-            raise PrecisionError(f"the sum of the panel values is not finite on [{a!r}, {b!r}]")
+            raise PrecisionError(f"{stage}: the sum of the panel values is not finite on [{a!r}, {b!r}]")
         if total.imag == 0.0:
             total = total.real
         total_err = math.fsum(errors.tolist())
@@ -186,7 +183,7 @@ def integrate_adaptive(
         best = total if isinstance(total, float) else abs(total)
         if n >= MAX_PANELS:
             raise QuadratureNonConvergence(
-                f"panel budget {MAX_PANELS} exhausted with {unmet}", best, total_err
+                f"{stage}: panel budget {MAX_PANELS} exhausted with {unmet}", best, total_err
             )
         # Some panel exceeds its share: were every indicator <= tol/(2n), their
         # fsum would be <= tol (1 + 2 eps)/2 < tol, and the loop has returned.
@@ -196,12 +193,12 @@ def integrate_adaptive(
         split &= (lefts < mids) & (mids < rights)  # else at floating-point resolution
         if not split.any():
             raise QuadratureNonConvergence(
-                f"refinement reached floating-point panel resolution with {unmet}", best, total_err
+                f"{stage}: refinement reached floating-point panel resolution with {unmet}", best, total_err
             )
         # Children interleaved left then right, so they reach ``f`` in panel order.
         child_lefts = np.column_stack((lefts[split], mids[split])).ravel()
         child_rights = np.column_stack((mids[split], rights[split])).ravel()
-        child_values, child_errors = _evaluate_panels(f, child_lefts, child_rights, a, b)
+        child_values, child_errors = _evaluate_panels(f, child_lefts, child_rights, a, b, stage)
         evaluations += NODES_PER_PANEL * child_lefts.size
         # Each split panel is repeated once, and its two slots take its children.
         repeats = 1 + split
@@ -211,16 +208,3 @@ def integrate_adaptive(
         )
         lefts[slots], rights[slots] = child_lefts, child_rights
         values[slots], errors[slots] = child_values, child_errors
-
-
-@contextmanager
-def stage(name: str) -> Iterator[None]:
-    """Prefix ``name``, the caller's stage, to the message of a non-convergence
-    or width-policy error raised in the block; the interval, the best value
-    and its error estimate stay as they were."""
-    try:
-        yield
-    except QuadratureNonConvergence as exc:
-        raise QuadratureNonConvergence(f"{name}: {exc}", exc.value, exc.error_estimate) from None
-    except _WidthPolicyError as exc:
-        raise ValidationError(f"{name}: {exc}") from None

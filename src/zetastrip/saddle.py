@@ -61,7 +61,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import ValidationError
-from .quadrature import QuadratureResult, integrate_adaptive, stage
+from .quadrature import QuadratureResult, integrate_adaptive
 from .special import arcsinh, cis
 
 __all__ = [
@@ -150,7 +150,7 @@ class ExpIntegralSpec:
 
 
 def _phase_integral(
-    integrand, derivative, lo: float, hi: float, abs_tol: float, rel_tol: float
+    integrand, derivative, lo: float, hi: float, abs_tol: float, rel_tol: float, stage: str
 ) -> QuadratureResult:
     """Integral over ``[lo, hi]`` whose initial panels each advance the phase
     by PHASE_RADIANS_PER_PANEL radians, and are at most ``(hi - lo)/16`` wide."""
@@ -161,7 +161,7 @@ def _phase_integral(
         rate = abs(derivative(y))
         return step / (floor if floor > rate else rate)  # max(rate, floor)
 
-    return integrate_adaptive(integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol, initial_width=width)
+    return integrate_adaptive(integrand, lo, hi, stage=stage, abs_tol=abs_tol, rel_tol=rel_tol, initial_width=width)
 
 
 def _exp_integral_lhs(
@@ -184,8 +184,8 @@ def _exp_integral_lhs(
     def derivative(y: float) -> float:
         return signed_freq - T / (y * (1.0 + y))
 
-    with stage(f"lemma2 integral on [a_lo, b_hi] at T = {T!r}, k_freq = {k!r}"):
-        return _phase_integral(integrand, derivative, spec.a_lo, spec.b_hi, abs_tol, rel_tol)
+    stage = f"lemma2 integral on [a_lo, b_hi] at T = {T!r}, k_freq = {k!r}"
+    return _phase_integral(integrand, derivative, spec.a_lo, spec.b_hi, abs_tol, rel_tol, stage)
 
 
 def _saddle_term(spec: ExpIntegralSpec) -> complex:
@@ -343,8 +343,8 @@ def _lemma3_integral(alpha: float, k: float, T: float) -> complex:
         magnitude = x**-alpha / (asr * u_sq**0.25)
         return magnitude * cis(phase)
 
-    with stage(f"lemma3 integral on [T, 2T] at T = {T!r}, k = {k!r}"):
-        result = _phase_integral(integrand, lambda x: _lemma3_phase_derivative(x, k), T, 2.0 * T, 1e-10, 1e-9)
+    stage = f"lemma3 integral on [T, 2T] at T = {T!r}, k = {k!r}"
+    result = _phase_integral(integrand, lambda x: _lemma3_phase_derivative(x, k), T, 2.0 * T, 1e-10, 1e-9, stage)
     return complex(result.value)
 
 
@@ -486,8 +486,8 @@ def lemma4_compare(
         asr_rate = 2.0 * T * sqrt_half / math.sqrt(1.0 + (x * sqrt_half) ** 2)
         return 4.0 * math.pi * root_n - asr_rate - radical_rate + 2.0 * math.pi * x
 
-    with stage(f"lemma4 integral on [a_lo, b_hi] at n = {n}, T = {T!r}"):
-        result = _phase_integral(integrand, derivative, a_lo, b_hi, abs_tol, rel_tol)
+    stage = f"lemma4 integral on [a_lo, b_hi] at n = {n}, T = {T!r}"
+    result = _phase_integral(integrand, derivative, a_lo, b_hi, abs_tol, rel_tol, stage)
 
     delta = _lemma4_delta(n, a_lo, b_hi, T)
     t_over = T / (2.0 * math.pi)

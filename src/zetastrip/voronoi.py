@@ -73,7 +73,7 @@ import numpy as np
 
 from .arithmetic import SIEVE_MAX, divisor_sigma_range, fsum_complex, unit_phase
 from .errors import CalibrationError, ValidationError
-from .quadrature import integrate_adaptive, stage
+from .quadrature import integrate_adaptive
 from .special import bessel, zeta
 
 __all__ = [
@@ -549,12 +549,11 @@ def delta_mean_square(spec: TwistedSumSpec, u: float, calibration: Calibration |
     # the initial panels, so a refused u pays for no sieve of u entries.
     raw = functools.cache(lambda: _raw_sum(spec, hi))
 
-    with stage("Voronoi mean square"):
-        result = integrate_adaptive(
-            lambda xs: np.abs(_delta(spec, raw(), cal, xs)) ** 2,
-            lo, hi, abs_tol=_MEAN_SQUARE_ABS_TOL, rel_tol=_MEAN_SQUARE_REL_TOL,
-            # For x >= 1 this width is exact and x + width is the next
-            # integer, so every jump of the raw sum is a panel edge.
-            initial_width=lambda x: math.floor(x) + 1.0 - x,
-        )
+    result = integrate_adaptive(
+        lambda xs: np.abs(_delta(spec, raw(), cal, xs)) ** 2,
+        lo, hi, stage="Voronoi mean square", abs_tol=_MEAN_SQUARE_ABS_TOL, rel_tol=_MEAN_SQUARE_REL_TOL,
+        # For x >= 1 this width is exact and x + width is the next
+        # integer, so every jump of the raw sum is a panel edge.
+        initial_width=lambda x: math.floor(x) + 1.0 - x,
+    )
     return float(result.value)

@@ -109,6 +109,31 @@ def test_divisor_sigma_range_prefix_views_match_a_fresh_sieve(lengths):
         assert views[max(lengths)][n - 1] == _divisor_sigma(a, n)  # bitwise: same order of additions
 
 
+def _sieve_loop(a: float, length: int) -> np.ndarray:
+    """The sieve as one strided add per divisor ``d <= length``: the bitwise reference."""
+    sieve = np.zeros(length, dtype=np.float64)
+    for d in range(1, length + 1):
+        sieve[d - 1 :: d] += float(d) ** a
+    return sieve
+
+
+_SIEVE_LENGTHS = (
+    *range(1, 301), 4095, 4096, 4097, 65535, 65536, 65537, 131072,
+    *random.Random(20261022).sample(range(1, 200_001), 10),
+)
+
+
+@pytest.mark.parametrize("a", [-1.0, -0.35, -0.2, 0.0, 0.3, 0.5, 1.0])
+def test_sieve_bit_identical_to_one_add_per_divisor(a):
+    # Each length's sieve against a prefix of the loop's longest one, which
+    # has the bits of the loop at that length (entry n adds its divisors in
+    # ascending order whatever the length).
+    reference = _sieve_loop(a, max(_SIEVE_LENGTHS))
+    assert reference[:4097].tobytes() == _sieve_loop(a, 4097).tobytes()
+    for length in _SIEVE_LENGTHS:
+        assert arithmetic_module._sieve.__wrapped__(a, length).tobytes() == reference[:length].tobytes(), length
+
+
 def test_divisor_sigma_range_views_share_the_power_of_two_sieve():
     arithmetic_module._sieve.cache_clear()
     longer, longest = divisor_sigma_range(-0.3, 4097), divisor_sigma_range(-0.3, 8192)
@@ -158,20 +183,25 @@ def test_divisor_sigma_range_is_shared_by_threads():
         (lambda: divisor_sigma_range(-math.inf, 10), "exponent a in [-1, 1], got a = -inf"),
         (lambda: divisor_sigma_range(0.5, int(SIEVE_MAX) + 1), "1 <= n_max <= 1048576, got n_max = 1048577"),
         (lambda: divisor_sigma_range(0.5, 10**30), "got n_max = 1000000000000000000000000000000"),
+        (lambda: divisor_sigma_range(0.5, 100.0), "an integer 1 <= n_max <= 1048576, got n_max = 100.0"),
+        (lambda: divisor_sigma_range(0.5, 100.5), "an integer 1 <= n_max <= 1048576, got n_max = 100.5"),
+        (lambda: divisor_sigma_range(0.5, math.nan), "an integer 1 <= n_max <= 1048576, got n_max = nan"),
         (lambda: DirichletPolynomial((1.0, math.nan)), "finite coefficients, got ((1+0j), (nan+0j))"),
         (lambda: DirichletPolynomial((complex(1.0, math.inf),)), "finite coefficients, got ((1+infj),)"),
     ],
     ids=[
         "modulus-above-sieve", "modulus-1e30", "float-numerator", "float-modulus", "integral-float-modulus",
         "a-nan", "a-inf",
-        "n_max-above-sieve", "n_max-1e30", "nan-coefficient", "inf-coefficient",
+        "n_max-above-sieve", "n_max-1e30", "integral-float-n_max", "float-n_max", "nan-n_max",
+        "nan-coefficient", "inf-coefficient",
     ],
 )
 def test_arithmetic_refuses_by_name_before_forming_any_array(call, fragment, no_new_arrays):
     # unit_phase used to build the table of all modulus exps (a 4 GB table at
     # 2^28), or end in numpy's ValueError; divisor_sigma_range returned nan
-    # entries for a = nan and ended in numpy's ValueError above the sieve; and
-    # the polynomial took non-finite coefficients.
+    # entries for a = nan, ended in numpy's ValueError above the sieve and in
+    # a bare TypeError at a float n_max; and the polynomial took non-finite
+    # coefficients.
     with pytest.raises(ValidationError, match=re.escape(fragment)):
         call()
 

@@ -3,7 +3,9 @@
 Runs ``window``, ``benches`` and ``suite`` of ``bench/workloads.py`` once at
 seed 0, in this process and in a temporary directory, and checks every item
 against ``bench/reference/<workload>.json`` with ``bench/checks.py``, as the
-benchmark driver does for seed 0.  Nothing under ``bench/`` is written.
+benchmark driver does for seed 0.  ``blocks``, which the driver does not
+gate, runs the same way: its reference holds for every seed.  Nothing under
+``bench/`` is written.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def _bench_module(name: str):
     return module
 
 
-@pytest.mark.parametrize("workload", ["window", "benches", "suite"])
+@pytest.mark.parametrize("workload", ["window", "blocks", "benches", "suite"])
 def test_gated_workload_matches_its_reference_at_seed_0(workload, tmp_path):
     workloads, checks = _bench_module("workloads"), _bench_module("checks")
     make_inputs, run = workloads.WORKLOADS[workload]

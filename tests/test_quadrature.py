@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import re
 
 import mpmath
@@ -11,14 +12,22 @@ import pytest
 
 from zetastrip import meansquare, quadrature, saddle, voronoi
 from zetastrip.arithmetic import DirichletPolynomial
-from zetastrip.errors import PrecisionError, QuadratureNonConvergence, ValidationError
+from zetastrip.errors import PrecisionError, QuadratureNonConvergence, ValidationError, ZetastripError
 from zetastrip.quadrature import QuadratureResult, integrate_adaptive
 
 mpmath.mp.prec = 120
 
+#: The stage every direct call here names.
+_STAGE = "probe stage"
+
+
+def _integrate(f, a, b, **kwargs):
+    """``integrate_adaptive`` at :data:`_STAGE`."""
+    return integrate_adaptive(f, a, b, stage=_STAGE, **kwargs)
+
 
 def test_polynomial_exact():
-    result = integrate_adaptive(lambda x: x**2, 0.0, 1.0, initial_width=lambda x: 1.0)
+    result = _integrate(lambda x: x**2, 0.0, 1.0, initial_width=lambda x: 1.0)
     assert result.value == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert result.error_estimate >= 0.0
     assert result.panels >= 1
@@ -26,20 +35,20 @@ def test_polynomial_exact():
 
 
 def test_empty_and_reversed_interval():
-    zero = integrate_adaptive(lambda x: x, 2.0, 2.0, initial_width=lambda x: 1.0)
+    zero = _integrate(lambda x: x, 2.0, 2.0, initial_width=lambda x: 1.0)
     assert zero.value == 0.0 and zero.panels == 0
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda x: x, 1.0, 0.0, initial_width=lambda x: 1.0)
+        _integrate(lambda x: x, 1.0, 0.0, initial_width=lambda x: 1.0)
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda x: x, 0.0, math.inf, initial_width=lambda x: 1.0)
+        _integrate(lambda x: x, 0.0, math.inf, initial_width=lambda x: 1.0)
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda x: x, 0.0, 1.0, abs_tol=0.0, initial_width=lambda x: 1.0)
+        _integrate(lambda x: x, 0.0, 1.0, abs_tol=0.0, initial_width=lambda x: 1.0)
 
 
 def test_panel_values_that_sum_past_the_floats_are_refused():
     # 100 panels of 1e307 each: the sum used to end in fsum's OverflowError.
     with pytest.raises(PrecisionError, match=re.escape("the sum of the panel values is not finite on [0.0, 100.0]")):
-        integrate_adaptive(lambda x: np.full_like(x, 1e307), 0.0, 100.0, initial_width=lambda x: 1.0)
+        _integrate(lambda x: np.full_like(x, 1e307), 0.0, 100.0, initial_width=lambda x: 1.0)
 
 
 @pytest.mark.parametrize("value", [1e308, -1e308, 1e308 - 1e308j])
@@ -48,7 +57,7 @@ def test_panel_values_past_the_floats_are_refused_with_no_warning(value):
     # product; under the suite's warnings-as-errors filter that used to end in
     # numpy's "overflow encountered in matmul" before the panel-sum refusal.
     with pytest.raises(PrecisionError, match=re.escape("the sum of the panel values is not finite on [0.0, 100.0]")):
-        integrate_adaptive(lambda x: np.full_like(x, value, dtype=type(value)), 0.0, 100.0, initial_width=lambda x: 1.0)
+        _integrate(lambda x: np.full_like(x, value, dtype=type(value)), 0.0, 100.0, initial_width=lambda x: 1.0)
 
 
 @pytest.mark.parametrize(
@@ -65,16 +74,16 @@ def test_non_finite_tolerance_is_rejected_before_any_evaluation(tolerances):
         return np.cos(x)
 
     with pytest.raises(ValidationError, match="finite"):
-        integrate_adaptive(f, 10.0, 20.0, initial_width=lambda x: 10.0, **tolerances)
+        _integrate(f, 10.0, 20.0, initial_width=lambda x: 10.0, **tolerances)
     with pytest.raises(ValidationError, match="finite"):
-        integrate_adaptive(f, 10.0, 10.0, initial_width=lambda x: 10.0, **tolerances)
+        _integrate(f, 10.0, 10.0, initial_width=lambda x: 10.0, **tolerances)
     assert calls == []
 
 
 def test_oscillatory_against_closed_form():
     # integral_0^{20 pi} cos(x) dx = 0 exactly; the panel layout must resolve
     # every oscillation when told the wavelength.
-    result = integrate_adaptive(
+    result = _integrate(
         lambda x: np.cos(x), 0.0, 20.0 * math.pi, abs_tol=1e-12, initial_width=lambda x: 1.0
     )
     assert abs(result.value) <= 1e-11
@@ -84,7 +93,7 @@ def test_complex_fresnel_against_mpmath():
     # integral_0^L exp(i x^2) dx with a width policy tied to the local phase
     # derivative 2x.
     L = 12.0
-    result = integrate_adaptive(
+    result = _integrate(
         lambda x: np.exp(1j * x**2),
         0.0,
         L,
@@ -99,14 +108,14 @@ def test_complex_fresnel_against_mpmath():
 def test_breakpoints_resolve_kinks():
     # |x - 1| on [0, 3]: exact value 0.5 + 2 = 2.5; unit initial panels put
     # the kink on a panel edge.
-    result = integrate_adaptive(
+    result = _integrate(
         lambda x: np.abs(x - 1.0), 0.0, 3.0, abs_tol=1e-13, initial_width=lambda x: 1.0
     )
     assert result.value == pytest.approx(2.5, abs=1e-12)
 
 
 def test_error_estimate_is_conservative():
-    result = integrate_adaptive(
+    result = _integrate(
         lambda x: np.exp(-x) * np.sin(7.0 * x), 0.0, 10.0, abs_tol=1e-10, initial_width=lambda x: 10.0
     )
     ref = float(mpmath.quad(lambda x: mpmath.exp(-x) * mpmath.sin(7 * x), [0, 10]))
@@ -133,7 +142,7 @@ def test_non_convergence_carries_best_value(monkeypatch):
     # result attached rather than silently returning garbage.
     monkeypatch.setattr(quadrature, "MAX_PANELS", 40)
     with pytest.raises(QuadratureNonConvergence) as info:
-        integrate_adaptive(_needle, 0.0, 1.0, abs_tol=1e-12, **_UNIT_PANEL)
+        _integrate(_needle, 0.0, 1.0, abs_tol=1e-12, **_UNIT_PANEL)
     assert info.value.error_estimate > 0.0
     assert math.isfinite(info.value.value.real if isinstance(info.value.value, complex) else info.value.value)
 
@@ -142,8 +151,8 @@ def test_determinism_repeated_calls():
     def f(x):
         return np.sin(3.0 * x) / (1.0 + x**2)
 
-    first = integrate_adaptive(f, 0.0, 30.0, abs_tol=1e-11, initial_width=lambda x: 0.7)
-    second = integrate_adaptive(f, 0.0, 30.0, abs_tol=1e-11, initial_width=lambda x: 0.7)
+    first = _integrate(f, 0.0, 30.0, abs_tol=1e-11, initial_width=lambda x: 0.7)
+    second = _integrate(f, 0.0, 30.0, abs_tol=1e-11, initial_width=lambda x: 0.7)
     assert first.value == second.value
     assert first.error_estimate == second.error_estimate
     assert first.panels == second.panels
@@ -151,20 +160,20 @@ def test_determinism_repeated_calls():
 
 def test_width_policy_validation(monkeypatch):
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda x: x, 0.0, 1.0, initial_width=lambda x: -0.5)
+        _integrate(lambda x: x, 0.0, 1.0, initial_width=lambda x: -0.5)
     monkeypatch.setattr(quadrature, "MAX_PANELS", 100)
     with pytest.raises(ValidationError):
-        integrate_adaptive(lambda x: x, 0.0, 1.0e6, initial_width=lambda x: 1e-6)
+        _integrate(lambda x: x, 0.0, 1.0e6, initial_width=lambda x: 1e-6)
 
 
 def test_failures_name_the_interval(monkeypatch):
     with pytest.raises(QuadratureNonConvergence, match=r"panel resolution .* on \[1\.0, 1\.0000000000000142\]$"):
-        integrate_adaptive(_last_bit, *_ULP_WINDOW, abs_tol=1e-300, rel_tol=0.0, **_ULP_PANEL)
+        _integrate(_last_bit, *_ULP_WINDOW, abs_tol=1e-300, rel_tol=0.0, **_ULP_PANEL)
     monkeypatch.setattr(quadrature, "MAX_PANELS", 40)
     with pytest.raises(QuadratureNonConvergence, match=r"budget 40 exhausted .* on \[0\.0, 1\.0\]$"):
-        integrate_adaptive(_needle, 0.0, 1.0, abs_tol=1e-12, **_UNIT_PANEL)
+        _integrate(_needle, 0.0, 1.0, abs_tol=1e-12, **_UNIT_PANEL)
     with pytest.raises(ValidationError, match=r"panel budget 40 on \[2\.0, 3\.5\]$"):
-        integrate_adaptive(lambda x: x, 2.0, 3.5, initial_width=lambda x: 0.01)
+        _integrate(lambda x: x, 2.0, 3.5, initial_width=lambda x: 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +248,7 @@ def _same_bits(x, y) -> bool:
     return type(x) is type(y) and np.array(x).tobytes() == np.array(y).tobytes()
 
 
-def _assert_matches_oracle(f, a, b, **kwargs):
+def _assert_matches_oracle(f, a, b, stage=_STAGE, **kwargs):
     # Same abscissae in the same calls too: ``special.zeta_line`` sizes its
     # chunks by the batch it gets, so that is part of the contract.
     batches = {"array": [], "list": []}
@@ -251,7 +260,7 @@ def _assert_matches_oracle(f, a, b, **kwargs):
 
         return g
 
-    result = integrate_adaptive(recording("array"), a, b, **kwargs)
+    result = integrate_adaptive(recording("array"), a, b, stage=stage, **kwargs)
     reference = _oracle(recording("list"), a, b, **kwargs)
     assert [x.tobytes() for x in batches["array"]] == [x.tobytes() for x in batches["list"]]
     assert _same_bits(result.value, reference.value)
@@ -296,7 +305,7 @@ def test_closed_forms_match_the_list_loop_bitwise(f, a, b, kwargs):
 def test_non_convergence_matches_the_list_loop_bitwise(f, window, kwargs, max_panels, monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
     with pytest.raises(QuadratureNonConvergence) as info:
-        integrate_adaptive(f, *window, **kwargs)
+        _integrate(f, *window, **kwargs)
     with pytest.raises(QuadratureNonConvergence) as reference:
         _oracle(f, *window, max_panels=max_panels, **kwargs)
     assert str(reference.value) in str(info.value)
@@ -392,7 +401,7 @@ def test_initial_edges_bit_identical_to_the_former_loop(module, run, monkeypatch
     for _, a, b, kwargs in _calls_through(module, monkeypatch, run):
         policy = kwargs["initial_width"]
         for lo, hi in ((a, b), (a + 0.3 * (b - a), b), (0.5 * (a + b), b)):
-            edges = quadrature._initial_edges(lo, hi, policy)
+            edges = quadrature._initial_edges(lo, hi, policy, kwargs["stage"])
             assert len(edges) > 2
             assert np.array(edges).tobytes() == np.array(_initial_edges_former(lo, hi, policy)).tobytes()
 
@@ -405,7 +414,7 @@ def test_integer_steps_give_the_former_integer_seeded_edges(u, monkeypatch):
     ((_, a, b, kwargs),) = _calls_through(voronoi, monkeypatch, lambda: voronoi.delta_mean_square(spec, u))
     assert (a, b) == (0.5 * u, u)
     former = sorted({a, b, *(float(m) for m in range(math.floor(a) + 1, math.ceil(b)) if a < m < b)})
-    edges = quadrature._initial_edges(a, b, kwargs["initial_width"])
+    edges = quadrature._initial_edges(a, b, kwargs["initial_width"], kwargs["stage"])
     assert np.array(edges).tobytes() == np.array(former).tobytes()
 
 
@@ -416,23 +425,76 @@ def test_initial_edges_reject_widths_that_are_not_positive_and_finite(width):
 
     with pytest.raises(ValidationError, match="^initial_width must produce positive finite widths$"):
         _initial_edges_former(0.0, 1.0, policy)
-    # The refusal names the width, the point and the interval, and a stage prefixes it.
+    # The refusal names the stage, the width, the point and the interval.
     message = f"initial_width must produce positive finite widths, got {width!r} at x = 0.375 on [0.0, 1.0]"
     with pytest.raises(ValidationError) as info:
-        quadrature._initial_edges(0.0, 1.0, policy)
-    assert str(info.value) == message
-    with pytest.raises(ValidationError) as info, quadrature.stage("test stage"):
-        quadrature._initial_edges(0.0, 1.0, policy)
+        quadrature._initial_edges(0.0, 1.0, policy, "test stage")
     assert str(info.value) == f"test stage: {message}"
 
 
 def test_initial_edges_panel_budget_error_unchanged(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
     messages = []
-    for edges in (quadrature._initial_edges, _initial_edges_former):
+    for edges in (lambda *args: quadrature._initial_edges(*args, _STAGE), _initial_edges_former):
         with pytest.raises(ValidationError, match=r"panel budget 50 on \[2\.0, 3\.5\]$") as info:
             edges(2.0, 3.5, lambda x: 0.01)
         messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == f"{_STAGE}: {messages[1]}"
     # 49 panels of 1/64 give 50 edges, the budget itself: no error.
-    assert len(quadrature._initial_edges(2.0, 2.765625, lambda x: 0.015625)) == 50
+    assert len(quadrature._initial_edges(2.0, 2.765625, lambda x: 0.015625, _STAGE)) == 50
+
+
+# ---------------------------------------------------------------------------
+# Every refusal the engine raises names the caller's stage
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error, max_panels, f, a, b, kwargs",
+    [
+        (ValidationError, 40_000, np.cos, 0.0, math.inf, _UNIT_PANEL),
+        (ValidationError, 40_000, np.cos, 1.0, 0.0, _UNIT_PANEL),
+        (ValidationError, 40_000, np.cos, 0.0, 1.0, {"rel_tol": math.nan, **_UNIT_PANEL}),
+        (ValidationError, 40_000, np.cos, 0.0, 1.0, {"initial_width": lambda x: -0.5}),
+        (ValidationError, 40, np.cos, 2.0, 3.5, {"initial_width": lambda x: 0.01}),
+        (QuadratureNonConvergence, 40, _needle, 0.0, 1.0, {"abs_tol": 1e-12, **_UNIT_PANEL}),
+        (QuadratureNonConvergence, 40_000, _last_bit, *_ULP_WINDOW, {"abs_tol": 1e-300, "rel_tol": 0.0, **_ULP_PANEL}),
+        (PrecisionError, 40_000, lambda x: np.where(x > 0.5, np.inf, x), 0.0, 1.0, _UNIT_PANEL),
+        (PrecisionError, 40_000, lambda x: np.full_like(x, 1e307), 0.0, 100.0, _UNIT_PANEL),
+    ],
+    ids=[
+        "endpoints", "reversed", "tolerance", "bad-width", "width-budget", "panel-budget", "resolution",
+        "non-finite-value", "non-finite-sum",
+    ],
+)
+def test_every_engine_refusal_begins_with_the_stage(error, max_panels, f, a, b, kwargs, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
+    with pytest.raises(ZetastripError) as info:
+        _integrate(f, a, b, **kwargs)
+    assert type(info.value) is error
+    message = str(info.value)
+    assert message.startswith(f"{_STAGE}: ")
+    assert not message.removeprefix(f"{_STAGE}: ").startswith(_STAGE)  # once, not twice
+    if error is QuadratureNonConvergence:  # the prefixed refusal still carries its best value
+        returned = pickle.loads(pickle.dumps(info.value))
+        assert (str(returned), returned.value, returned.error_estimate) == (
+            message, info.value.value, info.value.error_estimate
+        )
+        assert info.value.error_estimate > 0.0
+
+
+def test_stage_has_no_default():
+    with pytest.raises(TypeError, match="stage"):
+        integrate_adaptive(np.cos, 0.0, 1.0, **_UNIT_PANEL)
+
+
+def test_an_integrands_own_refusal_passes_through_unchanged():
+    own = ValidationError("the integrand's own refusal", "t")
+
+    def f(x):
+        raise own
+
+    with pytest.raises(ValidationError) as info:
+        _integrate(f, 0.0, 1.0, **_UNIT_PANEL)
+    assert info.value is own
+    assert str(info.value) == "the integrand's own refusal"

@@ -373,7 +373,7 @@ def _integrand_of(run, monkeypatch):
     """The integrand ``run()`` hands to ``saddle._phase_integral``."""
     captured = []
 
-    def capture(integrand, derivative, lo, hi, abs_tol, rel_tol):
+    def capture(integrand, derivative, lo, hi, abs_tol, rel_tol, stage):
         captured.append((integrand, lo, hi))
         raise _Captured
 
@@ -419,9 +419,9 @@ def test_phase_width_policy_bit_identical_to_the_former_max(run, monkeypatch):
     captured = {}
     phase_integral = saddle._phase_integral
 
-    def spy(integrand, derivative, lo, hi, abs_tol, rel_tol):
+    def spy(integrand, derivative, lo, hi, abs_tol, rel_tol, stage):
         captured.update(derivative=derivative, lo=lo, hi=hi)
-        return phase_integral(integrand, derivative, lo, hi, abs_tol, rel_tol)
+        return phase_integral(integrand, derivative, lo, hi, abs_tol, rel_tol, stage)
 
     def stop(f, a, b, **kwargs):
         captured["width"] = kwargs["initial_width"]

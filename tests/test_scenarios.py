@@ -1242,7 +1242,7 @@ def test_cli_run_names_a_non_finite_integrand(tmp_path, capsys, kind, parameters
         code, elapsed, err = _run_cli(tmp_path, capsys, kind, parameters)
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert code == EXIT_ERROR
-    assert err.startswith("error: integrand value inf at x = ")
+    assert err.startswith("error: mean-square integral: integrand value inf at x = ")
     assert f"is not finite on {interval}" in err
     assert elapsed < 1.0
 

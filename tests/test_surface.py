@@ -113,10 +113,11 @@ _ENTRIES = {
     ),
     "integrate_adaptive": (
         "quadrature",
-        lambda: dict(f=_integrand, a=0.0, b=1.0, abs_tol=1e-8, rel_tol=1e-8, initial_width=lambda x: 0.25),
+        lambda: dict(
+            f=_integrand, a=0.0, b=1.0, stage="probe", abs_tol=1e-8, rel_tol=1e-8, initial_width=lambda x: 0.25
+        ),
         {"a": "float", "b": "float", "abs_tol": "float", "rel_tol": "float"},
     ),
-    "stage": ("quadrature", lambda: dict(name="probe"), {}),
     "ExpIntegralSpec": (
         "saddle",
         lambda: dict(alpha=0.6, beta=0.6, gamma=1.0, a_lo=0.01, b_hi=20.0, k_freq=1.0, T=10.0, sign=1),
